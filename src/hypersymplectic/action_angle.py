@@ -15,6 +15,7 @@ factor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,16 @@ from .structures import TOL_FD, CheckReport
 TWO_PI = 2.0 * math.pi
 MIN_QUADRATURE_NODES = 16
 DEFAULT_ENERGY_WINDOW = (0.2, 2.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count
+    and shared read-only."""
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    u.flags.writeable = False
+    w.flags.writeable = False
+    return u, w
 
 
 @dataclass(frozen=True)
@@ -65,7 +76,7 @@ def action_from_energy(osc: Oscillator1DOF, energy: float, nodes: int = 64) -> f
         raise DegenerateOrbitError(
             f"no closed orbit at energy {energy}; need a positive energy level"
         )
-    u, w = np.polynomial.legendre.leggauss(nodes)
+    u, w = _gauss_legendre(nodes)
     t = math.pi * (u + 1.0)
     r = math.sqrt(2.0 * energy)
     momentum = r * np.cos(t)
@@ -77,7 +88,7 @@ def angle_period_check(osc: Oscillator1DOF, energy: float, nodes: int = 128) -> 
     """|(1/2pi) * loop integral of d(angle) - 1| over one level curve."""
     if nodes < MIN_QUADRATURE_NODES:
         raise ValueError(f"need at least {MIN_QUADRATURE_NODES} nodes, got {nodes}")
-    u, w = np.polynomial.legendre.leggauss(nodes)
+    u, w = _gauss_legendre(nodes)
     t = math.pi * (u + 1.0)
     r = math.sqrt(2.0 * energy)
     total = 0.0
@@ -252,7 +263,7 @@ def angle_cycle_matrix(
     energies = np.asarray(energies, dtype=float)
     if energies.shape != (sys.dof,):
         raise ValueError(f"need one energy per factor, got shape {energies.shape}")
-    u, w = np.polynomial.legendre.leggauss(nodes)
+    u, w = _gauss_legendre(nodes)
     t = math.pi * (u + 1.0)
     matrix = np.zeros((sys.dof, sys.dof))
     for j in range(sys.dof):

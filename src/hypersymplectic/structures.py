@@ -20,14 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import (
-    DifferentialForm,
-    EndomorphismField,
-    exterior_derivative,
-    form_matrix,
-    lie_bracket,
-    vector_jacobian,
-)
+from .calculus import DifferentialForm, EndomorphismField, exterior_derivative, form_matrix
 from .charts import Chart, Point, VectorField, require_same_chart
 
 TOL_ALGEBRAIC = 1e-12
@@ -123,15 +116,6 @@ class FlatConnection:
         return float(np.max(np.abs(t1 - t2 + t3 - t4)))
 
 
-def covariant_derivative(
-    conn: FlatConnection, X: VectorField, V: VectorField, pt: Point, step: float
-) -> np.ndarray:
-    """nabla_X V = DV.X + Gamma(X, V) at a point."""
-    G = conn.gamma(pt)
-    correction = np.einsum("kij,i,j->k", G, X(pt), V(pt))
-    return vector_jacobian(V, pt, step) @ X(pt) + correction
-
-
 def covariant_constancy(
     conn: FlatConnection, form: DifferentialForm, pt: Point, step: float | None = None
 ) -> np.ndarray:
@@ -155,30 +139,34 @@ def covariant_constancy(
 def d_nabla_endo(
     conn: FlatConnection,
     I: EndomorphismField,
-    X: VectorField,
-    Y: VectorField,
     pt: Point,
     step: float | None = None,
 ) -> np.ndarray:
-    """Exterior covariant derivative of an endomorphism on a pair of fields:
+    """Exterior covariant derivative of an endomorphism on the coordinate frame.
 
-        d_nabla I (X, Y) = (nabla_X I) Y - (nabla_Y I) X,
-        (nabla_X I) Y   = nabla_X (I Y) - I (nabla_X Y).
+    ``table[a, b] = d_nabla I (e_a, e_b) = (nabla_a I) e_b - (nabla_b I) e_a`` with
+
+        (nabla_a I) e_b = (d_a I) e_b + Gamma(e_a, I e_b) - I Gamma(e_a, e_b).
+
+    d_nabla I is a tensor, so the frame table determines it on every pair of
+    fields.  I is read once at ``pt`` and once at each central-stencil point.
     """
     require_same_chart(conn.chart, I.chart)
-    require_same_chart(conn.chart, X.chart)
     h = conn.chart.fd_step() if step is None else float(step)
     I_pt = I.matrix(pt)
-
-    def endo_applied(field: VectorField) -> VectorField:
-        return VectorField(conn.chart, lambda p: I.matrix(p) @ field(p))
-
-    def nabla_I(A: VectorField, B: VectorField) -> np.ndarray:
-        return covariant_derivative(conn, A, endo_applied(B), pt, h) - I_pt @ covariant_derivative(
-            conn, A, B, pt, h
-        )
-
-    return nabla_I(X, Y) - nabla_I(Y, X)
+    dI = np.stack(
+        [
+            (I.matrix(pt.shifted(a, h)) - I.matrix(pt.shifted(a, -h))) / (2.0 * h)
+            for a in range(conn.chart.dim)
+        ]
+    )
+    G = conn.gamma(pt)
+    nabla = (
+        np.transpose(dI, (0, 2, 1))
+        + np.einsum("kaj,jb->abk", G, I_pt)
+        - np.einsum("kj,jab->abk", I_pt, G)
+    )
+    return nabla - np.transpose(nabla, (1, 0, 2))
 
 
 def nijenhuis(
@@ -188,18 +176,32 @@ def nijenhuis(
     pt: Point,
     step: float | None = None,
 ) -> np.ndarray:
-    """Nijenhuis tensor N_J(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] + J^2 [X, Y]."""
+    """Nijenhuis tensor N_J(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] + J^2 [X, Y].
+
+    J, X and Y are read once at ``pt`` and once at each central-stencil
+    point; the four brackets ``[A, B] = DB.A - DA.B`` are formed from those
+    values with central-difference Jacobians, as ``calculus.lie_bracket`` does.
+    """
     require_same_chart(J.chart, X.chart)
     require_same_chart(J.chart, Y.chart)
     h = pt.chart.fd_step() if step is None else float(step)
-    JX = VectorField(J.chart, lambda p: J.matrix(p) @ X(p))
-    JY = VectorField(J.chart, lambda p: J.matrix(p) @ Y(p))
-    J_pt = J.matrix(pt)
+    dim = pt.chart.dim
+    DX, DY, DJX, DJY = (np.empty((dim, dim)) for _ in range(4))
+    for j in range(dim):
+        plus, minus = pt.shifted(j, h), pt.shifted(j, -h)
+        J_p, J_m = J.matrix(plus), J.matrix(minus)
+        X_p, X_m, Y_p, Y_m = X(plus), X(minus), Y(plus), Y(minus)
+        DX[:, j] = (X_p - X_m) / (2.0 * h)
+        DY[:, j] = (Y_p - Y_m) / (2.0 * h)
+        DJX[:, j] = (J_p @ X_p - J_m @ X_m) / (2.0 * h)
+        DJY[:, j] = (J_p @ Y_p - J_m @ Y_m) / (2.0 * h)
+    J_pt, X_pt, Y_pt = J.matrix(pt), X(pt), Y(pt)
+    JX_pt, JY_pt = J_pt @ X_pt, J_pt @ Y_pt
     return (
-        lie_bracket(JX, JY, pt, h)
-        - J_pt @ lie_bracket(JX, Y, pt, h)
-        - J_pt @ lie_bracket(X, JY, pt, h)
-        + J_pt @ J_pt @ lie_bracket(X, Y, pt, h)
+        (DJY @ JX_pt - DJX @ JY_pt)
+        - J_pt @ (DY @ JX_pt - DJX @ Y_pt)
+        - J_pt @ (DJY @ X_pt - DX @ JY_pt)
+        + J_pt @ J_pt @ (DY @ X_pt - DX @ Y_pt)
     )
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hypersymplectic.calculus import EndomorphismField, form_matrix
 from hypersymplectic.errors import DegenerateMetricError, NotAlmostComplexError
 from hypersymplectic.fibration import (
     gradient_section,
@@ -10,6 +11,7 @@ from hypersymplectic.fibration import (
 )
 from hypersymplectic.polynomials import Polynomial
 from hypersymplectic.special_kahler import (
+    SpecialKahlerData,
     build_special_kahler,
     induced_complex_structure,
     induced_vs_restriction,
@@ -18,6 +20,7 @@ from hypersymplectic.special_kahler import (
     signature,
     special_symplectic_check,
 )
+from hypersymplectic.structures import d_nabla_endo
 
 MODEL = make_model(1)
 POINTS = MODEL.base_chart.sample(25, 42)
@@ -104,6 +107,36 @@ def test_curved_section_keeps_parallelism_but_loses_the_square():
     assert by_name["special_kahler.complex_structure_parallel"].passed
     assert not by_name["special_kahler.squares_to_minus_identity"].passed
     assert by_name["special_kahler.squares_to_minus_identity"].max_residual > 0.1
+
+
+def test_non_parallel_almost_complex_structure_fails_the_parallel_check():
+    """With the zero connection a section-induced I always has d_nabla I = 0
+    (second partials commute), so the check needs a hand-built field:
+    I = [[0, -(1 + x^2)], [1/(1 + x^2), 0]] squares to -Id everywhere, yet
+    d_nabla I (e_x, e_y) = (-2x, 0)."""
+
+    def matrix(pt):
+        s = 1.0 + pt.coords[0] ** 2
+        return np.array([[0.0, -s], [1.0 / s, 0.0]])
+
+    base = build_special_kahler(MODEL, standard_sigma_section(MODEL))
+    I = EndomorphismField(MODEL.base_chart, matrix, name="I[hand-built]")
+    data = SpecialKahlerData(
+        base_chart=MODEL.base_chart,
+        Omega=base.Omega,
+        I=I,
+        g=lambda pt: form_matrix(base.Omega, pt) @ I.matrix(pt),
+        connection=MODEL.connection,
+    )
+    for pt in POINTS[:5]:
+        table = d_nabla_endo(data.connection, I, pt)
+        assert np.allclose(table[0, 1], [-2.0 * pt.coords[0], 0.0], rtol=0.0, atol=1e-9)
+    by_name = {r.identity_name: r for r in special_symplectic_check(data, POINTS)}
+    assert by_name["special_kahler.squares_to_minus_identity"].passed
+    parallel = by_name["special_kahler.complex_structure_parallel"]
+    assert not parallel.passed
+    expected = max(2.0 * abs(pt.coords[0]) for pt in POINTS)
+    assert parallel.max_residual == pytest.approx(expected, abs=1e-9)
 
 
 def test_metric_symmetry_fails_off_the_sigma_lagrangian_locus():

@@ -11,9 +11,10 @@ from hypersymplectic.structures import (
     check_nondegeneracy,
     check_symplectic,
     covariant_constancy,
-    covariant_derivative,
+    d_nabla_endo,
     nijenhuis,
 )
+from hypersymplectic.calculus import lie_bracket
 
 PLANE = Chart("plane", ("u", "v"), (-1.0, -1.0), (1.0, 1.0))
 SPACE = Chart("space", ("x1", "x2", "x3", "x4"), (-1.0,) * 4, (1.0,) * 4)
@@ -64,15 +65,6 @@ def test_christoffel_shape_validated():
         conn.gamma(PLANE.point([0.0, 0.0]))
 
 
-def test_covariant_derivative_reduces_to_directional_derivative():
-    conn = FlatConnection.zero(PLANE)
-    V = VectorField(PLANE, lambda pt: np.array([pt.coords[0] ** 2, pt.coords[1]]))
-    X = frame_field(PLANE, 0)
-    pt = PLANE.point([0.3, -0.2])
-    value = covariant_derivative(conn, X, V, pt, 1e-5)
-    assert np.allclose(value, [0.6, 0.0], atol=1e-9)
-
-
 def test_covariant_constancy_flags_varying_forms():
     conn = FlatConnection.zero(PLANE)
     pt = PLANE.point([0.1, 0.4])
@@ -80,6 +72,91 @@ def test_covariant_constancy_flags_varying_forms():
     assert np.max(np.abs(covariant_constancy(conn, constant, pt))) == 0.0
     varying = DifferentialForm(PLANE, 2, {(0, 1): lambda p: 1.0 + p.coords[0]})
     assert np.max(np.abs(covariant_constancy(conn, varying, pt))) > 0.5
+
+
+def curved_I(pt):
+    """I = -d(p, q) for the section p = v + u^2, q = -u: non-constant in u."""
+    return np.array([[-2.0 * pt.coords[0], -1.0], [1.0, 0.0]])
+
+
+def curved_I_derivative(axis, pt):
+    return np.array([[-2.0, 0.0], [0.0, 0.0]]) if axis == 0 else np.zeros((2, 2))
+
+
+def symmetric_christoffel(pt):
+    u, v = pt.coords
+    G = np.zeros((2, 2, 2))
+    G[0, 0, 1] = G[0, 1, 0] = u
+    G[1, 1, 1] = v**2
+    G[1, 0, 0] = 0.5
+    return G
+
+
+def test_d_nabla_endo_matches_the_pairwise_formula():
+    """table[a, b] against (nabla_a I) e_b - (nabla_b I) e_a written out pairwise,
+    with exact derivatives of I and a connection with nonzero Christoffel symbols."""
+    conn = FlatConnection(PLANE, symmetric_christoffel)
+    I = EndomorphismField(PLANE, curved_I)
+    for pt in PLANE.sample(10, 11):
+        table = d_nabla_endo(conn, I, pt)
+        assert table.shape == (2, 2, 2)
+        G, M = symmetric_christoffel(pt), curved_I(pt)
+
+        def nabla_I(a, b):
+            e_a, e_b = np.eye(2)[a], np.eye(2)[b]
+            d_IY = curved_I_derivative(a, pt) @ e_b
+            gamma_IY = np.einsum("kij,i,j->k", G, e_a, M @ e_b)
+            gamma_Y = np.einsum("kij,i,j->k", G, e_a, e_b)
+            return d_IY + gamma_IY - M @ gamma_Y
+
+        for a in range(2):
+            for b in range(2):
+                reference = nabla_I(a, b) - nabla_I(b, a)
+                assert np.allclose(table[a, b], reference, rtol=0.0, atol=1e-10)
+        assert np.array_equal(table, -np.transpose(table, (1, 0, 2)))
+        assert np.max(np.abs(table[0, 1])) > 0.1  # the Christoffel terms are exercised
+
+
+@pytest.mark.parametrize("dim", [2, 6])
+def test_fd_identities_evaluate_once_per_stencil_point(dim):
+    chart = Chart(f"box{dim}", tuple(f"x{i}" for i in range(dim)), (-1.0,) * dim, (1.0,) * dim)
+    rng = np.random.default_rng(dim)
+    A, B = rng.uniform(-1, 1, (2, dim, dim))
+    calls = []
+
+    def matrix(pt):
+        calls.append(pt)
+        return A + pt.coords[0] * B
+
+    J = EndomorphismField(chart, matrix)
+    pt = chart.point(rng.uniform(-0.5, 0.5, dim))
+    d_nabla_endo(FlatConnection.zero(chart), J, pt)
+    assert len(calls) <= 2 * dim + 1
+    calls.clear()
+    X = VectorField(chart, lambda p: p.coords**2)
+    Y = VectorField.constant(chart, rng.uniform(-1, 1, dim))
+    nijenhuis(J, X, Y, pt)
+    assert len(calls) <= 2 * dim + 1
+
+
+def test_nijenhuis_agrees_with_the_bracket_composition():
+    """The stencil-cached tensor reproduces the four-bracket formula bit for bit."""
+    A, B = np.random.default_rng(13).uniform(-1, 1, (2, 4, 4))
+    J = EndomorphismField(SPACE, lambda pt: np.diag(pt.coords) @ A + pt.coords[1] ** 2 * B)
+    X = VectorField(SPACE, lambda pt: np.sin(pt.coords))
+    Y = VectorField(SPACE, lambda pt: pt.coords**3 - pt.coords[0])
+    JX = VectorField(SPACE, lambda p: J.matrix(p) @ X(p))
+    JY = VectorField(SPACE, lambda p: J.matrix(p) @ Y(p))
+    for pt in SPACE.sample(5, 12):
+        J_pt = J.matrix(pt)
+        reference = (
+            lie_bracket(JX, JY, pt)
+            - J_pt @ lie_bracket(JX, Y, pt)
+            - J_pt @ lie_bracket(X, JY, pt)
+            + J_pt @ J_pt @ lie_bracket(X, Y, pt)
+        )
+        assert np.array_equal(nijenhuis(J, X, Y, pt), reference)
+        assert np.max(np.abs(reference)) > 0.1
 
 
 def test_nijenhuis_vanishes_for_constant_structures():
