@@ -20,20 +20,16 @@ from .calculus import (
     DifferentialForm,
     EndomorphismField,
     exterior_derivative,
-    flat,
     form_matrix,
     lie_bracket,
-    sharp,
-    wedge,
 )
-from .charts import Chart, Point, ScalarField, VectorField
+from .charts import Chart, Point, VectorField, stack_points
 from .errors import (
     ChartMismatchError,
     ConfigError,
     DegenerateFormError,
     DegenerateMetricError,
     DegenerateOrbitError,
-    DomainWarning,
     GeometryError,
     NotAlmostComplexError,
 )
@@ -75,7 +71,6 @@ __all__ = [
     "DegenerateMetricError",
     "DegenerateOrbitError",
     "DifferentialForm",
-    "DomainWarning",
     "EndomorphismField",
     "FibrationModel",
     "FlatConnection",
@@ -88,7 +83,6 @@ __all__ = [
     "Polynomial",
     "ProductSystem",
     "ReportDocument",
-    "ScalarField",
     "ScenarioConfig",
     "SectionMap",
     "SpecialKahlerData",
@@ -99,7 +93,6 @@ __all__ = [
     "build_structure_triple",
     "canonical_check",
     "exterior_derivative",
-    "flat",
     "form_matrix",
     "from_action_angle",
     "gradient_section",
@@ -113,15 +106,14 @@ __all__ = [
     "recursion_operator",
     "run_scenario",
     "section_pullback",
-    "sharp",
     "signature",
     "special_symplectic_check",
+    "stack_points",
     "standard_sigma_section",
     "to_action_angle",
     "transform_jacobian",
     "verify_action_angle",
     "verify_hypersymplectic",
     "verify_lagrangian_fibres",
-    "wedge",
     "zero_section",
 ]

@@ -121,44 +121,46 @@ class ProductSystem:
         return len(self.oscillators)
 
     def split_state(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and momenta of one state ``(2 dof,)`` or a stack ``(..., 2 dof)``."""
         state = np.asarray(state, dtype=float)
-        if state.shape != (2 * self.dof,):
+        if state.shape[-1:] != (2 * self.dof,):
             raise ValueError(
-                f"state must have shape ({2 * self.dof},), got {state.shape}"
+                f"state must have shape (..., {2 * self.dof}), got {state.shape}"
             )
-        return state[: self.dof], state[self.dof :]
+        return state[..., : self.dof], state[..., self.dof :]
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        return np.array([osc.frequency for osc in self.oscillators])
 
 
 def to_action_angle(sys: ProductSystem, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Actions and angles, each of shape ``(..., dof)``, of one state or a stack."""
     xi, pi = sys.split_state(state)
-    actions = np.empty(sys.dof)
-    angles = np.empty(sys.dof)
-    for k, osc in enumerate(sys.oscillators):
-        energy = osc.hamiltonian(xi[k], pi[k])
-        if energy <= 0:
-            raise DegenerateOrbitError(
-                f"factor {k} sits at the equilibrium; action-angle chart undefined"
-            )
-        actions[k] = energy / osc.frequency
-        angles[k] = math.atan2(osc.frequency * xi[k], pi[k]) % TWO_PI
-    return actions, angles
+    nu = sys.frequencies
+    energy = 0.5 * (pi * pi + nu**2 * xi * xi)
+    if np.any(energy <= 0):
+        k = int(np.argmax(np.any(energy <= 0, axis=tuple(range(energy.ndim - 1)))))
+        raise DegenerateOrbitError(
+            f"factor {k} sits at the equilibrium; action-angle chart undefined"
+        )
+    return energy / nu, np.arctan2(nu * xi, pi) % TWO_PI
 
 
 def from_action_angle(
     sys: ProductSystem, actions: np.ndarray, angles: np.ndarray
 ) -> np.ndarray:
+    """States ``(..., 2 dof)`` from actions and angles of shape ``(..., dof)``."""
     actions = np.asarray(actions, dtype=float)
     angles = np.asarray(angles, dtype=float)
-    if actions.shape != (sys.dof,) or angles.shape != (sys.dof,):
+    if actions.shape[-1:] != (sys.dof,) or angles.shape != actions.shape:
         raise ValueError(f"expected {sys.dof} actions and angles")
     if np.any(actions <= 0):
         raise DegenerateOrbitError("actions must be positive away from the equilibrium")
-    state = np.empty(2 * sys.dof)
-    for k, osc in enumerate(sys.oscillators):
-        nu = osc.frequency
-        state[k] = math.sqrt(2.0 * actions[k] / nu) * math.sin(angles[k])
-        state[sys.dof + k] = math.sqrt(2.0 * actions[k] * nu) * math.cos(angles[k])
-    return state
+    nu = sys.frequencies
+    xi = np.sqrt(2.0 * actions / nu) * np.sin(angles)
+    pi = np.sqrt(2.0 * actions * nu) * np.cos(angles)
+    return np.concatenate([xi, pi], axis=-1)
 
 
 def _wrap_angle_difference(delta: np.ndarray) -> np.ndarray:
@@ -168,22 +170,23 @@ def _wrap_angle_difference(delta: np.ndarray) -> np.ndarray:
 def transform_jacobian(
     sys: ProductSystem, state: np.ndarray, step: float = 1e-6
 ) -> np.ndarray:
-    """Central-difference Jacobian of state -> (actions, angles).
+    """Central-difference Jacobian of state -> (actions, angles), shape
+    ``(..., 2 dof, 2 dof)`` for one state or a stack.
 
     Angle rows use wrapped differences so the branch cut of the angle chart
     does not poison the derivative.
     """
     state = np.asarray(state, dtype=float)
     dim = 2 * sys.dof
-    jac = np.empty((dim, dim))
+    jac = np.empty(state.shape[:-1] + (dim, dim))
     for j in range(dim):
         bumped = state.copy()
-        bumped[j] += step
+        bumped[..., j] += step
         act_plus, ang_plus = to_action_angle(sys, bumped)
-        bumped[j] -= 2.0 * step
+        bumped[..., j] -= 2.0 * step
         act_minus, ang_minus = to_action_angle(sys, bumped)
-        jac[: sys.dof, j] = (act_plus - act_minus) / (2.0 * step)
-        jac[sys.dof :, j] = _wrap_angle_difference(ang_plus - ang_minus) / (2.0 * step)
+        jac[..., : sys.dof, j] = (act_plus - act_minus) / (2.0 * step)
+        jac[..., sys.dof :, j] = _wrap_angle_difference(ang_plus - ang_minus) / (2.0 * step)
     return jac
 
 
@@ -192,27 +195,24 @@ def sample_states(
     n_points: int = 100,
     seed: int = 42,
     energy_window: tuple[float, float] = DEFAULT_ENERGY_WINDOW,
-) -> list[np.ndarray]:
-    """Seeded states with per-factor energies inside the window."""
+) -> np.ndarray:
+    """Seeded states, one row each, with per-factor energies inside the window.
+
+    Each row draws its dof energies, then its dof angles, from one stream.
+    """
     lo, hi = energy_window
     if not 0 < lo < hi:
         raise ValueError(f"energy window must satisfy 0 < lo < hi, got {energy_window}")
     rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(n_points):
-        energies = rng.uniform(lo, hi, size=sys.dof)
-        angles = rng.uniform(0.0, TWO_PI, size=sys.dof)
-        actions = energies / np.array([o.frequency for o in sys.oscillators])
-        states.append(from_action_angle(sys, actions, angles))
-    return states
+    draws = rng.uniform([[lo], [0.0]], [[hi], [TWO_PI]], size=(n_points, 2, sys.dof))
+    energies, angles = draws[:, 0], draws[:, 1]
+    return from_action_angle(sys, energies / sys.frequencies, angles)
 
 
 def round_trip_residual(sys: ProductSystem, states) -> float:
-    worst = 0.0
-    for state in states:
-        rebuilt = from_action_angle(sys, *to_action_angle(sys, state))
-        worst = max(worst, float(np.max(np.abs(rebuilt - state))))
-    return worst
+    states = np.asarray(states, dtype=float)
+    rebuilt = from_action_angle(sys, *to_action_angle(sys, states))
+    return float(np.max(np.abs(rebuilt - states)))
 
 
 def canonical_check(
@@ -233,11 +233,9 @@ def canonical_check(
         target[m + k, k] = 1.0
         mechanical[k, m + k] = 1.0
         mechanical[m + k, k] = -1.0
-    worst = 0.0
-    for state in sample_states(sys, n_points, seed, energy_window):
-        jac = transform_jacobian(sys, state, step)
-        pulled = jac.T @ target @ jac
-        worst = max(worst, float(np.max(np.abs(pulled - mechanical))))
+    jac = transform_jacobian(sys, sample_states(sys, n_points, seed, energy_window), step)
+    pulled = np.swapaxes(jac, -1, -2) @ target @ jac
+    worst = float(np.max(np.abs(pulled - mechanical)))
     return CheckReport.from_residual(
         "action_angle.canonical_transform",
         n_points,

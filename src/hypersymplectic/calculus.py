@@ -1,4 +1,4 @@
-"""Pointwise exterior calculus on chart boxes.
+"""Exterior calculus on chart boxes, evaluated on stacked points.
 
 Conventions, fixed once for the whole package:
 
@@ -6,28 +6,31 @@ Conventions, fixed once for the whole package:
   ``(i_1 < ... < i_k)``; storage is dense (every one of the ``C(dim, k)`` slots
   exists), with absent inputs bound to a shared zero evaluator that derivative
   code recognizes and skips.
-* Evaluation on k vectors is ``sum_I c_I(pt) * det(V[I, :])`` where ``V`` packs
-  the vectors as columns - the determinant convention, no ``1/k!``.
+* A 2-form is read through its matrix ``M[i, j] = form(e_i, e_j)``, which
+  holds the stored coefficient at ``i < j`` - the determinant convention, no
+  ``1/k!``.
 * The exterior derivative is computed by central finite differences:
   ``(d w)_J = sum_m (-1)^m  d_{j_m} w_{J \\ j_m}``.
 * An endomorphism field acts on vectors through its matrix and on covectors
   through the transpose contract ``(J a)(X) = a(J X)``.  Composition of the
-  matrices therefore reverses when read on covectors, which is why both
-  ``endo_compose`` (vector action) and ``compose_covector`` exist.
-* ``sharp(form, a)`` is the unique vector ``v`` with ``form(v, .) = a``.
+  matrices therefore reverses when read on covectors, which is why
+  ``compose_covector`` exists.
+
+Every function here takes a ``Point`` whose coords may carry leading sample
+axes (see ``charts``) and returns values with those axes in front.
+``vector_jacobian`` and ``lie_bracket`` are the single-point reference
+formulas that the batched ``structures.nijenhuis`` is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .charts import Chart, CovectorField, Point, VectorField, require_same_chart
-from .errors import DegenerateFormError, DomainWarning
+from .charts import Chart, Point, VectorField, conform, require_same_chart
 
 MultiIndex = tuple[int, ...]
 Coefficient = Callable[[Point], float]
@@ -49,6 +52,16 @@ def shuffle_sign(left: MultiIndex, right: MultiIndex) -> int:
     increasing index tuples."""
     inversions = sum(1 for s in left for t in right if s > t)
     return -1 if inversions % 2 else 1
+
+
+def apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector product over stacked ``(..., m, k)`` and ``(..., k)`` arrays."""
+    return np.matmul(M, v[..., None])[..., 0]
+
+
+def transpose(M: np.ndarray) -> np.ndarray:
+    """Swap the last two axes of a stack of matrices."""
+    return np.swapaxes(M, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -93,17 +106,13 @@ class DifferentialForm:
         """Slots holding a genuinely stored (possibly nonzero) coefficient."""
         return [i for i, fn in self.coefficients.items() if fn is not ZERO_COEFFICIENT]
 
-    def table(self, pt: Point) -> dict[MultiIndex, float]:
-        """All coefficient values at a point, zeros included."""
-        return {idx: float(fn(pt)) for idx, fn in self.coefficients.items()}
-
     def components(self, pt: Point) -> np.ndarray:
-        """Degree-1 forms only: the coefficient vector at a point."""
+        """Degree-1 forms only: the coefficient vectors, shape ``(..., dim)``."""
         if self.degree != 1:
             raise ValueError("components() is defined for 1-forms")
-        out = np.zeros(self.chart.dim)
+        out = np.zeros(pt.batch_shape + (self.chart.dim,))
         for (i,), fn in self.coefficients.items():
-            out[i] = fn(pt)
+            out[..., i] = fn(pt)
         return out
 
 
@@ -113,71 +122,15 @@ def coordinate_differential(chart: Chart, axis: int) -> DifferentialForm:
     )
 
 
-def evaluate_form(
-    form: DifferentialForm, pt: Point, vectors: Sequence[np.ndarray]
-) -> float:
-    """Evaluate a k-form on k vectors at a point.
-
-    Evaluation outside the chart box is allowed but flagged with a
-    DomainWarning so sampling bugs surface.
-    """
-    require_same_chart(form.chart, pt.chart)
-    if len(vectors) != form.degree:
-        raise ValueError(f"need {form.degree} vectors, got {len(vectors)}")
-    if not pt.chart.contains(pt.coords):
-        warnings.warn(
-            f"evaluating {form.name or 'form'} outside the box of chart "
-            f"{pt.chart.name!r}",
-            DomainWarning,
-            stacklevel=2,
-        )
-    V = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-    if V.shape != (form.chart.dim, form.degree):
-        raise ValueError(f"argument vectors have shape {V.shape}")
-    total = 0.0
-    for idx, fn in form.coefficients.items():
-        if fn is ZERO_COEFFICIENT:
-            continue
-        minor = V[list(idx), :]
-        total += fn(pt) * float(np.linalg.det(minor))
-    return total
-
-
-def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
-    """Wedge product; coefficients are built lazily from both parents."""
-    require_same_chart(a.chart, b.chart)
-    degree = a.degree + b.degree
-    dim = a.chart.dim
-    if degree > dim:
-        raise ValueError(f"wedge degree {degree} exceeds chart dimension {dim}")
-    coeffs: dict[MultiIndex, Coefficient] = {}
-    for combo in increasing_indices(dim, degree):
-        terms: list[tuple[int, Coefficient, Coefficient]] = []
-        for left in itertools.combinations(combo, a.degree):
-            right = tuple(i for i in combo if i not in left)
-            fa = a.coefficient(left)
-            fb = b.coefficient(right)
-            if fa is ZERO_COEFFICIENT or fb is ZERO_COEFFICIENT:
-                continue
-            terms.append((shuffle_sign(left, right), fa, fb))
-        if terms:
-            coeffs[combo] = (
-                lambda pt, terms=tuple(terms): sum(
-                    s * fa(pt) * fb(pt) for s, fa, fb in terms
-                )
-            )
-    name = f"{a.name}^{b.name}" if a.name and b.name else ""
-    return DifferentialForm(a.chart, degree, coeffs, name=name)
-
-
-def central_difference(fn: Callable[[Point], float], pt: Point, axis: int, step: float) -> float:
+def central_difference(fn: Callable[[Point], float], pt: Point, axis: int, step: float):
     return (fn(pt.shifted(axis, step)) - fn(pt.shifted(axis, -step))) / (2.0 * step)
 
 
 def exterior_derivative(
     form: DifferentialForm, pt: Point, step: float | None = None
-) -> dict[MultiIndex, float]:
-    """Finite-difference exterior derivative as a (k+1)-index value table.
+) -> dict[MultiIndex, np.ndarray]:
+    """Finite-difference exterior derivative as a (k+1)-index value table;
+    each value has the point's leading shape.
 
     Only indices receiving a contribution from a stored coefficient appear;
     every absent index is identically zero because the missing parent
@@ -185,7 +138,7 @@ def exterior_derivative(
     """
     require_same_chart(form.chart, pt.chart)
     h = form.chart.fd_step() if step is None else float(step)
-    out: dict[MultiIndex, float] = {}
+    out: dict[MultiIndex, np.ndarray] = {}
     for idx in form.stored_indices():
         fn = form.coefficient(idx)
         for axis in range(form.chart.dim):
@@ -196,36 +149,13 @@ def exterior_derivative(
             parent.insert(position, axis)
             target = tuple(parent)
             sign = -1.0 if position % 2 else 1.0
-            out[target] = out.get(target, 0.0) + sign * central_difference(fn, pt, axis, h)
+            previous = out.get(target, np.zeros(pt.batch_shape))
+            out[target] = previous + sign * central_difference(fn, pt, axis, h)
     return out
 
 
-def derivative_form(form: DifferentialForm, step: float | None = None) -> DifferentialForm:
-    """The exterior derivative as a form, for nesting (d of d, pullbacks...)."""
-    h = form.chart.fd_step() if step is None else float(step)
-    dim = form.chart.dim
-    coeffs: dict[MultiIndex, Coefficient] = {}
-    for combo in increasing_indices(dim, form.degree + 1):
-        parents: list[tuple[float, Coefficient, int]] = []
-        for m, axis in enumerate(combo):
-            rest = combo[:m] + combo[m + 1 :]
-            fn = form.coefficient(rest)
-            if fn is ZERO_COEFFICIENT:
-                continue
-            parents.append((-1.0 if m % 2 else 1.0, fn, axis))
-        if parents:
-            coeffs[combo] = (
-                lambda pt, parents=tuple(parents), h=h: sum(
-                    sign * central_difference(fn, pt, axis, h)
-                    for sign, fn, axis in parents
-                )
-            )
-    name = f"d({form.name})" if form.name else ""
-    return DifferentialForm(form.chart, form.degree + 1, coeffs, name=name)
-
-
 def vector_jacobian(X: VectorField, pt: Point, step: float) -> np.ndarray:
-    """Column j holds the central difference of X along axis j."""
+    """Column j holds the central difference of X along axis j (one point)."""
     dim = pt.chart.dim
     jac = np.empty((dim, dim))
     for j in range(dim):
@@ -236,7 +166,7 @@ def vector_jacobian(X: VectorField, pt: Point, step: float) -> np.ndarray:
 def lie_bracket(
     X: VectorField, Y: VectorField, pt: Point, step: float | None = None
 ) -> np.ndarray:
-    """[X, Y] = DY.X - DX.Y with finite-difference Jacobians."""
+    """[X, Y] = DY.X - DX.Y with finite-difference Jacobians (one point)."""
     require_same_chart(X.chart, Y.chart)
     require_same_chart(X.chart, pt.chart)
     h = pt.chart.fd_step() if step is None else float(step)
@@ -253,21 +183,18 @@ class EndomorphismField:
 
     def matrix(self, pt: Point) -> np.ndarray:
         require_same_chart(self.chart, pt.chart)
-        M = np.array(self.fn(pt), dtype=float)
         dim = self.chart.dim
-        if M.shape != (dim, dim):
-            raise ValueError(f"endomorphism {self.name!r} returned shape {M.shape}")
-        return M
+        return conform(self.fn(pt), pt, (dim, dim), f"endomorphism {self.name!r}")
 
     def covector_matrix(self, pt: Point) -> np.ndarray:
         """Matrix of the covector (transpose-contract) action on components."""
-        return self.matrix(pt).T
+        return transpose(self.matrix(pt))
 
     def apply_vector(self, pt: Point, v: np.ndarray) -> np.ndarray:
-        return self.matrix(pt) @ np.asarray(v, dtype=float)
+        return apply(self.matrix(pt), np.asarray(v, dtype=float))
 
     def apply_covector(self, pt: Point, alpha: np.ndarray) -> np.ndarray:
-        return self.covector_matrix(pt) @ np.asarray(alpha, dtype=float)
+        return apply(self.covector_matrix(pt), np.asarray(alpha, dtype=float))
 
     @classmethod
     def constant(cls, chart: Chart, matrix, name: str = "") -> "EndomorphismField":
@@ -275,17 +202,6 @@ class EndomorphismField:
         if frozen.shape != (chart.dim, chart.dim):
             raise ValueError("matrix shape does not match the chart dimension")
         return cls(chart, lambda pt: frozen, name=name)
-
-
-def endo_compose(A: EndomorphismField, B: EndomorphismField) -> EndomorphismField:
-    """Vector-action composite (A o B)(v) = A(B(v)).
-
-    Note the covector action of the result is B then A (the transpose of a
-    product reverses the factors).
-    """
-    require_same_chart(A.chart, B.chart)
-    name = f"({A.name}.{B.name})" if A.name and B.name else ""
-    return EndomorphismField(A.chart, lambda pt: A.matrix(pt) @ B.matrix(pt), name=name)
 
 
 def compose_covector(A: EndomorphismField, B: EndomorphismField) -> EndomorphismField:
@@ -299,35 +215,16 @@ def compose_covector(A: EndomorphismField, B: EndomorphismField) -> Endomorphism
 
 
 def form_matrix(form: DifferentialForm, pt: Point) -> np.ndarray:
-    """Antisymmetric matrix M[i, j] = form(e_i, e_j) of a 2-form."""
+    """Antisymmetric matrices M[..., i, j] = form(e_i, e_j) of a 2-form."""
     if form.degree != 2:
         raise ValueError("form_matrix is defined for 2-forms")
     require_same_chart(form.chart, pt.chart)
     dim = form.chart.dim
-    M = np.zeros((dim, dim))
+    M = np.zeros(pt.batch_shape + (dim, dim))
     for (i, j), fn in form.coefficients.items():
         if fn is ZERO_COEFFICIENT:
             continue
         value = fn(pt)
-        M[i, j] = value
-        M[j, i] = -value
+        M[..., i, j] = value
+        M[..., j, i] = -value
     return M
-
-
-def _solve_nondegenerate(M: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    det = float(np.linalg.det(M))
-    if abs(det) < 1e-12:
-        raise DegenerateFormError(f"{what}: |det| = {abs(det):.3e} is numerically zero")
-    return np.linalg.solve(M, rhs)
-
-
-def sharp(form: DifferentialForm, alpha: np.ndarray, pt: Point) -> np.ndarray:
-    """The vector v with form(v, .) = alpha (components in the chart frame)."""
-    M = form_matrix(form, pt)
-    return _solve_nondegenerate(M.T, np.asarray(alpha, dtype=float), "sharp")
-
-
-def flat(form: DifferentialForm, v: np.ndarray, pt: Point) -> np.ndarray:
-    """The covector form(v, .); inverse of sharp."""
-    M = form_matrix(form, pt)
-    return M.T @ np.asarray(v, dtype=float)

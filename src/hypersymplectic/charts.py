@@ -4,6 +4,14 @@ A chart is a named box ``[lower_i, upper_i]`` with named coordinates.  All
 fields are represented by plain evaluators (point -> value); nothing is
 symbolic.  Evaluators must be deterministic: the same point yields the same
 value bit for bit, which the report layer relies on.
+
+Points are array-first.  A ``Point``'s ``coords`` has shape ``(..., dim)``:
+one point is the case with no leading axes, and ``stack_points`` turns a
+sample of N points into one ``Point`` with coords of shape ``(N, dim)``.  An
+evaluator receives such a point, reads coordinate k as ``coords[..., k]``,
+and returns its value with the point's leading axes in front, e.g.
+``(..., dim)`` for a vector or ``(..., dim, dim)`` for an endomorphism.  A
+value without the leading axes (a constant) broadcasts over them.
 """
 
 from __future__ import annotations
@@ -72,17 +80,39 @@ class Chart:
 
 @dataclass(frozen=True, eq=False)
 class Point:
+    """One point (``coords`` of shape ``(dim,)``) or a stack of them (``(..., dim)``)."""
+
     chart: Chart
     coords: np.ndarray
 
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.coords.shape[:-1]
+
     def shifted(self, axis: int, delta: float) -> "Point":
         moved = self.coords.copy()
-        moved[axis] += delta
+        moved[..., axis] += delta
         return Point(self.chart, moved)
 
     def __repr__(self) -> str:  # keeps test failure output readable
+        if self.batch_shape:
+            return f"Point({self.chart.name}: stack of shape {self.batch_shape})"
         inside = ", ".join(f"{n}={v:.6g}" for n, v in zip(self.chart.coords, self.coords))
         return f"Point({self.chart.name}: {inside})"
+
+
+def stack_points(points: Sequence[Point]) -> Point:
+    """The sampled points as one point with coords of shape ``(N, dim)``."""
+    if not points:
+        raise ValueError("need at least one point")
+    chart = points[0].chart
+    for pt in points:
+        if pt.chart is not chart:
+            require_same_chart(chart, pt.chart)
+    coords = np.array([pt.coords for pt in points], dtype=float)
+    if coords.shape[1:] != (chart.dim,):
+        raise ValueError(f"expected points of {chart.dim} coordinates, got {coords.shape[1:]}")
+    return Point(chart, coords)
 
 
 def require_same_chart(a: Chart, b: Chart) -> None:
@@ -90,15 +120,19 @@ def require_same_chart(a: Chart, b: Chart) -> None:
         raise ChartMismatchError(f"chart mismatch: {a.name!r} vs {b.name!r}")
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    chart: Chart
-    fn: Callable[[Point], float]
-    name: str = ""
-
-    def __call__(self, pt: Point) -> float:
-        require_same_chart(self.chart, pt.chart)
-        return float(self.fn(pt))
+def conform(value, pt: Point, trailing: tuple[int, ...], what: str) -> np.ndarray:
+    """An evaluator's value at ``pt`` as a (read-only) array of shape
+    ``pt.batch_shape + trailing``; a value without the leading axes broadcasts."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape[max(arr.ndim - len(trailing), 0) :] == trailing:
+        try:
+            return np.broadcast_to(arr, pt.batch_shape + trailing)
+        except ValueError:
+            pass
+    raise ValueError(
+        f"{what} returned shape {arr.shape}, expected {trailing} after the point axes "
+        f"{pt.batch_shape}"
+    )
 
 
 @dataclass(frozen=True)
@@ -109,10 +143,7 @@ class VectorField:
 
     def __call__(self, pt: Point) -> np.ndarray:
         require_same_chart(self.chart, pt.chart)
-        value = np.asarray(self.fn(pt), dtype=float)
-        if value.shape != (self.chart.dim,):
-            raise ValueError(f"vector field {self.name!r} returned shape {value.shape}")
-        return value
+        return conform(self.fn(pt), pt, (self.chart.dim,), f"vector field {self.name!r}")
 
     @classmethod
     def constant(cls, chart: Chart, components: Sequence[float], name: str = "") -> "VectorField":
@@ -120,28 +151,3 @@ class VectorField:
         if frozen.shape != (chart.dim,):
             raise ValueError("component count does not match the chart dimension")
         return cls(chart, lambda pt: frozen, name=name)
-
-
-@dataclass(frozen=True)
-class CovectorField:
-    chart: Chart
-    fn: Callable[[Point], np.ndarray]
-    name: str = ""
-
-    def __call__(self, pt: Point) -> np.ndarray:
-        require_same_chart(self.chart, pt.chart)
-        value = np.asarray(self.fn(pt), dtype=float)
-        if value.shape != (self.chart.dim,):
-            raise ValueError(f"covector field {self.name!r} returned shape {value.shape}")
-        return value
-
-
-def frame_field(chart: Chart, axis: int, name: str = "") -> VectorField:
-    """The coordinate frame vector field along one axis."""
-    e = np.zeros(chart.dim)
-    e[axis] = 1.0
-    return VectorField(chart, lambda pt: e, name=name or f"d/d{chart.coords[axis]}")
-
-
-def coordinate_function(chart: Chart, axis: int) -> ScalarField:
-    return ScalarField(chart, lambda pt: pt.coords[axis], name=chart.coords[axis])

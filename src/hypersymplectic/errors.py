@@ -28,6 +28,3 @@ class NotAlmostComplexError(GeometryError):
 class ConfigError(ValueError):
     """A scenario configuration document is malformed."""
 
-
-class DomainWarning(UserWarning):
-    """A field was evaluated outside its chart's coordinate box."""

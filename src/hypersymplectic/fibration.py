@@ -34,11 +34,13 @@ import numpy as np
 from .calculus import (
     DifferentialForm,
     EndomorphismField,
+    apply,
     compose_covector,
     coordinate_differential,
     form_matrix,
+    transpose,
 )
-from .charts import Chart, Point, VectorField
+from .charts import Chart, Point, VectorField, stack_points
 from .errors import DegenerateFormError, GeometryError
 from .polynomials import Polynomial
 from .structures import (
@@ -243,14 +245,15 @@ def recursion_operator(
 ) -> np.ndarray:
     """The endomorphism A with chi(X, Y) = omega(A X, Y) for all X, Y.
 
-    In matrices A = M_omega^{-1} M_chi; omega must be nondegenerate at pt.
+    In matrices A = M_omega^{-1} M_chi; omega must be nondegenerate at every
+    point of ``pt``.
     """
     M_omega = form_matrix(omega, pt)
     M_chi = form_matrix(chi, pt)
-    det = float(np.linalg.det(M_omega))
-    if abs(det) < 1e-12:
+    smallest = float(np.min(np.abs(np.linalg.det(M_omega))))
+    if smallest < 1e-12:
         raise DegenerateFormError(
-            f"recursion operator needs a nondegenerate base form; |det| = {abs(det):.3e}"
+            f"recursion operator needs a nondegenerate base form; |det| = {smallest:.3e}"
         )
     return np.linalg.solve(M_omega, M_chi)
 
@@ -258,7 +261,7 @@ def recursion_operator(
 @dataclass(frozen=True)
 class FrameCheckResult:
     max_residual: float
-    signs: tuple[int, ...]
+    signs: tuple  # per pair: +1 or -1, with the point's leading shape
 
 
 def holomorphic_frame_check(
@@ -271,23 +274,23 @@ def holomorphic_frame_check(
     For each pair the residual is min over s in {+1, -1} of
     ``|J a - s (-b)| + |J b - s a|`` in the covector action; s = +1 matches
     J a = -b (the pair represents a holomorphic differential), s = -1 the
-    conjugate orientation.  Returns the worst residual and the sign that
-    matched per pair.
+    conjugate orientation.  Returns the worst residual over pairs and points
+    and the sign that matched per pair (per point for stacked points).
     """
     worst = 0.0
-    signs: list[int] = []
+    signs = []
+    C = J.covector_matrix(pt)
     for a, b in pairs:
         a_c = a.components(pt)
         b_c = b.components(pt)
-        Ja = J.apply_covector(pt, a_c)
-        Jb = J.apply_covector(pt, b_c)
-        best_sign, best = 1, None
-        for s in (1, -1):
-            res = float(np.linalg.norm(Ja - s * (-b_c)) + np.linalg.norm(Jb - s * a_c))
-            if best is None or res < best:
-                best, best_sign = res, s
-        worst = max(worst, best)
-        signs.append(best_sign)
+        Ja = apply(C, a_c)
+        Jb = apply(C, b_c)
+        plus, minus = (
+            np.linalg.norm(Ja - s * (-b_c), axis=-1) + np.linalg.norm(Jb - s * a_c, axis=-1)
+            for s in (1, -1)
+        )
+        worst = max(worst, float(np.max(np.minimum(plus, minus))))
+        signs.append(np.where(minus < plus, -1, 1)[()])
     return FrameCheckResult(max_residual=worst, signs=tuple(signs))
 
 
@@ -314,10 +317,8 @@ def verify_lagrangian_fibres(
 ) -> CheckReport:
     """Max |form(e_a, e_b)| over vertical (fibre) coordinate pairs."""
     vert = model.vertical_axes()
-    worst = 0.0
-    for pt in points:
-        M = form_matrix(form, pt)
-        worst = max(worst, float(np.max(np.abs(M[np.ix_(vert, vert)]))))
+    M = form_matrix(form, stack_points(points))
+    worst = float(np.max(np.abs(M[..., vert, :][..., vert])))
     return CheckReport.from_residual(
         f"lagrangian_fibres({form.name})",
         len(points),
@@ -338,6 +339,7 @@ def verify_hypersymplectic(
 ) -> list[CheckReport]:
     """The full identity battery for the triple structure, sorted by name."""
     points = model.total_chart.sample(n_points, seed)
+    stacked = stack_points(points)
     triple = build_structure_triple(model)
     complexes = build_complex_triple(model)
     dim = model.total_chart.dim
@@ -371,10 +373,8 @@ def verify_hypersymplectic(
 
     named_forms = {"omega": triple.omega, "chi": triple.chi, "sigma": triple.sigma}
     for a, b in (("omega", "chi"), ("omega", "sigma"), ("chi", "sigma")):
-        worst = 0.0
-        for pt in points:
-            A = recursion_operator(named_forms[a], named_forms[b], pt)
-            worst = max(worst, float(np.max(np.abs(A @ A + eye))))
+        A = recursion_operator(named_forms[a], named_forms[b], stacked)
+        worst = float(np.max(np.abs(A @ A + eye)))
         reports.append(
             CheckReport.from_residual(
                 f"hypersymplectic.recursion_squares.{a}_{b}",
@@ -389,11 +389,9 @@ def verify_hypersymplectic(
     for idx_a in range(3):
         for idx_b in range(idx_a + 1, 3):
             Ja, Jb = endo_list[idx_a], endo_list[idx_b]
-            worst = 0.0
-            for pt in points:
-                Ca = Ja.covector_matrix(pt)
-                Cb = Jb.covector_matrix(pt)
-                worst = max(worst, float(np.max(np.abs(Ca @ Cb + Cb @ Ca))))
+            Ca = Ja.covector_matrix(stacked)
+            Cb = Jb.covector_matrix(stacked)
+            worst = float(np.max(np.abs(Ca @ Cb + Cb @ Ca)))
             reports.append(
                 CheckReport.from_residual(
                     f"hypersymplectic.anticommute.{Ja.name}_{Jb.name}",
@@ -406,12 +404,11 @@ def verify_hypersymplectic(
 
     rng = np.random.default_rng(seed + 1)
     field_pairs = rng.uniform(-1.0, 1.0, size=(len(points), 2, dim))
+    # one constant field pair per sampled point: row r of the stack sees row r
+    X = VectorField(model.total_chart, lambda pt: field_pairs[:, 0])
+    Y = VectorField(model.total_chart, lambda pt: field_pairs[:, 1])
     for J in endo_list:
-        worst = 0.0
-        for pt, (vx, vy) in zip(points, field_pairs):
-            X = VectorField.constant(model.total_chart, vx)
-            Y = VectorField.constant(model.total_chart, vy)
-            worst = max(worst, float(np.max(np.abs(nijenhuis(J, X, Y, pt, fd_step)))))
+        worst = float(np.max(np.abs(nijenhuis(J, X, Y, stacked, fd_step))))
         reports.append(
             CheckReport.from_residual(
                 f"hypersymplectic.nijenhuis.{J.name}",
@@ -423,9 +420,7 @@ def verify_hypersymplectic(
         )
 
     expected = expected_composite_matrix(model)
-    worst = max(
-        float(np.max(np.abs(complexes.J_sigma.matrix(pt) - expected))) for pt in points
-    )
+    worst = float(np.max(np.abs(complexes.J_sigma.matrix(stacked) - expected)))
     reports.append(
         CheckReport.from_residual(
             "hypersymplectic.composition.sigma_from_omega_chi",
@@ -474,8 +469,8 @@ class SectionMap:
 
     def total_coords(self, base_pt: Point) -> np.ndarray:
         xy = base_pt.coords
-        fibre = [poly(xy) for poly in self.p + self.q]
-        return np.concatenate([xy, np.asarray(fibre)])
+        fibre = np.stack([poly(xy) for poly in self.p + self.q], axis=-1)
+        return np.concatenate([xy, fibre], axis=-1)
 
     def evaluate(self, base_pt: Point) -> Point:
         if base_pt.chart != self.model.base_chart:
@@ -483,13 +478,14 @@ class SectionMap:
         return Point(self.model.total_chart, self.total_coords(base_pt))
 
     def jacobian(self, base_pt: Point) -> np.ndarray:
-        """Exact Jacobian (4n x 2n): identity block over polynomial partials."""
-        n = self.model.n
-        top = np.eye(2 * n)
-        bottom = np.array(
-            [[d(base_pt.coords) for d in row] for row in self._jac_polys]
+        """Exact Jacobian (..., 4n, 2n): identity block over polynomial partials."""
+        n2 = 2 * self.model.n
+        top = np.broadcast_to(np.eye(n2), base_pt.batch_shape + (n2, n2))
+        bottom = np.stack(
+            [np.stack([d(base_pt.coords) for d in row], axis=-1) for row in self._jac_polys],
+            axis=-2,
         )
-        return np.vstack([top, bottom])
+        return np.concatenate([top, bottom], axis=-2)
 
     def jacobian_fd(self, base_pt: Point, step: float | None = None) -> np.ndarray:
         h = self.model.base_chart.fd_step() if step is None else float(step)
@@ -499,7 +495,7 @@ class SectionMap:
             fwd = self.total_coords(base_pt.shifted(j, h))
             bwd = self.total_coords(base_pt.shifted(j, -h))
             cols.append((fwd - bwd) / (2 * h))
-        return np.column_stack(cols)
+        return np.stack(cols, axis=-1)
 
 
 def zero_section(model: FibrationModel) -> SectionMap:
@@ -533,24 +529,24 @@ def section_pullback(
     pt: Point,
     fd_step: float | None = None,
 ) -> dict[tuple[int, int], float]:
-    """Coefficient table of the pullback of a total-space 2-form to the base."""
+    """Coefficient table of the pullback of a total-space 2-form to the base;
+    each value has the point's leading shape."""
     frame = section.jacobian_fd(pt, fd_step)
     M = form_matrix(form, section.evaluate(pt))
-    P = frame.T @ M @ frame
+    P = transpose(frame) @ M @ frame
     n2 = 2 * model.n
-    return {(i, j): float(P[i, j]) for i in range(n2) for j in range(i + 1, n2)}
+    return {(i, j): P[..., i, j][()] for i in range(n2) for j in range(i + 1, n2)}
 
 
 def span_invariance_residual(frame: np.ndarray, images: np.ndarray) -> float:
-    """Worst distance of an image column from the column span of the frame."""
-    if np.linalg.matrix_rank(frame) < frame.shape[1]:
+    """Worst distance of an image column from the column span of the frame,
+    over a stack of ``(..., m, k)`` frames; projects onto the span through a
+    reduced QR factorization."""
+    if np.any(np.linalg.matrix_rank(frame) < frame.shape[-1]):
         raise GeometryError("tangent frame is rank deficient")
-    worst = 0.0
-    for col in range(images.shape[1]):
-        target = images[:, col]
-        sol, *_ = np.linalg.lstsq(frame, target, rcond=None)
-        worst = max(worst, float(np.linalg.norm(frame @ sol - target)))
-    return worst
+    Q = np.linalg.qr(frame)[0]
+    off_span = images - Q @ (transpose(Q) @ images)
+    return float(np.max(np.linalg.norm(off_span, axis=-2)))
 
 
 def complex_submanifold_check(
@@ -560,7 +556,8 @@ def complex_submanifold_check(
     pt: Point,
     fd_step: float | None = None,
 ) -> float:
-    """How far J moves the graph tangent space off itself at one base point."""
+    """How far J moves the graph tangent space off itself, worst over the
+    base point(s) ``pt``."""
     frame = section.jacobian_fd(pt, fd_step)
     Jmat = J.matrix(section.evaluate(pt))
     return span_invariance_residual(frame, Jmat @ frame)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 Term = tuple[tuple[int, ...], float]
 
 
@@ -60,17 +62,20 @@ class Polynomial:
             return 0
         return max(sum(powers) for powers, _ in self.terms)
 
-    def __call__(self, coords: Sequence[float]) -> float:
-        if len(coords) != self.n_vars:
-            raise ValueError(f"expected {self.n_vars} coordinates, got {len(coords)}")
-        total = 0.0
+    def __call__(self, coords) -> np.ndarray:
+        """Value at coordinates of shape ``(..., n_vars)``; the result has the
+        leading shape (a numpy scalar for a single point)."""
+        x = np.asarray(coords, dtype=float)
+        if x.shape[-1:] != (self.n_vars,):
+            raise ValueError(f"expected {self.n_vars} coordinates, got shape {x.shape}")
+        total = np.zeros(x.shape[:-1])
         for powers, coeff in self.terms:
             value = coeff
-            for x, e in zip(coords, powers):
+            for axis, e in enumerate(powers):
                 if e:
-                    value *= x**e
-            total += value
-        return total
+                    value = value * x[..., axis] ** e
+            total = total + value
+        return total[()]
 
     def derivative(self, axis: int) -> "Polynomial":
         """Exact partial derivative along one variable."""
@@ -86,11 +91,6 @@ class Polynomial:
             )
             new_terms.append((dropped, coeff * e))
         return Polynomial.from_terms(self.n_vars, new_terms)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.n_vars != other.n_vars:
-            raise ValueError("cannot add polynomials in different variable counts")
-        return Polynomial.from_terms(self.n_vars, list(self.terms) + list(other.terms))
 
     def scaled(self, factor: float) -> "Polynomial":
         return Polynomial.from_terms(

@@ -11,9 +11,12 @@ separate section that is excluded from the stable bytes.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from ._version import __version__
 from .action_angle import (
@@ -22,6 +25,7 @@ from .action_angle import (
     model_from_product_system,
     verify_action_angle,
 )
+from .charts import stack_points
 from .errors import ConfigError
 from .fibration import (
     FibrationModel,
@@ -97,6 +101,7 @@ def _require(condition: bool, message: str) -> None:
 def _as_positive_float(value, where: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{where} must be a number")
     value = float(value)
+    _require(math.isfinite(value), f"{where} must be finite, got {value}")
     _require(value > 0, f"{where} must be positive, got {value}")
     return value
 
@@ -288,6 +293,14 @@ class ScenarioConfig:
             frequencies = tuple(
                 _as_positive_float(f, f"frequencies[{k}]") for k, f in enumerate(frequencies)
             )
+            lo, hi = DEFAULT_ENERGY_WINDOW
+            for k, nu in enumerate(frequencies):
+                window = (lo / nu, hi / nu)
+                _require(
+                    all(map(math.isfinite, window)) and window[0] < window[1],
+                    f"frequencies[{k}] = {nu} gives the action window "
+                    f"[{window[0]}, {window[1]}], which is not finite and non-empty",
+                )
 
         # scenario-specific resolution of n and frequencies
         if scenario == "paper-n1":
@@ -442,8 +455,9 @@ def _suite_hypersymplectic(config: ScenarioConfig, model: FibrationModel) -> lis
     complexes = build_complex_triple(model)
     pairs = standard_frame_pairs(model)
     points = model.total_chart.sample(config.sampling.n_points, config.sampling.seed)
+    stacked = stack_points(points)
     for J in complexes.endos():
-        worst = max(holomorphic_frame_check(J, pairs[J.name], pt).max_residual for pt in points)
+        worst = holomorphic_frame_check(J, pairs[J.name], stacked).max_residual
         reports.append(
             CheckReport.from_residual(
                 f"hypersymplectic.holomorphic_frame.{J.name}",
@@ -471,14 +485,12 @@ def _suite_sections(config: ScenarioConfig, model: FibrationModel) -> list[Check
     named_forms = {"omega": triple.omega, "chi": triple.chi, "sigma": triple.sigma}
     named_endos = {J.name: J for J in complexes.endos()}
     points = model.base_chart.sample(config.sampling.n_points, config.sampling.seed)
+    stacked = stack_points(points)
     reports = []
     for section, form_name in _resolve_sections(config, model):
         form = named_forms[form_name]
-        worst = 0.0
-        for pt in points:
-            table = section_pullback(model, section, form, pt, config.sampling.fd_step)
-            if table:
-                worst = max(worst, max(abs(v) for v in table.values()))
+        table = section_pullback(model, section, form, stacked, config.sampling.fd_step)
+        worst = max(float(np.max(np.abs(v))) for v in table.values())
         reports.append(
             CheckReport.from_residual(
                 f"sections.pullback_vanishes.{section.name}.{form_name}",
@@ -489,10 +501,7 @@ def _suite_sections(config: ScenarioConfig, model: FibrationModel) -> list[Check
             )
         )
         J = named_endos[FORM_TO_COMPLEX[form_name]]
-        worst = max(
-            complex_submanifold_check(model, section, J, pt, config.sampling.fd_step)
-            for pt in points
-        )
+        worst = complex_submanifold_check(model, section, J, stacked, config.sampling.fd_step)
         reports.append(
             CheckReport.from_residual(
                 f"sections.graph_invariant.{section.name}.{J.name}",

@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import DifferentialForm, EndomorphismField, form_matrix
-from .charts import Point
+from .calculus import DifferentialForm, EndomorphismField, form_matrix, transpose
+from .charts import Point, stack_points
 from .errors import DegenerateMetricError, NotAlmostComplexError
 from .fibration import (
     FibrationModel,
@@ -53,7 +53,7 @@ PARALLEL_TOL = 1e-8
 def induced_complex_structure(
     section: SectionMap, pt: Point, fd_step: float | None = None
 ) -> np.ndarray:
-    """Matrix of I at a base point: minus the fibre block of the Jacobian.
+    """Matrices of I at base point(s): minus the fibre block of the Jacobian.
 
     Exact polynomial derivatives by default; pass ``fd_step`` to force the
     finite-difference Jacobian instead (useful as a cross-check, but too noisy
@@ -64,7 +64,7 @@ def induced_complex_structure(
         jac = section.jacobian(pt)
     else:
         jac = section.jacobian_fd(pt, fd_step)
-    return -jac[n2:, :]
+    return -jac[..., n2:, :]
 
 
 def induced_endomorphism(section: SectionMap) -> EndomorphismField:
@@ -108,14 +108,13 @@ def kahler_metric(
     pt: Point,
     almost_complex_tol: float = PARALLEL_TOL,
 ) -> tuple[np.ndarray, float]:
-    """g = Omega o I at a point, plus the I-invariance residual of Omega.
+    """g = Omega o I at point(s), plus the worst I-invariance residual of Omega.
 
     Raises if I fails to square to minus the identity: the metric is only
     meaningful for an almost-complex I.
     """
     M_I = I.matrix(pt)
-    dim = M_I.shape[0]
-    ac_residual = float(np.max(np.abs(M_I @ M_I + np.eye(dim))))
+    ac_residual = float(np.max(np.abs(M_I @ M_I + np.eye(I.chart.dim))))
     if ac_residual > almost_complex_tol:
         raise NotAlmostComplexError(
             f"I^2 + Id residual {ac_residual:.3e} exceeds {almost_complex_tol:g}; "
@@ -123,20 +122,27 @@ def kahler_metric(
         )
     M_Omega = form_matrix(Omega, pt)
     g = M_Omega @ M_I
-    invariance = float(np.max(np.abs(M_I.T @ M_Omega @ M_I - M_Omega)))
+    invariance = float(np.max(np.abs(transpose(M_I) @ M_Omega @ M_I - M_Omega)))
     return g, invariance
 
 
-def signature(g: np.ndarray, zero_guard: float = METRIC_ZERO_GUARD) -> tuple[int, int]:
-    """(positive, negative) eigenvalue counts of a symmetric matrix."""
-    eigenvalues = np.linalg.eigvalsh(0.5 * (g + g.T))
-    if np.any(np.abs(eigenvalues) < zero_guard):
-        worst = float(np.min(np.abs(eigenvalues)))
+def signature(g: np.ndarray, zero_guard: float = METRIC_ZERO_GUARD) -> tuple:
+    """(positive, negative) eigenvalue counts of the symmetric part of g.
+
+    For a stack of ``(..., d, d)`` matrices both counts have the leading
+    shape.  Raises, naming the first degenerate matrix of the stack, when an
+    eigenvalue lies inside the zero guard.
+    """
+    eigenvalues = np.linalg.eigvalsh(0.5 * (g + transpose(g)))
+    inside = np.abs(eigenvalues) < zero_guard
+    if np.any(inside):
+        first = int(np.argmax(np.any(inside, axis=-1).ravel()))
+        worst = float(np.min(np.abs(eigenvalues.reshape(-1, g.shape[-1])[first])))
         raise DegenerateMetricError(
             f"metric eigenvalue {worst:.3e} lies inside the zero guard {zero_guard:g}"
         )
-    pos = int(np.sum(eigenvalues > 0))
-    return pos, len(eigenvalues) - pos
+    pos = np.sum(eigenvalues > 0, axis=-1)
+    return pos[()], (g.shape[-1] - pos)[()]
 
 
 def special_symplectic_check(
@@ -149,7 +155,7 @@ def special_symplectic_check(
 ) -> list[CheckReport]:
     """Reports for: flat, torsion-free, Omega parallel, I parallel, I^2 = -Id."""
     conn = data.connection
-    chart = conn.chart
+    stacked = stack_points(points)
     reports = [
         check_flatness(
             conn, points, fd_step, tol_fd, identity_name="special_kahler.connection_flat"
@@ -159,10 +165,7 @@ def special_symplectic_check(
         ),
     ]
 
-    worst = max(
-        float(np.max(np.abs(covariant_constancy(conn, data.Omega, pt, fd_step))))
-        for pt in points
-    )
+    worst = float(np.max(np.abs(covariant_constancy(conn, data.Omega, stacked, fd_step))))
     reports.append(
         CheckReport.from_residual(
             "special_kahler.base_form_parallel",
@@ -173,18 +176,15 @@ def special_symplectic_check(
         )
     )
 
-    eye = np.eye(chart.dim)
-    parallel, square = [0.0], []
-    for pt in points:
-        # the table is antisymmetric in (a, b), so its max covers every pair a < b
-        parallel.append(float(np.max(np.abs(d_nabla_endo(conn, data.I, pt, fd_step)))))
-        M_I = data.I.matrix(pt)
-        square.append(float(np.max(np.abs(M_I @ M_I + eye))))
+    # the table is antisymmetric in (a, b), so its max covers every pair a < b
+    parallel = float(np.max(np.abs(d_nabla_endo(conn, data.I, stacked, fd_step))))
+    M_I = data.I.matrix(stacked)
+    square = float(np.max(np.abs(M_I @ M_I + np.eye(conn.chart.dim))))
     reports.append(
         CheckReport.from_residual(
             "special_kahler.complex_structure_parallel",
             len(points),
-            max(parallel),
+            parallel,
             tol_parallel,
             statement="the exterior covariant derivative of I vanishes on the coordinate frame",
         )
@@ -193,7 +193,7 @@ def special_symplectic_check(
         CheckReport.from_residual(
             "special_kahler.squares_to_minus_identity",
             len(points),
-            max(square),
+            square,
             tol_algebraic,
             statement="the induced endomorphism squares to minus the identity",
         )
@@ -209,19 +209,17 @@ def kahler_reports(
     """Metric-level reports: symmetry (exact), invariance, constant signature."""
     reports: list[CheckReport] = []
 
-    metrics, asymmetry, invariance = [], [], [0.0]
-    for pt in points:
-        g = data.g(pt)
-        M_I = data.I.matrix(pt)
-        M_Omega = form_matrix(data.Omega, pt)
-        metrics.append(g)
-        asymmetry.append(float(np.max(np.abs(g - g.T))))
-        invariance.append(float(np.max(np.abs(M_I.T @ M_Omega @ M_I - M_Omega))))
+    stacked = stack_points(points)
+    g = data.g(stacked)
+    M_I = data.I.matrix(stacked)
+    M_Omega = form_matrix(data.Omega, stacked)
+    asymmetry = float(np.max(np.abs(g - transpose(g))))
+    invariance = float(np.max(np.abs(transpose(M_I) @ M_Omega @ M_I - M_Omega)))
     reports.append(
         CheckReport.from_residual(
             "special_kahler.metric_symmetric",
             len(points),
-            max(asymmetry),
+            asymmetry,
             0.0,
             statement="g agrees with its transpose exactly at every sampled point",
         )
@@ -230,14 +228,15 @@ def kahler_reports(
         CheckReport.from_residual(
             "special_kahler.base_form_invariant",
             len(points),
-            max(invariance),
+            invariance,
             tol_algebraic,
             statement="Omega(I., I.) agrees with Omega",
         )
     )
 
     try:
-        signatures = {signature(g) for g in metrics}
+        pos, neg = signature(g)
+        signatures = set(zip(np.ravel(pos).tolist(), np.ravel(neg).tolist()))
     except DegenerateMetricError as exc:
         reports.append(
             CheckReport.from_residual(
@@ -279,16 +278,15 @@ def induced_vs_restriction(
     """
     J = build_complex_triple(model).J_omega
     n2 = 2 * model.n
-    worst = 0.0
-    for pt in points:
-        frame = section.jacobian_fd(pt, fd_step)
-        moved = J.matrix(section.evaluate(pt)) @ frame
-        restriction = moved[:n2, :]
-        # invariance defect: the moved frame should be graph-tangent again
-        rebuilt = frame @ restriction
-        defect = float(np.max(np.abs(rebuilt - moved)))
-        agree = float(np.max(np.abs(restriction - induced_complex_structure(section, pt))))
-        worst = max(worst, max(defect, agree))
+    stacked = stack_points(points)
+    frame = section.jacobian_fd(stacked, fd_step)
+    moved = J.matrix(section.evaluate(stacked)) @ frame
+    restriction = moved[..., :n2, :]
+    # invariance defect: the moved frame should be graph-tangent again
+    rebuilt = frame @ restriction
+    defect = float(np.max(np.abs(rebuilt - moved)))
+    agree = float(np.max(np.abs(restriction - induced_complex_structure(section, stacked))))
+    worst = max(defect, agree)
     return CheckReport.from_residual(
         "special_kahler.matches_graph_restriction",
         len(points),

@@ -6,11 +6,14 @@ and the resulting verdict.  Two report styles are used:
 
 * plain residual: ``max_residual`` is the largest absolute defect and must
   stay below ``tolerance``;
-* signed slack (tolerance 0.0): used when a check combines parts with
-  different units, e.g. closedness together with a determinant floor; the
-  residual is ``max(part_residual - part_tolerance)`` and passing means <= 0.
+* signed slack (tolerance 0.0): used when a quantity must stay above a
+  floor, e.g. nondegeneracy reports ``floor - min |det|``; passing means <= 0.
 
 Either way the invariant ``passed == (max_residual <= tolerance)`` holds.
+
+Checks take their sample as a list of points, stack it once and evaluate
+every field on the whole stack (and on each of its central-stencil shifts),
+so a check costs a fixed number of evaluator calls whatever the sample size.
 """
 
 from __future__ import annotations
@@ -20,8 +23,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import DifferentialForm, EndomorphismField, exterior_derivative, form_matrix
-from .charts import Chart, Point, VectorField, require_same_chart
+from .calculus import (
+    DifferentialForm,
+    EndomorphismField,
+    apply,
+    exterior_derivative,
+    form_matrix,
+)
+from .charts import Chart, Point, VectorField, conform, require_same_chart, stack_points
 
 TOL_ALGEBRAIC = 1e-12
 TOL_FD = 1e-6
@@ -74,9 +83,9 @@ class CheckReport:
 class FlatConnection:
     """An affine connection given by a Christoffel evaluator.
 
-    ``christoffel(pt)[k, i, j]`` is the coefficient with upper index k and
-    lower indices (i, j).  "Flat" is the intent, not an assumption: torsion
-    and curvature are checked, never taken for granted.
+    ``christoffel(pt)[..., k, i, j]`` is the coefficient with upper index k
+    and lower indices (i, j).  "Flat" is the intent, not an assumption:
+    torsion and curvature are checked, never taken for granted.
     """
 
     chart: Chart
@@ -91,48 +100,64 @@ class FlatConnection:
 
     def gamma(self, pt: Point) -> np.ndarray:
         require_same_chart(self.chart, pt.chart)
-        G = np.asarray(self.christoffel(pt), dtype=float)
         dim = self.chart.dim
-        if G.shape != (dim, dim, dim):
-            raise ValueError(f"christoffel evaluator returned shape {G.shape}")
-        return G
+        return conform(self.christoffel(pt), pt, (dim, dim, dim), "christoffel evaluator")
 
     def torsion_residual(self, pt: Point) -> float:
         G = self.gamma(pt)
-        return float(np.max(np.abs(G - np.transpose(G, (0, 2, 1)))))
+        return float(np.max(np.abs(G - np.swapaxes(G, -1, -2))))
 
     def curvature_residual(self, pt: Point, step: float | None = None) -> float:
-        """Max |R^l_kij| with the curvature assembled from FD derivatives."""
+        """Max |R^l_kij| with the curvature assembled from FD derivatives.
+
+        The derivative table holds N * dim^4 numbers; the curvature itself is
+        formed one upper index l at a time, so no second table of that size
+        is built.
+        """
         h = self.chart.fd_step() if step is None else float(step)
         dim = self.chart.dim
         G = self.gamma(pt)
-        dG = np.empty((dim, dim, dim, dim))
+        dG = np.empty(pt.batch_shape + (dim,) * 4)  # dG[..., a, l, j, k] = d_a Gamma^l_jk
         for a in range(dim):
-            dG[a] = (self.gamma(pt.shifted(a, h)) - self.gamma(pt.shifted(a, -h))) / (2 * h)
-        t1 = np.transpose(dG, (1, 3, 0, 2))  # d_i Gamma^l_jk  ->  [l,k,i,j]
-        t2 = np.transpose(dG, (1, 3, 2, 0))  # d_j Gamma^l_ik  ->  [l,k,i,j]
-        t3 = np.einsum("lim,mjk->lkij", G, G)
-        t4 = np.einsum("ljm,mik->lkij", G, G)
-        return float(np.max(np.abs(t1 - t2 + t3 - t4)))
+            plus, minus = self.gamma(pt.shifted(a, h)), self.gamma(pt.shifted(a, -h))
+            dG[..., a, :, :, :] = (plus - minus) / (2 * h)
+        worst = 0.0
+        for l in range(dim):
+            # R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
+            #           - Gamma^l_jm Gamma^m_ik, summed in that order
+            dG_l, G_l = dG[..., :, l, :, :], G[..., l, :, :]
+            R = np.einsum("...ijk->...kij", dG_l) - np.einsum("...jik->...kij", dG_l)
+            R += np.einsum("...im,...mjk->...kij", G_l, G)
+            R -= np.einsum("...jm,...mik->...kij", G_l, G)
+            worst = np.maximum(worst, np.max(np.abs(R)))  # NaN propagates
+        return float(worst)
+
+
+def _stencil(evaluate: Callable[[Point], np.ndarray], pt: Point, h: float) -> np.ndarray:
+    """Central differences of ``evaluate`` along every axis, stacked on a new
+    axis in front of the value axes: ``out[..., a, *value] = d_a value``."""
+    diffs = [
+        (evaluate(pt.shifted(a, h)) - evaluate(pt.shifted(a, -h))) / (2.0 * h)
+        for a in range(pt.chart.dim)
+    ]
+    value_ndim = diffs[0].ndim - len(pt.batch_shape)
+    return np.stack(diffs, axis=-1 - value_ndim)
 
 
 def covariant_constancy(
     conn: FlatConnection, form: DifferentialForm, pt: Point, step: float | None = None
 ) -> np.ndarray:
-    """Residual table (nabla_i T)_{jk} for a 2-form T.
+    """Residual table ``(nabla_i T)_{jk}`` of a 2-form T, shape ``(..., i, j, k)``.
 
     Zero everywhere iff the form is parallel for the connection at the point.
     """
     require_same_chart(conn.chart, form.chart)
     h = conn.chart.fd_step() if step is None else float(step)
-    dim = conn.chart.dim
     T = form_matrix(form, pt)
-    dT = np.empty((dim, dim, dim))
-    for a in range(dim):
-        dT[a] = (form_matrix(form, pt.shifted(a, h)) - form_matrix(form, pt.shifted(a, -h))) / (2 * h)
+    dT = _stencil(lambda p: form_matrix(form, p), pt, h)
     G = conn.gamma(pt)
-    corr1 = np.einsum("lij,lk->ijk", G, T)
-    corr2 = np.einsum("lik,jl->ijk", G, T)
+    corr1 = np.einsum("...lij,...lk->...ijk", G, T)
+    corr2 = np.einsum("...lik,...jl->...ijk", G, T)
     return dT - corr1 - corr2
 
 
@@ -144,29 +169,26 @@ def d_nabla_endo(
 ) -> np.ndarray:
     """Exterior covariant derivative of an endomorphism on the coordinate frame.
 
-    ``table[a, b] = d_nabla I (e_a, e_b) = (nabla_a I) e_b - (nabla_b I) e_a`` with
+    ``table[..., a, b, :] = d_nabla I (e_a, e_b) = (nabla_a I) e_b - (nabla_b I) e_a``
+    with
 
         (nabla_a I) e_b = (d_a I) e_b + Gamma(e_a, I e_b) - I Gamma(e_a, e_b).
 
     d_nabla I is a tensor, so the frame table determines it on every pair of
-    fields.  I is read once at ``pt`` and once at each central-stencil point.
+    fields.  I is read once at ``pt`` and once at each central-stencil point,
+    however many points ``pt`` stacks.
     """
     require_same_chart(conn.chart, I.chart)
     h = conn.chart.fd_step() if step is None else float(step)
     I_pt = I.matrix(pt)
-    dI = np.stack(
-        [
-            (I.matrix(pt.shifted(a, h)) - I.matrix(pt.shifted(a, -h))) / (2.0 * h)
-            for a in range(conn.chart.dim)
-        ]
-    )
+    dI = _stencil(I.matrix, pt, h)
     G = conn.gamma(pt)
     nabla = (
-        np.transpose(dI, (0, 2, 1))
-        + np.einsum("kaj,jb->abk", G, I_pt)
-        - np.einsum("kj,jab->abk", I_pt, G)
+        np.swapaxes(dI, -1, -2)
+        + np.einsum("...kaj,...jb->...abk", G, I_pt)
+        - np.einsum("...kj,...jab->...abk", I_pt, G)
     )
-    return nabla - np.transpose(nabla, (1, 0, 2))
+    return nabla - np.swapaxes(nabla, -3, -2)
 
 
 def nijenhuis(
@@ -179,29 +201,30 @@ def nijenhuis(
     """Nijenhuis tensor N_J(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] + J^2 [X, Y].
 
     J, X and Y are read once at ``pt`` and once at each central-stencil
-    point; the four brackets ``[A, B] = DB.A - DA.B`` are formed from those
-    values with central-difference Jacobians, as ``calculus.lie_bracket`` does.
+    point, however many points ``pt`` stacks; the four brackets
+    ``[A, B] = DB.A - DA.B`` are formed from those values with
+    central-difference Jacobians, as ``calculus.lie_bracket`` does.
     """
     require_same_chart(J.chart, X.chart)
     require_same_chart(J.chart, Y.chart)
     h = pt.chart.fd_step() if step is None else float(step)
     dim = pt.chart.dim
-    DX, DY, DJX, DJY = (np.empty((dim, dim)) for _ in range(4))
+    DX, DY, DJX, DJY = (np.empty(pt.batch_shape + (dim, dim)) for _ in range(4))
     for j in range(dim):
         plus, minus = pt.shifted(j, h), pt.shifted(j, -h)
         J_p, J_m = J.matrix(plus), J.matrix(minus)
         X_p, X_m, Y_p, Y_m = X(plus), X(minus), Y(plus), Y(minus)
-        DX[:, j] = (X_p - X_m) / (2.0 * h)
-        DY[:, j] = (Y_p - Y_m) / (2.0 * h)
-        DJX[:, j] = (J_p @ X_p - J_m @ X_m) / (2.0 * h)
-        DJY[:, j] = (J_p @ Y_p - J_m @ Y_m) / (2.0 * h)
+        DX[..., j] = (X_p - X_m) / (2.0 * h)
+        DY[..., j] = (Y_p - Y_m) / (2.0 * h)
+        DJX[..., j] = (apply(J_p, X_p) - apply(J_m, X_m)) / (2.0 * h)
+        DJY[..., j] = (apply(J_p, Y_p) - apply(J_m, Y_m)) / (2.0 * h)
     J_pt, X_pt, Y_pt = J.matrix(pt), X(pt), Y(pt)
-    JX_pt, JY_pt = J_pt @ X_pt, J_pt @ Y_pt
+    JX_pt, JY_pt = apply(J_pt, X_pt), apply(J_pt, Y_pt)
     return (
-        (DJY @ JX_pt - DJX @ JY_pt)
-        - J_pt @ (DY @ JX_pt - DJX @ Y_pt)
-        - J_pt @ (DJY @ X_pt - DX @ JY_pt)
-        + J_pt @ J_pt @ (DY @ X_pt - DX @ Y_pt)
+        (apply(DJY, JX_pt) - apply(DJX, JY_pt))
+        - apply(J_pt, apply(DY, JX_pt) - apply(DJX, Y_pt))
+        - apply(J_pt, apply(DJY, X_pt) - apply(DX, JY_pt))
+        + apply(J_pt @ J_pt, apply(DY, X_pt) - apply(DX, Y_pt))
     )
 
 
@@ -212,11 +235,8 @@ def check_closedness(
     tolerance: float = TOL_FD,
     identity_name: str | None = None,
 ) -> CheckReport:
-    worst = 0.0
-    for pt in points:
-        table = exterior_derivative(form, pt, step)
-        if table:
-            worst = max(worst, max(abs(v) for v in table.values()))
+    table = exterior_derivative(form, stack_points(points), step)
+    worst = max((float(np.max(np.abs(v))) for v in table.values()), default=0.0)
     return CheckReport.from_residual(
         identity_name or f"closed({form.name})",
         len(points),
@@ -232,7 +252,8 @@ def check_nondegeneracy(
     floor: float = NONDEG_FLOOR,
     identity_name: str | None = None,
 ) -> CheckReport:
-    min_det = min(abs(float(np.linalg.det(form_matrix(form, pt)))) for pt in points)
+    dets = np.linalg.det(form_matrix(form, stack_points(points)))
+    min_det = float(np.min(np.abs(dets)))
     return CheckReport.from_residual(
         identity_name or f"nondegenerate({form.name})",
         len(points),
@@ -245,41 +266,14 @@ def check_nondegeneracy(
     )
 
 
-def check_symplectic(
-    form: DifferentialForm,
-    points: Sequence[Point],
-    step: float | None = None,
-    tol_closed: float = TOL_FD,
-    nondeg_floor: float = NONDEG_FLOOR,
-) -> CheckReport:
-    """Combined closedness + nondegeneracy verdict in one signed-slack report."""
-    closed = check_closedness(form, points, step, tol_closed)
-    nondeg = check_nondegeneracy(form, points, nondeg_floor)
-    slack = max(closed.max_residual - tol_closed, nondeg.max_residual)
-    return CheckReport.from_residual(
-        f"symplectic({form.name})",
-        len(points),
-        slack,
-        0.0,
-        statement=(
-            f"closedness residual {closed.max_residual:.3e} (tol {tol_closed:g}) and "
-            f"determinant floor {nondeg_floor:g}; signed slack <= 0 means both hold"
-        ),
-    )
-
-
 def check_almost_complex(
     J: EndomorphismField,
     points: Sequence[Point],
     tolerance: float = TOL_ALGEBRAIC,
     identity_name: str | None = None,
 ) -> CheckReport:
-    dim = J.chart.dim
-    eye = np.eye(dim)
-    worst = 0.0
-    for pt in points:
-        M = J.matrix(pt)
-        worst = max(worst, float(np.max(np.abs(M @ M + eye))))
+    M = J.matrix(stack_points(points))
+    worst = float(np.max(np.abs(M @ M + np.eye(J.chart.dim))))
     return CheckReport.from_residual(
         identity_name or f"almost_complex({J.name})",
         len(points),
@@ -296,7 +290,7 @@ def check_flatness(
     tolerance: float = TOL_FD,
     identity_name: str | None = None,
 ) -> CheckReport:
-    worst = max(conn.curvature_residual(pt, step) for pt in points)
+    worst = conn.curvature_residual(stack_points(points), step)
     return CheckReport.from_residual(
         identity_name or f"flat({conn.name})",
         len(points),
@@ -312,7 +306,7 @@ def check_torsion_free(
     tolerance: float = TOL_ALGEBRAIC,
     identity_name: str | None = None,
 ) -> CheckReport:
-    worst = max(conn.torsion_residual(pt) for pt in points)
+    worst = conn.torsion_residual(stack_points(points))
     return CheckReport.from_residual(
         identity_name or f"torsion_free({conn.name})",
         len(points),

@@ -88,6 +88,30 @@ def test_round_trip():
     assert np.all((angles >= 0) & (angles < 2 * math.pi))
 
 
+def test_stacked_states_match_single_states():
+    """The transforms on a stack of states return, row for row, their
+    single-state values; the seeded draws are those of one state at a time."""
+    system = ProductSystem.from_frequencies([1.0, 0.5, 2.0, 3.0])
+    states = sample_states(system, 6, seed=8)
+    rng = np.random.default_rng(8)
+    for state in states:
+        energies = rng.uniform(0.2, 2.0, size=system.dof)
+        angles = rng.uniform(0.0, 2 * math.pi, size=system.dof)
+        actions = energies / np.array([o.frequency for o in system.oscillators])
+        assert np.array_equal(state, from_action_angle(system, actions, angles))
+    actions, angles = to_action_angle(system, states)
+    rebuilt = from_action_angle(system, actions, angles)
+    jac = transform_jacobian(system, states)
+    for r, state in enumerate(states):
+        single = to_action_angle(system, state)
+        assert np.array_equal(actions[r], single[0]) and np.array_equal(angles[r], single[1])
+        assert np.array_equal(rebuilt[r], from_action_angle(system, *single))
+        assert np.array_equal(jac[r], transform_jacobian(system, state))
+    assert round_trip_residual(system, states) == max(
+        round_trip_residual(system, [state]) for state in states
+    )
+
+
 def test_action_angle_chart_fails_at_the_equilibrium():
     with pytest.raises(DegenerateOrbitError):
         to_action_angle(SYS, np.zeros(4))

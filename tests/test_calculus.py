@@ -5,25 +5,15 @@ from hypersymplectic.calculus import (
     DifferentialForm,
     EndomorphismField,
     compose_covector,
-    coordinate_differential,
-    derivative_form,
-    endo_compose,
-    evaluate_form,
     exterior_derivative,
-    flat,
     form_matrix,
     lie_bracket,
-    sharp,
     shuffle_sign,
-    wedge,
 )
-from hypersymplectic.charts import Chart, VectorField, coordinate_function
-from hypersymplectic.errors import DegenerateFormError, DomainWarning
+from hypersymplectic.charts import Chart, VectorField
 
 PLANE = Chart("plane", ("u", "v"), (-1.0, -1.0), (1.0, 1.0))
 SPACE = Chart("space", ("a", "b", "c", "d"), (-1.0,) * 4, (1.0,) * 4)
-
-E = np.eye(4)
 
 
 def test_shuffle_sign_counts_inversions():
@@ -44,17 +34,11 @@ def test_multi_index_validation():
 
 def test_evaluation_uses_the_determinant_convention():
     area = DifferentialForm.constant(PLANE, 2, {(0, 1): 1.0}, name="du^dv")
-    pt = PLANE.point([0.0, 0.0])
+    M = form_matrix(area, PLANE.point([0.0, 0.0]))
     e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    assert evaluate_form(area, pt, [e0, e1]) == 1.0
-    assert evaluate_form(area, pt, [e1, e0]) == -1.0
-    assert evaluate_form(area, pt, [e0, 2 * e0 + 3 * e1]) == pytest.approx(3.0)
-
-
-def test_evaluation_outside_the_box_warns():
-    du = coordinate_differential(PLANE, 0)
-    with pytest.warns(DomainWarning):
-        evaluate_form(du, PLANE.point([5.0, 0.0]), [np.array([1.0, 0.0])])
+    assert e0 @ M @ e1 == 1.0
+    assert e1 @ M @ e0 == -1.0
+    assert e0 @ M @ (2 * e0 + 3 * e1) == pytest.approx(3.0)
 
 
 def test_one_form_components():
@@ -65,38 +49,9 @@ def test_one_form_components():
         area.components(PLANE.point([0.0, 0.0]))
 
 
-def test_wedge_of_coordinate_differentials():
-    da = coordinate_differential(SPACE, 0)
-    db = coordinate_differential(SPACE, 1)
-    pt = SPACE.point(np.zeros(4))
-    two = wedge(da, db)
-    assert two.table(pt)[(0, 1)] == 1.0
-    assert wedge(db, da).table(pt)[(0, 1)] == -1.0
-    # da ^ da has no stored coefficients at all
-    assert wedge(da, da).stored_indices() == []
-
-
-def test_wedge_is_associative_on_evaluators():
-    u = coordinate_function(SPACE, 0)
-    alpha = DifferentialForm(SPACE, 1, {(1,): lambda pt: pt.coords[0]})  # u db
-    dc = coordinate_differential(SPACE, 2)
-    dd = coordinate_differential(SPACE, 3)
-    pt = SPACE.point([0.7, -0.2, 0.4, 0.9])
-    left = wedge(wedge(alpha, dc), dd)
-    right = wedge(alpha, wedge(dc, dd))
-    assert left.table(pt) == right.table(pt)
-    assert left.table(pt)[(1, 2, 3)] == pytest.approx(u(pt))
-
-
-def test_wedge_degree_overflow():
-    area = DifferentialForm.constant(PLANE, 2, {(0, 1): 1.0})
-    with pytest.raises(ValueError):
-        wedge(area, coordinate_differential(PLANE, 0))
-
-
 def test_exterior_derivative_of_linear_coefficient():
     # d(u dv) = du ^ dv
-    alpha = DifferentialForm(PLANE, 1, {(1,): lambda pt: pt.coords[0]})
+    alpha = DifferentialForm(PLANE, 1, {(1,): lambda pt: pt.coords[..., 0]})
     table = exterior_derivative(alpha, PLANE.point([0.3, -0.4]))
     assert set(table) == {(0, 1)}
     assert table[(0, 1)] == pytest.approx(1.0, abs=1e-10)
@@ -104,14 +59,14 @@ def test_exterior_derivative_of_linear_coefficient():
 
 def test_exterior_derivative_quadratic_coefficient():
     # d(u^2 dv) = 2u du ^ dv
-    alpha = DifferentialForm(PLANE, 1, {(1,): lambda pt: pt.coords[0] ** 2})
+    alpha = DifferentialForm(PLANE, 1, {(1,): lambda pt: pt.coords[..., 0] ** 2})
     for u in (-0.8, 0.0, 0.55):
         table = exterior_derivative(alpha, PLANE.point([u, 0.1]))
         assert table[(0, 1)] == pytest.approx(2 * u, abs=1e-6)
 
 
 def test_exterior_derivative_detects_non_closed():
-    alpha = DifferentialForm(PLANE, 1, {(1,): lambda pt: pt.coords[0]})
+    alpha = DifferentialForm(PLANE, 1, {(1,): lambda pt: pt.coords[..., 0]})
     table = exterior_derivative(alpha, PLANE.point([0.0, 0.0]))
     assert abs(table[(0, 1)]) > 0.5
 
@@ -120,15 +75,6 @@ def test_constant_forms_are_closed_exactly():
     area = DifferentialForm.constant(SPACE, 2, {(0, 1): 1.0, (2, 3): -1.0})
     table = exterior_derivative(area, SPACE.point([0.2, 0.1, -0.3, 0.4]))
     assert all(v == 0.0 for v in table.values())
-
-
-def test_d_of_d_vanishes_at_nested_tolerance():
-    coeff = lambda pt: pt.coords[0] ** 2 * pt.coords[1] + np.sin(pt.coords[2])
-    alpha = DifferentialForm(SPACE, 1, {(1,): coeff})
-    dd = derivative_form(derivative_form(alpha))
-    pt = SPACE.point([0.3, -0.5, 0.2, 0.0])
-    worst = max(abs(v) for v in dd.table(pt).values())
-    assert worst <= 1e-4
 
 
 def test_lie_bracket_fixture():
@@ -169,9 +115,9 @@ def test_composition_orders():
     A = EndomorphismField.constant(SPACE, rng.normal(size=(4, 4)))
     B = EndomorphismField.constant(SPACE, rng.normal(size=(4, 4)))
     pt = SPACE.point(np.zeros(4))
-    vec_first = endo_compose(A, B)
     cov_first = compose_covector(A, B)
-    assert np.allclose(vec_first.matrix(pt), A.matrix(pt) @ B.matrix(pt))
+    # its vector-action matrix is B after A
+    assert np.array_equal(cov_first.matrix(pt), B.matrix(pt) @ A.matrix(pt))
     # covector action of compose_covector(A, B) is A after B
     alpha = rng.normal(size=4)
     expected = A.apply_covector(pt, B.apply_covector(pt, alpha))
@@ -189,24 +135,3 @@ def test_form_matrix_is_antisymmetric():
     M = form_matrix(form, SPACE.point(np.zeros(4)))
     assert np.array_equal(M, -M.T)
     assert M[0, 2] == 2.0 and M[2, 0] == -2.0
-
-
-def test_sharp_flat_round_trip():
-    form = DifferentialForm.constant(SPACE, 2, {(0, 2): 1.0, (1, 3): 1.0})
-    pt = SPACE.point(np.zeros(4))
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        alpha = rng.normal(size=4)
-        v = sharp(form, alpha, pt)
-        assert np.allclose(flat(form, v, pt), alpha, atol=1e-13)
-        # defining property: form(v, e_j) = alpha_j
-        for j in range(4):
-            assert evaluate_form(form, pt, [v, E[j]]) == pytest.approx(
-                alpha[j], abs=1e-12
-            )
-
-
-def test_sharp_rejects_degenerate_forms():
-    degenerate = DifferentialForm.constant(SPACE, 2, {(0, 1): 1.0})
-    with pytest.raises(DegenerateFormError):
-        sharp(degenerate, np.ones(4), SPACE.point(np.zeros(4)))

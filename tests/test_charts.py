@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from hypersymplectic.charts import (
-    Chart,
-    VectorField,
-    coordinate_function,
-    frame_field,
-    require_same_chart,
-)
+from hypersymplectic.charts import Chart, VectorField, require_same_chart, stack_points
 from hypersymplectic.errors import ChartMismatchError
 
 BOX = Chart("box", ("u", "v"), (-1.0, -1.0), (1.0, 1.0))
@@ -38,6 +32,11 @@ def test_shifted_moves_one_axis():
     assert moved.coords[1] == pytest.approx(0.25)
     assert moved.coords[0] == 0.1
     assert pt.coords[1] == 0.2  # original untouched
+    stacked = stack_points(BOX.sample(5, seed=1))
+    moved = stacked.shifted(0, 0.05)
+    assert moved.coords.shape == (5, 2)
+    assert np.array_equal(moved.coords[:, 1], stacked.coords[:, 1])
+    assert np.allclose(moved.coords[:, 0] - stacked.coords[:, 0], 0.05)
 
 
 def test_sampling_is_seeded_and_inside_the_box():
@@ -53,9 +52,11 @@ def test_chart_mismatch_is_loud():
     other = Chart("other", ("u", "v"), (-1.0, -1.0), (1.0, 1.0))
     with pytest.raises(ChartMismatchError):
         require_same_chart(BOX, other)
-    field = frame_field(BOX, 0)
+    field = VectorField.constant(BOX, [1.0, 0.0])
     with pytest.raises(ChartMismatchError):
         field(other.point([0.0, 0.0]))
+    with pytest.raises(ChartMismatchError):
+        stack_points([BOX.point([0.0, 0.0]), other.point([0.0, 0.0])])
 
 
 def test_degenerate_box_rejected():
@@ -67,13 +68,22 @@ def test_degenerate_box_rejected():
 
 def test_fields():
     pt = BOX.point([0.3, -0.4])
-    assert coordinate_function(BOX, 1)(pt) == pytest.approx(-0.4)
-    assert np.array_equal(frame_field(BOX, 0)(pt), [1.0, 0.0])
     const = VectorField.constant(BOX, [2.0, 5.0])
     assert np.array_equal(const(pt), [2.0, 5.0])
+    # on a stack a constant broadcasts over the point axis; a field reading
+    # coords[..., k] returns one row per point
+    stacked = stack_points(BOX.sample(4, seed=2))
+    assert np.array_equal(const(stacked), np.tile([2.0, 5.0], (4, 1)))
+    swap = VectorField(BOX, lambda p: np.stack([p.coords[..., 1], p.coords[..., 0]], axis=-1))
+    assert np.array_equal(swap(stacked), stacked.coords[:, ::-1])
+    assert np.array_equal(swap(pt), [-0.4, 0.3])
 
 
 def test_vector_field_shape_check():
     bad = VectorField(BOX, lambda pt: np.zeros(3))
     with pytest.raises(ValueError):
         bad(BOX.point([0.0, 0.0]))
+    # a value with point axes that do not match the stack is rejected too
+    rows = VectorField(BOX, lambda pt: np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        rows(stack_points(BOX.sample(4, seed=2)))

@@ -100,3 +100,44 @@ def test_config_output_field_is_honoured(tmp_path):
     )
     assert main(["--config", str(cfg)]) == 0
     assert report.exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"scenario": "oscillators", "frequencies": [float("inf"), 1.0]},
+        {"scenario": "oscillators", "frequencies": [1e-310, 1.0]},
+        {"scenario": "paper-n1", "sampling": {"fd_step": float("inf")}},
+    ],
+    ids=["infinite-frequency", "overflowing-action-window", "infinite-fd-step"],
+)
+def test_non_finite_config_numbers_exit_2_without_writing(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))  # writes Infinity, which json.loads reads back
+    report = tmp_path / "report.json"
+    assert main(["--config", str(cfg), "--output", str(report)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not report.exists()
+
+
+ROTATION = {"name": "turn", "form": "sigma", "p": [[[[0, 1], 1.0]]], "q": [[[[1, 0], -1.0]]]}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"scenario": "paper-n1"},
+        {"scenario": "paper-n", "n": 2},
+        {"scenario": "oscillators"},
+        {"scenario": "custom-section", "sections": [ROTATION]},
+    ],
+    ids=["paper-n1", "paper-n2", "oscillators", "custom-section"],
+)
+def test_a_single_sample_point_passes(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "sampling": {"n_points": 1}}))
+    report = tmp_path / "report.json"
+    assert main(["--config", str(cfg), "--output", str(report)]) == 0
+    body = json.loads(report.read_text())["report"]
+    assert body["verdict"] == "pass"
+    assert {c["n_points"] for c in body["checks"] if not c["identity"].startswith("action_angle")} == {1}

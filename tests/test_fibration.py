@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hypersymplectic.calculus import form_matrix
+from hypersymplectic.calculus import DifferentialForm, EndomorphismField, form_matrix
+from hypersymplectic.charts import stack_points
 from hypersymplectic.errors import DegenerateFormError, GeometryError
 from hypersymplectic.fibration import (
     SectionMap,
@@ -137,6 +138,38 @@ def test_holomorphic_frames():
     assert bad.max_residual > 1.0
 
 
+def test_stacked_recursion_and_frames_match_single_points():
+    """Non-constant forms and a non-constant J, evaluated on a stack of points,
+    return row for row their single-point values."""
+    chart = MODEL.total_chart
+    x, q = (lambda p: p.coords[..., 0]), (lambda p: p.coords[..., 3])
+    omega = DifferentialForm(
+        chart, 2, {(0, 2): lambda p: -1.0 - x(p) ** 2, (1, 3): lambda p: -1.0 + 0.1 * q(p)}
+    )
+    chi = DifferentialForm(chart, 2, {(0, 1): lambda p: x(p) * q(p), (2, 3): lambda p: -1.0})
+    B = np.random.default_rng(4).uniform(-1, 1, (4, 4))
+    J = EndomorphismField(
+        chart, lambda p: COMPLEXES.J_chi.matrix(p) + x(p)[..., None, None] * B
+    )
+    pairs = standard_frame_pairs(MODEL)["J_chi"]
+    points = chart.sample(6, 31)
+    stacked = stack_points(points)
+    rows = recursion_operator(omega, chi, stacked)
+    frames = holomorphic_frame_check(J, pairs, stacked)
+    lagrangian = verify_lagrangian_fibres(MODEL, omega, points)
+    for r, pt in enumerate(points):
+        assert np.array_equal(rows[r], recursion_operator(omega, chi, pt))
+        single = holomorphic_frame_check(J, pairs, pt)
+        assert tuple(s[r] for s in frames.signs) == single.signs
+    assert frames.max_residual == max(
+        holomorphic_frame_check(J, pairs, pt).max_residual for pt in points
+    )
+    assert frames.max_residual > 0.1
+    assert lagrangian.max_residual == max(
+        verify_lagrangian_fibres(MODEL, omega, [pt]).max_residual for pt in points
+    )
+
+
 def test_full_battery_passes_at_rank_two():
     reports = verify_hypersymplectic(make_model(2), n_points=25, seed=9)
     failed = [r.identity_name for r in reports if not r.passed]
@@ -188,6 +221,33 @@ def test_exact_and_fd_jacobians_agree():
     assert np.array_equal(exact[:2], np.eye(2))
     assert np.allclose(exact[2], [0.8, 1.0])  # d(x^2 + y)
     assert np.allclose(exact[3], [0.6, -0.8])  # d(-2xy)
+
+
+def test_stacked_section_maps_match_single_points():
+    """On the curved section p = y + x^2, q = -x, every section map and the
+    pullback and invariance checks agree, row for row, with single points."""
+    curved = make_section([((0, 1), 1.0), ((2, 0), 1.0)], [((1, 0), -1.0)], "curved")
+    points = MODEL.base_chart.sample(6, 32)
+    stacked = stack_points(points)
+    maps = {
+        "total_coords": curved.total_coords,
+        "jacobian": curved.jacobian,
+        "jacobian_fd": curved.jacobian_fd,
+    }
+    for name, section_map in maps.items():
+        rows = section_map(stacked)
+        for r, pt in enumerate(points):
+            assert np.array_equal(rows[r], section_map(pt)), name
+    for form in TRIPLE.forms():
+        table = section_pullback(MODEL, curved, form, stacked)
+        for r, pt in enumerate(points):
+            single = section_pullback(MODEL, curved, form, pt)
+            assert {k: v[r] for k, v in table.items()} == single
+    for J in COMPLEXES.endos():
+        worst = complex_submanifold_check(MODEL, curved, J, stacked)
+        singles = [complex_submanifold_check(MODEL, curved, J, pt) for pt in points]
+        assert worst == max(singles)
+    assert complex_submanifold_check(MODEL, curved, COMPLEXES.J_chi, stacked) > 1e-2
 
 
 def test_zero_section_is_omega_lagrangian_and_chi_invariant():

@@ -56,12 +56,11 @@ def test_degree():
 
 
 def test_arithmetic():
-    x = Polynomial.coordinate(2, 0)
-    y = Polynomial.coordinate(2, 1)
-    s = x + y.scaled(-2.0)
-    assert s((3.0, 1.0)) == 1.0
-    with pytest.raises(ValueError):
-        x + Polynomial.coordinate(3, 0)
+    f = Polynomial.from_terms(2, [((1, 0), 1.0), ((0, 1), 1.0)])
+    g = f.scaled(-2.0)
+    assert g.terms == (((0, 1), -2.0), ((1, 0), -2.0))
+    assert g((3.0, 1.0)) == -8.0
+    assert f.scaled(0.0) == Polynomial.zero(2)
 
 
 def test_wrong_arity_rejected():

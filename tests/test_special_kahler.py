@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hypersymplectic.calculus import EndomorphismField, form_matrix
+from hypersymplectic.charts import stack_points
 from hypersymplectic.errors import DegenerateMetricError, NotAlmostComplexError
 from hypersymplectic.fibration import (
     gradient_section,
@@ -95,6 +96,9 @@ def test_signature_zero_guard():
         signature(np.zeros((2, 2)))
     with pytest.raises(DegenerateMetricError):
         signature(np.diag([1.0, 5e-11]))
+    # on a stack the message names the first degenerate matrix
+    with pytest.raises(DegenerateMetricError, match="5.000e-11"):
+        signature(np.stack([np.eye(2), np.diag([1.0, 5e-11]), np.diag([1.0, 1e-12])]))
     assert signature(np.diag([1.0, -2e-10])) == (1, 1)
 
 
@@ -109,25 +113,33 @@ def test_curved_section_keeps_parallelism_but_loses_the_square():
     assert by_name["special_kahler.squares_to_minus_identity"].max_residual > 0.1
 
 
-def test_non_parallel_almost_complex_structure_fails_the_parallel_check():
-    """With the zero connection a section-induced I always has d_nabla I = 0
-    (second partials commute), so the check needs a hand-built field:
-    I = [[0, -(1 + x^2)], [1/(1 + x^2), 0]] squares to -Id everywhere, yet
-    d_nabla I (e_x, e_y) = (-2x, 0)."""
+def non_parallel_data() -> SpecialKahlerData:
+    """I = [[0, -(1 + x^2)], [1/(1 + x^2), 0]] with the rotation package's Omega."""
 
     def matrix(pt):
-        s = 1.0 + pt.coords[0] ** 2
-        return np.array([[0.0, -s], [1.0 / s, 0.0]])
+        s = 1.0 + pt.coords[..., 0] ** 2
+        M = np.zeros(pt.batch_shape + (2, 2))
+        M[..., 0, 1], M[..., 1, 0] = -s, 1.0 / s
+        return M
 
     base = build_special_kahler(MODEL, standard_sigma_section(MODEL))
     I = EndomorphismField(MODEL.base_chart, matrix, name="I[hand-built]")
-    data = SpecialKahlerData(
+    return SpecialKahlerData(
         base_chart=MODEL.base_chart,
         Omega=base.Omega,
         I=I,
         g=lambda pt: form_matrix(base.Omega, pt) @ I.matrix(pt),
         connection=MODEL.connection,
     )
+
+
+def test_non_parallel_almost_complex_structure_fails_the_parallel_check():
+    """With the zero connection a section-induced I always has d_nabla I = 0
+    (second partials commute), so the check needs a hand-built field:
+    I = [[0, -(1 + x^2)], [1/(1 + x^2), 0]] squares to -Id everywhere, yet
+    d_nabla I (e_x, e_y) = (-2x, 0)."""
+    data = non_parallel_data()
+    I = data.I
     for pt in POINTS[:5]:
         table = d_nabla_endo(data.connection, I, pt)
         assert np.allclose(table[0, 1], [-2.0 * pt.coords[0], 0.0], rtol=0.0, atol=1e-9)
@@ -137,6 +149,32 @@ def test_non_parallel_almost_complex_structure_fails_the_parallel_check():
     assert not parallel.passed
     expected = max(2.0 * abs(pt.coords[0]) for pt in POINTS)
     assert parallel.max_residual == pytest.approx(expected, abs=1e-9)
+
+
+def test_stacked_checks_report_the_worst_single_point():
+    """On the curved section p = y + x^2, q = -x and on the non-parallel I, the
+    base-geometry checks over N points report the worst single-point residual,
+    and the signature and metric helpers work row for row on a stack."""
+    curved = section_from([((0, 1), 1.0), ((2, 0), 1.0)], [((1, 0), -1.0)], "curved")
+    points = POINTS[:6]
+    stacked = stack_points(points)
+    for data in (build_special_kahler(MODEL, curved), non_parallel_data()):
+        for check in (special_symplectic_check, kahler_reports):
+            reports = {r.identity_name: r for r in check(data, points)}
+            singles = [{r.identity_name: r for r in check(data, [pt])} for pt in points]
+            for name, report in reports.items():
+                worst = max(single[name].max_residual for single in singles)
+                assert report.max_residual == worst, name
+        pos, neg = signature(data.g(stacked))
+        assert list(zip(pos, neg)) == [signature(data.g(pt)) for pt in points]
+    invariance = kahler_metric(data.Omega, data.I, stacked)[1]
+    assert invariance == max(kahler_metric(data.Omega, data.I, pt)[1] for pt in points)
+    report = induced_vs_restriction(MODEL, curved, points)
+    singles = [induced_vs_restriction(MODEL, curved, [pt]) for pt in points]
+    assert report.max_residual == max(r.max_residual for r in singles) > 0.1
+    rows = induced_complex_structure(curved, stacked)
+    for r, pt in enumerate(points):
+        assert np.array_equal(rows[r], induced_complex_structure(curved, pt))
 
 
 def test_metric_symmetry_fails_off_the_sigma_lagrangian_locus():

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
-from hypersymplectic.calculus import DifferentialForm, EndomorphismField
-from hypersymplectic.charts import Chart, VectorField, frame_field
+from hypersymplectic.calculus import (
+    DifferentialForm,
+    EndomorphismField,
+    exterior_derivative,
+    form_matrix,
+)
+from hypersymplectic.charts import Chart, VectorField, stack_points
 from hypersymplectic.structures import (
     CheckReport,
     FlatConnection,
     check_almost_complex,
     check_closedness,
+    check_flatness,
     check_nondegeneracy,
-    check_symplectic,
+    check_torsion_free,
     covariant_constancy,
     d_nabla_endo,
     nijenhuis,
@@ -43,8 +49,8 @@ def test_zero_connection_is_flat_and_torsion_free():
 
 def test_curvature_detects_a_non_flat_connection():
     def christoffel(pt):
-        G = np.zeros((2, 2, 2))
-        G[0, 1, 1] = pt.coords[0]  # Gamma^u_vv = u
+        G = np.zeros(pt.batch_shape + (2, 2, 2))
+        G[..., 0, 1, 1] = pt.coords[..., 0]  # Gamma^u_vv = u
         return G
 
     conn = FlatConnection(PLANE, christoffel)
@@ -70,13 +76,16 @@ def test_covariant_constancy_flags_varying_forms():
     pt = PLANE.point([0.1, 0.4])
     constant = DifferentialForm.constant(PLANE, 2, {(0, 1): 2.5})
     assert np.max(np.abs(covariant_constancy(conn, constant, pt))) == 0.0
-    varying = DifferentialForm(PLANE, 2, {(0, 1): lambda p: 1.0 + p.coords[0]})
+    varying = DifferentialForm(PLANE, 2, {(0, 1): lambda p: 1.0 + p.coords[..., 0]})
     assert np.max(np.abs(covariant_constancy(conn, varying, pt))) > 0.5
 
 
 def curved_I(pt):
     """I = -d(p, q) for the section p = v + u^2, q = -u: non-constant in u."""
-    return np.array([[-2.0 * pt.coords[0], -1.0], [1.0, 0.0]])
+    M = np.empty(pt.batch_shape + (2, 2))
+    M[..., 0, 0] = -2.0 * pt.coords[..., 0]
+    M[..., 0, 1], M[..., 1, 0], M[..., 1, 1] = -1.0, 1.0, 0.0
+    return M
 
 
 def curved_I_derivative(axis, pt):
@@ -84,11 +93,11 @@ def curved_I_derivative(axis, pt):
 
 
 def symmetric_christoffel(pt):
-    u, v = pt.coords
-    G = np.zeros((2, 2, 2))
-    G[0, 0, 1] = G[0, 1, 0] = u
-    G[1, 1, 1] = v**2
-    G[1, 0, 0] = 0.5
+    u, v = pt.coords[..., 0], pt.coords[..., 1]
+    G = np.zeros(pt.batch_shape + (2, 2, 2))
+    G[..., 0, 0, 1] = G[..., 0, 1, 0] = u
+    G[..., 1, 1, 1] = v**2
+    G[..., 1, 0, 0] = 0.5
     return G
 
 
@@ -119,6 +128,8 @@ def test_d_nabla_endo_matches_the_pairwise_formula():
 
 @pytest.mark.parametrize("dim", [2, 6])
 def test_fd_identities_evaluate_once_per_stencil_point(dim):
+    """One evaluator call per stencil point, for one point or a stack of 40:
+    the count does not grow with the sample size."""
     chart = Chart(f"box{dim}", tuple(f"x{i}" for i in range(dim)), (-1.0,) * dim, (1.0,) * dim)
     rng = np.random.default_rng(dim)
     A, B = rng.uniform(-1, 1, (2, dim, dim))
@@ -126,25 +137,43 @@ def test_fd_identities_evaluate_once_per_stencil_point(dim):
 
     def matrix(pt):
         calls.append(pt)
-        return A + pt.coords[0] * B
+        return A + pt.coords[..., 0, None, None] * B
 
     J = EndomorphismField(chart, matrix)
-    pt = chart.point(rng.uniform(-0.5, 0.5, dim))
-    d_nabla_endo(FlatConnection.zero(chart), J, pt)
-    assert len(calls) <= 2 * dim + 1
-    calls.clear()
     X = VectorField(chart, lambda p: p.coords**2)
     Y = VectorField.constant(chart, rng.uniform(-1, 1, dim))
-    nijenhuis(J, X, Y, pt)
-    assert len(calls) <= 2 * dim + 1
+    counts = {}
+    for n_points in (1, 40):
+        pt = stack_points(chart.sample(n_points, seed=dim))
+        calls.clear()
+        d_nabla_endo(FlatConnection.zero(chart), J, pt)
+        counts[n_points, "d_nabla_endo"] = len(calls)
+        calls.clear()
+        nijenhuis(J, X, Y, pt)
+        counts[n_points, "nijenhuis"] = len(calls)
+        calls.clear()
+        check_almost_complex(J, chart.sample(n_points, seed=dim))
+        counts[n_points, "almost_complex"] = len(calls)
+    for name in ("d_nabla_endo", "nijenhuis", "almost_complex"):
+        assert counts[1, name] == counts[40, name] <= 2 * dim + 1, name
+
+
+NIJENHUIS_A, NIJENHUIS_B = np.random.default_rng(13).uniform(-1, 1, (2, 4, 4))
+
+
+def nonconstant_J(pt):
+    c = pt.coords
+    return c[..., :, None] * NIJENHUIS_A + c[..., 1, None, None] ** 2 * NIJENHUIS_B
+
+
+nonconstant_X = VectorField(SPACE, lambda pt: np.sin(pt.coords))
+nonconstant_Y = VectorField(SPACE, lambda pt: pt.coords**3 - pt.coords[..., :1])
 
 
 def test_nijenhuis_agrees_with_the_bracket_composition():
     """The stencil-cached tensor reproduces the four-bracket formula bit for bit."""
-    A, B = np.random.default_rng(13).uniform(-1, 1, (2, 4, 4))
-    J = EndomorphismField(SPACE, lambda pt: np.diag(pt.coords) @ A + pt.coords[1] ** 2 * B)
-    X = VectorField(SPACE, lambda pt: np.sin(pt.coords))
-    Y = VectorField(SPACE, lambda pt: pt.coords**3 - pt.coords[0])
+    J = EndomorphismField(SPACE, nonconstant_J)
+    X, Y = nonconstant_X, nonconstant_Y
     JX = VectorField(SPACE, lambda p: J.matrix(p) @ X(p))
     JY = VectorField(SPACE, lambda p: J.matrix(p) @ Y(p))
     for pt in SPACE.sample(5, 12):
@@ -157,6 +186,61 @@ def test_nijenhuis_agrees_with_the_bracket_composition():
         )
         assert np.array_equal(nijenhuis(J, X, Y, pt), reference)
         assert np.max(np.abs(reference)) > 0.1
+
+
+def test_stacked_primitives_match_single_points():
+    """Each FD primitive on a stack of points returns, row for row, its value
+    at each single point: non-constant I, forms, J, X, Y and a connection with
+    nonzero symmetric Christoffel symbols."""
+    conn = FlatConnection(PLANE, symmetric_christoffel)
+    I = EndomorphismField(PLANE, curved_I)
+    u, v = (lambda p: p.coords[..., 0]), (lambda p: p.coords[..., 1])
+    area = DifferentialForm(PLANE, 2, {(0, 1): lambda p: 1.0 + u(p) ** 2 * v(p)})
+    alpha = DifferentialForm(PLANE, 1, {(0,): lambda p: v(p) ** 3, (1,): lambda p: u(p) * v(p)})
+    points = PLANE.sample(6, 21)
+    stacked = stack_points(points)
+    primitives = {
+        "d_nabla_endo": lambda pt: d_nabla_endo(conn, I, pt),
+        "covariant_constancy": lambda pt: covariant_constancy(conn, area, pt),
+        "form_matrix": lambda pt: form_matrix(area, pt),
+        "exterior_derivative": lambda pt: exterior_derivative(alpha, pt)[(0, 1)],
+    }
+    for name, primitive in primitives.items():
+        rows = primitive(stacked)
+        assert rows.shape[0] == len(points), name
+        for r, pt in enumerate(points):
+            assert np.array_equal(rows[r], primitive(pt)), name
+    curvature = conn.curvature_residual(stacked)
+    assert curvature == max(conn.curvature_residual(pt) for pt in points) > 0.1
+
+    J = EndomorphismField(SPACE, nonconstant_J)
+    points = SPACE.sample(5, 12)
+    rows = nijenhuis(J, nonconstant_X, nonconstant_Y, stack_points(points))
+    for r, pt in enumerate(points):
+        assert np.array_equal(rows[r], nijenhuis(J, nonconstant_X, nonconstant_Y, pt))
+
+
+def test_checks_on_a_stack_report_the_worst_single_point():
+    """A check over N points reports the worst of its N single-point reports."""
+    conn = FlatConnection(PLANE, symmetric_christoffel)
+    I = EndomorphismField(PLANE, curved_I)
+    u = lambda p: p.coords[..., 0]
+    area = DifferentialForm(PLANE, 2, {(0, 1): lambda p: 0.5 + u(p) ** 2})
+    alpha = DifferentialForm(PLANE, 1, {(1,): lambda p: u(p) ** 3})
+    points = PLANE.sample(7, 22)
+    checks = [
+        lambda pts: check_closedness(alpha, pts),
+        lambda pts: check_nondegeneracy(area, pts),
+        lambda pts: check_almost_complex(I, pts),
+        lambda pts: check_flatness(conn, pts),
+        lambda pts: check_torsion_free(conn, pts),
+    ]
+    for check in checks:
+        report = check(points)
+        singles = [check([pt]) for pt in points]
+        assert report.max_residual == max(r.max_residual for r in singles)
+        assert report.passed == all(r.passed for r in singles)
+        assert report.n_points == len(points)
 
 
 def test_nijenhuis_vanishes_for_constant_structures():
@@ -177,21 +261,17 @@ def test_nijenhuis_detects_non_integrable_structure():
     """
 
     def matrix(pt):
-        x2 = pt.coords[1]
-        return np.array(
-            [
-                [0.0, -1.0, x2, 0.0],
-                [1.0, 0.0, 0.0, -x2],
-                [0.0, 0.0, 0.0, -1.0],
-                [0.0, 0.0, 1.0, 0.0],
-            ]
-        )
+        x2 = pt.coords[..., 1]
+        M = np.zeros(pt.batch_shape + (4, 4))
+        M[..., 0, 1], M[..., 1, 0], M[..., 2, 3], M[..., 3, 2] = -1.0, 1.0, -1.0, 1.0
+        M[..., 0, 2], M[..., 1, 3] = x2, -x2
+        return M
 
     J = EndomorphismField(SPACE, matrix)
     pt = SPACE.point([0.1, 0.7, -0.2, 0.3])
     assert np.allclose(J.matrix(pt) @ J.matrix(pt), -np.eye(4), atol=1e-14)
-    X = frame_field(SPACE, 2)
-    Y = frame_field(SPACE, 3)
+    X = VectorField.constant(SPACE, np.eye(4)[2])
+    Y = VectorField.constant(SPACE, np.eye(4)[3])
     N = nijenhuis(J, X, Y, pt)
     assert np.allclose(N, [0.7, 0.0, 0.0, 0.0], atol=1e-8)
     report = check_almost_complex(J, SPACE.sample(20, 3))
@@ -202,7 +282,7 @@ def test_closedness_check_pass_and_fail():
     pts = PLANE.sample(10, 4)
     closed = DifferentialForm.constant(PLANE, 2, {(0, 1): 1.0}, name="vol")
     assert check_closedness(closed, pts).passed
-    alpha = DifferentialForm(PLANE, 1, {(1,): lambda p: p.coords[0]}, name="u dv")
+    alpha = DifferentialForm(PLANE, 1, {(1,): lambda p: p.coords[..., 0]}, name="u dv")
     report = check_closedness(alpha, pts)
     assert not report.passed
     assert report.max_residual == pytest.approx(1.0, abs=1e-8)
@@ -215,14 +295,6 @@ def test_nondegeneracy_check_slack_sign():
     assert report.passed and report.max_residual <= 0.0
     bad = DifferentialForm.constant(SPACE, 2, {(0, 1): 1.0})
     assert not check_nondegeneracy(bad, pts).passed
-
-
-def test_symplectic_check_combines_both_conditions():
-    pts = SPACE.sample(10, 6)
-    good = DifferentialForm.constant(SPACE, 2, {(0, 1): 1.0, (2, 3): 1.0}, name="w")
-    assert check_symplectic(good, pts).passed
-    degenerate = DifferentialForm.constant(SPACE, 2, {(0, 1): 1.0}, name="b")
-    assert not check_symplectic(degenerate, pts).passed
 
 
 def test_almost_complex_check_fails_for_involutions():
