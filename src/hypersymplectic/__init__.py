@@ -23,7 +23,7 @@ from .calculus import (
     form_matrix,
     lie_bracket,
 )
-from .charts import Chart, Point, VectorField, stack_points
+from .charts import Chart, Point, VectorField
 from .errors import (
     ChartMismatchError,
     ConfigError,
@@ -108,7 +108,6 @@ __all__ = [
     "section_pullback",
     "signature",
     "special_symplectic_check",
-    "stack_points",
     "standard_sigma_section",
     "to_action_angle",
     "transform_jacobian",

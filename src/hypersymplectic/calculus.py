@@ -47,13 +47,6 @@ def increasing_indices(dim: int, degree: int) -> list[MultiIndex]:
     return list(itertools.combinations(range(dim), degree))
 
 
-def shuffle_sign(left: MultiIndex, right: MultiIndex) -> int:
-    """Sign of the permutation sorting the concatenation of two disjoint
-    increasing index tuples."""
-    inversions = sum(1 for s in left for t in right if s > t)
-    return -1 if inversions % 2 else 1
-
-
 def apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix-vector product over stacked ``(..., m, k)`` and ``(..., k)`` arrays."""
     return np.matmul(M, v[..., None])[..., 0]

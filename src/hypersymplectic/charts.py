@@ -6,18 +6,20 @@ symbolic.  Evaluators must be deterministic: the same point yields the same
 value bit for bit, which the report layer relies on.
 
 Points are array-first.  A ``Point``'s ``coords`` has shape ``(..., dim)``:
-one point is the case with no leading axes, and ``stack_points`` turns a
-sample of N points into one ``Point`` with coords of shape ``(N, dim)``.  An
-evaluator receives such a point, reads coordinate k as ``coords[..., k]``,
-and returns its value with the point's leading axes in front, e.g.
-``(..., dim)`` for a vector or ``(..., dim, dim)`` for an endomorphism.  A
-value without the leading axes (a constant) broadcasts over them.
+one point is the case with no leading axes, and a sample of N points is one
+``Point`` with coords of shape ``(N, dim)``, as ``Chart.sample`` draws it.
+Every check takes such a sample directly; ``len`` and iteration run over its
+first axis, yielding single points.  An evaluator receives a point, reads
+coordinate k as ``coords[..., k]``, and returns its value with the point's
+leading axes in front, e.g. ``(..., dim)`` for a vector or
+``(..., dim, dim)`` for an endomorphism.  A value without the leading axes (a
+constant) broadcasts over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,11 +73,11 @@ class Chart:
             and np.all(coords <= np.asarray(self.upper))
         )
 
-    def sample(self, n_points: int = 100, seed: int = 42) -> list["Point"]:
-        """Uniform draws from the box; seeded so every suite sees the same set."""
+    def sample(self, n_points: int = 100, seed: int = 42) -> "Point":
+        """Uniform draws from the box as one ``(n_points, dim)`` point; seeded
+        so every suite sees the same set."""
         rng = np.random.default_rng(seed)
-        draws = rng.uniform(self.lower, self.upper, size=(n_points, self.dim))
-        return [Point(self, row) for row in draws]
+        return Point(self, rng.uniform(self.lower, self.upper, size=(n_points, self.dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,25 +96,21 @@ class Point:
         moved[..., axis] += delta
         return Point(self.chart, moved)
 
+    def __len__(self) -> int:
+        if not self.batch_shape:
+            raise TypeError("len() of an unbatched Point")
+        return self.batch_shape[0]
+
+    def __iter__(self) -> Iterator["Point"]:
+        """The row points along the first batch axis."""
+        len(self)  # an unbatched point is not iterable
+        return (Point(self.chart, row) for row in self.coords)
+
     def __repr__(self) -> str:  # keeps test failure output readable
         if self.batch_shape:
             return f"Point({self.chart.name}: stack of shape {self.batch_shape})"
         inside = ", ".join(f"{n}={v:.6g}" for n, v in zip(self.chart.coords, self.coords))
         return f"Point({self.chart.name}: {inside})"
-
-
-def stack_points(points: Sequence[Point]) -> Point:
-    """The sampled points as one point with coords of shape ``(N, dim)``."""
-    if not points:
-        raise ValueError("need at least one point")
-    chart = points[0].chart
-    for pt in points:
-        if pt.chart is not chart:
-            require_same_chart(chart, pt.chart)
-    coords = np.array([pt.coords for pt in points], dtype=float)
-    if coords.shape[1:] != (chart.dim,):
-        raise ValueError(f"expected points of {chart.dim} coordinates, got {coords.shape[1:]}")
-    return Point(chart, coords)
 
 
 def require_same_chart(a: Chart, b: Chart) -> None:

@@ -40,7 +40,7 @@ from .calculus import (
     form_matrix,
     transpose,
 )
-from .charts import Chart, Point, VectorField, stack_points
+from .charts import Chart, Point, VectorField
 from .errors import DegenerateFormError, GeometryError
 from .polynomials import Polynomial
 from .structures import (
@@ -62,20 +62,11 @@ MAX_SECTION_DEGREE = 8
 
 
 @dataclass(frozen=True)
-class AngleCycle:
-    """One lattice generator: the coordinate circle of a single angle axis."""
-
-    axis: int
-    period: float = ANGLE_PERIOD
-
-
-@dataclass(frozen=True)
 class FibrationModel:
     n: int
     base_chart: Chart
     total_chart: Chart
     connection: FlatConnection
-    lattice_basis: tuple[AngleCycle, ...]
 
     # Block index helpers (0-based block slot i in 0..n-1).
     def ix(self, i: int) -> int:
@@ -128,13 +119,11 @@ def make_model(
         base_lower + (0.0,) * (2 * n),
         base_upper + (angle_period,) * (2 * n),
     )
-    cycles = tuple(AngleCycle(axis, angle_period) for axis in range(2 * n, 4 * n))
     return FibrationModel(
         n=n,
         base_chart=base,
         total_chart=total,
         connection=FlatConnection.zero(base),
-        lattice_basis=cycles,
     )
 
 
@@ -312,16 +301,16 @@ def standard_frame_pairs(
 def verify_lagrangian_fibres(
     model: FibrationModel,
     form: DifferentialForm,
-    points: Sequence[Point],
+    pt: Point,
     tolerance: float = TOL_ALGEBRAIC,
 ) -> CheckReport:
     """Max |form(e_a, e_b)| over vertical (fibre) coordinate pairs."""
     vert = model.vertical_axes()
-    M = form_matrix(form, stack_points(points))
+    M = form_matrix(form, pt)
     worst = float(np.max(np.abs(M[..., vert, :][..., vert])))
     return CheckReport.from_residual(
         f"lagrangian_fibres({form.name})",
-        len(points),
+        len(pt),
         worst,
         tolerance,
         statement=f"fibre directions are isotropic for {form.name}",
@@ -338,8 +327,7 @@ def verify_hypersymplectic(
     nondeg_floor: float = NONDEG_FLOOR,
 ) -> list[CheckReport]:
     """The full identity battery for the triple structure, sorted by name."""
-    points = model.total_chart.sample(n_points, seed)
-    stacked = stack_points(points)
+    pt = model.total_chart.sample(n_points, seed)
     triple = build_structure_triple(model)
     complexes = build_complex_triple(model)
     dim = model.total_chart.dim
@@ -349,13 +337,13 @@ def verify_hypersymplectic(
     for f in triple.forms():
         reports.append(
             check_closedness(
-                f, points, fd_step, tol_fd, identity_name=f"hypersymplectic.closed.{f.name}"
+                f, pt, fd_step, tol_fd, identity_name=f"hypersymplectic.closed.{f.name}"
             )
         )
         reports.append(
             check_nondegeneracy(
                 f,
-                points,
+                pt,
                 nondeg_floor,
                 identity_name=f"hypersymplectic.nondegenerate.{f.name}",
             )
@@ -365,7 +353,7 @@ def verify_hypersymplectic(
         reports.append(
             check_almost_complex(
                 J,
-                points,
+                pt,
                 tol_algebraic,
                 identity_name=f"hypersymplectic.squares_to_minus_identity.{J.name}",
             )
@@ -373,12 +361,12 @@ def verify_hypersymplectic(
 
     named_forms = {"omega": triple.omega, "chi": triple.chi, "sigma": triple.sigma}
     for a, b in (("omega", "chi"), ("omega", "sigma"), ("chi", "sigma")):
-        A = recursion_operator(named_forms[a], named_forms[b], stacked)
+        A = recursion_operator(named_forms[a], named_forms[b], pt)
         worst = float(np.max(np.abs(A @ A + eye)))
         reports.append(
             CheckReport.from_residual(
                 f"hypersymplectic.recursion_squares.{a}_{b}",
-                len(points),
+                len(pt),
                 worst,
                 tol_algebraic,
                 statement=f"the recursion operator of ({a}, {b}) squares to minus the identity",
@@ -389,13 +377,13 @@ def verify_hypersymplectic(
     for idx_a in range(3):
         for idx_b in range(idx_a + 1, 3):
             Ja, Jb = endo_list[idx_a], endo_list[idx_b]
-            Ca = Ja.covector_matrix(stacked)
-            Cb = Jb.covector_matrix(stacked)
+            Ca = Ja.covector_matrix(pt)
+            Cb = Jb.covector_matrix(pt)
             worst = float(np.max(np.abs(Ca @ Cb + Cb @ Ca)))
             reports.append(
                 CheckReport.from_residual(
                     f"hypersymplectic.anticommute.{Ja.name}_{Jb.name}",
-                    len(points),
+                    len(pt),
                     worst,
                     tol_algebraic,
                     statement=f"{Ja.name} and {Jb.name} anticommute in the covector action",
@@ -403,16 +391,16 @@ def verify_hypersymplectic(
             )
 
     rng = np.random.default_rng(seed + 1)
-    field_pairs = rng.uniform(-1.0, 1.0, size=(len(points), 2, dim))
+    field_pairs = rng.uniform(-1.0, 1.0, size=(len(pt), 2, dim))
     # one constant field pair per sampled point: row r of the stack sees row r
-    X = VectorField(model.total_chart, lambda pt: field_pairs[:, 0])
-    Y = VectorField(model.total_chart, lambda pt: field_pairs[:, 1])
+    X = VectorField(model.total_chart, lambda _: field_pairs[:, 0])
+    Y = VectorField(model.total_chart, lambda _: field_pairs[:, 1])
     for J in endo_list:
-        worst = float(np.max(np.abs(nijenhuis(J, X, Y, stacked, fd_step))))
+        worst = float(np.max(np.abs(nijenhuis(J, X, Y, pt, fd_step))))
         reports.append(
             CheckReport.from_residual(
                 f"hypersymplectic.nijenhuis.{J.name}",
-                len(points),
+                len(pt),
                 worst,
                 tol_fd,
                 statement=f"Nijenhuis tensor of {J.name} vanishes on sampled field pairs",
@@ -420,11 +408,11 @@ def verify_hypersymplectic(
         )
 
     expected = expected_composite_matrix(model)
-    worst = float(np.max(np.abs(complexes.J_sigma.matrix(stacked) - expected)))
+    worst = float(np.max(np.abs(complexes.J_sigma.matrix(pt) - expected)))
     reports.append(
         CheckReport.from_residual(
             "hypersymplectic.composition.sigma_from_omega_chi",
-            len(points),
+            len(pt),
             worst,
             tol_algebraic,
             statement=(
@@ -562,38 +550,3 @@ def complex_submanifold_check(
     Jmat = J.matrix(section.evaluate(pt))
     return span_invariance_residual(frame, Jmat @ frame)
 
-
-def cycle_normalization_matrix(
-    model: FibrationModel, nodes: int = 32, curve_step: float = 1e-6
-) -> np.ndarray:
-    """Quadrature of each angle differential around each lattice cycle.
-
-    Entry (i, k) is the integral of the k-th angle coordinate differential
-    along lattice cycle i, divided by the k-th period, evaluated by
-    Gauss-Legendre quadrature with the curve velocity taken by central
-    differences.  The exact answer is the identity: cycle i advances only its
-    own angle, once per period.
-    """
-    from numpy.polynomial.legendre import leggauss
-
-    theta, weights = leggauss(nodes)
-    chart = model.total_chart
-    anchor = (np.asarray(chart.lower) + np.asarray(chart.upper)) / 2.0
-    m = len(model.lattice_basis)
-    out = np.zeros((m, m))
-    for i, cycle in enumerate(model.lattice_basis):
-        lo = chart.lower[cycle.axis]
-
-        def curve(t: float) -> np.ndarray:
-            coords = anchor.copy()
-            coords[cycle.axis] = lo + cycle.period * t / (2.0 * math.pi)
-            return coords
-
-        for t_node, w in zip(math.pi * (theta + 1.0), weights):
-            velocity = (curve(t_node + curve_step) - curve(t_node - curve_step)) / (
-                2.0 * curve_step
-            )
-            for k, other in enumerate(model.lattice_basis):
-                # the k-th angle differential picks one velocity component
-                out[i, k] += w * math.pi * velocity[other.axis] / other.period
-    return out

@@ -25,7 +25,6 @@ from .action_angle import (
     model_from_product_system,
     verify_action_angle,
 )
-from .charts import stack_points
 from .errors import ConfigError
 from .fibration import (
     FibrationModel,
@@ -152,6 +151,7 @@ class SectionSpec:
                     isinstance(coeff, (int, float)) and not isinstance(coeff, bool),
                     f"{t_where} coefficient must be a number",
                 )
+                _require(math.isfinite(coeff), f"{t_where} coefficient must be finite, got {coeff}")
                 terms.append((tuple(powers), float(coeff)))
             components.append(tuple(terms))
         return tuple(components)
@@ -454,14 +454,13 @@ def _suite_hypersymplectic(config: ScenarioConfig, model: FibrationModel) -> lis
     )
     complexes = build_complex_triple(model)
     pairs = standard_frame_pairs(model)
-    points = model.total_chart.sample(config.sampling.n_points, config.sampling.seed)
-    stacked = stack_points(points)
+    pt = model.total_chart.sample(config.sampling.n_points, config.sampling.seed)
     for J in complexes.endos():
-        worst = holomorphic_frame_check(J, pairs[J.name], stacked).max_residual
+        worst = holomorphic_frame_check(J, pairs[J.name], pt).max_residual
         reports.append(
             CheckReport.from_residual(
                 f"hypersymplectic.holomorphic_frame.{J.name}",
-                len(points),
+                len(pt),
                 worst,
                 config.tolerances.algebraic,
                 statement=f"the standard coframe pairs diagonalize {J.name}",
@@ -472,10 +471,10 @@ def _suite_hypersymplectic(config: ScenarioConfig, model: FibrationModel) -> lis
 
 def _suite_lagrangian_fibres(config: ScenarioConfig, model: FibrationModel) -> list[CheckReport]:
     triple = build_structure_triple(model)
-    points = model.total_chart.sample(config.sampling.n_points, config.sampling.seed)
+    pt = model.total_chart.sample(config.sampling.n_points, config.sampling.seed)
     return [
-        verify_lagrangian_fibres(model, triple.omega, points, config.tolerances.algebraic),
-        verify_lagrangian_fibres(model, triple.sigma, points, config.tolerances.algebraic),
+        verify_lagrangian_fibres(model, triple.omega, pt, config.tolerances.algebraic),
+        verify_lagrangian_fibres(model, triple.sigma, pt, config.tolerances.algebraic),
     ]
 
 
@@ -484,28 +483,27 @@ def _suite_sections(config: ScenarioConfig, model: FibrationModel) -> list[Check
     complexes = build_complex_triple(model)
     named_forms = {"omega": triple.omega, "chi": triple.chi, "sigma": triple.sigma}
     named_endos = {J.name: J for J in complexes.endos()}
-    points = model.base_chart.sample(config.sampling.n_points, config.sampling.seed)
-    stacked = stack_points(points)
+    pt = model.base_chart.sample(config.sampling.n_points, config.sampling.seed)
     reports = []
     for section, form_name in _resolve_sections(config, model):
         form = named_forms[form_name]
-        table = section_pullback(model, section, form, stacked, config.sampling.fd_step)
+        table = section_pullback(model, section, form, pt, config.sampling.fd_step)
         worst = max(float(np.max(np.abs(v))) for v in table.values())
         reports.append(
             CheckReport.from_residual(
                 f"sections.pullback_vanishes.{section.name}.{form_name}",
-                len(points),
+                len(pt),
                 worst,
                 SECTION_PULLBACK_TOL,
                 statement=f"the graph of {section.name!r} is Lagrangian for {form_name}",
             )
         )
         J = named_endos[FORM_TO_COMPLEX[form_name]]
-        worst = complex_submanifold_check(model, section, J, stacked, config.sampling.fd_step)
+        worst = complex_submanifold_check(model, section, J, pt, config.sampling.fd_step)
         reports.append(
             CheckReport.from_residual(
                 f"sections.graph_invariant.{section.name}.{J.name}",
-                len(points),
+                len(pt),
                 worst,
                 config.tolerances.fd,
                 statement=f"{J.name} preserves the tangent spaces of the graph of {section.name!r}",
@@ -523,18 +521,18 @@ def _suite_special_kahler(config: ScenarioConfig, model: FibrationModel) -> list
     if section is None:
         section = standard_sigma_section(model)
     data = build_special_kahler(model, section)
-    points = model.base_chart.sample(config.sampling.n_points, config.sampling.seed)
+    pt = model.base_chart.sample(config.sampling.n_points, config.sampling.seed)
     reports = special_symplectic_check(
         data,
-        points,
+        pt,
         fd_step=config.sampling.fd_step,
         tol_algebraic=config.tolerances.algebraic,
         tol_fd=config.tolerances.nested_fd,
     )
-    reports.extend(kahler_reports(data, points, config.tolerances.algebraic))
+    reports.extend(kahler_reports(data, pt, config.tolerances.algebraic))
     reports.append(
         induced_vs_restriction(
-            model, section, points, config.sampling.fd_step, config.tolerances.fd
+            model, section, pt, config.sampling.fd_step, config.tolerances.fd
         )
     )
     return reports

@@ -22,12 +22,12 @@ an actual cross-check and not an identity of implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .calculus import DifferentialForm, EndomorphismField, form_matrix, transpose
-from .charts import Point, stack_points
+from .charts import Point
 from .errors import DegenerateMetricError, NotAlmostComplexError
 from .fibration import (
     FibrationModel,
@@ -50,21 +50,11 @@ from .structures import (
 PARALLEL_TOL = 1e-8
 
 
-def induced_complex_structure(
-    section: SectionMap, pt: Point, fd_step: float | None = None
-) -> np.ndarray:
-    """Matrices of I at base point(s): minus the fibre block of the Jacobian.
-
-    Exact polynomial derivatives by default; pass ``fd_step`` to force the
-    finite-difference Jacobian instead (useful as a cross-check, but too noisy
-    for the tightest algebraic tolerances).
-    """
+def induced_complex_structure(section: SectionMap, pt: Point) -> np.ndarray:
+    """Matrices of I at base point(s): minus the fibre block of the exact
+    polynomial Jacobian."""
     n2 = 2 * section.model.n
-    if fd_step is None:
-        jac = section.jacobian(pt)
-    else:
-        jac = section.jacobian_fd(pt, fd_step)
-    return -jac[..., n2:, :]
+    return -section.jacobian(pt)[..., n2:, :]
 
 
 def induced_endomorphism(section: SectionMap) -> EndomorphismField:
@@ -147,7 +137,7 @@ def signature(g: np.ndarray, zero_guard: float = METRIC_ZERO_GUARD) -> tuple:
 
 def special_symplectic_check(
     data: SpecialKahlerData,
-    points: Sequence[Point],
+    pt: Point,
     fd_step: float | None = None,
     tol_parallel: float = PARALLEL_TOL,
     tol_algebraic: float = TOL_ALGEBRAIC,
@@ -155,21 +145,18 @@ def special_symplectic_check(
 ) -> list[CheckReport]:
     """Reports for: flat, torsion-free, Omega parallel, I parallel, I^2 = -Id."""
     conn = data.connection
-    stacked = stack_points(points)
     reports = [
-        check_flatness(
-            conn, points, fd_step, tol_fd, identity_name="special_kahler.connection_flat"
-        ),
+        check_flatness(conn, pt, fd_step, tol_fd, identity_name="special_kahler.connection_flat"),
         check_torsion_free(
-            conn, points, tol_algebraic, identity_name="special_kahler.connection_torsion_free"
+            conn, pt, tol_algebraic, identity_name="special_kahler.connection_torsion_free"
         ),
     ]
 
-    worst = float(np.max(np.abs(covariant_constancy(conn, data.Omega, stacked, fd_step))))
+    worst = float(np.max(np.abs(covariant_constancy(conn, data.Omega, pt, fd_step))))
     reports.append(
         CheckReport.from_residual(
             "special_kahler.base_form_parallel",
-            len(points),
+            len(pt),
             worst,
             tol_parallel,
             statement="the base symplectic form is parallel for the flat connection",
@@ -177,13 +164,13 @@ def special_symplectic_check(
     )
 
     # the table is antisymmetric in (a, b), so its max covers every pair a < b
-    parallel = float(np.max(np.abs(d_nabla_endo(conn, data.I, stacked, fd_step))))
-    M_I = data.I.matrix(stacked)
+    parallel = float(np.max(np.abs(d_nabla_endo(conn, data.I, pt, fd_step))))
+    M_I = data.I.matrix(pt)
     square = float(np.max(np.abs(M_I @ M_I + np.eye(conn.chart.dim))))
     reports.append(
         CheckReport.from_residual(
             "special_kahler.complex_structure_parallel",
-            len(points),
+            len(pt),
             parallel,
             tol_parallel,
             statement="the exterior covariant derivative of I vanishes on the coordinate frame",
@@ -192,7 +179,7 @@ def special_symplectic_check(
     reports.append(
         CheckReport.from_residual(
             "special_kahler.squares_to_minus_identity",
-            len(points),
+            len(pt),
             square,
             tol_algebraic,
             statement="the induced endomorphism squares to minus the identity",
@@ -203,22 +190,21 @@ def special_symplectic_check(
 
 def kahler_reports(
     data: SpecialKahlerData,
-    points: Sequence[Point],
+    pt: Point,
     tol_algebraic: float = TOL_ALGEBRAIC,
 ) -> list[CheckReport]:
     """Metric-level reports: symmetry (exact), invariance, constant signature."""
     reports: list[CheckReport] = []
 
-    stacked = stack_points(points)
-    g = data.g(stacked)
-    M_I = data.I.matrix(stacked)
-    M_Omega = form_matrix(data.Omega, stacked)
+    g = data.g(pt)
+    M_I = data.I.matrix(pt)
+    M_Omega = form_matrix(data.Omega, pt)
     asymmetry = float(np.max(np.abs(g - transpose(g))))
     invariance = float(np.max(np.abs(transpose(M_I) @ M_Omega @ M_I - M_Omega)))
     reports.append(
         CheckReport.from_residual(
             "special_kahler.metric_symmetric",
-            len(points),
+            len(pt),
             asymmetry,
             0.0,
             statement="g agrees with its transpose exactly at every sampled point",
@@ -227,7 +213,7 @@ def kahler_reports(
     reports.append(
         CheckReport.from_residual(
             "special_kahler.base_form_invariant",
-            len(points),
+            len(pt),
             invariance,
             tol_algebraic,
             statement="Omega(I., I.) agrees with Omega",
@@ -241,7 +227,7 @@ def kahler_reports(
         reports.append(
             CheckReport.from_residual(
                 "special_kahler.signature_constant",
-                len(points),
+                len(pt),
                 float("inf"),
                 0.0,
                 statement=f"signature undefined: {exc}",
@@ -253,7 +239,7 @@ def kahler_reports(
         reports.append(
             CheckReport.from_residual(
                 "special_kahler.signature_constant",
-                len(points),
+                len(pt),
                 0.0 if constant else 1.0,
                 0.0,
                 statement=f"eigenvalue signature over the sample: {sig_text}",
@@ -265,7 +251,7 @@ def kahler_reports(
 def induced_vs_restriction(
     model: FibrationModel,
     section: SectionMap,
-    points: Sequence[Point],
+    pt: Point,
     fd_step: float | None = None,
     tolerance: float = TOL_FD,
 ) -> CheckReport:
@@ -278,18 +264,17 @@ def induced_vs_restriction(
     """
     J = build_complex_triple(model).J_omega
     n2 = 2 * model.n
-    stacked = stack_points(points)
-    frame = section.jacobian_fd(stacked, fd_step)
-    moved = J.matrix(section.evaluate(stacked)) @ frame
+    frame = section.jacobian_fd(pt, fd_step)
+    moved = J.matrix(section.evaluate(pt)) @ frame
     restriction = moved[..., :n2, :]
     # invariance defect: the moved frame should be graph-tangent again
     rebuilt = frame @ restriction
     defect = float(np.max(np.abs(rebuilt - moved)))
-    agree = float(np.max(np.abs(restriction - induced_complex_structure(section, stacked))))
+    agree = float(np.max(np.abs(restriction - induced_complex_structure(section, pt))))
     worst = max(defect, agree)
     return CheckReport.from_residual(
         "special_kahler.matches_graph_restriction",
-        len(points),
+        len(pt),
         worst,
         tolerance,
         statement=(

@@ -11,15 +11,16 @@ and the resulting verdict.  Two report styles are used:
 
 Either way the invariant ``passed == (max_residual <= tolerance)`` holds.
 
-Checks take their sample as a list of points, stack it once and evaluate
-every field on the whole stack (and on each of its central-stencil shifts),
-so a check costs a fixed number of evaluator calls whatever the sample size.
+Checks take their sample as one stacked ``(N, dim)`` point (see ``charts``)
+and evaluate every field on the whole stack (and on each of its
+central-stencil shifts), so a check costs a fixed number of evaluator calls
+whatever the sample size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .calculus import (
     exterior_derivative,
     form_matrix,
 )
-from .charts import Chart, Point, VectorField, conform, require_same_chart, stack_points
+from .charts import Chart, Point, VectorField, conform, require_same_chart
 
 TOL_ALGEBRAIC = 1e-12
 TOL_FD = 1e-6
@@ -230,16 +231,16 @@ def nijenhuis(
 
 def check_closedness(
     form: DifferentialForm,
-    points: Sequence[Point],
+    pt: Point,
     step: float | None = None,
     tolerance: float = TOL_FD,
     identity_name: str | None = None,
 ) -> CheckReport:
-    table = exterior_derivative(form, stack_points(points), step)
+    table = exterior_derivative(form, pt, step)
     worst = max((float(np.max(np.abs(v))) for v in table.values()), default=0.0)
     return CheckReport.from_residual(
         identity_name or f"closed({form.name})",
-        len(points),
+        len(pt),
         worst,
         tolerance,
         statement=f"d({form.name or '2-form'}) = 0 under central differences",
@@ -248,15 +249,15 @@ def check_closedness(
 
 def check_nondegeneracy(
     form: DifferentialForm,
-    points: Sequence[Point],
+    pt: Point,
     floor: float = NONDEG_FLOOR,
     identity_name: str | None = None,
 ) -> CheckReport:
-    dets = np.linalg.det(form_matrix(form, stack_points(points)))
+    dets = np.linalg.det(form_matrix(form, pt))
     min_det = float(np.min(np.abs(dets)))
     return CheckReport.from_residual(
         identity_name or f"nondegenerate({form.name})",
-        len(points),
+        len(pt),
         floor - min_det,
         0.0,
         statement=(
@@ -268,15 +269,15 @@ def check_nondegeneracy(
 
 def check_almost_complex(
     J: EndomorphismField,
-    points: Sequence[Point],
+    pt: Point,
     tolerance: float = TOL_ALGEBRAIC,
     identity_name: str | None = None,
 ) -> CheckReport:
-    M = J.matrix(stack_points(points))
+    M = J.matrix(pt)
     worst = float(np.max(np.abs(M @ M + np.eye(J.chart.dim))))
     return CheckReport.from_residual(
         identity_name or f"almost_complex({J.name})",
-        len(points),
+        len(pt),
         worst,
         tolerance,
         statement=f"{J.name or 'endomorphism'} squared equals minus the identity",
@@ -285,15 +286,15 @@ def check_almost_complex(
 
 def check_flatness(
     conn: FlatConnection,
-    points: Sequence[Point],
+    pt: Point,
     step: float | None = None,
     tolerance: float = TOL_FD,
     identity_name: str | None = None,
 ) -> CheckReport:
-    worst = conn.curvature_residual(stack_points(points), step)
+    worst = conn.curvature_residual(pt, step)
     return CheckReport.from_residual(
         identity_name or f"flat({conn.name})",
-        len(points),
+        len(pt),
         worst,
         tolerance,
         statement="curvature of the connection vanishes",
@@ -302,14 +303,14 @@ def check_flatness(
 
 def check_torsion_free(
     conn: FlatConnection,
-    points: Sequence[Point],
+    pt: Point,
     tolerance: float = TOL_ALGEBRAIC,
     identity_name: str | None = None,
 ) -> CheckReport:
-    worst = conn.torsion_residual(stack_points(points))
+    worst = conn.torsion_residual(pt)
     return CheckReport.from_residual(
         identity_name or f"torsion_free({conn.name})",
-        len(points),
+        len(pt),
         worst,
         tolerance,
         statement="connection coefficients are symmetric in the lower indices",

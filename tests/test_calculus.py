@@ -8,19 +8,11 @@ from hypersymplectic.calculus import (
     exterior_derivative,
     form_matrix,
     lie_bracket,
-    shuffle_sign,
 )
 from hypersymplectic.charts import Chart, VectorField
 
 PLANE = Chart("plane", ("u", "v"), (-1.0, -1.0), (1.0, 1.0))
 SPACE = Chart("space", ("a", "b", "c", "d"), (-1.0,) * 4, (1.0,) * 4)
-
-
-def test_shuffle_sign_counts_inversions():
-    assert shuffle_sign((0, 1), (2, 3)) == 1
-    assert shuffle_sign((0, 2), (1, 3)) == -1
-    assert shuffle_sign((1,), (0,)) == -1
-    assert shuffle_sign((2, 3), (0, 1)) == 1
 
 
 def test_multi_index_validation():

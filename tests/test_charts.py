@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hypersymplectic.charts import Chart, VectorField, require_same_chart, stack_points
+from hypersymplectic.charts import Chart, Point, VectorField, require_same_chart
 from hypersymplectic.errors import ChartMismatchError
 
 BOX = Chart("box", ("u", "v"), (-1.0, -1.0), (1.0, 1.0))
@@ -32,7 +32,7 @@ def test_shifted_moves_one_axis():
     assert moved.coords[1] == pytest.approx(0.25)
     assert moved.coords[0] == 0.1
     assert pt.coords[1] == 0.2  # original untouched
-    stacked = stack_points(BOX.sample(5, seed=1))
+    stacked = BOX.sample(5, seed=1)
     moved = stacked.shifted(0, 0.05)
     assert moved.coords.shape == (5, 2)
     assert np.array_equal(moved.coords[:, 1], stacked.coords[:, 1])
@@ -46,6 +46,24 @@ def test_sampling_is_seeded_and_inside_the_box():
     assert all(np.array_equal(p.coords, q.coords) for p, q in zip(a, b))
     assert any(not np.array_equal(p.coords, q.coords) for p, q in zip(a, c))
     assert all(BOX.contains(p.coords) for p in a)
+    # the draw is one stacked point from this exact stream, which keeps the
+    # report bytes stable
+    for n, seed in ((50, 11), (1, 3)):
+        sample = BOX.sample(n, seed)
+        stream = np.random.default_rng(seed).uniform(BOX.lower, BOX.upper, (n, BOX.dim))
+        assert isinstance(sample, Point) and sample.chart is BOX
+        assert np.array_equal(sample.coords, stream)
+        assert len(sample) == n
+        rows = list(sample)
+        assert len(rows) == n
+        for row, expected in zip(rows, stream):
+            assert isinstance(row, Point) and row.chart is BOX and row.batch_shape == ()
+            assert np.array_equal(row.coords, expected)
+    single = BOX.point([0.0, 0.0])
+    with pytest.raises(TypeError):
+        len(single)
+    with pytest.raises(TypeError):
+        iter(single)
 
 
 def test_chart_mismatch_is_loud():
@@ -55,8 +73,6 @@ def test_chart_mismatch_is_loud():
     field = VectorField.constant(BOX, [1.0, 0.0])
     with pytest.raises(ChartMismatchError):
         field(other.point([0.0, 0.0]))
-    with pytest.raises(ChartMismatchError):
-        stack_points([BOX.point([0.0, 0.0]), other.point([0.0, 0.0])])
 
 
 def test_degenerate_box_rejected():
@@ -72,7 +88,7 @@ def test_fields():
     assert np.array_equal(const(pt), [2.0, 5.0])
     # on a stack a constant broadcasts over the point axis; a field reading
     # coords[..., k] returns one row per point
-    stacked = stack_points(BOX.sample(4, seed=2))
+    stacked = BOX.sample(4, seed=2)
     assert np.array_equal(const(stacked), np.tile([2.0, 5.0], (4, 1)))
     swap = VectorField(BOX, lambda p: np.stack([p.coords[..., 1], p.coords[..., 0]], axis=-1))
     assert np.array_equal(swap(stacked), stacked.coords[:, ::-1])
@@ -86,4 +102,4 @@ def test_vector_field_shape_check():
     # a value with point axes that do not match the stack is rejected too
     rows = VectorField(BOX, lambda pt: np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        rows(stack_points(BOX.sample(4, seed=2)))
+        rows(BOX.sample(4, seed=2))

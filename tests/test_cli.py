@@ -102,18 +102,30 @@ def test_config_output_field_is_honoured(tmp_path):
     assert report.exists()
 
 
+def section_with_p_coefficient(coeff):
+    return {"name": "s", "form": "sigma", "p": [[[[0, 1], coeff]]], "q": [[[[1, 0], -1.0]]]}
+
+
 @pytest.mark.parametrize(
     "config",
     [
         {"scenario": "oscillators", "frequencies": [float("inf"), 1.0]},
         {"scenario": "oscillators", "frequencies": [1e-310, 1.0]},
         {"scenario": "paper-n1", "sampling": {"fd_step": float("inf")}},
+        {"scenario": "custom-section", "sections": [section_with_p_coefficient(float("inf"))]},
+        {"scenario": "custom-section", "sections": [section_with_p_coefficient(float("nan"))]},
     ],
-    ids=["infinite-frequency", "overflowing-action-window", "infinite-fd-step"],
+    ids=[
+        "infinite-frequency",
+        "overflowing-action-window",
+        "infinite-fd-step",
+        "infinite-section-coefficient",
+        "nan-section-coefficient",
+    ],
 )
 def test_non_finite_config_numbers_exit_2_without_writing(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))  # writes Infinity, which json.loads reads back
+    cfg.write_text(json.dumps(config))  # writes Infinity/NaN, which json.loads reads back
     report = tmp_path / "report.json"
     assert main(["--config", str(cfg), "--output", str(report)]) == 2
     assert "configuration error" in capsys.readouterr().err

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from hypersymplectic.calculus import DifferentialForm, EndomorphismField, form_matrix
-from hypersymplectic.charts import stack_points
+from hypersymplectic.charts import Point
 from hypersymplectic.errors import DegenerateFormError, GeometryError
 from hypersymplectic.fibration import (
     SectionMap,
     build_complex_triple,
     build_structure_triple,
     complex_submanifold_check,
-    cycle_normalization_matrix,
     expected_composite_matrix,
     gradient_section,
     holomorphic_frame_check,
@@ -152,21 +151,21 @@ def test_stacked_recursion_and_frames_match_single_points():
         chart, lambda p: COMPLEXES.J_chi.matrix(p) + x(p)[..., None, None] * B
     )
     pairs = standard_frame_pairs(MODEL)["J_chi"]
-    points = chart.sample(6, 31)
-    stacked = stack_points(points)
+    stacked = chart.sample(6, 31)
     rows = recursion_operator(omega, chi, stacked)
     frames = holomorphic_frame_check(J, pairs, stacked)
-    lagrangian = verify_lagrangian_fibres(MODEL, omega, points)
-    for r, pt in enumerate(points):
+    lagrangian = verify_lagrangian_fibres(MODEL, omega, stacked)
+    for r, pt in enumerate(stacked):
         assert np.array_equal(rows[r], recursion_operator(omega, chi, pt))
         single = holomorphic_frame_check(J, pairs, pt)
         assert tuple(s[r] for s in frames.signs) == single.signs
     assert frames.max_residual == max(
-        holomorphic_frame_check(J, pairs, pt).max_residual for pt in points
+        holomorphic_frame_check(J, pairs, pt).max_residual for pt in stacked
     )
     assert frames.max_residual > 0.1
     assert lagrangian.max_residual == max(
-        verify_lagrangian_fibres(MODEL, omega, [pt]).max_residual for pt in points
+        verify_lagrangian_fibres(MODEL, omega, Point(chart, pt.coords[None])).max_residual
+        for pt in stacked
     )
 
 
@@ -227,8 +226,7 @@ def test_stacked_section_maps_match_single_points():
     """On the curved section p = y + x^2, q = -x, every section map and the
     pullback and invariance checks agree, row for row, with single points."""
     curved = make_section([((0, 1), 1.0), ((2, 0), 1.0)], [((1, 0), -1.0)], "curved")
-    points = MODEL.base_chart.sample(6, 32)
-    stacked = stack_points(points)
+    stacked = MODEL.base_chart.sample(6, 32)
     maps = {
         "total_coords": curved.total_coords,
         "jacobian": curved.jacobian,
@@ -236,16 +234,16 @@ def test_stacked_section_maps_match_single_points():
     }
     for name, section_map in maps.items():
         rows = section_map(stacked)
-        for r, pt in enumerate(points):
+        for r, pt in enumerate(stacked):
             assert np.array_equal(rows[r], section_map(pt)), name
     for form in TRIPLE.forms():
         table = section_pullback(MODEL, curved, form, stacked)
-        for r, pt in enumerate(points):
+        for r, pt in enumerate(stacked):
             single = section_pullback(MODEL, curved, form, pt)
             assert {k: v[r] for k, v in table.items()} == single
     for J in COMPLEXES.endos():
         worst = complex_submanifold_check(MODEL, curved, J, stacked)
-        singles = [complex_submanifold_check(MODEL, curved, J, pt) for pt in points]
+        singles = [complex_submanifold_check(MODEL, curved, J, pt) for pt in stacked]
         assert worst == max(singles)
     assert complex_submanifold_check(MODEL, curved, COMPLEXES.J_chi, stacked) > 1e-2
 
@@ -266,7 +264,7 @@ def test_rotation_section_pullback_table():
     assert pullback_residual(rot, TRIPLE.sigma, pts) <= 1e-10
     assert pullback_residual(rot, TRIPLE.chi, pts) <= 1e-10
     # and it is NOT omega-Lagrangian: s*omega = (q_x - p_y) dx^dy = -2 dx^dy
-    res = section_pullback(MODEL, rot, TRIPLE.omega, pts[0])
+    res = section_pullback(MODEL, rot, TRIPLE.omega, next(iter(pts)))
     assert res[(0, 1)] == pytest.approx(-2.0, abs=1e-9)
 
 
@@ -278,7 +276,7 @@ def test_rotation_graph_is_preserved_by_the_first_structure():
     )
     assert worst <= 1e-6
     # ... but not by J_chi
-    bad = complex_submanifold_check(MODEL, rot, COMPLEXES.J_chi, pts[0])
+    bad = complex_submanifold_check(MODEL, rot, COMPLEXES.J_chi, next(iter(pts)))
     assert bad > 1e-2
 
 
@@ -325,9 +323,3 @@ def test_span_invariance_rejects_rank_deficient_frames():
     with pytest.raises(GeometryError):
         span_invariance_residual(frame, np.eye(4)[:, :2])
 
-
-def test_cycle_normalization_is_the_identity():
-    matrix = cycle_normalization_matrix(MODEL)
-    assert np.allclose(matrix, np.eye(2), atol=1e-8)
-    matrix3 = cycle_normalization_matrix(make_model(3))
-    assert np.allclose(matrix3, np.eye(6), atol=1e-8)

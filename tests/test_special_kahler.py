@@ -1,8 +1,10 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from hypersymplectic.calculus import EndomorphismField, form_matrix
-from hypersymplectic.charts import stack_points
+from hypersymplectic.charts import Point
 from hypersymplectic.errors import DegenerateMetricError, NotAlmostComplexError
 from hypersymplectic.fibration import (
     gradient_section,
@@ -25,6 +27,7 @@ from hypersymplectic.structures import d_nabla_endo
 
 MODEL = make_model(1)
 POINTS = MODEL.base_chart.sample(25, 42)
+FIRST = next(iter(POINTS))
 
 ROTATION_I = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -42,16 +45,16 @@ def section_from(p_terms, q_terms, name):
 
 def test_induced_structure_of_the_rotation_section():
     rot = standard_sigma_section(MODEL)
-    for pt in POINTS[:5]:
+    for pt in islice(POINTS, 5):
         assert np.array_equal(induced_complex_structure(rot, pt), ROTATION_I)
-    # finite-difference route agrees with the exact one
-    fd = induced_complex_structure(rot, POINTS[0], fd_step=1e-5)
+    # the finite-difference Jacobian agrees with the exact one
+    fd = -rot.jacobian_fd(FIRST)[..., 2:, :]
     assert np.allclose(fd, ROTATION_I, atol=1e-9)
 
 
 def test_rotation_metric_is_the_identity_with_definite_signature():
     data = build_special_kahler(MODEL, standard_sigma_section(MODEL))
-    for pt in POINTS[:5]:
+    for pt in islice(POINTS, 5):
         g = data.g(pt)
         assert np.array_equal(g, np.eye(2))
         assert signature(g) == (2, 0)
@@ -60,7 +63,7 @@ def test_rotation_metric_is_the_identity_with_definite_signature():
 def test_opposite_rotation_is_negative_definite():
     opposite = section_from([((0, 1), -1.0)], [((1, 0), 1.0)], "opposite")
     data = build_special_kahler(MODEL, opposite)
-    g = data.g(POINTS[0])
+    g = data.g(FIRST)
     assert np.array_equal(g, -np.eye(2))
     assert signature(g) == (0, 2)
     reports = {r.identity_name: r for r in special_symplectic_check(data, POINTS)}
@@ -88,7 +91,7 @@ def test_full_report_set_for_the_rotation_section():
 def test_kahler_metric_requires_an_almost_complex_structure():
     data = build_special_kahler(MODEL, zero_section(MODEL))
     with pytest.raises(NotAlmostComplexError):
-        kahler_metric(data.Omega, data.I, POINTS[0])
+        kahler_metric(data.Omega, data.I, FIRST)
 
 
 def test_signature_zero_guard():
@@ -140,7 +143,7 @@ def test_non_parallel_almost_complex_structure_fails_the_parallel_check():
     d_nabla I (e_x, e_y) = (-2x, 0)."""
     data = non_parallel_data()
     I = data.I
-    for pt in POINTS[:5]:
+    for pt in islice(POINTS, 5):
         table = d_nabla_endo(data.connection, I, pt)
         assert np.allclose(table[0, 1], [-2.0 * pt.coords[0], 0.0], rtol=0.0, atol=1e-9)
     by_name = {r.identity_name: r for r in special_symplectic_check(data, POINTS)}
@@ -156,25 +159,25 @@ def test_stacked_checks_report_the_worst_single_point():
     base-geometry checks over N points report the worst single-point residual,
     and the signature and metric helpers work row for row on a stack."""
     curved = section_from([((0, 1), 1.0), ((2, 0), 1.0)], [((1, 0), -1.0)], "curved")
-    points = POINTS[:6]
-    stacked = stack_points(points)
+    stacked = Point(MODEL.base_chart, POINTS.coords[:6])
+    rows = [Point(MODEL.base_chart, pt.coords[None]) for pt in stacked]
     for data in (build_special_kahler(MODEL, curved), non_parallel_data()):
         for check in (special_symplectic_check, kahler_reports):
-            reports = {r.identity_name: r for r in check(data, points)}
-            singles = [{r.identity_name: r for r in check(data, [pt])} for pt in points]
+            reports = {r.identity_name: r for r in check(data, stacked)}
+            singles = [{r.identity_name: r for r in check(data, row)} for row in rows]
             for name, report in reports.items():
                 worst = max(single[name].max_residual for single in singles)
                 assert report.max_residual == worst, name
         pos, neg = signature(data.g(stacked))
-        assert list(zip(pos, neg)) == [signature(data.g(pt)) for pt in points]
+        assert list(zip(pos, neg)) == [signature(data.g(pt)) for pt in stacked]
     invariance = kahler_metric(data.Omega, data.I, stacked)[1]
-    assert invariance == max(kahler_metric(data.Omega, data.I, pt)[1] for pt in points)
-    report = induced_vs_restriction(MODEL, curved, points)
-    singles = [induced_vs_restriction(MODEL, curved, [pt]) for pt in points]
+    assert invariance == max(kahler_metric(data.Omega, data.I, pt)[1] for pt in stacked)
+    report = induced_vs_restriction(MODEL, curved, stacked)
+    singles = [induced_vs_restriction(MODEL, curved, row) for row in rows]
     assert report.max_residual == max(r.max_residual for r in singles) > 0.1
-    rows = induced_complex_structure(curved, stacked)
-    for r, pt in enumerate(points):
-        assert np.array_equal(rows[r], induced_complex_structure(curved, pt))
+    induced = induced_complex_structure(curved, stacked)
+    for r, pt in enumerate(stacked):
+        assert np.array_equal(induced[r], induced_complex_structure(curved, pt))
 
 
 def test_metric_symmetry_fails_off_the_sigma_lagrangian_locus():
@@ -189,7 +192,7 @@ def test_degenerate_metric_is_reported_not_raised_on_the_suite_path():
     # p = y, q = 0 gives the symmetric but singular metric diag(0, 1)
     shear = section_from([((0, 1), 1.0)], [], "shear")
     data = build_special_kahler(MODEL, shear)
-    assert np.array_equal(data.g(POINTS[0]), np.diag([0.0, 1.0]))
+    assert np.array_equal(data.g(FIRST), np.diag([0.0, 1.0]))
     by_name = {r.identity_name: r for r in kahler_reports(data, POINTS)}
     assert by_name["special_kahler.metric_symmetric"].passed
     report = by_name["special_kahler.signature_constant"]

@@ -7,7 +7,7 @@ from hypersymplectic.calculus import (
     exterior_derivative,
     form_matrix,
 )
-from hypersymplectic.charts import Chart, VectorField, stack_points
+from hypersymplectic.charts import Chart, Point, VectorField
 from hypersymplectic.structures import (
     CheckReport,
     FlatConnection,
@@ -144,7 +144,7 @@ def test_fd_identities_evaluate_once_per_stencil_point(dim):
     Y = VectorField.constant(chart, rng.uniform(-1, 1, dim))
     counts = {}
     for n_points in (1, 40):
-        pt = stack_points(chart.sample(n_points, seed=dim))
+        pt = chart.sample(n_points, seed=dim)
         calls.clear()
         d_nabla_endo(FlatConnection.zero(chart), J, pt)
         counts[n_points, "d_nabla_endo"] = len(calls)
@@ -152,7 +152,7 @@ def test_fd_identities_evaluate_once_per_stencil_point(dim):
         nijenhuis(J, X, Y, pt)
         counts[n_points, "nijenhuis"] = len(calls)
         calls.clear()
-        check_almost_complex(J, chart.sample(n_points, seed=dim))
+        check_almost_complex(J, pt)
         counts[n_points, "almost_complex"] = len(calls)
     for name in ("d_nabla_endo", "nijenhuis", "almost_complex"):
         assert counts[1, name] == counts[40, name] <= 2 * dim + 1, name
@@ -197,8 +197,7 @@ def test_stacked_primitives_match_single_points():
     u, v = (lambda p: p.coords[..., 0]), (lambda p: p.coords[..., 1])
     area = DifferentialForm(PLANE, 2, {(0, 1): lambda p: 1.0 + u(p) ** 2 * v(p)})
     alpha = DifferentialForm(PLANE, 1, {(0,): lambda p: v(p) ** 3, (1,): lambda p: u(p) * v(p)})
-    points = PLANE.sample(6, 21)
-    stacked = stack_points(points)
+    stacked = PLANE.sample(6, 21)
     primitives = {
         "d_nabla_endo": lambda pt: d_nabla_endo(conn, I, pt),
         "covariant_constancy": lambda pt: covariant_constancy(conn, area, pt),
@@ -207,16 +206,16 @@ def test_stacked_primitives_match_single_points():
     }
     for name, primitive in primitives.items():
         rows = primitive(stacked)
-        assert rows.shape[0] == len(points), name
-        for r, pt in enumerate(points):
+        assert rows.shape[0] == len(stacked), name
+        for r, pt in enumerate(stacked):
             assert np.array_equal(rows[r], primitive(pt)), name
     curvature = conn.curvature_residual(stacked)
-    assert curvature == max(conn.curvature_residual(pt) for pt in points) > 0.1
+    assert curvature == max(conn.curvature_residual(pt) for pt in stacked) > 0.1
 
     J = EndomorphismField(SPACE, nonconstant_J)
-    points = SPACE.sample(5, 12)
-    rows = nijenhuis(J, nonconstant_X, nonconstant_Y, stack_points(points))
-    for r, pt in enumerate(points):
+    stacked = SPACE.sample(5, 12)
+    rows = nijenhuis(J, nonconstant_X, nonconstant_Y, stacked)
+    for r, pt in enumerate(stacked):
         assert np.array_equal(rows[r], nijenhuis(J, nonconstant_X, nonconstant_Y, pt))
 
 
@@ -227,7 +226,8 @@ def test_checks_on_a_stack_report_the_worst_single_point():
     u = lambda p: p.coords[..., 0]
     area = DifferentialForm(PLANE, 2, {(0, 1): lambda p: 0.5 + u(p) ** 2})
     alpha = DifferentialForm(PLANE, 1, {(1,): lambda p: u(p) ** 3})
-    points = PLANE.sample(7, 22)
+    stacked = PLANE.sample(7, 22)
+    rows = [Point(PLANE, pt.coords[None]) for pt in stacked]
     checks = [
         lambda pts: check_closedness(alpha, pts),
         lambda pts: check_nondegeneracy(area, pts),
@@ -236,11 +236,11 @@ def test_checks_on_a_stack_report_the_worst_single_point():
         lambda pts: check_torsion_free(conn, pts),
     ]
     for check in checks:
-        report = check(points)
-        singles = [check([pt]) for pt in points]
+        report = check(stacked)
+        singles = [check(row) for row in rows]
         assert report.max_residual == max(r.max_residual for r in singles)
         assert report.passed == all(r.passed for r in singles)
-        assert report.n_points == len(points)
+        assert report.n_points == 7 and all(r.n_points == 1 for r in singles)
 
 
 def test_nijenhuis_vanishes_for_constant_structures():
