@@ -12,8 +12,10 @@ Every check takes such a sample directly; ``len`` and iteration run over its
 first axis, yielding single points.  An evaluator receives a point, reads
 coordinate k as ``coords[..., k]``, and returns its value with the point's
 leading axes in front, e.g. ``(..., dim)`` for a vector or
-``(..., dim, dim)`` for an endomorphism.  A value without the leading axes (a
-constant) broadcasts over them.
+``(..., dim, dim)`` for an endomorphism.  A constant returns its value
+without the leading axes, and it stays that way: numpy broadcasting carries
+it through every product with batched values, so a constant tensor costs one
+copy however many points are sampled.
 """
 
 from __future__ import annotations
@@ -48,12 +50,6 @@ class Chart:
     def dim(self) -> int:
         return len(self.coords)
 
-    def axis(self, coord: str) -> int:
-        try:
-            return self.coords.index(coord)
-        except ValueError:
-            raise KeyError(f"chart {self.name!r} has no coordinate {coord!r}") from None
-
     def widths(self) -> np.ndarray:
         return np.asarray(self.upper) - np.asarray(self.lower)
 
@@ -66,12 +62,6 @@ class Chart:
         if arr.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} coordinates, got shape {arr.shape}")
         return Point(self, arr)
-
-    def contains(self, coords: np.ndarray) -> bool:
-        return bool(
-            np.all(coords >= np.asarray(self.lower))
-            and np.all(coords <= np.asarray(self.upper))
-        )
 
     def sample(self, n_points: int = 100, seed: int = 42) -> "Point":
         """Uniform draws from the box as one ``(n_points, dim)`` point; seeded
@@ -119,14 +109,12 @@ def require_same_chart(a: Chart, b: Chart) -> None:
 
 
 def conform(value, pt: Point, trailing: tuple[int, ...], what: str) -> np.ndarray:
-    """An evaluator's value at ``pt`` as a (read-only) array of shape
-    ``pt.batch_shape + trailing``; a value without the leading axes broadcasts."""
+    """An evaluator's value at ``pt`` as an array of shape
+    ``pt.batch_shape + trailing``, or of shape ``trailing`` for a value without
+    the point axes (a constant), which is returned as it is."""
     arr = np.asarray(value, dtype=float)
-    if arr.shape[max(arr.ndim - len(trailing), 0) :] == trailing:
-        try:
-            return np.broadcast_to(arr, pt.batch_shape + trailing)
-        except ValueError:
-            pass
+    if arr.shape in (trailing, pt.batch_shape + trailing):
+        return arr
     raise ValueError(
         f"{what} returned shape {arr.shape}, expected {trailing} after the point axes "
         f"{pt.batch_shape}"
@@ -145,7 +133,8 @@ class VectorField:
 
     @classmethod
     def constant(cls, chart: Chart, components: Sequence[float], name: str = "") -> "VectorField":
-        frozen = np.asarray(components, dtype=float).copy()
+        frozen = np.array(components, dtype=float)
         if frozen.shape != (chart.dim,):
             raise ValueError("component count does not match the chart dimension")
+        frozen.flags.writeable = False
         return cls(chart, lambda pt: frozen, name=name)

@@ -17,8 +17,10 @@ hand-coded; the printed constant table for the composite is kept separately as
 an independent fixture so the composition identity is an actual check.
 
 Sections of the fibration are polynomial maps (x, y) -> (p, q); their graphs
-are probed for Lagrangian behaviour (pullback of a chosen 2-form vanishes) and
-for invariance under a chosen complex structure (complex-submanifold check).
+are probed for Lagrangian behaviour (pullback of a chosen 2-form vanishes,
+read through the exact polynomial Jacobian) and for invariance under a chosen
+complex structure (complex-submanifold check, through the finite-difference
+frame, which thereby also cross-checks the polynomial derivatives).
 A graph turns out to be invariant under one J exactly when it is Lagrangian
 for the other two symplectic forms; the test suite pins both directions.
 """
@@ -36,8 +38,8 @@ from .calculus import (
     EndomorphismField,
     apply,
     compose_covector,
-    coordinate_differential,
     form_matrix,
+    stencil,
     transpose,
 )
 from .charts import Chart, Point, VectorField
@@ -150,28 +152,27 @@ class HyperComplexTriple:
 def build_structure_triple(model: FibrationModel) -> HyperSymplecticTriple:
     """The three block-constant 2-forms on the total chart."""
     chart = model.total_chart
-    omega: dict = {}
-    chi: dict = {}
-    sigma: dict = {}
+    omega, chi, sigma = (np.zeros((chart.dim, chart.dim)) for _ in range(3))
     for i in range(model.n):
         ix, iy, ip, iq = model.ix(i), model.iy(i), model.ip(i), model.iq(i)
-        omega[(ix, ip)] = -1.0  # dp ^ dx
-        omega[(iy, iq)] = -1.0  # dq ^ dy
-        chi[(ip, iq)] = -1.0  # -dp ^ dq
-        chi[(ix, iy)] = 1.0  # dx ^ dy
-        sigma[(ix, iq)] = -1.0  # dq ^ dx
-        sigma[(iy, ip)] = 1.0  # dy ^ dp
+        omega[ix, ip] = -1.0  # dp ^ dx
+        omega[iy, iq] = -1.0  # dq ^ dy
+        chi[ip, iq] = -1.0  # -dp ^ dq
+        chi[ix, iy] = 1.0  # dx ^ dy
+        sigma[ix, iq] = -1.0  # dq ^ dx
+        sigma[iy, ip] = 1.0  # dy ^ dp
+    # each table holds the coefficients at i < j; the form matrix is M - M^T
     return HyperSymplecticTriple(
-        omega=DifferentialForm.constant(chart, 2, omega, name="omega"),
-        chi=DifferentialForm.constant(chart, 2, chi, name="chi"),
-        sigma=DifferentialForm.constant(chart, 2, sigma, name="sigma"),
+        omega=DifferentialForm.constant(chart, omega - omega.T, name="omega"),
+        chi=DifferentialForm.constant(chart, chi - chi.T, name="chi"),
+        sigma=DifferentialForm.constant(chart, sigma - sigma.T, name="sigma"),
     )
 
 
 def base_symplectic_form(model: FibrationModel) -> DifferentialForm:
     """Omega = sum_i dx_i ^ dy_i on the base chart."""
-    table = {(i, model.n + i): 1.0 for i in range(model.n)}
-    return DifferentialForm.constant(model.base_chart, 2, table, name="Omega")
+    upper = np.eye(2 * model.n, k=model.n)  # 1 at (x_i, y_i)
+    return DifferentialForm.constant(model.base_chart, upper - upper.T, name="Omega")
 
 
 def _omega_matrix(model: FibrationModel) -> np.ndarray:
@@ -247,54 +248,40 @@ def recursion_operator(
     return np.linalg.solve(M_omega, M_chi)
 
 
-@dataclass(frozen=True)
-class FrameCheckResult:
-    max_residual: float
-    signs: tuple  # per pair: +1 or -1, with the point's leading shape
-
-
 def holomorphic_frame_check(
     J: EndomorphismField,
-    pairs: Sequence[tuple[DifferentialForm, DifferentialForm]],
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     pt: Point,
-) -> FrameCheckResult:
-    """Check that each (a, b) pair spans a J-eigen coframe, a + ib.
+) -> float:
+    """Check that each (a, b) pair of covectors spans a J-eigen coframe, a + ib.
 
     For each pair the residual is min over s in {+1, -1} of
     ``|J a - s (-b)| + |J b - s a|`` in the covector action; s = +1 matches
     J a = -b (the pair represents a holomorphic differential), s = -1 the
-    conjugate orientation.  Returns the worst residual over pairs and points
-    and the sign that matched per pair (per point for stacked points).
+    conjugate orientation.  Returns the worst residual over pairs and points.
     """
     worst = 0.0
-    signs = []
     C = J.covector_matrix(pt)
     for a, b in pairs:
-        a_c = a.components(pt)
-        b_c = b.components(pt)
-        Ja = apply(C, a_c)
-        Jb = apply(C, b_c)
+        Ja, Jb = apply(C, a), apply(C, b)
         plus, minus = (
-            np.linalg.norm(Ja - s * (-b_c), axis=-1) + np.linalg.norm(Jb - s * a_c, axis=-1)
+            np.linalg.norm(Ja - s * (-b), axis=-1) + np.linalg.norm(Jb - s * a, axis=-1)
             for s in (1, -1)
         )
         worst = max(worst, float(np.max(np.minimum(plus, minus))))
-        signs.append(np.where(minus < plus, -1, 1)[()])
-    return FrameCheckResult(max_residual=worst, signs=tuple(signs))
+    return worst
 
 
-def standard_frame_pairs(
-    model: FibrationModel,
-) -> dict[str, list[tuple[DifferentialForm, DifferentialForm]]]:
-    """The coordinate coframe pairs each complex structure should preserve."""
-    chart = model.total_chart
-    d = lambda axis: coordinate_differential(chart, axis)
+def standard_frame_pairs(model: FibrationModel) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
+    """The coordinate coframe pairs (unit covectors) each complex structure
+    should preserve."""
+    d = np.eye(model.total_chart.dim)
     pairs: dict[str, list] = {"J_omega": [], "J_chi": [], "J_sigma": []}
     for i in range(model.n):
         ix, iy, ip, iq = model.ix(i), model.iy(i), model.ip(i), model.iq(i)
-        pairs["J_omega"] += [(d(ix), d(ip)), (d(iy), d(iq))]
-        pairs["J_chi"] += [(d(iq), d(ip)), (d(ix), d(iy))]
-        pairs["J_sigma"] += [(d(ix), d(iq)), (d(ip), d(iy))]
+        pairs["J_omega"] += [(d[ix], d[ip]), (d[iy], d[iq])]
+        pairs["J_chi"] += [(d[iq], d[ip]), (d[ix], d[iy])]
+        pairs["J_sigma"] += [(d[ix], d[iq]), (d[ip], d[iy])]
     return pairs
 
 
@@ -477,13 +464,7 @@ class SectionMap:
 
     def jacobian_fd(self, base_pt: Point, step: float | None = None) -> np.ndarray:
         h = self.model.base_chart.fd_step() if step is None else float(step)
-        n2 = 2 * self.model.n
-        cols = []
-        for j in range(n2):
-            fwd = self.total_coords(base_pt.shifted(j, h))
-            bwd = self.total_coords(base_pt.shifted(j, -h))
-            cols.append((fwd - bwd) / (2 * h))
-        return np.stack(cols, axis=-1)
+        return stencil(self.total_coords, base_pt, h)
 
 
 def zero_section(model: FibrationModel) -> SectionMap:
@@ -515,11 +496,11 @@ def section_pullback(
     section: SectionMap,
     form: DifferentialForm,
     pt: Point,
-    fd_step: float | None = None,
 ) -> dict[tuple[int, int], float]:
-    """Coefficient table of the pullback of a total-space 2-form to the base;
-    each value has the point's leading shape."""
-    frame = section.jacobian_fd(pt, fd_step)
+    """Coefficient table of the pullback of a total-space 2-form to the base,
+    read through the exact Jacobian of the section; each value has the
+    point's leading shape."""
+    frame = section.jacobian(pt)
     M = form_matrix(form, section.evaluate(pt))
     P = transpose(frame) @ M @ frame
     n2 = 2 * model.n

@@ -456,7 +456,7 @@ def _suite_hypersymplectic(config: ScenarioConfig, model: FibrationModel) -> lis
     pairs = standard_frame_pairs(model)
     pt = model.total_chart.sample(config.sampling.n_points, config.sampling.seed)
     for J in complexes.endos():
-        worst = holomorphic_frame_check(J, pairs[J.name], pt).max_residual
+        worst = holomorphic_frame_check(J, pairs[J.name], pt)
         reports.append(
             CheckReport.from_residual(
                 f"hypersymplectic.holomorphic_frame.{J.name}",
@@ -487,7 +487,7 @@ def _suite_sections(config: ScenarioConfig, model: FibrationModel) -> list[Check
     reports = []
     for section, form_name in _resolve_sections(config, model):
         form = named_forms[form_name]
-        table = section_pullback(model, section, form, pt, config.sampling.fd_step)
+        table = section_pullback(model, section, form, pt)
         worst = max(float(np.max(np.abs(v))) for v in table.values())
         reports.append(
             CheckReport.from_residual(

@@ -12,9 +12,11 @@ and the resulting verdict.  Two report styles are used:
 Either way the invariant ``passed == (max_residual <= tolerance)`` holds.
 
 Checks take their sample as one stacked ``(N, dim)`` point (see ``charts``)
-and evaluate every field on the whole stack (and on each of its
-central-stencil shifts), so a check costs a fixed number of evaluator calls
-whatever the sample size.
+and evaluate every field on the whole stack and, through
+``calculus.stencil``, on each of its central-stencil shifts, so a check costs
+a fixed number of evaluator calls whatever the sample size.  A constant
+field (every form and complex structure of the model, the zero connection)
+keeps no point axes, so its tables hold one copy for the whole sample.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .calculus import (
     apply,
     exterior_derivative,
     form_matrix,
+    stencil,
 )
 from .charts import Chart, Point, VectorField, conform, require_same_chart
 
@@ -111,38 +114,23 @@ class FlatConnection:
     def curvature_residual(self, pt: Point, step: float | None = None) -> float:
         """Max |R^l_kij| with the curvature assembled from FD derivatives.
 
-        The derivative table holds N * dim^4 numbers; the curvature itself is
-        formed one upper index l at a time, so no second table of that size
-        is built.
+        The derivative table holds dim^4 numbers per point (dim^4 in all for
+        constant Christoffel symbols); the curvature itself is formed one
+        upper index l at a time, so no second table of that size is built.
         """
         h = self.chart.fd_step() if step is None else float(step)
-        dim = self.chart.dim
         G = self.gamma(pt)
-        dG = np.empty(pt.batch_shape + (dim,) * 4)  # dG[..., a, l, j, k] = d_a Gamma^l_jk
-        for a in range(dim):
-            plus, minus = self.gamma(pt.shifted(a, h)), self.gamma(pt.shifted(a, -h))
-            dG[..., a, :, :, :] = (plus - minus) / (2 * h)
+        dG = stencil(self.gamma, pt, h)  # dG[..., l, j, k, a] = d_a Gamma^l_jk
         worst = 0.0
-        for l in range(dim):
+        for l in range(self.chart.dim):
             # R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
             #           - Gamma^l_jm Gamma^m_ik, summed in that order
-            dG_l, G_l = dG[..., :, l, :, :], G[..., l, :, :]
-            R = np.einsum("...ijk->...kij", dG_l) - np.einsum("...jik->...kij", dG_l)
+            dG_l, G_l = dG[..., l, :, :, :], G[..., l, :, :]
+            R = np.einsum("...jki->...kij", dG_l) - np.einsum("...ikj->...kij", dG_l)
             R += np.einsum("...im,...mjk->...kij", G_l, G)
             R -= np.einsum("...jm,...mik->...kij", G_l, G)
             worst = np.maximum(worst, np.max(np.abs(R)))  # NaN propagates
         return float(worst)
-
-
-def _stencil(evaluate: Callable[[Point], np.ndarray], pt: Point, h: float) -> np.ndarray:
-    """Central differences of ``evaluate`` along every axis, stacked on a new
-    axis in front of the value axes: ``out[..., a, *value] = d_a value``."""
-    diffs = [
-        (evaluate(pt.shifted(a, h)) - evaluate(pt.shifted(a, -h))) / (2.0 * h)
-        for a in range(pt.chart.dim)
-    ]
-    value_ndim = diffs[0].ndim - len(pt.batch_shape)
-    return np.stack(diffs, axis=-1 - value_ndim)
 
 
 def covariant_constancy(
@@ -155,7 +143,7 @@ def covariant_constancy(
     require_same_chart(conn.chart, form.chart)
     h = conn.chart.fd_step() if step is None else float(step)
     T = form_matrix(form, pt)
-    dT = _stencil(lambda p: form_matrix(form, p), pt, h)
+    dT = np.moveaxis(stencil(lambda p: form_matrix(form, p), pt, h), -1, -3)
     G = conn.gamma(pt)
     corr1 = np.einsum("...lij,...lk->...ijk", G, T)
     corr2 = np.einsum("...lik,...jl->...ijk", G, T)
@@ -182,10 +170,10 @@ def d_nabla_endo(
     require_same_chart(conn.chart, I.chart)
     h = conn.chart.fd_step() if step is None else float(step)
     I_pt = I.matrix(pt)
-    dI = _stencil(I.matrix, pt, h)
+    dI = stencil(I.matrix, pt, h)  # dI[..., k, b, a] = d_a I_kb
     G = conn.gamma(pt)
     nabla = (
-        np.swapaxes(dI, -1, -2)
+        np.swapaxes(dI, -1, -3)
         + np.einsum("...kaj,...jb->...abk", G, I_pt)
         - np.einsum("...kj,...jab->...abk", I_pt, G)
     )
@@ -202,23 +190,20 @@ def nijenhuis(
     """Nijenhuis tensor N_J(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] + J^2 [X, Y].
 
     J, X and Y are read once at ``pt`` and once at each central-stencil
-    point, however many points ``pt`` stacks; the four brackets
-    ``[A, B] = DB.A - DA.B`` are formed from those values with
-    central-difference Jacobians, as ``calculus.lie_bracket`` does.
+    point, however many points ``pt`` stacks: one stencil of the stacked
+    ``(X, Y, JX, JY)`` gives their Jacobians, from which the four brackets
+    ``[A, B] = DB.A - DA.B`` are formed as ``calculus.lie_bracket`` does.
     """
     require_same_chart(J.chart, X.chart)
     require_same_chart(J.chart, Y.chart)
     h = pt.chart.fd_step() if step is None else float(step)
-    dim = pt.chart.dim
-    DX, DY, DJX, DJY = (np.empty(pt.batch_shape + (dim, dim)) for _ in range(4))
-    for j in range(dim):
-        plus, minus = pt.shifted(j, h), pt.shifted(j, -h)
-        J_p, J_m = J.matrix(plus), J.matrix(minus)
-        X_p, X_m, Y_p, Y_m = X(plus), X(minus), Y(plus), Y(minus)
-        DX[..., j] = (X_p - X_m) / (2.0 * h)
-        DY[..., j] = (Y_p - Y_m) / (2.0 * h)
-        DJX[..., j] = (apply(J_p, X_p) - apply(J_m, X_m)) / (2.0 * h)
-        DJY[..., j] = (apply(J_p, Y_p) - apply(J_m, Y_m)) / (2.0 * h)
+
+    def fields(p: Point) -> np.ndarray:
+        J_p, X_p, Y_p = J.matrix(p), X(p), Y(p)
+        # X and Y may be constant while J is not, or the other way round
+        return np.stack(np.broadcast_arrays(X_p, Y_p, apply(J_p, X_p), apply(J_p, Y_p)), -2)
+
+    DX, DY, DJX, DJY = np.moveaxis(stencil(fields, pt, h), -3, 0)
     J_pt, X_pt, Y_pt = J.matrix(pt), X(pt), Y(pt)
     JX_pt, JY_pt = apply(J_pt, X_pt), apply(J_pt, Y_pt)
     return (
@@ -236,8 +221,7 @@ def check_closedness(
     tolerance: float = TOL_FD,
     identity_name: str | None = None,
 ) -> CheckReport:
-    table = exterior_derivative(form, pt, step)
-    worst = max((float(np.max(np.abs(v))) for v in table.values()), default=0.0)
+    worst = float(np.max(np.abs(exterior_derivative(form, pt, step))))
     return CheckReport.from_residual(
         identity_name or f"closed({form.name})",
         len(pt),

@@ -4,6 +4,7 @@ import pytest
 from hypersymplectic.calculus import (
     DifferentialForm,
     EndomorphismField,
+    apply,
     compose_covector,
     exterior_derivative,
     form_matrix,
@@ -12,20 +13,35 @@ from hypersymplectic.calculus import (
 from hypersymplectic.charts import Chart, VectorField
 
 PLANE = Chart("plane", ("u", "v"), (-1.0, -1.0), (1.0, 1.0))
+CUBE = Chart("cube", ("u", "v", "w"), (-1.0,) * 3, (1.0,) * 3)
 SPACE = Chart("space", ("a", "b", "c", "d"), (-1.0,) * 4, (1.0,) * 4)
+AREA = np.array([[0.0, 1.0], [-1.0, 0.0]])  # du ^ dv on PLANE
 
 
-def test_multi_index_validation():
+def vw_form(coefficient):
+    """The 2-form coefficient(pt) dv ^ dw on CUBE, as a matrix field."""
+
+    def matrix(pt):
+        c = coefficient(pt)
+        M = np.zeros(pt.batch_shape + (3, 3))
+        M[..., 1, 2], M[..., 2, 1] = c, -c
+        return M
+
+    return DifferentialForm(CUBE, matrix)
+
+
+def test_constant_form_validation():
     with pytest.raises(ValueError):
-        DifferentialForm.constant(PLANE, 2, {(1, 0): 1.0})  # not increasing
+        DifferentialForm.constant(PLANE, [[0.0, 1.0], [1.0, 0.0]])  # not antisymmetric
     with pytest.raises(ValueError):
-        DifferentialForm.constant(PLANE, 2, {(0, 5): 1.0})
+        DifferentialForm.constant(PLANE, np.zeros((3, 3)))  # not the chart's dimension
+    bad = DifferentialForm(PLANE, lambda pt: np.zeros(2))
     with pytest.raises(ValueError):
-        DifferentialForm.constant(PLANE, 3, {})  # degree beyond the chart
+        form_matrix(bad, PLANE.point([0.0, 0.0]))
 
 
 def test_evaluation_uses_the_determinant_convention():
-    area = DifferentialForm.constant(PLANE, 2, {(0, 1): 1.0}, name="du^dv")
+    area = DifferentialForm.constant(PLANE, AREA, name="du^dv")
     M = form_matrix(area, PLANE.point([0.0, 0.0]))
     e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     assert e0 @ M @ e1 == 1.0
@@ -33,40 +49,38 @@ def test_evaluation_uses_the_determinant_convention():
     assert e0 @ M @ (2 * e0 + 3 * e1) == pytest.approx(3.0)
 
 
-def test_one_form_components():
-    alpha = DifferentialForm.constant(PLANE, 1, {(0,): 2.0, (1,): -3.0})
-    assert np.array_equal(alpha.components(PLANE.point([0.1, 0.1])), [2.0, -3.0])
-    area = DifferentialForm.constant(PLANE, 2, {(0, 1): 1.0})
-    with pytest.raises(ValueError):
-        area.components(PLANE.point([0.0, 0.0]))
-
-
 def test_exterior_derivative_of_linear_coefficient():
-    # d(u dv) = du ^ dv
-    alpha = DifferentialForm(PLANE, 1, {(1,): lambda pt: pt.coords[..., 0]})
-    table = exterior_derivative(alpha, PLANE.point([0.3, -0.4]))
-    assert set(table) == {(0, 1)}
-    assert table[(0, 1)] == pytest.approx(1.0, abs=1e-10)
+    # d(u dv^dw) = du ^ dv ^ dw: the full table is totally antisymmetric
+    beta = vw_form(lambda pt: pt.coords[..., 0])
+    table = exterior_derivative(beta, CUBE.point([0.3, -0.4, 0.2]))
+    assert table.shape == (3, 3, 3)
+    for (i, j, k), sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((1, 0, 2), -1), ((2, 1, 0), -1)):
+        assert table[i, j, k] == pytest.approx(sign, abs=1e-10)
+    assert np.max(np.abs(table[[0, 0, 1], [0, 1, 1], [2, 0, 2]])) == 0.0  # repeated index
 
 
 def test_exterior_derivative_quadratic_coefficient():
-    # d(u^2 dv) = 2u du ^ dv
-    alpha = DifferentialForm(PLANE, 1, {(1,): lambda pt: pt.coords[..., 0] ** 2})
+    # d(u^2 dv^dw) = 2u du ^ dv ^ dw
+    beta = vw_form(lambda pt: pt.coords[..., 0] ** 2)
     for u in (-0.8, 0.0, 0.55):
-        table = exterior_derivative(alpha, PLANE.point([u, 0.1]))
-        assert table[(0, 1)] == pytest.approx(2 * u, abs=1e-6)
+        table = exterior_derivative(beta, CUBE.point([u, 0.1, -0.3]))
+        assert table[0, 1, 2] == pytest.approx(2 * u, abs=1e-6)
 
 
 def test_exterior_derivative_detects_non_closed():
-    alpha = DifferentialForm(PLANE, 1, {(1,): lambda pt: pt.coords[..., 0]})
-    table = exterior_derivative(alpha, PLANE.point([0.0, 0.0]))
-    assert abs(table[(0, 1)]) > 0.5
+    beta = vw_form(lambda pt: pt.coords[..., 0])
+    table = exterior_derivative(beta, CUBE.point([0.0, 0.0, 0.0]))
+    assert abs(table[0, 1, 2]) > 0.5
 
 
 def test_constant_forms_are_closed_exactly():
-    area = DifferentialForm.constant(SPACE, 2, {(0, 1): 1.0, (2, 3): -1.0})
+    M = np.zeros((4, 4))
+    M[0, 1], M[2, 3] = 1.0, -1.0
+    area = DifferentialForm.constant(SPACE, M - M.T)
     table = exterior_derivative(area, SPACE.point([0.2, 0.1, -0.3, 0.4]))
-    assert all(v == 0.0 for v in table.values())
+    assert np.all(table == 0.0)
+    # a constant form keeps no point axes, on a stack too
+    assert exterior_derivative(area, SPACE.sample(5, 1)).shape == (4, 4, 4)
 
 
 def test_lie_bracket_fixture():
@@ -97,8 +111,8 @@ def test_endomorphism_transpose_contract():
         alpha = rng.normal(size=4)
         v = rng.normal(size=4)
         # (J alpha)(v) == alpha(J v)
-        assert J.apply_covector(pt, alpha) @ v == pytest.approx(
-            alpha @ J.apply_vector(pt, v), rel=1e-13, abs=1e-13
+        assert apply(J.covector_matrix(pt), alpha) @ v == pytest.approx(
+            alpha @ apply(J.matrix(pt), v), rel=1e-13, abs=1e-13
         )
 
 
@@ -112,8 +126,8 @@ def test_composition_orders():
     assert np.array_equal(cov_first.matrix(pt), B.matrix(pt) @ A.matrix(pt))
     # covector action of compose_covector(A, B) is A after B
     alpha = rng.normal(size=4)
-    expected = A.apply_covector(pt, B.apply_covector(pt, alpha))
-    assert np.allclose(cov_first.apply_covector(pt, alpha), expected)
+    expected = apply(A.covector_matrix(pt), apply(B.covector_matrix(pt), alpha))
+    assert np.allclose(apply(cov_first.covector_matrix(pt), alpha), expected)
 
 
 def test_endomorphism_shape_check():
@@ -123,7 +137,15 @@ def test_endomorphism_shape_check():
 
 
 def test_form_matrix_is_antisymmetric():
-    form = DifferentialForm.constant(SPACE, 2, {(0, 2): 2.0, (1, 3): -1.0})
+    upper = np.zeros((4, 4))
+    upper[0, 2], upper[1, 3] = 2.0, -1.0
+    form = DifferentialForm.constant(SPACE, upper - upper.T)
     M = form_matrix(form, SPACE.point(np.zeros(4)))
     assert np.array_equal(M, -M.T)
     assert M[0, 2] == 2.0 and M[2, 0] == -2.0
+    assert form_matrix(form, SPACE.sample(5, 1)) is M  # a constant stays unbatched
+    with pytest.raises(ValueError):
+        M[0, 2] = 0.0  # and read-only
+    varying = vw_form(lambda pt: pt.coords[..., 0])
+    stacked = CUBE.sample(5, 1)
+    assert np.array_equal(form_matrix(varying, stacked)[:, 1, 2], stacked.coords[:, 0])

@@ -153,3 +153,23 @@ def test_a_single_sample_point_passes(tmp_path, capsys, config):
     body = json.loads(report.read_text())["report"]
     assert body["verdict"] == "pass"
     assert {c["n_points"] for c in body["checks"] if not c["identity"].startswith("action_angle")} == {1}
+
+
+# the gradient of V = Re (x + iy)^9 = x^9 - 36x^7y^2 + 126x^5y^4 - 84x^3y^6 + 9xy^8:
+# omega-Lagrangian (a gradient) and J_chi-invariant (V is harmonic), at degree 8
+HARMONIC_DEGREE_8 = {
+    "name": "re_z9",
+    "form": "omega",
+    "p": [[[[8, 0], 9.0], [[6, 2], -252.0], [[4, 4], 630.0], [[2, 6], -252.0], [[0, 8], 9.0]]],
+    "q": [[[[7, 1], -72.0], [[5, 3], 504.0], [[3, 5], -504.0], [[1, 7], 72.0]]],
+}
+
+
+def test_degree_eight_harmonic_gradient_section_passes(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "custom-section", "sections": [HARMONIC_DEGREE_8]}))
+    report = tmp_path / "report.json"
+    assert main(["--config", str(cfg), "--output", str(report)]) == 0
+    checks = {c["identity"]: c for c in json.loads(report.read_text())["report"]["checks"]}
+    assert checks["sections.pullback_vanishes.re_z9.omega"]["passed"]
+    assert checks["sections.graph_invariant.re_z9.J_chi"]["passed"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hypersymplectic.calculus import DifferentialForm, EndomorphismField, form_matrix
+from hypersymplectic.calculus import DifferentialForm, EndomorphismField, apply, form_matrix
 from hypersymplectic.charts import Point
 from hypersymplectic.errors import DegenerateFormError, GeometryError
 from hypersymplectic.fibration import (
@@ -23,6 +23,7 @@ from hypersymplectic.fibration import (
     zero_section,
 )
 from hypersymplectic.polynomials import Polynomial
+from hypersymplectic.scenarios import SECTION_PULLBACK_TOL
 
 MODEL = make_model(1)
 TRIPLE = build_structure_triple(MODEL)
@@ -93,12 +94,12 @@ def test_complex_structure_tables():
 
 def test_composite_covector_table():
     pt = total_point([0.1, 0.2, 0.3, 0.4])
-    K = COMPLEXES.J_sigma
+    K = COMPLEXES.J_sigma.covector_matrix(pt)
     dx, dy, dp, dq = np.eye(4)
-    assert np.array_equal(K.apply_covector(pt, dx), dq)
-    assert np.array_equal(K.apply_covector(pt, dy), -dp)
-    assert np.array_equal(K.apply_covector(pt, dq), -dx)
-    assert np.array_equal(K.apply_covector(pt, dp), dy)
+    assert np.array_equal(apply(K, dx), dq)
+    assert np.array_equal(apply(K, dy), -dp)
+    assert np.array_equal(apply(K, dq), -dx)
+    assert np.array_equal(apply(K, dp), dy)
 
 
 def test_recursion_operator_fixture():
@@ -109,9 +110,9 @@ def test_recursion_operator_fixture():
 
 
 def test_recursion_operator_rejects_degenerate_input():
-    from hypersymplectic.calculus import DifferentialForm
-
-    degenerate = DifferentialForm.constant(MODEL.total_chart, 2, {(0, 1): 1.0})
+    dx_dy = np.zeros((4, 4))
+    dx_dy[0, 1], dx_dy[1, 0] = 1.0, -1.0
+    degenerate = DifferentialForm.constant(MODEL.total_chart, dx_dy)
     with pytest.raises(DegenerateFormError):
         recursion_operator(degenerate, TRIPLE.chi, total_point([0, 0, 1, 1]))
 
@@ -130,11 +131,9 @@ def test_holomorphic_frames():
     pt = total_point([0.2, 0.4, 1.0, 2.0])
     for key, J in (("J_omega", COMPLEXES.J_omega), ("J_chi", COMPLEXES.J_chi),
                    ("J_sigma", COMPLEXES.J_sigma)):
-        result = holomorphic_frame_check(J, pairs[key], pt)
-        assert result.max_residual == 0.0
+        assert holomorphic_frame_check(J, pairs[key], pt) == 0.0
     # a mismatched pair is caught
-    bad = holomorphic_frame_check(COMPLEXES.J_omega, pairs["J_chi"], pt)
-    assert bad.max_residual > 1.0
+    assert holomorphic_frame_check(COMPLEXES.J_omega, pairs["J_chi"], pt) > 1.0
 
 
 def test_stacked_recursion_and_frames_match_single_points():
@@ -142,10 +141,20 @@ def test_stacked_recursion_and_frames_match_single_points():
     return row for row their single-point values."""
     chart = MODEL.total_chart
     x, q = (lambda p: p.coords[..., 0]), (lambda p: p.coords[..., 3])
-    omega = DifferentialForm(
-        chart, 2, {(0, 2): lambda p: -1.0 - x(p) ** 2, (1, 3): lambda p: -1.0 + 0.1 * q(p)}
-    )
-    chi = DifferentialForm(chart, 2, {(0, 1): lambda p: x(p) * q(p), (2, 3): lambda p: -1.0})
+
+    def matrix_field(entries):
+        """The 2-form with coefficient c(p) at (i, j), i < j, for each entry."""
+
+        def matrix(p):
+            M = np.zeros(p.batch_shape + (4, 4))
+            for (i, j), c in entries.items():
+                M[..., i, j] = c(p)
+            return M - np.swapaxes(M, -1, -2)
+
+        return DifferentialForm(chart, matrix)
+
+    omega = matrix_field({(0, 2): lambda p: -1.0 - x(p) ** 2, (1, 3): lambda p: -1.0 + 0.1 * q(p)})
+    chi = matrix_field({(0, 1): lambda p: x(p) * q(p), (2, 3): lambda p: -1.0})
     B = np.random.default_rng(4).uniform(-1, 1, (4, 4))
     J = EndomorphismField(
         chart, lambda p: COMPLEXES.J_chi.matrix(p) + x(p)[..., None, None] * B
@@ -157,12 +166,8 @@ def test_stacked_recursion_and_frames_match_single_points():
     lagrangian = verify_lagrangian_fibres(MODEL, omega, stacked)
     for r, pt in enumerate(stacked):
         assert np.array_equal(rows[r], recursion_operator(omega, chi, pt))
-        single = holomorphic_frame_check(J, pairs, pt)
-        assert tuple(s[r] for s in frames.signs) == single.signs
-    assert frames.max_residual == max(
-        holomorphic_frame_check(J, pairs, pt).max_residual for pt in stacked
-    )
-    assert frames.max_residual > 0.1
+    assert frames == max(holomorphic_frame_check(J, pairs, pt) for pt in stacked)
+    assert frames > 0.1
     assert lagrangian.max_residual == max(
         verify_lagrangian_fibres(MODEL, omega, Point(chart, pt.coords[None])).max_residual
         for pt in stacked
@@ -285,6 +290,16 @@ def test_tilt_section_sigma_pullback_coefficient():
     tilt = make_section([((1, 0), 1.0)], [], "tilt")
     table = section_pullback(MODEL, tilt, TRIPLE.sigma, base_point([0.2, 0.7]))
     assert table[(0, 1)] == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_degree_eight_gradient_graph_is_exactly_lagrangian():
+    """The gradient graph of x^4 y^4 is omega-Lagrangian; read through the
+    exact Jacobian its pullback vanishes within the sections gate (an FD
+    frame scored about 6e-10 here, above the gate)."""
+    section = gradient_section(MODEL, Polynomial.from_terms(2, [((4, 4), 1.0)]))
+    pts = MODEL.base_chart.sample(100, 42)
+    table = section_pullback(MODEL, section, TRIPLE.omega, pts)
+    assert max(np.max(np.abs(v)) for v in table.values()) <= SECTION_PULLBACK_TOL
 
 
 def test_lagrangian_alone_does_not_force_invariance():

@@ -6,6 +6,7 @@ from hypersymplectic.calculus import (
     EndomorphismField,
     exterior_derivative,
     form_matrix,
+    stencil,
 )
 from hypersymplectic.charts import Chart, Point, VectorField
 from hypersymplectic.structures import (
@@ -23,7 +24,28 @@ from hypersymplectic.structures import (
 from hypersymplectic.calculus import lie_bracket
 
 PLANE = Chart("plane", ("u", "v"), (-1.0, -1.0), (1.0, 1.0))
+CUBE = Chart("cube", ("u", "v", "w"), (-1.0,) * 3, (1.0,) * 3)
 SPACE = Chart("space", ("x1", "x2", "x3", "x4"), (-1.0,) * 4, (1.0,) * 4)
+
+
+def area_form(chart, coefficient):
+    """The 2-form coefficient(pt) de_0 ^ de_1, as a matrix field."""
+
+    def matrix(pt):
+        c = coefficient(pt)
+        M = np.zeros(pt.batch_shape + (chart.dim, chart.dim))
+        M[..., 0, 1], M[..., 1, 0] = c, -c
+        return M
+
+    return DifferentialForm(chart, matrix)
+
+
+def cube_form(pt):
+    """v^3 dv^dw + uvw dw^du + (1 + u^2) du^dv; its d is uw du^dv^dw."""
+    u, v, w = (pt.coords[..., k] for k in range(3))
+    M = np.zeros(pt.batch_shape + (3, 3))
+    M[..., 1, 2], M[..., 2, 0], M[..., 0, 1] = v**3, u * v * w, 1.0 + u**2
+    return M - np.swapaxes(M, -1, -2)
 
 
 def test_report_pass_boundary():
@@ -74,9 +96,9 @@ def test_christoffel_shape_validated():
 def test_covariant_constancy_flags_varying_forms():
     conn = FlatConnection.zero(PLANE)
     pt = PLANE.point([0.1, 0.4])
-    constant = DifferentialForm.constant(PLANE, 2, {(0, 1): 2.5})
+    constant = DifferentialForm.constant(PLANE, [[0.0, 2.5], [-2.5, 0.0]])
     assert np.max(np.abs(covariant_constancy(conn, constant, pt))) == 0.0
-    varying = DifferentialForm(PLANE, 2, {(0, 1): lambda p: 1.0 + p.coords[..., 0]})
+    varying = area_form(PLANE, lambda p: 1.0 + p.coords[..., 0])
     assert np.max(np.abs(covariant_constancy(conn, varying, pt))) > 0.5
 
 
@@ -191,24 +213,31 @@ def test_nijenhuis_agrees_with_the_bracket_composition():
 def test_stacked_primitives_match_single_points():
     """Each FD primitive on a stack of points returns, row for row, its value
     at each single point: non-constant I, forms, J, X, Y and a connection with
-    nonzero symmetric Christoffel symbols."""
+    nonzero symmetric Christoffel symbols.  The stencil itself appends the
+    derivative axis after the value axes and keeps a constant unbatched."""
     conn = FlatConnection(PLANE, symmetric_christoffel)
     I = EndomorphismField(PLANE, curved_I)
     u, v = (lambda p: p.coords[..., 0]), (lambda p: p.coords[..., 1])
-    area = DifferentialForm(PLANE, 2, {(0, 1): lambda p: 1.0 + u(p) ** 2 * v(p)})
-    alpha = DifferentialForm(PLANE, 1, {(0,): lambda p: v(p) ** 3, (1,): lambda p: u(p) * v(p)})
+    area = area_form(PLANE, lambda p: 1.0 + u(p) ** 2 * v(p))
     stacked = PLANE.sample(6, 21)
+    h = PLANE.fd_step()
     primitives = {
         "d_nabla_endo": lambda pt: d_nabla_endo(conn, I, pt),
         "covariant_constancy": lambda pt: covariant_constancy(conn, area, pt),
         "form_matrix": lambda pt: form_matrix(area, pt),
-        "exterior_derivative": lambda pt: exterior_derivative(alpha, pt)[(0, 1)],
+        "stencil": lambda pt: stencil(I.matrix, pt, h),
     }
     for name, primitive in primitives.items():
         rows = primitive(stacked)
         assert rows.shape[0] == len(stacked), name
         for r, pt in enumerate(stacked):
             assert np.array_equal(rows[r], primitive(pt)), name
+    # out[..., k, b, a] = d_a I_kb: only I_00 = -2u varies, along u
+    dI = stencil(I.matrix, stacked, h)
+    assert dI.shape == (6, 2, 2, 2)
+    assert np.allclose(dI[:, 0, 0, 0], -2.0, atol=1e-9) and np.max(np.abs(dI[:, :, :, 1])) == 0.0
+    constant = np.arange(3.0)
+    assert np.array_equal(stencil(lambda p: constant, stacked, h), np.zeros((3, 2)))
     curvature = conn.curvature_residual(stacked)
     assert curvature == max(conn.curvature_residual(pt) for pt in stacked) > 0.1
 
@@ -218,24 +247,32 @@ def test_stacked_primitives_match_single_points():
     for r, pt in enumerate(stacked):
         assert np.array_equal(rows[r], nijenhuis(J, nonconstant_X, nonconstant_Y, pt))
 
+    beta = DifferentialForm(CUBE, cube_form)
+    stacked = CUBE.sample(5, 23)
+    rows = exterior_derivative(beta, stacked)
+    for r, pt in enumerate(stacked):
+        assert np.array_equal(rows[r], exterior_derivative(beta, pt))
+    u, w = stacked.coords[:, 0], stacked.coords[:, 2]
+    assert np.allclose(rows[:, 0, 1, 2], u * w, atol=1e-8)
+
 
 def test_checks_on_a_stack_report_the_worst_single_point():
     """A check over N points reports the worst of its N single-point reports."""
     conn = FlatConnection(PLANE, symmetric_christoffel)
     I = EndomorphismField(PLANE, curved_I)
     u = lambda p: p.coords[..., 0]
-    area = DifferentialForm(PLANE, 2, {(0, 1): lambda p: 0.5 + u(p) ** 2})
-    alpha = DifferentialForm(PLANE, 1, {(1,): lambda p: u(p) ** 3})
-    stacked = PLANE.sample(7, 22)
-    rows = [Point(PLANE, pt.coords[None]) for pt in stacked]
+    area = area_form(PLANE, lambda p: 0.5 + u(p) ** 2)
+    beta = DifferentialForm(CUBE, cube_form)
     checks = [
-        lambda pts: check_closedness(alpha, pts),
-        lambda pts: check_nondegeneracy(area, pts),
-        lambda pts: check_almost_complex(I, pts),
-        lambda pts: check_flatness(conn, pts),
-        lambda pts: check_torsion_free(conn, pts),
+        (lambda pts: check_closedness(beta, pts), CUBE),
+        (lambda pts: check_nondegeneracy(area, pts), PLANE),
+        (lambda pts: check_almost_complex(I, pts), PLANE),
+        (lambda pts: check_flatness(conn, pts), PLANE),
+        (lambda pts: check_torsion_free(conn, pts), PLANE),
     ]
-    for check in checks:
+    for check, chart in checks:
+        stacked = chart.sample(7, 22)
+        rows = [Point(chart, pt.coords[None]) for pt in stacked]
         report = check(stacked)
         singles = [check(row) for row in rows]
         assert report.max_residual == max(r.max_residual for r in singles)
@@ -280,20 +317,23 @@ def test_nijenhuis_detects_non_integrable_structure():
 
 def test_closedness_check_pass_and_fail():
     pts = PLANE.sample(10, 4)
-    closed = DifferentialForm.constant(PLANE, 2, {(0, 1): 1.0}, name="vol")
+    closed = DifferentialForm.constant(PLANE, [[0.0, 1.0], [-1.0, 0.0]], name="vol")
     assert check_closedness(closed, pts).passed
-    alpha = DifferentialForm(PLANE, 1, {(1,): lambda p: p.coords[..., 0]}, name="u dv")
-    report = check_closedness(alpha, pts)
+    beta = area_form(CUBE, lambda p: p.coords[..., 2])  # w du^dv, d = dw^du^dv
+    report = check_closedness(beta, CUBE.sample(10, 4))
     assert not report.passed
     assert report.max_residual == pytest.approx(1.0, abs=1e-8)
 
 
 def test_nondegeneracy_check_slack_sign():
     pts = SPACE.sample(10, 5)
-    good = DifferentialForm.constant(SPACE, 2, {(0, 1): 1.0, (2, 3): 1.0})
+    upper = np.zeros((4, 4))
+    upper[0, 1] = upper[2, 3] = 1.0
+    good = DifferentialForm.constant(SPACE, upper - upper.T)
     report = check_nondegeneracy(good, pts)
     assert report.passed and report.max_residual <= 0.0
-    bad = DifferentialForm.constant(SPACE, 2, {(0, 1): 1.0})
+    upper[2, 3] = 0.0
+    bad = DifferentialForm.constant(SPACE, upper - upper.T)
     assert not check_nondegeneracy(bad, pts).passed
 
 
