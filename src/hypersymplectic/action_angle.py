@@ -31,74 +31,80 @@ DEFAULT_ENERGY_WINDOW = (0.2, 2.0)
 
 
 @functools.lru_cache(maxsize=8)
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count
-    and shared read-only."""
+def _loop_quadrature(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre parameters t on one turn [0, 2pi] and their weights,
+    computed once per count and shared read-only."""
+    if nodes < MIN_QUADRATURE_NODES:
+        raise ValueError(f"need at least {MIN_QUADRATURE_NODES} nodes, got {nodes}")
     u, w = np.polynomial.legendre.leggauss(nodes)
-    u.flags.writeable = False
+    t = math.pi * (u + 1.0)
+    t.flags.writeable = False
     w.flags.writeable = False
-    return u, w
+    return t, w
 
 
 @dataclass(frozen=True)
 class Oscillator1DOF:
+    """One factor; its methods take scalars or arrays and broadcast them."""
+
     frequency: float
 
     def __post_init__(self) -> None:
         if not self.frequency > 0:
             raise ValueError(f"frequency must be positive, got {self.frequency}")
 
-    def hamiltonian(self, xi: float, pi: float) -> float:
+    def hamiltonian(self, xi, pi):
         return 0.5 * (pi * pi + self.frequency**2 * xi * xi)
 
-    def level_curve(self, energy: float, t: float) -> tuple[float, float]:
+    def level_curve(self, energy, t) -> tuple[np.ndarray, np.ndarray]:
         """Point on the energy-E orbit at angle t (the parameter IS the angle)."""
-        if energy <= 0:
+        energy = np.asarray(energy, dtype=float)
+        if np.any(energy <= 0):
             raise DegenerateOrbitError(
-                f"no closed orbit at energy {energy}; need a positive energy level"
+                f"no closed orbit at energy {np.min(energy)}; need a positive energy level"
             )
-        r = math.sqrt(2.0 * energy)
-        return r / self.frequency * math.sin(t), r * math.cos(t)
+        r = np.sqrt(2.0 * energy)
+        return r / self.frequency * np.sin(t), r * np.cos(t)
 
-    def angle_gradient(self, xi: float, pi: float) -> tuple[float, float]:
+    def level_velocity(self, energy, t) -> tuple[np.ndarray, np.ndarray]:
+        """d(xi, pi)/dt along ``level_curve`` at parameter t."""
+        r = np.sqrt(2.0 * np.asarray(energy, dtype=float))
+        return r / self.frequency * np.cos(t), -r * np.sin(t)
+
+    def angle_gradient(self, xi, pi) -> tuple[np.ndarray, np.ndarray]:
         """d(angle) as a covector at (xi, pi); undefined at the equilibrium."""
         denom = pi * pi + self.frequency**2 * xi * xi
-        if denom <= 0:
+        if np.any(denom <= 0):
             raise DegenerateOrbitError("angle gradient undefined at the equilibrium")
         return self.frequency * pi / denom, -self.frequency * xi / denom
 
 
-def action_from_energy(osc: Oscillator1DOF, energy: float, nodes: int = 64) -> float:
-    """(1/2pi) * loop integral of pi d(xi) over the level curve, by quadrature."""
-    if nodes < MIN_QUADRATURE_NODES:
-        raise ValueError(f"need at least {MIN_QUADRATURE_NODES} nodes, got {nodes}")
-    if energy <= 0:
-        raise DegenerateOrbitError(
-            f"no closed orbit at energy {energy}; need a positive energy level"
-        )
-    u, w = _gauss_legendre(nodes)
-    t = math.pi * (u + 1.0)
-    r = math.sqrt(2.0 * energy)
-    momentum = r * np.cos(t)
-    velocity = r / osc.frequency * np.cos(t)  # d(xi)/dt on the parametrized orbit
-    return float(np.sum(w * momentum * velocity) * math.pi / TWO_PI)
+def _angle_turns(osc: Oscillator1DOF, energy, t, w, moving=True) -> np.ndarray:
+    """(1/2pi) * quadrature of d(angle) applied to the orbit velocity over the
+    last axis of t; where ``moving`` is False the factor sits at t with zero
+    velocity."""
+    xi, pi = osc.level_curve(energy, t)
+    gxi, gpi = osc.angle_gradient(xi, pi)
+    vel_xi, vel_pi = (moving * v for v in osc.level_velocity(energy, t))
+    return np.sum(w * (gxi * vel_xi + gpi * vel_pi), axis=-1) * math.pi / TWO_PI
 
 
-def angle_period_check(osc: Oscillator1DOF, energy: float, nodes: int = 128) -> float:
-    """|(1/2pi) * loop integral of d(angle) - 1| over one level curve."""
-    if nodes < MIN_QUADRATURE_NODES:
-        raise ValueError(f"need at least {MIN_QUADRATURE_NODES} nodes, got {nodes}")
-    u, w = _gauss_legendre(nodes)
-    t = math.pi * (u + 1.0)
-    r = math.sqrt(2.0 * energy)
-    total = 0.0
-    for tk, wk in zip(t, w):
-        xi, pi = osc.level_curve(energy, tk)
-        gxi, gpi = osc.angle_gradient(xi, pi)
-        vel_xi = r / osc.frequency * math.cos(tk)
-        vel_pi = -r * math.sin(tk)
-        total += wk * (gxi * vel_xi + gpi * vel_pi)
-    return abs(total * math.pi / TWO_PI - 1.0)
+def action_from_energy(osc: Oscillator1DOF, energy, nodes: int = 64):
+    """(1/2pi) * loop integral of pi d(xi) over the level curve, by quadrature;
+    one value per energy of a scalar or an array."""
+    t, w = _loop_quadrature(nodes)
+    energy = np.asarray(energy, dtype=float)[..., None]
+    _, momentum = osc.level_curve(energy, t)
+    velocity, _ = osc.level_velocity(energy, t)
+    return (np.sum(w * momentum * velocity, axis=-1) * math.pi / TWO_PI)[()]
+
+
+def angle_period_check(osc: Oscillator1DOF, energy, nodes: int = 128):
+    """|(1/2pi) * loop integral of d(angle) - 1| over the level curve, one
+    value per energy of a scalar or an array."""
+    t, w = _loop_quadrature(nodes)
+    turns = _angle_turns(osc, np.asarray(energy, dtype=float)[..., None], t, w)
+    return np.abs(turns - 1.0)[()]
 
 
 @dataclass(frozen=True)
@@ -261,22 +267,14 @@ def angle_cycle_matrix(
     energies = np.asarray(energies, dtype=float)
     if energies.shape != (sys.dof,):
         raise ValueError(f"need one energy per factor, got shape {energies.shape}")
-    u, w = _gauss_legendre(nodes)
-    t = math.pi * (u + 1.0)
-    matrix = np.zeros((sys.dof, sys.dof))
-    for j in range(sys.dof):
-        r = math.sqrt(2.0 * energies[j])
-        for tk, wk in zip(t, w):
-            for i, osc in enumerate(sys.oscillators):
-                if i == j:
-                    xi, pi = osc.level_curve(energies[i], tk)
-                    vel = (r / osc.frequency * math.cos(tk), -r * math.sin(tk))
-                else:
-                    xi, pi = osc.level_curve(energies[i], park_offset * (i + 1))
-                    vel = (0.0, 0.0)
-                gxi, gpi = osc.angle_gradient(xi, pi)
-                matrix[i, j] += wk * (gxi * vel[0] + gpi * vel[1])
-    return matrix * math.pi / TWO_PI
+    t, w = _loop_quadrature(nodes)
+    cycles = np.arange(sys.dof)[:, None]
+    rows = []
+    for i, osc in enumerate(sys.oscillators):
+        moving = cycles == i  # cycle j moves factor i only when j == i
+        times = np.where(moving, t, park_offset * (i + 1))
+        rows.append(_angle_turns(osc, energies[i], times, w, moving))
+    return np.stack(rows)
 
 
 def model_from_product_system(
@@ -308,11 +306,10 @@ def verify_action_angle(
     tol_fd: float = TOL_FD,
 ) -> list[CheckReport]:
     """The full oscillator battery as a sorted list of reports."""
-    energies = (0.2, 0.5, 1.0, 2.0)
+    energies = np.array([0.2, 0.5, 1.0, 2.0])
     worst = max(
-        abs(action_from_energy(osc, e) - e / osc.frequency)
+        np.max(np.abs(action_from_energy(osc, energies) - energies / osc.frequency))
         for osc in sys.oscillators
-        for e in energies
     )
     reports = [
         CheckReport.from_residual(
@@ -324,13 +321,12 @@ def verify_action_angle(
         )
     ]
 
-    worst = max(
-        angle_period_check(osc, e) for osc in sys.oscillators for e in (0.5, 1.0)
-    )
+    energies = np.array([0.5, 1.0])
+    worst = max(np.max(angle_period_check(osc, energies)) for osc in sys.oscillators)
     reports.append(
         CheckReport.from_residual(
             "action_angle.angle_normalization",
-            2 * sys.dof,
+            len(energies) * sys.dof,
             worst,
             tol_quadrature,
             statement="the angle advances by exactly one turn around each level curve",

@@ -20,8 +20,9 @@ Conventions, fixed once for the whole package:
 Every function here takes a ``Point`` whose coords may carry leading sample
 axes (see ``charts``) and returns values with those axes in front, or without
 them when every value it read was a constant.  ``vector_jacobian`` and
-``lie_bracket`` are the single-point reference formulas that the batched
-``structures.nijenhuis`` is tested against.
+``lie_bracket`` are the single-point reference formulas: the tests contract
+the coordinate-frame table of ``structures.nijenhuis`` with two vector
+fields and compare it with the four-bracket composition built from them.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 the
 configuration could not be used (bad JSON, unknown scenario or suite,
-malformed section polynomials).  On exit 2 no report file is written.
+malformed section polynomials) or the checks cannot be evaluated on it (a
+geometric precondition such as a full-rank tangent frame fails numerically).
+On exit 2 no report file is written.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
 from .scenarios import ScenarioConfig, list_scenarios, run_scenario
 
 
@@ -81,7 +83,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    document = run_scenario(config)
+    try:
+        document = run_scenario(config)
+    except GeometryError as exc:
+        print(f"geometry error: {exc}", file=sys.stderr)
+        return 2
 
     if config.output is not None:
         Path(config.output).write_text(document.to_json())

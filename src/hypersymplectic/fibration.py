@@ -27,6 +27,7 @@ for the other two symplectic forms; the test suite pins both directions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -42,7 +43,7 @@ from .calculus import (
     stencil,
     transpose,
 )
-from .charts import Chart, Point, VectorField
+from .charts import Chart, Point
 from .errors import DegenerateFormError, GeometryError
 from .polynomials import Polynomial
 from .structures import (
@@ -317,8 +318,7 @@ def verify_hypersymplectic(
     pt = model.total_chart.sample(n_points, seed)
     triple = build_structure_triple(model)
     complexes = build_complex_triple(model)
-    dim = model.total_chart.dim
-    eye = np.eye(dim)
+    eye = np.eye(model.total_chart.dim)
     reports: list[CheckReport] = []
 
     for f in triple.forms():
@@ -336,16 +336,6 @@ def verify_hypersymplectic(
             )
         )
 
-    for J in complexes.endos():
-        reports.append(
-            check_almost_complex(
-                J,
-                pt,
-                tol_algebraic,
-                identity_name=f"hypersymplectic.squares_to_minus_identity.{J.name}",
-            )
-        )
-
     named_forms = {"omega": triple.omega, "chi": triple.chi, "sigma": triple.sigma}
     for a, b in (("omega", "chi"), ("omega", "sigma"), ("chi", "sigma")):
         A = recursion_operator(named_forms[a], named_forms[b], pt)
@@ -360,37 +350,46 @@ def verify_hypersymplectic(
             )
         )
 
-    endo_list = complexes.endos()
-    for idx_a in range(3):
-        for idx_b in range(idx_a + 1, 3):
-            Ja, Jb = endo_list[idx_a], endo_list[idx_b]
-            Ca = Ja.covector_matrix(pt)
-            Cb = Jb.covector_matrix(pt)
-            worst = float(np.max(np.abs(Ca @ Cb + Cb @ Ca)))
-            reports.append(
-                CheckReport.from_residual(
-                    f"hypersymplectic.anticommute.{Ja.name}_{Jb.name}",
-                    len(pt),
-                    worst,
-                    tol_algebraic,
-                    statement=f"{Ja.name} and {Jb.name} anticommute in the covector action",
-                )
+    for Ja, Jb in itertools.combinations(complexes.endos(), 2):
+        Ca, Cb = Ja.covector_matrix(pt), Jb.covector_matrix(pt)
+        worst = float(np.max(np.abs(Ca @ Cb + Cb @ Ca)))
+        reports.append(
+            CheckReport.from_residual(
+                f"hypersymplectic.anticommute.{Ja.name}_{Jb.name}",
+                len(pt),
+                worst,
+                tol_algebraic,
+                statement=f"{Ja.name} and {Jb.name} anticommute in the covector action",
             )
+        )
 
-    rng = np.random.default_rng(seed + 1)
-    field_pairs = rng.uniform(-1.0, 1.0, size=(len(pt), 2, dim))
-    # one constant field pair per sampled point: row r of the stack sees row r
-    X = VectorField(model.total_chart, lambda _: field_pairs[:, 0])
-    Y = VectorField(model.total_chart, lambda _: field_pairs[:, 1])
-    for J in endo_list:
-        worst = float(np.max(np.abs(nijenhuis(J, X, Y, pt, fd_step))))
+    pairs = standard_frame_pairs(model)
+    for J in complexes.endos():
+        reports.append(
+            check_almost_complex(
+                J,
+                pt,
+                tol_algebraic,
+                identity_name=f"hypersymplectic.squares_to_minus_identity.{J.name}",
+            )
+        )
+        worst = float(np.max(np.abs(nijenhuis(J, pt, fd_step))))
         reports.append(
             CheckReport.from_residual(
                 f"hypersymplectic.nijenhuis.{J.name}",
                 len(pt),
                 worst,
                 tol_fd,
-                statement=f"Nijenhuis tensor of {J.name} vanishes on sampled field pairs",
+                statement=f"Nijenhuis tensor of {J.name} vanishes on the coordinate frame",
+            )
+        )
+        reports.append(
+            CheckReport.from_residual(
+                f"hypersymplectic.holomorphic_frame.{J.name}",
+                len(pt),
+                holomorphic_frame_check(J, pairs[J.name], pt),
+                tol_algebraic,
+                statement=f"the standard coframe pairs diagonalize {J.name}",
             )
         )
 
@@ -452,15 +451,18 @@ class SectionMap:
             raise GeometryError("section evaluated off its base chart")
         return Point(self.model.total_chart, self.total_coords(base_pt))
 
-    def jacobian(self, base_pt: Point) -> np.ndarray:
-        """Exact Jacobian (..., 4n, 2n): identity block over polynomial partials."""
-        n2 = 2 * self.model.n
-        top = np.broadcast_to(np.eye(n2), base_pt.batch_shape + (n2, n2))
-        bottom = np.stack(
+    def fibre_jacobian(self, base_pt: Point) -> np.ndarray:
+        """Exact fibre block d(p, q)/d(x, y), shape (..., 2n, 2n)."""
+        return np.stack(
             [np.stack([d(base_pt.coords) for d in row], axis=-1) for row in self._jac_polys],
             axis=-2,
         )
-        return np.concatenate([top, bottom], axis=-2)
+
+    def jacobian(self, base_pt: Point) -> np.ndarray:
+        """Exact Jacobian (..., 4n, 2n): identity block over the fibre block."""
+        n2 = 2 * self.model.n
+        top = np.broadcast_to(np.eye(n2), base_pt.batch_shape + (n2, n2))
+        return np.concatenate([top, self.fibre_jacobian(base_pt)], axis=-2)
 
     def jacobian_fd(self, base_pt: Point, step: float | None = None) -> np.ndarray:
         h = self.model.base_chart.fd_step() if step is None else float(step)

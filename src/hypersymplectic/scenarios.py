@@ -32,10 +32,8 @@ from .fibration import (
     build_complex_triple,
     build_structure_triple,
     complex_submanifold_check,
-    holomorphic_frame_check,
     make_model,
     section_pullback,
-    standard_frame_pairs,
     standard_sigma_section,
     verify_hypersymplectic,
     verify_lagrangian_fibres,
@@ -443,7 +441,7 @@ def _resolve_sections(config: ScenarioConfig, model: FibrationModel) -> list[tup
 
 
 def _suite_hypersymplectic(config: ScenarioConfig, model: FibrationModel) -> list[CheckReport]:
-    reports = verify_hypersymplectic(
+    return verify_hypersymplectic(
         model,
         n_points=config.sampling.n_points,
         seed=config.sampling.seed,
@@ -452,21 +450,6 @@ def _suite_hypersymplectic(config: ScenarioConfig, model: FibrationModel) -> lis
         tol_fd=config.tolerances.fd,
         nondeg_floor=config.tolerances.nondegeneracy,
     )
-    complexes = build_complex_triple(model)
-    pairs = standard_frame_pairs(model)
-    pt = model.total_chart.sample(config.sampling.n_points, config.sampling.seed)
-    for J in complexes.endos():
-        worst = holomorphic_frame_check(J, pairs[J.name], pt)
-        reports.append(
-            CheckReport.from_residual(
-                f"hypersymplectic.holomorphic_frame.{J.name}",
-                len(pt),
-                worst,
-                config.tolerances.algebraic,
-                statement=f"the standard coframe pairs diagonalize {J.name}",
-            )
-        )
-    return reports
 
 
 def _suite_lagrangian_fibres(config: ScenarioConfig, model: FibrationModel) -> list[CheckReport]:

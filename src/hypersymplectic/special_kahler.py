@@ -51,10 +51,9 @@ PARALLEL_TOL = 1e-8
 
 
 def induced_complex_structure(section: SectionMap, pt: Point) -> np.ndarray:
-    """Matrices of I at base point(s): minus the fibre block of the exact
-    polynomial Jacobian."""
-    n2 = 2 * section.model.n
-    return -section.jacobian(pt)[..., n2:, :]
+    """Matrices of I at base point(s): minus the exact fibre block of the
+    section's Jacobian."""
+    return -section.fibre_jacobian(pt)
 
 
 def induced_endomorphism(section: SectionMap) -> EndomorphismField:

@@ -17,6 +17,10 @@ and evaluate every field on the whole stack and, through
 a fixed number of evaluator calls whatever the sample size.  A constant
 field (every form and complex structure of the model, the zero connection)
 keeps no point axes, so its tables hold one copy for the whole sample.
+
+The tensor identities (``d_nabla_endo``, ``nijenhuis``) are evaluated on the
+coordinate frame: each returns the full table of the tensor's components at
+every point, which fixes its value on every pair of vector fields.
 """
 
 from __future__ import annotations
@@ -29,12 +33,11 @@ import numpy as np
 from .calculus import (
     DifferentialForm,
     EndomorphismField,
-    apply,
     exterior_derivative,
     form_matrix,
     stencil,
 )
-from .charts import Chart, Point, VectorField, conform, require_same_chart
+from .charts import Chart, Point, conform, require_same_chart
 
 TOL_ALGEBRAIC = 1e-12
 TOL_FD = 1e-6
@@ -180,38 +183,23 @@ def d_nabla_endo(
     return nabla - np.swapaxes(nabla, -3, -2)
 
 
-def nijenhuis(
-    J: EndomorphismField,
-    X: VectorField,
-    Y: VectorField,
-    pt: Point,
-    step: float | None = None,
-) -> np.ndarray:
-    """Nijenhuis tensor N_J(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] + J^2 [X, Y].
+def nijenhuis(J: EndomorphismField, pt: Point, step: float | None = None) -> np.ndarray:
+    """Nijenhuis tensor of J on the coordinate frame:
+    ``table[..., k, a, b] = N_J(e_a, e_b)^k``, where
 
-    J, X and Y are read once at ``pt`` and once at each central-stencil
-    point, however many points ``pt`` stacks: one stencil of the stacked
-    ``(X, Y, JX, JY)`` gives their Jacobians, from which the four brackets
-    ``[A, B] = DB.A - DA.B`` are formed as ``calculus.lie_bracket`` does.
+        N_J(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] + J^2 [X, Y].
+
+    Coordinate fields commute, so the four brackets reduce to
+    ``N^k_ab = A^k_ab - A^k_ba`` with ``A^k_ab = J^m_a d_m J^k_b + J^k_m d_b J^m_a``.
+    N_J is a tensor, so the frame table determines it on every pair of
+    fields.  J is read once at ``pt`` and once at each central-stencil point,
+    however many points ``pt`` stacks.
     """
-    require_same_chart(J.chart, X.chart)
-    require_same_chart(J.chart, Y.chart)
     h = pt.chart.fd_step() if step is None else float(step)
-
-    def fields(p: Point) -> np.ndarray:
-        J_p, X_p, Y_p = J.matrix(p), X(p), Y(p)
-        # X and Y may be constant while J is not, or the other way round
-        return np.stack(np.broadcast_arrays(X_p, Y_p, apply(J_p, X_p), apply(J_p, Y_p)), -2)
-
-    DX, DY, DJX, DJY = np.moveaxis(stencil(fields, pt, h), -3, 0)
-    J_pt, X_pt, Y_pt = J.matrix(pt), X(pt), Y(pt)
-    JX_pt, JY_pt = apply(J_pt, X_pt), apply(J_pt, Y_pt)
-    return (
-        (apply(DJY, JX_pt) - apply(DJX, JY_pt))
-        - apply(J_pt, apply(DY, JX_pt) - apply(DJX, Y_pt))
-        - apply(J_pt, apply(DJY, X_pt) - apply(DX, JY_pt))
-        + apply(J_pt @ J_pt, apply(DY, X_pt) - apply(DX, Y_pt))
-    )
+    J_pt = J.matrix(pt)
+    dJ = stencil(J.matrix, pt, h)  # dJ[..., k, b, m] = d_m J^k_b
+    A = np.einsum("...ma,...kbm->...kab", J_pt, dJ) + np.einsum("...km,...mab->...kab", J_pt, dJ)
+    return A - np.swapaxes(A, -1, -2)
 
 
 def check_closedness(

@@ -63,6 +63,27 @@ def test_quadrature_input_guards():
         action_from_energy(osc, 1.0, nodes=8)
     with pytest.raises(DegenerateOrbitError):
         osc.angle_gradient(0.0, 0.0)
+    # one non-positive energy in an array is enough
+    with pytest.raises(DegenerateOrbitError):
+        action_from_energy(osc, np.array([0.5, 1.0, 0.0]))
+    with pytest.raises(DegenerateOrbitError):
+        angle_period_check(osc, np.array([-1.0, 2.0]))
+    with pytest.raises(DegenerateOrbitError):
+        osc.angle_gradient(np.array([0.3, 0.0]), np.array([0.1, 0.0]))
+
+
+def test_oracles_on_an_energy_array_match_scalar_calls():
+    energies = np.array([0.2, 0.5, 1.0, 2.0, 3.7])
+    for nu in (0.5, 1.0, 3.0):
+        osc = Oscillator1DOF(nu)
+        actions = action_from_energy(osc, energies)
+        periods = angle_period_check(osc, energies)
+        assert actions.shape == periods.shape == energies.shape
+        for k, energy in enumerate(energies):
+            assert actions[k] == action_from_energy(osc, float(energy))
+            assert periods[k] == angle_period_check(osc, float(energy))
+        assert np.ndim(action_from_energy(osc, 1.0)) == 0
+        assert np.ndim(angle_period_check(osc, 1.0)) == 0
 
 
 def test_angle_normalization():

@@ -173,3 +173,17 @@ def test_degree_eight_harmonic_gradient_section_passes(tmp_path, capsys):
     checks = {c["identity"]: c for c in json.loads(report.read_text())["report"]["checks"]}
     assert checks["sections.pullback_vanishes.re_z9.omega"]["passed"]
     assert checks["sections.graph_invariant.re_z9.J_chi"]["passed"]
+
+
+# p = 1e15 x^2: the graph frame [I; D] has full rank, but the relative rank
+# cutoff (about sigma_max * 4 eps) drops the unit singular values once |D| ~ 1e15
+STEEP = {"name": "big", "form": "omega", "p": [[[[2, 0], 1e15]]], "q": [[]]}
+
+
+def test_unevaluable_geometry_exits_2_without_writing(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "custom-section", "sections": [STEEP]}))
+    report = tmp_path / "report.json"
+    assert main(["--config", str(cfg), "--output", str(report)]) == 2
+    assert "geometry error: tangent frame is rank deficient" in capsys.readouterr().err
+    assert not report.exists()

@@ -162,8 +162,6 @@ def test_fd_identities_evaluate_once_per_stencil_point(dim):
         return A + pt.coords[..., 0, None, None] * B
 
     J = EndomorphismField(chart, matrix)
-    X = VectorField(chart, lambda p: p.coords**2)
-    Y = VectorField.constant(chart, rng.uniform(-1, 1, dim))
     counts = {}
     for n_points in (1, 40):
         pt = chart.sample(n_points, seed=dim)
@@ -171,7 +169,7 @@ def test_fd_identities_evaluate_once_per_stencil_point(dim):
         d_nabla_endo(FlatConnection.zero(chart), J, pt)
         counts[n_points, "d_nabla_endo"] = len(calls)
         calls.clear()
-        nijenhuis(J, X, Y, pt)
+        nijenhuis(J, pt)
         counts[n_points, "nijenhuis"] = len(calls)
         calls.clear()
         check_almost_complex(J, pt)
@@ -193,7 +191,10 @@ nonconstant_Y = VectorField(SPACE, lambda pt: pt.coords**3 - pt.coords[..., :1])
 
 
 def test_nijenhuis_agrees_with_the_bracket_composition():
-    """The stencil-cached tensor reproduces the four-bracket formula bit for bit."""
+    """The coordinate-frame table, contracted with non-constant X and Y,
+    reproduces the four-bracket formula up to FD error: the derivatives of X
+    and Y cancel analytically in the table but only to rounding in the
+    brackets."""
     J = EndomorphismField(SPACE, nonconstant_J)
     X, Y = nonconstant_X, nonconstant_Y
     JX = VectorField(SPACE, lambda p: J.matrix(p) @ X(p))
@@ -206,7 +207,10 @@ def test_nijenhuis_agrees_with_the_bracket_composition():
             - J_pt @ lie_bracket(X, JY, pt)
             + J_pt @ J_pt @ lie_bracket(X, Y, pt)
         )
-        assert np.array_equal(nijenhuis(J, X, Y, pt), reference)
+        table = nijenhuis(J, pt)
+        assert table.shape == (4, 4, 4)
+        contracted = np.einsum("kab,a,b->k", table, X(pt), Y(pt))
+        assert np.allclose(contracted, reference, rtol=0.0, atol=1e-8)
         assert np.max(np.abs(reference)) > 0.1
 
 
@@ -243,9 +247,10 @@ def test_stacked_primitives_match_single_points():
 
     J = EndomorphismField(SPACE, nonconstant_J)
     stacked = SPACE.sample(5, 12)
-    rows = nijenhuis(J, nonconstant_X, nonconstant_Y, stacked)
+    rows = nijenhuis(J, stacked)
+    assert rows.shape == (5, 4, 4, 4)
     for r, pt in enumerate(stacked):
-        assert np.array_equal(rows[r], nijenhuis(J, nonconstant_X, nonconstant_Y, pt))
+        assert np.array_equal(rows[r], nijenhuis(J, pt))
 
     beta = DifferentialForm(CUBE, cube_form)
     stacked = CUBE.sample(5, 23)
@@ -281,13 +286,12 @@ def test_checks_on_a_stack_report_the_worst_single_point():
 
 
 def test_nijenhuis_vanishes_for_constant_structures():
-    J = EndomorphismField.constant(PLANE, [[0.0, -1.0], [1.0, 0.0]])
-    rng = np.random.default_rng(2)
-    pt = PLANE.point([0.2, -0.6])
-    for _ in range(5):
-        X = VectorField.constant(PLANE, rng.uniform(-1, 1, 2))
-        Y = VectorField.constant(PLANE, rng.uniform(-1, 1, 2))
-        assert np.max(np.abs(nijenhuis(J, X, Y, pt))) == 0.0
+    """A constant J has an exactly zero table, unbatched like J itself."""
+    J = EndomorphismField.constant(SPACE, np.random.default_rng(2).uniform(-1, 1, (4, 4)))
+    for pt in (SPACE.point([0.2, -0.6, 0.1, 0.9]), SPACE.sample(7, 2)):
+        table = nijenhuis(J, pt)
+        assert table.shape == (4, 4, 4)
+        assert np.max(np.abs(table)) == 0.0
 
 
 def test_nijenhuis_detects_non_integrable_structure():
@@ -307,10 +311,9 @@ def test_nijenhuis_detects_non_integrable_structure():
     J = EndomorphismField(SPACE, matrix)
     pt = SPACE.point([0.1, 0.7, -0.2, 0.3])
     assert np.allclose(J.matrix(pt) @ J.matrix(pt), -np.eye(4), atol=1e-14)
-    X = VectorField.constant(SPACE, np.eye(4)[2])
-    Y = VectorField.constant(SPACE, np.eye(4)[3])
-    N = nijenhuis(J, X, Y, pt)
-    assert np.allclose(N, [0.7, 0.0, 0.0, 0.0], atol=1e-8)
+    table = nijenhuis(J, pt)
+    assert np.allclose(table[:, 2, 3], [0.7, 0.0, 0.0, 0.0], atol=1e-8)
+    assert np.array_equal(table, -np.swapaxes(table, -1, -2))
     report = check_almost_complex(J, SPACE.sample(20, 3))
     assert report.passed  # almost complex everywhere, just not integrable
 
