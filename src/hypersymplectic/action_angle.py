@@ -179,20 +179,22 @@ def transform_jacobian(
     """Central-difference Jacobian of state -> (actions, angles), shape
     ``(..., 2 dof, 2 dof)`` for one state or a stack.
 
+    The 2 * 2 dof bumped copies of ``state`` go through one
+    ``to_action_angle`` call; the minus bump is formed as (x + step) - 2 step.
     Angle rows use wrapped differences so the branch cut of the angle chart
     does not poison the derivative.
     """
     state = np.asarray(state, dtype=float)
-    dim = 2 * sys.dof
-    jac = np.empty(state.shape[:-1] + (dim, dim))
-    for j in range(dim):
-        bumped = state.copy()
-        bumped[..., j] += step
-        act_plus, ang_plus = to_action_angle(sys, bumped)
-        bumped[..., j] -= 2.0 * step
-        act_minus, ang_minus = to_action_angle(sys, bumped)
-        jac[..., : sys.dof, j] = (act_plus - act_minus) / (2.0 * step)
-        jac[..., sys.dof :, j] = _wrap_angle_difference(ang_plus - ang_minus) / (2.0 * step)
+    axes = np.arange(2 * sys.dof)
+    bumped = np.broadcast_to(state, (2, axes.size) + state.shape).copy()
+    bumped[:, axes, ..., axes] += step
+    bumped[1, axes, ..., axes] -= 2.0 * step
+    actions, angles = to_action_angle(sys, bumped)  # [sign, j, ..., k] at bump j
+    jac = np.empty(state.shape[:-1] + (axes.size, axes.size))
+    jac[..., : sys.dof, :] = np.moveaxis((actions[0] - actions[1]) / (2.0 * step), 0, -1)
+    jac[..., sys.dof :, :] = np.moveaxis(
+        _wrap_angle_difference(angles[0] - angles[1]) / (2.0 * step), 0, -1
+    )
     return jac
 
 
@@ -228,9 +230,13 @@ def canonical_check(
     step: float = 1e-6,
     energy_window: tuple[float, float] = DEFAULT_ENERGY_WINDOW,
     tolerance: float = TOL_FD,
+    *,
+    states: np.ndarray | None = None,
 ) -> CheckReport:
     """Pull sum d(angle_k) ^ d(action_k) back through the transform and compare
-    with sum d(xi_k) ^ d(pi_k) on the mechanical side."""
+    with sum d(xi_k) ^ d(pi_k) on the mechanical side, at ``states`` when the
+    caller already drew ``sample_states(sys, n_points, seed, energy_window)``,
+    else at a fresh draw of them."""
     m = sys.dof
     target = np.zeros((2 * m, 2 * m))
     mechanical = np.zeros((2 * m, 2 * m))
@@ -239,7 +245,9 @@ def canonical_check(
         target[m + k, k] = 1.0
         mechanical[k, m + k] = 1.0
         mechanical[m + k, k] = -1.0
-    jac = transform_jacobian(sys, sample_states(sys, n_points, seed, energy_window), step)
+    if states is None:
+        states = sample_states(sys, n_points, seed, energy_window)
+    jac = transform_jacobian(sys, states, step)
     pulled = np.swapaxes(jac, -1, -2) @ target @ jac
     worst = float(np.max(np.abs(pulled - mechanical)))
     return CheckReport.from_residual(
@@ -358,5 +366,5 @@ def verify_action_angle(
         )
     )
 
-    reports.append(canonical_check(sys, n_points, seed, tolerance=tol_fd))
+    reports.append(canonical_check(sys, n_points, seed, tolerance=tol_fd, states=states))
     return sorted(reports, key=lambda r: r.identity_name)

@@ -8,8 +8,11 @@ Conventions, fixed once for the whole package:
   reads a form of another degree, so none is represented.
 * Every finite-difference derivative a check takes goes through ``stencil``,
   which appends the derivative axis last: ``out[..., *value, a] = d_a value``
-  (the Jacobian layout).  It never needs to know how many point axes a value
-  has, so a constant value stays unbatched through it.
+  (the Jacobian layout).  It calls the evaluator once, on all 2 * dim
+  shifted copies of the sample stacked on two extra leading axes, and is
+  told the value's shape at one point, so it recognises a constant (a value
+  of exactly that shape) whatever the sample size, and the constant's table
+  stays unbatched.
 * The exterior derivative of a 2-form is the table
   ``(d w)_ijk = d_i w_jk - d_j w_ik + d_k w_ij``, taken from one stencil.
 * An endomorphism field acts on vectors through its matrix and on covectors
@@ -45,16 +48,31 @@ def transpose(M: np.ndarray) -> np.ndarray:
     return np.swapaxes(M, -1, -2)
 
 
-def stencil(evaluate: Callable[[Point], np.ndarray], pt: Point, h: float) -> np.ndarray:
+def stencil(
+    evaluate: Callable[[Point], np.ndarray], pt: Point, h: float, shape: tuple[int, ...]
+) -> np.ndarray:
     """Central differences of ``evaluate`` along every chart axis, stacked on a
-    new last axis: ``out[..., *value, a] = d_a value``."""
-    return np.stack(
-        [
-            (evaluate(pt.shifted(a, h)) - evaluate(pt.shifted(a, -h))) / (2.0 * h)
-            for a in range(pt.chart.dim)
-        ],
-        axis=-1,
-    )
+    new last axis: ``out[..., *value, a] = d_a value``.
+
+    ``shape`` is the shape of the value at one point.  ``evaluate`` is called
+    once, on a ``Point`` holding the 2 * dim shifted copies of ``pt`` on two
+    new leading axes ``(sign, axis)``, each shifted coordinate formed as
+    ``Point.shifted`` forms it.  A value of exactly ``shape`` is a constant,
+    and its table keeps no point axes."""
+    dim = pt.chart.dim
+    axes = np.arange(dim)
+    coords = np.broadcast_to(pt.coords, (2, dim) + pt.coords.shape).copy()
+    coords[0, axes, ..., axes] += h
+    coords[1, axes, ..., axes] += -h
+    shifted = Point(pt.chart, coords)
+    value = conform(evaluate(shifted), shifted, shape, "stencil evaluator")
+    if value.shape == shape:
+        return np.repeat(((value - value) / (2.0 * h))[..., None], dim, axis=-1)
+    # written straight into the Jacobian layout: no temporary of the table's size
+    out = np.empty(pt.batch_shape + shape + (dim,))
+    np.subtract(np.moveaxis(value[0], 0, -1), np.moveaxis(value[1], 0, -1), out=out)
+    out /= 2.0 * h
+    return out
 
 
 @dataclass(frozen=True)
@@ -90,7 +108,9 @@ def exterior_derivative(
     ``(d w)[..., i, j, k] = d_i w_jk - d_j w_ik + d_k w_ij``."""
     require_same_chart(form.chart, pt.chart)
     h = form.chart.fd_step() if step is None else float(step)
-    dM = stencil(lambda p: form_matrix(form, p), pt, h)  # dM[..., j, k, i] = d_i w_jk
+    dim = form.chart.dim
+    # dM[..., j, k, i] = d_i w_jk
+    dM = stencil(lambda p: form_matrix(form, p), pt, h, (dim, dim))
     return np.einsum("...jki->...ijk", dM) - np.einsum("...ikj->...ijk", dM) + dM
 
 

@@ -12,10 +12,13 @@ Every check takes such a sample directly; ``len`` and iteration run over its
 first axis, yielding single points.  An evaluator receives a point, reads
 coordinate k as ``coords[..., k]``, and returns its value with the point's
 leading axes in front, e.g. ``(..., dim)`` for a vector or
-``(..., dim, dim)`` for an endomorphism.  A constant returns its value
-without the leading axes, and it stays that way: numpy broadcasting carries
-it through every product with batched values, so a constant tensor costs one
-copy however many points are sampled.
+``(..., dim, dim)`` for an endomorphism.  The leading axes may be more
+than a sample's: ``calculus.stencil`` evaluates a field once on all central-difference
+shifts of a sample, a ``(2, dim, N, dim)`` stack, so an evaluator reads and
+writes only through ``...``.  A constant returns its value without the
+leading axes, and it stays that way: numpy broadcasting carries it through
+every product with batched values, so a constant tensor costs one copy
+however many points are sampled.
 """
 
 from __future__ import annotations

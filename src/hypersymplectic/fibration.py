@@ -313,11 +313,19 @@ def verify_hypersymplectic(
     tol_algebraic: float = TOL_ALGEBRAIC,
     tol_fd: float = TOL_FD,
     nondeg_floor: float = NONDEG_FLOOR,
+    *,
+    pt: Point | None = None,
+    triple: HyperSymplecticTriple | None = None,
+    complexes: HyperComplexTriple | None = None,
 ) -> list[CheckReport]:
-    """The full identity battery for the triple structure, sorted by name."""
-    pt = model.total_chart.sample(n_points, seed)
-    triple = build_structure_triple(model)
-    complexes = build_complex_triple(model)
+    """The full identity battery for the triple structure, sorted by name.
+
+    A caller that already holds the sample ``total_chart.sample(n_points,
+    seed)`` or the two triples of the model passes them in; otherwise they
+    are drawn and built here."""
+    pt = model.total_chart.sample(n_points, seed) if pt is None else pt
+    triple = build_structure_triple(model) if triple is None else triple
+    complexes = build_complex_triple(model) if complexes is None else complexes
     eye = np.eye(model.total_chart.dim)
     reports: list[CheckReport] = []
 
@@ -417,34 +425,38 @@ def verify_hypersymplectic(
 
 @dataclass(frozen=True)
 class SectionMap:
-    """A polynomial section (x, y) -> (x, y, p(x, y), q(x, y))."""
+    """A polynomial section (x, y) -> (x, y, p(x, y), q(x, y)).
+
+    The components (p, q) and their exact Jacobian are each held as one
+    vector polynomial, so a map evaluates every component in one call."""
 
     model: FibrationModel
     p: tuple[Polynomial, ...]
     q: tuple[Polynomial, ...]
     name: str = ""
-    _jac_polys: tuple = field(default=(), repr=False, compare=False)
+    _fibre: Polynomial = field(init=False, repr=False, compare=False)
+    _jacobian: Polynomial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.model.n
         if len(self.p) != n or len(self.q) != n:
             raise ValueError(f"need {n} p- and q-components")
-        for poly in self.p + self.q:
+        components = self.p + self.q
+        for poly in components:
             if poly.n_vars != 2 * n:
                 raise ValueError("section components must be polynomials on the base")
             if poly.degree > MAX_SECTION_DEGREE:
                 raise ValueError(
                     f"section degree {poly.degree} exceeds the bound {MAX_SECTION_DEGREE}"
                 )
-        rows = tuple(
-            tuple(poly.derivative(j) for j in range(2 * n)) for poly in self.p + self.q
-        )
-        object.__setattr__(self, "_jac_polys", rows)
+        # row-major d(p, q)_r / d(x, y)_j, reshaped to (2n, 2n) by fibre_jacobian
+        rows = [poly.derivative(j) for poly in components for j in range(2 * n)]
+        object.__setattr__(self, "_fibre", Polynomial.stack(components))
+        object.__setattr__(self, "_jacobian", Polynomial.stack(rows))
 
     def total_coords(self, base_pt: Point) -> np.ndarray:
         xy = base_pt.coords
-        fibre = np.stack([poly(xy) for poly in self.p + self.q], axis=-1)
-        return np.concatenate([xy, fibre], axis=-1)
+        return np.concatenate([xy, self._fibre(xy)], axis=-1)
 
     def evaluate(self, base_pt: Point) -> Point:
         if base_pt.chart != self.model.base_chart:
@@ -453,10 +465,8 @@ class SectionMap:
 
     def fibre_jacobian(self, base_pt: Point) -> np.ndarray:
         """Exact fibre block d(p, q)/d(x, y), shape (..., 2n, 2n)."""
-        return np.stack(
-            [np.stack([d(base_pt.coords) for d in row], axis=-1) for row in self._jac_polys],
-            axis=-2,
-        )
+        n2 = 2 * self.model.n
+        return self._jacobian(base_pt.coords).reshape(base_pt.batch_shape + (n2, n2))
 
     def jacobian(self, base_pt: Point) -> np.ndarray:
         """Exact Jacobian (..., 4n, 2n): identity block over the fibre block."""
@@ -466,7 +476,7 @@ class SectionMap:
 
     def jacobian_fd(self, base_pt: Point, step: float | None = None) -> np.ndarray:
         h = self.model.base_chart.fd_step() if step is None else float(step)
-        return stencil(self.total_coords, base_pt, h)
+        return stencil(self.total_coords, base_pt, h, (self.model.total_chart.dim,))
 
 
 def zero_section(model: FibrationModel) -> SectionMap:

@@ -5,24 +5,53 @@ exact derivative is always available next to the finite-difference path.  Terms
 with equal exponent tuples are merged on construction and zero coefficients are
 dropped, which keeps evaluation deterministic (a fixed term order) and makes
 equal polynomials evaluate bit-identically.
+
+A polynomial may also be vector valued: ``Polynomial.stack`` merges scalar
+polynomials in the same variables into one term table whose coefficients
+hold one float per component, so all of them are evaluated in one call.
+Evaluation performs, for every component, the operations the scalar
+polynomial performs, in the same order, so each component agrees with its
+scalar polynomial bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-Term = tuple[tuple[int, ...], float]
+Term = tuple[tuple[int, ...], "float | tuple[float, ...]"]
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """A real polynomial in ``n_vars`` variables."""
+    """A real polynomial in ``n_vars`` variables, or, when ``size`` is set, a
+    vector of ``size`` polynomials sharing one term table, each coefficient
+    then being a tuple of ``size`` floats.  ``derivative`` and ``scaled`` take
+    scalar polynomials."""
 
     n_vars: int
     terms: tuple[Term, ...]
+    size: int | None = None
+    # per term: coefficient, the (axis, exponent) pairs with a nonzero
+    # exponent, and the components whose coefficient is zero (vector only)
+    _plan: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        plan = []
+        for powers, coeff in self.terms:
+            factors = tuple((axis, e) for axis, e in enumerate(powers) if e)
+            if self.size is None:
+                plan.append((coeff, factors, None))
+                continue
+            coeff = np.array(coeff, dtype=float)
+            if coeff.shape != (self.size,):
+                raise ValueError(f"coefficient {coeff.shape} does not hold {self.size} components")
+            coeff.flags.writeable = False
+            zero = coeff == 0.0
+            plan.append((coeff, factors, zero if factors and zero.any() else None))
+        object.__setattr__(self, "_plan", tuple(plan))
 
     @classmethod
     def from_terms(cls, n_vars: int, terms: Iterable[Sequence]) -> "Polynomial":
@@ -56,6 +85,19 @@ class Polynomial:
         powers = tuple(1 if i == axis else 0 for i in range(n_vars))
         return cls.from_terms(n_vars, [(powers, 1.0)])
 
+    @classmethod
+    def stack(cls, components: Sequence["Polynomial"]) -> "Polynomial":
+        """The vector polynomial whose component k is ``components[k]``: one
+        term per monomial of the sorted union, with coefficient 0.0 where a
+        component lacks the monomial."""
+        n_vars = components[0].n_vars
+        if any(c.n_vars != n_vars or c.size is not None for c in components):
+            raise ValueError("stack takes scalar polynomials in the same variables")
+        tables = [dict(c.terms) for c in components]
+        monomials = sorted(set().union(*tables))
+        terms = tuple((m, tuple(t.get(m, 0.0) for t in tables)) for m in monomials)
+        return cls(n_vars=n_vars, terms=terms, size=len(tables))
+
     @property
     def degree(self) -> int:
         if not self.terms:
@@ -63,18 +105,28 @@ class Polynomial:
         return max(sum(powers) for powers, _ in self.terms)
 
     def __call__(self, coords) -> np.ndarray:
-        """Value at coordinates of shape ``(..., n_vars)``; the result has the
-        leading shape (a numpy scalar for a single point)."""
+        """Value at coordinates of shape ``(..., n_vars)``: the leading shape,
+        then ``(size,)`` for a vector polynomial (a numpy scalar for a scalar
+        polynomial at a single point).
+
+        Each term multiplies its coefficient by the powers in axis order and
+        adds the product to a total that starts at +0.0.  A vector term does
+        this for every component at once and contributes exactly +0.0 where
+        its coefficient is zero, so each component equals its scalar
+        polynomial bit for bit."""
         x = np.asarray(coords, dtype=float)
         if x.shape[-1:] != (self.n_vars,):
             raise ValueError(f"expected {self.n_vars} coordinates, got shape {x.shape}")
-        total = np.zeros(x.shape[:-1])
-        for powers, coeff in self.terms:
+        vector = self.size is not None
+        total = np.zeros(x.shape[:-1] + ((self.size,) if vector else ()))
+        for coeff, factors, zero in self._plan:
             value = coeff
-            for axis, e in enumerate(powers):
-                if e:
-                    value = value * x[..., axis] ** e
-            total = total + value
+            for axis, e in factors:
+                power = x[..., axis] ** e
+                value = value * (power[..., None] if vector else power)
+            if zero is not None:
+                np.copyto(value, 0.0, where=zero)
+            total += value
         return total[()]
 
     def derivative(self, axis: int) -> "Polynomial":

@@ -14,6 +14,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -25,9 +26,12 @@ from .action_angle import (
     model_from_product_system,
     verify_action_angle,
 )
+from .charts import Point
 from .errors import ConfigError
 from .fibration import (
     FibrationModel,
+    HyperComplexTriple,
+    HyperSymplecticTriple,
     SectionMap,
     build_complex_triple,
     build_structure_triple,
@@ -95,6 +99,12 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    """An integer in the JSON sense: ``true`` and ``false`` load as bools,
+    which Python counts as ints, and are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_positive_float(value, where: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{where} must be a number")
     value = float(value)
@@ -142,7 +152,7 @@ class SectionSpec:
                 powers, coeff = term
                 _require(
                     isinstance(powers, (list, tuple))
-                    and all(isinstance(e, int) and e >= 0 for e in powers),
+                    and all(_is_int(e) and e >= 0 for e in powers),
                     f"{t_where} powers must be non-negative integers",
                 )
                 _require(
@@ -197,12 +207,12 @@ class SamplingConfig:
         _require(not unknown, f"sampling has unknown keys: {sorted(unknown)}")
         n_points = raw.get("n_points", DEFAULT_POINTS)
         _require(
-            isinstance(n_points, int) and n_points >= 1,
+            _is_int(n_points) and n_points >= 1,
             f"sampling.n_points must be a positive integer, got {n_points!r}",
         )
         seed = raw.get("seed", DEFAULT_SEED)
         _require(
-            isinstance(seed, int) and seed >= 0,
+            _is_int(seed) and seed >= 0,
             f"sampling.seed must be a non-negative integer, got {seed!r}",
         )
         fd_step = raw.get("fd_step")
@@ -276,7 +286,7 @@ class ScenarioConfig:
 
         n = raw.get("n")
         if n is not None:
-            _require(isinstance(n, int) and n >= 1, f"n must be a positive integer, got {n!r}")
+            _require(_is_int(n) and n >= 1, f"n must be a positive integer, got {n!r}")
 
         frequencies = raw.get("frequencies")
         if frequencies is not None:
@@ -433,42 +443,73 @@ class ReportDocument:
         return lines
 
 
-def _resolve_sections(config: ScenarioConfig, model: FibrationModel) -> list[tuple[SectionMap, str]]:
-    """(section, form name) pairs: configured ones, or the library defaults."""
-    if config.sections:
-        return [(spec.to_section(model), spec.form) for spec in config.sections]
-    return [(zero_section(model), "omega"), (standard_sigma_section(model), "sigma")]
+class _RunInputs:
+    """What the suites of one run share: the seeded sample of each chart, the
+    resolved sections and the two triples.  Each is built on first use and
+    then reused, so a run builds none of them twice and none that its suites
+    do not read."""
+
+    def __init__(self, config: ScenarioConfig, model: FibrationModel) -> None:
+        self.config = config
+        self.model = model
+
+    @cached_property
+    def total_pt(self) -> Point:
+        sampling = self.config.sampling
+        return self.model.total_chart.sample(sampling.n_points, sampling.seed)
+
+    @cached_property
+    def base_pt(self) -> Point:
+        sampling = self.config.sampling
+        return self.model.base_chart.sample(sampling.n_points, sampling.seed)
+
+    @cached_property
+    def sections(self) -> list[tuple[SectionMap, str]]:
+        """(section, form name) pairs: configured ones, or the library defaults."""
+        if self.config.sections:
+            return [(spec.to_section(self.model), spec.form) for spec in self.config.sections]
+        return [(zero_section(self.model), "omega"), (standard_sigma_section(self.model), "sigma")]
+
+    @cached_property
+    def triple(self) -> HyperSymplecticTriple:
+        return build_structure_triple(self.model)
+
+    @cached_property
+    def complexes(self) -> HyperComplexTriple:
+        return build_complex_triple(self.model)
 
 
-def _suite_hypersymplectic(config: ScenarioConfig, model: FibrationModel) -> list[CheckReport]:
+def _suite_hypersymplectic(run: _RunInputs) -> list[CheckReport]:
+    config = run.config
     return verify_hypersymplectic(
-        model,
+        run.model,
         n_points=config.sampling.n_points,
         seed=config.sampling.seed,
         fd_step=config.sampling.fd_step,
         tol_algebraic=config.tolerances.algebraic,
         tol_fd=config.tolerances.fd,
         nondeg_floor=config.tolerances.nondegeneracy,
+        pt=run.total_pt,
+        triple=run.triple,
+        complexes=run.complexes,
     )
 
 
-def _suite_lagrangian_fibres(config: ScenarioConfig, model: FibrationModel) -> list[CheckReport]:
-    triple = build_structure_triple(model)
-    pt = model.total_chart.sample(config.sampling.n_points, config.sampling.seed)
+def _suite_lagrangian_fibres(run: _RunInputs) -> list[CheckReport]:
+    tol = run.config.tolerances.algebraic
     return [
-        verify_lagrangian_fibres(model, triple.omega, pt, config.tolerances.algebraic),
-        verify_lagrangian_fibres(model, triple.sigma, pt, config.tolerances.algebraic),
+        verify_lagrangian_fibres(run.model, run.triple.omega, run.total_pt, tol),
+        verify_lagrangian_fibres(run.model, run.triple.sigma, run.total_pt, tol),
     ]
 
 
-def _suite_sections(config: ScenarioConfig, model: FibrationModel) -> list[CheckReport]:
-    triple = build_structure_triple(model)
-    complexes = build_complex_triple(model)
+def _suite_sections(run: _RunInputs) -> list[CheckReport]:
+    config, model, pt = run.config, run.model, run.base_pt
+    triple = run.triple
     named_forms = {"omega": triple.omega, "chi": triple.chi, "sigma": triple.sigma}
-    named_endos = {J.name: J for J in complexes.endos()}
-    pt = model.base_chart.sample(config.sampling.n_points, config.sampling.seed)
+    named_endos = {J.name: J for J in run.complexes.endos()}
     reports = []
-    for section, form_name in _resolve_sections(config, model):
+    for section, form_name in run.sections:
         form = named_forms[form_name]
         table = section_pullback(model, section, form, pt)
         worst = max(float(np.max(np.abs(v))) for v in table.values())
@@ -495,16 +536,11 @@ def _suite_sections(config: ScenarioConfig, model: FibrationModel) -> list[Check
     return reports
 
 
-def _suite_special_kahler(config: ScenarioConfig, model: FibrationModel) -> list[CheckReport]:
-    section = None
-    for candidate, form_name in _resolve_sections(config, model):
-        if form_name == "sigma":
-            section = candidate
-            break
-    if section is None:
-        section = standard_sigma_section(model)
+def _suite_special_kahler(run: _RunInputs) -> list[CheckReport]:
+    config, model, pt = run.config, run.model, run.base_pt
+    sigma_sections = [section for section, form_name in run.sections if form_name == "sigma"]
+    section = sigma_sections[0] if sigma_sections else standard_sigma_section(model)
     data = build_special_kahler(model, section)
-    pt = model.base_chart.sample(config.sampling.n_points, config.sampling.seed)
     reports = special_symplectic_check(
         data,
         pt,
@@ -515,13 +551,15 @@ def _suite_special_kahler(config: ScenarioConfig, model: FibrationModel) -> list
     reports.extend(kahler_reports(data, pt, config.tolerances.algebraic))
     reports.append(
         induced_vs_restriction(
-            model, section, pt, config.sampling.fd_step, config.tolerances.fd
+            model, section, pt, config.sampling.fd_step, config.tolerances.fd,
+            complexes=run.complexes,
         )
     )
     return reports
 
 
-def _suite_action_angle(config: ScenarioConfig, model: FibrationModel) -> list[CheckReport]:
+def _suite_action_angle(run: _RunInputs) -> list[CheckReport]:
+    config = run.config
     sys = ProductSystem.from_frequencies(config.frequencies)
     return verify_action_angle(
         sys,
@@ -532,7 +570,7 @@ def _suite_action_angle(config: ScenarioConfig, model: FibrationModel) -> list[C
     )
 
 
-_SUITE_RUNNERS: dict[str, Callable[[ScenarioConfig, FibrationModel], list[CheckReport]]] = {
+_SUITE_RUNNERS: dict[str, Callable[[_RunInputs], list[CheckReport]]] = {
     "hypersymplectic": _suite_hypersymplectic,
     "lagrangian-fibres": _suite_lagrangian_fibres,
     "sections": _suite_sections,
@@ -550,10 +588,10 @@ def build_scenario_model(config: ScenarioConfig) -> FibrationModel:
 
 def run_scenario(config: ScenarioConfig) -> ReportDocument:
     start = time.perf_counter()
-    model = build_scenario_model(config)
+    run = _RunInputs(config, build_scenario_model(config))
     checks: list[CheckReport] = []
     for suite in config.suites:
-        checks.extend(_SUITE_RUNNERS[suite](config, model))
+        checks.extend(_SUITE_RUNNERS[suite](run))
     checks.sort(key=lambda r: r.identity_name)
     verdict = "pass" if all(r.passed for r in checks) else "fail"
     return ReportDocument(

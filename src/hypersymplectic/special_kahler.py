@@ -31,6 +31,7 @@ from .charts import Point
 from .errors import DegenerateMetricError, NotAlmostComplexError
 from .fibration import (
     FibrationModel,
+    HyperComplexTriple,
     SectionMap,
     base_symplectic_form,
     build_complex_triple,
@@ -52,8 +53,10 @@ PARALLEL_TOL = 1e-8
 
 def induced_complex_structure(section: SectionMap, pt: Point) -> np.ndarray:
     """Matrices of I at base point(s): minus the exact fibre block of the
-    section's Jacobian."""
-    return -section.fibre_jacobian(pt)
+    section's Jacobian, negated in place because on a whole stencil stack
+    the block is large (8 MB at n = 4, N = 1000)."""
+    block = section.fibre_jacobian(pt)
+    return np.negative(block, out=block)
 
 
 def induced_endomorphism(section: SectionMap) -> EndomorphismField:
@@ -253,6 +256,8 @@ def induced_vs_restriction(
     pt: Point,
     fd_step: float | None = None,
     tolerance: float = TOL_FD,
+    *,
+    complexes: HyperComplexTriple | None = None,
 ) -> CheckReport:
     """Cross-check: I from the section formula against the first complex
     structure restricted to the graph and pushed to the base.
@@ -260,8 +265,9 @@ def induced_vs_restriction(
     The projection kills the fibre components, so the pushed restriction is
     the base block of J applied to the FD graph frame.  Meaningful when the
     graph is invariant (the invariance defect is folded into the residual).
+    ``complexes`` is the model's complex triple, built here if not passed.
     """
-    J = build_complex_triple(model).J_omega
+    J = (build_complex_triple(model) if complexes is None else complexes).J_omega
     n2 = 2 * model.n
     frame = section.jacobian_fd(pt, fd_step)
     moved = J.matrix(section.evaluate(pt)) @ frame

@@ -13,8 +13,8 @@ Either way the invariant ``passed == (max_residual <= tolerance)`` holds.
 
 Checks take their sample as one stacked ``(N, dim)`` point (see ``charts``)
 and evaluate every field on the whole stack and, through
-``calculus.stencil``, on each of its central-stencil shifts, so a check costs
-a fixed number of evaluator calls whatever the sample size.  A constant
+``calculus.stencil``, on all of its central-stencil shifts in one call, so a
+check costs a fixed number of evaluator calls whatever the sample size.  A constant
 field (every form and complex structure of the model, the zero connection)
 keeps no point axes, so its tables hold one copy for the whole sample.
 
@@ -123,9 +123,10 @@ class FlatConnection:
         """
         h = self.chart.fd_step() if step is None else float(step)
         G = self.gamma(pt)
-        dG = stencil(self.gamma, pt, h)  # dG[..., l, j, k, a] = d_a Gamma^l_jk
+        dim = self.chart.dim
+        dG = stencil(self.gamma, pt, h, (dim, dim, dim))  # dG[..., l, j, k, a] = d_a Gamma^l_jk
         worst = 0.0
-        for l in range(self.chart.dim):
+        for l in range(dim):
             # R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
             #           - Gamma^l_jm Gamma^m_ik, summed in that order
             dG_l, G_l = dG[..., l, :, :, :], G[..., l, :, :]
@@ -146,7 +147,8 @@ def covariant_constancy(
     require_same_chart(conn.chart, form.chart)
     h = conn.chart.fd_step() if step is None else float(step)
     T = form_matrix(form, pt)
-    dT = np.moveaxis(stencil(lambda p: form_matrix(form, p), pt, h), -1, -3)
+    dim = conn.chart.dim
+    dT = np.moveaxis(stencil(lambda p: form_matrix(form, p), pt, h, (dim, dim)), -1, -3)
     G = conn.gamma(pt)
     corr1 = np.einsum("...lij,...lk->...ijk", G, T)
     corr2 = np.einsum("...lik,...jl->...ijk", G, T)
@@ -167,13 +169,13 @@ def d_nabla_endo(
         (nabla_a I) e_b = (d_a I) e_b + Gamma(e_a, I e_b) - I Gamma(e_a, e_b).
 
     d_nabla I is a tensor, so the frame table determines it on every pair of
-    fields.  I is read once at ``pt`` and once at each central-stencil point,
-    however many points ``pt`` stacks.
+    fields.  I is read twice, once at ``pt`` and once on the whole central
+    stencil, however many points ``pt`` stacks.
     """
     require_same_chart(conn.chart, I.chart)
     h = conn.chart.fd_step() if step is None else float(step)
     I_pt = I.matrix(pt)
-    dI = stencil(I.matrix, pt, h)  # dI[..., k, b, a] = d_a I_kb
+    dI = stencil(I.matrix, pt, h, (I.chart.dim, I.chart.dim))  # dI[..., k, b, a] = d_a I_kb
     G = conn.gamma(pt)
     nabla = (
         np.swapaxes(dI, -1, -3)
@@ -192,12 +194,12 @@ def nijenhuis(J: EndomorphismField, pt: Point, step: float | None = None) -> np.
     Coordinate fields commute, so the four brackets reduce to
     ``N^k_ab = A^k_ab - A^k_ba`` with ``A^k_ab = J^m_a d_m J^k_b + J^k_m d_b J^m_a``.
     N_J is a tensor, so the frame table determines it on every pair of
-    fields.  J is read once at ``pt`` and once at each central-stencil point,
-    however many points ``pt`` stacks.
+    fields.  J is read twice, once at ``pt`` and once on the whole central
+    stencil, however many points ``pt`` stacks.
     """
     h = pt.chart.fd_step() if step is None else float(step)
     J_pt = J.matrix(pt)
-    dJ = stencil(J.matrix, pt, h)  # dJ[..., k, b, m] = d_m J^k_b
+    dJ = stencil(J.matrix, pt, h, (J.chart.dim, J.chart.dim))  # dJ[..., k, b, m] = d_m J^k_b
     A = np.einsum("...ma,...kbm->...kab", J_pt, dJ) + np.einsum("...km,...mab->...kab", J_pt, dJ)
     return A - np.swapaxes(A, -1, -2)
 

@@ -133,6 +133,26 @@ def test_stacked_states_match_single_states():
     )
 
 
+def test_transform_jacobian_matches_the_per_axis_loop():
+    """The one-call Jacobian equals, bit for bit, two ``to_action_angle``
+    calls per axis with the minus bump formed as (x + step) - 2 step."""
+    system = ProductSystem.from_frequencies([1.0, 0.5, 2.0, 3.0])
+    states = sample_states(system, 9, seed=5)
+    step = 1e-6
+    for state in (states, states[4]):
+        reference = np.empty(state.shape[:-1] + (8, 8))
+        for j in range(8):
+            bumped = state.copy()
+            bumped[..., j] += step
+            act_plus, ang_plus = to_action_angle(system, bumped)
+            bumped[..., j] -= 2.0 * step
+            act_minus, ang_minus = to_action_angle(system, bumped)
+            reference[..., :4, j] = (act_plus - act_minus) / (2.0 * step)
+            wrapped = (ang_plus - ang_minus + math.pi) % (2 * math.pi) - math.pi
+            reference[..., 4:, j] = wrapped / (2.0 * step)
+        assert np.array_equal(transform_jacobian(system, state, step), reference)
+
+
 def test_action_angle_chart_fails_at_the_equilibrium():
     with pytest.raises(DegenerateOrbitError):
         to_action_angle(SYS, np.zeros(4))

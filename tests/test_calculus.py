@@ -9,6 +9,7 @@ from hypersymplectic.calculus import (
     exterior_derivative,
     form_matrix,
     lie_bracket,
+    stencil,
 )
 from hypersymplectic.charts import Chart, VectorField
 
@@ -149,3 +150,48 @@ def test_form_matrix_is_antisymmetric():
     varying = vw_form(lambda pt: pt.coords[..., 0])
     stacked = CUBE.sample(5, 1)
     assert np.array_equal(form_matrix(varying, stacked)[:, 1, 2], stacked.coords[:, 0])
+
+
+def shifted_reference(evaluate, pt, h):
+    """The per-axis stencil: two ``Point.shifted`` evaluations per axis."""
+    return np.stack(
+        [
+            (evaluate(pt.shifted(a, h)) - evaluate(pt.shifted(a, -h))) / (2.0 * h)
+            for a in range(pt.chart.dim)
+        ],
+        axis=-1,
+    )
+
+
+def test_stacked_stencil_equals_the_per_axis_shifted_reference():
+    """One call on all 2 * dim shifts gives, bit for bit, the table of the
+    per-axis differences, for vector, matrix and 3-tensor values at a single
+    point and at sample sizes that coincide with dim and 2 * dim."""
+    fields = {
+        (3,): lambda p: np.sin(p.coords) * p.coords[..., :1] ** 2,
+        (3, 3): lambda p: np.exp(p.coords[..., :, None]) * p.coords[..., None, :] ** 3,
+        (3, 3, 3): lambda p: np.cos(p.coords[..., :, None, None] * p.coords[..., None, :, None])
+        + p.coords[..., None, None, :],
+    }
+    h = CUBE.fd_step()
+    points = [CUBE.point([0.3, -0.7, 0.1])] + [CUBE.sample(n, seed=n) for n in (1, 3, 6, 7)]
+    for shape, evaluate in fields.items():
+        for pt in points:
+            calls = []
+            table = stencil(lambda p: calls.append(p) or evaluate(p), pt, h, shape)
+            assert len(calls) == 1
+            assert table.shape == pt.batch_shape + shape + (3,)
+            assert np.array_equal(table, shifted_reference(evaluate, pt, h)), (shape, pt)
+
+
+def test_stencil_keeps_a_constant_unbatched():
+    """A constant value, whatever the sample size and even when its first
+    axis has the length 2 * dim of the stencil stack, gets a derivative table
+    of zeros without point axes."""
+    h = CUBE.fd_step()
+    for shape in ((3,), (6,), (6, 3), (3, 3, 3)):
+        constant = np.arange(float(np.prod(shape))).reshape(shape)
+        for pt in [CUBE.point([0.0, 0.5, -0.5])] + [CUBE.sample(n, seed=2) for n in (1, 3, 6)]:
+            table = stencil(lambda p: constant, pt, h, shape)
+            assert table.shape == shape + (3,)
+            assert np.array_equal(table, np.zeros(shape + (3,)))

@@ -132,6 +132,28 @@ def test_non_finite_config_numbers_exit_2_without_writing(tmp_path, capsys, conf
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"scenario": "paper-n1", "sampling": {"n_points": True}},
+        {"scenario": "paper-n1", "sampling": {"seed": True}},
+        {"scenario": "paper-n", "n": True},
+        {
+            "scenario": "custom-section",
+            "sections": [{"name": "b", "p": [[[[True, False], 1.0]]], "q": [[]]}],
+        },
+    ],
+    ids=["n_points", "seed", "n", "exponent"],
+)
+def test_json_booleans_are_not_integers_exit_2_without_writing(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))  # true / false, which json.loads reads as bools
+    report = tmp_path / "report.json"
+    assert main(["--config", str(cfg), "--output", str(report)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not report.exists()
+
+
 ROTATION = {"name": "turn", "form": "sigma", "p": [[[[0, 1], 1.0]]], "q": [[[[1, 0], -1.0]]]}
 
 

@@ -253,6 +253,25 @@ def test_stacked_section_maps_match_single_points():
     assert complex_submanifold_check(MODEL, curved, COMPLEXES.J_chi, stacked) > 1e-2
 
 
+def test_section_maps_match_per_component_evaluation():
+    """``total_coords`` and ``fibre_jacobian`` evaluate all components in one
+    vector-polynomial call and equal, bit for bit, the per-component stacks of
+    the scalar polynomials and their exact derivatives."""
+    potential = Polynomial.from_terms(
+        4, [((3, 1, 2, 0), 0.5), ((0, 2, 0, 4), -1.25), ((1, 0, 1, 1), 2.0), ((0, 0, 0, 1), 3.0)]
+    )
+    model = make_model(2)
+    for section in (gradient_section(model, potential), zero_section(model)):
+        stacked = model.base_chart.sample(7, 3)
+        for pt in (stacked, next(iter(stacked))):
+            xy = pt.coords
+            polys = section.p + section.q
+            fibre = np.stack([poly(xy) for poly in polys], axis=-1)
+            assert np.array_equal(section.total_coords(pt), np.concatenate([xy, fibre], axis=-1))
+            rows = [np.stack([poly.derivative(j)(xy) for j in range(4)], axis=-1) for poly in polys]
+            assert np.array_equal(section.fibre_jacobian(pt), np.stack(rows, axis=-2))
+
+
 def test_zero_section_is_omega_lagrangian_and_chi_invariant():
     pts = MODEL.base_chart.sample(30, 42)
     zero = zero_section(MODEL)

@@ -71,3 +71,35 @@ def test_wrong_arity_rejected():
         Polynomial.from_terms(2, [((1, 0, 0), 1.0)])
     with pytest.raises(ValueError):
         f.derivative(2)
+
+
+# V = Re (x + iy)^9 and its gradient (p, q), a degree-8 harmonic section
+RE_Z9 = Polynomial.from_terms(
+    2, [((9, 0), 1.0), ((7, 2), -36.0), ((5, 4), 126.0), ((3, 6), -84.0), ((1, 8), 9.0)]
+)
+
+
+def test_stacked_components_match_scalar_polynomials():
+    """Each component of a vector polynomial equals its scalar polynomial bit
+    for bit, signs of zero included, on a stack of points and at one point;
+    the components need not share monomials, and one of them is zero."""
+    p, q = RE_Z9.derivative(0), RE_Z9.derivative(1)
+    components = [p, q] + [f.derivative(j) for f in (p, q) for j in range(2)]
+    components += [Polynomial.zero(2), Polynomial.constant(2, -1.5), Polynomial.coordinate(2, 1)]
+    vector = Polynomial.stack(components)
+    assert vector.size == len(components)
+    assert len(vector.terms) == len(set().union(*(dict(c.terms) for c in components)))
+    coords = np.random.default_rng(4).uniform(-1.2, 1.2, (3, 5, 2))
+    coords[0, 0] = (-0.0, 0.0)
+    coords[0, 1] = (0.0, -0.0)
+    values = vector(coords)
+    assert values.shape == (3, 5, len(components))
+    for k, f in enumerate(components):
+        scalar = f(coords)
+        assert np.array_equal(values[..., k], scalar), k
+        assert np.array_equal(np.signbit(values[..., k]), np.signbit(scalar)), k
+    one = vector(coords[1, 2])
+    assert one.shape == (len(components),)
+    assert all(one[k] == f(coords[1, 2]) for k, f in enumerate(components))
+    with pytest.raises(ValueError):
+        Polynomial.stack([p, Polynomial.zero(3)])

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import pytest
 
+from hypersymplectic import action_angle, fibration, scenarios, special_kahler
+from hypersymplectic.charts import Chart
 from hypersymplectic.errors import ConfigError
 from hypersymplectic.scenarios import (
     DEFAULT_SUITE_ORDER,
@@ -106,6 +110,38 @@ def test_run_scenario_is_deterministic():
     assert doc["schema_version"] == "1"
     assert set(doc) == {"schema_version", "report", "timing"}
     assert "output" not in doc["report"]["config"]
+
+
+def test_a_run_draws_and_builds_its_shared_inputs_once(monkeypatch):
+    """All five suites share one sample per chart, one set of sections and
+    one of each triple; the action-angle suite draws its states once."""
+    counts = Counter()
+
+    def counted(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key(*args)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(Chart, "sample", lambda chart, *rest: chart.name)
+    counted(fibration.SectionMap, "__post_init__", lambda section: "section")
+    for name in ("build_structure_triple", "build_complex_triple"):
+        for module in (scenarios, fibration, special_kahler):
+            if hasattr(module, name):
+                counted(module, name, lambda model, name=name: name)
+    counted(action_angle, "sample_states", lambda *args: "sample_states")
+    run_scenario(ScenarioConfig.from_dict({"scenario": "paper-n", "n": 2}))
+    assert counts == {
+        "paper-n-total": 1,
+        "paper-n-base": 1,
+        "section": 2,
+        "build_structure_triple": 1,
+        "build_complex_triple": 1,
+        "sample_states": 1,
+    }
 
 
 def test_failing_section_flips_the_verdict():
