@@ -2,9 +2,10 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 the
 configuration could not be used (bad JSON, unknown scenario or suite,
-malformed section polynomials) or the checks cannot be evaluated on it (a
-geometric precondition such as a full-rank tangent frame fails numerically).
-On exit 2 no report file is written.
+malformed section polynomials, a section that does not fit the model) or the
+checks cannot be evaluated on it (a geometric precondition fails
+numerically, e.g. a section whose tangent frame is not finite).  On exit 2
+no report file is written.
 """
 
 from __future__ import annotations
@@ -77,14 +78,13 @@ def main(argv: list[str] | None = None) -> int:
         print(list_scenarios())
         return 0
 
+    # a section is bound to its model, and can turn out not to fit it, only in run_scenario
     try:
         config = _load_config(args)
+        document = run_scenario(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        document = run_scenario(config)
     except GeometryError as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return 2

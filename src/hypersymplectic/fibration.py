@@ -19,8 +19,9 @@ an independent fixture so the composition identity is an actual check.
 Sections of the fibration are polynomial maps (x, y) -> (p, q); their graphs
 are probed for Lagrangian behaviour (pullback of a chosen 2-form vanishes,
 read through the exact polynomial Jacobian) and for invariance under a chosen
-complex structure (complex-submanifold check, through the finite-difference
-frame, which thereby also cross-checks the polynomial derivatives).
+complex structure (the distance of J applied to the finite-difference graph
+frame from the graph's tangent plane, which thereby also cross-checks the
+polynomial derivatives).
 A graph turns out to be invariant under one J exactly when it is Lagrangian
 for the other two symplectic forms; the test suite pins both directions.
 """
@@ -39,6 +40,7 @@ from .calculus import (
     EndomorphismField,
     apply,
     compose_covector,
+    exterior_derivative,
     form_matrix,
     stencil,
     transpose,
@@ -54,9 +56,7 @@ from .structures import (
     TOL_FD,
     CheckReport,
     FlatConnection,
-    check_almost_complex,
-    check_closedness,
-    check_nondegeneracy,
+    almost_complex_residual,
     nijenhuis,
 )
 
@@ -150,52 +150,37 @@ class HyperComplexTriple:
         return (self.J_omega, self.J_chi, self.J_sigma)
 
 
+def _blocks(n: int, pattern) -> np.ndarray:
+    """The Kronecker product of ``pattern`` with the n x n identity: block
+    (a, b), in the chart's (x, y, p, q) block order, is ``pattern[a][b]``
+    times the identity.  Formed by broadcasting, which costs a third of
+    ``np.kron``; integer arithmetic keeps every zero +0.0."""
+    P = np.asarray(pattern)
+    size = len(P) * n
+    return (P[:, None, :, None] * np.eye(n, dtype=int)[:, None]).reshape(size, size).astype(float)
+
+
 def build_structure_triple(model: FibrationModel) -> HyperSymplecticTriple:
-    """The three block-constant 2-forms on the total chart."""
-    chart = model.total_chart
-    omega, chi, sigma = (np.zeros((chart.dim, chart.dim)) for _ in range(3))
-    for i in range(model.n):
-        ix, iy, ip, iq = model.ix(i), model.iy(i), model.ip(i), model.iq(i)
-        omega[ix, ip] = -1.0  # dp ^ dx
-        omega[iy, iq] = -1.0  # dq ^ dy
-        chi[ip, iq] = -1.0  # -dp ^ dq
-        chi[ix, iy] = 1.0  # dx ^ dy
-        sigma[ix, iq] = -1.0  # dq ^ dx
-        sigma[iy, ip] = 1.0  # dy ^ dp
-    # each table holds the coefficients at i < j; the form matrix is M - M^T
+    """The three block-constant 2-forms on the total chart, as form matrices
+    ``M[i, j] = form(e_i, e_j)`` from their sign patterns on the blocks."""
+
+    def form(pattern, name: str) -> DifferentialForm:
+        return DifferentialForm.constant(model.total_chart, _blocks(model.n, pattern), name=name)
+
     return HyperSymplecticTriple(
-        omega=DifferentialForm.constant(chart, omega - omega.T, name="omega"),
-        chi=DifferentialForm.constant(chart, chi - chi.T, name="chi"),
-        sigma=DifferentialForm.constant(chart, sigma - sigma.T, name="sigma"),
+        # dp ^ dx + dq ^ dy
+        omega=form([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]], "omega"),
+        # -dp ^ dq + dx ^ dy
+        chi=form([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], "chi"),
+        # dq ^ dx + dy ^ dp
+        sigma=form([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], "sigma"),
     )
 
 
 def base_symplectic_form(model: FibrationModel) -> DifferentialForm:
     """Omega = sum_i dx_i ^ dy_i on the base chart."""
-    upper = np.eye(2 * model.n, k=model.n)  # 1 at (x_i, y_i)
-    return DifferentialForm.constant(model.base_chart, upper - upper.T, name="Omega")
-
-
-def _omega_matrix(model: FibrationModel) -> np.ndarray:
-    dim = 4 * model.n
-    M = np.zeros((dim, dim))
-    for i in range(model.n):
-        M[model.ip(i), model.ix(i)] = 1.0
-        M[model.ix(i), model.ip(i)] = -1.0
-        M[model.iq(i), model.iy(i)] = 1.0
-        M[model.iy(i), model.iq(i)] = -1.0
-    return M
-
-
-def _chi_matrix(model: FibrationModel) -> np.ndarray:
-    dim = 4 * model.n
-    M = np.zeros((dim, dim))
-    for i in range(model.n):
-        M[model.iy(i), model.ix(i)] = 1.0
-        M[model.ix(i), model.iy(i)] = -1.0
-        M[model.iq(i), model.ip(i)] = -1.0
-        M[model.ip(i), model.iq(i)] = 1.0
-    return M
+    Omega = _blocks(model.n, [[0, 1], [-1, 0]])
+    return DifferentialForm.constant(model.base_chart, Omega, name="Omega")
 
 
 def build_complex_triple(model: FibrationModel) -> HyperComplexTriple:
@@ -207,8 +192,12 @@ def build_complex_triple(model: FibrationModel) -> HyperComplexTriple:
     composite differs by an overall sign.
     """
     chart = model.total_chart
-    J_omega = EndomorphismField.constant(chart, _omega_matrix(model), name="J_omega")
-    J_chi = EndomorphismField.constant(chart, _chi_matrix(model), name="J_chi")
+    # vector action: x -> p, y -> q, p -> -x, q -> -y
+    J_omega = _blocks(model.n, [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    # vector action: x -> y, y -> -x, p -> -q, q -> p
+    J_chi = _blocks(model.n, [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    J_omega = EndomorphismField.constant(chart, J_omega, name="J_omega")
+    J_chi = EndomorphismField.constant(chart, J_chi, name="J_chi")
     J_sigma_raw = compose_covector(J_omega, J_chi)
     frozen = J_sigma_raw.matrix(chart.point(np.zeros(chart.dim)))
     J_sigma = EndomorphismField.constant(chart, frozen, name="J_sigma")
@@ -221,14 +210,7 @@ def expected_composite_matrix(model: FibrationModel) -> np.ndarray:
     per block  x -> -q,  y -> p,  p -> -y,  q -> x  (vector action),
     equivalently the covector table dx -> dq, dy -> -dp, dq -> -dx, dp -> dy.
     """
-    dim = 4 * model.n
-    M = np.zeros((dim, dim))
-    for i in range(model.n):
-        M[model.iq(i), model.ix(i)] = -1.0
-        M[model.ip(i), model.iy(i)] = 1.0
-        M[model.iy(i), model.ip(i)] = -1.0
-        M[model.ix(i), model.iq(i)] = 1.0
-    return M
+    return _blocks(model.n, [[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
 
 
 def recursion_operator(
@@ -326,96 +308,73 @@ def verify_hypersymplectic(
     pt = model.total_chart.sample(n_points, seed) if pt is None else pt
     triple = build_structure_triple(model) if triple is None else triple
     complexes = build_complex_triple(model) if complexes is None else complexes
-    eye = np.eye(model.total_chart.dim)
     reports: list[CheckReport] = []
 
-    for f in triple.forms():
+    def report(name: str, residual: float, tolerance: float, statement: str) -> None:
         reports.append(
-            check_closedness(
-                f, pt, fd_step, tol_fd, identity_name=f"hypersymplectic.closed.{f.name}"
-            )
-        )
-        reports.append(
-            check_nondegeneracy(
-                f,
-                pt,
-                nondeg_floor,
-                identity_name=f"hypersymplectic.nondegenerate.{f.name}",
+            CheckReport.from_residual(
+                f"hypersymplectic.{name}", len(pt), residual, tolerance, statement
             )
         )
 
-    named_forms = {"omega": triple.omega, "chi": triple.chi, "sigma": triple.sigma}
-    for a, b in (("omega", "chi"), ("omega", "sigma"), ("chi", "sigma")):
-        A = recursion_operator(named_forms[a], named_forms[b], pt)
-        worst = float(np.max(np.abs(A @ A + eye)))
-        reports.append(
-            CheckReport.from_residual(
-                f"hypersymplectic.recursion_squares.{a}_{b}",
-                len(pt),
-                worst,
-                tol_algebraic,
-                statement=f"the recursion operator of ({a}, {b}) squares to minus the identity",
-            )
+    for f in triple.forms():
+        closure = float(np.max(np.abs(exterior_derivative(f, pt, fd_step))))
+        report(f"closed.{f.name}", closure, tol_fd, f"d({f.name}) = 0 under central differences")
+        min_det = float(np.min(np.abs(np.linalg.det(form_matrix(f, pt)))))
+        report(
+            f"nondegenerate.{f.name}",
+            nondeg_floor - min_det,
+            0.0,
+            f"|det| of the {f.name} matrix stays above {nondeg_floor:g} "
+            f"(minimum seen: {min_det:g})",
+        )
+
+    for a, b in itertools.combinations(("omega", "chi", "sigma"), 2):
+        A = recursion_operator(getattr(triple, a), getattr(triple, b), pt)
+        report(
+            f"recursion_squares.{a}_{b}",
+            almost_complex_residual(A),
+            tol_algebraic,
+            f"the recursion operator of ({a}, {b}) squares to minus the identity",
         )
 
     for Ja, Jb in itertools.combinations(complexes.endos(), 2):
         Ca, Cb = Ja.covector_matrix(pt), Jb.covector_matrix(pt)
-        worst = float(np.max(np.abs(Ca @ Cb + Cb @ Ca)))
-        reports.append(
-            CheckReport.from_residual(
-                f"hypersymplectic.anticommute.{Ja.name}_{Jb.name}",
-                len(pt),
-                worst,
-                tol_algebraic,
-                statement=f"{Ja.name} and {Jb.name} anticommute in the covector action",
-            )
+        report(
+            f"anticommute.{Ja.name}_{Jb.name}",
+            float(np.max(np.abs(Ca @ Cb + Cb @ Ca))),
+            tol_algebraic,
+            f"{Ja.name} and {Jb.name} anticommute in the covector action",
         )
 
     pairs = standard_frame_pairs(model)
     for J in complexes.endos():
-        reports.append(
-            check_almost_complex(
-                J,
-                pt,
-                tol_algebraic,
-                identity_name=f"hypersymplectic.squares_to_minus_identity.{J.name}",
-            )
-        )
-        worst = float(np.max(np.abs(nijenhuis(J, pt, fd_step))))
-        reports.append(
-            CheckReport.from_residual(
-                f"hypersymplectic.nijenhuis.{J.name}",
-                len(pt),
-                worst,
-                tol_fd,
-                statement=f"Nijenhuis tensor of {J.name} vanishes on the coordinate frame",
-            )
-        )
-        reports.append(
-            CheckReport.from_residual(
-                f"hypersymplectic.holomorphic_frame.{J.name}",
-                len(pt),
-                holomorphic_frame_check(J, pairs[J.name], pt),
-                tol_algebraic,
-                statement=f"the standard coframe pairs diagonalize {J.name}",
-            )
-        )
-
-    expected = expected_composite_matrix(model)
-    worst = float(np.max(np.abs(complexes.J_sigma.matrix(pt) - expected)))
-    reports.append(
-        CheckReport.from_residual(
-            "hypersymplectic.composition.sigma_from_omega_chi",
-            len(pt),
-            worst,
+        report(
+            f"squares_to_minus_identity.{J.name}",
+            almost_complex_residual(J.matrix(pt)),
             tol_algebraic,
-            statement=(
-                "composing the first two complex structures in the covector action "
-                "reproduces the pinned constant table of the third"
-            ),
+            f"{J.name} squared equals minus the identity",
         )
-    )
+        report(
+            f"nijenhuis.{J.name}",
+            float(np.max(np.abs(nijenhuis(J, pt, fd_step)))),
+            tol_fd,
+            f"Nijenhuis tensor of {J.name} vanishes on the coordinate frame",
+        )
+        report(
+            f"holomorphic_frame.{J.name}",
+            holomorphic_frame_check(J, pairs[J.name], pt),
+            tol_algebraic,
+            f"the standard coframe pairs diagonalize {J.name}",
+        )
 
+    report(
+        "composition.sigma_from_omega_chi",
+        float(np.max(np.abs(complexes.J_sigma.matrix(pt) - expected_composite_matrix(model)))),
+        tol_algebraic,
+        "composing the first two complex structures in the covector action "
+        "reproduces the pinned constant table of the third",
+    )
     return sorted(reports, key=lambda r: r.identity_name)
 
 
@@ -519,15 +478,30 @@ def section_pullback(
     return {(i, j): P[..., i, j][()] for i in range(n2) for j in range(i + 1, n2)}
 
 
-def span_invariance_residual(frame: np.ndarray, images: np.ndarray) -> float:
-    """Worst distance of an image column from the column span of the frame,
-    over a stack of ``(..., m, k)`` frames; projects onto the span through a
-    reduced QR factorization."""
-    if np.any(np.linalg.matrix_rank(frame) < frame.shape[-1]):
-        raise GeometryError("tangent frame is rank deficient")
-    Q = np.linalg.qr(frame)[0]
-    off_span = images - Q @ (transpose(Q) @ images)
-    return float(np.max(np.linalg.norm(off_span, axis=-2)))
+def graph_frame_defect(
+    section: SectionMap, J: EndomorphismField, pt: Point, fd_step: float | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J applied to the FD graph frame F of a section at base point(s).
+
+    The base block of F is diagonal: column a holds the step actually taken
+    along x_a over 2h, which differs from 1 by rounding (about eps / h).
+    Dividing the fibre block by it gives the difference quotient D of the
+    section over that step, so F spans the graph's tangent plane
+    {(v, D v)}.  Returns D, the base block R = (J F)_xy and the defect
+    (J F)_pq - D R: column c of J F minus the tangent vector (R_c, D R_c) is
+    (0, defect_c), so J F is tangent to the graph exactly when the defect
+    vanishes.  Raises GeometryError when D or J F is not finite, since no
+    verdict can be read from them.
+    """
+    frame = section.jacobian_fd(pt, fd_step)
+    moved = J.matrix(section.evaluate(pt)) @ frame
+    n2 = frame.shape[-1]
+    steps = np.diagonal(frame[..., :n2, :], axis1=-2, axis2=-1)
+    D = frame[..., n2:, :] / steps[..., None, :]
+    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(moved))):
+        raise GeometryError("tangent frame of the graph is not finite")
+    restriction = moved[..., :n2, :]
+    return D, restriction, moved[..., n2:, :] - D @ restriction
 
 
 def complex_submanifold_check(
@@ -538,8 +512,14 @@ def complex_submanifold_check(
     fd_step: float | None = None,
 ) -> float:
     """How far J moves the graph tangent space off itself, worst over the
-    base point(s) ``pt``."""
-    frame = section.jacobian_fd(pt, fd_step)
-    Jmat = J.matrix(section.evaluate(pt))
-    return span_invariance_residual(frame, Jmat @ frame)
+    base point(s) ``pt``: the largest distance of a column of J F from the
+    tangent plane, which is the distance of (0, defect_c).
 
+    The plane {(v, D v)} has the normal space {(-D^T u, u)}, so that
+    distance is |(Id + D D^T)^(-1/2) defect_c|, read through the SVD
+    D = U S V^T as |U^T defect_c / hypot(1, S)|.  The plane has full
+    dimension however steep the section, so no rank test is needed."""
+    D, _, defect = graph_frame_defect(section, J, pt, fd_step)
+    U, S = np.linalg.svd(D)[:2]
+    normal = (transpose(U) @ defect) / np.hypot(1.0, S)[..., None]
+    return float(np.max(np.linalg.norm(normal, axis=-2)))

@@ -22,7 +22,6 @@ an actual cross-check and not an identity of implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .fibration import (
     SectionMap,
     base_symplectic_form,
     build_complex_triple,
+    graph_frame_defect,
 )
 from .structures import (
     METRIC_ZERO_GUARD,
@@ -42,8 +42,7 @@ from .structures import (
     TOL_FD,
     CheckReport,
     FlatConnection,
-    check_flatness,
-    check_torsion_free,
+    almost_complex_residual,
     covariant_constancy,
     d_nabla_endo,
 )
@@ -67,31 +66,26 @@ def induced_endomorphism(section: SectionMap) -> EndomorphismField:
     )
 
 
+def _metric(M_Omega: np.ndarray, M_I: np.ndarray) -> tuple[np.ndarray, float]:
+    """g = Omega o I and the worst residual of Omega(I., I.) - Omega."""
+    invariance = float(np.max(np.abs(transpose(M_I) @ M_Omega @ M_I - M_Omega)))
+    return M_Omega @ M_I, invariance
+
+
 @dataclass(frozen=True)
 class SpecialKahlerData:
-    base_chart: object
     Omega: DifferentialForm
     I: EndomorphismField
-    g: Callable[[Point], np.ndarray] = field(repr=False)
     connection: FlatConnection = field(repr=False)
-    section_name: str = ""
+
+    def g(self, pt: Point) -> np.ndarray:
+        """Matrices of the metric g = Omega o I at point(s)."""
+        return _metric(form_matrix(self.Omega, pt), self.I.matrix(pt))[0]
 
 
 def build_special_kahler(model: FibrationModel, section: SectionMap) -> SpecialKahlerData:
     Omega = base_symplectic_form(model)
-    I = induced_endomorphism(section)
-
-    def metric(pt: Point) -> np.ndarray:
-        return form_matrix(Omega, pt) @ I.matrix(pt)
-
-    return SpecialKahlerData(
-        base_chart=model.base_chart,
-        Omega=Omega,
-        I=I,
-        g=metric,
-        connection=model.connection,
-        section_name=section.name,
-    )
+    return SpecialKahlerData(Omega, induced_endomorphism(section), model.connection)
 
 
 def kahler_metric(
@@ -106,16 +100,13 @@ def kahler_metric(
     meaningful for an almost-complex I.
     """
     M_I = I.matrix(pt)
-    ac_residual = float(np.max(np.abs(M_I @ M_I + np.eye(I.chart.dim))))
+    ac_residual = almost_complex_residual(M_I)
     if ac_residual > almost_complex_tol:
         raise NotAlmostComplexError(
             f"I^2 + Id residual {ac_residual:.3e} exceeds {almost_complex_tol:g}; "
             "refusing to build a metric from a non-almost-complex I"
         )
-    M_Omega = form_matrix(Omega, pt)
-    g = M_Omega @ M_I
-    invariance = float(np.max(np.abs(transpose(M_I) @ M_Omega @ M_I - M_Omega)))
-    return g, invariance
+    return _metric(form_matrix(Omega, pt), M_I)
 
 
 def signature(g: np.ndarray, zero_guard: float = METRIC_ZERO_GUARD) -> tuple:
@@ -137,6 +128,14 @@ def signature(g: np.ndarray, zero_guard: float = METRIC_ZERO_GUARD) -> tuple:
     return pos[()], (g.shape[-1] - pos)[()]
 
 
+def _report(
+    name: str, pt: Point, residual: float, tolerance: float, statement: str
+) -> CheckReport:
+    return CheckReport.from_residual(
+        f"special_kahler.{name}", len(pt), residual, tolerance, statement
+    )
+
+
 def special_symplectic_check(
     data: SpecialKahlerData,
     pt: Point,
@@ -147,47 +146,44 @@ def special_symplectic_check(
 ) -> list[CheckReport]:
     """Reports for: flat, torsion-free, Omega parallel, I parallel, I^2 = -Id."""
     conn = data.connection
-    reports = [
-        check_flatness(conn, pt, fd_step, tol_fd, identity_name="special_kahler.connection_flat"),
-        check_torsion_free(
-            conn, pt, tol_algebraic, identity_name="special_kahler.connection_torsion_free"
+    return [
+        _report(
+            "connection_flat",
+            pt,
+            conn.curvature_residual(pt, fd_step),
+            tol_fd,
+            "curvature of the connection vanishes",
+        ),
+        _report(
+            "connection_torsion_free",
+            pt,
+            conn.torsion_residual(pt),
+            tol_algebraic,
+            "connection coefficients are symmetric in the lower indices",
+        ),
+        _report(
+            "base_form_parallel",
+            pt,
+            float(np.max(np.abs(covariant_constancy(conn, data.Omega, pt, fd_step)))),
+            tol_parallel,
+            "the base symplectic form is parallel for the flat connection",
+        ),
+        # the table is antisymmetric in (a, b), so its max covers every pair a < b
+        _report(
+            "complex_structure_parallel",
+            pt,
+            float(np.max(np.abs(d_nabla_endo(conn, data.I, pt, fd_step)))),
+            tol_parallel,
+            "the exterior covariant derivative of I vanishes on the coordinate frame",
+        ),
+        _report(
+            "squares_to_minus_identity",
+            pt,
+            almost_complex_residual(data.I.matrix(pt)),
+            tol_algebraic,
+            "the induced endomorphism squares to minus the identity",
         ),
     ]
-
-    worst = float(np.max(np.abs(covariant_constancy(conn, data.Omega, pt, fd_step))))
-    reports.append(
-        CheckReport.from_residual(
-            "special_kahler.base_form_parallel",
-            len(pt),
-            worst,
-            tol_parallel,
-            statement="the base symplectic form is parallel for the flat connection",
-        )
-    )
-
-    # the table is antisymmetric in (a, b), so its max covers every pair a < b
-    parallel = float(np.max(np.abs(d_nabla_endo(conn, data.I, pt, fd_step))))
-    M_I = data.I.matrix(pt)
-    square = float(np.max(np.abs(M_I @ M_I + np.eye(conn.chart.dim))))
-    reports.append(
-        CheckReport.from_residual(
-            "special_kahler.complex_structure_parallel",
-            len(pt),
-            parallel,
-            tol_parallel,
-            statement="the exterior covariant derivative of I vanishes on the coordinate frame",
-        )
-    )
-    reports.append(
-        CheckReport.from_residual(
-            "special_kahler.squares_to_minus_identity",
-            len(pt),
-            square,
-            tol_algebraic,
-            statement="the induced endomorphism squares to minus the identity",
-        )
-    )
-    return reports
 
 
 def kahler_reports(
@@ -196,58 +192,29 @@ def kahler_reports(
     tol_algebraic: float = TOL_ALGEBRAIC,
 ) -> list[CheckReport]:
     """Metric-level reports: symmetry (exact), invariance, constant signature."""
-    reports: list[CheckReport] = []
-
-    g = data.g(pt)
-    M_I = data.I.matrix(pt)
-    M_Omega = form_matrix(data.Omega, pt)
-    asymmetry = float(np.max(np.abs(g - transpose(g))))
-    invariance = float(np.max(np.abs(transpose(M_I) @ M_Omega @ M_I - M_Omega)))
-    reports.append(
-        CheckReport.from_residual(
-            "special_kahler.metric_symmetric",
-            len(pt),
-            asymmetry,
-            0.0,
-            statement="g agrees with its transpose exactly at every sampled point",
-        )
-    )
-    reports.append(
-        CheckReport.from_residual(
-            "special_kahler.base_form_invariant",
-            len(pt),
-            invariance,
-            tol_algebraic,
-            statement="Omega(I., I.) agrees with Omega",
-        )
-    )
-
+    g, invariance = _metric(form_matrix(data.Omega, pt), data.I.matrix(pt))
     try:
         pos, neg = signature(g)
-        signatures = set(zip(np.ravel(pos).tolist(), np.ravel(neg).tolist()))
     except DegenerateMetricError as exc:
-        reports.append(
-            CheckReport.from_residual(
-                "special_kahler.signature_constant",
-                len(pt),
-                float("inf"),
-                0.0,
-                statement=f"signature undefined: {exc}",
-            )
-        )
+        spread, signature_text = float("inf"), f"signature undefined: {exc}"
     else:
-        constant = len(signatures) == 1
-        sig_text = ", ".join(f"(+{p}, -{m})" for p, m in sorted(signatures))
-        reports.append(
-            CheckReport.from_residual(
-                "special_kahler.signature_constant",
-                len(pt),
-                0.0 if constant else 1.0,
-                0.0,
-                statement=f"eigenvalue signature over the sample: {sig_text}",
-            )
-        )
-    return reports
+        signatures = set(zip(np.ravel(pos).tolist(), np.ravel(neg).tolist()))
+        spread = 0.0 if len(signatures) == 1 else 1.0
+        listed = ", ".join(f"(+{p}, -{m})" for p, m in sorted(signatures))
+        signature_text = f"eigenvalue signature over the sample: {listed}"
+    return [
+        _report(
+            "metric_symmetric",
+            pt,
+            float(np.max(np.abs(g - transpose(g)))),
+            0.0,
+            "g agrees with its transpose exactly at every sampled point",
+        ),
+        _report(
+            "base_form_invariant", pt, invariance, tol_algebraic, "Omega(I., I.) agrees with Omega"
+        ),
+        _report("signature_constant", pt, spread, 0.0, signature_text),
+    ]
 
 
 def induced_vs_restriction(
@@ -264,26 +231,17 @@ def induced_vs_restriction(
 
     The projection kills the fibre components, so the pushed restriction is
     the base block of J applied to the FD graph frame.  Meaningful when the
-    graph is invariant (the invariance defect is folded into the residual).
+    graph is invariant (the graph-frame defect is folded into the residual).
     ``complexes`` is the model's complex triple, built here if not passed.
     """
     J = (build_complex_triple(model) if complexes is None else complexes).J_omega
-    n2 = 2 * model.n
-    frame = section.jacobian_fd(pt, fd_step)
-    moved = J.matrix(section.evaluate(pt)) @ frame
-    restriction = moved[..., :n2, :]
-    # invariance defect: the moved frame should be graph-tangent again
-    rebuilt = frame @ restriction
-    defect = float(np.max(np.abs(rebuilt - moved)))
-    agree = float(np.max(np.abs(restriction - induced_complex_structure(section, pt))))
-    worst = max(defect, agree)
-    return CheckReport.from_residual(
-        "special_kahler.matches_graph_restriction",
-        len(pt),
-        worst,
+    _, restriction, defect = graph_frame_defect(section, J, pt, fd_step)
+    agree = np.max(np.abs(restriction - induced_complex_structure(section, pt)))
+    return _report(
+        "matches_graph_restriction",
+        pt,
+        max(float(np.max(np.abs(defect))), float(agree)),
         tolerance,
-        statement=(
-            "the section-induced endomorphism agrees with the graph restriction of "
-            "the first complex structure pushed through the projection"
-        ),
+        "the section-induced endomorphism agrees with the graph restriction of "
+        "the first complex structure pushed through the projection",
     )

@@ -1,4 +1,4 @@
-"""Connections, curvature/torsion checks, and residual reports.
+"""Residual reports, connections and the tensor identities the checks read.
 
 Every verification in the package funnels into a CheckReport: an identity
 name, the sample size, the worst residual seen, the tolerance it was held to,
@@ -10,13 +10,17 @@ and the resulting verdict.  Two report styles are used:
   floor, e.g. nondegeneracy reports ``floor - min |det|``; passing means <= 0.
 
 Either way the invariant ``passed == (max_residual <= tolerance)`` holds.
+The suites (``fibration.verify_hypersymplectic``,
+``special_kahler.special_symplectic_check``, ...) build each report straight
+from the primitive that measures it.
 
-Checks take their sample as one stacked ``(N, dim)`` point (see ``charts``)
-and evaluate every field on the whole stack and, through
+The primitives take their sample as one stacked ``(N, dim)`` point (see
+``charts``) and evaluate every field on the whole stack and, through
 ``calculus.stencil``, on all of its central-stencil shifts in one call, so a
-check costs a fixed number of evaluator calls whatever the sample size.  A constant
-field (every form and complex structure of the model, the zero connection)
-keeps no point axes, so its tables hold one copy for the whole sample.
+primitive costs a fixed number of evaluator calls whatever the sample size.
+A constant field (every form and complex structure of the model, the zero
+connection) keeps no point axes, so its tables hold one copy for the whole
+sample.
 
 The tensor identities (``d_nabla_endo``, ``nijenhuis``) are evaluated on the
 coordinate frame: each returns the full table of the tensor's components at
@@ -30,13 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import (
-    DifferentialForm,
-    EndomorphismField,
-    exterior_derivative,
-    form_matrix,
-    stencil,
-)
+from .calculus import DifferentialForm, EndomorphismField, form_matrix, stencil
 from .charts import Chart, Point, conform, require_same_chart
 
 TOL_ALGEBRAIC = 1e-12
@@ -204,88 +202,7 @@ def nijenhuis(J: EndomorphismField, pt: Point, step: float | None = None) -> np.
     return A - np.swapaxes(A, -1, -2)
 
 
-def check_closedness(
-    form: DifferentialForm,
-    pt: Point,
-    step: float | None = None,
-    tolerance: float = TOL_FD,
-    identity_name: str | None = None,
-) -> CheckReport:
-    worst = float(np.max(np.abs(exterior_derivative(form, pt, step))))
-    return CheckReport.from_residual(
-        identity_name or f"closed({form.name})",
-        len(pt),
-        worst,
-        tolerance,
-        statement=f"d({form.name or '2-form'}) = 0 under central differences",
-    )
-
-
-def check_nondegeneracy(
-    form: DifferentialForm,
-    pt: Point,
-    floor: float = NONDEG_FLOOR,
-    identity_name: str | None = None,
-) -> CheckReport:
-    dets = np.linalg.det(form_matrix(form, pt))
-    min_det = float(np.min(np.abs(dets)))
-    return CheckReport.from_residual(
-        identity_name or f"nondegenerate({form.name})",
-        len(pt),
-        floor - min_det,
-        0.0,
-        statement=(
-            f"|det| of the {form.name or '2-form'} matrix stays above {floor:g} "
-            f"(minimum seen: {min_det:g})"
-        ),
-    )
-
-
-def check_almost_complex(
-    J: EndomorphismField,
-    pt: Point,
-    tolerance: float = TOL_ALGEBRAIC,
-    identity_name: str | None = None,
-) -> CheckReport:
-    M = J.matrix(pt)
-    worst = float(np.max(np.abs(M @ M + np.eye(J.chart.dim))))
-    return CheckReport.from_residual(
-        identity_name or f"almost_complex({J.name})",
-        len(pt),
-        worst,
-        tolerance,
-        statement=f"{J.name or 'endomorphism'} squared equals minus the identity",
-    )
-
-
-def check_flatness(
-    conn: FlatConnection,
-    pt: Point,
-    step: float | None = None,
-    tolerance: float = TOL_FD,
-    identity_name: str | None = None,
-) -> CheckReport:
-    worst = conn.curvature_residual(pt, step)
-    return CheckReport.from_residual(
-        identity_name or f"flat({conn.name})",
-        len(pt),
-        worst,
-        tolerance,
-        statement="curvature of the connection vanishes",
-    )
-
-
-def check_torsion_free(
-    conn: FlatConnection,
-    pt: Point,
-    tolerance: float = TOL_ALGEBRAIC,
-    identity_name: str | None = None,
-) -> CheckReport:
-    worst = conn.torsion_residual(pt)
-    return CheckReport.from_residual(
-        identity_name or f"torsion_free({conn.name})",
-        len(pt),
-        worst,
-        tolerance,
-        statement="connection coefficients are symmetric in the lower indices",
-    )
+def almost_complex_residual(M: np.ndarray) -> float:
+    """Worst ``|M @ M + Id|`` over a stack of matrices: zero exactly when each
+    squares to minus the identity."""
+    return float(np.max(np.abs(M @ M + np.eye(M.shape[-1]))))

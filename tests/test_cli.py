@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hypersymplectic.cli import main
@@ -197,15 +198,57 @@ def test_degree_eight_harmonic_gradient_section_passes(tmp_path, capsys):
     assert checks["sections.graph_invariant.re_z9.J_chi"]["passed"]
 
 
-# p = 1e15 x^2: the graph frame [I; D] has full rank, but the relative rank
-# cutoff (about sigma_max * 4 eps) drops the unit singular values once |D| ~ 1e15
+# p = 1e15 x^2: steep, yet its graph frame [I; D] has full rank, so the checks
+# reach a verdict; V = 1e15 x^3 / 3 is not harmonic, so the graph is
+# omega-Lagrangian (a gradient) but not J_chi-invariant
 STEEP = {"name": "big", "form": "omega", "p": [[[[2, 0], 1e15]]], "q": [[]]}
+
+
+def test_steep_section_reaches_a_verdict(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "custom-section", "sections": [STEEP]}))
+    report = tmp_path / "report.json"
+    assert main(["--config", str(cfg), "--output", str(report)]) == 1
+    checks = {c["identity"]: c for c in json.loads(report.read_text())["report"]["checks"]}
+    pullback = checks["sections.pullback_vanishes.big.omega"]
+    assert pullback["passed"] and pullback["max_residual"] == 0.0
+    invariance = checks["sections.graph_invariant.big.J_chi"]
+    assert not invariance["passed"] and invariance["max_residual"] > 1e15
+    assert [c for c in checks.values() if not c["passed"]] == [invariance]
+
+
+# p = 1e308 x^8: the central differences of p overflow, so the tangent frame
+# of the graph is not finite and no verdict can be read from it
+OVERFLOWING = {"name": "huge", "form": "omega", "p": [[[[8, 0], 1e308]]], "q": [[]]}
 
 
 def test_unevaluable_geometry_exits_2_without_writing(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": "custom-section", "sections": [STEEP]}))
+    cfg.write_text(json.dumps({"scenario": "custom-section", "sections": [OVERFLOWING]}))
+    report = tmp_path / "report.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["--config", str(cfg), "--output", str(report)]) == 2
+    assert "geometry error: tangent frame of the graph is not finite" in capsys.readouterr().err
+    assert not report.exists()
+
+
+# rank-2 power vectors on the default rank-1 model
+MISMATCHED = {"name": "s", "p": [[[[1, 0, 0], 1.0]]], "q": [[]]}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"scenario": "custom-section", "sections": [MISMATCHED]},
+        {"scenario": "custom-section", "n": 2, "sections": [ROTATION]},
+        {"scenario": "custom-section", "sections": [{**MISMATCHED, "p": [[[[9, 0], 1.0]]]}]},
+    ],
+    ids=["power-vector-length", "component-count", "degree-above-bound"],
+)
+def test_sections_that_do_not_fit_the_model_exit_2_without_writing(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
     report = tmp_path / "report.json"
     assert main(["--config", str(cfg), "--output", str(report)]) == 2
-    assert "geometry error: tangent frame is rank deficient" in capsys.readouterr().err
+    assert "configuration error: section '" in capsys.readouterr().err
     assert not report.exists()

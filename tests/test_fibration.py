@@ -15,7 +15,6 @@ from hypersymplectic.fibration import (
     make_model,
     recursion_operator,
     section_pullback,
-    span_invariance_residual,
     standard_frame_pairs,
     standard_sigma_section,
     verify_hypersymplectic,
@@ -24,6 +23,7 @@ from hypersymplectic.fibration import (
 )
 from hypersymplectic.polynomials import Polynomial
 from hypersymplectic.scenarios import SECTION_PULLBACK_TOL
+from test_acceptance import _corpus
 
 MODEL = make_model(1)
 TRIPLE = build_structure_triple(MODEL)
@@ -352,8 +352,49 @@ def test_gradient_section_arity_guard():
         gradient_section(MODEL, Polynomial.coordinate(3, 0))
 
 
-def test_span_invariance_rejects_rank_deficient_frames():
-    frame = np.zeros((4, 2))
-    with pytest.raises(GeometryError):
-        span_invariance_residual(frame, np.eye(4)[:, :2])
+def qr_distance(section, J, pt):
+    """Reference: the worst distance of a column of J F from the column span
+    of the FD graph frame F, by projection onto a QR basis of F."""
+    frame = section.jacobian_fd(pt)
+    images = J.matrix(section.evaluate(pt)) @ frame
+    Q = np.linalg.qr(frame)[0]
+    off_span = images - Q @ (np.swapaxes(Q, -1, -2) @ images)
+    return float(np.max(np.linalg.norm(off_span, axis=-2)))
 
+
+def test_graph_invariance_is_the_orthogonal_distance_on_the_criterion_3_corpus():
+    """On every section of the criterion-3 corpus and each complex structure,
+    the graph-frame residual equals the QR orthogonal distance up to rounding,
+    so it is never below it by more than rounding: hard failures stay hard
+    and passes stay passes."""
+    pts = MODEL.base_chart.sample(100, 42)
+    for section in _corpus():
+        for J in COMPLEXES.endos():
+            residual = complex_submanifold_check(MODEL, section, J, pts)
+            reference = qr_distance(section, J, pts)
+            assert residual == pytest.approx(reference, rel=1e-12, abs=1e-14), section.name
+
+
+def test_steep_graphs_keep_a_scale_free_residual():
+    """Gradient graphs of c (x^2 - y^2) / 2 are J_chi-invariant for every c.
+    The residual is a distance from the tangent plane, so it stays at
+    rounding level up to c = 1e12, where the QR projection of the raw FD
+    frame drifted to 5e-4; at p = 1e15 x^2 the graph is not invariant and
+    the residual is about 2e15."""
+    pts = MODEL.base_chart.sample(100, 42)
+    for c in (1.0, 1e6, 1e12):
+        potential = Polynomial.from_terms(2, [((2, 0), 0.5 * c), ((0, 2), -0.5 * c)])
+        section = gradient_section(MODEL, potential)
+        assert complex_submanifold_check(MODEL, section, COMPLEXES.J_chi, pts) <= 1e-10
+    steep = make_section([((2, 0), 1e15)], [], "steep")
+    assert complex_submanifold_check(MODEL, steep, COMPLEXES.J_chi, pts) > 1e15
+
+
+def test_non_finite_graph_frames_raise():
+    """p = 1e308 x^8 overflows the FD frame: no verdict, a GeometryError."""
+    huge = make_section([((8, 0), 1e308)], [], "huge")
+    pts = MODEL.base_chart.sample(10, 42)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for J in COMPLEXES.endos():
+            with pytest.raises(GeometryError, match="not finite"):
+                complex_submanifold_check(MODEL, huge, J, pts)

@@ -3,7 +3,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from hypersymplectic.calculus import EndomorphismField, form_matrix
+from hypersymplectic.calculus import EndomorphismField
 from hypersymplectic.charts import Point
 from hypersymplectic.errors import DegenerateMetricError, NotAlmostComplexError
 from hypersymplectic.fibration import (
@@ -127,13 +127,7 @@ def non_parallel_data() -> SpecialKahlerData:
 
     base = build_special_kahler(MODEL, standard_sigma_section(MODEL))
     I = EndomorphismField(MODEL.base_chart, matrix, name="I[hand-built]")
-    return SpecialKahlerData(
-        base_chart=MODEL.base_chart,
-        Omega=base.Omega,
-        I=I,
-        g=lambda pt: form_matrix(base.Omega, pt) @ I.matrix(pt),
-        connection=MODEL.connection,
-    )
+    return SpecialKahlerData(Omega=base.Omega, I=I, connection=MODEL.connection)
 
 
 def test_non_parallel_almost_complex_structure_fails_the_parallel_check():

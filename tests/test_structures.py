@@ -9,14 +9,18 @@ from hypersymplectic.calculus import (
     stencil,
 )
 from hypersymplectic.charts import Chart, Point, VectorField
+from hypersymplectic.fibration import (
+    HyperComplexTriple,
+    HyperSymplecticTriple,
+    build_complex_triple,
+    make_model,
+    verify_hypersymplectic,
+)
+from hypersymplectic.special_kahler import SpecialKahlerData, special_symplectic_check
 from hypersymplectic.structures import (
     CheckReport,
     FlatConnection,
-    check_almost_complex,
-    check_closedness,
-    check_flatness,
-    check_nondegeneracy,
-    check_torsion_free,
+    almost_complex_residual,
     covariant_constancy,
     d_nabla_endo,
     nijenhuis,
@@ -123,6 +127,66 @@ def symmetric_christoffel(pt):
     return G
 
 
+def asymmetric_christoffel(pt):
+    """Gamma^u_uv = u, Gamma^v_vv = v^2: torsion max |u|, curvature nonzero."""
+    G = np.zeros(pt.batch_shape + (2, 2, 2))
+    G[..., 0, 0, 1] = pt.coords[..., 0]
+    G[..., 1, 1, 1] = pt.coords[..., 1] ** 2
+    return G
+
+
+def special_kahler_reports(christoffel, pt):
+    """special_symplectic_check on hand-built data on the plane: the
+    non-constant area form (0.5 + u^2) du^dv, the curved I and the
+    connection with the given Christoffel symbols."""
+    Omega = area_form(PLANE, lambda p: 0.5 + p.coords[..., 0] ** 2)
+    connection = FlatConnection(PLANE, christoffel)
+    data = SpecialKahlerData(Omega, EndomorphismField(PLANE, curved_I), connection)
+    return {r.identity_name: r for r in special_symplectic_check(data, pt)}
+
+
+MODEL = make_model(1)  # total chart (x, y, p, q)
+
+
+def total_form(entries, name):
+    """The 2-form on the total chart with coefficient c(pt) at each (i, j), i < j."""
+
+    def matrix(pt):
+        M = np.zeros(pt.batch_shape + (4, 4))
+        for (i, j), c in entries.items():
+            M[..., i, j] = c(pt)
+        return M - np.swapaxes(M, -1, -2)
+
+    return DifferentialForm(MODEL.total_chart, matrix, name)
+
+
+x_of, q_of = (lambda pt: pt.coords[..., 0]), (lambda pt: pt.coords[..., 3])
+# omega and chi stay nondegenerate, which the recursion operators need
+HAND_BUILT_TRIPLE = HyperSymplecticTriple(
+    omega=total_form({(0, 2): lambda pt: -1.0 - x_of(pt) ** 2, (1, 3): lambda pt: -1.0}, "omega"),
+    chi=total_form({(0, 1): lambda pt: 1.0 + q_of(pt), (2, 3): lambda pt: -1.0}, "chi"),
+    sigma=total_form({(0, 3): lambda pt: -1.0}, "sigma"),
+)
+_STANDARD = build_complex_triple(MODEL)
+_TILT = np.random.default_rng(4).uniform(-1, 1, (4, 4))
+HAND_BUILT_COMPLEXES = HyperComplexTriple(
+    J_omega=_STANDARD.J_omega,
+    J_chi=EndomorphismField(
+        MODEL.total_chart,
+        lambda pt: _STANDARD.J_chi.matrix(pt) + x_of(pt)[..., None, None] * _TILT,
+        name="J_chi",
+    ),
+    J_sigma=EndomorphismField.constant(MODEL.total_chart, np.eye(4), name="J_sigma"),
+)
+
+
+def hand_built_reports(pt):
+    reports = verify_hypersymplectic(
+        MODEL, pt=pt, triple=HAND_BUILT_TRIPLE, complexes=HAND_BUILT_COMPLEXES
+    )
+    return {r.identity_name: r for r in reports}
+
+
 def test_d_nabla_endo_matches_the_pairwise_formula():
     """table[a, b] against (nabla_a I) e_b - (nabla_b I) e_a written out pairwise,
     with exact derivatives of I and a connection with nonzero Christoffel symbols."""
@@ -173,10 +237,7 @@ def test_fd_identities_evaluate_once_per_stencil_point(dim):
         calls.clear()
         nijenhuis(J, pt)
         counts[n_points, "nijenhuis"] = len(calls)
-        calls.clear()
-        check_almost_complex(J, pt)
-        counts[n_points, "almost_complex"] = len(calls)
-    for name in ("d_nabla_endo", "nijenhuis", "almost_complex"):
+    for name in ("d_nabla_endo", "nijenhuis"):
         assert max(counts[n, name] for n in sizes) <= 2, name
 
 
@@ -264,27 +325,34 @@ def test_stacked_primitives_match_single_points():
 
 
 def test_checks_on_a_stack_report_the_worst_single_point():
-    """A check over N points reports the worst of its N single-point reports."""
-    conn = FlatConnection(PLANE, symmetric_christoffel)
-    I = EndomorphismField(PLANE, curved_I)
-    u = lambda p: p.coords[..., 0]
-    area = area_form(PLANE, lambda p: 0.5 + u(p) ** 2)
-    beta = DifferentialForm(CUBE, cube_form)
-    checks = [
-        (lambda pts: check_closedness(beta, pts), CUBE),
-        (lambda pts: check_nondegeneracy(area, pts), PLANE),
-        (lambda pts: check_almost_complex(I, pts), PLANE),
-        (lambda pts: check_flatness(conn, pts), PLANE),
-        (lambda pts: check_torsion_free(conn, pts), PLANE),
+    """Each report of the two suite entry points, over N points, carries the
+    worst of its N single-point residuals, on non-constant hand-built fields:
+    the hypersymplectic battery on a hand-built triple, and the special-Kahler
+    checks with a non-flat symmetric and a non-flat asymmetric connection."""
+    checks = [(hand_built_reports, MODEL.total_chart)] + [
+        (lambda pt, christoffel=christoffel: special_kahler_reports(christoffel, pt), PLANE)
+        for christoffel in (symmetric_christoffel, asymmetric_christoffel)
     ]
+    failed = set()
     for check, chart in checks:
         stacked = chart.sample(7, 22)
         rows = [Point(chart, pt.coords[None]) for pt in stacked]
-        report = check(stacked)
         singles = [check(row) for row in rows]
-        assert report.max_residual == max(r.max_residual for r in singles)
-        assert report.passed == all(r.passed for r in singles)
-        assert report.n_points == 7 and all(r.n_points == 1 for r in singles)
+        for name, report in check(stacked).items():
+            assert report.max_residual == max(s[name].max_residual for s in singles), name
+            assert report.passed == all(s[name].passed for s in singles), name
+            assert report.n_points == 7 and all(s[name].n_points == 1 for s in singles)
+            if not report.passed:
+                failed.add(name)
+    # every family the wrappers used to cover fails somewhere in these fixtures
+    assert {
+        "hypersymplectic.closed.chi",
+        "hypersymplectic.nondegenerate.sigma",
+        "hypersymplectic.squares_to_minus_identity.J_chi",
+        "special_kahler.connection_flat",
+        "special_kahler.connection_torsion_free",
+        "special_kahler.squares_to_minus_identity",
+    } <= failed
 
 
 def test_nijenhuis_vanishes_for_constant_structures():
@@ -316,34 +384,54 @@ def test_nijenhuis_detects_non_integrable_structure():
     table = nijenhuis(J, pt)
     assert np.allclose(table[:, 2, 3], [0.7, 0.0, 0.0, 0.0], atol=1e-8)
     assert np.array_equal(table, -np.swapaxes(table, -1, -2))
-    report = check_almost_complex(J, SPACE.sample(20, 3))
-    assert report.passed  # almost complex everywhere, just not integrable
+    # almost complex everywhere, just not integrable
+    assert almost_complex_residual(J.matrix(SPACE.sample(20, 3))) <= 1e-12
 
 
 def test_closedness_check_pass_and_fail():
-    pts = PLANE.sample(10, 4)
-    closed = DifferentialForm.constant(PLANE, [[0.0, 1.0], [-1.0, 0.0]], name="vol")
-    assert check_closedness(closed, pts).passed
-    beta = area_form(CUBE, lambda p: p.coords[..., 2])  # w du^dv, d = dw^du^dv
-    report = check_closedness(beta, CUBE.sample(10, 4))
-    assert not report.passed
-    assert report.max_residual == pytest.approx(1.0, abs=1e-8)
+    """Through verify_hypersymplectic: the non-constant (1 + x^2) dp^dx + dq^dy
+    is closed, (1 + q) dx^dy - dp^dq has d = dq^dx^dy."""
+    reports = hand_built_reports(MODEL.total_chart.sample(10, 4))
+    closed = reports["hypersymplectic.closed.omega"]
+    assert closed.passed and closed.max_residual <= 1e-12
+    assert closed.statement == "d(omega) = 0 under central differences"
+    not_closed = reports["hypersymplectic.closed.chi"]
+    assert not not_closed.passed
+    assert not_closed.max_residual == pytest.approx(1.0, abs=1e-8)
 
 
 def test_nondegeneracy_check_slack_sign():
-    pts = SPACE.sample(10, 5)
-    upper = np.zeros((4, 4))
-    upper[0, 1] = upper[2, 3] = 1.0
-    good = DifferentialForm.constant(SPACE, upper - upper.T)
-    report = check_nondegeneracy(good, pts)
-    assert report.passed and report.max_residual <= 0.0
-    upper[2, 3] = 0.0
-    bad = DifferentialForm.constant(SPACE, upper - upper.T)
-    assert not check_nondegeneracy(bad, pts).passed
+    """The report is the signed slack floor - min |det|: negative for the
+    nondegenerate forms, the floor itself for the degenerate dq^dx."""
+    reports = hand_built_reports(MODEL.total_chart.sample(10, 5))
+    for name in ("omega", "chi"):
+        report = reports[f"hypersymplectic.nondegenerate.{name}"]
+        assert report.passed and report.max_residual <= 0.0 and report.tolerance == 0.0
+    degenerate = reports["hypersymplectic.nondegenerate.sigma"]
+    assert not degenerate.passed
+    assert degenerate.max_residual == 1e-8
+    assert degenerate.statement == (
+        "|det| of the sigma matrix stays above 1e-08 (minimum seen: 0)"
+    )
 
 
 def test_almost_complex_check_fails_for_involutions():
-    refl = EndomorphismField.constant(PLANE, np.eye(2), name="refl")
-    report = check_almost_complex(refl, PLANE.sample(5, 7))
-    assert not report.passed
-    assert report.max_residual == pytest.approx(2.0)
+    """The identity, passed as the third complex structure, squares to +Id."""
+    reports = hand_built_reports(MODEL.total_chart.sample(5, 7))
+    involution = reports["hypersymplectic.squares_to_minus_identity.J_sigma"]
+    assert not involution.passed
+    assert involution.max_residual == pytest.approx(2.0)
+    assert reports["hypersymplectic.squares_to_minus_identity.J_omega"].passed
+
+
+def test_connection_checks_fail_through_the_special_kahler_suite():
+    """A torsion-free but curved connection fails flatness and passes torsion;
+    Gamma^u_uv = u (asymmetric) fails torsion with residual max |u|."""
+    pts = PLANE.sample(10, 8)
+    symmetric = special_kahler_reports(symmetric_christoffel, pts)
+    assert symmetric["special_kahler.connection_torsion_free"].passed
+    assert not symmetric["special_kahler.connection_flat"].passed
+    asymmetric = special_kahler_reports(asymmetric_christoffel, pts)
+    torsion = asymmetric["special_kahler.connection_torsion_free"]
+    assert not torsion.passed
+    assert torsion.max_residual == np.max(np.abs(pts.coords[:, 0]))
