@@ -7,9 +7,15 @@ under the flow.  The quadrature routines below recover these facts
 numerically (Gauss-Legendre along the parametrized level curve) so they can
 serve as oracles for the closed forms rather than restatements of them.
 
+Every factor's orbit through a state has its own size: amplitude
+sqrt(2E)/nu along xi and sqrt(2E) along pi.  The transform's FD Jacobian
+steps each axis by ``RELATIVE_STEP`` times that amplitude, and the round trip
+measures each axis's error in it, so neither depends on the units of the
+frequencies.
+
 A product with an even number of factors doubles as a fibration model: the
 first half of the actions become the x-coordinates and the second half the
-y-coordinates, with action windows obtained from an energy window factor by
+y-coordinates, with action windows obtained from ``ENERGY_WINDOW`` factor by
 factor.
 """
 
@@ -23,11 +29,12 @@ import numpy as np
 
 from .errors import DegenerateOrbitError
 from .fibration import FibrationModel, make_model
-from .structures import TOL_FD, CheckReport
+from .structures import QUADRATURE_TOL, CheckReport, Tolerances
 
 TWO_PI = 2.0 * math.pi
 MIN_QUADRATURE_NODES = 16
-DEFAULT_ENERGY_WINDOW = (0.2, 2.0)
+ENERGY_WINDOW = (0.2, 2.0)
+RELATIVE_STEP = 1e-6
 
 
 @functools.lru_cache(maxsize=8)
@@ -173,44 +180,48 @@ def _wrap_angle_difference(delta: np.ndarray) -> np.ndarray:
     return (delta + math.pi) % TWO_PI - math.pi
 
 
-def transform_jacobian(
-    sys: ProductSystem, state: np.ndarray, step: float = 1e-6
-) -> np.ndarray:
+def _orbit_scale(sys: ProductSystem, state: np.ndarray) -> np.ndarray:
+    """Amplitude of each factor's orbit through ``state`` along each axis,
+    sqrt(2E)/nu on xi and sqrt(2E) on pi, in the state's shape."""
+    xi, pi = sys.split_state(state)
+    nu = sys.frequencies
+    amplitude = np.sqrt(pi * pi + nu**2 * xi * xi)
+    return np.concatenate([amplitude / nu, amplitude], axis=-1)
+
+
+def transform_jacobian(sys: ProductSystem, state: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of state -> (actions, angles), shape
     ``(..., 2 dof, 2 dof)`` for one state or a stack.
 
+    Axis j is stepped by ``RELATIVE_STEP * _orbit_scale(sys, state)[..., j]``.
     The 2 * 2 dof bumped copies of ``state`` go through one
     ``to_action_angle`` call; the minus bump is formed as (x + step) - 2 step.
     Angle rows use wrapped differences so the branch cut of the angle chart
     does not poison the derivative.
     """
     state = np.asarray(state, dtype=float)
+    step = np.moveaxis(RELATIVE_STEP * _orbit_scale(sys, state), -1, 0)  # [j, ...]
     axes = np.arange(2 * sys.dof)
     bumped = np.broadcast_to(state, (2, axes.size) + state.shape).copy()
-    bumped[:, axes, ..., axes] += step
+    bumped[:, axes, ..., axes] += step[:, None]
     bumped[1, axes, ..., axes] -= 2.0 * step
     actions, angles = to_action_angle(sys, bumped)  # [sign, j, ..., k] at bump j
+    width = 2.0 * step[..., None]
     jac = np.empty(state.shape[:-1] + (axes.size, axes.size))
-    jac[..., : sys.dof, :] = np.moveaxis((actions[0] - actions[1]) / (2.0 * step), 0, -1)
+    jac[..., : sys.dof, :] = np.moveaxis((actions[0] - actions[1]) / width, 0, -1)
     jac[..., sys.dof :, :] = np.moveaxis(
-        _wrap_angle_difference(angles[0] - angles[1]) / (2.0 * step), 0, -1
+        _wrap_angle_difference(angles[0] - angles[1]) / width, 0, -1
     )
     return jac
 
 
-def sample_states(
-    sys: ProductSystem,
-    n_points: int = 100,
-    seed: int = 42,
-    energy_window: tuple[float, float] = DEFAULT_ENERGY_WINDOW,
-) -> np.ndarray:
-    """Seeded states, one row each, with per-factor energies inside the window.
+def sample_states(sys: ProductSystem, n_points: int = 100, seed: int = 42) -> np.ndarray:
+    """Seeded states, one row each, with per-factor energies inside
+    ``ENERGY_WINDOW``.
 
     Each row draws its dof energies, then its dof angles, from one stream.
     """
-    lo, hi = energy_window
-    if not 0 < lo < hi:
-        raise ValueError(f"energy window must satisfy 0 < lo < hi, got {energy_window}")
+    lo, hi = ENERGY_WINDOW
     rng = np.random.default_rng(seed)
     draws = rng.uniform([[lo], [0.0]], [[hi], [TWO_PI]], size=(n_points, 2, sys.dof))
     energies, angles = draws[:, 0], draws[:, 1]
@@ -218,25 +229,25 @@ def sample_states(
 
 
 def round_trip_residual(sys: ProductSystem, states) -> float:
+    """Worst |rebuilt - state| of the round trip through action-angle
+    coordinates, each axis measured in units of the orbit's amplitude along it."""
     states = np.asarray(states, dtype=float)
     rebuilt = from_action_angle(sys, *to_action_angle(sys, states))
-    return float(np.max(np.abs(rebuilt - states)))
+    return float(np.max(np.abs(rebuilt - states) / _orbit_scale(sys, states)))
 
 
 def canonical_check(
     sys: ProductSystem,
     n_points: int = 100,
     seed: int = 42,
-    step: float = 1e-6,
-    energy_window: tuple[float, float] = DEFAULT_ENERGY_WINDOW,
-    tolerance: float = TOL_FD,
+    tolerance: float = Tolerances.fd,
     *,
     states: np.ndarray | None = None,
 ) -> CheckReport:
     """Pull sum d(angle_k) ^ d(action_k) back through the transform and compare
     with sum d(xi_k) ^ d(pi_k) on the mechanical side, at ``states`` when the
-    caller already drew ``sample_states(sys, n_points, seed, energy_window)``,
-    else at a fresh draw of them."""
+    caller already drew ``sample_states(sys, n_points, seed)``, else at a
+    fresh draw of them."""
     m = sys.dof
     target = np.zeros((2 * m, 2 * m))
     mechanical = np.zeros((2 * m, 2 * m))
@@ -246,8 +257,8 @@ def canonical_check(
         mechanical[k, m + k] = 1.0
         mechanical[m + k, k] = -1.0
     if states is None:
-        states = sample_states(sys, n_points, seed, energy_window)
-    jac = transform_jacobian(sys, states, step)
+        states = sample_states(sys, n_points, seed)
+    jac = transform_jacobian(sys, states)
     pulled = np.swapaxes(jac, -1, -2) @ target @ jac
     worst = float(np.max(np.abs(pulled - mechanical)))
     return CheckReport.from_residual(
@@ -262,15 +273,13 @@ def canonical_check(
     )
 
 
-def angle_cycle_matrix(
-    sys: ProductSystem, energies, nodes: int = 64, park_offset: float = 0.3
-) -> np.ndarray:
+def angle_cycle_matrix(sys: ProductSystem, energies, nodes: int = 64) -> np.ndarray:
     """Period matrix (1/2pi) * integral of d(angle_i) over cycle_j.
 
-    Cycle j runs factor j once around its level curve while the other factors
-    sit parked at fixed points of their own curves; the result should be the
-    identity, and the off-diagonal zeros fall out of the quadrature rather
-    than being assumed.
+    Cycle j runs factor j once around its level curve while each other
+    factor i sits parked at angle 0.3 (i + 1) of its own curve; the result
+    should be the identity, and the off-diagonal zeros fall out of the
+    quadrature rather than being assumed.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.shape != (sys.dof,):
@@ -280,25 +289,21 @@ def angle_cycle_matrix(
     rows = []
     for i, osc in enumerate(sys.oscillators):
         moving = cycles == i  # cycle j moves factor i only when j == i
-        times = np.where(moving, t, park_offset * (i + 1))
+        times = np.where(moving, t, 0.3 * (i + 1))
         rows.append(_angle_turns(osc, energies[i], times, w, moving))
     return np.stack(rows)
 
 
 def model_from_product_system(
-    sys: ProductSystem,
-    energy_window: tuple[float, float] = DEFAULT_ENERGY_WINDOW,
-    name: str = "oscillator-model",
+    sys: ProductSystem, name: str = "oscillator-model"
 ) -> FibrationModel:
     """Fibration model over the action box of the product system.
 
     The first half of the factors supply the x-coordinates and the second
-    half the y-coordinates; each action window is the energy window divided
+    half the y-coordinates; each action window is ``ENERGY_WINDOW`` divided
     by that factor's frequency.
     """
-    lo, hi = energy_window
-    if not 0 < lo < hi:
-        raise ValueError(f"energy window must satisfy 0 < lo < hi, got {energy_window}")
+    lo, hi = ENERGY_WINDOW
     bounds = [
         (lo / osc.frequency, hi / osc.frequency) for osc in sys.oscillators
     ]
@@ -309,11 +314,11 @@ def verify_action_angle(
     sys: ProductSystem,
     n_points: int = 100,
     seed: int = 42,
-    tol_quadrature: float = 1e-8,
-    tol_algebraic: float = 1e-12,
-    tol_fd: float = TOL_FD,
+    tolerances: Tolerances = Tolerances(),
 ) -> list[CheckReport]:
-    """The full oscillator battery as a sorted list of reports."""
+    """The full oscillator battery as a sorted list of reports: the quadrature
+    oracles held to ``QUADRATURE_TOL``, the round trip and the canonical
+    transform to their entries of ``tolerances``."""
     energies = np.array([0.2, 0.5, 1.0, 2.0])
     worst = max(
         np.max(np.abs(action_from_energy(osc, energies) - energies / osc.frequency))
@@ -324,7 +329,7 @@ def verify_action_angle(
             "action_angle.action_equals_energy_over_frequency",
             len(energies) * sys.dof,
             worst,
-            tol_quadrature,
+            QUADRATURE_TOL,
             statement="quadrature of the action integral matches energy / frequency",
         )
     ]
@@ -336,7 +341,7 @@ def verify_action_angle(
             "action_angle.angle_normalization",
             len(energies) * sys.dof,
             worst,
-            tol_quadrature,
+            QUADRATURE_TOL,
             statement="the angle advances by exactly one turn around each level curve",
         )
     )
@@ -350,7 +355,7 @@ def verify_action_angle(
             "action_angle.cycle_matrix_identity",
             sys.dof,
             residual,
-            tol_quadrature,
+            QUADRATURE_TOL,
             statement="the period matrix of the angle differentials is the identity",
         )
     )
@@ -361,10 +366,10 @@ def verify_action_angle(
             "action_angle.round_trip",
             n_points,
             round_trip_residual(sys, states),
-            tol_algebraic,
+            tolerances.algebraic,
             statement="to_action_angle and from_action_angle invert each other",
         )
     )
 
-    reports.append(canonical_check(sys, n_points, seed, tolerance=tol_fd, states=states))
+    reports.append(canonical_check(sys, n_points, seed, tolerances.fd, states=states))
     return sorted(reports, key=lambda r: r.identity_name)

@@ -49,16 +49,18 @@ def transpose(M: np.ndarray) -> np.ndarray:
 
 
 def stencil(
-    evaluate: Callable[[Point], np.ndarray], pt: Point, h: float, shape: tuple[int, ...]
+    evaluate: Callable[[Point], np.ndarray], pt: Point, h: float | None, shape: tuple[int, ...]
 ) -> np.ndarray:
     """Central differences of ``evaluate`` along every chart axis, stacked on a
-    new last axis: ``out[..., *value, a] = d_a value``.
+    new last axis: ``out[..., *value, a] = d_a value``.  The step is ``h``, or
+    the chart's ``fd_step()`` when ``h`` is None.
 
     ``shape`` is the shape of the value at one point.  ``evaluate`` is called
     once, on a ``Point`` holding the 2 * dim shifted copies of ``pt`` on two
     new leading axes ``(sign, axis)``, each shifted coordinate formed as
     ``Point.shifted`` forms it.  A value of exactly ``shape`` is a constant,
     and its table keeps no point axes."""
+    h = pt.chart.fd_step() if h is None else float(h)
     dim = pt.chart.dim
     axes = np.arange(dim)
     coords = np.broadcast_to(pt.coords, (2, dim) + pt.coords.shape).copy()
@@ -107,10 +109,9 @@ def exterior_derivative(
     """Finite-difference exterior derivative of a 2-form as the full table
     ``(d w)[..., i, j, k] = d_i w_jk - d_j w_ik + d_k w_ij``."""
     require_same_chart(form.chart, pt.chart)
-    h = form.chart.fd_step() if step is None else float(step)
     dim = form.chart.dim
     # dM[..., j, k, i] = d_i w_jk
-    dM = stencil(lambda p: form_matrix(form, p), pt, h, (dim, dim))
+    dM = stencil(lambda p: form_matrix(form, p), pt, step, (dim, dim))
     return np.einsum("...jki->...ijk", dM) - np.einsum("...ikj->...ijk", dM) + dM
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,11 +51,9 @@ from .polynomials import Polynomial
 from .structures import (
     DEFAULT_POINTS,
     DEFAULT_SEED,
-    NONDEG_FLOOR,
-    TOL_ALGEBRAIC,
-    TOL_FD,
     CheckReport,
     FlatConnection,
+    Tolerances,
     almost_complex_residual,
     nijenhuis,
 )
@@ -97,7 +95,6 @@ def _names(prefix: str, n: int) -> tuple[str, ...]:
 def make_model(
     n: int,
     action_bounds: Sequence[tuple[float, float]] | None = None,
-    angle_period: float = ANGLE_PERIOD,
     name: str = "model",
 ) -> FibrationModel:
     """Build the rank-n model on a box chart.
@@ -120,7 +117,7 @@ def make_model(
         f"{name}-total",
         total_coords,
         base_lower + (0.0,) * (2 * n),
-        base_upper + (angle_period,) * (2 * n),
+        base_upper + (ANGLE_PERIOD,) * (2 * n),
     )
     return FibrationModel(
         n=n,
@@ -272,7 +269,7 @@ def verify_lagrangian_fibres(
     model: FibrationModel,
     form: DifferentialForm,
     pt: Point,
-    tolerance: float = TOL_ALGEBRAIC,
+    tolerance: float = Tolerances.algebraic,
 ) -> CheckReport:
     """Max |form(e_a, e_b)| over vertical (fibre) coordinate pairs."""
     vert = model.vertical_axes()
@@ -292,15 +289,14 @@ def verify_hypersymplectic(
     n_points: int = DEFAULT_POINTS,
     seed: int = DEFAULT_SEED,
     fd_step: float | None = None,
-    tol_algebraic: float = TOL_ALGEBRAIC,
-    tol_fd: float = TOL_FD,
-    nondeg_floor: float = NONDEG_FLOOR,
+    tolerances: Tolerances = Tolerances(),
     *,
     pt: Point | None = None,
     triple: HyperSymplecticTriple | None = None,
     complexes: HyperComplexTriple | None = None,
 ) -> list[CheckReport]:
-    """The full identity battery for the triple structure, sorted by name.
+    """The full identity battery for the triple structure, sorted by name,
+    each check held to its entry of ``tolerances``.
 
     A caller that already holds the sample ``total_chart.sample(n_points,
     seed)`` or the two triples of the model passes them in; otherwise they
@@ -319,13 +315,15 @@ def verify_hypersymplectic(
 
     for f in triple.forms():
         closure = float(np.max(np.abs(exterior_derivative(f, pt, fd_step))))
-        report(f"closed.{f.name}", closure, tol_fd, f"d({f.name}) = 0 under central differences")
+        report(
+            f"closed.{f.name}", closure, tolerances.fd, f"d({f.name}) = 0 under central differences"
+        )
         min_det = float(np.min(np.abs(np.linalg.det(form_matrix(f, pt)))))
         report(
             f"nondegenerate.{f.name}",
-            nondeg_floor - min_det,
+            tolerances.nondegeneracy - min_det,
             0.0,
-            f"|det| of the {f.name} matrix stays above {nondeg_floor:g} "
+            f"|det| of the {f.name} matrix stays above {tolerances.nondegeneracy:g} "
             f"(minimum seen: {min_det:g})",
         )
 
@@ -334,7 +332,7 @@ def verify_hypersymplectic(
         report(
             f"recursion_squares.{a}_{b}",
             almost_complex_residual(A),
-            tol_algebraic,
+            tolerances.algebraic,
             f"the recursion operator of ({a}, {b}) squares to minus the identity",
         )
 
@@ -343,7 +341,7 @@ def verify_hypersymplectic(
         report(
             f"anticommute.{Ja.name}_{Jb.name}",
             float(np.max(np.abs(Ca @ Cb + Cb @ Ca))),
-            tol_algebraic,
+            tolerances.algebraic,
             f"{Ja.name} and {Jb.name} anticommute in the covector action",
         )
 
@@ -352,26 +350,26 @@ def verify_hypersymplectic(
         report(
             f"squares_to_minus_identity.{J.name}",
             almost_complex_residual(J.matrix(pt)),
-            tol_algebraic,
+            tolerances.algebraic,
             f"{J.name} squared equals minus the identity",
         )
         report(
             f"nijenhuis.{J.name}",
             float(np.max(np.abs(nijenhuis(J, pt, fd_step)))),
-            tol_fd,
+            tolerances.fd,
             f"Nijenhuis tensor of {J.name} vanishes on the coordinate frame",
         )
         report(
             f"holomorphic_frame.{J.name}",
             holomorphic_frame_check(J, pairs[J.name], pt),
-            tol_algebraic,
+            tolerances.algebraic,
             f"the standard coframe pairs diagonalize {J.name}",
         )
 
     report(
         "composition.sigma_from_omega_chi",
         float(np.max(np.abs(complexes.J_sigma.matrix(pt) - expected_composite_matrix(model)))),
-        tol_algebraic,
+        tolerances.algebraic,
         "composing the first two complex structures in the covector action "
         "reproduces the pinned constant table of the third",
     )
@@ -387,7 +385,9 @@ class SectionMap:
     """A polynomial section (x, y) -> (x, y, p(x, y), q(x, y)).
 
     The components (p, q) and their exact Jacobian are each held as one
-    vector polynomial, so a map evaluates every component in one call."""
+    vector polynomial, so a map evaluates every component in one call.
+    Its derivatives, exact or FD, raise GeometryError when they overflow,
+    before any product reads them."""
 
     model: FibrationModel
     p: tuple[Polynomial, ...]
@@ -425,7 +425,8 @@ class SectionMap:
     def fibre_jacobian(self, base_pt: Point) -> np.ndarray:
         """Exact fibre block d(p, q)/d(x, y), shape (..., 2n, 2n)."""
         n2 = 2 * self.model.n
-        return self._jacobian(base_pt.coords).reshape(base_pt.batch_shape + (n2, n2))
+        block = _finite(lambda: self._jacobian(base_pt.coords))
+        return block.reshape(base_pt.batch_shape + (n2, n2))
 
     def jacobian(self, base_pt: Point) -> np.ndarray:
         """Exact Jacobian (..., 4n, 2n): identity block over the fibre block."""
@@ -434,8 +435,18 @@ class SectionMap:
         return np.concatenate([top, self.fibre_jacobian(base_pt)], axis=-2)
 
     def jacobian_fd(self, base_pt: Point, step: float | None = None) -> np.ndarray:
-        h = self.model.base_chart.fd_step() if step is None else float(step)
-        return stencil(self.total_coords, base_pt, h, (self.model.total_chart.dim,))
+        shape = (self.model.total_chart.dim,)
+        return _finite(lambda: stencil(self.total_coords, base_pt, step, shape))
+
+
+def _finite(derivative: Callable[[], np.ndarray]) -> np.ndarray:
+    """``derivative()`` of a section, evaluated with numpy's overflow warnings
+    silenced; GeometryError unless every value is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = derivative()
+    if not np.isfinite(value).all():
+        raise GeometryError("tangent frame of the graph is not finite")
+    return value
 
 
 def zero_section(model: FibrationModel) -> SectionMap:
@@ -490,16 +501,14 @@ def graph_frame_defect(
     {(v, D v)}.  Returns D, the base block R = (J F)_xy and the defect
     (J F)_pq - D R: column c of J F minus the tangent vector (R_c, D R_c) is
     (0, defect_c), so J F is tangent to the graph exactly when the defect
-    vanishes.  Raises GeometryError when D or J F is not finite, since no
-    verdict can be read from them.
+    vanishes.  ``SectionMap.jacobian_fd`` raises GeometryError when F is not
+    finite, since no verdict can be read from it.
     """
     frame = section.jacobian_fd(pt, fd_step)
     moved = J.matrix(section.evaluate(pt)) @ frame
     n2 = frame.shape[-1]
     steps = np.diagonal(frame[..., :n2, :], axis1=-2, axis2=-1)
     D = frame[..., n2:, :] / steps[..., None, :]
-    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(moved))):
-        raise GeometryError("tangent frame of the graph is not finite")
     restriction = moved[..., :n2, :]
     return D, restriction, moved[..., n2:, :] - D @ restriction
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from typing import Callable
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from ._version import __version__
 from .action_angle import (
-    DEFAULT_ENERGY_WINDOW,
+    ENERGY_WINDOW,
     ProductSystem,
     model_from_product_system,
     verify_action_angle,
@@ -53,11 +53,9 @@ from .special_kahler import (
 from .structures import (
     DEFAULT_POINTS,
     DEFAULT_SEED,
-    NONDEG_FLOOR,
-    TOL_ALGEBRAIC,
-    TOL_FD,
-    TOL_NESTED_FD,
+    SECTION_PULLBACK_TOL,
     CheckReport,
+    Tolerances,
 )
 
 SCHEMA_VERSION = "1"
@@ -90,8 +88,6 @@ FORM_NAMES = ("omega", "chi", "sigma")
 # which complex structure should preserve the graph of a section that is
 # Lagrangian for a given form (the remaining two forms vanish on the graph)
 FORM_TO_COMPLEX = {"omega": "J_chi", "sigma": "J_omega", "chi": "J_sigma"}
-
-SECTION_PULLBACK_TOL = 1e-10
 
 
 def _require(condition: bool, message: str) -> None:
@@ -165,20 +161,12 @@ class SectionSpec:
         return tuple(components)
 
     def to_section(self, model: FibrationModel) -> SectionMap:
-        n = model.n
-        _require(
-            len(self.p_terms) == n and len(self.q_terms) == n,
-            f"section {self.name!r} needs {n} p- and q-components for a rank-{n} model",
-        )
-        for terms in self.p_terms + self.q_terms:
-            for powers, _ in terms:
-                _require(
-                    len(powers) == 2 * n,
-                    f"section {self.name!r}: power vectors must have length {2 * n}",
-                )
+        """The section on ``model``; ``SectionMap`` and ``Polynomial.from_terms``
+        check that its components and power vectors fit the model."""
+        n2 = 2 * model.n
         try:
-            p = tuple(Polynomial.from_terms(2 * n, terms) for terms in self.p_terms)
-            q = tuple(Polynomial.from_terms(2 * n, terms) for terms in self.q_terms)
+            p = tuple(Polynomial.from_terms(n2, terms) for terms in self.p_terms)
+            q = tuple(Polynomial.from_terms(n2, terms) for terms in self.q_terms)
             return SectionMap(model, p, q, name=self.name)
         except ValueError as exc:
             raise ConfigError(f"section {self.name!r}: {exc}") from exc
@@ -224,31 +212,13 @@ class SamplingConfig:
         return {"n_points": self.n_points, "seed": self.seed, "fd_step": self.fd_step}
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    algebraic: float = TOL_ALGEBRAIC
-    fd: float = TOL_FD
-    nested_fd: float = TOL_NESTED_FD
-    nondegeneracy: float = NONDEG_FLOOR
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ToleranceConfig":
-        known = {"algebraic", "fd", "nested_fd", "nondegeneracy"}
-        unknown = set(raw) - known
-        _require(not unknown, f"tolerances has unknown keys: {sorted(unknown)}")
-        values = {}
-        for key in known:
-            if key in raw:
-                values[key] = _as_positive_float(raw[key], f"tolerances.{key}")
-        return cls(**values)
-
-    def echo(self) -> dict:
-        return {
-            "algebraic": self.algebraic,
-            "fd": self.fd,
-            "nested_fd": self.nested_fd,
-            "nondegeneracy": self.nondegeneracy,
-        }
+def _tolerances_from_dict(raw: dict) -> Tolerances:
+    known = {f.name for f in fields(Tolerances)}
+    unknown = set(raw) - known
+    _require(not unknown, f"tolerances has unknown keys: {sorted(unknown)}")
+    return Tolerances(
+        **{key: _as_positive_float(value, f"tolerances.{key}") for key, value in raw.items()}
+    )
 
 
 @dataclass(frozen=True)
@@ -258,7 +228,7 @@ class ScenarioConfig:
     frequencies: tuple[float, ...]
     sections: tuple[SectionSpec, ...] | None
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
+    tolerances: Tolerances = field(default_factory=Tolerances)
     suites: tuple[str, ...] = DEFAULT_SUITE_ORDER
     output: str | None = None
 
@@ -301,7 +271,7 @@ class ScenarioConfig:
             frequencies = tuple(
                 _as_positive_float(f, f"frequencies[{k}]") for k, f in enumerate(frequencies)
             )
-            lo, hi = DEFAULT_ENERGY_WINDOW
+            lo, hi = ENERGY_WINDOW
             for k, nu in enumerate(frequencies):
                 window = (lo / nu, hi / nu)
                 _require(
@@ -348,7 +318,7 @@ class ScenarioConfig:
         )
 
         sampling = SamplingConfig.from_dict(raw.get("sampling", {}) or {})
-        tolerances = ToleranceConfig.from_dict(raw.get("tolerances", {}) or {})
+        tolerances = _tolerances_from_dict(raw.get("tolerances", {}) or {})
 
         suites_raw = raw.get("suites")
         if suites_raw is None:
@@ -391,7 +361,7 @@ class ScenarioConfig:
             if self.sections is None
             else [s.echo() for s in self.sections],
             "sampling": self.sampling.echo(),
-            "tolerances": self.tolerances.echo(),
+            "tolerances": asdict(self.tolerances),
             "suites": list(self.suites),
         }
 
@@ -486,9 +456,7 @@ def _suite_hypersymplectic(run: _RunInputs) -> list[CheckReport]:
         n_points=config.sampling.n_points,
         seed=config.sampling.seed,
         fd_step=config.sampling.fd_step,
-        tol_algebraic=config.tolerances.algebraic,
-        tol_fd=config.tolerances.fd,
-        nondeg_floor=config.tolerances.nondegeneracy,
+        tolerances=config.tolerances,
         pt=run.total_pt,
         triple=run.triple,
         complexes=run.complexes,
@@ -541,14 +509,8 @@ def _suite_special_kahler(run: _RunInputs) -> list[CheckReport]:
     sigma_sections = [section for section, form_name in run.sections if form_name == "sigma"]
     section = sigma_sections[0] if sigma_sections else standard_sigma_section(model)
     data = build_special_kahler(model, section)
-    reports = special_symplectic_check(
-        data,
-        pt,
-        fd_step=config.sampling.fd_step,
-        tol_algebraic=config.tolerances.algebraic,
-        tol_fd=config.tolerances.nested_fd,
-    )
-    reports.extend(kahler_reports(data, pt, config.tolerances.algebraic))
+    reports = special_symplectic_check(data, pt, config.sampling.fd_step, config.tolerances)
+    reports.extend(kahler_reports(data, pt, config.tolerances))
     reports.append(
         induced_vs_restriction(
             model, section, pt, config.sampling.fd_step, config.tolerances.fd,
@@ -562,11 +524,7 @@ def _suite_action_angle(run: _RunInputs) -> list[CheckReport]:
     config = run.config
     sys = ProductSystem.from_frequencies(config.frequencies)
     return verify_action_angle(
-        sys,
-        n_points=config.sampling.n_points,
-        seed=config.sampling.seed,
-        tol_algebraic=config.tolerances.algebraic,
-        tol_fd=config.tolerances.fd,
+        sys, config.sampling.n_points, config.sampling.seed, config.tolerances
     )
 
 
@@ -582,7 +540,7 @@ _SUITE_RUNNERS: dict[str, Callable[[_RunInputs], list[CheckReport]]] = {
 def build_scenario_model(config: ScenarioConfig) -> FibrationModel:
     if config.scenario == "oscillators":
         sys = ProductSystem.from_frequencies(config.frequencies)
-        return model_from_product_system(sys, DEFAULT_ENERGY_WINDOW, name="oscillators")
+        return model_from_product_system(sys, name="oscillators")
     return make_model(config.n, name=config.scenario)
 
 

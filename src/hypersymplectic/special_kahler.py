@@ -38,16 +38,14 @@ from .fibration import (
 )
 from .structures import (
     METRIC_ZERO_GUARD,
-    TOL_ALGEBRAIC,
-    TOL_FD,
+    PARALLEL_TOL,
     CheckReport,
     FlatConnection,
+    Tolerances,
     almost_complex_residual,
     covariant_constancy,
     d_nabla_endo,
 )
-
-PARALLEL_TOL = 1e-8
 
 
 def induced_complex_structure(section: SectionMap, pt: Point) -> np.ndarray:
@@ -89,27 +87,24 @@ def build_special_kahler(model: FibrationModel, section: SectionMap) -> SpecialK
 
 
 def kahler_metric(
-    Omega: DifferentialForm,
-    I: EndomorphismField,
-    pt: Point,
-    almost_complex_tol: float = PARALLEL_TOL,
+    Omega: DifferentialForm, I: EndomorphismField, pt: Point
 ) -> tuple[np.ndarray, float]:
     """g = Omega o I at point(s), plus the worst I-invariance residual of Omega.
 
-    Raises if I fails to square to minus the identity: the metric is only
+    Raises if I^2 + Id exceeds ``PARALLEL_TOL``: the metric is only
     meaningful for an almost-complex I.
     """
     M_I = I.matrix(pt)
     ac_residual = almost_complex_residual(M_I)
-    if ac_residual > almost_complex_tol:
+    if ac_residual > PARALLEL_TOL:
         raise NotAlmostComplexError(
-            f"I^2 + Id residual {ac_residual:.3e} exceeds {almost_complex_tol:g}; "
+            f"I^2 + Id residual {ac_residual:.3e} exceeds {PARALLEL_TOL:g}; "
             "refusing to build a metric from a non-almost-complex I"
         )
     return _metric(form_matrix(Omega, pt), M_I)
 
 
-def signature(g: np.ndarray, zero_guard: float = METRIC_ZERO_GUARD) -> tuple:
+def signature(g: np.ndarray) -> tuple:
     """(positive, negative) eigenvalue counts of the symmetric part of g.
 
     For a stack of ``(..., d, d)`` matrices both counts have the leading
@@ -117,12 +112,12 @@ def signature(g: np.ndarray, zero_guard: float = METRIC_ZERO_GUARD) -> tuple:
     eigenvalue lies inside the zero guard.
     """
     eigenvalues = np.linalg.eigvalsh(0.5 * (g + transpose(g)))
-    inside = np.abs(eigenvalues) < zero_guard
+    inside = np.abs(eigenvalues) < METRIC_ZERO_GUARD
     if np.any(inside):
         first = int(np.argmax(np.any(inside, axis=-1).ravel()))
         worst = float(np.min(np.abs(eigenvalues.reshape(-1, g.shape[-1])[first])))
         raise DegenerateMetricError(
-            f"metric eigenvalue {worst:.3e} lies inside the zero guard {zero_guard:g}"
+            f"metric eigenvalue {worst:.3e} lies inside the zero guard {METRIC_ZERO_GUARD:g}"
         )
     pos = np.sum(eigenvalues > 0, axis=-1)
     return pos[()], (g.shape[-1] - pos)[()]
@@ -140,32 +135,32 @@ def special_symplectic_check(
     data: SpecialKahlerData,
     pt: Point,
     fd_step: float | None = None,
-    tol_parallel: float = PARALLEL_TOL,
-    tol_algebraic: float = TOL_ALGEBRAIC,
-    tol_fd: float = TOL_FD,
+    tolerances: Tolerances = Tolerances(),
 ) -> list[CheckReport]:
-    """Reports for: flat, torsion-free, Omega parallel, I parallel, I^2 = -Id."""
+    """Reports for: flat (``tolerances.nested_fd``), torsion-free and
+    I^2 = -Id (``tolerances.algebraic``), Omega and I parallel
+    (``PARALLEL_TOL``)."""
     conn = data.connection
     return [
         _report(
             "connection_flat",
             pt,
             conn.curvature_residual(pt, fd_step),
-            tol_fd,
+            tolerances.nested_fd,
             "curvature of the connection vanishes",
         ),
         _report(
             "connection_torsion_free",
             pt,
             conn.torsion_residual(pt),
-            tol_algebraic,
+            tolerances.algebraic,
             "connection coefficients are symmetric in the lower indices",
         ),
         _report(
             "base_form_parallel",
             pt,
             float(np.max(np.abs(covariant_constancy(conn, data.Omega, pt, fd_step)))),
-            tol_parallel,
+            PARALLEL_TOL,
             "the base symplectic form is parallel for the flat connection",
         ),
         # the table is antisymmetric in (a, b), so its max covers every pair a < b
@@ -173,14 +168,14 @@ def special_symplectic_check(
             "complex_structure_parallel",
             pt,
             float(np.max(np.abs(d_nabla_endo(conn, data.I, pt, fd_step)))),
-            tol_parallel,
+            PARALLEL_TOL,
             "the exterior covariant derivative of I vanishes on the coordinate frame",
         ),
         _report(
             "squares_to_minus_identity",
             pt,
             almost_complex_residual(data.I.matrix(pt)),
-            tol_algebraic,
+            tolerances.algebraic,
             "the induced endomorphism squares to minus the identity",
         ),
     ]
@@ -189,7 +184,7 @@ def special_symplectic_check(
 def kahler_reports(
     data: SpecialKahlerData,
     pt: Point,
-    tol_algebraic: float = TOL_ALGEBRAIC,
+    tolerances: Tolerances = Tolerances(),
 ) -> list[CheckReport]:
     """Metric-level reports: symmetry (exact), invariance, constant signature."""
     g, invariance = _metric(form_matrix(data.Omega, pt), data.I.matrix(pt))
@@ -211,7 +206,8 @@ def kahler_reports(
             "g agrees with its transpose exactly at every sampled point",
         ),
         _report(
-            "base_form_invariant", pt, invariance, tol_algebraic, "Omega(I., I.) agrees with Omega"
+            "base_form_invariant", pt, invariance, tolerances.algebraic,
+            "Omega(I., I.) agrees with Omega",
         ),
         _report("signature_constant", pt, spread, 0.0, signature_text),
     ]
@@ -222,7 +218,7 @@ def induced_vs_restriction(
     section: SectionMap,
     pt: Point,
     fd_step: float | None = None,
-    tolerance: float = TOL_FD,
+    tolerance: float = Tolerances.fd,
     *,
     complexes: HyperComplexTriple | None = None,
 ) -> CheckReport:

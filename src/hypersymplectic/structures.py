@@ -25,6 +25,11 @@ sample.
 The tensor identities (``d_nabla_endo``, ``nijenhuis``) are evaluated on the
 coordinate frame: each returns the full table of the tensor's components at
 every point, which fixes its value on every pair of vector fields.
+
+Every tolerance a check is held to is defined here.  ``Tolerances`` holds the
+four a configuration may set; the suite functions take one and read from it
+which tolerance each of their checks gets.  The remaining constants are
+fixed: no configuration key reaches them.
 """
 
 from __future__ import annotations
@@ -37,13 +42,27 @@ import numpy as np
 from .calculus import DifferentialForm, EndomorphismField, form_matrix, stencil
 from .charts import Chart, Point, conform, require_same_chart
 
-TOL_ALGEBRAIC = 1e-12
-TOL_FD = 1e-6
-TOL_NESTED_FD = 1e-4
-NONDEG_FLOOR = 1e-8
-METRIC_ZERO_GUARD = 1e-10
 DEFAULT_POINTS = 100
 DEFAULT_SEED = 42
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The four tolerances a configuration may set, with their defaults:
+    pointwise algebra, first-order central differences, nested differences
+    (curvature) and the floor each form's ``|det|`` must stay above."""
+
+    algebraic: float = 1e-12
+    fd: float = 1e-6
+    nested_fd: float = 1e-4
+    nondegeneracy: float = 1e-8
+
+
+# fixed tolerances
+SECTION_PULLBACK_TOL = 1e-10  # a section's pullback, read through its exact Jacobian
+PARALLEL_TOL = 1e-8  # Omega and I parallel; also the I^2 = -Id guard of kahler_metric
+QUADRATURE_TOL = 1e-8  # the action-angle quadrature oracles
+METRIC_ZERO_GUARD = 1e-10  # a metric eigenvalue closer to zero leaves the signature undefined
 
 
 @dataclass(frozen=True)
@@ -119,10 +138,9 @@ class FlatConnection:
         constant Christoffel symbols); the curvature itself is formed one
         upper index l at a time, so no second table of that size is built.
         """
-        h = self.chart.fd_step() if step is None else float(step)
         G = self.gamma(pt)
         dim = self.chart.dim
-        dG = stencil(self.gamma, pt, h, (dim, dim, dim))  # dG[..., l, j, k, a] = d_a Gamma^l_jk
+        dG = stencil(self.gamma, pt, step, (dim, dim, dim))  # dG[..., l, j, k, a] = d_a Gamma^l_jk
         worst = 0.0
         for l in range(dim):
             # R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
@@ -143,10 +161,9 @@ def covariant_constancy(
     Zero everywhere iff the form is parallel for the connection at the point.
     """
     require_same_chart(conn.chart, form.chart)
-    h = conn.chart.fd_step() if step is None else float(step)
     T = form_matrix(form, pt)
     dim = conn.chart.dim
-    dT = np.moveaxis(stencil(lambda p: form_matrix(form, p), pt, h, (dim, dim)), -1, -3)
+    dT = np.moveaxis(stencil(lambda p: form_matrix(form, p), pt, step, (dim, dim)), -1, -3)
     G = conn.gamma(pt)
     corr1 = np.einsum("...lij,...lk->...ijk", G, T)
     corr2 = np.einsum("...lik,...jl->...ijk", G, T)
@@ -171,9 +188,8 @@ def d_nabla_endo(
     stencil, however many points ``pt`` stacks.
     """
     require_same_chart(conn.chart, I.chart)
-    h = conn.chart.fd_step() if step is None else float(step)
     I_pt = I.matrix(pt)
-    dI = stencil(I.matrix, pt, h, (I.chart.dim, I.chart.dim))  # dI[..., k, b, a] = d_a I_kb
+    dI = stencil(I.matrix, pt, step, (I.chart.dim, I.chart.dim))  # dI[..., k, b, a] = d_a I_kb
     G = conn.gamma(pt)
     nabla = (
         np.swapaxes(dI, -1, -3)
@@ -195,9 +211,8 @@ def nijenhuis(J: EndomorphismField, pt: Point, step: float | None = None) -> np.
     fields.  J is read twice, once at ``pt`` and once on the whole central
     stencil, however many points ``pt`` stacks.
     """
-    h = pt.chart.fd_step() if step is None else float(step)
     J_pt = J.matrix(pt)
-    dJ = stencil(J.matrix, pt, h, (J.chart.dim, J.chart.dim))  # dJ[..., k, b, m] = d_m J^k_b
+    dJ = stencil(J.matrix, pt, step, (J.chart.dim, J.chart.dim))  # dJ[..., k, b, m] = d_m J^k_b
     A = np.einsum("...ma,...kbm->...kab", J_pt, dJ) + np.einsum("...km,...mab->...kab", J_pt, dJ)
     return A - np.swapaxes(A, -1, -2)
 

@@ -22,7 +22,7 @@ from hypersymplectic.fibration import (
     zero_section,
 )
 from hypersymplectic.polynomials import Polynomial
-from hypersymplectic.scenarios import SECTION_PULLBACK_TOL
+from hypersymplectic.structures import SECTION_PULLBACK_TOL
 from test_acceptance import _corpus
 
 MODEL = make_model(1)

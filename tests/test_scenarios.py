@@ -12,6 +12,7 @@ from hypersymplectic.scenarios import (
     list_scenarios,
     run_scenario,
 )
+from hypersymplectic.structures import PARALLEL_TOL, QUADRATURE_TOL, SECTION_PULLBACK_TOL
 
 ROTATION_SECTION = {
     "name": "turn",
@@ -171,6 +172,48 @@ def test_tolerance_overrides_are_wired_through():
     assert doc.verdict == "fail"
     by_name = {r.identity_name: r for r in doc.checks}
     assert not by_name["action_angle.canonical_transform"].passed
+
+    # four distinct values: each check reports the one it is held to
+    tolerances = {"algebraic": 2e-12, "fd": 3e-6, "nested_fd": 5e-4, "nondegeneracy": 7e-3}
+    doc = run_scenario(ScenarioConfig.from_dict({"tolerances": tolerances}))
+    assert doc.config_echo["tolerances"] == tolerances
+    algebraic, fd, nested_fd = (tolerances[k] for k in ("algebraic", "fd", "nested_fd"))
+    held_to = {  # identity prefix -> tolerance
+        "hypersymplectic.recursion_squares.": algebraic,
+        "hypersymplectic.anticommute.": algebraic,
+        "hypersymplectic.squares_to_minus_identity.": algebraic,
+        "hypersymplectic.holomorphic_frame.": algebraic,
+        "hypersymplectic.composition.": algebraic,
+        "lagrangian_fibres(": algebraic,
+        "special_kahler.connection_torsion_free": algebraic,
+        "special_kahler.squares_to_minus_identity": algebraic,
+        "special_kahler.base_form_invariant": algebraic,
+        "action_angle.round_trip": algebraic,
+        "hypersymplectic.closed.": fd,
+        "hypersymplectic.nijenhuis.": fd,
+        "sections.graph_invariant.": fd,
+        "special_kahler.matches_graph_restriction": fd,
+        "action_angle.canonical_transform": fd,
+        "special_kahler.connection_flat": nested_fd,
+        "sections.pullback_vanishes.": SECTION_PULLBACK_TOL,
+        "special_kahler.base_form_parallel": PARALLEL_TOL,
+        "special_kahler.complex_structure_parallel": PARALLEL_TOL,
+        "action_angle.action_equals_energy_over_frequency": QUADRATURE_TOL,
+        "action_angle.angle_normalization": QUADRATURE_TOL,
+        "action_angle.cycle_matrix_identity": QUADRATURE_TOL,
+        # signed slack, and the exact checks
+        "hypersymplectic.nondegenerate.": 0.0,
+        "special_kahler.metric_symmetric": 0.0,
+        "special_kahler.signature_constant": 0.0,
+    }
+    for r in doc.checks:
+        (prefix,) = [p for p in held_to if r.identity_name.startswith(p)]
+        assert r.tolerance == held_to[prefix], r.identity_name
+        if prefix == "hypersymplectic.nondegenerate.":
+            # every form of the model has |det| = 1
+            assert r.max_residual == pytest.approx(tolerances["nondegeneracy"] - 1.0)
+            assert "stays above 0.007 " in r.statement
+    assert len(doc.checks) == 42
 
 
 def test_summary_lines_cover_every_check():
