@@ -52,12 +52,13 @@ def _loop_quadrature(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Oscillator1DOF:
-    """One factor; its methods take scalars or arrays and broadcast them."""
+    """One factor, or several when ``frequency`` is an array; its methods
+    take scalars or arrays and broadcast them against the frequency."""
 
-    frequency: float
+    frequency: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.frequency > 0:
+        if not np.all(np.asarray(self.frequency) > 0):  # NaN fails the comparison too
             raise ValueError(f"frequency must be positive, got {self.frequency}")
 
     def hamiltonian(self, xi, pi):
@@ -90,10 +91,10 @@ def _angle_turns(osc: Oscillator1DOF, energy, t, w, moving=True) -> np.ndarray:
     """(1/2pi) * quadrature of d(angle) applied to the orbit velocity over the
     last axis of t; where ``moving`` is False the factor sits at t with zero
     velocity."""
-    xi, pi = osc.level_curve(energy, t)
-    gxi, gpi = osc.angle_gradient(xi, pi)
-    vel_xi, vel_pi = (moving * v for v in osc.level_velocity(energy, t))
-    return np.sum(w * (gxi * vel_xi + gpi * vel_pi), axis=-1) * math.pi / TWO_PI
+    gxi, gpi = osc.angle_gradient(*osc.level_curve(energy, t))
+    vel_xi, vel_pi = osc.level_velocity(energy, t)
+    rate = gxi * (moving * vel_xi) + gpi * (moving * vel_pi)
+    return np.sum(w * rate, axis=-1) * math.pi / TWO_PI
 
 
 def action_from_energy(osc: Oscillator1DOF, energy, nodes: int = 64):
@@ -285,13 +286,11 @@ def angle_cycle_matrix(sys: ProductSystem, energies, nodes: int = 64) -> np.ndar
     if energies.shape != (sys.dof,):
         raise ValueError(f"need one energy per factor, got shape {energies.shape}")
     t, w = _loop_quadrature(nodes)
-    cycles = np.arange(sys.dof)[:, None]
-    rows = []
-    for i, osc in enumerate(sys.oscillators):
-        moving = cycles == i  # cycle j moves factor i only when j == i
-        times = np.where(moving, t, 0.3 * (i + 1))
-        rows.append(_angle_turns(osc, energies[i], times, w, moving))
-    return np.stack(rows)
+    factors = np.arange(sys.dof)[:, None, None]  # [i, j, node]
+    moving = factors == np.arange(sys.dof)[:, None]  # cycle j moves factor i only when j == i
+    times = np.where(moving, t, 0.3 * (factors + 1))
+    osc = Oscillator1DOF(sys.frequencies[:, None, None])
+    return _angle_turns(osc, energies[:, None, None], times, w, moving)
 
 
 def model_from_product_system(
@@ -319,11 +318,10 @@ def verify_action_angle(
     """The full oscillator battery as a sorted list of reports: the quadrature
     oracles held to ``QUADRATURE_TOL``, the round trip and the canonical
     transform to their entries of ``tolerances``."""
+    nu = sys.frequencies[:, None]  # [factor, energy]
+    oscillators = Oscillator1DOF(nu[..., None])  # [factor, energy, node]
     energies = np.array([0.2, 0.5, 1.0, 2.0])
-    worst = max(
-        np.max(np.abs(action_from_energy(osc, energies) - energies / osc.frequency))
-        for osc in sys.oscillators
-    )
+    worst = np.max(np.abs(action_from_energy(oscillators, energies) - energies / nu))
     reports = [
         CheckReport.from_residual(
             "action_angle.action_equals_energy_over_frequency",
@@ -335,7 +333,7 @@ def verify_action_angle(
     ]
 
     energies = np.array([0.5, 1.0])
-    worst = max(np.max(angle_period_check(osc, energies)) for osc in sys.oscillators)
+    worst = np.max(angle_period_check(oscillators, energies))
     reports.append(
         CheckReport.from_residual(
             "action_angle.angle_normalization",

@@ -38,7 +38,6 @@ import numpy as np
 from .calculus import (
     DifferentialForm,
     EndomorphismField,
-    apply,
     compose_covector,
     exterior_derivative,
     form_matrix,
@@ -229,40 +228,38 @@ def recursion_operator(
 
 
 def holomorphic_frame_check(
-    J: EndomorphismField,
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-    pt: Point,
+    J: EndomorphismField, a: np.ndarray, b: np.ndarray, pt: Point
 ) -> float:
-    """Check that each (a, b) pair of covectors spans a J-eigen coframe, a + ib.
+    """Check that each row pair (a_k, b_k) of the ``(k, dim)`` covector arrays
+    ``a`` and ``b`` spans a J-eigen coframe, a_k + i b_k.
 
     For each pair the residual is min over s in {+1, -1} of
     ``|J a - s (-b)| + |J b - s a|`` in the covector action; s = +1 matches
     J a = -b (the pair represents a holomorphic differential), s = -1 the
-    conjugate orientation.  Returns the worst residual over pairs and points.
+    conjugate orientation.  Every covector goes through one product with the
+    covector matrix; returns the worst residual over pairs and points.
     """
-    worst = 0.0
-    C = J.covector_matrix(pt)
-    for a, b in pairs:
-        Ja, Jb = apply(C, a), apply(C, b)
-        plus, minus = (
-            np.linalg.norm(Ja - s * (-b), axis=-1) + np.linalg.norm(Jb - s * a, axis=-1)
-            for s in (1, -1)
-        )
-        worst = max(worst, float(np.max(np.minimum(plus, minus))))
-    return worst
+    covectors = np.concatenate([a, b])  # [2k, dim]: the rows of a, then of b
+    moved = covectors @ transpose(J.covector_matrix(pt))  # row r is C @ covectors[r]
+    Ja, Jb = np.split(moved, 2, axis=-2)
+    plus, minus = (
+        np.linalg.norm(Ja + s * b, axis=-1) + np.linalg.norm(Jb - s * a, axis=-1)
+        for s in (1, -1)
+    )
+    return float(np.max(np.minimum(plus, minus)))
 
 
-def standard_frame_pairs(model: FibrationModel) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
+def standard_frame_pairs(model: FibrationModel) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """The coordinate coframe pairs (unit covectors) each complex structure
-    should preserve."""
+    should preserve, as two ``(2n, dim)`` arrays: row k of the first and row
+    k of the second make pair k."""
     d = np.eye(model.total_chart.dim)
-    pairs: dict[str, list] = {"J_omega": [], "J_chi": [], "J_sigma": []}
-    for i in range(model.n):
-        ix, iy, ip, iq = model.ix(i), model.iy(i), model.ip(i), model.iq(i)
-        pairs["J_omega"] += [(d[ix], d[ip]), (d[iy], d[iq])]
-        pairs["J_chi"] += [(d[iq], d[ip]), (d[ix], d[iy])]
-        pairs["J_sigma"] += [(d[ix], d[iq]), (d[ip], d[iy])]
-    return pairs
+    x, y, p, q = (d[k * model.n : (k + 1) * model.n] for k in range(4))
+    pairs = {"J_omega": ((x, p), (y, q)), "J_chi": ((q, p), (x, y)), "J_sigma": ((x, q), (p, y))}
+    return {
+        name: tuple(np.concatenate(side) for side in zip(*blocks))
+        for name, blocks in pairs.items()
+    }
 
 
 def verify_lagrangian_fibres(
@@ -361,7 +358,7 @@ def verify_hypersymplectic(
         )
         report(
             f"holomorphic_frame.{J.name}",
-            holomorphic_frame_check(J, pairs[J.name], pt),
+            holomorphic_frame_check(J, *pairs[J.name], pt),
             tolerances.algebraic,
             f"the standard coframe pairs diagonalize {J.name}",
         )
@@ -408,10 +405,10 @@ class SectionMap:
                 raise ValueError(
                     f"section degree {poly.degree} exceeds the bound {MAX_SECTION_DEGREE}"
                 )
+        fibre = Polynomial.stack(components)
+        object.__setattr__(self, "_fibre", fibre)
         # row-major d(p, q)_r / d(x, y)_j, reshaped to (2n, 2n) by fibre_jacobian
-        rows = [poly.derivative(j) for poly in components for j in range(2 * n)]
-        object.__setattr__(self, "_fibre", Polynomial.stack(components))
-        object.__setattr__(self, "_jacobian", Polynomial.stack(rows))
+        object.__setattr__(self, "_jacobian", fibre.jacobian())
 
     def total_coords(self, base_pt: Point) -> np.ndarray:
         xy = base_pt.coords
@@ -531,4 +528,13 @@ def complex_submanifold_check(
     D, _, defect = graph_frame_defect(section, J, pt, fd_step)
     U, S = np.linalg.svd(D)[:2]
     normal = (transpose(U) @ defect) / np.hypot(1.0, S)[..., None]
-    return float(np.max(np.linalg.norm(normal, axis=-2)))
+    with np.errstate(over="ignore"):
+        distance = np.linalg.norm(normal, axis=-2)
+        # squares of finite entries near the float maximum overflow although
+        # the distance need not: scale those columns by their largest entry
+        overflowed = ~np.isfinite(distance) & np.isfinite(normal).all(axis=-2)
+        if overflowed.any():
+            columns = transpose(normal)[overflowed]
+            scale = np.max(np.abs(columns), axis=-1)
+            distance[overflowed] = scale * np.linalg.norm(columns / scale[:, None], axis=-1)
+    return float(np.max(distance))

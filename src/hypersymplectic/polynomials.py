@@ -29,7 +29,7 @@ class Polynomial:
     """A real polynomial in ``n_vars`` variables, or, when ``size`` is set, a
     vector of ``size`` polynomials sharing one term table, each coefficient
     then being a tuple of ``size`` floats.  ``derivative`` and ``scaled`` take
-    scalar polynomials."""
+    scalar polynomials, ``jacobian`` a vector one."""
 
     n_vars: int
     terms: tuple[Term, ...]
@@ -143,6 +143,30 @@ class Polynomial:
             )
             new_terms.append((dropped, coeff * e))
         return Polynomial.from_terms(self.n_vars, new_terms)
+
+    def jacobian(self) -> "Polynomial":
+        """Exact Jacobian of a vector polynomial as one vector polynomial:
+        component ``r * n_vars + j`` is the partial derivative of component r
+        along variable j.  Built in one pass over the term table, with the
+        coefficients, monomials and term order of
+        ``Polynomial.stack([c.derivative(j) for c in components for j in
+        range(n_vars)])``, so each component evaluates bit for bit like that
+        derivative."""
+        if self.size is None:
+            raise ValueError("jacobian takes a vector polynomial")
+        width = self.size * self.n_vars
+        table: dict[tuple[int, ...], list[float]] = {}
+        for powers, coeffs in self.terms:
+            for j, e in enumerate(powers):
+                if e == 0:
+                    continue
+                dropped = powers[:j] + (e - 1,) + powers[j + 1 :]
+                row = table.setdefault(dropped, [0.0] * width)
+                # Python floats, as in ``derivative``: an overflow gives inf
+                # without a numpy warning
+                row[j :: self.n_vars] = [float(c) * e for c in coeffs]
+        terms = tuple((m, tuple(table[m])) for m in sorted(table))
+        return Polynomial(n_vars=self.n_vars, terms=terms, size=width)
 
     def scaled(self, factor: float) -> "Polynomial":
         return Polynomial.from_terms(

@@ -480,7 +480,7 @@ def _suite_sections(run: _RunInputs) -> list[CheckReport]:
     for section, form_name in run.sections:
         form = named_forms[form_name]
         table = section_pullback(model, section, form, pt)
-        worst = max(float(np.max(np.abs(v))) for v in table.values())
+        worst = float(np.max(np.abs(list(table.values()))))
         reports.append(
             CheckReport.from_residual(
                 f"sections.pullback_vanishes.{section.name}.{form_name}",

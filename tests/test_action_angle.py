@@ -29,6 +29,13 @@ def test_oscillator_validation():
         Oscillator1DOF(0.0)
     with pytest.raises(ValueError):
         Oscillator1DOF(-2.0)
+    with pytest.raises(ValueError):
+        Oscillator1DOF(math.nan)
+    # an array of frequencies is rejected if any entry is
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            Oscillator1DOF(np.array([[1.0], [bad], [2.0]]))
+    Oscillator1DOF(np.array([[1.0], [1e-6], [1e6]]))
 
 
 def test_level_curve_stays_on_the_energy_level():
@@ -212,6 +219,51 @@ def test_angle_cycle_matrix_is_the_identity():
     big = ProductSystem.from_frequencies([1.0, 0.5, 2.0, 3.0])
     energies = np.linspace(0.4, 1.9, 4)
     assert np.allclose(angle_cycle_matrix(big, energies), np.eye(4), atol=1e-12)
+
+
+def reference_cycle_matrix(sys, energies, nodes=64):
+    """The period matrix one (factor i, cycle j) entry at a time."""
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    t = math.pi * (u + 1.0)
+    out = np.empty((sys.dof, sys.dof))
+    for i, osc in enumerate(sys.oscillators):
+        for j in range(sys.dof):
+            moving = i == j
+            times = t if moving else np.full_like(t, 0.3 * (i + 1))
+            xi, pi = osc.level_curve(energies[i], times)
+            gxi, gpi = osc.angle_gradient(xi, pi)
+            vxi, vpi = (moving * v for v in osc.level_velocity(energies[i], times))
+            out[i, j] = np.sum(w * (gxi * vxi + gpi * vpi)) * math.pi / (2 * math.pi)
+    return out
+
+
+@pytest.mark.parametrize(
+    "frequencies", [[1.0, 0.5, 2.0, 3.0], [1.0, 1e6], [1e-6, 1.0]], ids=["four", "stiff", "soft"]
+)
+def test_array_oracles_match_per_factor_calls(frequencies):
+    """The oracles over all factors at once equal, bit for bit, one factor at
+    a time: the cycle matrix entry by entry, and the battery's residuals as
+    the worst per-factor call."""
+    system = ProductSystem.from_frequencies(frequencies)
+    energies = np.linspace(0.4, 1.6, system.dof)
+    assert np.array_equal(angle_cycle_matrix(system, energies), reference_cycle_matrix(system, energies))
+    oscillators = system.oscillators
+    action_energies, period_energies = np.array([0.2, 0.5, 1.0, 2.0]), np.array([0.5, 1.0])
+    expected = {
+        "action_angle.action_equals_energy_over_frequency": max(
+            np.max(np.abs(action_from_energy(osc, action_energies) - action_energies / osc.frequency))
+            for osc in oscillators
+        ),
+        "action_angle.angle_normalization": max(
+            np.max(angle_period_check(osc, period_energies)) for osc in oscillators
+        ),
+        "action_angle.cycle_matrix_identity": np.max(
+            np.abs(reference_cycle_matrix(system, energies) - np.eye(system.dof))
+        ),
+    }
+    reports = {r.identity_name: r.max_residual for r in verify_action_angle(system, n_points=5)}
+    for name, value in expected.items():
+        assert reports[name] == value, name
 
 
 def test_sampled_states_respect_the_energy_window():

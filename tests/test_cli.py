@@ -217,6 +217,29 @@ def test_steep_section_reaches_a_verdict(tmp_path, capsys):
     assert [c for c in checks.values() if not c["passed"]] == [invariance]
 
 
+# p = 1.7e308 x: the frame is finite, but the squares of its defect entries
+# (about 1.7e308) overflow inside a plain column norm
+NEAR_MAXIMAL = {"name": "lin", "form": "omega", "p": [[[[1, 0], 1.7e308]]], "q": [[]]}
+
+
+def test_near_maximal_slope_reports_a_finite_distance_without_warnings(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"scenario": "custom-section", "suites": ["sections"], "sections": [NEAR_MAXIMAL]})
+    )
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--config", str(cfg), "--output", str(report)]) == 1
+    assert capsys.readouterr().err == ""
+    assert "Infinity" not in report.read_text()
+    checks = {c["identity"]: c for c in json.loads(report.read_text())["report"]["checks"]}
+    invariance = checks["sections.graph_invariant.lin.J_chi"]
+    assert not invariance["passed"]
+    assert invariance["max_residual"] == pytest.approx(1.7e308, rel=1e-9)
+    assert checks["sections.pullback_vanishes.lin.omega"]["passed"]
+
+
 # p = 1e308 x^8: the derivatives of p overflow, so the tangent frame of the
 # graph is not finite and no verdict can be read from it
 OVERFLOWING = {"name": "huge", "form": "omega", "p": [[[[8, 0], 1e308]]], "q": [[]]}

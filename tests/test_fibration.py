@@ -131,9 +131,33 @@ def test_holomorphic_frames():
     pt = total_point([0.2, 0.4, 1.0, 2.0])
     for key, J in (("J_omega", COMPLEXES.J_omega), ("J_chi", COMPLEXES.J_chi),
                    ("J_sigma", COMPLEXES.J_sigma)):
-        assert holomorphic_frame_check(J, pairs[key], pt) == 0.0
+        assert holomorphic_frame_check(J, *pairs[key], pt) == 0.0
     # a mismatched pair is caught
-    assert holomorphic_frame_check(COMPLEXES.J_omega, pairs["J_chi"], pt) > 1.0
+    assert holomorphic_frame_check(COMPLEXES.J_omega, *pairs["J_chi"], pt) > 1.0
+
+
+def test_frame_pairs_are_coordinate_covector_arrays():
+    """Row k of the two arrays is pair k; at rank 2 J_chi pairs (dq_i, dp_i)
+    and (dx_i, dy_i) in the chart order (x1, x2, y1, y2, p1, p2, q1, q2)."""
+    a, b = standard_frame_pairs(make_model(2))["J_chi"]
+    d = np.eye(8)
+    assert np.array_equal(a, d[[6, 7, 0, 1]])
+    assert np.array_equal(b, d[[4, 5, 2, 3]])
+
+
+def test_holomorphic_frame_check_over_pairs_is_the_worst_single_pair():
+    """The array check equals the max over one-pair calls, on a J that no
+    pair diagonalizes exactly, at rank 2 on a stack of points."""
+    model = make_model(2)
+    chart = model.total_chart
+    B = np.random.default_rng(9).uniform(-1, 1, (8, 8))
+    J_chi = build_complex_triple(model).J_chi
+    J = EndomorphismField(chart, lambda p: J_chi.matrix(p) + p.coords[..., :1, None] * B)
+    pt = chart.sample(5, 12)
+    for key, (a, b) in standard_frame_pairs(model).items():
+        worst = holomorphic_frame_check(J, a, b, pt)
+        singles = [holomorphic_frame_check(J, a[k : k + 1], b[k : k + 1], pt) for k in range(len(a))]
+        assert worst == max(singles) > 0.0, key
 
 
 def test_stacked_recursion_and_frames_match_single_points():
@@ -162,11 +186,11 @@ def test_stacked_recursion_and_frames_match_single_points():
     pairs = standard_frame_pairs(MODEL)["J_chi"]
     stacked = chart.sample(6, 31)
     rows = recursion_operator(omega, chi, stacked)
-    frames = holomorphic_frame_check(J, pairs, stacked)
+    frames = holomorphic_frame_check(J, *pairs, stacked)
     lagrangian = verify_lagrangian_fibres(MODEL, omega, stacked)
     for r, pt in enumerate(stacked):
         assert np.array_equal(rows[r], recursion_operator(omega, chi, pt))
-    assert frames == max(holomorphic_frame_check(J, pairs, pt) for pt in stacked)
+    assert frames == max(holomorphic_frame_check(J, *pairs, pt) for pt in stacked)
     assert frames > 0.1
     assert lagrangian.max_residual == max(
         verify_lagrangian_fibres(MODEL, omega, Point(chart, pt.coords[None])).max_residual

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,46 @@ def test_stacked_components_match_scalar_polynomials():
     assert all(one[k] == f(coords[1, 2]) for k, f in enumerate(components))
     with pytest.raises(ValueError):
         Polynomial.stack([p, Polynomial.zero(3)])
+
+
+def derivative_stack(components):
+    n_vars = components[0].n_vars
+    return Polynomial.stack([c.derivative(j) for c in components for j in range(n_vars)])
+
+
+def test_one_pass_jacobian_matches_the_stacked_derivatives():
+    """Component r * n_vars + j of the Jacobian is d(component r)/dx_j, with
+    the term table of the per-derivative stack, so it evaluates bit for bit
+    like it; covers the degree-8 harmonic section and an all-zero row."""
+    p, q = RE_Z9.derivative(0), RE_Z9.derivative(1)
+    three = Polynomial.from_terms(3, [((2, 0, 1), 0.5), ((0, 3, 0), -1.25), ((1, 1, 1), 2.0)])
+    cases = [
+        [p, q],
+        [p, Polynomial.zero(2), Polynomial.constant(2, 4.0), Polynomial.coordinate(2, 1)],
+        [three, Polynomial.zero(3), three.derivative(2)],
+        [Polynomial.zero(2), Polynomial.zero(2)],
+    ]
+    rng = np.random.default_rng(5)
+    for components in cases:
+        n_vars = components[0].n_vars
+        jacobian = Polynomial.stack(components).jacobian()
+        reference = derivative_stack(components)
+        assert jacobian == reference
+        assert jacobian.size == len(components) * n_vars
+        coords = rng.uniform(-1.2, 1.2, (4, 3, n_vars))
+        coords[0, 0] = 0.0
+        assert np.array_equal(jacobian(coords), reference(coords))
+        assert np.array_equal(np.signbit(jacobian(coords)), np.signbit(reference(coords)))
+    with pytest.raises(ValueError):
+        p.jacobian()
+
+
+def test_one_pass_jacobian_overflows_without_a_numpy_warning():
+    """8 * 1e308 overflows to inf as a Python float product, as in
+    ``derivative``, without a numpy RuntimeWarning."""
+    huge = Polynomial.from_terms(2, [((8, 0), 1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        jacobian = Polynomial.stack([huge, Polynomial.zero(2)]).jacobian()
+    assert jacobian == derivative_stack([huge, Polynomial.zero(2)])
+    assert jacobian.terms == (((7, 0), (np.inf, 0.0, 0.0, 0.0)),)
