@@ -6,15 +6,24 @@ Conventions, fixed once for the whole package:
   ``M[..., i, j] = form(e_i, e_j)`` (the determinant convention, no ``1/k!``),
   or one ``(dim, dim)`` array when the coefficients are constant.  No check
   reads a form of another degree, so none is represented.
-* Every finite-difference derivative a check takes goes through ``stencil``,
-  which appends the derivative axis last: ``out[..., *value, a] = d_a value``
-  (the Jacobian layout).  It calls the evaluator once, on all 2 * dim
-  shifted copies of the sample stacked on two extra leading axes, and is
-  told the value's shape at one point, so it recognises a constant (a value
-  of exactly that shape) whatever the sample size, and the constant's table
-  stays unbatched.
+* A field (2-form, endomorphism, or ``structures.FlatConnection``) may
+  carry an exact derivative evaluator next to its value evaluator; the
+  ``constant`` constructors set it (``constant_derivative``).  Every
+  derivative of such a field that a check takes goes through
+  ``differentiate``, which reads that evaluator when the field has one and
+  falls back to ``stencil``, central differences, otherwise.  Both give the
+  table with the derivative axis last: ``out[..., *value, a] = d_a value``
+  (the Jacobian layout), and for a constant both give the same table bit
+  for bit: zeros without point axes, NaN where the constant is not finite.
+* ``stencil`` calls the evaluator once, on all 2 * dim shifted copies of
+  the sample stacked on two extra leading axes, and is told the value's
+  shape at one point, so it recognises a constant (a value of exactly that
+  shape) whatever the sample size, and the constant's table stays
+  unbatched.  The FD frame of a section's graph
+  (``fibration.SectionMap.jacobian_fd``) also comes from ``stencil``.
 * The exterior derivative of a 2-form is the table
-  ``(d w)_ijk = d_i w_jk - d_j w_ik + d_k w_ij``, taken from one stencil.
+  ``(d w)_ijk = d_i w_jk - d_j w_ik + d_k w_ij``, taken from one
+  ``differentiate`` call.
 * An endomorphism field acts on vectors through its matrix and on covectors
   through the transpose contract ``(J a)(X) = a(J X)``.  Composition of the
   matrices therefore reverses when read on covectors, which is why
@@ -36,11 +45,6 @@ from typing import Callable
 import numpy as np
 
 from .charts import Chart, Point, VectorField, conform, require_same_chart
-
-
-def apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product over stacked ``(..., m, k)`` and ``(..., k)`` arrays."""
-    return np.matmul(M, v[..., None])[..., 0]
 
 
 def transpose(M: np.ndarray) -> np.ndarray:
@@ -69,7 +73,7 @@ def stencil(
     shifted = Point(pt.chart, coords)
     value = conform(evaluate(shifted), shifted, shape, "stencil evaluator")
     if value.shape == shape:
-        return np.repeat(((value - value) / (2.0 * h))[..., None], dim, axis=-1)
+        return _constant_table(value, dim)
     # written straight into the Jacobian layout: no temporary of the table's size
     out = np.empty(pt.batch_shape + shape + (dim,))
     np.subtract(np.moveaxis(value[0], 0, -1), np.moveaxis(value[1], 0, -1), out=out)
@@ -77,13 +81,50 @@ def stencil(
     return out
 
 
+def _constant_table(value: np.ndarray, dim: int) -> np.ndarray:
+    """What central differences give for a constant ``value``, without point
+    axes: zeros of shape ``value.shape + (dim,)``, NaN where ``value`` is not
+    finite.  A read-only view: of one zero when ``value`` is finite, else of
+    ``value - value`` repeated along the derivative axis."""
+    with np.errstate(invalid="ignore"):
+        zero = value - value
+    if zero.any():  # NaN where value is not finite
+        return np.broadcast_to(zero[..., None], value.shape + (dim,))
+    return np.broadcast_to(0.0, value.shape + (dim,))
+
+
+def constant_derivative(value: np.ndarray, dim: int) -> Callable[[Point], np.ndarray]:
+    """The exact derivative evaluator of a field whose value is ``value``
+    everywhere: its table, the one ``stencil`` gives for that constant."""
+    table = _constant_table(value, dim)
+    return lambda pt: table
+
+
+def differentiate(
+    evaluate: Callable[[Point], np.ndarray],
+    derivative: Callable[[Point], np.ndarray] | None,
+    pt: Point,
+    h: float | None,
+    shape: tuple[int, ...],
+) -> np.ndarray:
+    """``out[..., *value, a] = d_a value`` of the field with value evaluator
+    ``evaluate``: read from its exact ``derivative`` evaluator when it has
+    one, else from ``stencil(evaluate, pt, h, shape)``."""
+    if derivative is None:
+        return stencil(evaluate, pt, h, shape)
+    return conform(derivative(pt), pt, shape + (pt.chart.dim,), "derivative evaluator")
+
+
 @dataclass(frozen=True)
 class DifferentialForm:
-    """A 2-form given by its matrix evaluator ``M[..., i, j] = form(e_i, e_j)``."""
+    """A 2-form given by its matrix evaluator ``M[..., i, j] = form(e_i, e_j)``
+    and, optionally, the exact evaluator of its derivative table
+    ``dM[..., i, j, a] = d_a M_ij``."""
 
     chart: Chart
     fn: Callable[[Point], np.ndarray] = field(repr=False)
     name: str = ""
+    derivative: Callable[[Point], np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
     def constant(cls, chart: Chart, matrix, name: str = "") -> "DifferentialForm":
@@ -93,7 +134,7 @@ class DifferentialForm:
         if not np.array_equal(frozen, -frozen.T):
             raise ValueError("a 2-form matrix must be antisymmetric")
         frozen.flags.writeable = False
-        return cls(chart, lambda pt: frozen, name=name)
+        return cls(chart, lambda pt: frozen, name, constant_derivative(frozen, chart.dim))
 
 
 def form_matrix(form: DifferentialForm, pt: Point) -> np.ndarray:
@@ -106,12 +147,13 @@ def form_matrix(form: DifferentialForm, pt: Point) -> np.ndarray:
 def exterior_derivative(
     form: DifferentialForm, pt: Point, step: float | None = None
 ) -> np.ndarray:
-    """Finite-difference exterior derivative of a 2-form as the full table
-    ``(d w)[..., i, j, k] = d_i w_jk - d_j w_ik + d_k w_ij``."""
+    """Exterior derivative of a 2-form as the full table
+    ``(d w)[..., i, j, k] = d_i w_jk - d_j w_ik + d_k w_ij``, exact when the
+    form carries its derivative, else from central differences."""
     require_same_chart(form.chart, pt.chart)
     dim = form.chart.dim
     # dM[..., j, k, i] = d_i w_jk
-    dM = stencil(lambda p: form_matrix(form, p), pt, step, (dim, dim))
+    dM = differentiate(lambda p: form_matrix(form, p), form.derivative, pt, step, (dim, dim))
     return np.einsum("...jki->...ijk", dM) - np.einsum("...ikj->...ijk", dM) + dM
 
 
@@ -136,11 +178,14 @@ def lie_bracket(
 
 @dataclass(frozen=True)
 class EndomorphismField:
-    """A (1,1)-tensor field given by its vector-action matrix evaluator."""
+    """A (1,1)-tensor field given by its vector-action matrix evaluator and,
+    optionally, the exact evaluator of its derivative table
+    ``dJ[..., k, b, a] = d_a J_kb``."""
 
     chart: Chart
     fn: Callable[[Point], np.ndarray] = field(repr=False)
     name: str = ""
+    derivative: Callable[[Point], np.ndarray] | None = field(default=None, repr=False)
 
     def matrix(self, pt: Point) -> np.ndarray:
         require_same_chart(self.chart, pt.chart)
@@ -157,7 +202,7 @@ class EndomorphismField:
         if frozen.shape != (chart.dim, chart.dim):
             raise ValueError("matrix shape does not match the chart dimension")
         frozen.flags.writeable = False
-        return cls(chart, lambda pt: frozen, name=name)
+        return cls(chart, lambda pt: frozen, name, constant_derivative(frozen, chart.dim))
 
 
 def compose_covector(A: EndomorphismField, B: EndomorphismField) -> EndomorphismField:

@@ -13,12 +13,15 @@ first axis, yielding single points.  An evaluator receives a point, reads
 coordinate k as ``coords[..., k]``, and returns its value with the point's
 leading axes in front, e.g. ``(..., dim)`` for a vector or
 ``(..., dim, dim)`` for an endomorphism.  The leading axes may be more
-than a sample's: ``calculus.stencil`` evaluates a field once on all central-difference
+than a sample's: a field that carries no exact derivative is differenced by
+``calculus.stencil``, which evaluates it once on all central-difference
 shifts of a sample, a ``(2, dim, N, dim)`` stack, so an evaluator reads and
 writes only through ``...``.  A constant returns its value without the
 leading axes, and it stays that way: numpy broadcasting carries it through
 every product with batched values, so a constant tensor costs one copy
-however many points are sampled.
+however many points are sampled.  A form, endomorphism or connection
+built by its ``constant`` (or ``zero``) constructor also carries its exact
+derivative, so it is never evaluated on a stencil stack.
 """
 
 from __future__ import annotations

@@ -47,6 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parse_args leaves the parser as it found it
+_PARSER = build_parser()
+
+
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     raw: dict = {}
     if args.config is not None:
@@ -73,7 +77,7 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.list:
         print(list_scenarios())
         return 0

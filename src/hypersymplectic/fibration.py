@@ -410,6 +410,12 @@ class SectionMap:
         # row-major d(p, q)_r / d(x, y)_j, reshaped to (2n, 2n) by fibre_jacobian
         object.__setattr__(self, "_jacobian", fibre.jacobian())
 
+    @property
+    def affine(self) -> bool:
+        """Whether the exact Jacobian is constant (has degree 0), as for the
+        zero and rotation sections."""
+        return self._jacobian.degree == 0
+
     def total_coords(self, base_pt: Point) -> np.ndarray:
         xy = base_pt.coords
         return np.concatenate([xy, self._fibre(xy)], axis=-1)
@@ -516,16 +522,22 @@ def complex_submanifold_check(
     J: EndomorphismField,
     pt: Point,
     fd_step: float | None = None,
+    *,
+    frame_defect: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """How far J moves the graph tangent space off itself, worst over the
     base point(s) ``pt``: the largest distance of a column of J F from the
-    tangent plane, which is the distance of (0, defect_c).
+    tangent plane, which is the distance of (0, defect_c).  A caller that
+    already holds ``graph_frame_defect(section, J, pt, fd_step)`` passes it
+    as ``frame_defect``; otherwise it is computed here.
 
     The plane {(v, D v)} has the normal space {(-D^T u, u)}, so that
     distance is |(Id + D D^T)^(-1/2) defect_c|, read through the SVD
     D = U S V^T as |U^T defect_c / hypot(1, S)|.  The plane has full
     dimension however steep the section, so no rank test is needed."""
-    D, _, defect = graph_frame_defect(section, J, pt, fd_step)
+    if frame_defect is None:
+        frame_defect = graph_frame_defect(section, J, pt, fd_step)
+    D, _, defect = frame_defect
     U, S = np.linalg.svd(D)[:2]
     normal = (transpose(U) @ defect) / np.hypot(1.0, S)[..., None]
     with np.errstate(over="ignore"):

@@ -26,6 +26,7 @@ from .action_angle import (
     model_from_product_system,
     verify_action_angle,
 )
+from .calculus import EndomorphismField
 from .charts import Point
 from .errors import ConfigError
 from .fibration import (
@@ -36,6 +37,7 @@ from .fibration import (
     build_complex_triple,
     build_structure_triple,
     complex_submanifold_check,
+    graph_frame_defect,
     make_model,
     section_pullback,
     standard_sigma_section,
@@ -84,6 +86,9 @@ DEFAULT_SUITE_ORDER = (
 )
 
 FORM_NAMES = ("omega", "chi", "sigma")
+
+# the suites that read a section's FD graph frame (_RunInputs.frame_defect)
+FRAME_SUITES = {"sections", "special-kahler"}
 
 # which complex structure should preserve the graph of a section that is
 # Lagrangian for a given form (the remaining two forms vanish on the graph)
@@ -415,13 +420,15 @@ class ReportDocument:
 
 class _RunInputs:
     """What the suites of one run share: the seeded sample of each chart, the
-    resolved sections and the two triples.  Each is built on first use and
-    then reused, so a run builds none of them twice and none that its suites
-    do not read."""
+    resolved sections, the two triples and the FD graph frames.  Each is
+    built on first use and then reused, so a run builds none of them twice
+    and none that its suites do not read.  ``run_scenario`` drops the frames
+    (N * (2n)^2 numbers each) once no later suite reads them."""
 
     def __init__(self, config: ScenarioConfig, model: FibrationModel) -> None:
         self.config = config
         self.model = model
+        self.frames: dict[tuple[int, int], tuple] = {}
 
     @cached_property
     def total_pt(self) -> Point:
@@ -439,6 +446,21 @@ class _RunInputs:
         if self.config.sections:
             return [(spec.to_section(self.model), spec.form) for spec in self.config.sections]
         return [(zero_section(self.model), "omega"), (standard_sigma_section(self.model), "sigma")]
+
+    @cached_property
+    def kahler_section(self) -> SectionMap:
+        """The first sigma section, or the standard one if none is configured."""
+        sigma_sections = [section for section, form_name in self.sections if form_name == "sigma"]
+        return sigma_sections[0] if sigma_sections else standard_sigma_section(self.model)
+
+    def frame_defect(self, section: SectionMap, J: EndomorphismField) -> tuple:
+        """``graph_frame_defect`` of a section of this run on the base sample,
+        computed once per (section, J) pair."""
+        key = (id(section), id(J))  # both live as long as the run
+        if key not in self.frames:
+            fd_step = self.config.sampling.fd_step
+            self.frames[key] = graph_frame_defect(section, J, self.base_pt, fd_step)
+        return self.frames[key]
 
     @cached_property
     def triple(self) -> HyperSymplecticTriple:
@@ -491,7 +513,10 @@ def _suite_sections(run: _RunInputs) -> list[CheckReport]:
             )
         )
         J = named_endos[FORM_TO_COMPLEX[form_name]]
-        worst = complex_submanifold_check(model, section, J, pt, config.sampling.fd_step)
+        worst = complex_submanifold_check(
+            model, section, J, pt, config.sampling.fd_step,
+            frame_defect=run.frame_defect(section, J),
+        )
         reports.append(
             CheckReport.from_residual(
                 f"sections.graph_invariant.{section.name}.{J.name}",
@@ -506,15 +531,14 @@ def _suite_sections(run: _RunInputs) -> list[CheckReport]:
 
 def _suite_special_kahler(run: _RunInputs) -> list[CheckReport]:
     config, model, pt = run.config, run.model, run.base_pt
-    sigma_sections = [section for section, form_name in run.sections if form_name == "sigma"]
-    section = sigma_sections[0] if sigma_sections else standard_sigma_section(model)
+    section = run.kahler_section
     data = build_special_kahler(model, section)
     reports = special_symplectic_check(data, pt, config.sampling.fd_step, config.tolerances)
     reports.extend(kahler_reports(data, pt, config.tolerances))
     reports.append(
         induced_vs_restriction(
             model, section, pt, config.sampling.fd_step, config.tolerances.fd,
-            complexes=run.complexes,
+            frame_defect=run.frame_defect(section, run.complexes.J_omega),
         )
     )
     return reports
@@ -548,8 +572,10 @@ def run_scenario(config: ScenarioConfig) -> ReportDocument:
     start = time.perf_counter()
     run = _RunInputs(config, build_scenario_model(config))
     checks: list[CheckReport] = []
-    for suite in config.suites:
+    for k, suite in enumerate(config.suites):
         checks.extend(_SUITE_RUNNERS[suite](run))
+        if FRAME_SUITES.isdisjoint(config.suites[k + 1 :]):
+            run.frames.clear()
     checks.sort(key=lambda r: r.identity_name)
     verdict = "pass" if all(r.passed for r in checks) else "fail"
     return ReportDocument(

@@ -30,7 +30,6 @@ from .charts import Point
 from .errors import DegenerateMetricError, NotAlmostComplexError
 from .fibration import (
     FibrationModel,
-    HyperComplexTriple,
     SectionMap,
     base_symplectic_form,
     build_complex_triple,
@@ -57,11 +56,15 @@ def induced_complex_structure(section: SectionMap, pt: Point) -> np.ndarray:
 
 
 def induced_endomorphism(section: SectionMap) -> EndomorphismField:
-    return EndomorphismField(
-        section.model.base_chart,
-        lambda pt: induced_complex_structure(section, pt),
-        name=f"I[{section.name}]" if section.name else "I",
-    )
+    """I of the section as a field.  An affine section has a constant
+    exact Jacobian, so its I is built as a constant, with the exact zero
+    derivative, from its value at the chart's origin."""
+    chart = section.model.base_chart
+    name = f"I[{section.name}]" if section.name else "I"
+    if section.affine:
+        origin = chart.point(np.zeros(chart.dim))
+        return EndomorphismField.constant(chart, induced_complex_structure(section, origin), name)
+    return EndomorphismField(chart, lambda pt: induced_complex_structure(section, pt), name)
 
 
 def _metric(M_Omega: np.ndarray, M_I: np.ndarray) -> tuple[np.ndarray, float]:
@@ -220,7 +223,7 @@ def induced_vs_restriction(
     fd_step: float | None = None,
     tolerance: float = Tolerances.fd,
     *,
-    complexes: HyperComplexTriple | None = None,
+    frame_defect: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> CheckReport:
     """Cross-check: I from the section formula against the first complex
     structure restricted to the graph and pushed to the base.
@@ -228,10 +231,14 @@ def induced_vs_restriction(
     The projection kills the fibre components, so the pushed restriction is
     the base block of J applied to the FD graph frame.  Meaningful when the
     graph is invariant (the graph-frame defect is folded into the residual).
-    ``complexes`` is the model's complex triple, built here if not passed.
+    A caller that already holds ``graph_frame_defect(section, J_omega, pt,
+    fd_step)`` for the model's J_omega passes it as ``frame_defect``;
+    otherwise it is computed here.
     """
-    J = (build_complex_triple(model) if complexes is None else complexes).J_omega
-    _, restriction, defect = graph_frame_defect(section, J, pt, fd_step)
+    if frame_defect is None:
+        J = build_complex_triple(model).J_omega
+        frame_defect = graph_frame_defect(section, J, pt, fd_step)
+    _, restriction, defect = frame_defect
     agree = np.max(np.abs(restriction - induced_complex_structure(section, pt)))
     return _report(
         "matches_graph_restriction",

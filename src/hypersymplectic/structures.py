@@ -15,12 +15,14 @@ The suites (``fibration.verify_hypersymplectic``,
 from the primitive that measures it.
 
 The primitives take their sample as one stacked ``(N, dim)`` point (see
-``charts``) and evaluate every field on the whole stack and, through
-``calculus.stencil``, on all of its central-stencil shifts in one call, so a
-primitive costs a fixed number of evaluator calls whatever the sample size.
-A constant field (every form and complex structure of the model, the zero
-connection) keeps no point axes, so its tables hold one copy for the whole
-sample.
+``charts``) and evaluate every field on the whole stack.  They take every
+derivative through ``calculus.differentiate``: a field that carries its
+exact derivative (every form and complex structure of the model, the zero
+connection, the induced I of an affine section) is not differenced at all,
+and any other field is evaluated once on all central-stencil shifts of the
+sample, so a primitive costs a fixed number of evaluator calls whatever the
+sample size.  A constant field keeps no point axes, so it and its
+derivative table hold one copy for the whole sample.
 
 The tensor identities (``d_nabla_endo``, ``nijenhuis``) are evaluated on the
 coordinate frame: each returns the full table of the tensor's components at
@@ -39,7 +41,13 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import DifferentialForm, EndomorphismField, form_matrix, stencil
+from .calculus import (
+    DifferentialForm,
+    EndomorphismField,
+    constant_derivative,
+    differentiate,
+    form_matrix,
+)
 from .charts import Chart, Point, conform, require_same_chart
 
 DEFAULT_POINTS = 100
@@ -105,7 +113,9 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class FlatConnection:
-    """An affine connection given by a Christoffel evaluator.
+    """An affine connection given by a Christoffel evaluator and, optionally,
+    the exact evaluator of its derivative table ``dG[..., k, i, j, a] =
+    d_a Gamma^k_ij``.
 
     ``christoffel(pt)[..., k, i, j]`` is the coefficient with upper index k
     and lower indices (i, j).  "Flat" is the intent, not an assumption:
@@ -115,12 +125,13 @@ class FlatConnection:
     chart: Chart
     christoffel: Callable[[Point], np.ndarray] = field(repr=False)
     name: str = ""
+    derivative: Callable[[Point], np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
     def zero(cls, chart: Chart, name: str = "zero") -> "FlatConnection":
         dim = chart.dim
-        table = np.zeros((dim, dim, dim))
-        return cls(chart, lambda pt: table, name=name)
+        table = np.broadcast_to(0.0, (dim, dim, dim))  # read-only; stores one number
+        return cls(chart, lambda pt: table, name, constant_derivative(table, dim))
 
     def gamma(self, pt: Point) -> np.ndarray:
         require_same_chart(self.chart, pt.chart)
@@ -132,25 +143,36 @@ class FlatConnection:
         return float(np.max(np.abs(G - np.swapaxes(G, -1, -2))))
 
     def curvature_residual(self, pt: Point, step: float | None = None) -> float:
-        """Max |R^l_kij| with the curvature assembled from FD derivatives.
+        """Max |R^l_kij|, with the derivatives of Gamma exact when the
+        connection carries them, else from central differences.
 
-        The derivative table holds dim^4 numbers per point (dim^4 in all for
-        constant Christoffel symbols); the curvature itself is formed one
-        upper index l at a time, so no second table of that size is built.
+        When neither Gamma nor its derivative table has point axes, R is
+        formed in one pass, the upper index l riding in the formula's
+        ellipsis.  Otherwise the derivative table holds dim^4 numbers per
+        point, and R is formed one upper index l at a time, so no second
+        table of that size is built.
         """
         G = self.gamma(pt)
         dim = self.chart.dim
-        dG = stencil(self.gamma, pt, step, (dim, dim, dim))  # dG[..., l, j, k, a] = d_a Gamma^l_jk
+        # dG[..., l, j, k, a] = d_a Gamma^l_jk
+        dG = differentiate(self.gamma, self.derivative, pt, step, (dim, dim, dim))
+        if G.ndim == 3 and dG.ndim == 4:
+            return float(np.max(np.abs(_curvature(dG, G, G))))
         worst = 0.0
         for l in range(dim):
-            # R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
-            #           - Gamma^l_jm Gamma^m_ik, summed in that order
-            dG_l, G_l = dG[..., l, :, :, :], G[..., l, :, :]
-            R = np.einsum("...jki->...kij", dG_l) - np.einsum("...ikj->...kij", dG_l)
-            R += np.einsum("...im,...mjk->...kij", G_l, G)
-            R -= np.einsum("...jm,...mik->...kij", G_l, G)
+            R = _curvature(dG[..., l, :, :, :], G[..., l, :, :], G)
             worst = np.maximum(worst, np.max(np.abs(R)))  # NaN propagates
         return float(worst)
+
+
+def _curvature(dG_l: np.ndarray, G_l: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
+    - Gamma^l_jm Gamma^m_ik, summed in that order, for the upper index l of
+    ``dG_l`` and ``G_l``, in the layout ``R[..., k, i, j]``."""
+    R = np.einsum("...jki->...kij", dG_l) - np.einsum("...ikj->...kij", dG_l)
+    R += np.einsum("...im,...mjk->...kij", G_l, G)
+    R -= np.einsum("...jm,...mik->...kij", G_l, G)
+    return R
 
 
 def covariant_constancy(
@@ -163,7 +185,8 @@ def covariant_constancy(
     require_same_chart(conn.chart, form.chart)
     T = form_matrix(form, pt)
     dim = conn.chart.dim
-    dT = np.moveaxis(stencil(lambda p: form_matrix(form, p), pt, step, (dim, dim)), -1, -3)
+    dT = differentiate(lambda p: form_matrix(form, p), form.derivative, pt, step, (dim, dim))
+    dT = np.moveaxis(dT, -1, -3)
     G = conn.gamma(pt)
     corr1 = np.einsum("...lij,...lk->...ijk", G, T)
     corr2 = np.einsum("...lik,...jl->...ijk", G, T)
@@ -184,12 +207,13 @@ def d_nabla_endo(
         (nabla_a I) e_b = (d_a I) e_b + Gamma(e_a, I e_b) - I Gamma(e_a, e_b).
 
     d_nabla I is a tensor, so the frame table determines it on every pair of
-    fields.  I is read twice, once at ``pt`` and once on the whole central
-    stencil, however many points ``pt`` stacks.
+    fields.  I is read at ``pt`` and, unless it carries its exact derivative,
+    once on the whole central stencil, however many points ``pt`` stacks.
     """
     require_same_chart(conn.chart, I.chart)
     I_pt = I.matrix(pt)
-    dI = stencil(I.matrix, pt, step, (I.chart.dim, I.chart.dim))  # dI[..., k, b, a] = d_a I_kb
+    dim = I.chart.dim
+    dI = differentiate(I.matrix, I.derivative, pt, step, (dim, dim))  # dI[..., k, b, a] = d_a I_kb
     G = conn.gamma(pt)
     nabla = (
         np.swapaxes(dI, -1, -3)
@@ -208,11 +232,12 @@ def nijenhuis(J: EndomorphismField, pt: Point, step: float | None = None) -> np.
     Coordinate fields commute, so the four brackets reduce to
     ``N^k_ab = A^k_ab - A^k_ba`` with ``A^k_ab = J^m_a d_m J^k_b + J^k_m d_b J^m_a``.
     N_J is a tensor, so the frame table determines it on every pair of
-    fields.  J is read twice, once at ``pt`` and once on the whole central
-    stencil, however many points ``pt`` stacks.
+    fields.  J is read at ``pt`` and, unless it carries its exact derivative,
+    once on the whole central stencil, however many points ``pt`` stacks.
     """
     J_pt = J.matrix(pt)
-    dJ = stencil(J.matrix, pt, step, (J.chart.dim, J.chart.dim))  # dJ[..., k, b, m] = d_m J^k_b
+    dim = J.chart.dim
+    dJ = differentiate(J.matrix, J.derivative, pt, step, (dim, dim))  # dJ[..., k, b, m] = d_m J^k_b
     A = np.einsum("...ma,...kbm->...kab", J_pt, dJ) + np.einsum("...km,...mab->...kab", J_pt, dJ)
     return A - np.swapaxes(A, -1, -2)
 

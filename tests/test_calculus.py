@@ -4,14 +4,16 @@ import pytest
 from hypersymplectic.calculus import (
     DifferentialForm,
     EndomorphismField,
-    apply,
     compose_covector,
+    constant_derivative,
+    differentiate,
     exterior_derivative,
     form_matrix,
     lie_bracket,
     stencil,
 )
 from hypersymplectic.charts import Chart, VectorField
+from hypersymplectic.structures import FlatConnection
 
 PLANE = Chart("plane", ("u", "v"), (-1.0, -1.0), (1.0, 1.0))
 CUBE = Chart("cube", ("u", "v", "w"), (-1.0,) * 3, (1.0,) * 3)
@@ -112,8 +114,8 @@ def test_endomorphism_transpose_contract():
         alpha = rng.normal(size=4)
         v = rng.normal(size=4)
         # (J alpha)(v) == alpha(J v)
-        assert apply(J.covector_matrix(pt), alpha) @ v == pytest.approx(
-            alpha @ apply(J.matrix(pt), v), rel=1e-13, abs=1e-13
+        assert (J.covector_matrix(pt) @ alpha) @ v == pytest.approx(
+            alpha @ (J.matrix(pt) @ v), rel=1e-13, abs=1e-13
         )
 
 
@@ -127,8 +129,8 @@ def test_composition_orders():
     assert np.array_equal(cov_first.matrix(pt), B.matrix(pt) @ A.matrix(pt))
     # covector action of compose_covector(A, B) is A after B
     alpha = rng.normal(size=4)
-    expected = apply(A.covector_matrix(pt), apply(B.covector_matrix(pt), alpha))
-    assert np.allclose(apply(cov_first.covector_matrix(pt), alpha), expected)
+    expected = A.covector_matrix(pt) @ (B.covector_matrix(pt) @ alpha)
+    assert np.allclose(cov_first.covector_matrix(pt) @ alpha, expected)
 
 
 def test_endomorphism_shape_check():
@@ -195,3 +197,53 @@ def test_stencil_keeps_a_constant_unbatched():
             table = stencil(lambda p: constant, pt, h, shape)
             assert table.shape == shape + (3,)
             assert np.array_equal(table, np.zeros(shape + (3,)))
+
+
+def test_exact_derivative_of_a_constant_equals_its_stencil():
+    """The derivative table a constant form, J or Christoffel table carries
+    is, bit for bit, the table ``stencil`` gives for it: zeros without point
+    axes, NaN where the constant is not finite."""
+    rng = np.random.default_rng(12)
+    upper = np.triu(rng.normal(size=(4, 4)), 1)
+    wild = rng.normal(size=(4, 4))
+    wild[0, 1], wild[2, 3], wild[3, 0] = np.inf, -np.inf, np.nan
+    form = DifferentialForm.constant(SPACE, upper - upper.T)
+    conn = FlatConnection.zero(SPACE)
+    christoffel = rng.normal(size=(4, 4, 4))
+    christoffel[1, 2, 3] = np.inf
+    cases = [
+        (lambda p: form_matrix(form, p), form.derivative, (4, 4)),
+        *[(J.matrix, J.derivative, (4, 4)) for J in (
+            EndomorphismField.constant(SPACE, rng.normal(size=(4, 4))),
+            EndomorphismField.constant(SPACE, wild),
+        )],
+        (conn.gamma, conn.derivative, (4, 4, 4)),
+        (lambda p: christoffel, constant_derivative(christoffel, 4), (4, 4, 4)),
+    ]
+    h = SPACE.fd_step()
+    for evaluate, derivative, shape in cases:
+        assert derivative is not None
+        value = evaluate(SPACE.point(np.zeros(4)))
+        expected = np.repeat(np.where(np.isfinite(value), 0.0, np.nan)[..., None], 4, axis=-1)
+        for pt in (SPACE.sample(1, 3), SPACE.sample(40, 3)):
+            exact = differentiate(evaluate, derivative, pt, None, shape)
+            fd = stencil(evaluate, pt, h, shape)
+            assert exact.shape == fd.shape == shape + (4,)
+            assert exact.tobytes() == fd.tobytes()
+            assert np.array_equal(exact, expected, equal_nan=True)
+            with pytest.raises(ValueError):
+                exact[(0,) * exact.ndim] = 1.0  # read-only
+
+
+def test_a_field_without_an_exact_derivative_is_differenced():
+    """``differentiate`` falls back to ``stencil`` when the field carries no
+    derivative evaluator, and checks the shape of one it carries."""
+    beta = vw_form(lambda pt: pt.coords[..., 0] ** 2)
+    pt = CUBE.sample(6, 4)
+    evaluate = lambda p: form_matrix(beta, p)
+    assert beta.derivative is None
+    assert np.array_equal(
+        differentiate(evaluate, None, pt, None, (3, 3)), stencil(evaluate, pt, None, (3, 3))
+    )
+    with pytest.raises(ValueError):
+        differentiate(evaluate, lambda p: np.zeros((3, 3)), pt, None, (3, 3))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -27,6 +28,25 @@ def test_list_flag(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out
     assert "paper-n1" in out and "suites:" in out
+
+
+def test_repeated_calls_build_no_new_parser(monkeypatch, capsys):
+    """The parser is built once, at import: further calls construct no
+    ArgumentParser."""
+    assert main(["--list"]) == 0
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(3):
+        assert main(["--list"]) == 0
+        assert main(["--scenario", "paper-n1", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert built == []
 
 
 def test_missing_config_exits_2_without_writing(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hypersymplectic.calculus import DifferentialForm, EndomorphismField, apply, form_matrix
+from hypersymplectic.calculus import DifferentialForm, EndomorphismField, form_matrix
 from hypersymplectic.charts import Point
 from hypersymplectic.errors import DegenerateFormError, GeometryError
 from hypersymplectic.fibration import (
@@ -96,10 +96,10 @@ def test_composite_covector_table():
     pt = total_point([0.1, 0.2, 0.3, 0.4])
     K = COMPLEXES.J_sigma.covector_matrix(pt)
     dx, dy, dp, dq = np.eye(4)
-    assert np.array_equal(apply(K, dx), dq)
-    assert np.array_equal(apply(K, dy), -dp)
-    assert np.array_equal(apply(K, dq), -dx)
-    assert np.array_equal(apply(K, dp), dy)
+    assert np.array_equal(K @ dx, dq)
+    assert np.array_equal(K @ dy, -dp)
+    assert np.array_equal(K @ dq, -dx)
+    assert np.array_equal(K @ dp, dy)
 
 
 def test_recursion_operator_fixture():

@@ -145,6 +145,23 @@ def test_a_run_draws_and_builds_its_shared_inputs_once(monkeypatch):
     }
 
 
+def test_a_run_takes_each_graph_frame_once(monkeypatch):
+    """paper-n1 reads the rotation section's FD frame for J_omega in both the
+    sections and the special-kahler suite, and the zero section's for J_chi:
+    two FD frames per run."""
+    calls = []
+    original = fibration.SectionMap.jacobian_fd
+
+    def counting(section, *args, **kwargs):
+        calls.append(section.name)
+        return original(section, *args, **kwargs)
+
+    monkeypatch.setattr(fibration.SectionMap, "jacobian_fd", counting)
+    doc = run_scenario(ScenarioConfig.from_dict({"scenario": "paper-n1"}))
+    assert doc.verdict == "pass"
+    assert sorted(calls) == ["rotation", "zero"]
+
+
 def test_failing_section_flips_the_verdict():
     cfg = ScenarioConfig.from_dict(
         {

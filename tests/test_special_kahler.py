@@ -17,6 +17,7 @@ from hypersymplectic.special_kahler import (
     SpecialKahlerData,
     build_special_kahler,
     induced_complex_structure,
+    induced_endomorphism,
     induced_vs_restriction,
     kahler_metric,
     kahler_reports,
@@ -206,3 +207,26 @@ def test_restriction_check_catches_non_invariant_graphs():
     report = induced_vs_restriction(MODEL, tilted, POINTS)
     assert not report.passed
     assert report.max_residual >= 0.5
+
+
+def test_affine_sections_induce_a_constant_endomorphism():
+    """rotation, opposite and zero have a constant exact Jacobian: their I is
+    a constant carrying its exact derivative, equal bit for bit to the
+    polynomial I at every sampled point.  A quadratic section's I varies."""
+    opposite = section_from([((0, 1), -1.0)], [((1, 0), 1.0)], "opposite")
+    for section in (standard_sigma_section(MODEL), opposite, zero_section(MODEL)):
+        assert section.affine
+        I = induced_endomorphism(section)
+        assert I.derivative is not None
+        M = I.matrix(POINTS)
+        assert M.shape == (2, 2)
+        expected = induced_complex_structure(section, POINTS)
+        assert np.broadcast_to(M, expected.shape).tobytes() == expected.tobytes()
+    curved = section_from([((0, 1), 1.0), ((2, 0), 1.0)], [((1, 0), -1.0)], "curved")
+    assert not curved.affine
+    I = induced_endomorphism(curved)
+    assert I.derivative is None
+    M = I.matrix(POINTS)
+    assert M.shape == (25, 2, 2)
+    assert np.array_equal(M, induced_complex_structure(curved, POINTS))
+    assert np.ptp(M[:, 0, 0]) > 0.5

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,8 @@ def test_zero_connection_is_flat_and_torsion_free():
     pt = PLANE.point([0.2, 0.3])
     assert conn.curvature_residual(pt) == 0.0
     assert conn.torsion_residual(pt) == 0.0
+    with pytest.raises(ValueError):
+        conn.gamma(pt)[0, 1, 1] = 1.0  # the table is read-only
 
 
 def test_curvature_detects_a_non_flat_connection():
@@ -435,3 +439,100 @@ def test_connection_checks_fail_through_the_special_kahler_suite():
     torsion = asymmetric["special_kahler.connection_torsion_free"]
     assert not torsion.passed
     assert torsion.max_residual == np.max(np.abs(pts.coords[:, 0]))
+
+
+def counted(fn, shapes):
+    """``fn`` as an evaluator that records the batch shape of every point it reads."""
+
+    def evaluate(pt):
+        shapes.append(pt.batch_shape)
+        return fn(pt)
+
+    return evaluate
+
+
+def run_derivative_consumers(form, J, conn, pt):
+    """Every primitive that differentiates a field, once each."""
+    exterior_derivative(form, pt)
+    covariant_constancy(conn, form, pt)
+    nijenhuis(J, pt)
+    d_nabla_endo(conn, J, pt)
+    conn.curvature_residual(pt)
+
+
+def test_constant_fields_are_never_evaluated_on_a_stencil_stack():
+    """Forms, complex structures and connections built as constants carry
+    their exact derivative, so no primitive evaluates them off the sample."""
+    shapes: list = []
+    rng = np.random.default_rng(31)
+    upper = np.triu(rng.normal(size=(4, 4)), 1)
+    form = DifferentialForm.constant(SPACE, upper - upper.T)
+    J = EndomorphismField.constant(SPACE, rng.normal(size=(4, 4)))
+    conn = FlatConnection.zero(SPACE)
+    form = dataclasses.replace(form, fn=counted(form.fn, shapes))
+    J = dataclasses.replace(J, fn=counted(J.fn, shapes))
+    conn = dataclasses.replace(conn, christoffel=counted(conn.christoffel, shapes))
+    pt = SPACE.sample(40, 6)
+    run_derivative_consumers(form, J, conn, pt)
+    assert shapes and set(shapes) == {(40,)}
+
+
+def test_hand_built_fields_are_still_differenced_on_the_stencil():
+    """A field without an exact derivative goes through ``stencil``: each
+    primitive reads it once on the whole (2, dim, N) stack."""
+    shapes: list = []
+
+    def christoffel(pt):
+        G = np.zeros(pt.batch_shape + (4, 4, 4))
+        G[..., 0, 1, 1] = pt.coords[..., 0]
+        return G
+
+    def form_fn(pt):
+        M = np.zeros(pt.batch_shape + (4, 4))
+        M[..., 0, 1] = 1.0 + pt.coords[..., 2] ** 2
+        return M - np.swapaxes(M, -1, -2)
+
+    def J_fn(pt):
+        return np.eye(4) * pt.coords[..., :1, None]
+
+    form = DifferentialForm(SPACE, counted(form_fn, shapes))
+    J = EndomorphismField(SPACE, counted(J_fn, shapes))
+    conn = FlatConnection(SPACE, counted(christoffel, shapes))
+    pt = SPACE.sample(40, 6)
+    run_derivative_consumers(form, J, conn, pt)
+    # exterior_derivative, covariant_constancy (form); nijenhuis, d_nabla_endo (J);
+    # curvature_residual (Gamma)
+    assert shapes.count((2, 4, 40)) == 5
+
+
+def per_l_curvature(G, dG):
+    """max |R^l_kij| formed one upper index l at a time."""
+    worst = 0.0
+    for l in range(G.shape[-1]):
+        dG_l, G_l = dG[..., l, :, :, :], G[..., l, :, :]
+        R = np.einsum("...jki->...kij", dG_l) - np.einsum("...ikj->...kij", dG_l)
+        R += np.einsum("...im,...mjk->...kij", G_l, G)
+        R -= np.einsum("...jm,...mik->...kij", G_l, G)
+        worst = max(worst, float(np.max(np.abs(R))))
+    return worst
+
+
+def test_one_pass_curvature_of_a_constant_connection():
+    """A constant, symmetric, nonzero Gamma is torsion-free but curved: the
+    one-pass curvature equals the per-index formula, and the special-Kahler
+    suite fails its flatness check."""
+    G = np.random.default_rng(17).uniform(-1, 1, (2, 2, 2))
+    G = G + np.swapaxes(G, -1, -2)
+    conn = FlatConnection(PLANE, lambda pt: G)
+    pts = PLANE.sample(10, 3)
+    residual = conn.curvature_residual(pts)
+    assert residual == per_l_curvature(G, np.zeros((2, 2, 2, 2))) > 0.1
+    Omega = DifferentialForm.constant(PLANE, [[0.0, 1.0], [-1.0, 0.0]])
+    I = EndomorphismField.constant(PLANE, [[0.0, -1.0], [1.0, 0.0]])
+    reports = {
+        r.identity_name: r
+        for r in special_symplectic_check(SpecialKahlerData(Omega, I, conn), pts)
+    }
+    flat = reports["special_kahler.connection_flat"]
+    assert not flat.passed and flat.max_residual == residual
+    assert reports["special_kahler.connection_torsion_free"].passed
