@@ -60,7 +60,7 @@ from .structures import (
     Tolerances,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 SCENARIOS = {
     "paper-n1": "four-dimensional model fibration (rank 1) with the default suites",
@@ -397,11 +397,6 @@ class ReportDocument:
             "timing": {"duration_seconds": self.duration_seconds},
         }
 
-    def stable_bytes(self) -> bytes:
-        """The report section alone, canonically serialized; identical for
-        identical configurations regardless of wall-clock timing."""
-        return json.dumps(self.stable_dict(), indent=2, sort_keys=True).encode()
-
     def to_json(self) -> str:
         return json.dumps(self.document_dict(), indent=2, sort_keys=True) + "\n"
 
@@ -468,7 +463,7 @@ class _RunInputs:
 
     @cached_property
     def complexes(self) -> HyperComplexTriple:
-        return build_complex_triple(self.model)
+        return build_complex_triple(self.model, triple=self.triple)
 
 
 def _suite_hypersymplectic(run: _RunInputs) -> list[CheckReport]:

@@ -77,7 +77,7 @@ def test_report_written_on_success(tmp_path):
     assert proc.returncode == 0
     assert "verdict: pass" in proc.stdout
     document = json.loads(report.read_text())
-    assert document["schema_version"] == "1"
+    assert document["schema_version"] == "2"
     body = document["report"]
     assert body["verdict"] == "pass"
     assert body["config"]["sampling"]["seed"] == 7

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
-from hypersymplectic.calculus import DifferentialForm, EndomorphismField, form_matrix
+from hypersymplectic.calculus import (
+    DifferentialForm,
+    EndomorphismField,
+    compose_covector,
+    form_matrix,
+)
 from hypersymplectic.charts import Point
 from hypersymplectic.errors import DegenerateFormError, GeometryError
 from hypersymplectic.fibration import (
+    HyperSymplecticTriple,
     SectionMap,
     build_complex_triple,
     build_structure_triple,
     complex_submanifold_check,
-    expected_composite_matrix,
     gradient_section,
     holomorphic_frame_check,
     make_model,
@@ -42,6 +47,20 @@ M_SIGMA = np.array(
 RECURSION = np.array(
     [[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float
 )
+
+# The complex structures as sign patterns on the (x, y, p, q) blocks, vector
+# action; at rank n each entry multiplies the n x n identity.
+# J_omega: x -> p, y -> q, p -> -x, q -> -y
+J_OMEGA_TABLE = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
+# J_chi: x -> y, y -> -x, p -> -q, q -> p
+J_CHI_TABLE = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+# J_sigma: x -> -q, y -> p, p -> -y, q -> x; as covectors dx -> dq, dy -> -dp,
+# dq -> -dx, dp -> dy
+COMPOSITE_TABLE = [[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
+
+
+def block_table(pattern, n):
+    return np.kron(np.array(pattern, dtype=float), np.eye(n))
 
 
 def total_point(coords):
@@ -89,7 +108,25 @@ def test_complex_structure_tables():
     J_chi = COMPLEXES.J_chi.matrix(pt)
     assert np.array_equal(J_chi @ np.eye(4)[0], [0, 1, 0, 0])
     assert np.array_equal(J_chi @ np.eye(4)[2], [0, 0, 0, -1])
-    assert np.array_equal(COMPLEXES.J_sigma.matrix(pt), expected_composite_matrix(MODEL))
+    assert np.array_equal(COMPLEXES.J_sigma.matrix(pt), block_table(COMPOSITE_TABLE, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_complex_structures_are_the_recursion_operators_of_the_forms(n):
+    """J_omega = R(chi, sigma), J_chi = R(omega, sigma), J_sigma = R(chi, omega)
+    reproduce the sign tables entry for entry, with no -0.0, and J_sigma is
+    the covector composite of J_omega and J_chi."""
+    model = make_model(n)
+    chart = model.total_chart
+    complexes = build_complex_triple(model)
+    pt = chart.sample(3, n)
+    for J, table in zip(complexes.endos(), (J_OMEGA_TABLE, J_CHI_TABLE, COMPOSITE_TABLE)):
+        M = J.matrix(pt)
+        assert M.shape == (4 * n, 4 * n)
+        assert np.array_equal(M, block_table(table, n)), J.name
+        assert not np.signbit(M[M == 0.0]).any(), J.name
+    composite = compose_covector(complexes.J_omega, complexes.J_chi)
+    assert np.array_equal(composite.matrix(pt), complexes.J_sigma.matrix(pt))
 
 
 def test_composite_covector_table():
@@ -196,6 +233,28 @@ def test_stacked_recursion_and_frames_match_single_points():
         verify_lagrangian_fibres(MODEL, omega, Point(chart, pt.coords[None])).max_residual
         for pt in stacked
     )
+
+
+def test_verify_derives_the_complex_structures_of_the_triple_it_is_given():
+    """chi scaled by 2: without ``complexes`` the battery reads the J's of
+    that triple, its recursion operators J_omega / 2, J_chi and J_sigma / 2,
+    not the model's, so the halved J's fail their coframe pairs too."""
+    chi = DifferentialForm.constant(MODEL.total_chart, 2.0 * M_CHI, name="chi")
+    doubled = HyperSymplecticTriple(TRIPLE.omega, chi, TRIPLE.sigma)
+    pt = MODEL.total_chart.sample(6, 2)
+    derived = build_complex_triple(MODEL, triple=doubled)
+    others = ((doubled.chi, doubled.sigma), (doubled.omega, doubled.sigma), (chi, doubled.omega))
+    for J, (f, g) in zip(derived.endos(), others):
+        assert np.array_equal(J.matrix(pt), recursion_operator(f, g, pt)), J.name
+    assert np.array_equal(derived.J_omega.matrix(pt), COMPLEXES.J_omega.matrix(pt) / 2)
+    reports = verify_hypersymplectic(MODEL, pt=pt, triple=doubled)
+    assert reports == verify_hypersymplectic(MODEL, pt=pt, triple=doubled, complexes=derived)
+    assert {r.identity_name for r in reports if not r.passed} == {
+        "hypersymplectic.holomorphic_frame.J_omega",
+        "hypersymplectic.holomorphic_frame.J_sigma",
+        "hypersymplectic.recursion_squares.chi_sigma",
+        "hypersymplectic.recursion_squares.omega_chi",
+    }
 
 
 def test_full_battery_passes_at_rank_two():

@@ -352,7 +352,7 @@ def test_checks_on_a_stack_report_the_worst_single_point():
     assert {
         "hypersymplectic.closed.chi",
         "hypersymplectic.nondegenerate.sigma",
-        "hypersymplectic.squares_to_minus_identity.J_chi",
+        "hypersymplectic.nijenhuis.J_chi",
         "special_kahler.connection_flat",
         "special_kahler.connection_torsion_free",
         "special_kahler.squares_to_minus_identity",
@@ -420,12 +420,27 @@ def test_nondegeneracy_check_slack_sign():
 
 
 def test_almost_complex_check_fails_for_involutions():
-    """The identity, passed as the third complex structure, squares to +Id."""
-    reports = hand_built_reports(MODEL.total_chart.sample(5, 7))
-    involution = reports["hypersymplectic.squares_to_minus_identity.J_sigma"]
-    assert not involution.passed
-    assert involution.max_residual == pytest.approx(2.0)
-    assert reports["hypersymplectic.squares_to_minus_identity.J_omega"].passed
+    """The identity, passed as the third complex structure next to the model's
+    first two, commutes with both (J Id + Id J = 2 J), is not their covector
+    composite (the composite has a zero diagonal) and maps each coframe pair
+    to itself (|a + b| + |b - a| = 2 sqrt 2 for unit a, b)."""
+    identity = HAND_BUILT_COMPLEXES.J_sigma
+    complexes = HyperComplexTriple(_STANDARD.J_omega, _STANDARD.J_chi, identity)
+    reports = verify_hypersymplectic(MODEL, pt=MODEL.total_chart.sample(5, 7), complexes=complexes)
+    failed = {r.identity_name: r.max_residual for r in reports if not r.passed}
+    assert failed == {
+        "hypersymplectic.anticommute.J_omega_J_sigma": 2.0,
+        "hypersymplectic.anticommute.J_chi_J_sigma": 2.0,
+        "hypersymplectic.composition.sigma_from_omega_chi": 1.0,
+        "hypersymplectic.holomorphic_frame.J_sigma": pytest.approx(2.0 * np.sqrt(2.0)),
+    }
+
+
+def test_complex_structures_are_derived_only_from_constant_forms():
+    """Without ``complexes`` the battery derives the J's from the triple it is
+    given; the hand-built forms vary, so no constant J can be read off them."""
+    with pytest.raises(ValueError, match="needs constant forms"):
+        verify_hypersymplectic(MODEL, pt=MODEL.total_chart.sample(5, 7), triple=HAND_BUILT_TRIPLE)
 
 
 def test_connection_checks_fail_through_the_special_kahler_suite():
