@@ -11,7 +11,7 @@ Every factor's orbit through a state has its own size: amplitude
 sqrt(2E)/nu along xi and sqrt(2E) along pi.  The transform's FD Jacobian
 steps each axis by ``RELATIVE_STEP`` times that amplitude, and the round trip
 measures each axis's error in it, so neither depends on the units of the
-frequencies.
+frequencies, nor on the step of any chart.
 
 A product with an even number of factors doubles as a fibration model: the
 first half of the actions become the x-coordinates and the second half the
@@ -264,7 +264,7 @@ def canonical_check(
     worst = float(np.max(np.abs(pulled - mechanical)))
     return CheckReport.from_residual(
         "action_angle.canonical_transform",
-        n_points,
+        len(states),
         worst,
         tolerance,
         statement=(
@@ -294,19 +294,20 @@ def angle_cycle_matrix(sys: ProductSystem, energies, nodes: int = 64) -> np.ndar
 
 
 def model_from_product_system(
-    sys: ProductSystem, name: str = "oscillator-model"
+    sys: ProductSystem, name: str = "oscillator-model", fd_step: float | None = None
 ) -> FibrationModel:
     """Fibration model over the action box of the product system.
 
     The first half of the factors supply the x-coordinates and the second
     half the y-coordinates; each action window is ``ENERGY_WINDOW`` divided
-    by that factor's frequency.
+    by that factor's frequency.  ``fd_step`` is the charts' step, as for
+    ``make_model``.
     """
     lo, hi = ENERGY_WINDOW
     bounds = [
         (lo / osc.frequency, hi / osc.frequency) for osc in sys.oscillators
     ]
-    return make_model(sys.dof // 2, action_bounds=bounds, name=name)
+    return make_model(sys.dof // 2, action_bounds=bounds, name=name, fd_step=fd_step)
 
 
 def verify_action_angle(

@@ -15,8 +15,10 @@ Conventions, fixed once for the whole package:
   table with the derivative axis last: ``out[..., *value, a] = d_a value``
   (the Jacobian layout), and for a constant both give the same table bit
   for bit: zeros without point axes, NaN where the constant is not finite.
-* ``stencil`` calls the evaluator once, on all 2 * dim shifted copies of
-  the sample stacked on two extra leading axes, and is told the value's
+* ``stencil`` steps by the chart's ``fd_step()``, the one step of every
+  central difference on that chart.  It calls the evaluator once, on all
+  2 * dim shifted copies of the sample stacked on two extra leading axes,
+  and is told the value's
   shape at one point, so it recognises a constant (a value of exactly that
   shape) whatever the sample size, and the constant's table stays
   unbatched.  The FD frame of a section's graph
@@ -53,18 +55,18 @@ def transpose(M: np.ndarray) -> np.ndarray:
 
 
 def stencil(
-    evaluate: Callable[[Point], np.ndarray], pt: Point, h: float | None, shape: tuple[int, ...]
+    evaluate: Callable[[Point], np.ndarray], pt: Point, shape: tuple[int, ...]
 ) -> np.ndarray:
     """Central differences of ``evaluate`` along every chart axis, stacked on a
-    new last axis: ``out[..., *value, a] = d_a value``.  The step is ``h``, or
-    the chart's ``fd_step()`` when ``h`` is None.
+    new last axis: ``out[..., *value, a] = d_a value``, with the step h of
+    the chart's ``fd_step()``.
 
     ``shape`` is the shape of the value at one point.  ``evaluate`` is called
     once, on a ``Point`` holding the 2 * dim shifted copies of ``pt`` on two
     new leading axes ``(sign, axis)``, each shifted coordinate formed as
     ``Point.shifted`` forms it.  A value of exactly ``shape`` is a constant,
     and its table keeps no point axes."""
-    h = pt.chart.fd_step() if h is None else float(h)
+    h = pt.chart.fd_step()
     dim = pt.chart.dim
     axes = np.arange(dim)
     coords = np.broadcast_to(pt.coords, (2, dim) + pt.coords.shape).copy()
@@ -104,14 +106,13 @@ def differentiate(
     evaluate: Callable[[Point], np.ndarray],
     derivative: Callable[[Point], np.ndarray] | None,
     pt: Point,
-    h: float | None,
     shape: tuple[int, ...],
 ) -> np.ndarray:
     """``out[..., *value, a] = d_a value`` of the field with value evaluator
     ``evaluate``: read from its exact ``derivative`` evaluator when it has
-    one, else from ``stencil(evaluate, pt, h, shape)``."""
+    one, else from ``stencil(evaluate, pt, shape)``."""
     if derivative is None:
-        return stencil(evaluate, pt, h, shape)
+        return stencil(evaluate, pt, shape)
     return conform(derivative(pt), pt, shape + (pt.chart.dim,), "derivative evaluator")
 
 
@@ -144,36 +145,32 @@ def form_matrix(form: DifferentialForm, pt: Point) -> np.ndarray:
     return conform(form.fn(pt), pt, (dim, dim), f"2-form {form.name!r}")
 
 
-def exterior_derivative(
-    form: DifferentialForm, pt: Point, step: float | None = None
-) -> np.ndarray:
+def exterior_derivative(form: DifferentialForm, pt: Point) -> np.ndarray:
     """Exterior derivative of a 2-form as the full table
     ``(d w)[..., i, j, k] = d_i w_jk - d_j w_ik + d_k w_ij``, exact when the
     form carries its derivative, else from central differences."""
     require_same_chart(form.chart, pt.chart)
     dim = form.chart.dim
     # dM[..., j, k, i] = d_i w_jk
-    dM = differentiate(lambda p: form_matrix(form, p), form.derivative, pt, step, (dim, dim))
+    dM = differentiate(lambda p: form_matrix(form, p), form.derivative, pt, (dim, dim))
     return np.einsum("...jki->...ijk", dM) - np.einsum("...ikj->...ijk", dM) + dM
 
 
-def vector_jacobian(X: VectorField, pt: Point, step: float) -> np.ndarray:
-    """Column j holds the central difference of X along axis j (one point)."""
-    dim = pt.chart.dim
+def vector_jacobian(X: VectorField, pt: Point) -> np.ndarray:
+    """Column j holds the central difference of X along axis j (one point),
+    with the chart's step."""
+    dim, step = pt.chart.dim, pt.chart.fd_step()
     jac = np.empty((dim, dim))
     for j in range(dim):
         jac[:, j] = (X(pt.shifted(j, step)) - X(pt.shifted(j, -step))) / (2.0 * step)
     return jac
 
 
-def lie_bracket(
-    X: VectorField, Y: VectorField, pt: Point, step: float | None = None
-) -> np.ndarray:
+def lie_bracket(X: VectorField, Y: VectorField, pt: Point) -> np.ndarray:
     """[X, Y] = DY.X - DX.Y with finite-difference Jacobians (one point)."""
     require_same_chart(X.chart, Y.chart)
     require_same_chart(X.chart, pt.chart)
-    h = pt.chart.fd_step() if step is None else float(step)
-    return vector_jacobian(Y, pt, h) @ X(pt) - vector_jacobian(X, pt, h) @ Y(pt)
+    return vector_jacobian(Y, pt) @ X(pt) - vector_jacobian(X, pt) @ Y(pt)
 
 
 @dataclass(frozen=True)

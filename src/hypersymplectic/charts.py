@@ -1,6 +1,9 @@
 """Coordinate charts on box domains, points, and evaluator-backed fields.
 
-A chart is a named box ``[lower_i, upper_i]`` with named coordinates.  All
+A chart is a named box ``[lower_i, upper_i]`` with named coordinates and
+the central-difference step of every stencil taken on it (``fd_step``): a
+chart built with a ``step`` uses that, any other 1e-5 times its widest
+half-axis.  No derivative on a chart takes a step of its own.  All
 fields are represented by plain evaluators (point -> value); nothing is
 symbolic.  Evaluators must be deterministic: the same point yields the same
 value bit for bit, which the report layer relies on.
@@ -26,6 +29,7 @@ derivative, so it is never evaluated on a stencil stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -40,6 +44,7 @@ class Chart:
     coords: tuple[str, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
+    step: float | None = None
 
     def __post_init__(self) -> None:
         if not self.coords:
@@ -51,6 +56,8 @@ class Chart:
         for name, lo, hi in zip(self.coords, self.lower, self.upper):
             if not lo < hi:
                 raise ValueError(f"empty box on axis {name}: [{lo}, {hi}]")
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be positive and finite, got {self.step}")
 
     @property
     def dim(self) -> int:
@@ -60,7 +67,10 @@ class Chart:
         return np.asarray(self.upper) - np.asarray(self.lower)
 
     def fd_step(self) -> float:
-        """Default central-difference step: 1e-5 scaled by the widest half-axis."""
+        """The central-difference step of the chart: ``step`` when it is set,
+        else 1e-5 scaled by the widest half-axis."""
+        if self.step is not None:
+            return float(self.step)
         return 1e-5 * float(np.max(self.widths())) / 2.0
 
     def point(self, coords: Sequence[float]) -> "Point":

@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tolerance for finite-difference residuals",
     )
     parser.add_argument(
-        "--fd-step", type=float, dest="fd_step", help="central-difference step size"
+        "--fd-step", type=float, dest="fd_step", help="central-difference step of the charts"
     )
     parser.add_argument(
         "--list", action="store_true", help="list scenarios and suites, then exit"
@@ -49,6 +49,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 # built once: parse_args leaves the parser as it found it
 _PARSER = build_parser()
+
+
+def _override(raw: dict, key: str, field: str, value) -> None:
+    """Set ``raw[key][field]``, reading a null ``raw[key]`` as an empty
+    object.  Any other non-object is left for ``ScenarioConfig.from_dict``
+    to reject."""
+    if raw.get(key) is None:
+        raw[key] = {}
+    if isinstance(raw[key], dict):
+        raw[key][field] = value
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -66,11 +76,11 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     if args.scenario is not None:
         raw["scenario"] = args.scenario
     if args.seed is not None:
-        raw.setdefault("sampling", {})["seed"] = args.seed
+        _override(raw, "sampling", "seed", args.seed)
     if args.fd_step is not None:
-        raw.setdefault("sampling", {})["fd_step"] = args.fd_step
+        _override(raw, "sampling", "fd_step", args.fd_step)
     if args.tolerance_fd is not None:
-        raw.setdefault("tolerances", {})["fd"] = args.tolerance_fd
+        _override(raw, "tolerances", "fd", args.tolerance_fd)
     if args.output is not None:
         raw["output"] = str(args.output)
     return ScenarioConfig.from_dict(raw)

@@ -24,7 +24,8 @@ are probed for Lagrangian behaviour (pullback of a chosen 2-form vanishes,
 read through the exact polynomial Jacobian) and for invariance under a chosen
 complex structure (the distance of J applied to the finite-difference graph
 frame from the graph's tangent plane, which thereby also cross-checks the
-polynomial derivatives).
+polynomial derivatives).  ``make_model`` gives both charts of the model the
+central-difference step of every stencil taken on them.
 A graph turns out to be invariant under one J exactly when it is Lagrangian
 for the other two symplectic forms; the test suite pins both directions.
 """
@@ -98,11 +99,14 @@ def make_model(
     n: int,
     action_bounds: Sequence[tuple[float, float]] | None = None,
     name: str = "model",
+    fd_step: float | None = None,
 ) -> FibrationModel:
     """Build the rank-n model on a box chart.
 
     ``action_bounds`` gives one (lower, upper) pair per action coordinate in
     the order (x_1..x_n, y_1..y_n); the default box is [-1, 1] per axis.
+    ``fd_step`` is the ``Chart.step`` of the base and the total chart; by
+    default each chart takes its width rule.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -113,13 +117,14 @@ def make_model(
     base_coords = _names("x", n) + _names("y", n)
     base_lower = tuple(lo for lo, _ in action_bounds)
     base_upper = tuple(hi for _, hi in action_bounds)
-    base = Chart(f"{name}-base", base_coords, base_lower, base_upper)
+    base = Chart(f"{name}-base", base_coords, base_lower, base_upper, fd_step)
     total_coords = base_coords + _names("p", n) + _names("q", n)
     total = Chart(
         f"{name}-total",
         total_coords,
         base_lower + (0.0,) * (2 * n),
         base_upper + (ANGLE_PERIOD,) * (2 * n),
+        fd_step,
     )
     return FibrationModel(
         n=n,
@@ -287,7 +292,6 @@ def verify_hypersymplectic(
     model: FibrationModel,
     n_points: int = DEFAULT_POINTS,
     seed: int = DEFAULT_SEED,
-    fd_step: float | None = None,
     tolerances: Tolerances = Tolerances(),
     *,
     pt: Point | None = None,
@@ -314,7 +318,7 @@ def verify_hypersymplectic(
         )
 
     for f in triple.forms():
-        closure = float(np.max(np.abs(exterior_derivative(f, pt, fd_step))))
+        closure = float(np.max(np.abs(exterior_derivative(f, pt))))
         report(
             f"closed.{f.name}", closure, tolerances.fd, f"d({f.name}) = 0 under central differences"
         )
@@ -349,7 +353,7 @@ def verify_hypersymplectic(
     for J in complexes.endos():
         report(
             f"nijenhuis.{J.name}",
-            float(np.max(np.abs(nijenhuis(J, pt, fd_step)))),
+            float(np.max(np.abs(nijenhuis(J, pt)))),
             tolerances.fd,
             f"Nijenhuis tensor of {J.name} vanishes on the coordinate frame",
         )
@@ -381,8 +385,8 @@ class SectionMap:
 
     The components (p, q) and their exact Jacobian are each held as one
     vector polynomial, so a map evaluates every component in one call.
-    Its derivatives, exact or FD, raise GeometryError when they overflow,
-    before any product reads them."""
+    Its derivatives, exact or FD (stepped by the base chart), raise
+    GeometryError when they overflow, before any product reads them."""
 
     model: FibrationModel
     p: tuple[Polynomial, ...]
@@ -435,9 +439,9 @@ class SectionMap:
         top = np.broadcast_to(np.eye(n2), base_pt.batch_shape + (n2, n2))
         return np.concatenate([top, self.fibre_jacobian(base_pt)], axis=-2)
 
-    def jacobian_fd(self, base_pt: Point, step: float | None = None) -> np.ndarray:
+    def jacobian_fd(self, base_pt: Point) -> np.ndarray:
         shape = (self.model.total_chart.dim,)
-        return _finite(lambda: stencil(self.total_coords, base_pt, step, shape))
+        return _finite(lambda: stencil(self.total_coords, base_pt, shape))
 
 
 def _finite(derivative: Callable[[], np.ndarray]) -> np.ndarray:
@@ -491,12 +495,13 @@ def section_pullback(
 
 
 def graph_frame_defect(
-    section: SectionMap, J: EndomorphismField, pt: Point, fd_step: float | None = None
+    section: SectionMap, J: EndomorphismField, pt: Point
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """J applied to the FD graph frame F of a section at base point(s).
 
     The base block of F is diagonal: column a holds the step actually taken
-    along x_a over 2h, which differs from 1 by rounding (about eps / h).
+    along x_a over 2h (h is the base chart's ``fd_step()``), which differs
+    from 1 by rounding (about eps / h).
     Dividing the fibre block by it gives the difference quotient D of the
     section over that step, so F spans the graph's tangent plane
     {(v, D v)}.  Returns D, the base block R = (J F)_xy and the defect
@@ -505,7 +510,7 @@ def graph_frame_defect(
     vanishes.  ``SectionMap.jacobian_fd`` raises GeometryError when F is not
     finite, since no verdict can be read from it.
     """
-    frame = section.jacobian_fd(pt, fd_step)
+    frame = section.jacobian_fd(pt)
     moved = J.matrix(section.evaluate(pt)) @ frame
     n2 = frame.shape[-1]
     steps = np.diagonal(frame[..., :n2, :], axis1=-2, axis2=-1)
@@ -519,14 +524,13 @@ def complex_submanifold_check(
     section: SectionMap,
     J: EndomorphismField,
     pt: Point,
-    fd_step: float | None = None,
     *,
     frame_defect: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """How far J moves the graph tangent space off itself, worst over the
     base point(s) ``pt``: the largest distance of a column of J F from the
     tangent plane, which is the distance of (0, defect_c).  A caller that
-    already holds ``graph_frame_defect(section, J, pt, fd_step)`` passes it
+    already holds ``graph_frame_defect(section, J, pt)`` passes it
     as ``frame_defect``; otherwise it is computed here.
 
     The plane {(v, D v)} has the normal space {(-D^T u, u)}, so that
@@ -534,7 +538,7 @@ def complex_submanifold_check(
     D = U S V^T as |U^T defect_c / hypot(1, S)|.  The plane has full
     dimension however steep the section, so no rank test is needed."""
     if frame_defect is None:
-        frame_defect = graph_frame_defect(section, J, pt, fd_step)
+        frame_defect = graph_frame_defect(section, J, pt)
     D, _, defect = frame_defect
     U, S = np.linalg.svd(D)[:2]
     normal = (transpose(U) @ defect) / np.hypot(1.0, S)[..., None]

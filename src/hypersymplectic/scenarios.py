@@ -106,6 +106,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _object(raw: dict, key: str) -> dict:
+    """The JSON object under ``key``, or {} when it is absent or null."""
+    value = raw.get(key)
+    if value is None:
+        return {}
+    _require(isinstance(value, dict), f"{key} must be an object, got {value!r}")
+    return value
+
+
 def _as_positive_float(value, where: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{where} must be a number")
     value = float(value)
@@ -255,7 +264,7 @@ class ScenarioConfig:
 
         scenario = raw.get("scenario", "paper-n1")
         _require(
-            scenario in SCENARIOS,
+            isinstance(scenario, str) and scenario in SCENARIOS,
             f"unknown scenario {scenario!r}; known: {sorted(SCENARIOS)}",
         )
 
@@ -322,8 +331,8 @@ class ScenarioConfig:
             "scenario custom-section requires a non-empty sections list",
         )
 
-        sampling = SamplingConfig.from_dict(raw.get("sampling", {}) or {})
-        tolerances = _tolerances_from_dict(raw.get("tolerances", {}) or {})
+        sampling = SamplingConfig.from_dict(_object(raw, "sampling"))
+        tolerances = _tolerances_from_dict(_object(raw, "tolerances"))
 
         suites_raw = raw.get("suites")
         if suites_raw is None:
@@ -335,7 +344,10 @@ class ScenarioConfig:
             )
             seen: list[str] = []
             for s in suites_raw:
-                _require(s in SUITES, f"unknown suite {s!r}; known: {sorted(SUITES)}")
+                _require(
+                    isinstance(s, str) and s in SUITES,
+                    f"unknown suite {s!r}; known: {sorted(SUITES)}",
+                )
                 if s not in seen:
                     seen.append(s)
             suites = tuple(seen)
@@ -453,8 +465,7 @@ class _RunInputs:
         computed once per (section, J) pair."""
         key = (id(section), id(J))  # both live as long as the run
         if key not in self.frames:
-            fd_step = self.config.sampling.fd_step
-            self.frames[key] = graph_frame_defect(section, J, self.base_pt, fd_step)
+            self.frames[key] = graph_frame_defect(section, J, self.base_pt)
         return self.frames[key]
 
     @cached_property
@@ -472,7 +483,6 @@ def _suite_hypersymplectic(run: _RunInputs) -> list[CheckReport]:
         run.model,
         n_points=config.sampling.n_points,
         seed=config.sampling.seed,
-        fd_step=config.sampling.fd_step,
         tolerances=config.tolerances,
         pt=run.total_pt,
         triple=run.triple,
@@ -509,8 +519,7 @@ def _suite_sections(run: _RunInputs) -> list[CheckReport]:
         )
         J = named_endos[FORM_TO_COMPLEX[form_name]]
         worst = complex_submanifold_check(
-            model, section, J, pt, config.sampling.fd_step,
-            frame_defect=run.frame_defect(section, J),
+            model, section, J, pt, frame_defect=run.frame_defect(section, J)
         )
         reports.append(
             CheckReport.from_residual(
@@ -528,11 +537,11 @@ def _suite_special_kahler(run: _RunInputs) -> list[CheckReport]:
     config, model, pt = run.config, run.model, run.base_pt
     section = run.kahler_section
     data = build_special_kahler(model, section)
-    reports = special_symplectic_check(data, pt, config.sampling.fd_step, config.tolerances)
+    reports = special_symplectic_check(data, pt, config.tolerances)
     reports.extend(kahler_reports(data, pt, config.tolerances))
     reports.append(
         induced_vs_restriction(
-            model, section, pt, config.sampling.fd_step, config.tolerances.fd,
+            model, section, pt, config.tolerances.fd,
             frame_defect=run.frame_defect(section, run.complexes.J_omega),
         )
     )
@@ -557,10 +566,12 @@ _SUITE_RUNNERS: dict[str, Callable[[_RunInputs], list[CheckReport]]] = {
 
 
 def build_scenario_model(config: ScenarioConfig) -> FibrationModel:
+    """The scenario's model, its charts stepping by ``sampling.fd_step``."""
+    fd_step = config.sampling.fd_step
     if config.scenario == "oscillators":
         sys = ProductSystem.from_frequencies(config.frequencies)
-        return model_from_product_system(sys, name="oscillators")
-    return make_model(config.n, name=config.scenario)
+        return model_from_product_system(sys, name="oscillators", fd_step=fd_step)
+    return make_model(config.n, name=config.scenario, fd_step=fd_step)
 
 
 def run_scenario(config: ScenarioConfig) -> ReportDocument:

@@ -16,7 +16,9 @@ of g (which need not be definite) is constant over the sampled box.
 The Jacobian enters twice, deliberately through different routes: the induced
 endomorphism uses exact polynomial derivatives, while the graph-restriction
 comparison uses the finite-difference frame, so agreement between the two is
-an actual cross-check and not an identity of implementation.
+an actual cross-check and not an identity of implementation.  Every central
+difference here steps by the base chart's ``fd_step()``: that frame, and
+d^nabla I when I carries no exact derivative (the I of a non-affine section).
 """
 
 from __future__ import annotations
@@ -137,7 +139,6 @@ def _report(
 def special_symplectic_check(
     data: SpecialKahlerData,
     pt: Point,
-    fd_step: float | None = None,
     tolerances: Tolerances = Tolerances(),
 ) -> list[CheckReport]:
     """Reports for: flat (``tolerances.nested_fd``), torsion-free and
@@ -148,7 +149,7 @@ def special_symplectic_check(
         _report(
             "connection_flat",
             pt,
-            conn.curvature_residual(pt, fd_step),
+            conn.curvature_residual(pt),
             tolerances.nested_fd,
             "curvature of the connection vanishes",
         ),
@@ -162,7 +163,7 @@ def special_symplectic_check(
         _report(
             "base_form_parallel",
             pt,
-            float(np.max(np.abs(covariant_constancy(conn, data.Omega, pt, fd_step)))),
+            float(np.max(np.abs(covariant_constancy(conn, data.Omega, pt)))),
             PARALLEL_TOL,
             "the base symplectic form is parallel for the flat connection",
         ),
@@ -170,7 +171,7 @@ def special_symplectic_check(
         _report(
             "complex_structure_parallel",
             pt,
-            float(np.max(np.abs(d_nabla_endo(conn, data.I, pt, fd_step)))),
+            float(np.max(np.abs(d_nabla_endo(conn, data.I, pt)))),
             PARALLEL_TOL,
             "the exterior covariant derivative of I vanishes on the coordinate frame",
         ),
@@ -220,7 +221,6 @@ def induced_vs_restriction(
     model: FibrationModel,
     section: SectionMap,
     pt: Point,
-    fd_step: float | None = None,
     tolerance: float = Tolerances.fd,
     *,
     frame_defect: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
@@ -231,13 +231,13 @@ def induced_vs_restriction(
     The projection kills the fibre components, so the pushed restriction is
     the base block of J applied to the FD graph frame.  Meaningful when the
     graph is invariant (the graph-frame defect is folded into the residual).
-    A caller that already holds ``graph_frame_defect(section, J_omega, pt,
-    fd_step)`` for the model's J_omega passes it as ``frame_defect``;
-    otherwise it is computed here.
+    A caller that already holds ``graph_frame_defect(section, J_omega, pt)``
+    for the model's J_omega passes it as ``frame_defect``; otherwise it is
+    computed here.
     """
     if frame_defect is None:
         J = build_complex_triple(model).J_omega
-        frame_defect = graph_frame_defect(section, J, pt, fd_step)
+        frame_defect = graph_frame_defect(section, J, pt)
     _, restriction, defect = frame_defect
     agree = np.max(np.abs(restriction - induced_complex_structure(section, pt)))
     return _report(

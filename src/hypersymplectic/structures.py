@@ -20,8 +20,8 @@ derivative through ``calculus.differentiate``: a field that carries its
 exact derivative (every form and complex structure of the model, the zero
 connection, the induced I of an affine section) is not differenced at all,
 and any other field is evaluated once on all central-stencil shifts of the
-sample, so a primitive costs a fixed number of evaluator calls whatever the
-sample size.  A constant field keeps no point axes, so it and its
+sample, stepped by the sample's chart (``Chart.fd_step``), so a primitive
+costs a fixed number of evaluator calls whatever the sample size.  A constant field keeps no point axes, so it and its
 derivative table hold one copy for the whole sample.
 
 The tensor identities (``d_nabla_endo``, ``nijenhuis``) are evaluated on the
@@ -142,7 +142,7 @@ class FlatConnection:
         G = self.gamma(pt)
         return float(np.max(np.abs(G - np.swapaxes(G, -1, -2))))
 
-    def curvature_residual(self, pt: Point, step: float | None = None) -> float:
+    def curvature_residual(self, pt: Point) -> float:
         """Max |R^l_kij|, with the derivatives of Gamma exact when the
         connection carries them, else from central differences.
 
@@ -155,7 +155,7 @@ class FlatConnection:
         G = self.gamma(pt)
         dim = self.chart.dim
         # dG[..., l, j, k, a] = d_a Gamma^l_jk
-        dG = differentiate(self.gamma, self.derivative, pt, step, (dim, dim, dim))
+        dG = differentiate(self.gamma, self.derivative, pt, (dim, dim, dim))
         if G.ndim == 3 and dG.ndim == 4:
             return float(np.max(np.abs(_curvature(dG, G, G))))
         worst = 0.0
@@ -175,9 +175,7 @@ def _curvature(dG_l: np.ndarray, G_l: np.ndarray, G: np.ndarray) -> np.ndarray:
     return R
 
 
-def covariant_constancy(
-    conn: FlatConnection, form: DifferentialForm, pt: Point, step: float | None = None
-) -> np.ndarray:
+def covariant_constancy(conn: FlatConnection, form: DifferentialForm, pt: Point) -> np.ndarray:
     """Residual table ``(nabla_i T)_{jk}`` of a 2-form T, shape ``(..., i, j, k)``.
 
     Zero everywhere iff the form is parallel for the connection at the point.
@@ -185,7 +183,7 @@ def covariant_constancy(
     require_same_chart(conn.chart, form.chart)
     T = form_matrix(form, pt)
     dim = conn.chart.dim
-    dT = differentiate(lambda p: form_matrix(form, p), form.derivative, pt, step, (dim, dim))
+    dT = differentiate(lambda p: form_matrix(form, p), form.derivative, pt, (dim, dim))
     dT = np.moveaxis(dT, -1, -3)
     G = conn.gamma(pt)
     corr1 = np.einsum("...lij,...lk->...ijk", G, T)
@@ -193,12 +191,7 @@ def covariant_constancy(
     return dT - corr1 - corr2
 
 
-def d_nabla_endo(
-    conn: FlatConnection,
-    I: EndomorphismField,
-    pt: Point,
-    step: float | None = None,
-) -> np.ndarray:
+def d_nabla_endo(conn: FlatConnection, I: EndomorphismField, pt: Point) -> np.ndarray:
     """Exterior covariant derivative of an endomorphism on the coordinate frame.
 
     ``table[..., a, b, :] = d_nabla I (e_a, e_b) = (nabla_a I) e_b - (nabla_b I) e_a``
@@ -213,7 +206,7 @@ def d_nabla_endo(
     require_same_chart(conn.chart, I.chart)
     I_pt = I.matrix(pt)
     dim = I.chart.dim
-    dI = differentiate(I.matrix, I.derivative, pt, step, (dim, dim))  # dI[..., k, b, a] = d_a I_kb
+    dI = differentiate(I.matrix, I.derivative, pt, (dim, dim))  # dI[..., k, b, a] = d_a I_kb
     G = conn.gamma(pt)
     nabla = (
         np.swapaxes(dI, -1, -3)
@@ -223,7 +216,7 @@ def d_nabla_endo(
     return nabla - np.swapaxes(nabla, -3, -2)
 
 
-def nijenhuis(J: EndomorphismField, pt: Point, step: float | None = None) -> np.ndarray:
+def nijenhuis(J: EndomorphismField, pt: Point) -> np.ndarray:
     """Nijenhuis tensor of J on the coordinate frame:
     ``table[..., k, a, b] = N_J(e_a, e_b)^k``, where
 
@@ -237,7 +230,7 @@ def nijenhuis(J: EndomorphismField, pt: Point, step: float | None = None) -> np.
     """
     J_pt = J.matrix(pt)
     dim = J.chart.dim
-    dJ = differentiate(J.matrix, J.derivative, pt, step, (dim, dim))  # dJ[..., k, b, m] = d_m J^k_b
+    dJ = differentiate(J.matrix, J.derivative, pt, (dim, dim))  # dJ[..., k, b, m] = d_m J^k_b
     A = np.einsum("...ma,...kbm->...kab", J_pt, dJ) + np.einsum("...km,...mab->...kab", J_pt, dJ)
     return A - np.swapaxes(A, -1, -2)
 

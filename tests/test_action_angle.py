@@ -196,6 +196,9 @@ def test_canonical_check_passes():
     report = canonical_check(SYS, n_points=100, seed=42)
     assert report.passed
     assert report.max_residual <= 1e-6
+    assert report.n_points == 100
+    # given states, the report counts them, not the n_points default
+    assert canonical_check(SYS, states=sample_states(SYS, 7, 1)).n_points == 7
 
 
 def test_canonical_check_detects_a_corrupted_transform():

@@ -17,6 +17,7 @@ from hypersymplectic.structures import FlatConnection
 
 PLANE = Chart("plane", ("u", "v"), (-1.0, -1.0), (1.0, 1.0))
 CUBE = Chart("cube", ("u", "v", "w"), (-1.0,) * 3, (1.0,) * 3)
+STEPPED_CUBE = Chart("cube", ("u", "v", "w"), (-1.0,) * 3, (1.0,) * 3, step=1e-2)
 SPACE = Chart("space", ("a", "b", "c", "d"), (-1.0,) * 4, (1.0,) * 4)
 AREA = np.array([[0.0, 1.0], [-1.0, 0.0]])  # du ^ dv on PLANE
 
@@ -167,34 +168,39 @@ def shifted_reference(evaluate, pt, h):
 
 def test_stacked_stencil_equals_the_per_axis_shifted_reference():
     """One call on all 2 * dim shifts gives, bit for bit, the table of the
-    per-axis differences, for vector, matrix and 3-tensor values at a single
-    point and at sample sizes that coincide with dim and 2 * dim."""
+    per-axis differences at the chart's step, for vector, matrix and 3-tensor
+    values at a single point and at sample sizes that coincide with dim and
+    2 * dim, on a chart with the default step and on one with its own."""
     fields = {
         (3,): lambda p: np.sin(p.coords) * p.coords[..., :1] ** 2,
         (3, 3): lambda p: np.exp(p.coords[..., :, None]) * p.coords[..., None, :] ** 3,
         (3, 3, 3): lambda p: np.cos(p.coords[..., :, None, None] * p.coords[..., None, :, None])
         + p.coords[..., None, None, :],
     }
-    h = CUBE.fd_step()
-    points = [CUBE.point([0.3, -0.7, 0.1])] + [CUBE.sample(n, seed=n) for n in (1, 3, 6, 7)]
+    assert STEPPED_CUBE.fd_step() == 1e-2 != CUBE.fd_step()
+    points = [
+        pt
+        for chart in (CUBE, STEPPED_CUBE)
+        for pt in [chart.point([0.3, -0.7, 0.1])] + [chart.sample(n, seed=n) for n in (1, 3, 6, 7)]
+    ]
     for shape, evaluate in fields.items():
         for pt in points:
             calls = []
-            table = stencil(lambda p: calls.append(p) or evaluate(p), pt, h, shape)
+            table = stencil(lambda p: calls.append(p) or evaluate(p), pt, shape)
             assert len(calls) == 1
             assert table.shape == pt.batch_shape + shape + (3,)
-            assert np.array_equal(table, shifted_reference(evaluate, pt, h)), (shape, pt)
+            reference = shifted_reference(evaluate, pt, pt.chart.fd_step())
+            assert np.array_equal(table, reference), (shape, pt)
 
 
 def test_stencil_keeps_a_constant_unbatched():
     """A constant value, whatever the sample size and even when its first
     axis has the length 2 * dim of the stencil stack, gets a derivative table
     of zeros without point axes."""
-    h = CUBE.fd_step()
     for shape in ((3,), (6,), (6, 3), (3, 3, 3)):
         constant = np.arange(float(np.prod(shape))).reshape(shape)
         for pt in [CUBE.point([0.0, 0.5, -0.5])] + [CUBE.sample(n, seed=2) for n in (1, 3, 6)]:
-            table = stencil(lambda p: constant, pt, h, shape)
+            table = stencil(lambda p: constant, pt, shape)
             assert table.shape == shape + (3,)
             assert np.array_equal(table, np.zeros(shape + (3,)))
 
@@ -220,14 +226,13 @@ def test_exact_derivative_of_a_constant_equals_its_stencil():
         (conn.gamma, conn.derivative, (4, 4, 4)),
         (lambda p: christoffel, constant_derivative(christoffel, 4), (4, 4, 4)),
     ]
-    h = SPACE.fd_step()
     for evaluate, derivative, shape in cases:
         assert derivative is not None
         value = evaluate(SPACE.point(np.zeros(4)))
         expected = np.repeat(np.where(np.isfinite(value), 0.0, np.nan)[..., None], 4, axis=-1)
         for pt in (SPACE.sample(1, 3), SPACE.sample(40, 3)):
-            exact = differentiate(evaluate, derivative, pt, None, shape)
-            fd = stencil(evaluate, pt, h, shape)
+            exact = differentiate(evaluate, derivative, pt, shape)
+            fd = stencil(evaluate, pt, shape)
             assert exact.shape == fd.shape == shape + (4,)
             assert exact.tobytes() == fd.tobytes()
             assert np.array_equal(exact, expected, equal_nan=True)
@@ -243,7 +248,7 @@ def test_a_field_without_an_exact_derivative_is_differenced():
     evaluate = lambda p: form_matrix(beta, p)
     assert beta.derivative is None
     assert np.array_equal(
-        differentiate(evaluate, None, pt, None, (3, 3)), stencil(evaluate, pt, None, (3, 3))
+        differentiate(evaluate, None, pt, (3, 3)), stencil(evaluate, pt, (3, 3))
     )
     with pytest.raises(ValueError):
-        differentiate(evaluate, lambda p: np.zeros((3, 3)), pt, None, (3, 3))
+        differentiate(evaluate, lambda p: np.zeros((3, 3)), pt, (3, 3))

@@ -13,6 +13,15 @@ def test_basic_properties():
     assert BOX.fd_step() == pytest.approx(1e-5)
 
 
+def test_a_chart_built_with_a_step_steps_by_it():
+    stepped = Chart("box", ("u", "v"), (-1.0, -1.0), (1.0, 1.0), step=1e-3)
+    assert stepped.fd_step() == 1e-3
+    assert stepped != BOX  # the step is part of the chart
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="step"):
+            Chart("box", ("u", "v"), (-1.0, -1.0), (1.0, 1.0), step=bad)
+
+
 def test_point_validation():
     pt = BOX.point([0.25, -0.5])
     assert pt.coords.shape == (2,)

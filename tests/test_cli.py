@@ -154,25 +154,65 @@ def test_non_finite_config_numbers_exit_2_without_writing(tmp_path, capsys, conf
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, flags",
     [
-        {"scenario": "paper-n1", "sampling": {"n_points": True}},
-        {"scenario": "paper-n1", "sampling": {"seed": True}},
-        {"scenario": "paper-n", "n": True},
-        {
-            "scenario": "custom-section",
-            "sections": [{"name": "b", "p": [[[[True, False], 1.0]]], "q": [[]]}],
-        },
+        ({"scenario": "paper-n1", "sampling": {"n_points": True}}, []),
+        ({"scenario": "paper-n1", "sampling": {"seed": True}}, []),
+        ({"scenario": "paper-n", "n": True}, []),
+        (
+            {
+                "scenario": "custom-section",
+                "sections": [{"name": "b", "p": [[[[True, False], 1.0]]], "q": [[]]}],
+            },
+            [],
+        ),
+        # values of another JSON type than their key takes
+        ({"scenario": ["x"]}, []),
+        ({"scenario": {}}, []),
+        ({"suites": [["a"]]}, []),
+        ({"sampling": 5}, []),
+        ({"sampling": []}, []),
+        ({"tolerances": []}, []),
+        ({"sampling": 5}, ["--seed", "3"]),
+        ({"tolerances": "fd"}, ["--tolerance-fd", "1e-6"]),
     ],
-    ids=["n_points", "seed", "n", "exponent"],
+    ids=[
+        "n_points",
+        "seed",
+        "n",
+        "exponent",
+        "scenario-list",
+        "scenario-object",
+        "suite-list",
+        "sampling-number",
+        "sampling-list",
+        "tolerances-list",
+        "sampling-number-with-seed-flag",
+        "tolerances-string-with-fd-flag",
+    ],
 )
-def test_json_booleans_are_not_integers_exit_2_without_writing(tmp_path, capsys, config):
+def test_json_booleans_are_not_integers_exit_2_without_writing(tmp_path, capsys, config, flags):
+    """A JSON value of a type its key does not take, such as true or false
+    (which json.loads reads as bools) for an integer, is a configuration
+    error, also when a CLI flag overrides a key inside it."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))  # true / false, which json.loads reads as bools
+    cfg.write_text(json.dumps(config))
     report = tmp_path / "report.json"
-    assert main(["--config", str(cfg), "--output", str(report)]) == 2
+    assert main(["--config", str(cfg), "--output", str(report), *flags]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_null_sampling_and_tolerances_mean_absent(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    raw = {"suites": ["lagrangian-fibres"], "sampling": None, "tolerances": None}
+    cfg.write_text(json.dumps(raw))
+    report = tmp_path / "report.json"
+    flags = ["--seed", "3", "--tolerance-fd", "1e-5", "--output", str(report)]
+    assert main(["--config", str(cfg), *flags]) == 0
+    config = json.loads(report.read_text())["report"]["config"]
+    assert config["sampling"]["seed"] == 3
+    assert config["tolerances"]["fd"] == 1e-5
 
 
 ROTATION = {"name": "turn", "form": "sigma", "p": [[[[0, 1], 1.0]]], "q": [[[[1, 0], -1.0]]]}

@@ -236,6 +236,46 @@ def test_tolerance_overrides_are_wired_through():
     assert len(doc.checks) == 39
 
 
+CUBIC_SECTION = {
+    "name": "cubic",
+    "form": "sigma",
+    "p": [[[[0, 1], 1.0], [[3, 0], 0.3]]],
+    "q": [[[[1, 0], -1.0]]],
+}
+
+
+def test_the_configured_step_is_the_step_of_the_models_charts():
+    for raw in ({"scenario": "paper-n", "n": 2}, {"scenario": "oscillators"}):
+        model = scenarios.build_scenario_model(
+            ScenarioConfig.from_dict({**raw, "sampling": {"fd_step": 1e-3}})
+        )
+        assert model.base_chart.fd_step() == model.total_chart.fd_step() == 1e-3
+
+
+def test_the_configured_step_reaches_exactly_the_fd_route_checks():
+    """On the section p = y + 0.3 x^3, q = -x, ``sampling.fd_step`` moves
+    exactly the two residuals read from the FD graph frame.  Every other
+    residual is bit for bit the same: those checks read exact derivatives,
+    the one varying entry of I (I_xx, along x) drops out of the differenced
+    d^nabla I at any step, and the action-angle transform steps relative to
+    the orbit."""
+
+    def residuals(sampling: dict) -> dict[str, str]:
+        raw = {"scenario": "custom-section", "sections": [CUBIC_SECTION], "sampling": sampling}
+        doc = run_scenario(ScenarioConfig.from_dict(raw))
+        assert doc.config_echo["sampling"]["fd_step"] == sampling.get("fd_step")
+        return {r.identity_name: r.max_residual.hex() for r in doc.checks}
+
+    default, coarse = residuals({}), residuals({"fd_step": 1e-3})
+    assert default.keys() == coarse.keys()
+    assert "action_angle.canonical_transform" in default
+    changed = {name for name in default if default[name] != coarse[name]}
+    assert changed == {
+        "sections.graph_invariant.cubic.J_omega",
+        "special_kahler.matches_graph_restriction",
+    }
+
+
 def test_summary_lines_cover_every_check():
     cfg = ScenarioConfig.from_dict({"suites": ["lagrangian-fibres"]})
     doc = run_scenario(cfg)

@@ -291,12 +291,11 @@ def test_stacked_primitives_match_single_points():
     u, v = (lambda p: p.coords[..., 0]), (lambda p: p.coords[..., 1])
     area = area_form(PLANE, lambda p: 1.0 + u(p) ** 2 * v(p))
     stacked = PLANE.sample(6, 21)
-    h = PLANE.fd_step()
     primitives = {
         "d_nabla_endo": lambda pt: d_nabla_endo(conn, I, pt),
         "covariant_constancy": lambda pt: covariant_constancy(conn, area, pt),
         "form_matrix": lambda pt: form_matrix(area, pt),
-        "stencil": lambda pt: stencil(I.matrix, pt, h, (2, 2)),
+        "stencil": lambda pt: stencil(I.matrix, pt, (2, 2)),
     }
     for name, primitive in primitives.items():
         rows = primitive(stacked)
@@ -304,11 +303,11 @@ def test_stacked_primitives_match_single_points():
         for r, pt in enumerate(stacked):
             assert np.array_equal(rows[r], primitive(pt)), name
     # out[..., k, b, a] = d_a I_kb: only I_00 = -2u varies, along u
-    dI = stencil(I.matrix, stacked, h, (2, 2))
+    dI = stencil(I.matrix, stacked, (2, 2))
     assert dI.shape == (6, 2, 2, 2)
     assert np.allclose(dI[:, 0, 0, 0], -2.0, atol=1e-9) and np.max(np.abs(dI[:, :, :, 1])) == 0.0
     constant = np.arange(3.0)
-    assert np.array_equal(stencil(lambda p: constant, stacked, h, (3,)), np.zeros((3, 2)))
+    assert np.array_equal(stencil(lambda p: constant, stacked, (3,)), np.zeros((3, 2)))
     curvature = conn.curvature_residual(stacked)
     assert curvature == max(conn.curvature_residual(pt) for pt in stacked) > 0.1
 
