@@ -19,11 +19,12 @@ from .action_angle import (
 from .calculus import (
     DifferentialForm,
     EndomorphismField,
+    VectorField,
     exterior_derivative,
     form_matrix,
     lie_bracket,
 )
-from .charts import Chart, Point, VectorField
+from .charts import Chart, Point
 from .errors import (
     ChartMismatchError,
     ConfigError,

@@ -1,31 +1,32 @@
-"""Exterior calculus on chart boxes, evaluated on stacked points.
+"""Tensor fields and exterior calculus on chart boxes, evaluated on stacked points.
 
 Conventions, fixed once for the whole package:
 
-* A 2-form is a matrix field: its evaluator returns the antisymmetric matrix
-  ``M[..., i, j] = form(e_i, e_j)`` (the determinant convention, no ``1/k!``),
-  or one ``(dim, dim)`` array when the coefficients are constant.  No check
-  reads a form of another degree, so none is represented.
-* A field (2-form, endomorphism, or ``structures.FlatConnection``) may
-  carry an exact derivative evaluator next to its value evaluator; the
-  ``constant`` constructors set it (``constant_derivative``).  Every
-  derivative of such a field that a check takes goes through
-  ``differentiate``, which reads that evaluator when the field has one and
-  falls back to ``stencil``, central differences, otherwise.  Both give the
-  table with the derivative axis last: ``out[..., *value, a] = d_a value``
-  (the Jacobian layout), and for a constant both give the same table bit
-  for bit: zeros without point axes, NaN where the constant is not finite.
+* Every field is a ``TensorField``: a value evaluator and, optionally, the
+  exact evaluator of its derivative.  A kind fixes the rank of the value,
+  ``(dim,) * rank`` at one point: ``VectorField`` (1), ``DifferentialForm``
+  and ``EndomorphismField`` (2), ``structures.FlatConnection`` (3, the
+  Christoffel table).  Each field is read one way: ``value(pt)``, and
+  ``gradient(pt)``, the table with the derivative axis last,
+  ``out[..., *value, a] = d_a value`` (the Jacobian layout).  ``gradient``
+  reads the exact evaluator when the field has one and falls back to
+  ``stencil``, central differences, otherwise.  ``constant`` sets the exact
+  evaluator to the table ``stencil`` gives for that constant, bit for bit:
+  zeros without point axes, NaN where the constant is not finite.
+* A 2-form is a matrix field: its value is the antisymmetric matrix
+  ``M[..., i, j] = form(e_i, e_j)`` (the determinant convention, no
+  ``1/k!``), read by ``form_matrix``.  No check reads a form of another
+  degree, so none is represented.
 * ``stencil`` steps by the chart's ``fd_step()``, the one step of every
   central difference on that chart.  It calls the evaluator once, on all
   2 * dim shifted copies of the sample stacked on two extra leading axes,
-  and is told the value's
-  shape at one point, so it recognises a constant (a value of exactly that
-  shape) whatever the sample size, and the constant's table stays
-  unbatched.  The FD frame of a section's graph
+  and is told the value's shape at one point, so it recognises a constant
+  (a value of exactly that shape) whatever the sample size, and the
+  constant's table stays unbatched.  The FD frame of a section's graph
   (``fibration.SectionMap.jacobian_fd``) also comes from ``stencil``.
 * The exterior derivative of a 2-form is the table
   ``(d w)_ijk = d_i w_jk - d_j w_ik + d_k w_ij``, taken from one
-  ``differentiate`` call.
+  ``gradient`` call.
 * An endomorphism field acts on vectors through its matrix and on covectors
   through the transpose contract ``(J a)(X) = a(J X)``.  Composition of the
   matrices therefore reverses when read on covectors, which is why
@@ -42,11 +43,11 @@ fields and compare it with the four-bracket composition built from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
-from .charts import Chart, Point, VectorField, conform, require_same_chart
+from .charts import Chart, Point, conform, require_same_chart
 
 
 def transpose(M: np.ndarray) -> np.ndarray:
@@ -95,54 +96,96 @@ def _constant_table(value: np.ndarray, dim: int) -> np.ndarray:
     return np.broadcast_to(0.0, value.shape + (dim,))
 
 
-def constant_derivative(value: np.ndarray, dim: int) -> Callable[[Point], np.ndarray]:
-    """The exact derivative evaluator of a field whose value is ``value``
-    everywhere: its table, the one ``stencil`` gives for that constant."""
-    table = _constant_table(value, dim)
-    return lambda pt: table
-
-
-def differentiate(
-    evaluate: Callable[[Point], np.ndarray],
-    derivative: Callable[[Point], np.ndarray] | None,
-    pt: Point,
-    shape: tuple[int, ...],
-) -> np.ndarray:
-    """``out[..., *value, a] = d_a value`` of the field with value evaluator
-    ``evaluate``: read from its exact ``derivative`` evaluator when it has
-    one, else from ``stencil(evaluate, pt, shape)``."""
-    if derivative is None:
-        return stencil(evaluate, pt, shape)
-    return conform(derivative(pt), pt, shape + (pt.chart.dim,), "derivative evaluator")
-
-
 @dataclass(frozen=True)
-class DifferentialForm:
-    """A 2-form given by its matrix evaluator ``M[..., i, j] = form(e_i, e_j)``
-    and, optionally, the exact evaluator of its derivative table
-    ``dM[..., i, j, a] = d_a M_ij``."""
+class TensorField:
+    """A field on ``chart`` given by its value evaluator ``fn`` and,
+    optionally, the exact evaluator of its derivative table.
+
+    A kind (a subclass) sets ``rank``, so its value at one point has shape
+    ``(dim,) * rank``, and ``kind``, its name in error messages; it may
+    override ``_validate`` to reject constant values of the right shape."""
+
+    rank: ClassVar[int]
+    kind: ClassVar[str]
 
     chart: Chart
     fn: Callable[[Point], np.ndarray] = field(repr=False)
     name: str = ""
     derivative: Callable[[Point], np.ndarray] | None = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_shape", (self.chart.dim,) * self.rank)
+
+    def value(self, pt: Point) -> np.ndarray:
+        """The value at ``pt``, of shape ``pt.batch_shape + (dim,) * rank``, or
+        ``(dim,) * rank`` for a constant."""
+        require_same_chart(self.chart, pt.chart)
+        return conform(self.fn(pt), pt, self._shape, f"{self.kind} {self.name!r}")
+
+    def gradient(self, pt: Point) -> np.ndarray:
+        """``out[..., *value, a] = d_a value`` at ``pt``: from the exact
+        ``derivative`` evaluator when the field has one, else from
+        ``stencil(self.value, pt, ...)``."""
+        if self.derivative is None:
+            return stencil(self.value, pt, self._shape)
+        table = self._shape + (pt.chart.dim,)
+        return conform(self.derivative(pt), pt, table, "derivative evaluator")
+
     @classmethod
-    def constant(cls, chart: Chart, matrix, name: str = "") -> "DifferentialForm":
-        frozen = np.array(matrix, dtype=float)
-        if frozen.shape != (chart.dim, chart.dim):
-            raise ValueError("matrix shape does not match the chart dimension")
-        if not np.array_equal(frozen, -frozen.T):
-            raise ValueError("a 2-form matrix must be antisymmetric")
+    def constant(cls, chart: Chart, value, name: str = "") -> TensorField:
+        """The field equal to ``value`` everywhere, held as a read-only array
+        without point axes, with the exact derivative ``stencil`` gives it."""
+        frozen = np.array(value, dtype=float)
+        if frozen.shape != (chart.dim,) * cls.rank:
+            raise ValueError(f"{cls.kind} shape {frozen.shape} does not match the chart dimension")
+        cls._validate(frozen)
         frozen.flags.writeable = False
-        return cls(chart, lambda pt: frozen, name, constant_derivative(frozen, chart.dim))
+        table = _constant_table(frozen, chart.dim)
+        return cls(chart, lambda pt: frozen, name, lambda pt: table)
+
+    @staticmethod
+    def _validate(value: np.ndarray) -> None:
+        """Raise ValueError when ``value`` is no constant of this kind."""
+
+
+class VectorField(TensorField):
+    """Components ``X[..., k]`` of a vector field."""
+
+    rank, kind = 1, "vector field"
+
+
+class DifferentialForm(TensorField):
+    """A 2-form as its matrix field ``M[..., i, j] = form(e_i, e_j)``, with
+    the derivative table ``dM[..., i, j, a] = d_a M_ij``."""
+
+    rank, kind = 2, "2-form"
+
+    @staticmethod
+    def _validate(value: np.ndarray) -> None:
+        if not np.array_equal(value, -value.T):
+            raise ValueError("a 2-form matrix must be antisymmetric")
+
+
+class EndomorphismField(TensorField):
+    """A (1,1)-tensor field as its vector-action matrix field, with the
+    derivative table ``dJ[..., k, b, a] = d_a J_kb``."""
+
+    rank, kind = 2, "endomorphism"
+
+    # matrix and form_matrix are functions of their own, not aliases of value:
+    # benchmarks/shims.py traces each by name and counts calls per code object
+    def matrix(self, pt: Point) -> np.ndarray:
+        """Matrices of the vector action: the value."""
+        return self.value(pt)
+
+    def covector_matrix(self, pt: Point) -> np.ndarray:
+        """Matrix of the covector (transpose-contract) action on components."""
+        return transpose(self.matrix(pt))
 
 
 def form_matrix(form: DifferentialForm, pt: Point) -> np.ndarray:
-    """Antisymmetric matrices M[..., i, j] = form(e_i, e_j) of a 2-form."""
-    require_same_chart(form.chart, pt.chart)
-    dim = form.chart.dim
-    return conform(form.fn(pt), pt, (dim, dim), f"2-form {form.name!r}")
+    """Antisymmetric matrices M[..., i, j] = form(e_i, e_j) of a 2-form: its value."""
+    return form.value(pt)
 
 
 def exterior_derivative(form: DifferentialForm, pt: Point) -> np.ndarray:
@@ -150,9 +193,7 @@ def exterior_derivative(form: DifferentialForm, pt: Point) -> np.ndarray:
     ``(d w)[..., i, j, k] = d_i w_jk - d_j w_ik + d_k w_ij``, exact when the
     form carries its derivative, else from central differences."""
     require_same_chart(form.chart, pt.chart)
-    dim = form.chart.dim
-    # dM[..., j, k, i] = d_i w_jk
-    dM = differentiate(lambda p: form_matrix(form, p), form.derivative, pt, (dim, dim))
+    dM = form.gradient(pt)  # dM[..., j, k, i] = d_i w_jk
     return np.einsum("...jki->...ijk", dM) - np.einsum("...ikj->...ijk", dM) + dM
 
 
@@ -162,7 +203,7 @@ def vector_jacobian(X: VectorField, pt: Point) -> np.ndarray:
     dim, step = pt.chart.dim, pt.chart.fd_step()
     jac = np.empty((dim, dim))
     for j in range(dim):
-        jac[:, j] = (X(pt.shifted(j, step)) - X(pt.shifted(j, -step))) / (2.0 * step)
+        jac[:, j] = (X.value(pt.shifted(j, step)) - X.value(pt.shifted(j, -step))) / (2.0 * step)
     return jac
 
 
@@ -170,36 +211,7 @@ def lie_bracket(X: VectorField, Y: VectorField, pt: Point) -> np.ndarray:
     """[X, Y] = DY.X - DX.Y with finite-difference Jacobians (one point)."""
     require_same_chart(X.chart, Y.chart)
     require_same_chart(X.chart, pt.chart)
-    return vector_jacobian(Y, pt) @ X(pt) - vector_jacobian(X, pt) @ Y(pt)
-
-
-@dataclass(frozen=True)
-class EndomorphismField:
-    """A (1,1)-tensor field given by its vector-action matrix evaluator and,
-    optionally, the exact evaluator of its derivative table
-    ``dJ[..., k, b, a] = d_a J_kb``."""
-
-    chart: Chart
-    fn: Callable[[Point], np.ndarray] = field(repr=False)
-    name: str = ""
-    derivative: Callable[[Point], np.ndarray] | None = field(default=None, repr=False)
-
-    def matrix(self, pt: Point) -> np.ndarray:
-        require_same_chart(self.chart, pt.chart)
-        dim = self.chart.dim
-        return conform(self.fn(pt), pt, (dim, dim), f"endomorphism {self.name!r}")
-
-    def covector_matrix(self, pt: Point) -> np.ndarray:
-        """Matrix of the covector (transpose-contract) action on components."""
-        return transpose(self.matrix(pt))
-
-    @classmethod
-    def constant(cls, chart: Chart, matrix, name: str = "") -> "EndomorphismField":
-        frozen = np.array(matrix, dtype=float)
-        if frozen.shape != (chart.dim, chart.dim):
-            raise ValueError("matrix shape does not match the chart dimension")
-        frozen.flags.writeable = False
-        return cls(chart, lambda pt: frozen, name, constant_derivative(frozen, chart.dim))
+    return vector_jacobian(Y, pt) @ X.value(pt) - vector_jacobian(X, pt) @ Y.value(pt)
 
 
 def compose_covector(A: EndomorphismField, B: EndomorphismField) -> EndomorphismField:

@@ -1,12 +1,14 @@
-"""Coordinate charts on box domains, points, and evaluator-backed fields.
+"""Coordinate charts on box domains and points.
 
 A chart is a named box ``[lower_i, upper_i]`` with named coordinates and
 the central-difference step of every stencil taken on it (``fd_step``): a
 chart built with a ``step`` uses that, any other 1e-5 times its widest
-half-axis.  No derivative on a chart takes a step of its own.  All
-fields are represented by plain evaluators (point -> value); nothing is
-symbolic.  Evaluators must be deterministic: the same point yields the same
-value bit for bit, which the report layer relies on.
+half-axis.  A step that vanishes next to a box bound (``b + h == b``) is
+rejected.  No derivative on a chart takes a step of its own.  All
+fields (``calculus.TensorField``) are represented by plain evaluators
+(point -> value); nothing is symbolic.  Evaluators must be deterministic:
+the same point yields the same value bit for bit, which the report layer
+relies on.
 
 Points are array-first.  A ``Point``'s ``coords`` has shape ``(..., dim)``:
 one point is the case with no leading axes, and a sample of N points is one
@@ -15,23 +17,23 @@ Every check takes such a sample directly; ``len`` and iteration run over its
 first axis, yielding single points.  An evaluator receives a point, reads
 coordinate k as ``coords[..., k]``, and returns its value with the point's
 leading axes in front, e.g. ``(..., dim)`` for a vector or
-``(..., dim, dim)`` for an endomorphism.  The leading axes may be more
-than a sample's: a field that carries no exact derivative is differenced by
-``calculus.stencil``, which evaluates it once on all central-difference
-shifts of a sample, a ``(2, dim, N, dim)`` stack, so an evaluator reads and
-writes only through ``...``.  A constant returns its value without the
-leading axes, and it stays that way: numpy broadcasting carries it through
-every product with batched values, so a constant tensor costs one copy
-however many points are sampled.  A form, endomorphism or connection
-built by its ``constant`` (or ``zero``) constructor also carries its exact
-derivative, so it is never evaluated on a stencil stack.
+``(..., dim, dim)`` for an endomorphism; ``conform`` checks that shape.
+The leading axes may be more than a sample's: a field that carries no exact
+derivative is differenced by ``calculus.stencil``, which evaluates it once
+on all central-difference shifts of a sample, a ``(2, dim, N, dim)`` stack,
+so an evaluator reads and writes only through ``...``.  A constant returns
+its value without the leading axes, and it stays that way: numpy
+broadcasting carries it through every product with batched values, so a
+constant tensor costs one copy however many points are sampled.  A field
+built by ``TensorField.constant`` also carries its exact derivative, so it
+is never evaluated on a stencil stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -58,6 +60,10 @@ class Chart:
                 raise ValueError(f"empty box on axis {name}: [{lo}, {hi}]")
         if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be positive and finite, got {self.step}")
+        h = self.fd_step()
+        for b in self.lower + self.upper:
+            if b + h == b or b - h == b:
+                raise ValueError(f"step {h:g} is lost in rounding next to the box bound {b:g}")
 
     @property
     def dim(self) -> int:
@@ -135,22 +141,3 @@ def conform(value, pt: Point, trailing: tuple[int, ...], what: str) -> np.ndarra
         f"{what} returned shape {arr.shape}, expected {trailing} after the point axes "
         f"{pt.batch_shape}"
     )
-
-
-@dataclass(frozen=True)
-class VectorField:
-    chart: Chart
-    fn: Callable[[Point], np.ndarray]
-    name: str = ""
-
-    def __call__(self, pt: Point) -> np.ndarray:
-        require_same_chart(self.chart, pt.chart)
-        return conform(self.fn(pt), pt, (self.chart.dim,), f"vector field {self.name!r}")
-
-    @classmethod
-    def constant(cls, chart: Chart, components: Sequence[float], name: str = "") -> "VectorField":
-        frozen = np.array(components, dtype=float)
-        if frozen.shape != (chart.dim,):
-            raise ValueError("component count does not match the chart dimension")
-        frozen.flags.writeable = False
-        return cls(chart, lambda pt: frozen, name=name)

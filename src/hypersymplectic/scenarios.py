@@ -566,12 +566,16 @@ _SUITE_RUNNERS: dict[str, Callable[[_RunInputs], list[CheckReport]]] = {
 
 
 def build_scenario_model(config: ScenarioConfig) -> FibrationModel:
-    """The scenario's model, its charts stepping by ``sampling.fd_step``."""
+    """The scenario's model, its charts stepping by ``sampling.fd_step``;
+    ConfigError when that step is lost in rounding next to a box bound."""
     fd_step = config.sampling.fd_step
-    if config.scenario == "oscillators":
-        sys = ProductSystem.from_frequencies(config.frequencies)
-        return model_from_product_system(sys, name="oscillators", fd_step=fd_step)
-    return make_model(config.n, name=config.scenario, fd_step=fd_step)
+    try:
+        if config.scenario == "oscillators":
+            sys = ProductSystem.from_frequencies(config.frequencies)
+            return model_from_product_system(sys, name="oscillators", fd_step=fd_step)
+        return make_model(config.n, name=config.scenario, fd_step=fd_step)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def run_scenario(config: ScenarioConfig) -> ReportDocument:

@@ -15,14 +15,16 @@ The suites (``fibration.verify_hypersymplectic``,
 from the primitive that measures it.
 
 The primitives take their sample as one stacked ``(N, dim)`` point (see
-``charts``) and evaluate every field on the whole stack.  They take every
-derivative through ``calculus.differentiate``: a field that carries its
-exact derivative (every form and complex structure of the model, the zero
-connection, the induced I of an affine section) is not differenced at all,
-and any other field is evaluated once on all central-stencil shifts of the
-sample, stepped by the sample's chart (``Chart.fd_step``), so a primitive
-costs a fixed number of evaluator calls whatever the sample size.  A constant field keeps no point axes, so it and its
-derivative table hold one copy for the whole sample.
+``charts``) and evaluate every field on the whole stack.  The connection is
+a ``calculus.TensorField`` of rank 3, like the forms and endomorphisms it
+acts on, and every derivative is the field's ``gradient``: a field built by
+``constant`` (every form and complex structure of the model, the zero
+connection, the induced I of an affine section) carries its exact derivative
+and is not differenced at all, and any other field is evaluated once on all
+central-stencil shifts of the sample, stepped by the sample's chart
+(``Chart.fd_step``), so a primitive costs a fixed number of evaluator calls
+whatever the sample size.  A constant field keeps no point axes, so it and
+its derivative table hold one copy for the whole sample.
 
 The tensor identities (``d_nabla_endo``, ``nijenhuis``) are evaluated on the
 coordinate frame: each returns the full table of the tensor's components at
@@ -36,19 +38,12 @@ fixed: no configuration key reaches them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (
-    DifferentialForm,
-    EndomorphismField,
-    constant_derivative,
-    differentiate,
-    form_matrix,
-)
-from .charts import Chart, Point, conform, require_same_chart
+from .calculus import DifferentialForm, EndomorphismField, TensorField, form_matrix
+from .charts import Chart, Point, require_same_chart
 
 DEFAULT_POINTS = 100
 DEFAULT_SEED = 42
@@ -111,32 +106,23 @@ class CheckReport:
         }
 
 
-@dataclass(frozen=True)
-class FlatConnection:
-    """An affine connection given by a Christoffel evaluator and, optionally,
-    the exact evaluator of its derivative table ``dG[..., k, i, j, a] =
+class FlatConnection(TensorField):
+    """An affine connection given by its Christoffel table
+    ``gamma(pt)[..., k, i, j]``, the coefficient with upper index k and lower
+    indices (i, j), with the derivative table ``dG[..., k, i, j, a] =
     d_a Gamma^k_ij``.
 
-    ``christoffel(pt)[..., k, i, j]`` is the coefficient with upper index k
-    and lower indices (i, j).  "Flat" is the intent, not an assumption:
-    torsion and curvature are checked, never taken for granted.
+    "Flat" is the intent, not an assumption: torsion and curvature are
+    checked, never taken for granted.
     """
 
-    chart: Chart
-    christoffel: Callable[[Point], np.ndarray] = field(repr=False)
-    name: str = ""
-    derivative: Callable[[Point], np.ndarray] | None = field(default=None, repr=False)
+    rank, kind = 3, "connection"
+
+    gamma = TensorField.value
 
     @classmethod
     def zero(cls, chart: Chart, name: str = "zero") -> "FlatConnection":
-        dim = chart.dim
-        table = np.broadcast_to(0.0, (dim, dim, dim))  # read-only; stores one number
-        return cls(chart, lambda pt: table, name, constant_derivative(table, dim))
-
-    def gamma(self, pt: Point) -> np.ndarray:
-        require_same_chart(self.chart, pt.chart)
-        dim = self.chart.dim
-        return conform(self.christoffel(pt), pt, (dim, dim, dim), "christoffel evaluator")
+        return cls.constant(chart, np.zeros((chart.dim,) * 3), name)
 
     def torsion_residual(self, pt: Point) -> float:
         G = self.gamma(pt)
@@ -153,13 +139,11 @@ class FlatConnection:
         table of that size is built.
         """
         G = self.gamma(pt)
-        dim = self.chart.dim
-        # dG[..., l, j, k, a] = d_a Gamma^l_jk
-        dG = differentiate(self.gamma, self.derivative, pt, (dim, dim, dim))
+        dG = self.gradient(pt)  # dG[..., l, j, k, a] = d_a Gamma^l_jk
         if G.ndim == 3 and dG.ndim == 4:
             return float(np.max(np.abs(_curvature(dG, G, G))))
         worst = 0.0
-        for l in range(dim):
+        for l in range(self.chart.dim):
             R = _curvature(dG[..., l, :, :, :], G[..., l, :, :], G)
             worst = np.maximum(worst, np.max(np.abs(R)))  # NaN propagates
         return float(worst)
@@ -182,9 +166,7 @@ def covariant_constancy(conn: FlatConnection, form: DifferentialForm, pt: Point)
     """
     require_same_chart(conn.chart, form.chart)
     T = form_matrix(form, pt)
-    dim = conn.chart.dim
-    dT = differentiate(lambda p: form_matrix(form, p), form.derivative, pt, (dim, dim))
-    dT = np.moveaxis(dT, -1, -3)
+    dT = np.moveaxis(form.gradient(pt), -1, -3)
     G = conn.gamma(pt)
     corr1 = np.einsum("...lij,...lk->...ijk", G, T)
     corr2 = np.einsum("...lik,...jl->...ijk", G, T)
@@ -205,8 +187,7 @@ def d_nabla_endo(conn: FlatConnection, I: EndomorphismField, pt: Point) -> np.nd
     """
     require_same_chart(conn.chart, I.chart)
     I_pt = I.matrix(pt)
-    dim = I.chart.dim
-    dI = differentiate(I.matrix, I.derivative, pt, (dim, dim))  # dI[..., k, b, a] = d_a I_kb
+    dI = I.gradient(pt)  # dI[..., k, b, a] = d_a I_kb
     G = conn.gamma(pt)
     nabla = (
         np.swapaxes(dI, -1, -3)
@@ -229,8 +210,7 @@ def nijenhuis(J: EndomorphismField, pt: Point) -> np.ndarray:
     once on the whole central stencil, however many points ``pt`` stacks.
     """
     J_pt = J.matrix(pt)
-    dim = J.chart.dim
-    dJ = differentiate(J.matrix, J.derivative, pt, (dim, dim))  # dJ[..., k, b, m] = d_m J^k_b
+    dJ = J.gradient(pt)  # dJ[..., k, b, m] = d_m J^k_b
     A = np.einsum("...ma,...kbm->...kab", J_pt, dJ) + np.einsum("...km,...mab->...kab", J_pt, dJ)
     return A - np.swapaxes(A, -1, -2)
 

@@ -4,15 +4,15 @@ import pytest
 from hypersymplectic.calculus import (
     DifferentialForm,
     EndomorphismField,
+    TensorField,
+    VectorField,
     compose_covector,
-    constant_derivative,
-    differentiate,
     exterior_derivative,
     form_matrix,
     lie_bracket,
     stencil,
 )
-from hypersymplectic.charts import Chart, VectorField
+from hypersymplectic.charts import Chart
 from hypersymplectic.structures import FlatConnection
 
 PLANE = Chart("plane", ("u", "v"), (-1.0, -1.0), (1.0, 1.0))
@@ -205,50 +205,68 @@ def test_stencil_keeps_a_constant_unbatched():
             assert np.array_equal(table, np.zeros(shape + (3,)))
 
 
-def test_exact_derivative_of_a_constant_equals_its_stencil():
-    """The derivative table a constant form, J or Christoffel table carries
-    is, bit for bit, the table ``stencil`` gives for it: zeros without point
-    axes, NaN where the constant is not finite."""
+def constant_value(kind, rng, non_finite):
+    """A constant value of ``kind`` on SPACE, antisymmetric for a form; with
+    ``non_finite``, with infinite entries and a NaN where the kind allows one
+    (a form pairs +inf with -inf, since its antisymmetry check rejects NaN)."""
+    value = rng.normal(size=(4,) * kind.rank)
+    if kind is DifferentialForm:
+        value = np.triu(value, 1)
+        if non_finite:
+            value[0, 1], value[2, 3] = np.inf, -np.inf
+        return value - value.T
+    if non_finite:
+        value[(1,) * kind.rank] = np.inf
+        value[(2,) * kind.rank] = np.nan
+    return value
+
+
+def varying(kind):
+    """An evaluator of ``kind`` on SPACE whose entry (i, ...) is sin(x_i)."""
+    column = (4,) + (1,) * (kind.rank - 1)
+    return lambda p: np.sin(p.coords).reshape(p.batch_shape + column) * np.ones((4,) * kind.rank)
+
+
+@pytest.mark.parametrize("kind", [VectorField, DifferentialForm, EndomorphismField, FlatConnection])
+def test_field_contract(kind):
+    """Every kind of field reads its value and its derivative one way.
+
+    * ``constant`` carries a read-only derivative table equal, bit for bit,
+      to the one ``stencil`` gives for the constant: zeros without point
+      axes, NaN where the constant is not finite.
+    * A hand-built field carries no derivative and is differenced on the
+      ``(2, dim, N)`` stencil stack, in one evaluator call.
+    * A ``derivative`` evaluator of the wrong shape raises ValueError.
+    """
+    assert issubclass(kind, TensorField)
+    shape = (4,) * kind.rank
     rng = np.random.default_rng(12)
-    upper = np.triu(rng.normal(size=(4, 4)), 1)
-    wild = rng.normal(size=(4, 4))
-    wild[0, 1], wild[2, 3], wild[3, 0] = np.inf, -np.inf, np.nan
-    form = DifferentialForm.constant(SPACE, upper - upper.T)
-    conn = FlatConnection.zero(SPACE)
-    christoffel = rng.normal(size=(4, 4, 4))
-    christoffel[1, 2, 3] = np.inf
-    cases = [
-        (lambda p: form_matrix(form, p), form.derivative, (4, 4)),
-        *[(J.matrix, J.derivative, (4, 4)) for J in (
-            EndomorphismField.constant(SPACE, rng.normal(size=(4, 4))),
-            EndomorphismField.constant(SPACE, wild),
-        )],
-        (conn.gamma, conn.derivative, (4, 4, 4)),
-        (lambda p: christoffel, constant_derivative(christoffel, 4), (4, 4, 4)),
-    ]
-    for evaluate, derivative, shape in cases:
-        assert derivative is not None
-        value = evaluate(SPACE.point(np.zeros(4)))
+    for non_finite in (False, True):
+        value = constant_value(kind, rng, non_finite)
+        field = kind.constant(SPACE, value)
+        assert field.derivative is not None
         expected = np.repeat(np.where(np.isfinite(value), 0.0, np.nan)[..., None], 4, axis=-1)
-        for pt in (SPACE.sample(1, 3), SPACE.sample(40, 3)):
-            exact = differentiate(evaluate, derivative, pt, shape)
-            fd = stencil(evaluate, pt, shape)
+        for pt in (SPACE.point(np.zeros(4)), SPACE.sample(1, 3), SPACE.sample(40, 3)):
+            exact = field.gradient(pt)
+            fd = stencil(field.value, pt, shape)
             assert exact.shape == fd.shape == shape + (4,)
             assert exact.tobytes() == fd.tobytes()
             assert np.array_equal(exact, expected, equal_nan=True)
             with pytest.raises(ValueError):
                 exact[(0,) * exact.ndim] = 1.0  # read-only
-
-
-def test_a_field_without_an_exact_derivative_is_differenced():
-    """``differentiate`` falls back to ``stencil`` when the field carries no
-    derivative evaluator, and checks the shape of one it carries."""
-    beta = vw_form(lambda pt: pt.coords[..., 0] ** 2)
-    pt = CUBE.sample(6, 4)
-    evaluate = lambda p: form_matrix(beta, p)
-    assert beta.derivative is None
-    assert np.array_equal(
-        differentiate(evaluate, None, pt, (3, 3)), stencil(evaluate, pt, (3, 3))
-    )
     with pytest.raises(ValueError):
-        differentiate(evaluate, lambda p: np.zeros((3, 3)), pt, (3, 3))
+        kind.constant(SPACE, np.zeros((3,) * kind.rank))  # not the chart's dimension
+
+    shapes = []
+    evaluate = varying(kind)
+    hand_built = kind(SPACE, lambda p: shapes.append(p.batch_shape) or evaluate(p))
+    assert hand_built.derivative is None
+    pt = SPACE.sample(6, 4)
+    table = hand_built.gradient(pt)
+    assert shapes == [(2, 4, 6)]
+    assert np.array_equal(table, stencil(kind(SPACE, evaluate).value, pt, shape))
+    assert np.max(np.abs(table)) > 0.1
+
+    wrong = kind(SPACE, evaluate, derivative=lambda p: np.zeros(shape))  # no derivative axis
+    with pytest.raises(ValueError):
+        wrong.gradient(pt)

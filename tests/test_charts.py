@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hypersymplectic.charts import Chart, Point, VectorField, require_same_chart
+from hypersymplectic.calculus import VectorField
+from hypersymplectic.charts import Chart, Point, require_same_chart
 from hypersymplectic.errors import ChartMismatchError
 
 BOX = Chart("box", ("u", "v"), (-1.0, -1.0), (1.0, 1.0))
@@ -20,6 +21,17 @@ def test_a_chart_built_with_a_step_steps_by_it():
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="step"):
             Chart("box", ("u", "v"), (-1.0, -1.0), (1.0, 1.0), step=bad)
+
+
+@pytest.mark.parametrize("step", [1e-17, 1e-320])
+def test_a_step_lost_in_rounding_next_to_a_bound_is_rejected(step):
+    """x + h == x at the bound 1 (and 1e-17 is below half an ulp of 1): no
+    central difference can be taken on such a chart."""
+    assert 1.0 + step == 1.0
+    with pytest.raises(ValueError, match="lost in rounding"):
+        Chart("box", ("u", "v"), (-0.5, 0.0), (0.5, 1.0), step=step)
+    # the same step is kept on a box whose bounds it can move
+    assert Chart("box", ("u",), (0.0,), (1e-310,), step=step).fd_step() == step
 
 
 def test_point_validation():
@@ -75,7 +87,7 @@ def test_chart_mismatch_is_loud():
         require_same_chart(BOX, other)
     field = VectorField.constant(BOX, [1.0, 0.0])
     with pytest.raises(ChartMismatchError):
-        field(other.point([0.0, 0.0]))
+        field.value(other.point([0.0, 0.0]))
 
 
 def test_degenerate_box_rejected():
@@ -88,23 +100,23 @@ def test_degenerate_box_rejected():
 def test_fields():
     pt = BOX.point([0.3, -0.4])
     const = VectorField.constant(BOX, [2.0, 5.0])
-    assert np.array_equal(const(pt), [2.0, 5.0])
+    assert np.array_equal(const.value(pt), [2.0, 5.0])
     # on a stack a constant keeps no point axis (numpy broadcasting carries
     # it); a field reading coords[..., k] returns one row per point
     stacked = BOX.sample(4, seed=2)
-    assert np.array_equal(const(stacked), [2.0, 5.0])
+    assert np.array_equal(const.value(stacked), [2.0, 5.0])
     with pytest.raises(ValueError):
-        const(stacked)[0] = 1.0  # the constant is read-only
+        const.value(stacked)[0] = 1.0  # the constant is read-only
     swap = VectorField(BOX, lambda p: np.stack([p.coords[..., 1], p.coords[..., 0]], axis=-1))
-    assert np.array_equal(swap(stacked), stacked.coords[:, ::-1])
-    assert np.array_equal(swap(pt), [-0.4, 0.3])
+    assert np.array_equal(swap.value(stacked), stacked.coords[:, ::-1])
+    assert np.array_equal(swap.value(pt), [-0.4, 0.3])
 
 
 def test_vector_field_shape_check():
     bad = VectorField(BOX, lambda pt: np.zeros(3))
     with pytest.raises(ValueError):
-        bad(BOX.point([0.0, 0.0]))
+        bad.value(BOX.point([0.0, 0.0]))
     # a value with point axes that do not match the stack is rejected too
     rows = VectorField(BOX, lambda pt: np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        rows(BOX.sample(4, seed=2))
+        rows.value(BOX.sample(4, seed=2))

@@ -133,6 +133,9 @@ def section_with_p_coefficient(coeff):
         {"scenario": "oscillators", "frequencies": [float("inf"), 1.0]},
         {"scenario": "oscillators", "frequencies": [1e-310, 1.0]},
         {"scenario": "paper-n1", "sampling": {"fd_step": float("inf")}},
+        # x + h == x on the box [-1, 1]: no central difference can be taken
+        {"scenario": "paper-n1", "sampling": {"fd_step": 1e-17}},
+        {"scenario": "paper-n1", "sampling": {"fd_step": 1e-320}},
         {"scenario": "custom-section", "sections": [section_with_p_coefficient(float("inf"))]},
         {"scenario": "custom-section", "sections": [section_with_p_coefficient(float("nan"))]},
     ],
@@ -140,6 +143,8 @@ def section_with_p_coefficient(coeff):
         "infinite-frequency",
         "overflowing-action-window",
         "infinite-fd-step",
+        "fd-step-below-rounding",
+        "subnormal-fd-step",
         "infinite-section-coefficient",
         "nan-section-coefficient",
     ],

@@ -6,11 +6,12 @@ import pytest
 from hypersymplectic.calculus import (
     DifferentialForm,
     EndomorphismField,
+    VectorField,
     exterior_derivative,
     form_matrix,
     stencil,
 )
-from hypersymplectic.charts import Chart, Point, VectorField
+from hypersymplectic.charts import Chart, Point
 from hypersymplectic.fibration import (
     HyperComplexTriple,
     HyperSymplecticTriple,
@@ -264,8 +265,8 @@ def test_nijenhuis_agrees_with_the_bracket_composition():
     brackets."""
     J = EndomorphismField(SPACE, nonconstant_J)
     X, Y = nonconstant_X, nonconstant_Y
-    JX = VectorField(SPACE, lambda p: J.matrix(p) @ X(p))
-    JY = VectorField(SPACE, lambda p: J.matrix(p) @ Y(p))
+    JX = VectorField(SPACE, lambda p: J.matrix(p) @ X.value(p))
+    JY = VectorField(SPACE, lambda p: J.matrix(p) @ Y.value(p))
     for pt in SPACE.sample(5, 12):
         J_pt = J.matrix(pt)
         reference = (
@@ -276,7 +277,7 @@ def test_nijenhuis_agrees_with_the_bracket_composition():
         )
         table = nijenhuis(J, pt)
         assert table.shape == (4, 4, 4)
-        contracted = np.einsum("kab,a,b->k", table, X(pt), Y(pt))
+        contracted = np.einsum("kab,a,b->k", table, X.value(pt), Y.value(pt))
         assert np.allclose(contracted, reference, rtol=0.0, atol=1e-8)
         assert np.max(np.abs(reference)) > 0.1
 
@@ -485,7 +486,7 @@ def test_constant_fields_are_never_evaluated_on_a_stencil_stack():
     conn = FlatConnection.zero(SPACE)
     form = dataclasses.replace(form, fn=counted(form.fn, shapes))
     J = dataclasses.replace(J, fn=counted(J.fn, shapes))
-    conn = dataclasses.replace(conn, christoffel=counted(conn.christoffel, shapes))
+    conn = dataclasses.replace(conn, fn=counted(conn.fn, shapes))
     pt = SPACE.sample(40, 6)
     run_derivative_consumers(form, J, conn, pt)
     assert shapes and set(shapes) == {(40,)}
