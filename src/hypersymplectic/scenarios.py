@@ -21,7 +21,6 @@ import numpy as np
 
 from ._version import __version__
 from .action_angle import (
-    ENERGY_WINDOW,
     ProductSystem,
     model_from_product_system,
     verify_action_angle,
@@ -60,7 +59,7 @@ from .structures import (
     Tolerances,
 )
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 SCENARIOS = {
     "paper-n1": "four-dimensional model fibration (rank 1) with the default suites",
@@ -115,8 +114,12 @@ def _object(raw: dict, key: str) -> dict:
     return value
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_positive_float(value, where: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{where} must be a number")
+    _require(_is_number(value), f"{where} must be a number")
     value = float(value)
     _require(math.isfinite(value), f"{where} must be finite, got {value}")
     _require(value > 0, f"{where} must be positive, got {value}")
@@ -274,25 +277,13 @@ class ScenarioConfig:
 
         frequencies = raw.get("frequencies")
         if frequencies is not None:
-            _require(
-                isinstance(frequencies, list) and len(frequencies) >= 2,
-                "frequencies must be a list of at least two numbers",
-            )
-            _require(
-                len(frequencies) % 2 == 0,
-                f"frequencies must have even length, got {len(frequencies)}",
-            )
-            frequencies = tuple(
-                _as_positive_float(f, f"frequencies[{k}]") for k, f in enumerate(frequencies)
-            )
-            lo, hi = ENERGY_WINDOW
+            _require(isinstance(frequencies, list), "frequencies must be a list of numbers")
             for k, nu in enumerate(frequencies):
-                window = (lo / nu, hi / nu)
-                _require(
-                    all(map(math.isfinite, window)) and window[0] < window[1],
-                    f"frequencies[{k}] = {nu} gives the action window "
-                    f"[{window[0]}, {window[1]}], which is not finite and non-empty",
-                )
+                _require(_is_number(nu), f"frequencies[{k}] must be a number")
+            try:  # the frequency rules are the product system's
+                frequencies = tuple(ProductSystem(frequencies).frequencies.tolist())
+            except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float
+                raise ConfigError(str(exc)) from exc
 
         # scenario-specific resolution of n and frequencies
         if scenario == "paper-n1":

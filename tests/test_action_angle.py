@@ -7,9 +7,9 @@ from hypersymplectic.action_angle import (
     Oscillator1DOF,
     ProductSystem,
     action_from_energy,
-    angle_cycle_matrix,
     angle_period_check,
     canonical_check,
+    canonical_residual,
     from_action_angle,
     model_from_product_system,
     round_trip_residual,
@@ -18,7 +18,7 @@ from hypersymplectic.action_angle import (
     transform_jacobian,
     verify_action_angle,
 )
-from hypersymplectic.errors import DegenerateOrbitError
+from hypersymplectic.errors import ConfigError, DegenerateOrbitError
 from hypersymplectic.scenarios import ScenarioConfig, run_scenario
 
 SYS = ProductSystem.from_frequencies([1.0, 2.0])
@@ -109,6 +109,29 @@ def test_product_system_needs_an_even_number_of_factors():
         SYS.split_state(np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "frequencies",
+    [[1.0, 2.0, 3.0], [0.0, 1.0], [1.0, -1.0], [math.nan, 1.0], [1.0, math.inf], [1e-310, 1.0], [1.0, 1e160]],
+    ids=["odd-count", "zero", "negative", "nan", "inf", "window-overflow", "square-overflow"],
+)
+def test_product_system_rejects_every_bad_frequency(frequencies):
+    """Every frequency rule raises from the constructor: an even count,
+    positive finite values, and nu^2, nu^-2 finite normal floats (1e-310
+    would also give an infinite action window 2 / nu)."""
+    with pytest.raises(ValueError):
+        ProductSystem(frequencies)
+
+
+def test_product_system_is_one_read_only_frequency_array():
+    system = ProductSystem([1, 0.5, 2, 3])
+    assert system.frequencies.dtype == float and system.frequencies.shape == (4,)
+    assert system.oscillator.frequency is system.frequencies
+    with pytest.raises(ValueError):
+        system.frequencies[0] = 2.0
+    # the smallest and largest frequencies the squares allow
+    ProductSystem([1.5e-154, 6.7e153])
+
+
 def test_round_trip():
     states = sample_states(SYS, 50, seed=1)
     assert round_trip_residual(SYS, states) <= 1e-12
@@ -126,7 +149,7 @@ def test_stacked_states_match_single_states():
     for state in states:
         energies = rng.uniform(0.2, 2.0, size=system.dof)
         angles = rng.uniform(0.0, 2 * math.pi, size=system.dof)
-        actions = energies / np.array([o.frequency for o in system.oscillators])
+        actions = energies / system.frequencies
         assert np.array_equal(state, from_action_angle(system, actions, angles))
     actions, angles = to_action_angle(system, states)
     rebuilt = from_action_angle(system, actions, angles)
@@ -149,11 +172,7 @@ def test_transform_jacobian_matches_the_per_axis_loop():
     states = sample_states(system, 9, seed=5)
     for state in (states, states[4]):
         xi, pi = system.split_state(state)
-        energies = np.stack(
-            [osc.hamiltonian(xi[..., k], pi[..., k]) for k, osc in enumerate(system.oscillators)],
-            axis=-1,
-        )
-        amplitude = np.sqrt(2.0 * energies)
+        amplitude = np.sqrt(2.0 * system.oscillator.hamiltonian(xi, pi))
         scale = np.concatenate([amplitude / system.frequencies, amplitude], axis=-1)
         reference = np.empty(state.shape[:-1] + (8, 8))
         for j in range(8):
@@ -202,42 +221,13 @@ def test_canonical_check_passes():
 
 
 def test_canonical_check_detects_a_corrupted_transform():
+    """The antisymmetric reading ``canonical_check`` uses still fails a
+    mis-scaled transform: angle rows x 1.1 scale the pulled-back form by 1.1."""
     state = sample_states(SYS, 1, seed=3)[0]
     jac = transform_jacobian(SYS, state)
+    assert canonical_residual(jac) <= 1e-6
     jac[SYS.dof :, :] *= 1.1  # mis-scaled angle rows
-    m = SYS.dof
-    target = np.zeros((2 * m, 2 * m))
-    mech = np.zeros((2 * m, 2 * m))
-    for k in range(m):
-        target[k, m + k] = -1.0
-        target[m + k, k] = 1.0
-        mech[k, m + k] = 1.0
-        mech[m + k, k] = -1.0
-    residual = np.max(np.abs(jac.T @ target @ jac - mech))
-    assert residual >= 1e-2
-
-
-def test_angle_cycle_matrix_is_the_identity():
-    assert np.allclose(angle_cycle_matrix(SYS, [0.5, 1.5]), np.eye(2), atol=1e-12)
-    big = ProductSystem.from_frequencies([1.0, 0.5, 2.0, 3.0])
-    energies = np.linspace(0.4, 1.9, 4)
-    assert np.allclose(angle_cycle_matrix(big, energies), np.eye(4), atol=1e-12)
-
-
-def reference_cycle_matrix(sys, energies, nodes=64):
-    """The period matrix one (factor i, cycle j) entry at a time."""
-    u, w = np.polynomial.legendre.leggauss(nodes)
-    t = math.pi * (u + 1.0)
-    out = np.empty((sys.dof, sys.dof))
-    for i, osc in enumerate(sys.oscillators):
-        for j in range(sys.dof):
-            moving = i == j
-            times = t if moving else np.full_like(t, 0.3 * (i + 1))
-            xi, pi = osc.level_curve(energies[i], times)
-            gxi, gpi = osc.angle_gradient(xi, pi)
-            vxi, vpi = (moving * v for v in osc.level_velocity(energies[i], times))
-            out[i, j] = np.sum(w * (gxi * vxi + gpi * vpi)) * math.pi / (2 * math.pi)
-    return out
+    assert canonical_residual(jac) >= 1e-2
 
 
 @pytest.mark.parametrize(
@@ -245,12 +235,9 @@ def reference_cycle_matrix(sys, energies, nodes=64):
 )
 def test_array_oracles_match_per_factor_calls(frequencies):
     """The oracles over all factors at once equal, bit for bit, one factor at
-    a time: the cycle matrix entry by entry, and the battery's residuals as
-    the worst per-factor call."""
+    a time: the battery's residuals are the worst per-factor call."""
     system = ProductSystem.from_frequencies(frequencies)
-    energies = np.linspace(0.4, 1.6, system.dof)
-    assert np.array_equal(angle_cycle_matrix(system, energies), reference_cycle_matrix(system, energies))
-    oscillators = system.oscillators
+    oscillators = [Oscillator1DOF(nu) for nu in system.frequencies.tolist()]
     action_energies, period_energies = np.array([0.2, 0.5, 1.0, 2.0]), np.array([0.5, 1.0])
 
     def relative_action_error(osc):
@@ -264,9 +251,6 @@ def test_array_oracles_match_per_factor_calls(frequencies):
         "action_angle.angle_normalization": max(
             np.max(angle_period_check(osc, period_energies)) for osc in oscillators
         ),
-        "action_angle.cycle_matrix_identity": np.max(
-            np.abs(reference_cycle_matrix(system, energies) - np.eye(system.dof))
-        ),
     }
     reports = {r.identity_name: r.max_residual for r in verify_action_angle(system, n_points=5)}
     for name, value in expected.items():
@@ -275,11 +259,9 @@ def test_array_oracles_match_per_factor_calls(frequencies):
 
 def test_sampled_states_respect_the_energy_window():
     states = sample_states(SYS, 40, seed=6)
-    for state in states:
-        xi, pi = SYS.split_state(state)
-        for k, osc in enumerate(SYS.oscillators):
-            energy = osc.hamiltonian(xi[k], pi[k])
-            assert 0.2 <= energy <= 2.0
+    energies = SYS.oscillator.hamiltonian(*SYS.split_state(states))
+    assert energies.shape == (40, SYS.dof)
+    assert np.all((0.2 <= energies) & (energies <= 2.0))
 
 
 def test_derived_model_geometry():
@@ -309,6 +291,32 @@ def test_extreme_frequency_ratios_pass_every_check(frequencies):
     doc = run_scenario(
         ScenarioConfig.from_dict({"scenario": "oscillators", "frequencies": frequencies})
     )
-    assert len(doc.checks) == 39
+    assert len(doc.checks) == 38
     assert [r.identity_name for r in doc.checks if not r.passed] == []
     assert doc.verdict == "pass"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "nu", [1e12, 1e-12, 1e50, 1e-50, 1e100, 1e-100, 1e150, 1e-150], ids=lambda nu: f"{nu:g}"
+)
+@pytest.mark.parametrize("slow_first", [False, True], ids=["[1,nu]", "[nu,1]"])
+def test_frequencies_across_the_float_range_pass_every_check(nu, slow_first):
+    """A pair [1, nu] or [nu, 1] with nu = 10^k, |k| <= 150: every check of
+    the full oscillator run passes with no numpy warning.  The pulled-back
+    form's symmetric part, pure rounding of size ~ the action, would fail the
+    canonical check here if it were compared."""
+    frequencies = [nu, 1.0] if slow_first else [1.0, nu]
+    doc = run_scenario(
+        ScenarioConfig.from_dict({"scenario": "oscillators", "frequencies": frequencies})
+    )
+    assert len(doc.checks) == 38
+    assert [r.identity_name for r in doc.checks if not r.passed] == []
+
+
+@pytest.mark.parametrize("nu", [1e160, 1e-160, 1e300, 1e-300], ids=lambda nu: f"{nu:g}")
+@pytest.mark.parametrize("slow_first", [False, True], ids=["[1,nu]", "[nu,1]"])
+def test_frequencies_whose_square_is_not_a_normal_float_are_a_config_error(nu, slow_first):
+    frequencies = [nu, 1.0] if slow_first else [1.0, nu]
+    with pytest.raises(ConfigError):
+        ScenarioConfig.from_dict({"scenario": "oscillators", "frequencies": frequencies})

@@ -77,7 +77,7 @@ def test_report_written_on_success(tmp_path):
     assert proc.returncode == 0
     assert "verdict: pass" in proc.stdout
     document = json.loads(report.read_text())
-    assert document["schema_version"] == "2"
+    assert document["schema_version"] == "3"
     body = document["report"]
     assert body["verdict"] == "pass"
     assert body["config"]["sampling"]["seed"] == 7
@@ -132,6 +132,7 @@ def section_with_p_coefficient(coeff):
     [
         {"scenario": "oscillators", "frequencies": [float("inf"), 1.0]},
         {"scenario": "oscillators", "frequencies": [1e-310, 1.0]},
+        {"scenario": "oscillators", "frequencies": [1.0, 10**400]},
         {"scenario": "paper-n1", "sampling": {"fd_step": float("inf")}},
         # x + h == x on the box [-1, 1]: no central difference can be taken
         {"scenario": "paper-n1", "sampling": {"fd_step": 1e-17}},
@@ -142,6 +143,7 @@ def section_with_p_coefficient(coeff):
     ids=[
         "infinite-frequency",
         "overflowing-action-window",
+        "integer-frequency-beyond-float",
         "infinite-fd-step",
         "fd-step-below-rounding",
         "subnormal-fd-step",

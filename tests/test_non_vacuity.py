@@ -5,6 +5,8 @@ targets, and the unperturbed fixture passes it."""
 import numpy as np
 import pytest
 
+from hypersymplectic import action_angle
+from hypersymplectic.action_angle import ProductSystem, verify_action_angle
 from hypersymplectic.calculus import DifferentialForm, EndomorphismField, form_matrix
 from hypersymplectic.fibration import (
     HyperComplexTriple,
@@ -84,3 +86,26 @@ def test_stretched_complex_structure_fails_only_base_form_invariance():
         model.connection,
     )
     assert failed(kahler_reports(rotation, pt)) == {}
+
+
+@pytest.mark.parametrize("frequencies", [[1.0, 2.0], [1.0, 0.5, 2.0, 3.0]])
+def test_stretched_angles_fail_only_the_canonical_transform(frequencies, monkeypatch):
+    """Angles read as 1.001 theta: the map stays a bijection onto its image and
+    still inverts through the matching inverse, but it scales the pulled-back
+    form by 1.001, so the canonical check fails and every other check passes."""
+    system = ProductSystem(frequencies)
+    assert failed(verify_action_angle(system)) == {}
+    exact_to, exact_from = action_angle.to_action_angle, action_angle.from_action_angle
+
+    def stretched_to(sys, state):
+        actions, angles = exact_to(sys, state)
+        return actions, 1.001 * angles
+
+    def stretched_from(sys, actions, angles):
+        return exact_from(sys, actions, angles / 1.001)
+
+    monkeypatch.setattr(action_angle, "to_action_angle", stretched_to)
+    monkeypatch.setattr(action_angle, "from_action_angle", stretched_from)
+    mutated = failed(verify_action_angle(system))
+    assert list(mutated) == ["action_angle.canonical_transform"]
+    assert mutated["action_angle.canonical_transform"] == pytest.approx(1e-3, rel=1e-3)
