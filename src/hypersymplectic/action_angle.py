@@ -64,7 +64,7 @@ def _loop_quadrature(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array frequency has no truth value for __eq__
 class Oscillator1DOF:
     """One factor, or several when ``frequency`` is an array; its methods
     take scalars or arrays and broadcast them against the frequency."""

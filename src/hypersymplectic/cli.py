@@ -68,8 +68,8 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
             raw = json.loads(args.config.read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config} is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # bad JSON, or an integer past int's digit limit
+            raise ConfigError(f"{args.config} is not readable JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
 

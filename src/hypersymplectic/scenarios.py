@@ -6,6 +6,15 @@ which oscillator frequencies); a suite names a family of checks to run on it.
 byte-stable across runs with the same configuration: the echoed config is
 canonicalized, check lists are sorted by identity name, and timing lives in a
 separate section that is excluded from the stable bytes.
+
+``ScenarioConfig.from_dict`` reads each JSON value with one reader per kind:
+``_number`` (a finite float; an integer beyond the float range counts as
+infinite), ``_positive``, ``_integer`` (true and false are not integers) and
+``_object`` (null reads as absent; unknown keys are refused).  A rejected
+value raises ``ConfigError``, which the CLI turns into exit 2.  Rules about a
+value's meaning stay with the type that uses it: ``ProductSystem`` checks
+frequencies, ``Chart`` the step, ``SectionMap`` and ``Polynomial.from_terms``
+a section's fit to the model.
 """
 
 from __future__ import annotations
@@ -76,15 +85,11 @@ SUITES = {
     "action-angle": "oscillator quadrature oracles and the canonical transform",
 }
 
-DEFAULT_SUITE_ORDER = (
-    "hypersymplectic",
-    "lagrangian-fibres",
-    "sections",
-    "special-kahler",
-    "action-angle",
-)
+DEFAULT_SUITE_ORDER = tuple(SUITES)
 
 FORM_NAMES = ("omega", "chi", "sigma")
+
+TOLERANCE_KEYS = {f.name for f in fields(Tolerances)}
 
 # the suites that read a section's FD graph frame (_RunInputs.frame_defect)
 FRAME_SUITES = {"sections", "special-kahler"}
@@ -94,36 +99,48 @@ FRAME_SUITES = {"sections", "special-kahler"}
 FORM_TO_COMPLEX = {"omega": "J_chi", "sigma": "J_omega", "chi": "J_sigma"}
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
+# ``where`` names the value in an error message, which is built only when
+# the value is rejected
 
 
-def _is_int(value) -> bool:
-    """An integer in the JSON sense: ``true`` and ``false`` load as bools,
-    which Python counts as ints, and are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _number(value, where: str) -> float:
+    """A JSON number (not true or false, which load as bools) as a finite
+    float; an integer beyond the float range counts as infinite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {number}")
+    return number
 
 
-def _object(raw: dict, key: str) -> dict:
-    """The JSON object under ``key``, or {} when it is absent or null."""
-    value = raw.get(key)
-    if value is None:
+def _positive(value, where: str) -> float:
+    number = _number(value, where)
+    if number <= 0:
+        raise ConfigError(f"{where} must be positive, got {number}")
+    return number
+
+
+def _integer(value, where: str, minimum: int) -> int:
+    """A JSON integer (not true or false) that is at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _object(raw, where: str, known) -> dict:
+    """A JSON object with no key outside ``known``; null reads as {}."""
+    if raw is None:
         return {}
-    _require(isinstance(value, dict), f"{key} must be an object, got {value!r}")
-    return value
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _as_positive_float(value, where: str) -> float:
-    _require(_is_number(value), f"{where} must be a number")
-    value = float(value)
-    _require(math.isfinite(value), f"{where} must be finite, got {value}")
-    _require(value > 0, f"{where} must be positive, got {value}")
-    return value
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {raw!r}")
+    unknown = raw.keys() - known
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -136,44 +153,38 @@ class SectionSpec:
     q_terms: tuple
 
     @classmethod
-    def from_dict(cls, raw: dict, where: str) -> "SectionSpec":
-        _require(isinstance(raw, dict), f"{where} must be an object")
-        unknown = set(raw) - {"name", "form", "p", "q"}
-        _require(not unknown, f"{where} has unknown keys: {sorted(unknown)}")
+    def from_dict(cls, raw, where: str) -> "SectionSpec":
+        raw = _object(raw, where, {"name", "form", "p", "q"})
         name = raw.get("name", "")
-        _require(isinstance(name, str) and name, f"{where}.name must be a non-empty string")
+        if not (isinstance(name, str) and name):
+            raise ConfigError(f"{where}.name must be a non-empty string")
         form = raw.get("form", "sigma")
-        _require(form in FORM_NAMES, f"{where}.form must be one of {FORM_NAMES}, got {form!r}")
+        if form not in FORM_NAMES:
+            raise ConfigError(f"{where}.form must be one of {FORM_NAMES}, got {form!r}")
         p_terms = cls._component_terms(raw.get("p"), f"{where}.p")
         q_terms = cls._component_terms(raw.get("q"), f"{where}.q")
         return cls(name=name, form=form, p_terms=p_terms, q_terms=q_terms)
 
     @staticmethod
     def _component_terms(raw, where: str) -> tuple:
-        _require(isinstance(raw, list) and raw, f"{where} must be a non-empty list of components")
+        if not (isinstance(raw, list) and raw):
+            raise ConfigError(f"{where} must be a non-empty list of components")
         components = []
         for c_idx, comp in enumerate(raw):
-            c_where = f"{where}[{c_idx}]"
-            _require(isinstance(comp, list), f"{c_where} must be a list of [powers, coeff] terms")
+            if not isinstance(comp, list):
+                raise ConfigError(f"{where}[{c_idx}] must be a list of [powers, coeff] terms")
             terms = []
             for t_idx, term in enumerate(comp):
-                t_where = f"{c_where}[{t_idx}]"
-                _require(
-                    isinstance(term, (list, tuple)) and len(term) == 2,
-                    f"{t_where} must be a [powers, coeff] pair",
-                )
-                powers, coeff = term
-                _require(
-                    isinstance(powers, (list, tuple))
-                    and all(_is_int(e) and e >= 0 for e in powers),
-                    f"{t_where} powers must be non-negative integers",
-                )
-                _require(
-                    isinstance(coeff, (int, float)) and not isinstance(coeff, bool),
-                    f"{t_where} coefficient must be a number",
-                )
-                _require(math.isfinite(coeff), f"{t_where} coefficient must be finite, got {coeff}")
-                terms.append((tuple(powers), float(coeff)))
+                try:  # the readers name the part; the term's place is added on failure
+                    if not (isinstance(term, (list, tuple)) and len(term) == 2):
+                        raise ConfigError("must be a [powers, coeff] pair")
+                    powers, coeff = term
+                    if not isinstance(powers, (list, tuple)):
+                        raise ConfigError("powers must be a list of integers")
+                    powers = tuple([_integer(e, "power", 0) for e in powers])
+                    terms.append((powers, _number(coeff, "coefficient")))
+                except ConfigError as exc:
+                    raise ConfigError(f"{where}[{c_idx}][{t_idx}] {exc}") from None
             components.append(tuple(terms))
         return tuple(components)
 
@@ -207,35 +218,17 @@ class SamplingConfig:
     fd_step: float | None = None
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "SamplingConfig":
-        unknown = set(raw) - {"n_points", "seed", "fd_step"}
-        _require(not unknown, f"sampling has unknown keys: {sorted(unknown)}")
-        n_points = raw.get("n_points", DEFAULT_POINTS)
-        _require(
-            _is_int(n_points) and n_points >= 1,
-            f"sampling.n_points must be a positive integer, got {n_points!r}",
-        )
-        seed = raw.get("seed", DEFAULT_SEED)
-        _require(
-            _is_int(seed) and seed >= 0,
-            f"sampling.seed must be a non-negative integer, got {seed!r}",
-        )
+    def from_dict(cls, raw) -> "SamplingConfig":
+        raw = _object(raw, "sampling", {"n_points", "seed", "fd_step"})
         fd_step = raw.get("fd_step")
-        if fd_step is not None:
-            fd_step = _as_positive_float(fd_step, "sampling.fd_step")
-        return cls(n_points=n_points, seed=seed, fd_step=fd_step)
+        return cls(
+            n_points=_integer(raw.get("n_points", DEFAULT_POINTS), "sampling.n_points", 1),
+            seed=_integer(raw.get("seed", DEFAULT_SEED), "sampling.seed", 0),
+            fd_step=None if fd_step is None else _positive(fd_step, "sampling.fd_step"),
+        )
 
     def echo(self) -> dict:
         return {"n_points": self.n_points, "seed": self.seed, "fd_step": self.fd_step}
-
-
-def _tolerances_from_dict(raw: dict) -> Tolerances:
-    known = {f.name for f in fields(Tolerances)}
-    unknown = set(raw) - known
-    _require(not unknown, f"tolerances has unknown keys: {sorted(unknown)}")
-    return Tolerances(
-        **{key: _as_positive_float(value, f"tolerances.{key}") for key, value in raw.items()}
-    )
 
 
 @dataclass(frozen=True)
@@ -250,104 +243,86 @@ class ScenarioConfig:
     output: str | None = None
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        _require(isinstance(raw, dict), "configuration must be a JSON object")
+    def from_dict(cls, raw) -> "ScenarioConfig":
+        if raw is None:  # null means absent under a key, not as the whole configuration
+            raise ConfigError("configuration must be a JSON object")
         known = {
-            "scenario",
-            "n",
-            "frequencies",
-            "sections",
-            "sampling",
-            "tolerances",
-            "suites",
-            "output",
+            "scenario", "n", "frequencies", "sections", "sampling", "tolerances", "suites", "output"
         }
-        unknown = set(raw) - known
-        _require(not unknown, f"configuration has unknown keys: {sorted(unknown)}")
+        raw = _object(raw, "configuration", known)
 
         scenario = raw.get("scenario", "paper-n1")
-        _require(
-            isinstance(scenario, str) and scenario in SCENARIOS,
-            f"unknown scenario {scenario!r}; known: {sorted(SCENARIOS)}",
-        )
+        if not (isinstance(scenario, str) and scenario in SCENARIOS):
+            raise ConfigError(f"unknown scenario {scenario!r}; known: {sorted(SCENARIOS)}")
 
         n = raw.get("n")
         if n is not None:
-            _require(_is_int(n) and n >= 1, f"n must be a positive integer, got {n!r}")
+            n = _integer(n, "n", 1)
 
         frequencies = raw.get("frequencies")
         if frequencies is not None:
-            _require(isinstance(frequencies, list), "frequencies must be a list of numbers")
-            for k, nu in enumerate(frequencies):
-                _require(_is_number(nu), f"frequencies[{k}] must be a number")
+            if not isinstance(frequencies, list):
+                raise ConfigError("frequencies must be a list of numbers")
+            frequencies = [_number(nu, f"frequencies[{k}]") for k, nu in enumerate(frequencies)]
             try:  # the frequency rules are the product system's
                 frequencies = tuple(ProductSystem(frequencies).frequencies.tolist())
-            except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float
+            except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
 
         # scenario-specific resolution of n and frequencies
         if scenario == "paper-n1":
-            _require(n in (None, 1), "scenario paper-n1 fixes n = 1")
+            if n not in (None, 1):
+                raise ConfigError("scenario paper-n1 fixes n = 1")
             n = 1
         elif scenario == "oscillators":
             if frequencies is None:
                 frequencies = (1.0, 2.0) if n is None else tuple(
                     1.0 + k for k in range(2 * n)
                 )
-            _require(
-                n is None or n == len(frequencies) // 2,
-                f"n = {n} contradicts {len(frequencies)} oscillator frequencies",
-            )
+            if n is not None and n != len(frequencies) // 2:
+                raise ConfigError(f"n = {n} contradicts {len(frequencies)} oscillator frequencies")
             n = len(frequencies) // 2
         elif n is None:
             n = 2 if scenario == "paper-n" else 1
         if frequencies is None:
             frequencies = tuple(1.0 + k for k in range(2 * n))
-        _require(
-            len(frequencies) == 2 * n,
-            f"need {2 * n} frequencies for a rank-{n} model, got {len(frequencies)}",
-        )
-
-        raw_sections = raw.get("sections")
-        sections: tuple[SectionSpec, ...] | None = None
-        if raw_sections is not None:
-            _require(isinstance(raw_sections, list), "sections must be a list")
-            sections = tuple(
-                SectionSpec.from_dict(s, f"sections[{k}]") for k, s in enumerate(raw_sections)
+        if len(frequencies) != 2 * n:
+            raise ConfigError(
+                f"need {2 * n} frequencies for a rank-{n} model, got {len(frequencies)}"
             )
-            names = [s.name for s in sections]
-            _require(len(set(names)) == len(names), "section names must be unique")
-        _require(
-            scenario != "custom-section" or bool(sections),
-            "scenario custom-section requires a non-empty sections list",
+
+        sections = raw.get("sections")
+        if sections is not None:
+            if not isinstance(sections, list):
+                raise ConfigError("sections must be a list")
+            sections = tuple(
+                SectionSpec.from_dict(s, f"sections[{k}]") for k, s in enumerate(sections)
+            )
+            if len({s.name for s in sections}) != len(sections):
+                raise ConfigError("section names must be unique")
+        if scenario == "custom-section" and not sections:
+            raise ConfigError("scenario custom-section requires a non-empty sections list")
+
+        sampling = SamplingConfig.from_dict(raw.get("sampling"))
+        raw_tolerances = _object(raw.get("tolerances"), "tolerances", TOLERANCE_KEYS)
+        tolerances = Tolerances(
+            **{key: _positive(value, f"tolerances.{key}") for key, value in raw_tolerances.items()}
         )
 
-        sampling = SamplingConfig.from_dict(_object(raw, "sampling"))
-        tolerances = _tolerances_from_dict(_object(raw, "tolerances"))
-
-        suites_raw = raw.get("suites")
-        if suites_raw is None:
+        suites = raw.get("suites")
+        if suites is None:
             suites = DEFAULT_SUITE_ORDER
         else:
-            _require(
-                isinstance(suites_raw, list) and suites_raw,
-                "suites must be a non-empty list of suite names",
-            )
-            seen: list[str] = []
-            for s in suites_raw:
-                _require(
-                    isinstance(s, str) and s in SUITES,
-                    f"unknown suite {s!r}; known: {sorted(SUITES)}",
-                )
-                if s not in seen:
-                    seen.append(s)
-            suites = tuple(seen)
+            if not (isinstance(suites, list) and suites):
+                raise ConfigError("suites must be a non-empty list of suite names")
+            for s in suites:
+                if not (isinstance(s, str) and s in SUITES):
+                    raise ConfigError(f"unknown suite {s!r}; known: {sorted(SUITES)}")
+            suites = tuple(dict.fromkeys(suites))
 
         output = raw.get("output")
-        _require(
-            output is None or (isinstance(output, str) and output),
-            "output must be a non-empty string path",
-        )
+        if not (output is None or (isinstance(output, str) and output)):
+            raise ConfigError("output must be a non-empty string path")
 
         return cls(
             scenario=scenario,

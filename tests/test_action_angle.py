@@ -36,6 +36,10 @@ def test_oscillator_validation():
         with pytest.raises(ValueError):
             Oscillator1DOF(np.array([[1.0], [bad], [2.0]]))
     Oscillator1DOF(np.array([[1.0], [1e-6], [1e6]]))
+    # oscillators compare and hash by identity, also over equal frequency arrays
+    a, b = Oscillator1DOF(np.array([1.0, 2.0])), Oscillator1DOF(np.array([1.0, 2.0]))
+    assert a == a and a != b
+    assert len({a, b}) == 2
 
 
 def test_level_curve_stays_on_the_energy_level():

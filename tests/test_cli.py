@@ -59,8 +59,10 @@ def test_missing_config_exits_2_without_writing(tmp_path):
 
 def test_invalid_json_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    assert main(["--config", str(cfg)]) == 2
+    # the second is JSON, but its integer has more digits than int() reads by default
+    for text in ("{not json", '{"sampling": {"fd_step": 1' + "0" * 5000 + "}}"):
+        cfg.write_text(text)
+        assert main(["--config", str(cfg)]) == 2
 
 
 def test_unknown_scenario_exits_2():
@@ -139,6 +141,10 @@ def section_with_p_coefficient(coeff):
         {"scenario": "paper-n1", "sampling": {"fd_step": 1e-320}},
         {"scenario": "custom-section", "sections": [section_with_p_coefficient(float("inf"))]},
         {"scenario": "custom-section", "sections": [section_with_p_coefficient(float("nan"))]},
+        # integers beyond the float range, which json.loads reads as Python ints
+        {"scenario": "paper-n1", "sampling": {"fd_step": 10**400}},
+        {"scenario": "paper-n1", "tolerances": {"fd": 10**400}},
+        {"scenario": "custom-section", "sections": [section_with_p_coefficient(10**400)]},
     ],
     ids=[
         "infinite-frequency",
@@ -149,6 +155,9 @@ def section_with_p_coefficient(coeff):
         "subnormal-fd-step",
         "infinite-section-coefficient",
         "nan-section-coefficient",
+        "integer-fd-step-beyond-float",
+        "integer-tolerance-beyond-float",
+        "integer-section-coefficient-beyond-float",
     ],
 )
 def test_non_finite_config_numbers_exit_2_without_writing(tmp_path, capsys, config):

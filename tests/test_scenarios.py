@@ -25,6 +25,9 @@ ROTATION_SECTION = {
 
 def test_empty_config_resolves_to_defaults():
     cfg = ScenarioConfig.from_dict({})
+    # null means absent under every optional key
+    optional = ["n", "frequencies", "sections", "sampling", "tolerances", "suites", "output"]
+    assert ScenarioConfig.from_dict(dict.fromkeys(optional)) == cfg
     assert cfg.scenario == "paper-n1"
     assert cfg.n == 1
     assert cfg.frequencies == (1.0, 2.0)
