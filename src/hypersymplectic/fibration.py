@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -383,10 +384,11 @@ def verify_hypersymplectic(
 class SectionMap:
     """A polynomial section (x, y) -> (x, y, p(x, y), q(x, y)).
 
-    The components (p, q) and their exact Jacobian are each held as one
-    vector polynomial, so a map evaluates every component in one call.
-    Its derivatives, exact or FD (stepped by the base chart), raise
-    GeometryError when they overflow, before any product reads them."""
+    The components (p, q), their exact Jacobian and (built on first use)
+    their exact second derivatives are each held as one vector polynomial,
+    so a map evaluates every component in one call.  Its derivatives, exact
+    or FD (stepped by the base chart), raise GeometryError when they
+    overflow, before any product reads them."""
 
     model: FibrationModel
     p: tuple[Polynomial, ...]
@@ -412,12 +414,6 @@ class SectionMap:
         # row-major d(p, q)_r / d(x, y)_j, reshaped to (2n, 2n) by fibre_jacobian
         object.__setattr__(self, "_jacobian", fibre.jacobian())
 
-    @property
-    def affine(self) -> bool:
-        """Whether the exact Jacobian is constant (has degree 0), as for the
-        zero and rotation sections."""
-        return self._jacobian.degree == 0
-
     def total_coords(self, base_pt: Point) -> np.ndarray:
         xy = base_pt.coords
         return np.concatenate([xy, self._fibre(xy)], axis=-1)
@@ -433,6 +429,16 @@ class SectionMap:
         block = _finite(lambda: self._jacobian(base_pt.coords))
         return block.reshape(base_pt.batch_shape + (n2, n2))
 
+    @cached_property
+    def _hessian(self) -> Polynomial:
+        return self._jacobian.jacobian()
+
+    def fibre_hessian(self, base_pt: Point) -> np.ndarray:
+        """Exact d_a d_j (p, q)_r in the layout [..., r, j, a], shape (..., 2n, 2n, 2n)."""
+        n2 = 2 * self.model.n
+        table = _finite(lambda: self._hessian(base_pt.coords), "second derivative of the section")
+        return table.reshape(base_pt.batch_shape + (n2, n2, n2))
+
     def jacobian(self, base_pt: Point) -> np.ndarray:
         """Exact Jacobian (..., 4n, 2n): identity block over the fibre block."""
         n2 = 2 * self.model.n
@@ -444,13 +450,13 @@ class SectionMap:
         return _finite(lambda: stencil(self.total_coords, base_pt, shape))
 
 
-def _finite(derivative: Callable[[], np.ndarray]) -> np.ndarray:
+def _finite(derivative: Callable[[], np.ndarray], what="tangent frame of the graph") -> np.ndarray:
     """``derivative()`` of a section, evaluated with numpy's overflow warnings
-    silenced; GeometryError unless every value is finite."""
+    silenced; GeometryError, naming ``what``, unless every value is finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         value = derivative()
     if not np.isfinite(value).all():
-        raise GeometryError("tangent frame of the graph is not finite")
+        raise GeometryError(f"{what} is not finite")
     return value
 
 
@@ -536,19 +542,11 @@ def complex_submanifold_check(
     The plane {(v, D v)} has the normal space {(-D^T u, u)}, so that
     distance is |(Id + D D^T)^(-1/2) defect_c|, read through the SVD
     D = U S V^T as |U^T defect_c / hypot(1, S)|.  The plane has full
-    dimension however steep the section, so no rank test is needed."""
+    dimension however steep the section, so no rank test is needed; the
+    column norms are taken by ``hypot``, which squares no entry."""
     if frame_defect is None:
         frame_defect = graph_frame_defect(section, J, pt)
     D, _, defect = frame_defect
     U, S = np.linalg.svd(D)[:2]
     normal = (transpose(U) @ defect) / np.hypot(1.0, S)[..., None]
-    with np.errstate(over="ignore"):
-        distance = np.linalg.norm(normal, axis=-2)
-        # squares of finite entries near the float maximum overflow although
-        # the distance need not: scale those columns by their largest entry
-        overflowed = ~np.isfinite(distance) & np.isfinite(normal).all(axis=-2)
-        if overflowed.any():
-            columns = transpose(normal)[overflowed]
-            scale = np.max(np.abs(columns), axis=-1)
-            distance[overflowed] = scale * np.linalg.norm(columns / scale[:, None], axis=-1)
-    return float(np.max(distance))
+    return float(np.max(np.hypot.reduce(normal, axis=-2)))

@@ -63,6 +63,7 @@ from .special_kahler import (
 from .structures import (
     DEFAULT_POINTS,
     DEFAULT_SEED,
+    MAX_POINTS,
     SECTION_PULLBACK_TOL,
     CheckReport,
     Tolerances,
@@ -124,10 +125,11 @@ def _positive(value, where: str) -> float:
     return number
 
 
-def _integer(value, where: str, minimum: int) -> int:
-    """A JSON integer (not true or false) that is at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
+def _integer(value, where: str, minimum: int, maximum: float = math.inf) -> int:
+    """A JSON integer (not true or false) from ``minimum`` to ``maximum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or not minimum <= value <= maximum:
+        bound = f">= {minimum}" if maximum == math.inf else f"from {minimum} to {maximum}"
+        raise ConfigError(f"{where} must be an integer {bound}, got {value!r}")
     return value
 
 
@@ -222,7 +224,9 @@ class SamplingConfig:
         raw = _object(raw, "sampling", {"n_points", "seed", "fd_step"})
         fd_step = raw.get("fd_step")
         return cls(
-            n_points=_integer(raw.get("n_points", DEFAULT_POINTS), "sampling.n_points", 1),
+            n_points=_integer(
+                raw.get("n_points", DEFAULT_POINTS), "sampling.n_points", 1, MAX_POINTS
+            ),
             seed=_integer(raw.get("seed", DEFAULT_SEED), "sampling.seed", 0),
             fd_step=None if fd_step is None else _positive(fd_step, "sampling.fd_step"),
         )
@@ -274,11 +278,7 @@ class ScenarioConfig:
             if n not in (None, 1):
                 raise ConfigError("scenario paper-n1 fixes n = 1")
             n = 1
-        elif scenario == "oscillators":
-            if frequencies is None:
-                frequencies = (1.0, 2.0) if n is None else tuple(
-                    1.0 + k for k in range(2 * n)
-                )
+        elif scenario == "oscillators" and frequencies is not None:
             if n is not None and n != len(frequencies) // 2:
                 raise ConfigError(f"n = {n} contradicts {len(frequencies)} oscillator frequencies")
             n = len(frequencies) // 2

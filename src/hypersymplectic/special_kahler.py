@@ -14,11 +14,11 @@ identity, that g is symmetric and Omega is I-invariant, and that the signature
 of g (which need not be definite) is constant over the sampled box.
 
 The Jacobian enters twice, deliberately through different routes: the induced
-endomorphism uses exact polynomial derivatives, while the graph-restriction
-comparison uses the finite-difference frame, so agreement between the two is
-an actual cross-check and not an identity of implementation.  Every central
-difference here steps by the base chart's ``fd_step()``: that frame, and
-d^nabla I when I carries no exact derivative (the I of a non-affine section).
+endomorphism and its derivative use exact polynomial derivatives (the
+section's first and second), while the graph-restriction comparison uses the
+finite-difference frame, so agreement between the two is an actual
+cross-check and not an identity of implementation.  That frame, the one
+central difference here, steps by the base chart's ``fd_step()``.
 """
 
 from __future__ import annotations
@@ -51,22 +51,19 @@ from .structures import (
 
 def induced_complex_structure(section: SectionMap, pt: Point) -> np.ndarray:
     """Matrices of I at base point(s): minus the exact fibre block of the
-    section's Jacobian, negated in place because on a whole stencil stack
-    the block is large (8 MB at n = 4, N = 1000)."""
-    block = section.fibre_jacobian(pt)
-    return np.negative(block, out=block)
+    section's Jacobian."""
+    return -section.fibre_jacobian(pt)
 
 
 def induced_endomorphism(section: SectionMap) -> EndomorphismField:
-    """I of the section as a field.  An affine section has a constant
-    exact Jacobian, so its I is built as a constant, with the exact zero
-    derivative, from its value at the chart's origin."""
-    chart = section.model.base_chart
-    name = f"I[{section.name}]" if section.name else "I"
-    if section.affine:
-        origin = chart.point(np.zeros(chart.dim))
-        return EndomorphismField.constant(chart, induced_complex_structure(section, origin), name)
-    return EndomorphismField(chart, lambda pt: induced_complex_structure(section, pt), name)
+    """I of the section as a field carrying its exact derivative
+    ``d_a I_kb = -d_a d_b (p, q)_k``, minus the section's second derivatives."""
+    return EndomorphismField(
+        section.model.base_chart,
+        lambda pt: induced_complex_structure(section, pt),
+        f"I[{section.name}]" if section.name else "I",
+        lambda pt: -section.fibre_hessian(pt),
+    )
 
 
 def _metric(M_Omega: np.ndarray, M_I: np.ndarray) -> tuple[np.ndarray, float]:

@@ -19,8 +19,8 @@ The primitives take their sample as one stacked ``(N, dim)`` point (see
 a ``calculus.TensorField`` of rank 3, like the forms and endomorphisms it
 acts on, and every derivative is the field's ``gradient``: a field built by
 ``constant`` (every form and complex structure of the model, the zero
-connection, the induced I of an affine section) carries its exact derivative
-and is not differenced at all, and any other field is evaluated once on all
+connection) and the induced I of every section carry their exact derivative
+and are not differenced at all, and any other field is evaluated once on all
 central-stencil shifts of the sample, stepped by the sample's chart
 (``Chart.fd_step``), so a primitive costs a fixed number of evaluator calls
 whatever the sample size.  A constant field keeps no point axes, so it and
@@ -46,6 +46,7 @@ from .calculus import DifferentialForm, EndomorphismField, TensorField, form_mat
 from .charts import Chart, Point, require_same_chart
 
 DEFAULT_POINTS = 100
+MAX_POINTS = 10**6  # the largest sample a configuration may ask for
 DEFAULT_SEED = 42
 
 
@@ -179,21 +180,21 @@ def d_nabla_endo(conn: FlatConnection, I: EndomorphismField, pt: Point) -> np.nd
     ``table[..., a, b, :] = d_nabla I (e_a, e_b) = (nabla_a I) e_b - (nabla_b I) e_a``
     with
 
-        (nabla_a I) e_b = (d_a I) e_b + Gamma(e_a, I e_b) - I Gamma(e_a, e_b).
+        (nabla_a I) e_b = (d_a I) e_b + Gamma(e_a, I e_b) - I Gamma(e_a, e_b),
+
+    that is nabla_a I = d_a I + [Gamma_a, I] with (Gamma_a)_kj = Gamma^k_aj,
+    formed by matrix products over every a at once.
 
     d_nabla I is a tensor, so the frame table determines it on every pair of
     fields.  I is read at ``pt`` and, unless it carries its exact derivative,
     once on the whole central stencil, however many points ``pt`` stacks.
     """
     require_same_chart(conn.chart, I.chart)
-    I_pt = I.matrix(pt)
+    I_pt = I.matrix(pt)[..., None, :, :]
     dI = I.gradient(pt)  # dI[..., k, b, a] = d_a I_kb
-    G = conn.gamma(pt)
-    nabla = (
-        np.swapaxes(dI, -1, -3)
-        + np.einsum("...kaj,...jb->...abk", G, I_pt)
-        - np.einsum("...kj,...jab->...abk", I_pt, G)
-    )
+    G_a = np.moveaxis(conn.gamma(pt), -2, -3)  # G_a[..., a, k, j] = Gamma^k_aj
+    nabla = np.moveaxis(dI, -1, -3) + G_a @ I_pt - I_pt @ G_a  # [..., a, k, b]
+    nabla = np.swapaxes(nabla, -1, -2)
     return nabla - np.swapaxes(nabla, -3, -2)
 
 

@@ -6,7 +6,9 @@ import warnings
 
 import pytest
 
+from hypersymplectic import calculus, fibration
 from hypersymplectic.cli import main
+from hypersymplectic.polynomials import Polynomial
 
 BAD_SECTION = {
     "scenario": "custom-section",
@@ -145,6 +147,8 @@ def section_with_p_coefficient(coeff):
         {"scenario": "paper-n1", "sampling": {"fd_step": 10**400}},
         {"scenario": "paper-n1", "tolerances": {"fd": 10**400}},
         {"scenario": "custom-section", "sections": [section_with_p_coefficient(10**400)]},
+        # more points than numpy can allocate, past structures.MAX_POINTS
+        {"scenario": "paper-n1", "sampling": {"n_points": 10**30}},
     ],
     ids=[
         "infinite-frequency",
@@ -158,6 +162,7 @@ def section_with_p_coefficient(coeff):
         "integer-fd-step-beyond-float",
         "integer-tolerance-beyond-float",
         "integer-section-coefficient-beyond-float",
+        "n-points-beyond-bound",
     ],
 )
 def test_non_finite_config_numbers_exit_2_without_writing(tmp_path, capsys, config):
@@ -319,20 +324,108 @@ def test_near_maximal_slope_reports_a_finite_distance_without_warnings(tmp_path,
 # p = 1e308 x^8: the derivatives of p overflow, so the tangent frame of the
 # graph is not finite and no verdict can be read from it
 OVERFLOWING = {"name": "huge", "form": "omega", "p": [[[[8, 0], 1e308]]], "q": [[]]}
+# p = 1e307 x^8: the frame is finite, but the second derivative 5.6e308 x^6,
+# which d_nabla I reads, overflows
+STEEP_SECOND_DERIVATIVE = {"name": "steep", "form": "sigma", "p": [[[[8, 0], 1e307]]], "q": [[]]}
 
 
-def test_unevaluable_geometry_exits_2_without_writing(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (
+            {"scenario": "custom-section", "sections": [OVERFLOWING]},
+            "tangent frame of the graph is not finite",
+        ),
+        (
+            {
+                "scenario": "custom-section",
+                "suites": ["special-kahler"],
+                "sections": [STEEP_SECOND_DERIVATIVE],
+            },
+            "second derivative of the section is not finite",
+        ),
+    ],
+    ids=["overflowing-frame", "overflowing-second-derivative"],
+)
+def test_unevaluable_geometry_exits_2_without_writing(tmp_path, capsys, config, message):
     """One stderr line and no report: the overflow is caught before any
     product reads it, so numpy warns about nothing."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": "custom-section", "sections": [OVERFLOWING]}))
+    cfg.write_text(json.dumps(config))
     report = tmp_path / "report.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["--config", str(cfg), "--output", str(report)]) == 2
-    err = capsys.readouterr().err
-    assert err == "geometry error: tangent frame of the graph is not finite\n"
+    assert capsys.readouterr().err == f"geometry error: {message}\n"
     assert not report.exists()
+
+
+# p = (y1 + 0.3 x1^2 x2, y2), q = (-x1, -x2 + 0.2 y1^3): I varies and is not
+# almost complex
+CURVED_N2 = {
+    "scenario": "custom-section",
+    "n": 2,
+    "suites": ["special-kahler"],
+    "sections": [
+        {
+            "name": "c",
+            "p": [[[[0, 0, 1, 0], 1.0], [[2, 1, 0, 0], 0.3]], [[[0, 0, 0, 1], 1.0]]],
+            "q": [[[[1, 0, 0, 0], -1.0]], [[[0, 1, 0, 0], -1.0], [[0, 0, 3, 0], 0.2]]],
+        }
+    ],
+}
+
+
+def test_a_curved_section_is_differenced_only_for_its_graph_frame(tmp_path, capsys, monkeypatch):
+    """d_nabla I reads the section's exact second derivatives, so the one
+    central stencil of the run is the section's FD graph frame, and the
+    parallel check reads exactly 0.0."""
+    calls = []
+    original = calculus.stencil
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "stencil", counting)
+    monkeypatch.setattr(fibration, "stencil", counting)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CURVED_N2))
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--config", str(cfg), "--output", str(report)]) == 1
+    assert len(calls) == 1
+    checks = {c["identity"]: c for c in json.loads(report.read_text())["report"]["checks"]}
+    assert checks["special_kahler.complex_structure_parallel"]["max_residual"] == 0.0
+    assert not checks["special_kahler.squares_to_minus_identity"]["passed"]
+
+
+@pytest.mark.parametrize(
+    "suites, second_derivatives",
+    [(["sections"], False), (["special-kahler"], True)],
+    ids=["sections", "special-kahler"],
+)
+def test_second_derivatives_are_built_only_for_the_special_kahler_suite(
+    tmp_path, capsys, monkeypatch, suites, second_derivatives
+):
+    """A section's exact Jacobian is built with the section; its second
+    derivatives, the Jacobian of that Jacobian, only when a suite reads I's
+    derivative."""
+    sizes = []
+    original = Polynomial.jacobian
+
+    def recording(poly):
+        sizes.append(poly.size)
+        return original(poly)
+
+    monkeypatch.setattr(Polynomial, "jacobian", recording)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "paper-n1", "suites": suites}))
+    assert main(["--config", str(cfg), "--output", str(tmp_path / "report.json")]) == 0
+    # the fibre (p, q) has 2 components at n = 1, its Jacobian 4
+    assert (4 in sizes) == second_derivatives
+    assert 2 in sizes
 
 
 # rank-2 power vectors on the default rank-1 model

@@ -13,7 +13,12 @@ from hypersymplectic.scenarios import (
     list_scenarios,
     run_scenario,
 )
-from hypersymplectic.structures import PARALLEL_TOL, QUADRATURE_TOL, SECTION_PULLBACK_TOL
+from hypersymplectic.structures import (
+    MAX_POINTS,
+    PARALLEL_TOL,
+    QUADRATURE_TOL,
+    SECTION_PULLBACK_TOL,
+)
 
 ROTATION_SECTION = {
     "name": "turn",
@@ -35,6 +40,14 @@ def test_empty_config_resolves_to_defaults():
     assert cfg.suites == DEFAULT_SUITE_ORDER
     assert cfg.sampling.n_points == 100 and cfg.sampling.seed == 42
     assert cfg.tolerances.fd == 1e-6
+
+
+def test_sample_size_is_bounded():
+    assert MAX_POINTS == 10**6
+    cfg = ScenarioConfig.from_dict({"sampling": {"n_points": MAX_POINTS}})
+    assert cfg.sampling.n_points == MAX_POINTS
+    with pytest.raises(ConfigError, match="sampling.n_points"):
+        ScenarioConfig.from_dict({"sampling": {"n_points": MAX_POINTS + 1}})
 
 
 def test_unknown_keys_rejected():

@@ -3,10 +3,11 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from hypersymplectic.calculus import EndomorphismField
+from hypersymplectic.calculus import EndomorphismField, stencil
 from hypersymplectic.charts import Point
 from hypersymplectic.errors import DegenerateMetricError, NotAlmostComplexError
 from hypersymplectic.fibration import (
+    SectionMap,
     gradient_section,
     make_model,
     standard_sigma_section,
@@ -34,8 +35,6 @@ ROTATION_I = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def section_from(p_terms, q_terms, name):
-    from hypersymplectic.fibration import SectionMap
-
     return SectionMap(
         MODEL,
         (Polynomial.from_terms(2, p_terms),),
@@ -209,24 +208,39 @@ def test_restriction_check_catches_non_invariant_graphs():
     assert report.max_residual >= 0.5
 
 
-def test_affine_sections_induce_a_constant_endomorphism():
-    """rotation, opposite and zero have a constant exact Jacobian: their I is
-    a constant carrying its exact derivative, equal bit for bit to the
-    polynomial I at every sampled point.  A quadratic section's I varies."""
+def test_every_section_induces_I_with_its_exact_derivative():
+    """zero, rotation, opposite, the curved n = 1 and n = 2 sections and a
+    degree-8 section: I carries its exact derivative, minus the section's
+    second derivatives, and its value is the polynomial I bit for bit.
+    Central differences of I agree with that derivative, which cross-checks
+    the second derivatives.  The curved I varies."""
     opposite = section_from([((0, 1), -1.0)], [((1, 0), 1.0)], "opposite")
-    for section in (standard_sigma_section(MODEL), opposite, zero_section(MODEL)):
-        assert section.affine
+    curved = section_from([((0, 1), 1.0), ((2, 0), 1.0)], [((1, 0), -1.0)], "curved")
+    degree8 = section_from(
+        [((0, 1), 1.0), ((8, 0), 0.5), ((3, 5), -1.0)], [((1, 0), -1.0), ((0, 8), 0.25)], "deg8"
+    )
+
+    def polys(*components):
+        return tuple(Polynomial.from_terms(4, terms) for terms in components)
+
+    # p = (y1 + 0.3 x1^2 x2, y2), q = (-x1, -x2 + 0.2 y1^3)
+    curved2 = SectionMap(
+        make_model(2),
+        polys([((0, 0, 1, 0), 1.0), ((2, 1, 0, 0), 0.3)], [((0, 0, 0, 1), 1.0)]),
+        polys([((1, 0, 0, 0), -1.0)], [((0, 1, 0, 0), -1.0), ((0, 0, 3, 0), 0.2)]),
+        name="curved2",
+    )
+    rotation = standard_sigma_section(MODEL)
+    for section in (zero_section(MODEL), rotation, opposite, curved, curved2, degree8):
+        pt = section.model.base_chart.sample(25, 42)
+        n2 = 2 * section.model.n
         I = induced_endomorphism(section)
         assert I.derivative is not None
-        M = I.matrix(POINTS)
-        assert M.shape == (2, 2)
-        expected = induced_complex_structure(section, POINTS)
-        assert np.broadcast_to(M, expected.shape).tobytes() == expected.tobytes()
-    curved = section_from([((0, 1), 1.0), ((2, 0), 1.0)], [((1, 0), -1.0)], "curved")
-    assert not curved.affine
-    I = induced_endomorphism(curved)
-    assert I.derivative is None
-    M = I.matrix(POINTS)
-    assert M.shape == (25, 2, 2)
-    assert np.array_equal(M, induced_complex_structure(curved, POINTS))
-    assert np.ptp(M[:, 0, 0]) > 0.5
+        assert I.matrix(pt).tobytes() == induced_complex_structure(section, pt).tobytes()
+        dI = I.gradient(pt)
+        assert dI.tobytes() == (-section.fibre_hessian(pt)).tobytes()
+        assert np.allclose(dI, stencil(I.value, pt, (n2, n2)), rtol=0.0, atol=1e-6), section.name
+    for section in (curved, curved2):
+        M = induced_endomorphism(section).matrix(section.model.base_chart.sample(25, 42))
+        assert M.shape == (25,) + (2 * section.model.n,) * 2
+        assert np.ptp(M[:, 0, 0]) > 0.5
