@@ -247,14 +247,15 @@ def holomorphic_frame_check(
     conjugate orientation.  Every covector goes through one product with the
     covector matrix; returns the worst residual over pairs and points.
     """
+    k = len(a)
     covectors = np.concatenate([a, b])  # [2k, dim]: the rows of a, then of b
     moved = covectors @ transpose(J.covector_matrix(pt))  # row r is C @ covectors[r]
-    Ja, Jb = np.split(moved, 2, axis=-2)
-    plus, minus = (
-        np.linalg.norm(Ja + s * b, axis=-1) + np.linalg.norm(Jb - s * a, axis=-1)
-        for s in (1, -1)
-    )
-    return float(np.max(np.minimum(plus, minus)))
+    target = np.concatenate([-b, a])  # J a = s (-b) and J b = s a
+    residuals = []
+    for s in (1, -1):
+        norms = np.sqrt(np.sum((moved - s * target) ** 2, axis=-1))
+        residuals.append(norms[..., :k] + norms[..., k:])  # |J a - s (-b)| + |J b - s a|
+    return float(np.max(np.minimum(*residuals)))
 
 
 def standard_frame_pairs(model: FibrationModel) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -386,9 +387,11 @@ class SectionMap:
 
     The components (p, q), their exact Jacobian and (built on first use)
     their exact second derivatives are each held as one vector polynomial,
-    so a map evaluates every component in one call.  Its derivatives, exact
-    or FD (stepped by the base chart), raise GeometryError when they
-    overflow, before any product reads them."""
+    so a map evaluates every component in one call.  Its values and its
+    derivatives, exact or FD (stepped by the base chart), raise GeometryError
+    when they overflow, before any product reads them.  The exact fibre
+    block of the last ``Point`` object asked for is kept, read-only, so the
+    checks of one run that read it on the same sample evaluate it once."""
 
     model: FibrationModel
     p: tuple[Polynomial, ...]
@@ -396,6 +399,7 @@ class SectionMap:
     name: str = ""
     _fibre: Polynomial = field(init=False, repr=False, compare=False)
     _jacobian: Polynomial = field(init=False, repr=False, compare=False)
+    _last_block: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.model.n
@@ -421,13 +425,21 @@ class SectionMap:
     def evaluate(self, base_pt: Point) -> Point:
         if base_pt.chart != self.model.base_chart:
             raise GeometryError("section evaluated off its base chart")
-        return Point(self.model.total_chart, self.total_coords(base_pt))
+        coords = _finite(lambda: self.total_coords(base_pt), "value of the section")
+        return Point(self.model.total_chart, coords)
 
     def fibre_jacobian(self, base_pt: Point) -> np.ndarray:
-        """Exact fibre block d(p, q)/d(x, y), shape (..., 2n, 2n)."""
+        """Exact fibre block d(p, q)/d(x, y), shape (..., 2n, 2n), read-only;
+        evaluated once per ``Point`` object (compared by identity) while no
+        other point is asked for in between."""
+        if self._last_block is not None and self._last_block[0] is base_pt:
+            return self._last_block[1]
         n2 = 2 * self.model.n
         block = _finite(lambda: self._jacobian(base_pt.coords))
-        return block.reshape(base_pt.batch_shape + (n2, n2))
+        block = block.reshape(base_pt.batch_shape + (n2, n2))
+        block.flags.writeable = False
+        object.__setattr__(self, "_last_block", (base_pt, block))
+        return block
 
     @cached_property
     def _hessian(self) -> Polynomial:
@@ -450,11 +462,11 @@ class SectionMap:
         return _finite(lambda: stencil(self.total_coords, base_pt, shape))
 
 
-def _finite(derivative: Callable[[], np.ndarray], what="tangent frame of the graph") -> np.ndarray:
-    """``derivative()`` of a section, evaluated with numpy's overflow warnings
-    silenced; GeometryError, naming ``what``, unless every value is finite."""
+def _finite(compute: Callable[[], np.ndarray], what="tangent frame of the graph") -> np.ndarray:
+    """``compute()``, evaluated with numpy's overflow warnings silenced;
+    GeometryError, naming ``what``, unless every value is finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        value = derivative()
+        value = compute()
     if not np.isfinite(value).all():
         raise GeometryError(f"{what} is not finite")
     return value
@@ -513,16 +525,22 @@ def graph_frame_defect(
     {(v, D v)}.  Returns D, the base block R = (J F)_xy and the defect
     (J F)_pq - D R: column c of J F minus the tangent vector (R_c, D R_c) is
     (0, defect_c), so J F is tangent to the graph exactly when the defect
-    vanishes.  ``SectionMap.jacobian_fd`` raises GeometryError when F is not
-    finite, since no verdict can be read from it.
+    vanishes.  GeometryError when F or the defect is not finite (two slopes
+    near the float maximum), since no verdict can be read from them; the
+    products are formed with numpy's overflow warnings silenced.
     """
     frame = section.jacobian_fd(pt)
-    moved = J.matrix(section.evaluate(pt)) @ frame
+    M_J = J.matrix(section.evaluate(pt))
     n2 = frame.shape[-1]
     steps = np.diagonal(frame[..., :n2, :], axis1=-2, axis2=-1)
-    D = frame[..., n2:, :] / steps[..., None, :]
-    restriction = moved[..., :n2, :]
-    return D, restriction, moved[..., n2:, :] - D @ restriction
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = M_J @ frame
+        D = frame[..., n2:, :] / steps[..., None, :]
+        restriction = moved[..., :n2, :]
+        defect = moved[..., n2:, :] - D @ restriction
+    if not np.isfinite(defect).all():
+        raise GeometryError(f"defect of {J.name} on the tangent frame of the graph is not finite")
+    return D, restriction, defect
 
 
 def complex_submanifold_check(
@@ -540,13 +558,23 @@ def complex_submanifold_check(
     as ``frame_defect``; otherwise it is computed here.
 
     The plane {(v, D v)} has the normal space {(-D^T u, u)}, so that
-    distance is |(Id + D D^T)^(-1/2) defect_c|, read through the SVD
-    D = U S V^T as |U^T defect_c / hypot(1, S)|.  The plane has full
-    dimension however steep the section, so no rank test is needed; the
-    column norms are taken by ``hypot``, which squares no entry."""
+    distance is the length of the projection of (0, defect_c) on it,
+    |(Id + D D^T)^(-1/2) defect_c|.  It is read through an orthonormal basis
+    Q of the normal space: one stacked QR of [-D^T; Id], divided per point
+    by max(1, max|D|) so that no entry exceeds 1, gives Q, and the distance
+    is |Q_pq^T defect_c|.  The plane has full dimension however steep the
+    section, so no rank test is needed; the column norms are taken by
+    ``hypot``, which squares no entry.  GeometryError when a distance
+    exceeds the float range."""
     if frame_defect is None:
         frame_defect = graph_frame_defect(section, J, pt)
     D, _, defect = frame_defect
-    U, S = np.linalg.svd(D)[:2]
-    normal = (transpose(U) @ defect) / np.hypot(1.0, S)[..., None]
-    return float(np.max(np.hypot.reduce(normal, axis=-2)))
+    n2 = D.shape[-1]
+    scale = np.maximum(1.0, np.max(np.abs(D), axis=(-2, -1)))[..., None, None]
+    normals = np.concatenate([-transpose(D), np.broadcast_to(np.eye(n2), D.shape)], axis=-2)
+    Q = np.linalg.qr(normals / scale)[0]
+    distance = _finite(
+        lambda: np.hypot.reduce(transpose(Q[..., n2:, :]) @ defect, axis=-2),
+        "distance from the tangent plane of the graph",
+    )
+    return float(np.max(distance))

@@ -376,7 +376,9 @@ class ReportDocument:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.document_dict(), indent=2, sort_keys=True) + "\n"
+        """The document as one line of compact JSON: without ``indent`` the
+        C encoder writes it."""
+        return json.dumps(self.document_dict(), sort_keys=True) + "\n"
 
     def summary_lines(self) -> list[str]:
         lines = []

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from hypersymplectic import calculus, fibration
 from hypersymplectic.cli import main
 from hypersymplectic.polynomials import Polynomial
+from hypersymplectic.scenarios import ScenarioConfig, run_scenario
 
 BAD_SECTION = {
     "scenario": "custom-section",
@@ -327,6 +329,25 @@ OVERFLOWING = {"name": "huge", "form": "omega", "p": [[[[8, 0], 1e308]]], "q": [
 # p = 1e307 x^8: the frame is finite, but the second derivative 5.6e308 x^6,
 # which d_nabla I reads, overflows
 STEEP_SECOND_DERIVATIVE = {"name": "steep", "form": "sigma", "p": [[[[8, 0], 1e307]]], "q": [[]]}
+# p = 1.7e308 x, q = 1.7e308 y: the frame is finite, but J_chi moves it off
+# the graph by 2 * 1.7e308, beyond the float range
+TWO_SLOPES = {"name": "lin", "form": "omega", "p": [[[[1, 0], 1.7e308]]], "q": [[[[0, 1], 1.7e308]]]}
+# p = q = 1.5e308 x: the defect (1.5e308, -1.5e308) is finite, its distance
+# 2.1e308 from the tangent plane is not
+TWO_EQUAL_SLOPES = {
+    "name": "lin",
+    "form": "omega",
+    "p": [[[[1, 0], 1.5e308]]],
+    "q": [[[[1, 0], 1.5e308]]],
+}
+# p = 1.7e308 (x + y), q = 1.7e308 x: the derivatives are finite, the values
+# of p overflow where x + y > 1.06
+OVERFLOWING_VALUE = {
+    "name": "lin",
+    "form": "omega",
+    "p": [[[[1, 0], 1.7e308], [[0, 1], 1.7e308]]],
+    "q": [[[[1, 0], 1.7e308]]],
+}
 
 
 @pytest.mark.parametrize(
@@ -344,8 +365,26 @@ STEEP_SECOND_DERIVATIVE = {"name": "steep", "form": "sigma", "p": [[[[8, 0], 1e3
             },
             "second derivative of the section is not finite",
         ),
+        (
+            {"scenario": "custom-section", "suites": ["sections"], "sections": [TWO_SLOPES]},
+            "defect of J_chi on the tangent frame of the graph is not finite",
+        ),
+        (
+            {"scenario": "custom-section", "suites": ["sections"], "sections": [TWO_EQUAL_SLOPES]},
+            "distance from the tangent plane of the graph is not finite",
+        ),
+        (
+            {"scenario": "custom-section", "suites": ["sections"], "sections": [OVERFLOWING_VALUE]},
+            "value of the section is not finite",
+        ),
     ],
-    ids=["overflowing-frame", "overflowing-second-derivative"],
+    ids=[
+        "overflowing-frame",
+        "overflowing-second-derivative",
+        "two-near-maximal-slopes",
+        "overflowing-distance",
+        "overflowing-value",
+    ],
 )
 def test_unevaluable_geometry_exits_2_without_writing(tmp_path, capsys, config, message):
     """One stderr line and no report: the overflow is caught before any
@@ -448,3 +487,28 @@ def test_sections_that_do_not_fit_the_model_exit_2_without_writing(tmp_path, cap
     assert main(["--config", str(cfg), "--output", str(report)]) == 2
     assert "configuration error: section '" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_a_warm_call_leaves_no_reference_cycles_and_writes_one_line(tmp_path, capsys):
+    """After a first call, a second ``main`` call with ``--output`` leaves no
+    object for the cycle collector, and the report it writes is one line of
+    compact JSON whose ``report`` is the run's ``stable_dict()``."""
+    report = tmp_path / "report.json"
+    args = ["--scenario", "paper-n1", "--output", str(report)]
+    assert main(args) == 0
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(args) == 0
+        gc.collect()
+        cycles = len(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert cycles == 0
+    text = report.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    expected = run_scenario(ScenarioConfig.from_dict({"scenario": "paper-n1"})).stable_dict()
+    assert json.loads(text)["report"] == expected

@@ -481,3 +481,66 @@ def test_non_finite_graph_frames_raise():
         for J in COMPLEXES.endos():
             with pytest.raises(GeometryError, match="not finite"):
                 complex_submanifold_check(MODEL, huge, J, pts)
+
+
+def svd_distance(D, defect):
+    """Reference: |(Id + D D^T)^(-1/2) defect_c| per column c, read through
+    the SVD D = U S V^T as |U^T defect_c / hypot(1, S)|."""
+    U, S = np.linalg.svd(D)[:2]
+    normal = (np.swapaxes(U, -1, -2) @ defect) / np.hypot(1.0, S)[..., None]
+    return np.hypot.reduce(normal, axis=-2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_graph_distance_matches_the_svd_formula(n):
+    """The QR read of the distance from the tangent plane agrees with the SVD
+    formula to 1e-12 relative, per point and column, for slopes from 1e-3 to
+    1e150 and for D with zero rows; a zero defect is at distance 0.0.
+
+    A zero row r of D makes (0, e_r) a normal direction, so Id + D D^T is
+    block diagonal and the reference takes the SVD of the other rows only:
+    on the whole D, the SVD would put the zero singular value at about
+    eps * |D|, which is not small beside 1 for steep D."""
+    rng = np.random.default_rng(n)
+    n2 = 2 * n
+    for slope in (1e-3, 1.0, 1e3, 1e8, 1e50, 1e150):
+        for zero_rows in (0, 1, n):
+            D = slope * rng.standard_normal((6, n2, n2))
+            D[:, :zero_rows, :] = 0.0
+            defect = rng.standard_normal((6, n2, n2))
+            reference = np.hypot(
+                np.hypot.reduce(defect[:, :zero_rows, :], axis=-2),
+                svd_distance(D[:, zero_rows:, :], defect[:, zero_rows:, :]),
+            )
+            for k in range(len(D)):
+                for c in range(n2):
+                    column = defect[k][:, [c]]
+                    distance = complex_submanifold_check(
+                        MODEL, None, None, None, frame_defect=(D[k], None, column)
+                    )
+                    assert distance == pytest.approx(reference[k, c], rel=1e-12, abs=0.0)
+            zero = complex_submanifold_check(
+                MODEL, None, None, None, frame_defect=(D, None, np.zeros_like(defect))
+            )
+            assert zero == 0.0
+
+
+def test_the_exact_fibre_block_is_read_once_per_sample(monkeypatch):
+    """A second read on the same Point object reuses the read-only block;
+    another Point object, even with equal coordinates, is evaluated anew."""
+    calls = []
+    original = Polynomial.__call__
+
+    def counting(poly, coords):
+        calls.append(poly)
+        return original(poly, coords)
+
+    monkeypatch.setattr(Polynomial, "__call__", counting)
+    rot = standard_sigma_section(MODEL)
+    pts = MODEL.base_chart.sample(20, 3)
+    block = rot.fibre_jacobian(pts)
+    assert rot.fibre_jacobian(pts) is block
+    assert len(calls) == 1
+    assert not block.flags.writeable
+    np.testing.assert_array_equal(rot.fibre_jacobian(MODEL.base_chart.sample(20, 3)), block)
+    assert len(calls) == 2
