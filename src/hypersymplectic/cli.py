@@ -4,8 +4,8 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 the
 configuration could not be used (bad JSON, unknown scenario or suite,
 malformed section polynomials, a section that does not fit the model) or the
 checks cannot be evaluated on it (a geometric precondition fails
-numerically, e.g. a section whose tangent frame is not finite).  On exit 2
-no report file is written.
+numerically, e.g. a section whose tangent frame is not finite) or the
+report cannot be written to its path.  On exit 2 no report file is written.
 """
 
 from __future__ import annotations
@@ -104,7 +104,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if config.output is not None:
-        Path(config.output).write_text(document.to_json())
+        try:
+            Path(config.output).write_text(document.to_json())
+        except OSError as exc:
+            print(f"cannot write {config.output}: {exc}", file=sys.stderr)
+            return 2
         for line in document.summary_lines():
             print(line)
         print(f"report written to {config.output}")

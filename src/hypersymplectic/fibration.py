@@ -89,6 +89,16 @@ class FibrationModel:
     def vertical_axes(self) -> list[int]:
         return list(range(2 * self.n, 4 * self.n))
 
+    @cached_property
+    def triple(self) -> HyperSymplecticTriple:
+        """The model's three forms, built on first use."""
+        return build_structure_triple(self)
+
+    @cached_property
+    def complexes(self) -> HyperComplexTriple:
+        """The complex structures of ``triple``, built on first use."""
+        return build_complex_triple(self)
+
 
 def _names(prefix: str, n: int) -> tuple[str, ...]:
     if n == 1:
@@ -192,7 +202,7 @@ def build_complex_triple(
     model: FibrationModel, *, triple: HyperSymplecticTriple | None = None
 ) -> HyperComplexTriple:
     """Each complex structure as the recursion operator of the other two
-    forms of ``triple`` (by default the model's): J_omega = R(chi, sigma),
+    forms of ``triple`` (by default ``model.triple``): J_omega = R(chi, sigma),
     J_chi = R(omega, sigma), J_sigma = R(chi, omega), where R(f, g) =
     M_f^{-1} M_g is ``recursion_operator(f, g)``.
 
@@ -201,7 +211,7 @@ def build_complex_triple(
     point axes.  Adding 0.0 turns the -0.0 entries of ``solve`` into +0.0.
     """
     chart = model.total_chart
-    triple = build_structure_triple(model) if triple is None else triple
+    triple = model.triple if triple is None else triple
     row = Point(chart, np.zeros((1, chart.dim)))
 
     def derived(f: DifferentialForm, g: DifferentialForm, name: str) -> EndomorphismField:
@@ -304,12 +314,14 @@ def verify_hypersymplectic(
     each check held to its entry of ``tolerances``.
 
     A caller that already holds the sample ``total_chart.sample(n_points,
-    seed)`` or the two triples passes them in; otherwise the sample is drawn,
-    the model's forms are built, and the complex structures are derived from
-    ``triple``."""
+    seed)`` passes it in, and a hand-built triple of forms or of complex
+    structures replaces the model's; the complex structures of a hand-built
+    ``triple`` are derived from it."""
     pt = model.total_chart.sample(n_points, seed) if pt is None else pt
-    triple = build_structure_triple(model) if triple is None else triple
-    complexes = build_complex_triple(model, triple=triple) if complexes is None else complexes
+    if complexes is None and triple is not None:
+        complexes = build_complex_triple(model, triple=triple)
+    triple = model.triple if triple is None else triple
+    complexes = model.complexes if complexes is None else complexes
     reports: list[CheckReport] = []
 
     def report(name: str, residual: float, tolerance: float, statement: str) -> None:
@@ -342,13 +354,13 @@ def verify_hypersymplectic(
             f"the recursion operator of ({a}, {b}) squares to minus the identity",
         )
 
-    for Ja, Jb in itertools.combinations(complexes.endos(), 2):
-        Ca, Cb = Ja.covector_matrix(pt), Jb.covector_matrix(pt)
+    covector_matrices = [(J.name, J.covector_matrix(pt)) for J in complexes.endos()]
+    for (a, Ca), (b, Cb) in itertools.combinations(covector_matrices, 2):
         report(
-            f"anticommute.{Ja.name}_{Jb.name}",
+            f"anticommute.{a}_{b}",
             float(np.max(np.abs(Ca @ Cb + Cb @ Ca))),
             tolerances.algebraic,
-            f"{Ja.name} and {Jb.name} anticommute in the covector action",
+            f"{a} and {b} anticommute in the covector action",
         )
 
     pairs = standard_frame_pairs(model)
@@ -389,9 +401,10 @@ class SectionMap:
     their exact second derivatives are each held as one vector polynomial,
     so a map evaluates every component in one call.  Its values and its
     derivatives, exact or FD (stepped by the base chart), raise GeometryError
-    when they overflow, before any product reads them.  The exact fibre
-    block of the last ``Point`` object asked for is kept, read-only, so the
-    checks of one run that read it on the same sample evaluate it once."""
+    when they overflow, before any product reads them.  What is read on the
+    last base ``Point`` object (compared by identity), its values, exact
+    fibre block and FD frame, is kept read-only until another point is read,
+    so the checks of one run read each once per sample."""
 
     model: FibrationModel
     p: tuple[Polynomial, ...]
@@ -399,7 +412,8 @@ class SectionMap:
     name: str = ""
     _fibre: Polynomial = field(init=False, repr=False, compare=False)
     _jacobian: Polynomial = field(init=False, repr=False, compare=False)
-    _last_block: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the last base Point object read, and its reads by kind
+    _reads: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.model.n
@@ -418,28 +432,36 @@ class SectionMap:
         # row-major d(p, q)_r / d(x, y)_j, reshaped to (2n, 2n) by fibre_jacobian
         object.__setattr__(self, "_jacobian", fibre.jacobian())
 
+    def _read(self, base_pt: Point, kind: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        """The ``kind`` read of ``base_pt``: ``compute()`` on the first ask,
+        kept read-only while ``base_pt`` is the last Point object read."""
+        last, reads = self._reads
+        if last is not base_pt:
+            reads = {}
+            object.__setattr__(self, "_reads", (base_pt, reads))
+        if kind not in reads:
+            value = compute()
+            value.flags.writeable = False
+            reads[kind] = value
+        return reads[kind]
+
     def total_coords(self, base_pt: Point) -> np.ndarray:
         xy = base_pt.coords
         return np.concatenate([xy, self._fibre(xy)], axis=-1)
 
     def evaluate(self, base_pt: Point) -> Point:
+        """The graph point(s) over ``base_pt``, read once per sample."""
         if base_pt.chart != self.model.base_chart:
             raise GeometryError("section evaluated off its base chart")
-        coords = _finite(lambda: self.total_coords(base_pt), "value of the section")
-        return Point(self.model.total_chart, coords)
+        values = lambda: _finite(lambda: self.total_coords(base_pt), "value of the section")
+        return Point(self.model.total_chart, self._read(base_pt, "values", values))
 
     def fibre_jacobian(self, base_pt: Point) -> np.ndarray:
-        """Exact fibre block d(p, q)/d(x, y), shape (..., 2n, 2n), read-only;
-        evaluated once per ``Point`` object (compared by identity) while no
-        other point is asked for in between."""
-        if self._last_block is not None and self._last_block[0] is base_pt:
-            return self._last_block[1]
-        n2 = 2 * self.model.n
-        block = _finite(lambda: self._jacobian(base_pt.coords))
-        block = block.reshape(base_pt.batch_shape + (n2, n2))
-        block.flags.writeable = False
-        object.__setattr__(self, "_last_block", (base_pt, block))
-        return block
+        """Exact fibre block d(p, q)/d(x, y), shape (..., 2n, 2n), read once
+        per sample."""
+        shape = base_pt.batch_shape + (2 * self.model.n,) * 2
+        block = lambda: _finite(lambda: self._jacobian(base_pt.coords)).reshape(shape)
+        return self._read(base_pt, "block", block)
 
     @cached_property
     def _hessian(self) -> Polynomial:
@@ -460,6 +482,10 @@ class SectionMap:
     def jacobian_fd(self, base_pt: Point) -> np.ndarray:
         shape = (self.model.total_chart.dim,)
         return _finite(lambda: stencil(self.total_coords, base_pt, shape))
+
+    def fd_frame(self, base_pt: Point) -> np.ndarray:
+        """``jacobian_fd(base_pt)``, read once per sample."""
+        return self._read(base_pt, "frame", lambda: self.jacobian_fd(base_pt))
 
 
 def _finite(compute: Callable[[], np.ndarray], what="tangent frame of the graph") -> np.ndarray:
@@ -529,7 +555,7 @@ def graph_frame_defect(
     near the float maximum), since no verdict can be read from them; the
     products are formed with numpy's overflow warnings silenced.
     """
-    frame = section.jacobian_fd(pt)
+    frame = section.fd_frame(pt)
     M_J = J.matrix(section.evaluate(pt))
     n2 = frame.shape[-1]
     steps = np.diagonal(frame[..., :n2, :], axis1=-2, axis2=-1)
@@ -548,17 +574,20 @@ def complex_submanifold_check(
     section: SectionMap,
     J: EndomorphismField,
     pt: Point,
-    *,
-    frame_defect: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """How far J moves the graph tangent space off itself, worst over the
-    base point(s) ``pt``: the largest distance of a column of J F from the
-    tangent plane, which is the distance of (0, defect_c).  A caller that
-    already holds ``graph_frame_defect(section, J, pt)`` passes it
-    as ``frame_defect``; otherwise it is computed here.
+    base point(s) ``pt``: ``graph_distance`` of ``graph_frame_defect``.
+    ``model`` is not read."""
+    D, _, defect = graph_frame_defect(section, J, pt)
+    return graph_distance(D, defect)
 
-    The plane {(v, D v)} has the normal space {(-D^T u, u)}, so that
-    distance is the length of the projection of (0, defect_c) on it,
+
+def graph_distance(D: np.ndarray, defect: np.ndarray) -> float:
+    """The largest distance of a column of J F from the tangent plane
+    {(v, D v)} of a graph, which is the distance of (0, defect_c).
+
+    The plane has the normal space {(-D^T u, u)}, so that distance is the
+    length of the projection of (0, defect_c) on it,
     |(Id + D D^T)^(-1/2) defect_c|.  It is read through an orthonormal basis
     Q of the normal space: one stacked QR of [-D^T; Id], divided per point
     by max(1, max|D|) so that no entry exceeds 1, gives Q, and the distance
@@ -566,9 +595,6 @@ def complex_submanifold_check(
     section, so no rank test is needed; the column norms are taken by
     ``hypot``, which squares no entry.  GeometryError when a distance
     exceeds the float range."""
-    if frame_defect is None:
-        frame_defect = graph_frame_defect(section, J, pt)
-    D, _, defect = frame_defect
     n2 = D.shape[-1]
     scale = np.maximum(1.0, np.max(np.abs(D), axis=(-2, -1)))[..., None, None]
     normals = np.concatenate([-transpose(D), np.broadcast_to(np.eye(n2), D.shape)], axis=-2)

@@ -34,18 +34,12 @@ from .action_angle import (
     model_from_product_system,
     verify_action_angle,
 )
-from .calculus import EndomorphismField
 from .charts import Point
 from .errors import ConfigError
 from .fibration import (
     FibrationModel,
-    HyperComplexTriple,
-    HyperSymplecticTriple,
     SectionMap,
-    build_complex_triple,
-    build_structure_triple,
     complex_submanifold_check,
-    graph_frame_defect,
     make_model,
     section_pullback,
     standard_sigma_section,
@@ -91,9 +85,6 @@ DEFAULT_SUITE_ORDER = tuple(SUITES)
 FORM_NAMES = ("omega", "chi", "sigma")
 
 TOLERANCE_KEYS = {f.name for f in fields(Tolerances)}
-
-# the suites that read a section's FD graph frame (_RunInputs.frame_defect)
-FRAME_SUITES = {"sections", "special-kahler"}
 
 # which complex structure should preserve the graph of a section that is
 # Lagrangian for a given form (the remaining two forms vanish on the graph)
@@ -394,16 +385,14 @@ class ReportDocument:
 
 
 class _RunInputs:
-    """What the suites of one run share: the seeded sample of each chart, the
-    resolved sections, the two triples and the FD graph frames.  Each is
-    built on first use and then reused, so a run builds none of them twice
-    and none that its suites do not read.  ``run_scenario`` drops the frames
-    (N * (2n)^2 numbers each) once no later suite reads them."""
+    """What the suites of one run share: the model, and the seeded sample of
+    each chart and the resolved sections, each built on first use and reused.
+    The model keeps its two triples, and each section what it read on the
+    base sample, so a run builds or reads nothing twice."""
 
     def __init__(self, config: ScenarioConfig, model: FibrationModel) -> None:
         self.config = config
         self.model = model
-        self.frames: dict[tuple[int, int], tuple] = {}
 
     @cached_property
     def total_pt(self) -> Point:
@@ -428,22 +417,6 @@ class _RunInputs:
         sigma_sections = [section for section, form_name in self.sections if form_name == "sigma"]
         return sigma_sections[0] if sigma_sections else standard_sigma_section(self.model)
 
-    def frame_defect(self, section: SectionMap, J: EndomorphismField) -> tuple:
-        """``graph_frame_defect`` of a section of this run on the base sample,
-        computed once per (section, J) pair."""
-        key = (id(section), id(J))  # both live as long as the run
-        if key not in self.frames:
-            self.frames[key] = graph_frame_defect(section, J, self.base_pt)
-        return self.frames[key]
-
-    @cached_property
-    def triple(self) -> HyperSymplecticTriple:
-        return build_structure_triple(self.model)
-
-    @cached_property
-    def complexes(self) -> HyperComplexTriple:
-        return build_complex_triple(self.model, triple=self.triple)
-
 
 def _suite_hypersymplectic(run: _RunInputs) -> list[CheckReport]:
     config = run.config
@@ -453,24 +426,22 @@ def _suite_hypersymplectic(run: _RunInputs) -> list[CheckReport]:
         seed=config.sampling.seed,
         tolerances=config.tolerances,
         pt=run.total_pt,
-        triple=run.triple,
-        complexes=run.complexes,
     )
 
 
 def _suite_lagrangian_fibres(run: _RunInputs) -> list[CheckReport]:
-    tol = run.config.tolerances.algebraic
+    tol, triple = run.config.tolerances.algebraic, run.model.triple
     return [
-        verify_lagrangian_fibres(run.model, run.triple.omega, run.total_pt, tol),
-        verify_lagrangian_fibres(run.model, run.triple.sigma, run.total_pt, tol),
+        verify_lagrangian_fibres(run.model, triple.omega, run.total_pt, tol),
+        verify_lagrangian_fibres(run.model, triple.sigma, run.total_pt, tol),
     ]
 
 
 def _suite_sections(run: _RunInputs) -> list[CheckReport]:
     config, model, pt = run.config, run.model, run.base_pt
-    triple = run.triple
+    triple = model.triple
     named_forms = {"omega": triple.omega, "chi": triple.chi, "sigma": triple.sigma}
-    named_endos = {J.name: J for J in run.complexes.endos()}
+    named_endos = {J.name: J for J in model.complexes.endos()}
     reports = []
     for section, form_name in run.sections:
         form = named_forms[form_name]
@@ -486,9 +457,7 @@ def _suite_sections(run: _RunInputs) -> list[CheckReport]:
             )
         )
         J = named_endos[FORM_TO_COMPLEX[form_name]]
-        worst = complex_submanifold_check(
-            model, section, J, pt, frame_defect=run.frame_defect(section, J)
-        )
+        worst = complex_submanifold_check(model, section, J, pt)
         reports.append(
             CheckReport.from_residual(
                 f"sections.graph_invariant.{section.name}.{J.name}",
@@ -507,12 +476,7 @@ def _suite_special_kahler(run: _RunInputs) -> list[CheckReport]:
     data = build_special_kahler(model, section)
     reports = special_symplectic_check(data, pt, config.tolerances)
     reports.extend(kahler_reports(data, pt, config.tolerances))
-    reports.append(
-        induced_vs_restriction(
-            model, section, pt, config.tolerances.fd,
-            frame_defect=run.frame_defect(section, run.complexes.J_omega),
-        )
-    )
+    reports.append(induced_vs_restriction(model, section, pt, config.tolerances.fd))
     return reports
 
 
@@ -550,10 +514,8 @@ def run_scenario(config: ScenarioConfig) -> ReportDocument:
     start = time.perf_counter()
     run = _RunInputs(config, build_scenario_model(config))
     checks: list[CheckReport] = []
-    for k, suite in enumerate(config.suites):
+    for suite in config.suites:
         checks.extend(_SUITE_RUNNERS[suite](run))
-        if FRAME_SUITES.isdisjoint(config.suites[k + 1 :]):
-            run.frames.clear()
     checks.sort(key=lambda r: r.identity_name)
     verdict = "pass" if all(r.passed for r in checks) else "fail"
     return ReportDocument(

@@ -34,7 +34,6 @@ from .fibration import (
     FibrationModel,
     SectionMap,
     base_symplectic_form,
-    build_complex_triple,
     graph_frame_defect,
 )
 from .structures import (
@@ -219,23 +218,16 @@ def induced_vs_restriction(
     section: SectionMap,
     pt: Point,
     tolerance: float = Tolerances.fd,
-    *,
-    frame_defect: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> CheckReport:
     """Cross-check: I from the section formula against the first complex
-    structure restricted to the graph and pushed to the base.
+    structure, the model's J_omega, restricted to the graph and pushed to
+    the base.
 
     The projection kills the fibre components, so the pushed restriction is
     the base block of J applied to the FD graph frame.  Meaningful when the
     graph is invariant (the graph-frame defect is folded into the residual).
-    A caller that already holds ``graph_frame_defect(section, J_omega, pt)``
-    for the model's J_omega passes it as ``frame_defect``; otherwise it is
-    computed here.
     """
-    if frame_defect is None:
-        J = build_complex_triple(model).J_omega
-        frame_defect = graph_frame_defect(section, J, pt)
-    _, restriction, defect = frame_defect
+    _, restriction, defect = graph_frame_defect(section, model.complexes.J_omega, pt)
     agree = np.max(np.abs(restriction - induced_complex_structure(section, pt)))
     return _report(
         "matches_graph_restriction",

@@ -111,6 +111,29 @@ def test_failing_checks_exit_1_but_still_report(tmp_path):
     assert json.loads(report.read_text())["report"]["verdict"] == "fail"
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_an_unwritable_report_path_exits_2(tmp_path, capsys, source, target):
+    """A report path in a missing directory, or naming a directory, is a
+    usage error (exit 2) with one line on stderr, whether it comes from
+    ``--output`` or from the config's ``output`` key."""
+    path = tmp_path / "absent" / "report.json" if target == "missing-directory" else tmp_path
+    cfg = tmp_path / "cfg.json"
+    config = {"suites": ["lagrangian-fibres"]}
+    args = ["--config", str(cfg)]
+    if source == "flag":
+        args += ["--output", str(path)]
+    else:
+        config["output"] = str(path)
+    cfg.write_text(json.dumps(config))
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot write {path}: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_cli_flags_override_the_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "paper-n", "suites": ["lagrangian-fibres"]}))
@@ -438,6 +461,30 @@ def test_a_curved_section_is_differenced_only_for_its_graph_frame(tmp_path, caps
     checks = {c["identity"]: c for c in json.loads(report.read_text())["report"]["checks"]}
     assert checks["special_kahler.complex_structure_parallel"]["max_residual"] == 0.0
     assert not checks["special_kahler.squares_to_minus_identity"]["passed"]
+
+
+def test_a_default_run_reads_each_section_once_per_sample(capsys, monkeypatch):
+    """paper-n1: the zero and rotation sections are each read for their
+    values, exact fibre block and FD frame (3 + 3 polynomial calls), and the
+    rotation section for its second derivatives (1); the two FD frames are
+    the run's only stencils."""
+    counts = {"polynomial": 0, "stencil": 0}
+    call, stencil = Polynomial.__call__, calculus.stencil
+
+    def counting_call(poly, coords):
+        counts["polynomial"] += 1
+        return call(poly, coords)
+
+    def counting_stencil(*args, **kwargs):
+        counts["stencil"] += 1
+        return stencil(*args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__call__", counting_call)
+    monkeypatch.setattr(calculus, "stencil", counting_stencil)
+    monkeypatch.setattr(fibration, "stencil", counting_stencil)
+    assert main([]) == 0
+    capsys.readouterr()
+    assert counts == {"polynomial": 7, "stencil": 2}
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from hypersymplectic.fibration import (
     build_structure_triple,
     complex_submanifold_check,
     gradient_section,
+    graph_distance,
     holomorphic_frame_check,
     make_model,
     recursion_operator,
@@ -515,19 +516,16 @@ def test_graph_distance_matches_the_svd_formula(n):
             for k in range(len(D)):
                 for c in range(n2):
                     column = defect[k][:, [c]]
-                    distance = complex_submanifold_check(
-                        MODEL, None, None, None, frame_defect=(D[k], None, column)
-                    )
+                    distance = graph_distance(D[k], column)
                     assert distance == pytest.approx(reference[k, c], rel=1e-12, abs=0.0)
-            zero = complex_submanifold_check(
-                MODEL, None, None, None, frame_defect=(D, None, np.zeros_like(defect))
-            )
-            assert zero == 0.0
+            assert graph_distance(D, np.zeros_like(defect)) == 0.0
 
 
 def test_the_exact_fibre_block_is_read_once_per_sample(monkeypatch):
-    """A second read on the same Point object reuses the read-only block;
-    another Point object, even with equal coordinates, is evaluated anew."""
+    """Each read of a section on a Point object (its values, exact fibre block
+    and FD frame) costs one polynomial call and is kept read-only for the
+    next read of that object; another Point object, even with equal
+    coordinates, is read anew."""
     calls = []
     original = Polynomial.__call__
 
@@ -538,9 +536,37 @@ def test_the_exact_fibre_block_is_read_once_per_sample(monkeypatch):
     monkeypatch.setattr(Polynomial, "__call__", counting)
     rot = standard_sigma_section(MODEL)
     pts = MODEL.base_chart.sample(20, 3)
-    block = rot.fibre_jacobian(pts)
-    assert rot.fibre_jacobian(pts) is block
-    assert len(calls) == 1
-    assert not block.flags.writeable
-    np.testing.assert_array_equal(rot.fibre_jacobian(MODEL.base_chart.sample(20, 3)), block)
-    assert len(calls) == 2
+    reads = {
+        "evaluate": lambda pt: rot.evaluate(pt).coords,
+        "fibre_jacobian": rot.fibre_jacobian,
+        "fd_frame": rot.fd_frame,
+    }
+    kept = {}
+    for k, (kind, read) in enumerate(reads.items()):
+        kept[kind] = read(pts)
+        assert read(pts) is kept[kind], kind
+        assert not kept[kind].flags.writeable, kind
+        assert len(calls) == k + 1, kind
+    for kind, read in reads.items():
+        assert read(pts) is kept[kind], kind
+    assert len(calls) == 3
+    equal = MODEL.base_chart.sample(20, 3)
+    for kind, read in reads.items():
+        again = read(equal)
+        assert again is not kept[kind] and not again.flags.writeable, kind
+        np.testing.assert_array_equal(again, kept[kind])
+    assert len(calls) == 6
+    np.testing.assert_array_equal(kept["fd_frame"], rot.jacobian_fd(pts))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_model_builds_its_complex_structures_once(n):
+    """``model.complexes`` is built on first use, kept, and equals the
+    recursion operators of ``build_complex_triple`` entry for entry."""
+    model = make_model(n)
+    assert model.complexes is model.complexes
+    assert model.triple is model.triple
+    row = Point(model.total_chart, np.zeros((1, model.total_chart.dim)))
+    for kept, built in zip(model.complexes.endos(), build_complex_triple(model).endos()):
+        assert kept.name == built.name
+        np.testing.assert_array_equal(kept.matrix(row), built.matrix(row))
