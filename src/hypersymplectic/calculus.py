@@ -32,9 +32,9 @@ Conventions, fixed once for the whole package:
   matrices therefore reverses when read on covectors, which is why
   ``compose_covector`` exists.
 
-Every function here takes a ``Point`` whose coords may carry leading sample
-axes (see ``charts``) and returns values with those axes in front, or without
-them when every value it read was a constant.  ``vector_jacobian`` and
+A field reads a ``Point`` (see ``charts``) and returns values with its leading
+sample axes in front, or without them for a constant; ``exterior_derivative``
+takes such a table and keeps any leading axes.  ``vector_jacobian`` and
 ``lie_bracket`` are the single-point reference formulas: the tests contract
 the coordinate-frame table of ``structures.nijenhuis`` with two vector
 fields and compare it with the four-bracket composition built from them.
@@ -188,12 +188,11 @@ def form_matrix(form: DifferentialForm, pt: Point) -> np.ndarray:
     return form.value(pt)
 
 
-def exterior_derivative(form: DifferentialForm, pt: Point) -> np.ndarray:
-    """Exterior derivative of a 2-form as the full table
-    ``(d w)[..., i, j, k] = d_i w_jk - d_j w_ik + d_k w_ij``, exact when the
-    form carries its derivative, else from central differences."""
-    require_same_chart(form.chart, pt.chart)
-    dM = form.gradient(pt)  # dM[..., j, k, i] = d_i w_jk
+def exterior_derivative(dM: np.ndarray) -> np.ndarray:
+    """Exterior derivative of a 2-form from its derivative table
+    ``dM[..., j, k, i] = d_i w_jk`` (the form's ``gradient``), as the full
+    table ``(d w)[..., i, j, k] = d_i w_jk - d_j w_ik + d_k w_ij``, with the
+    leading axes of ``dM`` kept."""
     return np.einsum("...jki->...ijk", dM) - np.einsum("...ikj->...ijk", dM) + dM
 
 

@@ -80,16 +80,19 @@ class Chart:
         return 1e-5 * float(np.max(self.widths())) / 2.0
 
     def point(self, coords: Sequence[float]) -> "Point":
-        arr = np.asarray(coords, dtype=float)
+        """One point with read-only ``coords``, copied from ``coords``."""
+        arr = np.array(coords, dtype=float)
         if arr.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} coordinates, got shape {arr.shape}")
+        arr.flags.writeable = False
         return Point(self, arr)
 
     def sample(self, n_points: int = 100, seed: int = 42) -> "Point":
-        """Uniform draws from the box as one ``(n_points, dim)`` point; seeded
-        so every suite sees the same set."""
-        rng = np.random.default_rng(seed)
-        return Point(self, rng.uniform(self.lower, self.upper, size=(n_points, self.dim)))
+        """Uniform draws from the box as one ``(n_points, dim)`` point with
+        read-only ``coords``; seeded so every suite sees the same set."""
+        coords = np.random.default_rng(seed).uniform(self.lower, self.upper, (n_points, self.dim))
+        coords.flags.writeable = False
+        return Point(self, coords)
 
 
 @dataclass(frozen=True, eq=False)

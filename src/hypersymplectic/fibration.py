@@ -43,7 +43,6 @@ import numpy as np
 from .calculus import (
     DifferentialForm,
     EndomorphismField,
-    compose_covector,
     exterior_derivative,
     form_matrix,
     stencil,
@@ -58,7 +57,6 @@ from .structures import (
     CheckReport,
     FlatConnection,
     Tolerances,
-    almost_complex_residual,
     nijenhuis,
 )
 
@@ -204,68 +202,59 @@ def build_complex_triple(
     """Each complex structure as the recursion operator of the other two
     forms of ``triple`` (by default ``model.triple``): J_omega = R(chi, sigma),
     J_chi = R(omega, sigma), J_sigma = R(chi, omega), where R(f, g) =
-    M_f^{-1} M_g is ``recursion_operator(f, g)``.
+    M_f^{-1} M_g is ``recursion_operator``, taken once on the stacked pairs.
 
-    Each J is read once, on a one-row stack, and kept as a constant, which
-    is right only for constant forms: ValueError when a form's value carries
-    point axes.  Adding 0.0 turns the -0.0 entries of ``solve`` into +0.0.
+    The forms are read once, on a one-row stack, and each J is kept as a
+    constant, which is right only for constant forms: ValueError when a
+    form's value carries point axes.  Adding 0.0 turns the -0.0 entries of
+    ``solve`` into +0.0.
     """
     chart = model.total_chart
     triple = model.triple if triple is None else triple
     row = Point(chart, np.zeros((1, chart.dim)))
-
-    def derived(f: DifferentialForm, g: DifferentialForm, name: str) -> EndomorphismField:
-        J = recursion_operator(f, g, row)
-        if J.ndim != 2:
-            raise ValueError(f"{name} needs constant forms; {f.name} or {g.name} varies")
-        return EndomorphismField.constant(chart, J + 0.0, name=name)
-
+    values = [form_matrix(f, row) for f in triple.forms()]
+    varying = [f.name for f, M in zip(triple.forms(), values) if M.ndim != 2]
+    if varying:
+        raise ValueError(f"each complex structure needs constant forms; {varying[0]} varies")
+    M = np.stack(values)  # members omega, chi, sigma
+    J = recursion_operator(M[[1, 0, 1]], M[[2, 2, 0]]) + 0.0
+    names = ("J_omega", "J_chi", "J_sigma")
     return HyperComplexTriple(
-        J_omega=derived(triple.chi, triple.sigma, "J_omega"),
-        J_chi=derived(triple.omega, triple.sigma, "J_chi"),
-        J_sigma=derived(triple.chi, triple.omega, "J_sigma"),
+        *(EndomorphismField.constant(chart, J_k, name=name) for J_k, name in zip(J, names))
     )
 
 
-def recursion_operator(
-    omega: DifferentialForm, chi: DifferentialForm, pt: Point
-) -> np.ndarray:
-    """The endomorphism A with chi(X, Y) = omega(A X, Y) for all X, Y.
+def recursion_operator(M_f: np.ndarray, M_g: np.ndarray) -> np.ndarray:
+    """The endomorphisms A with g(X, Y) = f(A X, Y) for all X, Y, from the
+    form matrices of f and g, over any leading axes: A = M_f^{-1} M_g.
 
-    In matrices A = M_omega^{-1} M_chi; omega must be nondegenerate at every
-    point of ``pt``.
+    DegenerateFormError when some ``|det M_f|`` falls below 1e-12.
     """
-    M_omega = form_matrix(omega, pt)
-    M_chi = form_matrix(chi, pt)
-    smallest = float(np.min(np.abs(np.linalg.det(M_omega))))
+    smallest = float(np.min(np.abs(np.linalg.det(M_f))))
     if smallest < 1e-12:
         raise DegenerateFormError(
             f"recursion operator needs a nondegenerate base form; |det| = {smallest:.3e}"
         )
-    return np.linalg.solve(M_omega, M_chi)
+    # numpy < 2 reads a right-hand side with one axis fewer than M_f as vectors
+    return np.linalg.solve(*np.broadcast_arrays(M_f, M_g))
 
 
-def holomorphic_frame_check(
-    J: EndomorphismField, a: np.ndarray, b: np.ndarray, pt: Point
-) -> float:
-    """Check that each row pair (a_k, b_k) of the ``(k, dim)`` covector arrays
-    ``a`` and ``b`` spans a J-eigen coframe, a_k + i b_k.
+def holomorphic_frame_check(J: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Residual of each row pair (a_k, b_k) of the ``(..., k, dim)`` covector
+    arrays ``a`` and ``b`` as a coframe a_k + i b_k of the complex structure
+    whose vector-action matrices ``J`` holds: the table ``(..., k)``, over the
+    leading axes of all three.
 
     For each pair the residual is min over s in {+1, -1} of
     ``|J a - s (-b)| + |J b - s a|`` in the covector action; s = +1 matches
     J a = -b (the pair represents a holomorphic differential), s = -1 the
-    conjugate orientation.  Every covector goes through one product with the
-    covector matrix; returns the worst residual over pairs and points.
+    conjugate orientation.  Every covector goes through one product with J.
     """
-    k = len(a)
-    covectors = np.concatenate([a, b])  # [2k, dim]: the rows of a, then of b
-    moved = covectors @ transpose(J.covector_matrix(pt))  # row r is C @ covectors[r]
-    target = np.concatenate([-b, a])  # J a = s (-b) and J b = s a
-    residuals = []
-    for s in (1, -1):
-        norms = np.sqrt(np.sum((moved - s * target) ** 2, axis=-1))
-        residuals.append(norms[..., :k] + norms[..., k:])  # |J a - s (-b)| + |J b - s a|
-    return float(np.max(np.minimum(*residuals)))
+    k = a.shape[-2]
+    moved = np.concatenate([a, b], axis=-2) @ J  # J^T on each row of a, then of b
+    target = np.concatenate([-b, a], axis=-2)  # J a = s (-b) and J b = s a
+    norms = [np.sqrt(np.sum((moved - s * target) ** 2, axis=-1)) for s in (1, -1)]
+    return np.minimum(*(r[..., :k] + r[..., k:] for r in norms))  # |J a - s (-b)| + |J b - s a|
 
 
 def standard_frame_pairs(model: FibrationModel) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -300,6 +289,19 @@ def verify_lagrangian_fibres(
     )
 
 
+def _members(arrays: list[np.ndarray], rank: int) -> np.ndarray:
+    """``arrays``, each with ``rank`` value axes, stacked on a new member axis
+    just before the value axes, their leading axes broadcast together."""
+    return np.stack(np.broadcast_arrays(*arrays), axis=-rank - 1)
+
+
+def _worst(table: np.ndarray, rank: int) -> list[float]:
+    """The largest ``|entry|`` of each member of ``table``, whose member axis
+    sits just before its ``rank`` value axes."""
+    member = table.ndim - rank - 1
+    return np.max(np.abs(table), axis=tuple(i for i in range(table.ndim) if i != member)).tolist()
+
+
 def verify_hypersymplectic(
     model: FibrationModel,
     n_points: int = DEFAULT_POINTS,
@@ -316,12 +318,27 @@ def verify_hypersymplectic(
     A caller that already holds the sample ``total_chart.sample(n_points,
     seed)`` passes it in, and a hand-built triple of forms or of complex
     structures replaces the model's; the complex structures of a hand-built
-    ``triple`` are derived from it."""
+    ``triple`` are derived from it.  Each family is read once, stacked on a
+    member axis, and each identity is one call on the stacks."""
     pt = model.total_chart.sample(n_points, seed) if pt is None else pt
     if complexes is None and triple is not None:
         complexes = build_complex_triple(model, triple=triple)
     triple = model.triple if triple is None else triple
     complexes = model.complexes if complexes is None else complexes
+    forms, endos = triple.forms(), complexes.endos()
+    M = _members([form_matrix(f, pt) for f in forms], 2)
+    J = _members([E.matrix(pt) for E in endos], 2)
+    pairs = standard_frame_pairs(model)
+    a, b = (np.stack(side) for side in zip(*(pairs[E.name] for E in endos)))
+    first, second = [0, 0, 1], [1, 2, 2]  # the member pairs (0, 1), (0, 2), (1, 2)
+    closures = _worst(exterior_derivative(_members([f.gradient(pt) for f in forms], 3)), 3)
+    min_dets = np.abs(np.linalg.det(M)).reshape(-1, 3).min(axis=0).tolist()
+    A = recursion_operator(M[..., first, :, :], M[..., second, :, :])
+    squares = _worst(A @ A + np.eye(A.shape[-1]), 2)
+    C = transpose(J)  # the covector action
+    Ca, Cb = C[..., first, :, :], C[..., second, :, :]
+    anticommutators = _worst(Ca @ Cb + Cb @ Ca, 2)
+    tensors = _worst(nijenhuis(J, _members([E.gradient(pt) for E in endos], 3)), 3)
     reports: list[CheckReport] = []
 
     def report(name: str, residual: float, tolerance: float, statement: str) -> None:
@@ -331,12 +348,10 @@ def verify_hypersymplectic(
             )
         )
 
-    for f in triple.forms():
-        closure = float(np.max(np.abs(exterior_derivative(f, pt))))
+    for f, closure, min_det in zip(forms, closures, min_dets):
         report(
             f"closed.{f.name}", closure, tolerances.fd, f"d({f.name}) = 0 under central differences"
         )
-        min_det = float(np.min(np.abs(np.linalg.det(form_matrix(f, pt)))))
         report(
             f"nondegenerate.{f.name}",
             tolerances.nondegeneracy - min_det,
@@ -344,44 +359,37 @@ def verify_hypersymplectic(
             f"|det| of the {f.name} matrix stays above {tolerances.nondegeneracy:g} "
             f"(minimum seen: {min_det:g})",
         )
-
-    for a, b in itertools.combinations(("omega", "chi", "sigma"), 2):
-        A = recursion_operator(getattr(triple, a), getattr(triple, b), pt)
+    for (f, g), square in zip(itertools.combinations(("omega", "chi", "sigma"), 2), squares):
         report(
-            f"recursion_squares.{a}_{b}",
-            almost_complex_residual(A),
+            f"recursion_squares.{f}_{g}",
+            square,
             tolerances.algebraic,
-            f"the recursion operator of ({a}, {b}) squares to minus the identity",
+            f"the recursion operator of ({f}, {g}) squares to minus the identity",
         )
-
-    covector_matrices = [(J.name, J.covector_matrix(pt)) for J in complexes.endos()]
-    for (a, Ca), (b, Cb) in itertools.combinations(covector_matrices, 2):
+    for (E, F), anticommutator in zip(itertools.combinations(endos, 2), anticommutators):
         report(
-            f"anticommute.{a}_{b}",
-            float(np.max(np.abs(Ca @ Cb + Cb @ Ca))),
+            f"anticommute.{E.name}_{F.name}",
+            anticommutator,
             tolerances.algebraic,
-            f"{a} and {b} anticommute in the covector action",
+            f"{E.name} and {F.name} anticommute in the covector action",
         )
-
-    pairs = standard_frame_pairs(model)
-    for J in complexes.endos():
+    for E, tensor, frame in zip(endos, tensors, _worst(holomorphic_frame_check(J, a, b), 1)):
         report(
-            f"nijenhuis.{J.name}",
-            float(np.max(np.abs(nijenhuis(J, pt)))),
+            f"nijenhuis.{E.name}",
+            tensor,
             tolerances.fd,
-            f"Nijenhuis tensor of {J.name} vanishes on the coordinate frame",
+            f"Nijenhuis tensor of {E.name} vanishes on the coordinate frame",
         )
         report(
-            f"holomorphic_frame.{J.name}",
-            holomorphic_frame_check(J, *pairs[J.name], pt),
+            f"holomorphic_frame.{E.name}",
+            frame,
             tolerances.algebraic,
-            f"the standard coframe pairs diagonalize {J.name}",
+            f"the standard coframe pairs diagonalize {E.name}",
         )
-
-    composite = compose_covector(complexes.J_omega, complexes.J_chi)
+    # J_omega, then J_chi, in the covector action: the matrices J_chi @ J_omega
     report(
         "composition.sigma_from_omega_chi",
-        float(np.max(np.abs(composite.matrix(pt) - complexes.J_sigma.matrix(pt)))),
+        float(np.max(np.abs(J[..., 1, :, :] @ J[..., 0, :, :] - J[..., 2, :, :]))),
         tolerances.algebraic,
         "J_omega composed with J_chi in the covector action equals J_sigma, "
         "the recursion operator of (chi, omega)",

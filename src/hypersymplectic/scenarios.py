@@ -419,14 +419,7 @@ class _RunInputs:
 
 
 def _suite_hypersymplectic(run: _RunInputs) -> list[CheckReport]:
-    config = run.config
-    return verify_hypersymplectic(
-        run.model,
-        n_points=config.sampling.n_points,
-        seed=config.sampling.seed,
-        tolerances=config.tolerances,
-        pt=run.total_pt,
-    )
+    return verify_hypersymplectic(run.model, tolerances=run.config.tolerances, pt=run.total_pt)
 
 
 def _suite_lagrangian_fibres(run: _RunInputs) -> list[CheckReport]:
@@ -439,12 +432,10 @@ def _suite_lagrangian_fibres(run: _RunInputs) -> list[CheckReport]:
 
 def _suite_sections(run: _RunInputs) -> list[CheckReport]:
     config, model, pt = run.config, run.model, run.base_pt
-    triple = model.triple
-    named_forms = {"omega": triple.omega, "chi": triple.chi, "sigma": triple.sigma}
     named_endos = {J.name: J for J in model.complexes.endos()}
     reports = []
     for section, form_name in run.sections:
-        form = named_forms[form_name]
+        form = getattr(model.triple, form_name)
         table = section_pullback(model, section, form, pt)
         worst = float(np.max(np.abs(list(table.values()))))
         reports.append(

@@ -140,7 +140,9 @@ def special_symplectic_check(
     """Reports for: flat (``tolerances.nested_fd``), torsion-free and
     I^2 = -Id (``tolerances.algebraic``), Omega and I parallel
     (``PARALLEL_TOL``)."""
-    conn = data.connection
+    conn, Omega, I = data.connection, data.Omega, data.I
+    G, M_I = conn.gamma(pt), I.matrix(pt)
+    parallel_Omega = covariant_constancy(G, form_matrix(Omega, pt), Omega.gradient(pt))
     return [
         _report(
             "connection_flat",
@@ -159,7 +161,7 @@ def special_symplectic_check(
         _report(
             "base_form_parallel",
             pt,
-            float(np.max(np.abs(covariant_constancy(conn, data.Omega, pt)))),
+            float(np.max(np.abs(parallel_Omega))),
             PARALLEL_TOL,
             "the base symplectic form is parallel for the flat connection",
         ),
@@ -167,14 +169,14 @@ def special_symplectic_check(
         _report(
             "complex_structure_parallel",
             pt,
-            float(np.max(np.abs(d_nabla_endo(conn, data.I, pt)))),
+            float(np.max(np.abs(d_nabla_endo(G, M_I, I.gradient(pt))))),
             PARALLEL_TOL,
             "the exterior covariant derivative of I vanishes on the coordinate frame",
         ),
         _report(
             "squares_to_minus_identity",
             pt,
-            almost_complex_residual(data.I.matrix(pt)),
+            almost_complex_residual(M_I),
             tolerances.algebraic,
             "the induced endomorphism squares to minus the identity",
         ),

@@ -14,17 +14,18 @@ The suites (``fibration.verify_hypersymplectic``,
 ``special_kahler.special_symplectic_check``, ...) build each report straight
 from the primitive that measures it.
 
-The primitives take their sample as one stacked ``(N, dim)`` point (see
-``charts``) and evaluate every field on the whole stack.  The connection is
-a ``calculus.TensorField`` of rank 3, like the forms and endomorphisms it
-acts on, and every derivative is the field's ``gradient``: a field built by
-``constant`` (every form and complex structure of the model, the zero
-connection) and the induced I of every section carry their exact derivative
-and are not differenced at all, and any other field is evaluated once on all
-central-stencil shifts of the sample, stepped by the sample's chart
-(``Chart.fd_step``), so a primitive costs a fixed number of evaluator calls
-whatever the sample size.  A constant field keeps no point axes, so it and
-its derivative table hold one copy for the whole sample.
+The primitives take the arrays a caller reads once from its fields on a
+stacked sample (see ``charts``), values and ``gradient`` tables, broadcast
+over any leading axes and keep them in the table the caller reduces.  The
+connection is a ``calculus.TensorField`` of rank 3, like the forms and
+endomorphisms it acts on, and every derivative is the field's ``gradient``:
+a field built by ``constant`` (every form and complex structure of the
+model, the zero connection) and the induced I of every section carry their
+exact derivative and are not differenced at all, and any other field is
+evaluated once on all central-stencil shifts of the sample, stepped by the
+sample's chart (``Chart.fd_step``), so a read costs a fixed number of
+evaluator calls whatever the sample size.  A constant field keeps no point
+axes, so it and its derivative table hold one copy for the whole sample.
 
 The tensor identities (``d_nabla_endo``, ``nijenhuis``) are evaluated on the
 coordinate frame: each returns the full table of the tensor's components at
@@ -42,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import DifferentialForm, EndomorphismField, TensorField, form_matrix
-from .charts import Chart, Point, require_same_chart
+from .calculus import TensorField
+from .charts import Chart, Point
 
 DEFAULT_POINTS = 100
 MAX_POINTS = 10**6  # the largest sample a configuration may ask for
@@ -160,22 +161,22 @@ def _curvature(dG_l: np.ndarray, G_l: np.ndarray, G: np.ndarray) -> np.ndarray:
     return R
 
 
-def covariant_constancy(conn: FlatConnection, form: DifferentialForm, pt: Point) -> np.ndarray:
-    """Residual table ``(nabla_i T)_{jk}`` of a 2-form T, shape ``(..., i, j, k)``.
+def covariant_constancy(G: np.ndarray, T: np.ndarray, dT: np.ndarray) -> np.ndarray:
+    """Residual table ``(nabla_i T)_{jk}`` of a 2-form, shape ``(..., i, j, k)``,
+    from the Christoffel table ``G``, the form's matrices ``T`` and its
+    ``gradient`` ``dT[..., j, k, i] = d_i T_jk``.
 
     Zero everywhere iff the form is parallel for the connection at the point.
     """
-    require_same_chart(conn.chart, form.chart)
-    T = form_matrix(form, pt)
-    dT = np.moveaxis(form.gradient(pt), -1, -3)
-    G = conn.gamma(pt)
     corr1 = np.einsum("...lij,...lk->...ijk", G, T)
     corr2 = np.einsum("...lik,...jl->...ijk", G, T)
-    return dT - corr1 - corr2
+    return np.moveaxis(dT, -1, -3) - corr1 - corr2
 
 
-def d_nabla_endo(conn: FlatConnection, I: EndomorphismField, pt: Point) -> np.ndarray:
-    """Exterior covariant derivative of an endomorphism on the coordinate frame.
+def d_nabla_endo(G: np.ndarray, I: np.ndarray, dI: np.ndarray) -> np.ndarray:
+    """Exterior covariant derivative of an endomorphism on the coordinate frame,
+    from the Christoffel table ``G``, the matrices ``I`` and their ``gradient``
+    ``dI[..., k, b, a] = d_a I_kb``.
 
     ``table[..., a, b, :] = d_nabla I (e_a, e_b) = (nabla_a I) e_b - (nabla_b I) e_a``
     with
@@ -186,20 +187,18 @@ def d_nabla_endo(conn: FlatConnection, I: EndomorphismField, pt: Point) -> np.nd
     formed by matrix products over every a at once.
 
     d_nabla I is a tensor, so the frame table determines it on every pair of
-    fields.  I is read at ``pt`` and, unless it carries its exact derivative,
-    once on the whole central stencil, however many points ``pt`` stacks.
+    fields.
     """
-    require_same_chart(conn.chart, I.chart)
-    I_pt = I.matrix(pt)[..., None, :, :]
-    dI = I.gradient(pt)  # dI[..., k, b, a] = d_a I_kb
-    G_a = np.moveaxis(conn.gamma(pt), -2, -3)  # G_a[..., a, k, j] = Gamma^k_aj
-    nabla = np.moveaxis(dI, -1, -3) + G_a @ I_pt - I_pt @ G_a  # [..., a, k, b]
+    I = I[..., None, :, :]
+    G_a = np.moveaxis(G, -2, -3)  # G_a[..., a, k, j] = Gamma^k_aj
+    nabla = np.moveaxis(dI, -1, -3) + G_a @ I - I @ G_a  # [..., a, k, b]
     nabla = np.swapaxes(nabla, -1, -2)
     return nabla - np.swapaxes(nabla, -3, -2)
 
 
-def nijenhuis(J: EndomorphismField, pt: Point) -> np.ndarray:
-    """Nijenhuis tensor of J on the coordinate frame:
+def nijenhuis(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
+    """Nijenhuis tensor on the coordinate frame, from the matrices ``J`` and
+    their ``gradient`` ``dJ[..., k, b, m] = d_m J^k_b``:
     ``table[..., k, a, b] = N_J(e_a, e_b)^k``, where
 
         N_J(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] + J^2 [X, Y].
@@ -207,12 +206,9 @@ def nijenhuis(J: EndomorphismField, pt: Point) -> np.ndarray:
     Coordinate fields commute, so the four brackets reduce to
     ``N^k_ab = A^k_ab - A^k_ba`` with ``A^k_ab = J^m_a d_m J^k_b + J^k_m d_b J^m_a``.
     N_J is a tensor, so the frame table determines it on every pair of
-    fields.  J is read at ``pt`` and, unless it carries its exact derivative,
-    once on the whole central stencil, however many points ``pt`` stacks.
+    fields.
     """
-    J_pt = J.matrix(pt)
-    dJ = J.gradient(pt)  # dJ[..., k, b, m] = d_m J^k_b
-    A = np.einsum("...ma,...kbm->...kab", J_pt, dJ) + np.einsum("...km,...mab->...kab", J_pt, dJ)
+    A = np.einsum("...ma,...kbm->...kab", J, dJ) + np.einsum("...km,...mab->...kab", J, dJ)
     return A - np.swapaxes(A, -1, -2)
 
 

@@ -56,7 +56,7 @@ def test_evaluation_uses_the_determinant_convention():
 def test_exterior_derivative_of_linear_coefficient():
     # d(u dv^dw) = du ^ dv ^ dw: the full table is totally antisymmetric
     beta = vw_form(lambda pt: pt.coords[..., 0])
-    table = exterior_derivative(beta, CUBE.point([0.3, -0.4, 0.2]))
+    table = exterior_derivative(beta.gradient(CUBE.point([0.3, -0.4, 0.2])))
     assert table.shape == (3, 3, 3)
     for (i, j, k), sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((1, 0, 2), -1), ((2, 1, 0), -1)):
         assert table[i, j, k] == pytest.approx(sign, abs=1e-10)
@@ -67,13 +67,13 @@ def test_exterior_derivative_quadratic_coefficient():
     # d(u^2 dv^dw) = 2u du ^ dv ^ dw
     beta = vw_form(lambda pt: pt.coords[..., 0] ** 2)
     for u in (-0.8, 0.0, 0.55):
-        table = exterior_derivative(beta, CUBE.point([u, 0.1, -0.3]))
+        table = exterior_derivative(beta.gradient(CUBE.point([u, 0.1, -0.3])))
         assert table[0, 1, 2] == pytest.approx(2 * u, abs=1e-6)
 
 
 def test_exterior_derivative_detects_non_closed():
     beta = vw_form(lambda pt: pt.coords[..., 0])
-    table = exterior_derivative(beta, CUBE.point([0.0, 0.0, 0.0]))
+    table = exterior_derivative(beta.gradient(CUBE.point([0.0, 0.0, 0.0])))
     assert abs(table[0, 1, 2]) > 0.5
 
 
@@ -81,10 +81,10 @@ def test_constant_forms_are_closed_exactly():
     M = np.zeros((4, 4))
     M[0, 1], M[2, 3] = 1.0, -1.0
     area = DifferentialForm.constant(SPACE, M - M.T)
-    table = exterior_derivative(area, SPACE.point([0.2, 0.1, -0.3, 0.4]))
+    table = exterior_derivative(area.gradient(SPACE.point([0.2, 0.1, -0.3, 0.4])))
     assert np.all(table == 0.0)
     # a constant form keeps no point axes, on a stack too
-    assert exterior_derivative(area, SPACE.sample(5, 1)).shape == (4, 4, 4)
+    assert exterior_derivative(area.gradient(SPACE.sample(5, 1))).shape == (4, 4, 4)
 
 
 def test_lie_bracket_fixture():

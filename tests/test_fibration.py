@@ -30,6 +30,7 @@ from hypersymplectic.fibration import (
 from hypersymplectic.polynomials import Polynomial
 from hypersymplectic.structures import SECTION_PULLBACK_TOL
 from test_acceptance import _corpus
+from test_structures import assert_members_match
 
 MODEL = make_model(1)
 TRIPLE = build_structure_triple(MODEL)
@@ -142,7 +143,7 @@ def test_composite_covector_table():
 
 def test_recursion_operator_fixture():
     pt = total_point([0.5, 0.5, 3.0, 3.0])
-    A = recursion_operator(TRIPLE.omega, TRIPLE.chi, pt)
+    A = recursion_operator(form_matrix(TRIPLE.omega, pt), form_matrix(TRIPLE.chi, pt))
     assert np.allclose(A, RECURSION, atol=1e-14)
     assert np.allclose(A @ A, -np.eye(4), atol=1e-14)
 
@@ -151,8 +152,9 @@ def test_recursion_operator_rejects_degenerate_input():
     dx_dy = np.zeros((4, 4))
     dx_dy[0, 1], dx_dy[1, 0] = 1.0, -1.0
     degenerate = DifferentialForm.constant(MODEL.total_chart, dx_dy)
+    pt = total_point([0, 0, 1, 1])
     with pytest.raises(DegenerateFormError):
-        recursion_operator(degenerate, TRIPLE.chi, total_point([0, 0, 1, 1]))
+        recursion_operator(form_matrix(degenerate, pt), form_matrix(TRIPLE.chi, pt))
 
 
 def test_fibres_are_lagrangian_for_omega_and_sigma_but_not_chi():
@@ -169,9 +171,9 @@ def test_holomorphic_frames():
     pt = total_point([0.2, 0.4, 1.0, 2.0])
     for key, J in (("J_omega", COMPLEXES.J_omega), ("J_chi", COMPLEXES.J_chi),
                    ("J_sigma", COMPLEXES.J_sigma)):
-        assert holomorphic_frame_check(J, *pairs[key], pt) == 0.0
+        assert np.max(holomorphic_frame_check(J.matrix(pt), *pairs[key])) == 0.0
     # a mismatched pair is caught
-    assert holomorphic_frame_check(COMPLEXES.J_omega, *pairs["J_chi"], pt) > 1.0
+    assert np.max(holomorphic_frame_check(COMPLEXES.J_omega.matrix(pt), *pairs["J_chi"])) > 1.0
 
 
 def test_frame_pairs_are_coordinate_covector_arrays():
@@ -191,16 +193,20 @@ def test_holomorphic_frame_check_over_pairs_is_the_worst_single_pair():
     B = np.random.default_rng(9).uniform(-1, 1, (8, 8))
     J_chi = build_complex_triple(model).J_chi
     J = EndomorphismField(chart, lambda p: J_chi.matrix(p) + p.coords[..., :1, None] * B)
-    pt = chart.sample(5, 12)
+    M_J = J.matrix(chart.sample(5, 12))
     for key, (a, b) in standard_frame_pairs(model).items():
-        worst = holomorphic_frame_check(J, a, b, pt)
-        singles = [holomorphic_frame_check(J, a[k : k + 1], b[k : k + 1], pt) for k in range(len(a))]
+        worst = np.max(holomorphic_frame_check(M_J, a, b))
+        singles = [
+            np.max(holomorphic_frame_check(M_J, a[k : k + 1], b[k : k + 1])) for k in range(len(a))
+        ]
         assert worst == max(singles) > 0.0, key
 
 
 def test_stacked_recursion_and_frames_match_single_points():
     """Non-constant forms and a non-constant J, evaluated on a stack of points,
-    return row for row their single-point values."""
+    return row for row their single-point values; and stacked on a member
+    axis, with the model's forms and J's at n = 1..4, member for member their
+    single-member values."""
     chart = MODEL.total_chart
     x, q = (lambda p: p.coords[..., 0]), (lambda p: p.coords[..., 3])
 
@@ -221,19 +227,43 @@ def test_stacked_recursion_and_frames_match_single_points():
     J = EndomorphismField(
         chart, lambda p: COMPLEXES.J_chi.matrix(p) + x(p)[..., None, None] * B
     )
-    pairs = standard_frame_pairs(MODEL)["J_chi"]
+    pairs = standard_frame_pairs(MODEL)
     stacked = chart.sample(6, 31)
-    rows = recursion_operator(omega, chi, stacked)
-    frames = holomorphic_frame_check(J, *pairs, stacked)
+    rows = recursion_operator(form_matrix(omega, stacked), form_matrix(chi, stacked))
+    frames = holomorphic_frame_check(J.matrix(stacked), *pairs["J_chi"])
     lagrangian = verify_lagrangian_fibres(MODEL, omega, stacked)
     for r, pt in enumerate(stacked):
-        assert np.array_equal(rows[r], recursion_operator(omega, chi, pt))
-    assert frames == max(holomorphic_frame_check(J, *pairs, pt) for pt in stacked)
-    assert frames > 0.1
+        single = recursion_operator(form_matrix(omega, pt), form_matrix(chi, pt))
+        assert np.array_equal(rows[r], single)
+        assert np.array_equal(frames[r], holomorphic_frame_check(J.matrix(pt), *pairs["J_chi"]))
+    assert np.max(frames) == max(
+        np.max(holomorphic_frame_check(J.matrix(pt), *pairs["J_chi"])) for pt in stacked
+    )
+    assert np.max(frames) > 0.1
     assert lagrangian.max_residual == max(
         verify_lagrangian_fibres(MODEL, omega, Point(chart, pt.coords[None])).max_residual
         for pt in stacked
     )
+
+    # members (omega, omega, TRIPLE.chi) against (chi, sigma, omega), and
+    # (J, J_omega, J) with the pairs of J_chi, J_omega, J_sigma: varying and
+    # constant members mixed
+    M_omega, M_chi = form_matrix(omega, stacked), form_matrix(chi, stacked)
+    M_f = [M_omega, M_omega, form_matrix(TRIPLE.chi, stacked)]
+    M_g = [M_chi, form_matrix(TRIPLE.sigma, stacked), M_omega]
+    assert_members_match(recursion_operator, [M_f, M_g], (2, 2), 2)
+    endos = [J.matrix(stacked), COMPLEXES.J_omega.matrix(stacked), J.matrix(stacked)]
+    a, b = zip(pairs["J_chi"], pairs["J_omega"], pairs["J_sigma"])
+    assert_members_match(holomorphic_frame_check, [endos, a, b], (2, 2, 2), 1)
+    for n in (1, 2, 3, 4):
+        model = make_model(n)
+        pt = model.total_chart.sample(4, n)
+        M = [form_matrix(f, pt) for f in model.triple.forms()]
+        assert_members_match(recursion_operator, [[M[1], M[0], M[1]], [M[2], M[2], M[0]]], (2, 2), 2)
+        endos = model.complexes.endos()
+        a, b = zip(*(standard_frame_pairs(model)[E.name] for E in endos))
+        matrices = [E.matrix(pt) for E in endos]
+        assert_members_match(holomorphic_frame_check, [matrices, a, b], (2, 2, 2), 1)
 
 
 def test_verify_derives_the_complex_structures_of_the_triple_it_is_given():
@@ -246,7 +276,8 @@ def test_verify_derives_the_complex_structures_of_the_triple_it_is_given():
     derived = build_complex_triple(MODEL, triple=doubled)
     others = ((doubled.chi, doubled.sigma), (doubled.omega, doubled.sigma), (chi, doubled.omega))
     for J, (f, g) in zip(derived.endos(), others):
-        assert np.array_equal(J.matrix(pt), recursion_operator(f, g, pt)), J.name
+        R = recursion_operator(form_matrix(f, pt), form_matrix(g, pt))
+        assert np.array_equal(J.matrix(pt), R), J.name
     assert np.array_equal(derived.J_omega.matrix(pt), COMPLEXES.J_omega.matrix(pt) / 2)
     reports = verify_hypersymplectic(MODEL, pt=pt, triple=doubled)
     assert reports == verify_hypersymplectic(MODEL, pt=pt, triple=doubled, complexes=derived)
@@ -557,6 +588,25 @@ def test_the_exact_fibre_block_is_read_once_per_sample(monkeypatch):
         np.testing.assert_array_equal(again, kept[kind])
     assert len(calls) == 6
     np.testing.assert_array_equal(kept["fd_frame"], rot.jacobian_fd(pts))
+
+
+def test_a_sample_cannot_be_written_after_a_section_read_it():
+    """A section keeps its reads per Point object, so the coordinates of a
+    sample or a point are read-only: writing them after a read would leave
+    the kept values stale.  ``Chart.point`` copies, so the caller's array
+    stays writeable and the point does not follow it."""
+    section = standard_sigma_section(MODEL)
+    pt = MODEL.base_chart.sample(3, 1)
+    section.evaluate(pt)
+    with pytest.raises(ValueError, match="read-only"):
+        pt.coords[:] = 0.5
+    coords = np.array([0.1, 0.2])
+    single = MODEL.base_chart.point(coords)
+    section.fibre_jacobian(single)
+    with pytest.raises(ValueError, match="read-only"):
+        single.coords[0] = 0.5
+    coords[0] = 0.5
+    assert single.coords[0] == 0.1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -138,7 +138,7 @@ def test_non_parallel_almost_complex_structure_fails_the_parallel_check():
     data = non_parallel_data()
     I = data.I
     for pt in islice(POINTS, 5):
-        table = d_nabla_endo(data.connection, I, pt)
+        table = d_nabla_endo(data.connection.gamma(pt), I.matrix(pt), I.gradient(pt))
         assert np.allclose(table[0, 1], [-2.0 * pt.coords[0], 0.0], rtol=0.0, atol=1e-9)
     by_name = {r.identity_name: r for r in special_symplectic_check(data, POINTS)}
     assert by_name["special_kahler.squares_to_minus_identity"].passed

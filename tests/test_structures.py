@@ -12,6 +12,7 @@ from hypersymplectic.calculus import (
     stencil,
 )
 from hypersymplectic.charts import Chart, Point
+from hypersymplectic.errors import DegenerateFormError
 from hypersymplectic.fibration import (
     HyperComplexTriple,
     HyperSymplecticTriple,
@@ -53,6 +54,33 @@ def cube_form(pt):
     M = np.zeros(pt.batch_shape + (3, 3))
     M[..., 1, 2], M[..., 2, 0], M[..., 0, 1] = v**3, u * v * w, 1.0 + u**2
     return M - np.swapaxes(M, -1, -2)
+
+
+def varying_christoffel(pt):
+    """A torsion-free Gamma on any chart: Gamma^0_01 = Gamma^0_10 = x_0,
+    Gamma^last_last,last = x_1^2."""
+    dim = pt.coords.shape[-1]
+    G = np.zeros(pt.batch_shape + (dim,) * 3)
+    G[..., 0, 0, 1] = G[..., 0, 1, 0] = pt.coords[..., 0]
+    G[..., -1, -1, -1] = pt.coords[..., 1] ** 2
+    return G
+
+
+def assert_members_match(primitive, args, ranks, out_rank):
+    """``primitive`` on member stacks equals, member by member, ``primitive``
+    on each member alone.  ``args`` holds one list of member arrays per
+    argument; the arrays of argument i have ``ranks[i]`` value axes and are
+    stacked on a member axis just before them, their leading axes broadcast;
+    the result's member axis sits before its ``out_rank`` value axes."""
+    stacks = [
+        np.stack(np.broadcast_arrays(*arrays), axis=-rank - 1) for arrays, rank in zip(args, ranks)
+    ]
+    table = primitive(*stacks)
+    assert table.shape[-out_rank - 1] == len(args[0]), primitive.__name__
+    for m, single_args in enumerate(zip(*args)):
+        member = np.take(table, m, axis=-out_rank - 1)
+        single = primitive(*single_args)
+        assert np.array_equal(member, np.broadcast_to(single, member.shape)), primitive.__name__
 
 
 def test_report_pass_boundary():
@@ -106,9 +134,12 @@ def test_covariant_constancy_flags_varying_forms():
     conn = FlatConnection.zero(PLANE)
     pt = PLANE.point([0.1, 0.4])
     constant = DifferentialForm.constant(PLANE, [[0.0, 2.5], [-2.5, 0.0]])
-    assert np.max(np.abs(covariant_constancy(conn, constant, pt))) == 0.0
+    G = conn.gamma(pt)
+    table = covariant_constancy(G, form_matrix(constant, pt), constant.gradient(pt))
+    assert np.max(np.abs(table)) == 0.0
     varying = area_form(PLANE, lambda p: 1.0 + p.coords[..., 0])
-    assert np.max(np.abs(covariant_constancy(conn, varying, pt))) > 0.5
+    table = covariant_constancy(G, form_matrix(varying, pt), varying.gradient(pt))
+    assert np.max(np.abs(table)) > 0.5
 
 
 def curved_I(pt):
@@ -198,7 +229,7 @@ def test_d_nabla_endo_matches_the_pairwise_formula():
     conn = FlatConnection(PLANE, symmetric_christoffel)
     I = EndomorphismField(PLANE, curved_I)
     for pt in PLANE.sample(10, 11):
-        table = d_nabla_endo(conn, I, pt)
+        table = d_nabla_endo(conn.gamma(pt), I.matrix(pt), I.gradient(pt))
         assert table.shape == (2, 2, 2)
         G, M = symmetric_christoffel(pt), curved_I(pt)
 
@@ -237,10 +268,10 @@ def test_fd_identities_evaluate_once_per_stencil_point(dim):
     for n_points in sizes:
         pt = chart.sample(n_points, seed=dim)
         calls.clear()
-        d_nabla_endo(FlatConnection.zero(chart), J, pt)
+        d_nabla_endo(FlatConnection.zero(chart).gamma(pt), J.matrix(pt), J.gradient(pt))
         counts[n_points, "d_nabla_endo"] = len(calls)
         calls.clear()
-        nijenhuis(J, pt)
+        nijenhuis(J.matrix(pt), J.gradient(pt))
         counts[n_points, "nijenhuis"] = len(calls)
     for name in ("d_nabla_endo", "nijenhuis"):
         assert max(counts[n, name] for n in sizes) <= 2, name
@@ -275,7 +306,7 @@ def test_nijenhuis_agrees_with_the_bracket_composition():
             - J_pt @ lie_bracket(X, JY, pt)
             + J_pt @ J_pt @ lie_bracket(X, Y, pt)
         )
-        table = nijenhuis(J, pt)
+        table = nijenhuis(J_pt, J.gradient(pt))
         assert table.shape == (4, 4, 4)
         contracted = np.einsum("kab,a,b->k", table, X.value(pt), Y.value(pt))
         assert np.allclose(contracted, reference, rtol=0.0, atol=1e-8)
@@ -293,8 +324,10 @@ def test_stacked_primitives_match_single_points():
     area = area_form(PLANE, lambda p: 1.0 + u(p) ** 2 * v(p))
     stacked = PLANE.sample(6, 21)
     primitives = {
-        "d_nabla_endo": lambda pt: d_nabla_endo(conn, I, pt),
-        "covariant_constancy": lambda pt: covariant_constancy(conn, area, pt),
+        "d_nabla_endo": lambda pt: d_nabla_endo(conn.gamma(pt), I.matrix(pt), I.gradient(pt)),
+        "covariant_constancy": lambda pt: covariant_constancy(
+            conn.gamma(pt), form_matrix(area, pt), area.gradient(pt)
+        ),
         "form_matrix": lambda pt: form_matrix(area, pt),
         "stencil": lambda pt: stencil(I.matrix, pt, (2, 2)),
     }
@@ -314,18 +347,37 @@ def test_stacked_primitives_match_single_points():
 
     J = EndomorphismField(SPACE, nonconstant_J)
     stacked = SPACE.sample(5, 12)
-    rows = nijenhuis(J, stacked)
+    rows = nijenhuis(J.matrix(stacked), J.gradient(stacked))
     assert rows.shape == (5, 4, 4, 4)
     for r, pt in enumerate(stacked):
-        assert np.array_equal(rows[r], nijenhuis(J, pt))
+        assert np.array_equal(rows[r], nijenhuis(J.matrix(pt), J.gradient(pt)))
 
     beta = DifferentialForm(CUBE, cube_form)
     stacked = CUBE.sample(5, 23)
-    rows = exterior_derivative(beta, stacked)
+    rows = exterior_derivative(beta.gradient(stacked))
     for r, pt in enumerate(stacked):
-        assert np.array_equal(rows[r], exterior_derivative(beta, pt))
+        assert np.array_equal(rows[r], exterior_derivative(beta.gradient(pt)))
     u, w = stacked.coords[:, 0], stacked.coords[:, 2]
     assert np.allclose(rows[:, 0, 1, 2], u * w, atol=1e-8)
+
+    # a member axis before the value axes: the model's constant forms and J's
+    # at n = 1..4, and the hand-built triples, varying and constant members
+    # mixed, each with a varying connection
+    models = [make_model(n) for n in (1, 2, 3, 4)]
+    families = [
+        (m.triple.forms(), m.complexes.endos(), m.total_chart.sample(4, m.n)) for m in models
+    ]
+    families.append(
+        (HAND_BUILT_TRIPLE.forms(), HAND_BUILT_COMPLEXES.endos(), MODEL.total_chart.sample(6, 24))
+    )
+    for forms, endos, pt in families:
+        G = FlatConnection(pt.chart, varying_christoffel).gamma(pt)
+        M, dM = [form_matrix(f, pt) for f in forms], [f.gradient(pt) for f in forms]
+        J, dJ = [E.matrix(pt) for E in endos], [E.gradient(pt) for E in endos]
+        assert_members_match(exterior_derivative, [dM], (3,), 3)
+        assert_members_match(covariant_constancy, [[G] * 3, M, dM], (3, 2, 3), 3)
+        assert_members_match(nijenhuis, [J, dJ], (2, 3), 3)
+        assert_members_match(d_nabla_endo, [[G] * 3, J, dJ], (3, 2, 3), 3)
 
 
 def test_checks_on_a_stack_report_the_worst_single_point():
@@ -363,7 +415,7 @@ def test_nijenhuis_vanishes_for_constant_structures():
     """A constant J has an exactly zero table, unbatched like J itself."""
     J = EndomorphismField.constant(SPACE, np.random.default_rng(2).uniform(-1, 1, (4, 4)))
     for pt in (SPACE.point([0.2, -0.6, 0.1, 0.9]), SPACE.sample(7, 2)):
-        table = nijenhuis(J, pt)
+        table = nijenhuis(J.matrix(pt), J.gradient(pt))
         assert table.shape == (4, 4, 4)
         assert np.max(np.abs(table)) == 0.0
 
@@ -385,7 +437,7 @@ def test_nijenhuis_detects_non_integrable_structure():
     J = EndomorphismField(SPACE, matrix)
     pt = SPACE.point([0.1, 0.7, -0.2, 0.3])
     assert np.allclose(J.matrix(pt) @ J.matrix(pt), -np.eye(4), atol=1e-14)
-    table = nijenhuis(J, pt)
+    table = nijenhuis(J.matrix(pt), J.gradient(pt))
     assert np.allclose(table[:, 2, 3], [0.7, 0.0, 0.0, 0.0], atol=1e-8)
     assert np.array_equal(table, -np.swapaxes(table, -1, -2))
     # almost complex everywhere, just not integrable
@@ -443,6 +495,19 @@ def test_complex_structures_are_derived_only_from_constant_forms():
         verify_hypersymplectic(MODEL, pt=MODEL.total_chart.sample(5, 7), triple=HAND_BUILT_TRIPLE)
 
 
+def test_a_degenerate_form_stops_the_battery():
+    """A degenerate omega (dx^dy alone, |det| = 0 everywhere) reaches the
+    recursion guard of the battery, with complex structures given so that
+    none is derived from it."""
+    omega = total_form({(0, 1): lambda pt: 1.0}, "omega")
+    triple = HyperSymplecticTriple(omega, HAND_BUILT_TRIPLE.chi, HAND_BUILT_TRIPLE.sigma)
+    message = r"recursion operator needs a nondegenerate base form; \|det\| = 0\.000e\+00"
+    with pytest.raises(DegenerateFormError, match=message):
+        verify_hypersymplectic(
+            MODEL, pt=MODEL.total_chart.sample(5, 7), triple=triple, complexes=HAND_BUILT_COMPLEXES
+        )
+
+
 def test_connection_checks_fail_through_the_special_kahler_suite():
     """A torsion-free but curved connection fails flatness and passes torsion;
     Gamma^u_uv = u (asymmetric) fails torsion with residual max |u|."""
@@ -468,10 +533,10 @@ def counted(fn, shapes):
 
 def run_derivative_consumers(form, J, conn, pt):
     """Every primitive that differentiates a field, once each."""
-    exterior_derivative(form, pt)
-    covariant_constancy(conn, form, pt)
-    nijenhuis(J, pt)
-    d_nabla_endo(conn, J, pt)
+    exterior_derivative(form.gradient(pt))
+    covariant_constancy(conn.gamma(pt), form_matrix(form, pt), form.gradient(pt))
+    nijenhuis(J.matrix(pt), J.gradient(pt))
+    d_nabla_endo(conn.gamma(pt), J.matrix(pt), J.gradient(pt))
     conn.curvature_residual(pt)
 
 
