@@ -125,9 +125,11 @@ class TensorField:
     def gradient(self, pt: Point) -> np.ndarray:
         """``out[..., *value, a] = d_a value`` at ``pt``: from the exact
         ``derivative`` evaluator when the field has one, else from
-        ``stencil(self.value, pt, ...)``."""
+        ``stencil(self.value, pt, ...)``; ChartMismatchError, as from
+        ``value``, when ``pt`` lies on another chart."""
         if self.derivative is None:
             return stencil(self.value, pt, self._shape)
+        require_same_chart(self.chart, pt.chart)
         table = self._shape + (pt.chart.dim,)
         return conform(self.derivative(pt), pt, table, "derivative evaluator")
 

@@ -19,12 +19,13 @@ with R(f, g) = M_f^{-1} M_g.  Composing J_omega and J_chi in the covector
 action is an independent route to J_sigma, so the composition identity
 compares two matrices built from the forms.
 
-Sections of the fibration are polynomial maps (x, y) -> (p, q); their graphs
-are probed for Lagrangian behaviour (pullback of a chosen 2-form vanishes,
-read through the exact polynomial Jacobian) and for invariance under a chosen
-complex structure (the distance of J applied to the finite-difference graph
-frame from the graph's tangent plane, which thereby also cross-checks the
-polynomial derivatives).  ``make_model`` gives both charts of the model the
+Sections of the fibration are polynomial maps (x, y) -> (p, q), held as one
+stacked family (``SectionMap``); their graphs are probed for Lagrangian
+behaviour (pullback of a chosen 2-form vanishes, read through the exact
+polynomial Jacobian) and for invariance under a chosen complex structure
+(the distance of J applied to the finite-difference graph frame from the
+graph's tangent plane, which thereby also cross-checks the polynomial
+derivatives).  ``make_model`` gives both charts of the model the
 central-difference step of every stencil taken on them.
 A graph turns out to be invariant under one J exactly when it is Lagrangian
 for the other two symplectic forms; the test suite pins both directions.
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -50,7 +51,7 @@ from .calculus import (
 )
 from .charts import Chart, Point
 from .errors import DegenerateFormError, GeometryError
-from .polynomials import Polynomial
+from .polynomials import Polynomial, merge_terms
 from .structures import (
     DEFAULT_POINTS,
     DEFAULT_SEED,
@@ -295,7 +296,7 @@ def _members(arrays: list[np.ndarray], rank: int) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*arrays), axis=-rank - 1)
 
 
-def _worst(table: np.ndarray, rank: int) -> list[float]:
+def member_worst(table: np.ndarray, rank: int) -> list[float]:
     """The largest ``|entry|`` of each member of ``table``, whose member axis
     sits just before its ``rank`` value axes."""
     member = table.ndim - rank - 1
@@ -331,14 +332,14 @@ def verify_hypersymplectic(
     pairs = standard_frame_pairs(model)
     a, b = (np.stack(side) for side in zip(*(pairs[E.name] for E in endos)))
     first, second = [0, 0, 1], [1, 2, 2]  # the member pairs (0, 1), (0, 2), (1, 2)
-    closures = _worst(exterior_derivative(_members([f.gradient(pt) for f in forms], 3)), 3)
+    closures = member_worst(exterior_derivative(_members([f.gradient(pt) for f in forms], 3)), 3)
     min_dets = np.abs(np.linalg.det(M)).reshape(-1, 3).min(axis=0).tolist()
     A = recursion_operator(M[..., first, :, :], M[..., second, :, :])
-    squares = _worst(A @ A + np.eye(A.shape[-1]), 2)
+    squares = member_worst(A @ A + np.eye(A.shape[-1]), 2)
     C = transpose(J)  # the covector action
     Ca, Cb = C[..., first, :, :], C[..., second, :, :]
-    anticommutators = _worst(Ca @ Cb + Cb @ Ca, 2)
-    tensors = _worst(nijenhuis(J, _members([E.gradient(pt) for E in endos], 3)), 3)
+    anticommutators = member_worst(Ca @ Cb + Cb @ Ca, 2)
+    tensors = member_worst(nijenhuis(J, _members([E.gradient(pt) for E in endos], 3)), 3)
     reports: list[CheckReport] = []
 
     def report(name: str, residual: float, tolerance: float, statement: str) -> None:
@@ -373,7 +374,7 @@ def verify_hypersymplectic(
             tolerances.algebraic,
             f"{E.name} and {F.name} anticommute in the covector action",
         )
-    for E, tensor, frame in zip(endos, tensors, _worst(holomorphic_frame_check(J, a, b), 1)):
+    for E, tensor, frame in zip(endos, tensors, member_worst(holomorphic_frame_check(J, a, b), 1)):
         report(
             f"nijenhuis.{E.name}",
             tensor,
@@ -400,45 +401,51 @@ def verify_hypersymplectic(
 # ---------------------------------------------------------------------------
 # Sections
 
-
-@dataclass(frozen=True)
 class SectionMap:
-    """A polynomial section (x, y) -> (x, y, p(x, y), q(x, y)).
+    """A family of polynomial sections (x, y) -> (x, y, p(x, y), q(x, y)),
+    its m members on an axis just before the value axes of each read; a
+    single section is the one-member family.  All components are one vector
+    polynomial, with its exact Jacobian, and component ``k * 2n + r``, (p,
+    q)_r of member k, evaluates bit for bit as it would alone.  Values and
+    derivatives, exact or FD (stepped by the base chart), raise
+    GeometryError when they overflow.  The values and exact fibre block read
+    on the last base ``Point`` object (compared by identity) are kept
+    read-only until another point is read, so a run reads each once."""
 
-    The components (p, q), their exact Jacobian and (built on first use)
-    their exact second derivatives are each held as one vector polynomial,
-    so a map evaluates every component in one call.  Its values and its
-    derivatives, exact or FD (stepped by the base chart), raise GeometryError
-    when they overflow, before any product reads them.  What is read on the
-    last base ``Point`` object (compared by identity), its values, exact
-    fibre block and FD frame, is kept read-only until another point is read,
-    so the checks of one run read each once per sample."""
+    def __init__(self, model: FibrationModel, p, q, name: str = "") -> None:
+        """The section whose components are the scalar polynomials p and q."""
+        if any(c.n_vars != 2 * model.n or c.size is not None for c in (*p, *q)):
+            raise ValueError("section components must be polynomials on the base")
+        self._build(model, [(name, [c.terms for c in p], [c.terms for c in q])])
 
-    model: FibrationModel
-    p: tuple[Polynomial, ...]
-    q: tuple[Polynomial, ...]
-    name: str = ""
-    _fibre: Polynomial = field(init=False, repr=False, compare=False)
-    _jacobian: Polynomial = field(init=False, repr=False, compare=False)
-    # the last base Point object read, and its reads by kind
-    _reads: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    @classmethod
+    def family(cls, model: FibrationModel, members: Sequence) -> SectionMap:
+        """The family of ``members``, (name, p term tables, q term tables);
+        ValueError, naming the member, when a member does not fit the model."""
+        family = cls.__new__(cls)
+        family._build(model, members)
+        return family
 
-    def __post_init__(self) -> None:
-        n = self.model.n
-        if len(self.p) != n or len(self.q) != n:
-            raise ValueError(f"need {n} p- and q-components")
-        components = self.p + self.q
-        for poly in components:
-            if poly.n_vars != 2 * n:
-                raise ValueError("section components must be polynomials on the base")
-            if poly.degree > MAX_SECTION_DEGREE:
-                raise ValueError(
-                    f"section degree {poly.degree} exceeds the bound {MAX_SECTION_DEGREE}"
-                )
-        fibre = Polynomial.stack(components)
-        object.__setattr__(self, "_fibre", fibre)
-        # row-major d(p, q)_r / d(x, y)_j, reshaped to (2n, 2n) by fibre_jacobian
-        object.__setattr__(self, "_jacobian", fibre.jacobian())
+    def _build(self, model: FibrationModel, members: Sequence) -> None:
+        n, bound, merged = model.n, MAX_SECTION_DEGREE, []
+        for name, p, q in members:
+            try:
+                tables = [merge_terms(2 * n, terms) for terms in (*p, *q)]
+                if len(p) != n or len(q) != n:
+                    raise ValueError(f"need {n} p- and q-components")
+                degree = max((sum(e) for table in tables for e, _ in table), default=0)
+                if degree > bound:
+                    raise ValueError(f"section degree {degree} exceeds the bound {bound}")
+            except ValueError as exc:
+                raise ValueError(f"section {name!r}: {exc}") from None
+            merged.append((name, tuple(tables[:n]), tuple(tables[n:])))
+        self.model, self.members = model, tuple(merged)
+        self.names = tuple(name for name, _, _ in merged)
+        self.name = ", ".join(self.names)  # a single section's name
+        self._fibre = Polynomial.stack(2 * n, [t for _, p, q in merged for t in (*p, *q)])
+        # row-major d(p, q)_r / d(x, y)_j per member, reshaped by fibre_jacobian
+        self._jacobian = self._fibre.jacobian()
+        self._reads: tuple = (None, None)  # the last base Point object read, its reads by kind
 
     def _read(self, base_pt: Point, kind: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
         """The ``kind`` read of ``base_pt``: ``compute()`` on the first ask,
@@ -446,7 +453,7 @@ class SectionMap:
         last, reads = self._reads
         if last is not base_pt:
             reads = {}
-            object.__setattr__(self, "_reads", (base_pt, reads))
+            self._reads = (base_pt, reads)
         if kind not in reads:
             value = compute()
             value.flags.writeable = False
@@ -454,46 +461,42 @@ class SectionMap:
         return reads[kind]
 
     def total_coords(self, base_pt: Point) -> np.ndarray:
+        """The graph point of every member over ``base_pt``: (..., m, 4n)."""
         xy = base_pt.coords
-        return np.concatenate([xy, self._fibre(xy)], axis=-1)
+        fibre = self._fibre(xy).reshape(xy.shape[:-1] + (len(self.members), -1))
+        return np.concatenate([np.broadcast_to(xy[..., None, :], fibre.shape), fibre], axis=-1)
 
     def evaluate(self, base_pt: Point) -> Point:
-        """The graph point(s) over ``base_pt``, read once per sample."""
+        """The graph points over ``base_pt``, read once per sample."""
         if base_pt.chart != self.model.base_chart:
             raise GeometryError("section evaluated off its base chart")
         values = lambda: _finite(lambda: self.total_coords(base_pt), "value of the section")
         return Point(self.model.total_chart, self._read(base_pt, "values", values))
 
     def fibre_jacobian(self, base_pt: Point) -> np.ndarray:
-        """Exact fibre block d(p, q)/d(x, y), shape (..., 2n, 2n), read once
-        per sample."""
-        shape = base_pt.batch_shape + (2 * self.model.n,) * 2
+        """Exact fibre block d(p, q)/d(x, y), (..., m, 2n, 2n), read once per sample."""
+        shape = base_pt.batch_shape + (len(self.members),) + (2 * self.model.n,) * 2
         block = lambda: _finite(lambda: self._jacobian(base_pt.coords)).reshape(shape)
         return self._read(base_pt, "block", block)
 
-    @cached_property
-    def _hessian(self) -> Polynomial:
-        return self._jacobian.jacobian()
-
-    def fibre_hessian(self, base_pt: Point) -> np.ndarray:
-        """Exact d_a d_j (p, q)_r in the layout [..., r, j, a], shape (..., 2n, 2n, 2n)."""
+    def fibre_hessian(self, base_pt: Point, member: int = 0) -> np.ndarray:
+        """Exact d_a d_j (p, q)_r of one member in the layout [..., r, j, a],
+        shape (..., 2n, 2n, 2n), from that member's second derivatives, built
+        when read."""
         n2 = 2 * self.model.n
-        table = _finite(lambda: self._hessian(base_pt.coords), "second derivative of the section")
+        hessian = self._jacobian.components(member * n2 * n2, (member + 1) * n2 * n2).jacobian()
+        table = _finite(lambda: hessian(base_pt.coords), "second derivative of the section")
         return table.reshape(base_pt.batch_shape + (n2, n2, n2))
 
     def jacobian(self, base_pt: Point) -> np.ndarray:
-        """Exact Jacobian (..., 4n, 2n): identity block over the fibre block."""
-        n2 = 2 * self.model.n
-        top = np.broadcast_to(np.eye(n2), base_pt.batch_shape + (n2, n2))
-        return np.concatenate([top, self.fibre_jacobian(base_pt)], axis=-2)
+        """Exact Jacobian (..., m, 4n, 2n): identity block over the fibre block."""
+        block = self.fibre_jacobian(base_pt)
+        top = np.broadcast_to(np.eye(2 * self.model.n), block.shape)
+        return np.concatenate([top, block], axis=-2)
 
     def jacobian_fd(self, base_pt: Point) -> np.ndarray:
-        shape = (self.model.total_chart.dim,)
+        shape = (len(self.members), self.model.total_chart.dim)
         return _finite(lambda: stencil(self.total_coords, base_pt, shape))
-
-    def fd_frame(self, base_pt: Point) -> np.ndarray:
-        """``jacobian_fd(base_pt)``, read once per sample."""
-        return self._read(base_pt, "frame", lambda: self.jacobian_fd(base_pt))
 
 
 def _finite(compute: Callable[[], np.ndarray], what="tangent frame of the graph") -> np.ndarray:
@@ -506,18 +509,20 @@ def _finite(compute: Callable[[], np.ndarray], what="tangent frame of the graph"
     return value
 
 
+def rotation_terms(n: int) -> tuple[tuple, tuple]:
+    """The p and q term tables of the rotation section p_i = y_i, q_i = -x_i."""
+    term = lambda axis, c: ((tuple(int(a == axis) for a in range(2 * n)), c),)
+    return tuple(term(n + i, 1.0) for i in range(n)), tuple(term(i, -1.0) for i in range(n))
+
+
 def zero_section(model: FibrationModel) -> SectionMap:
-    n2 = 2 * model.n
-    zero = Polynomial.zero(n2)
-    return SectionMap(model, (zero,) * model.n, (zero,) * model.n, name="zero")
+    empty = ((),) * model.n
+    return SectionMap.family(model, [("zero", empty, empty)])
 
 
 def standard_sigma_section(model: FibrationModel) -> SectionMap:
     """p_i = y_i, q_i = -x_i: Lagrangian for sigma and chi, invariant under J_omega."""
-    n, n2 = model.n, 2 * model.n
-    p = tuple(Polynomial.coordinate(n2, n + i) for i in range(n))
-    q = tuple(Polynomial.coordinate(n2, i).scaled(-1.0) for i in range(n))
-    return SectionMap(model, p, q, name="rotation")
+    return SectionMap.family(model, [("rotation", *rotation_terms(model.n))])
 
 
 def gradient_section(model: FibrationModel, potential: Polynomial, name: str = "") -> SectionMap:
@@ -530,26 +535,40 @@ def gradient_section(model: FibrationModel, potential: Polynomial, name: str = "
     return SectionMap(model, p, q, name=name or "gradient")
 
 
+def _member_fields(fields, graph: Point, read: Callable) -> tuple[list, np.ndarray]:
+    """The field of each member of a family, ``fields`` for every member or
+    its entry k for member k, and ``read(field, points)`` of each at that
+    member's points of ``graph``, stacked on the member axis."""
+    fields = list(fields) if isinstance(fields, Sequence) else [fields] * graph.batch_shape[-1]
+    values = [read(f, Point(graph.chart, graph.coords[..., k, :])) for k, f in enumerate(fields)]
+    return fields, _members(values, 2)
+
+
 def section_pullback(
     model: FibrationModel,
     section: SectionMap,
-    form: DifferentialForm,
+    form: DifferentialForm | Sequence,
     pt: Point,
-) -> dict[tuple[int, int], float]:
-    """Coefficient table of the pullback of a total-space 2-form to the base,
-    read through the exact Jacobian of the section; each value has the
-    point's leading shape."""
+) -> dict[tuple[int, int], np.ndarray]:
+    """Coefficient table of the pullback of a total-space 2-form to the base
+    through each member of ``section``, read through the exact Jacobian;
+    ``form`` is one form for every member or one per member.  Each value has
+    the point's leading shape, then the member axis.  The product F^T M F
+    is formed once for the family, with numpy's overflow warnings silenced:
+    GeometryError when it is not finite."""
     frame = section.jacobian(pt)
-    M = form_matrix(form, section.evaluate(pt))
-    P = transpose(frame) @ M @ frame
+    M = _member_fields(form, section.evaluate(pt), form_matrix)[1]
+    P = _finite(lambda: transpose(frame) @ M @ frame, "pullback of the form to the graph")
     n2 = 2 * model.n
-    return {(i, j): P[..., i, j][()] for i in range(n2) for j in range(i + 1, n2)}
+    return {(i, j): P[..., i, j] for i in range(n2) for j in range(i + 1, n2)}
 
 
 def graph_frame_defect(
-    section: SectionMap, J: EndomorphismField, pt: Point
+    section: SectionMap, J: EndomorphismField | Sequence, pt: Point
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """J applied to the FD graph frame F of a section at base point(s).
+    """J applied to the FD graph frame F of each member of a family at base
+    point(s); ``J`` is one complex structure for every member or one per
+    member, and every table has the member axis.
 
     The base block of F is diagonal: column a holds the step actually taken
     along x_a over 2h (h is the base chart's ``fd_step()``), which differs
@@ -559,12 +578,13 @@ def graph_frame_defect(
     {(v, D v)}.  Returns D, the base block R = (J F)_xy and the defect
     (J F)_pq - D R: column c of J F minus the tangent vector (R_c, D R_c) is
     (0, defect_c), so J F is tangent to the graph exactly when the defect
-    vanishes.  GeometryError when F or the defect is not finite (two slopes
-    near the float maximum), since no verdict can be read from them; the
-    products are formed with numpy's overflow warnings silenced.
+    vanishes.  GeometryError, naming the J of the first member at fault,
+    when F or the defect is not finite (two slopes near the float maximum),
+    since no verdict can be read from them; the products are formed with
+    numpy's overflow warnings silenced.
     """
-    frame = section.fd_frame(pt)
-    M_J = J.matrix(section.evaluate(pt))
+    frame = section.jacobian_fd(pt)
+    endos, M_J = _member_fields(J, section.evaluate(pt), EndomorphismField.matrix)
     n2 = frame.shape[-1]
     steps = np.diagonal(frame[..., :n2, :], axis1=-2, axis2=-1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -572,8 +592,10 @@ def graph_frame_defect(
         D = frame[..., n2:, :] / steps[..., None, :]
         restriction = moved[..., :n2, :]
         defect = moved[..., n2:, :] - D @ restriction
-    if not np.isfinite(defect).all():
-        raise GeometryError(f"defect of {J.name} on the tangent frame of the graph is not finite")
+    broken = ~np.isfinite(defect).all(axis=(-2, -1)).reshape(-1, len(endos)).all(axis=0)
+    if broken.any():
+        name = endos[int(np.argmax(broken))].name
+        raise GeometryError(f"defect of {name} on the tangent frame of the graph is not finite")
     return D, restriction, defect
 
 
@@ -583,21 +605,22 @@ def complex_submanifold_check(
     J: EndomorphismField,
     pt: Point,
 ) -> float:
-    """How far J moves the graph tangent space off itself, worst over the
-    base point(s) ``pt``: ``graph_distance`` of ``graph_frame_defect``.
-    ``model`` is not read."""
+    """How far J moves the graph tangent spaces off themselves, worst over
+    the base point(s) ``pt`` and the members of ``section``:
+    ``graph_distance`` of ``graph_frame_defect``.  ``model`` is not read."""
     D, _, defect = graph_frame_defect(section, J, pt)
-    return graph_distance(D, defect)
+    return float(np.max(graph_distance(D, defect)))
 
 
-def graph_distance(D: np.ndarray, defect: np.ndarray) -> float:
-    """The largest distance of a column of J F from the tangent plane
-    {(v, D v)} of a graph, which is the distance of (0, defect_c).
+def graph_distance(D: np.ndarray, defect: np.ndarray) -> np.ndarray:
+    """The distance of each column of J F from the tangent plane {(v, D v)}
+    of a graph, which is the distance of (0, defect_c): the table
+    ``(..., 2n)``, over the leading axes of ``D`` and ``defect``.
 
     The plane has the normal space {(-D^T u, u)}, so that distance is the
     length of the projection of (0, defect_c) on it,
     |(Id + D D^T)^(-1/2) defect_c|.  It is read through an orthonormal basis
-    Q of the normal space: one stacked QR of [-D^T; Id], divided per point
+    Q of the normal space: one stacked QR of [-D^T; Id], each matrix divided
     by max(1, max|D|) so that no entry exceeds 1, gives Q, and the distance
     is |Q_pq^T defect_c|.  The plane has full dimension however steep the
     section, so no rank test is needed; the column norms are taken by
@@ -607,8 +630,7 @@ def graph_distance(D: np.ndarray, defect: np.ndarray) -> float:
     scale = np.maximum(1.0, np.max(np.abs(D), axis=(-2, -1)))[..., None, None]
     normals = np.concatenate([-transpose(D), np.broadcast_to(np.eye(n2), D.shape)], axis=-2)
     Q = np.linalg.qr(normals / scale)[0]
-    distance = _finite(
+    return _finite(
         lambda: np.hypot.reduce(transpose(Q[..., n2:, :]) @ defect, axis=-2),
         "distance from the tangent plane of the graph",
     )
-    return float(np.max(distance))

@@ -6,9 +6,9 @@ with equal exponent tuples are merged on construction and zero coefficients are
 dropped, which keeps evaluation deterministic (a fixed term order) and makes
 equal polynomials evaluate bit-identically.
 
-A polynomial may also be vector valued: ``Polynomial.stack`` merges scalar
-polynomials in the same variables into one term table whose coefficients
-hold one float per component, so all of them are evaluated in one call.
+A polynomial may also be vector valued: ``Polynomial.stack`` merges the term
+tables of scalar polynomials into one whose coefficients hold one float per
+component, so all of them are evaluated in one call.
 Evaluation performs, for every component, the operations the scalar
 polynomial performs, in the same order, so each component agrees with its
 scalar polynomial bit for bit.
@@ -28,8 +28,8 @@ Term = tuple[tuple[int, ...], "float | tuple[float, ...]"]
 class Polynomial:
     """A real polynomial in ``n_vars`` variables, or, when ``size`` is set, a
     vector of ``size`` polynomials sharing one term table, each coefficient
-    then being a tuple of ``size`` floats.  ``derivative`` and ``scaled`` take
-    scalar polynomials, ``jacobian`` a vector one."""
+    then being a tuple of ``size`` floats.  ``derivative`` takes a scalar
+    polynomial, ``jacobian`` and ``components`` vector ones."""
 
     n_vars: int
     terms: tuple[Term, ...]
@@ -56,53 +56,19 @@ class Polynomial:
     @classmethod
     def from_terms(cls, n_vars: int, terms: Iterable[Sequence]) -> "Polynomial":
         """Build a polynomial, validating, merging and sorting the term table."""
-        merged: dict[tuple[int, ...], float] = {}
-        for raw in terms:
-            powers, coeff = raw
-            powers = tuple(int(e) for e in powers)
-            if len(powers) != n_vars:
-                raise ValueError(
-                    f"exponent tuple {powers} has length {len(powers)}, expected {n_vars}"
-                )
-            if any(e < 0 for e in powers):
-                raise ValueError(f"negative exponent in {powers}")
-            merged[powers] = merged.get(powers, 0.0) + float(coeff)
-        table = tuple(
-            (powers, coeff) for powers, coeff in sorted(merged.items()) if coeff != 0.0
-        )
-        return cls(n_vars=n_vars, terms=table)
+        return cls(n_vars=n_vars, terms=merge_terms(n_vars, terms))
 
     @classmethod
-    def zero(cls, n_vars: int) -> "Polynomial":
-        return cls(n_vars=n_vars, terms=())
-
-    @classmethod
-    def constant(cls, n_vars: int, value: float) -> "Polynomial":
-        return cls.from_terms(n_vars, [((0,) * n_vars, value)])
-
-    @classmethod
-    def coordinate(cls, n_vars: int, axis: int) -> "Polynomial":
-        powers = tuple(1 if i == axis else 0 for i in range(n_vars))
-        return cls.from_terms(n_vars, [(powers, 1.0)])
-
-    @classmethod
-    def stack(cls, components: Sequence["Polynomial"]) -> "Polynomial":
-        """The vector polynomial whose component k is ``components[k]``: one
-        term per monomial of the sorted union, with coefficient 0.0 where a
-        component lacks the monomial."""
-        n_vars = components[0].n_vars
-        if any(c.n_vars != n_vars or c.size is not None for c in components):
-            raise ValueError("stack takes scalar polynomials in the same variables")
-        tables = [dict(c.terms) for c in components]
+    def stack(cls, n_vars: int, tables: Sequence[tuple[Term, ...]]) -> "Polynomial":
+        """The vector polynomial whose component k has the term table
+        ``tables[k]``, as ``merge_terms`` leaves it: one term per monomial of
+        the sorted union, with coefficient 0.0 where a table lacks it."""
+        tables = [dict(table) for table in tables]
         monomials = sorted(set().union(*tables))
+        if any(len(powers) != n_vars for powers in monomials):
+            raise ValueError(f"stack takes term tables in {n_vars} variables")
         terms = tuple((m, tuple(t.get(m, 0.0) for t in tables)) for m in monomials)
         return cls(n_vars=n_vars, terms=terms, size=len(tables))
-
-    @property
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(powers) for powers, _ in self.terms)
 
     def __call__(self, coords) -> np.ndarray:
         """Value at coordinates of shape ``(..., n_vars)``: the leading shape,
@@ -168,7 +134,25 @@ class Polynomial:
         terms = tuple((m, tuple(table[m])) for m in sorted(table))
         return Polynomial(n_vars=self.n_vars, terms=terms, size=width)
 
-    def scaled(self, factor: float) -> "Polynomial":
-        return Polynomial.from_terms(
-            self.n_vars, [(powers, coeff * factor) for powers, coeff in self.terms]
-        )
+    def components(self, start: int, stop: int) -> "Polynomial":
+        """Components ``start`` to ``stop - 1``, without the terms that vanish
+        on all of them; each evaluates bit for bit as before."""
+        terms = tuple((m, c[start:stop]) for m, c in self.terms if any(c[start:stop]))
+        return Polynomial(n_vars=self.n_vars, terms=terms, size=stop - start)
+
+
+def merge_terms(n_vars: int, terms: Iterable[Sequence]) -> tuple[Term, ...]:
+    """A term table validated, with equal power vectors merged, zero
+    coefficients dropped and the terms sorted by power vector."""
+    merged: dict[tuple[int, ...], float] = {}
+    for raw in terms:
+        powers, coeff = raw
+        powers = tuple(int(e) for e in powers)
+        if len(powers) != n_vars:
+            raise ValueError(
+                f"exponent tuple {powers} has length {len(powers)}, expected {n_vars}"
+            )
+        if any(e < 0 for e in powers):
+            raise ValueError(f"negative exponent in {powers}")
+        merged[powers] = merged.get(powers, 0.0) + float(coeff)
+    return tuple((powers, coeff) for powers, coeff in sorted(merged.items()) if coeff != 0.0)

@@ -13,8 +13,8 @@ infinite), ``_positive``, ``_integer`` (true and false are not integers) and
 ``_object`` (null reads as absent; unknown keys are refused).  A rejected
 value raises ``ConfigError``, which the CLI turns into exit 2.  Rules about a
 value's meaning stay with the type that uses it: ``ProductSystem`` checks
-frequencies, ``Chart`` the step, ``SectionMap`` and ``Polynomial.from_terms``
-a section's fit to the model.
+frequencies, ``Chart`` the step, ``SectionMap.family`` a section's fit to
+the model.
 """
 
 from __future__ import annotations
@@ -39,15 +39,16 @@ from .errors import ConfigError
 from .fibration import (
     FibrationModel,
     SectionMap,
-    complex_submanifold_check,
+    graph_distance,
+    graph_frame_defect,
     make_model,
+    member_worst,
+    rotation_terms,
     section_pullback,
     standard_sigma_section,
     verify_hypersymplectic,
     verify_lagrangian_fibres,
-    zero_section,
 )
-from .polynomials import Polynomial
 from .special_kahler import (
     build_special_kahler,
     induced_vs_restriction,
@@ -180,17 +181,6 @@ class SectionSpec:
                     raise ConfigError(f"{where}[{c_idx}][{t_idx}] {exc}") from None
             components.append(tuple(terms))
         return tuple(components)
-
-    def to_section(self, model: FibrationModel) -> SectionMap:
-        """The section on ``model``; ``SectionMap`` and ``Polynomial.from_terms``
-        check that its components and power vectors fit the model."""
-        n2 = 2 * model.n
-        try:
-            p = tuple(Polynomial.from_terms(n2, terms) for terms in self.p_terms)
-            q = tuple(Polynomial.from_terms(n2, terms) for terms in self.q_terms)
-            return SectionMap(model, p, q, name=self.name)
-        except ValueError as exc:
-            raise ConfigError(f"section {self.name!r}: {exc}") from exc
 
     def echo(self) -> dict:
         terms = lambda comps: [
@@ -385,10 +375,11 @@ class ReportDocument:
 
 
 class _RunInputs:
-    """What the suites of one run share: the model, and the seeded sample of
-    each chart and the resolved sections, each built on first use and reused.
-    The model keeps its two triples, and each section what it read on the
-    base sample, so a run builds or reads nothing twice."""
+    """What the suites of one run share: the model, the seeded sample of each
+    chart, and the run's sections as one ``SectionMap`` family with the
+    graph-frame defect of its members, each built on first use and reused.
+    The model keeps its two triples, and the family what it read on the base
+    sample, so a run builds or reads nothing twice."""
 
     def __init__(self, config: ScenarioConfig, model: FibrationModel) -> None:
         self.config = config
@@ -405,17 +396,29 @@ class _RunInputs:
         return self.model.base_chart.sample(sampling.n_points, sampling.seed)
 
     @cached_property
-    def sections(self) -> list[tuple[SectionMap, str]]:
-        """(section, form name) pairs: configured ones, or the library defaults."""
-        if self.config.sections:
-            return [(spec.to_section(self.model), spec.form) for spec in self.config.sections]
-        return [(zero_section(self.model), "omega"), (standard_sigma_section(self.model), "sigma")]
+    def specs(self) -> tuple[SectionSpec, ...]:
+        """The configured sections, else the zero (omega) and rotation (sigma) ones."""
+        empty = ((),) * self.model.n
+        return self.config.sections or (
+            SectionSpec("zero", "omega", empty, empty),
+            SectionSpec("rotation", "sigma", *rotation_terms(self.model.n)),
+        )
 
     @cached_property
-    def kahler_section(self) -> SectionMap:
-        """The first sigma section, or the standard one if none is configured."""
-        sigma_sections = [section for section, form_name in self.sections if form_name == "sigma"]
-        return sigma_sections[0] if sigma_sections else standard_sigma_section(self.model)
+    def sections(self) -> SectionMap:
+        """The family of ``specs``; ConfigError when a section does not fit."""
+        members = [(spec.name, spec.p_terms, spec.q_terms) for spec in self.specs]
+        try:
+            return SectionMap.family(self.model, members)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    @cached_property
+    def frame_defect(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``graph_frame_defect`` of the family, each member under the complex
+        structure that should preserve its graph (``FORM_TO_COMPLEX``)."""
+        Js = [getattr(self.model.complexes, FORM_TO_COMPLEX[spec.form]) for spec in self.specs]
+        return graph_frame_defect(self.sections, Js, self.base_pt)
 
 
 def _suite_hypersymplectic(run: _RunInputs) -> list[CheckReport]:
@@ -431,44 +434,50 @@ def _suite_lagrangian_fibres(run: _RunInputs) -> list[CheckReport]:
 
 
 def _suite_sections(run: _RunInputs) -> list[CheckReport]:
-    config, model, pt = run.config, run.model, run.base_pt
-    named_endos = {J.name: J for J in model.complexes.endos()}
+    model, pt, fd = run.model, run.base_pt, run.config.tolerances.fd
+    forms = [getattr(model.triple, spec.form) for spec in run.specs]
+    table = section_pullback(model, run.sections, forms, pt)
+    pullbacks = member_worst(np.stack(list(table.values()), axis=-1), 1)
+    D, _, defect = run.frame_defect
+    distances = member_worst(graph_distance(D, defect), 1)
     reports = []
-    for section, form_name in run.sections:
-        form = getattr(model.triple, form_name)
-        table = section_pullback(model, section, form, pt)
-        worst = float(np.max(np.abs(list(table.values()))))
-        reports.append(
+    for spec, pullback, distance in zip(run.specs, pullbacks, distances):
+        name, form, J = spec.name, spec.form, FORM_TO_COMPLEX[spec.form]
+        reports += [
             CheckReport.from_residual(
-                f"sections.pullback_vanishes.{section.name}.{form_name}",
+                f"sections.pullback_vanishes.{name}.{form}",
                 len(pt),
-                worst,
+                pullback,
                 SECTION_PULLBACK_TOL,
-                statement=f"the graph of {section.name!r} is Lagrangian for {form_name}",
-            )
-        )
-        J = named_endos[FORM_TO_COMPLEX[form_name]]
-        worst = complex_submanifold_check(model, section, J, pt)
-        reports.append(
+                statement=f"the graph of {name!r} is Lagrangian for {form}",
+            ),
             CheckReport.from_residual(
-                f"sections.graph_invariant.{section.name}.{J.name}",
+                f"sections.graph_invariant.{name}.{J}",
                 len(pt),
-                worst,
-                config.tolerances.fd,
-                statement=f"{J.name} preserves the tangent spaces of the graph of {section.name!r}",
-            )
-        )
+                distance,
+                fd,
+                statement=f"{J} preserves the tangent spaces of the graph of {name!r}",
+            ),
+        ]
     return reports
 
 
 def _suite_special_kahler(run: _RunInputs) -> list[CheckReport]:
-    config, model, pt = run.config, run.model, run.base_pt
-    section = run.kahler_section
-    data = build_special_kahler(model, section)
-    reports = special_symplectic_check(data, pt, config.tolerances)
-    reports.extend(kahler_reports(data, pt, config.tolerances))
-    reports.append(induced_vs_restriction(model, section, pt, config.tolerances.fd))
-    return reports
+    """The first sigma section, as a member of the run's family when the
+    sections suite reads that, else on its own; the standard one when none
+    is configured."""
+    config, model, pt, family = run.config, run.model, run.base_pt, run.sections
+    forms = [spec.form for spec in run.specs]
+    member, defect = 0, None
+    if "sigma" not in forms:
+        section = standard_sigma_section(model)
+    elif "sections" in config.suites:
+        section, member, defect = family, forms.index("sigma"), run.frame_defect
+    else:
+        section = SectionMap.family(model, [family.members[forms.index("sigma")]])
+    data, tol = build_special_kahler(model, section, member), config.tolerances
+    reports = special_symplectic_check(data, pt, tol) + kahler_reports(data, pt, tol)
+    return reports + [induced_vs_restriction(model, section, pt, tol.fd, member, defect)]
 
 
 def _suite_action_angle(run: _RunInputs) -> list[CheckReport]:

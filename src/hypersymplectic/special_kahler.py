@@ -18,7 +18,8 @@ endomorphism and its derivative use exact polynomial derivatives (the
 section's first and second), while the graph-restriction comparison uses the
 finite-difference frame, so agreement between the two is an actual
 cross-check and not an identity of implementation.  That frame, the one
-central difference here, steps by the base chart's ``fd_step()``.
+central difference here, steps by the base chart's ``fd_step()``.  The
+section is member ``member`` (0 for a single section) of a ``SectionMap``.
 """
 
 from __future__ import annotations
@@ -48,20 +49,21 @@ from .structures import (
 )
 
 
-def induced_complex_structure(section: SectionMap, pt: Point) -> np.ndarray:
-    """Matrices of I at base point(s): minus the exact fibre block of the
-    section's Jacobian."""
-    return -section.fibre_jacobian(pt)
+def induced_complex_structure(section: SectionMap, pt: Point, member: int = 0) -> np.ndarray:
+    """Matrices of I of one member of ``section`` at base point(s): minus
+    that member's exact fibre block of the section's Jacobian."""
+    return -section.fibre_jacobian(pt)[..., member, :, :]
 
 
-def induced_endomorphism(section: SectionMap) -> EndomorphismField:
-    """I of the section as a field carrying its exact derivative
-    ``d_a I_kb = -d_a d_b (p, q)_k``, minus the section's second derivatives."""
+def induced_endomorphism(section: SectionMap, member: int = 0) -> EndomorphismField:
+    """I of one member of ``section`` as a field carrying its exact derivative
+    ``d_a I_kb = -d_a d_b (p, q)_k``, minus the member's second derivatives."""
+    name = section.names[member]
     return EndomorphismField(
         section.model.base_chart,
-        lambda pt: induced_complex_structure(section, pt),
-        f"I[{section.name}]" if section.name else "I",
-        lambda pt: -section.fibre_hessian(pt),
+        lambda pt: induced_complex_structure(section, pt, member),
+        f"I[{name}]" if name else "I",
+        lambda pt: -section.fibre_hessian(pt, member),
     )
 
 
@@ -82,9 +84,11 @@ class SpecialKahlerData:
         return _metric(form_matrix(self.Omega, pt), self.I.matrix(pt))[0]
 
 
-def build_special_kahler(model: FibrationModel, section: SectionMap) -> SpecialKahlerData:
+def build_special_kahler(
+    model: FibrationModel, section: SectionMap, member: int = 0
+) -> SpecialKahlerData:
     Omega = base_symplectic_form(model)
-    return SpecialKahlerData(Omega, induced_endomorphism(section), model.connection)
+    return SpecialKahlerData(Omega, induced_endomorphism(section, member), model.connection)
 
 
 def kahler_metric(
@@ -220,17 +224,23 @@ def induced_vs_restriction(
     section: SectionMap,
     pt: Point,
     tolerance: float = Tolerances.fd,
+    member: int = 0,
+    frame_defect: tuple | None = None,
 ) -> CheckReport:
-    """Cross-check: I from the section formula against the first complex
-    structure, the model's J_omega, restricted to the graph and pushed to
-    the base.
+    """Cross-check: I from the section formula of member ``member`` against
+    the first complex structure, the model's J_omega, restricted to that
+    member's graph and pushed to the base.
 
     The projection kills the fibre components, so the pushed restriction is
     the base block of J applied to the FD graph frame.  Meaningful when the
     graph is invariant (the graph-frame defect is folded into the residual).
+    A caller that has formed ``graph_frame_defect`` of ``section`` at ``pt``,
+    with J_omega on that member, passes it as ``frame_defect``.
     """
-    _, restriction, defect = graph_frame_defect(section, model.complexes.J_omega, pt)
-    agree = np.max(np.abs(restriction - induced_complex_structure(section, pt)))
+    if frame_defect is None:
+        frame_defect = graph_frame_defect(section, model.complexes.J_omega, pt)
+    restriction, defect = (table[..., member, :, :] for table in frame_defect[1:])
+    agree = np.max(np.abs(restriction - induced_complex_structure(section, pt, member)))
     return _report(
         "matches_graph_restriction",
         pt,

@@ -13,6 +13,7 @@ from hypersymplectic.calculus import (
     stencil,
 )
 from hypersymplectic.charts import Chart
+from hypersymplectic.errors import ChartMismatchError
 from hypersymplectic.structures import FlatConnection
 
 PLANE = Chart("plane", ("u", "v"), (-1.0, -1.0), (1.0, 1.0))
@@ -270,3 +271,21 @@ def test_field_contract(kind):
     wrong = kind(SPACE, evaluate, derivative=lambda p: np.zeros(shape))  # no derivative axis
     with pytest.raises(ValueError):
         wrong.gradient(pt)
+
+
+def test_a_field_refuses_a_point_of_another_chart():
+    """``value`` and ``gradient`` both raise ChartMismatchError on a point of
+    another chart of the same dimension: a constant, whose exact derivative
+    reads no point, a field with an exact derivative evaluator, and one
+    differenced by ``stencil``."""
+    other = Chart("other", ("s", "t"), (-1.0, -1.0), (1.0, 1.0))
+    fields = [
+        DifferentialForm.constant(PLANE, AREA),
+        DifferentialForm(PLANE, lambda p: AREA, derivative=lambda p: np.zeros((2, 2, 2))),
+        DifferentialForm(PLANE, lambda p: AREA),
+    ]
+    for field in fields:
+        for pt in (other.sample(3, 1), other.point([0.1, 0.2])):
+            for read in (field.value, field.gradient):
+                with pytest.raises(ChartMismatchError):
+                    read(pt)

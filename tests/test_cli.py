@@ -371,6 +371,14 @@ OVERFLOWING_VALUE = {
     "p": [[[[1, 0], 1.7e308], [[0, 1], 1.7e308]]],
     "q": [[[[1, 0], 1.7e308]]],
 }
+# p and q with coefficients up to 1.86e250 and 6.86e133: values and frames
+# are finite, but the pullback of chi multiplies them beyond the float range
+OVERFLOWING_PULLBACK = {
+    "name": "big",
+    "form": "chi",
+    "p": [[[[1, 1], -2.87e57], [[4, 1], 3.25e-40], [[4, 4], -1.86e250]]],
+    "q": [[[[3, 4], -4.81e132], [[4, 3], -6.86e133], [[4, 0], 9.28e-193]]],
+}
 
 
 @pytest.mark.parametrize(
@@ -400,6 +408,14 @@ OVERFLOWING_VALUE = {
             {"scenario": "custom-section", "suites": ["sections"], "sections": [OVERFLOWING_VALUE]},
             "value of the section is not finite",
         ),
+        (
+            {
+                "scenario": "custom-section",
+                "suites": ["hypersymplectic", "sections", "special-kahler"],
+                "sections": [OVERFLOWING_PULLBACK],
+            },
+            "pullback of the form to the graph is not finite",
+        ),
     ],
     ids=[
         "overflowing-frame",
@@ -407,6 +423,7 @@ OVERFLOWING_VALUE = {
         "two-near-maximal-slopes",
         "overflowing-distance",
         "overflowing-value",
+        "overflowing-pullback",
     ],
 )
 def test_unevaluable_geometry_exits_2_without_writing(tmp_path, capsys, config, message):
@@ -464,10 +481,10 @@ def test_a_curved_section_is_differenced_only_for_its_graph_frame(tmp_path, caps
 
 
 def test_a_default_run_reads_each_section_once_per_sample(capsys, monkeypatch):
-    """paper-n1: the zero and rotation sections are each read for their
-    values, exact fibre block and FD frame (3 + 3 polynomial calls), and the
-    rotation section for its second derivatives (1); the two FD frames are
-    the run's only stencils."""
+    """paper-n1: the family of the zero and rotation sections is read once
+    for its values, exact fibre block and FD frame (3 polynomial calls), and
+    the rotation member for its second derivatives (1); the family's FD
+    frame is the run's only stencil."""
     counts = {"polynomial": 0, "stencil": 0}
     call, stencil = Polynomial.__call__, calculus.stencil
 
@@ -484,7 +501,7 @@ def test_a_default_run_reads_each_section_once_per_sample(capsys, monkeypatch):
     monkeypatch.setattr(fibration, "stencil", counting_stencil)
     assert main([]) == 0
     capsys.readouterr()
-    assert counts == {"polynomial": 7, "stencil": 2}
+    assert counts == {"polynomial": 4, "stencil": 1}
 
 
 @pytest.mark.parametrize(
@@ -495,23 +512,30 @@ def test_a_default_run_reads_each_section_once_per_sample(capsys, monkeypatch):
 def test_second_derivatives_are_built_only_for_the_special_kahler_suite(
     tmp_path, capsys, monkeypatch, suites, second_derivatives
 ):
-    """A section's exact Jacobian is built with the section; its second
-    derivatives, the Jacobian of that Jacobian, only when a suite reads I's
-    derivative."""
-    sizes = []
-    original = Polynomial.jacobian
+    """A section family's exact Jacobian is built with the family; second
+    derivatives, the Jacobian of (a member's components of) that Jacobian,
+    only when a suite reads I's derivative."""
+    derived, second = [], []
+    jacobian, components = Polynomial.jacobian, Polynomial.components
 
-    def recording(poly):
-        sizes.append(poly.size)
-        return original(poly)
+    def recording_jacobian(poly):
+        second.append(any(poly is d for d in derived))
+        derived.append(jacobian(poly))
+        return derived[-1]
 
-    monkeypatch.setattr(Polynomial, "jacobian", recording)
+    def recording_components(poly, *args):
+        part = components(poly, *args)
+        if any(poly is d for d in derived):
+            derived.append(part)
+        return part
+
+    monkeypatch.setattr(Polynomial, "jacobian", recording_jacobian)
+    monkeypatch.setattr(Polynomial, "components", recording_components)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "paper-n1", "suites": suites}))
     assert main(["--config", str(cfg), "--output", str(tmp_path / "report.json")]) == 0
-    # the fibre (p, q) has 2 components at n = 1, its Jacobian 4
-    assert (4 in sizes) == second_derivatives
-    assert 2 in sizes
+    assert any(second) == second_derivatives
+    assert not all(second)  # the exact Jacobian of the sections
 
 
 # rank-2 power vectors on the default rank-1 model

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,11 @@ from hypersymplectic.fibration import (
     complex_submanifold_check,
     gradient_section,
     graph_distance,
+    graph_frame_defect,
     holomorphic_frame_check,
     make_model,
     recursion_operator,
+    rotation_terms,
     section_pullback,
     standard_frame_pairs,
     standard_sigma_section,
@@ -315,10 +319,10 @@ def pullback_residual(section, form, points):
 
 def test_section_validation():
     with pytest.raises(ValueError):
-        SectionMap(MODEL, (), (Polynomial.zero(2),), name="short")
+        SectionMap(MODEL, (), (Polynomial.from_terms(2, []),), name="short")
     with pytest.raises(ValueError):
         make_section([((9, 0), 1.0)], [], "too-steep")
-    wrong_arity = Polynomial.zero(3)
+    wrong_arity = Polynomial.from_terms(3, [])
     with pytest.raises(ValueError):
         SectionMap(MODEL, (wrong_arity,), (wrong_arity,), name="bad")
 
@@ -335,8 +339,8 @@ def test_section_evaluation_and_chart_guard():
 def test_exact_and_fd_jacobians_agree():
     curved = make_section([((2, 0), 1.0), ((0, 1), 1.0)], [((1, 1), -2.0)], "curved")
     pt = base_point([0.4, -0.3])
-    exact = curved.jacobian(pt)
-    assert np.allclose(exact, curved.jacobian_fd(pt), atol=1e-9)
+    exact = curved.jacobian(pt)[0]  # the one member
+    assert np.allclose(exact, curved.jacobian_fd(pt)[0], atol=1e-9)
     assert np.array_equal(exact[:2], np.eye(2))
     assert np.allclose(exact[2], [0.8, 1.0])  # d(x^2 + y)
     assert np.allclose(exact[3], [0.6, -0.8])  # d(-2xy)
@@ -376,15 +380,19 @@ def test_section_maps_match_per_component_evaluation():
         4, [((3, 1, 2, 0), 0.5), ((0, 2, 0, 4), -1.25), ((1, 0, 1, 1), 2.0), ((0, 0, 0, 1), 3.0)]
     )
     model = make_model(2)
-    for section in (gradient_section(model, potential), zero_section(model)):
+    cases = [
+        (gradient_section(model, potential), [potential.derivative(j) for j in range(4)]),
+        (zero_section(model), [Polynomial.from_terms(4, [])] * 4),
+    ]
+    for section, polys in cases:
         stacked = model.base_chart.sample(7, 3)
         for pt in (stacked, next(iter(stacked))):
             xy = pt.coords
-            polys = section.p + section.q
             fibre = np.stack([poly(xy) for poly in polys], axis=-1)
-            assert np.array_equal(section.total_coords(pt), np.concatenate([xy, fibre], axis=-1))
+            graph = np.concatenate([xy, fibre], axis=-1)[..., None, :]
+            assert np.array_equal(section.total_coords(pt), graph)
             rows = [np.stack([poly.derivative(j)(xy) for j in range(4)], axis=-1) for poly in polys]
-            assert np.array_equal(section.fibre_jacobian(pt), np.stack(rows, axis=-2))
+            assert np.array_equal(section.fibre_jacobian(pt), np.stack(rows, axis=-2)[..., None, :, :])
 
 
 def test_zero_section_is_omega_lagrangian_and_chi_invariant():
@@ -464,7 +472,7 @@ def test_harmonic_gradient_graphs_are_chi_invariant():
 
 def test_gradient_section_arity_guard():
     with pytest.raises(ValueError):
-        gradient_section(MODEL, Polynomial.coordinate(3, 0))
+        gradient_section(MODEL, Polynomial.from_terms(3, [((1, 0, 0), 1.0)]))
 
 
 def qr_distance(section, J, pt):
@@ -515,6 +523,94 @@ def test_non_finite_graph_frames_raise():
                 complex_submanifold_check(MODEL, huge, J, pts)
 
 
+# p = (y1 + 0.3 x1^2 x2, y2), q = (-x1, -x2 + 0.2 y1^3): a curved rank-2 section
+CURVED_N2 = (
+    "curved2",
+    [[((0, 0, 1, 0), 1.0), ((2, 1, 0, 0), 0.3)], [((0, 0, 0, 1), 1.0)]],
+    [[((1, 0, 0, 0), -1.0)], [((0, 1, 0, 0), -1.0), ((0, 0, 3, 0), 0.2)]],
+)
+
+
+def family_reads(model, family, pt, forms, endos):
+    """Every read of a family on ``pt`` with the given forms and complex
+    structures (one for every member, or one per member), each table with
+    the member axis."""
+    table = section_pullback(model, family, forms, pt)
+    D, restriction, defect = graph_frame_defect(family, endos, pt)
+    return {
+        "values": family.evaluate(pt).coords,
+        "exact frame": family.jacobian(pt),
+        "fd frame": family.jacobian_fd(pt),
+        "pullback": np.stack(list(table.values()), axis=-1),
+        "D": D,
+        "restriction": restriction,
+        "defect": defect,
+        "distance": graph_distance(D, defect),
+    }
+
+
+def family_cases():
+    """(model, sections): the defaults at n = 1..4, the criterion-3 corpus
+    and the curved rank-2 section."""
+    for n in (1, 2, 3, 4):
+        model = make_model(n)
+        yield model, [zero_section(model), standard_sigma_section(model)]
+    yield MODEL, _corpus()
+    model = make_model(2)
+    yield model, [SectionMap.family(model, [CURVED_N2])]
+
+
+def test_a_family_reads_each_member_as_its_own_section():
+    """Built from the term tables of its members, a family equals, member by
+    member and exactly, each section read alone: values, exact and FD
+    frames, pullback table, D, restriction, defect, distance and second
+    derivatives.  Member k is held to form k and complex structure k
+    (cycling), the section alone to the same two."""
+    for model, sections in family_cases():
+        family = SectionMap.family(model, [s.members[0] for s in sections])
+        assert family.names == tuple(s.name for s in sections)
+        forms = [model.triple.forms()[k % 3] for k in range(len(sections))]
+        endos = [model.complexes.endos()[k % 3] for k in range(len(sections))]
+        for pt in (model.base_chart.sample(17, 5), model.base_chart.point([0.3] * (2 * model.n))):
+            axis = len(pt.batch_shape)  # the member axis
+            reads = family_reads(model, family, pt, forms, endos)
+            for k, section in enumerate(sections):
+                alone = family_reads(model, section, pt, forms[k], endos[k])
+                for kind, table in reads.items():
+                    member = np.take(table, k, axis=axis)
+                    assert np.array_equal(member, np.take(alone[kind], 0, axis=axis)), kind
+                assert np.array_equal(family.fibre_hessian(pt, k), section.fibre_hessian(pt))
+
+
+def test_an_overflowing_member_raises_for_the_family():
+    """A member whose frame, defect or pullback overflows raises
+    GeometryError for the whole family, naming the J of the member at fault,
+    and numpy warns about nothing."""
+    rotation = ("rotation", *rotation_terms(1))
+    huge = ("huge", [[((8, 0), 1e308)]], [[]])
+    two_slopes = ("lin", [[((1, 0), 1.7e308)]], [[((0, 1), 1.7e308)]])
+    big = (
+        "big",
+        [[((1, 1), -2.87e57), ((4, 1), 3.25e-40), ((4, 4), -1.86e250)]],
+        [[((3, 4), -4.81e132), ((4, 3), -6.86e133), ((4, 0), 9.28e-193)]],
+    )
+    pts = MODEL.base_chart.sample(10, 42)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        family = SectionMap.family(MODEL, [rotation, huge])
+        with pytest.raises(GeometryError, match="tangent frame of the graph is not finite"):
+            section_pullback(MODEL, family, TRIPLE.omega, pts)
+        with pytest.raises(GeometryError, match="tangent frame of the graph is not finite"):
+            graph_frame_defect(family, COMPLEXES.J_chi, pts)
+        family = SectionMap.family(MODEL, [rotation, two_slopes])
+        endos = [COMPLEXES.J_omega, COMPLEXES.J_chi]
+        with pytest.raises(GeometryError, match="defect of J_chi on the tangent frame"):
+            graph_frame_defect(family, endos, pts)
+        family = SectionMap.family(MODEL, [rotation, big])
+        with pytest.raises(GeometryError, match="pullback of the form to the graph is not finite"):
+            section_pullback(MODEL, family, [TRIPLE.sigma, TRIPLE.chi], pts)
+
+
 def svd_distance(D, defect):
     """Reference: |(Id + D D^T)^(-1/2) defect_c| per column c, read through
     the SVD D = U S V^T as |U^T defect_c / hypot(1, S)|."""
@@ -547,16 +643,16 @@ def test_graph_distance_matches_the_svd_formula(n):
             for k in range(len(D)):
                 for c in range(n2):
                     column = defect[k][:, [c]]
-                    distance = graph_distance(D[k], column)
+                    (distance,) = graph_distance(D[k], column)
                     assert distance == pytest.approx(reference[k, c], rel=1e-12, abs=0.0)
-            assert graph_distance(D, np.zeros_like(defect)) == 0.0
+            assert (graph_distance(D, np.zeros_like(defect)) == 0.0).all()
 
 
 def test_the_exact_fibre_block_is_read_once_per_sample(monkeypatch):
-    """Each read of a section on a Point object (its values, exact fibre block
-    and FD frame) costs one polynomial call and is kept read-only for the
-    next read of that object; another Point object, even with equal
-    coordinates, is read anew."""
+    """Each read of a section on a Point object (its values and exact fibre
+    block) costs one polynomial call and is kept read-only for the next read
+    of that object; another Point object, even with equal coordinates, is
+    read anew."""
     calls = []
     original = Polynomial.__call__
 
@@ -570,7 +666,6 @@ def test_the_exact_fibre_block_is_read_once_per_sample(monkeypatch):
     reads = {
         "evaluate": lambda pt: rot.evaluate(pt).coords,
         "fibre_jacobian": rot.fibre_jacobian,
-        "fd_frame": rot.fd_frame,
     }
     kept = {}
     for k, (kind, read) in enumerate(reads.items()):
@@ -580,14 +675,13 @@ def test_the_exact_fibre_block_is_read_once_per_sample(monkeypatch):
         assert len(calls) == k + 1, kind
     for kind, read in reads.items():
         assert read(pts) is kept[kind], kind
-    assert len(calls) == 3
+    assert len(calls) == 2
     equal = MODEL.base_chart.sample(20, 3)
     for kind, read in reads.items():
         again = read(equal)
         assert again is not kept[kind] and not again.flags.writeable, kind
         np.testing.assert_array_equal(again, kept[kind])
-    assert len(calls) == 6
-    np.testing.assert_array_equal(kept["fd_frame"], rot.jacobian_fd(pts))
+    assert len(calls) == 4
 
 
 def test_a_sample_cannot_be_written_after_a_section_read_it():

@@ -6,6 +6,18 @@ import pytest
 from hypersymplectic.polynomials import Polynomial
 
 
+def zero(n_vars):
+    return Polynomial.from_terms(n_vars, [])
+
+
+def constant(n_vars, value):
+    return Polynomial.from_terms(n_vars, [((0,) * n_vars, value)])
+
+
+def coordinate(n_vars, axis):
+    return Polynomial.from_terms(n_vars, [(tuple(int(i == axis) for i in range(n_vars)), 1.0)])
+
+
 def test_evaluation():
     # f(x, y) = 3 x^2 y + 2 y
     f = Polynomial.from_terms(2, [((2, 1), 3.0), ((0, 1), 2.0)])
@@ -41,32 +53,20 @@ def test_terms_merge_and_sort():
 
 def test_zero_coefficients_dropped():
     p = Polynomial.from_terms(2, [((1, 0), 1.0), ((1, 0), -1.0), ((0, 2), 0.0)])
-    assert p == Polynomial.zero(2)
-    assert p.degree == 0
+    assert p == zero(2)
+    assert p.terms == ()
 
 
 def test_constructors():
-    assert Polynomial.constant(3, 4.0)((9.0, 9.0, 9.0)) == 4.0
-    x1 = Polynomial.coordinate(2, 0)
+    assert constant(3, 4.0)((9.0, 9.0, 9.0)) == 4.0
+    x1 = coordinate(2, 0)
     assert x1((5.0, 7.0)) == 5.0
-    assert x1.derivative(0) == Polynomial.constant(2, 1.0)
-    assert x1.derivative(1) == Polynomial.zero(2)
-
-
-def test_degree():
-    assert Polynomial.from_terms(2, [((2, 3), 1.0), ((4, 0), 1.0)]).degree == 5
-
-
-def test_arithmetic():
-    f = Polynomial.from_terms(2, [((1, 0), 1.0), ((0, 1), 1.0)])
-    g = f.scaled(-2.0)
-    assert g.terms == (((0, 1), -2.0), ((1, 0), -2.0))
-    assert g((3.0, 1.0)) == -8.0
-    assert f.scaled(0.0) == Polynomial.zero(2)
+    assert x1.derivative(0) == constant(2, 1.0)
+    assert x1.derivative(1) == zero(2)
 
 
 def test_wrong_arity_rejected():
-    f = Polynomial.coordinate(2, 1)
+    f = coordinate(2, 1)
     with pytest.raises(ValueError):
         f((1.0,))
     with pytest.raises(ValueError):
@@ -81,14 +81,18 @@ RE_Z9 = Polynomial.from_terms(
 )
 
 
+def stack(components):
+    return Polynomial.stack(components[0].n_vars, [c.terms for c in components])
+
+
 def test_stacked_components_match_scalar_polynomials():
     """Each component of a vector polynomial equals its scalar polynomial bit
     for bit, signs of zero included, on a stack of points and at one point;
     the components need not share monomials, and one of them is zero."""
     p, q = RE_Z9.derivative(0), RE_Z9.derivative(1)
     components = [p, q] + [f.derivative(j) for f in (p, q) for j in range(2)]
-    components += [Polynomial.zero(2), Polynomial.constant(2, -1.5), Polynomial.coordinate(2, 1)]
-    vector = Polynomial.stack(components)
+    components += [zero(2), constant(2, -1.5), coordinate(2, 1)]
+    vector = stack(components)
     assert vector.size == len(components)
     assert len(vector.terms) == len(set().union(*(dict(c.terms) for c in components)))
     coords = np.random.default_rng(4).uniform(-1.2, 1.2, (3, 5, 2))
@@ -104,12 +108,12 @@ def test_stacked_components_match_scalar_polynomials():
     assert one.shape == (len(components),)
     assert all(one[k] == f(coords[1, 2]) for k, f in enumerate(components))
     with pytest.raises(ValueError):
-        Polynomial.stack([p, Polynomial.zero(3)])
+        Polynomial.stack(2, [p.terms, coordinate(3, 0).terms])
 
 
 def derivative_stack(components):
     n_vars = components[0].n_vars
-    return Polynomial.stack([c.derivative(j) for c in components for j in range(n_vars)])
+    return stack([c.derivative(j) for c in components for j in range(n_vars)])
 
 
 def test_one_pass_jacobian_matches_the_stacked_derivatives():
@@ -120,14 +124,14 @@ def test_one_pass_jacobian_matches_the_stacked_derivatives():
     three = Polynomial.from_terms(3, [((2, 0, 1), 0.5), ((0, 3, 0), -1.25), ((1, 1, 1), 2.0)])
     cases = [
         [p, q],
-        [p, Polynomial.zero(2), Polynomial.constant(2, 4.0), Polynomial.coordinate(2, 1)],
-        [three, Polynomial.zero(3), three.derivative(2)],
-        [Polynomial.zero(2), Polynomial.zero(2)],
+        [p, zero(2), constant(2, 4.0), coordinate(2, 1)],
+        [three, zero(3), three.derivative(2)],
+        [zero(2), zero(2)],
     ]
     rng = np.random.default_rng(5)
     for components in cases:
         n_vars = components[0].n_vars
-        jacobian = Polynomial.stack(components).jacobian()
+        jacobian = stack(components).jacobian()
         reference = derivative_stack(components)
         assert jacobian == reference
         assert jacobian.size == len(components) * n_vars
@@ -145,6 +149,20 @@ def test_one_pass_jacobian_overflows_without_a_numpy_warning():
     huge = Polynomial.from_terms(2, [((8, 0), 1e308)])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        jacobian = Polynomial.stack([huge, Polynomial.zero(2)]).jacobian()
-    assert jacobian == derivative_stack([huge, Polynomial.zero(2)])
+        jacobian = stack([huge, zero(2)]).jacobian()
+    assert jacobian == derivative_stack([huge, zero(2)])
     assert jacobian.terms == (((7, 0), (np.inf, 0.0, 0.0, 0.0)),)
+
+
+def test_a_slice_of_components_evaluates_like_the_whole():
+    """``components`` keeps the chosen components bit for bit and drops the
+    terms that vanish on all of them."""
+    p, q = RE_Z9.derivative(0), RE_Z9.derivative(1)
+    vector = stack([p, zero(2), coordinate(2, 1), q])
+    coords = np.random.default_rng(6).uniform(-1.2, 1.2, (5, 2))
+    for start, stop in ((0, 2), (1, 3), (2, 4), (0, 4)):
+        part = vector.components(start, stop)
+        assert part.size == stop - start
+        assert np.array_equal(part(coords), vector(coords)[..., start:stop])
+    middle = vector.components(1, 3)
+    assert middle == stack([zero(2), coordinate(2, 1)])

@@ -134,7 +134,7 @@ def test_run_scenario_is_deterministic():
 
 
 def test_a_run_draws_and_builds_its_shared_inputs_once(monkeypatch):
-    """All five suites share one sample per chart, one set of sections and
+    """All five suites share one sample per chart, one family of sections and
     one of each triple; the action-angle suite draws its states once."""
     counts = Counter()
 
@@ -148,7 +148,7 @@ def test_a_run_draws_and_builds_its_shared_inputs_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(Chart, "sample", lambda chart, *rest: chart.name)
-    counted(fibration.SectionMap, "__post_init__", lambda section: "section")
+    counted(fibration.SectionMap, "_build", lambda section, model, members: "family")
     for name in ("build_structure_triple", "build_complex_triple"):
         for module in (scenarios, fibration, special_kahler):
             if hasattr(module, name):
@@ -158,7 +158,7 @@ def test_a_run_draws_and_builds_its_shared_inputs_once(monkeypatch):
     assert counts == {
         "paper-n-total": 1,
         "paper-n-base": 1,
-        "section": 2,
+        "family": 1,
         "build_structure_triple": 1,
         "build_complex_triple": 1,
         "sample_states": 1,
@@ -166,20 +166,21 @@ def test_a_run_draws_and_builds_its_shared_inputs_once(monkeypatch):
 
 
 def test_a_run_takes_each_graph_frame_once(monkeypatch):
-    """paper-n1 reads the rotation section's FD frame for J_omega in both the
-    sections and the special-kahler suite, and the zero section's for J_chi:
-    two FD frames per run."""
+    """paper-n1 reads the FD frame of its one family, the zero and rotation
+    sections, once: the sections suite judges them under J_chi and J_omega,
+    and the special-kahler suite reads the rotation member's restriction
+    under J_omega from the same defect."""
     calls = []
     original = fibration.SectionMap.jacobian_fd
 
     def counting(section, *args, **kwargs):
-        calls.append(section.name)
+        calls.append(section.names)
         return original(section, *args, **kwargs)
 
     monkeypatch.setattr(fibration.SectionMap, "jacobian_fd", counting)
     doc = run_scenario(ScenarioConfig.from_dict({"scenario": "paper-n1"}))
     assert doc.verdict == "pass"
-    assert sorted(calls) == ["rotation", "zero"]
+    assert calls == [("zero", "rotation")]
 
 
 def test_failing_section_flips_the_verdict():
