@@ -625,7 +625,11 @@ def graph_distance(D: np.ndarray, defect: np.ndarray) -> np.ndarray:
     is |Q_pq^T defect_c|.  The plane has full dimension however steep the
     section, so no rank test is needed; the column norms are taken by
     ``hypot``, which squares no entry.  GeometryError when a distance
-    exceeds the float range."""
+    exceeds the float range.  A zero defect lies in every such plane, so a
+    table of zero defects takes no QR: its distances are +0.0, as the QR
+    route gives them."""
+    if not defect.any():
+        return np.zeros(np.broadcast_shapes(D.shape, defect.shape)[:-2] + defect.shape[-1:])
     n2 = D.shape[-1]
     scale = np.maximum(1.0, np.max(np.abs(D), axis=(-2, -1)))[..., None, None]
     normals = np.concatenate([-transpose(D), np.broadcast_to(np.eye(n2), D.shape)], axis=-2)

@@ -104,10 +104,7 @@ class Polynomial:
             e = powers[axis]
             if e == 0:
                 continue
-            dropped = tuple(
-                e - 1 if i == axis else p for i, p in enumerate(powers)
-            )
-            new_terms.append((dropped, coeff * e))
+            new_terms.append((powers[:axis] + (e - 1,) + powers[axis + 1 :], coeff * e))
         return Polynomial.from_terms(self.n_vars, new_terms)
 
     def jacobian(self) -> "Polynomial":
@@ -145,8 +142,7 @@ def merge_terms(n_vars: int, terms: Iterable[Sequence]) -> tuple[Term, ...]:
     """A term table validated, with equal power vectors merged, zero
     coefficients dropped and the terms sorted by power vector."""
     merged: dict[tuple[int, ...], float] = {}
-    for raw in terms:
-        powers, coeff = raw
+    for powers, coeff in terms:
         powers = tuple(int(e) for e in powers)
         if len(powers) != n_vars:
             raise ValueError(

@@ -416,6 +416,16 @@ OVERFLOWING_PULLBACK = {
             },
             "pullback of the form to the graph is not finite",
         ),
+        # the family reads every member's frame before any defect, so the
+        # second member's frame is reported, not the first member's defect
+        (
+            {
+                "scenario": "custom-section",
+                "suites": ["sections"],
+                "sections": [TWO_SLOPES, OVERFLOWING],
+            },
+            "tangent frame of the graph is not finite",
+        ),
     ],
     ids=[
         "overflowing-frame",
@@ -424,6 +434,7 @@ OVERFLOWING_PULLBACK = {
         "overflowing-distance",
         "overflowing-value",
         "overflowing-pullback",
+        "two-failing-members-in-read-order",
     ],
 )
 def test_unevaluable_geometry_exits_2_without_writing(tmp_path, capsys, config, message):
@@ -548,8 +559,10 @@ MISMATCHED = {"name": "s", "p": [[[[1, 0, 0], 1.0]]], "q": [[]]}
         {"scenario": "custom-section", "sections": [MISMATCHED]},
         {"scenario": "custom-section", "n": 2, "sections": [ROTATION]},
         {"scenario": "custom-section", "sections": [{**MISMATCHED, "p": [[[[9, 0], 1.0]]]}]},
+        # x^5 y^4: no power above 8, total degree 9
+        {"scenario": "custom-section", "sections": [{**MISMATCHED, "p": [[[[5, 4], 1.0]]]}]},
     ],
-    ids=["power-vector-length", "component-count", "degree-above-bound"],
+    ids=["power-vector-length", "component-count", "degree-above-bound", "mixed-degree-above-bound"],
 )
 def test_sections_that_do_not_fit_the_model_exit_2_without_writing(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"

@@ -322,6 +322,15 @@ def test_section_validation():
         SectionMap(MODEL, (), (Polynomial.from_terms(2, []),), name="short")
     with pytest.raises(ValueError):
         make_section([((9, 0), 1.0)], [], "too-steep")
+    # the degree is the largest total degree of a term: neither the largest
+    # single power nor the sum over all terms
+    with pytest.raises(ValueError, match="'mixed': section degree 9 exceeds the bound 8"):
+        make_section([((5, 4), 1.0)], [], "mixed")
+    make_section([((2, 3), 1.0), ((4, 0), 1.0)], [], "five")
+    make_section([((4, 4), 1.0)], [((0, 8), 1.0)], "at-bound")
+    fits, steep = (((((1, 0), 1.0),),), ((),)), (((((5, 4), 1.0),),), ((),))
+    with pytest.raises(ValueError, match="'steep': section degree 9"):
+        SectionMap.family(MODEL, [("fits", *fits), ("steep", *steep)])
     wrong_arity = Polynomial.from_terms(3, [])
     with pytest.raises(ValueError):
         SectionMap(MODEL, (wrong_arity,), (wrong_arity,), name="bad")
@@ -646,6 +655,25 @@ def test_graph_distance_matches_the_svd_formula(n):
                     (distance,) = graph_distance(D[k], column)
                     assert distance == pytest.approx(reference[k, c], rel=1e-12, abs=0.0)
             assert (graph_distance(D, np.zeros_like(defect)) == 0.0).all()
+
+
+def test_zero_defects_take_no_qr_and_read_as_through_the_qr(monkeypatch):
+    """A zero defect lies in the tangent plane: a table of zero defects is
+    read without a QR as +0.0, which is what the QR route gives a zero
+    member next to a nonzero one."""
+    rng = np.random.default_rng(5)
+    D = 1e8 * rng.standard_normal((4, 2, 6, 6))
+    defect = rng.standard_normal((4, 2, 6, 6))
+    defect[:, 0] = 0.0
+    through_qr = graph_distance(D, defect)[:, 0]
+    real_qr, calls = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr", lambda *args: calls.append(1) or real_qr(*args))
+    zero = graph_distance(D, np.zeros_like(defect))
+    assert calls == [] and zero.shape == (4, 2, 6)
+    for table in (through_qr, zero):
+        assert np.array_equal(table, np.zeros(table.shape)) and not np.signbit(table).any()
+    graph_distance(D, defect)
+    assert calls == [1]
 
 
 def test_the_exact_fibre_block_is_read_once_per_sample(monkeypatch):
