@@ -406,11 +406,11 @@ class SectionMap:
     its m members on an axis just before the value axes of each read; a
     single section is the one-member family.  All components are one vector
     polynomial, with its exact Jacobian, and component ``k * 2n + r``, (p,
-    q)_r of member k, evaluates bit for bit as it would alone.  Values and
-    derivatives, exact or FD (stepped by the base chart), raise
-    GeometryError when they overflow.  The values and exact fibre block read
-    on the last base ``Point`` object (compared by identity) are kept
-    read-only until another point is read, so a run reads each once."""
+    q)_r of member k, evaluates bit for bit as it would alone where finite.
+    Each read, exact or FD (stepped by the base chart), is of the whole
+    family and raises GeometryError unless finite.  The values and exact
+    fibre block read on the last base ``Point`` object (compared by
+    identity) are kept read-only until another point is read."""
 
     def __init__(self, model: FibrationModel, p, q, name: str = "") -> None:
         """The section whose components are the scalar polynomials p and q."""
@@ -479,14 +479,16 @@ class SectionMap:
         block = lambda: _finite(lambda: self._jacobian(base_pt.coords)).reshape(shape)
         return self._read(base_pt, "block", block)
 
+    @cached_property
+    def _hessian(self) -> Polynomial:  # the family's second derivatives
+        return self._jacobian.jacobian()
+
     def fibre_hessian(self, base_pt: Point, member: int = 0) -> np.ndarray:
         """Exact d_a d_j (p, q)_r of one member in the layout [..., r, j, a],
-        shape (..., 2n, 2n, 2n), from that member's second derivatives, built
-        when read."""
-        n2 = 2 * self.model.n
-        hessian = self._jacobian.components(member * n2 * n2, (member + 1) * n2 * n2).jacobian()
-        table = _finite(lambda: hessian(base_pt.coords), "second derivative of the section")
-        return table.reshape(base_pt.batch_shape + (n2, n2, n2))
+        shape (..., 2n, 2n, 2n), sliced from the family's second derivatives."""
+        shape = base_pt.batch_shape + (len(self.members),) + (2 * self.model.n,) * 3
+        table = _finite(lambda: self._hessian(base_pt.coords), "second derivative of the section")
+        return table.reshape(shape)[..., member, :, :, :]
 
     def jacobian(self, base_pt: Point) -> np.ndarray:
         """Exact Jacobian (..., m, 4n, 2n): identity block over the fibre block."""
@@ -495,8 +497,12 @@ class SectionMap:
         return np.concatenate([top, block], axis=-2)
 
     def jacobian_fd(self, base_pt: Point) -> np.ndarray:
-        shape = (len(self.members), self.model.total_chart.dim)
-        return _finite(lambda: stencil(self.total_coords, base_pt, shape))
+        """FD graph frame (Id; D), (..., m, 4n, 2n) like ``jacobian``: one
+        ``stencil`` of ``total_coords``, each column divided by its base
+        entry, the step actually taken over 2h (1 up to about eps / h)."""
+        n2, shape = 2 * self.model.n, (len(self.members), self.model.total_chart.dim)
+        over_steps = lambda F: F / np.diagonal(F[..., :n2, :], axis1=-2, axis2=-1)[..., None, :]
+        return _finite(lambda: over_steps(stencil(self.total_coords, base_pt, shape)))
 
 
 def _finite(compute: Callable[[], np.ndarray], what="tangent frame of the graph") -> np.ndarray:
@@ -566,30 +572,22 @@ def section_pullback(
 def graph_frame_defect(
     section: SectionMap, J: EndomorphismField | Sequence, pt: Point
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """J applied to the FD graph frame F of each member of a family at base
-    point(s); ``J`` is one complex structure for every member or one per
-    member, and every table has the member axis.
-
-    The base block of F is diagonal: column a holds the step actually taken
-    along x_a over 2h (h is the base chart's ``fd_step()``), which differs
-    from 1 by rounding (about eps / h).
-    Dividing the fibre block by it gives the difference quotient D of the
-    section over that step, so F spans the graph's tangent plane
-    {(v, D v)}.  Returns D, the base block R = (J F)_xy and the defect
-    (J F)_pq - D R: column c of J F minus the tangent vector (R_c, D R_c) is
+    """J applied to the FD graph frame F = (Id; D) (``SectionMap.jacobian_fd``)
+    of each member of a family at base point(s); ``J`` is one complex
+    structure for every member or one per member, and every table has the
+    member axis.  Returns D, R = (J F)_xy and the defect (J F)_pq - D R:
+    column c of J F minus the tangent vector (R_c, D R_c) of the graph is
     (0, defect_c), so J F is tangent to the graph exactly when the defect
     vanishes.  GeometryError, naming the J of the first member at fault,
-    when F or the defect is not finite (two slopes near the float maximum),
-    since no verdict can be read from them; the products are formed with
-    numpy's overflow warnings silenced.
+    when the defect is not finite (two slopes near the float maximum); the
+    products are formed with numpy's overflow warnings silenced.
     """
     frame = section.jacobian_fd(pt)
     endos, M_J = _member_fields(J, section.evaluate(pt), EndomorphismField.matrix)
     n2 = frame.shape[-1]
-    steps = np.diagonal(frame[..., :n2, :], axis1=-2, axis2=-1)
+    D = frame[..., n2:, :]
     with np.errstate(over="ignore", invalid="ignore"):
         moved = M_J @ frame
-        D = frame[..., n2:, :] / steps[..., None, :]
         restriction = moved[..., :n2, :]
         defect = moved[..., n2:, :] - D @ restriction
     broken = ~np.isfinite(defect).all(axis=(-2, -1)).reshape(-1, len(endos)).all(axis=0)

@@ -10,8 +10,10 @@ A polynomial may also be vector valued: ``Polynomial.stack`` merges the term
 tables of scalar polynomials into one whose coefficients hold one float per
 component, so all of them are evaluated in one call.
 Evaluation performs, for every component, the operations the scalar
-polynomial performs, in the same order, so each component agrees with its
-scalar polynomial bit for bit.
+polynomial performs, in the same order, a term it lacks adding a zero, so
+each component agrees with its scalar polynomial bit for bit wherever the
+shared powers are finite; ``fibration.SectionMap`` refuses a non-finite read
+whole.
 """
 
 from __future__ import annotations
@@ -29,13 +31,12 @@ class Polynomial:
     """A real polynomial in ``n_vars`` variables, or, when ``size`` is set, a
     vector of ``size`` polynomials sharing one term table, each coefficient
     then being a tuple of ``size`` floats.  ``derivative`` takes a scalar
-    polynomial, ``jacobian`` and ``components`` vector ones."""
+    polynomial, ``jacobian`` a vector one."""
 
     n_vars: int
     terms: tuple[Term, ...]
     size: int | None = None
-    # per term: coefficient, the (axis, exponent) pairs with a nonzero
-    # exponent, and the components whose coefficient is zero (vector only)
+    # per term: coefficient and the (axis, exponent) pairs with a nonzero exponent
     _plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -43,14 +44,13 @@ class Polynomial:
         for powers, coeff in self.terms:
             factors = tuple((axis, e) for axis, e in enumerate(powers) if e)
             if self.size is None:
-                plan.append((coeff, factors, None))
+                plan.append((coeff, factors))
                 continue
             coeff = np.array(coeff, dtype=float)
             if coeff.shape != (self.size,):
                 raise ValueError(f"coefficient {coeff.shape} does not hold {self.size} components")
             coeff.flags.writeable = False
-            zero = coeff == 0.0
-            plan.append((coeff, factors, zero if factors and zero.any() else None))
+            plan.append((coeff, factors))
         object.__setattr__(self, "_plan", tuple(plan))
 
     @classmethod
@@ -77,21 +77,19 @@ class Polynomial:
 
         Each term multiplies its coefficient by the powers in axis order and
         adds the product to a total that starts at +0.0.  A vector term does
-        this for every component at once and contributes exactly +0.0 where
-        its coefficient is zero, so each component equals its scalar
-        polynomial bit for bit."""
+        this for every component at once, adding a zero where its coefficient
+        is zero, so each component equals its scalar polynomial bit for bit
+        wherever the powers are finite."""
         x = np.asarray(coords, dtype=float)
         if x.shape[-1:] != (self.n_vars,):
             raise ValueError(f"expected {self.n_vars} coordinates, got shape {x.shape}")
         vector = self.size is not None
         total = np.zeros(x.shape[:-1] + ((self.size,) if vector else ()))
-        for coeff, factors, zero in self._plan:
+        for coeff, factors in self._plan:
             value = coeff
             for axis, e in factors:
                 power = x[..., axis] ** e
                 value = value * (power[..., None] if vector else power)
-            if zero is not None:
-                np.copyto(value, 0.0, where=zero)
             total += value
         return total[()]
 
@@ -130,12 +128,6 @@ class Polynomial:
                 row[j :: self.n_vars] = [float(c) * e for c in coeffs]
         terms = tuple((m, tuple(table[m])) for m in sorted(table))
         return Polynomial(n_vars=self.n_vars, terms=terms, size=width)
-
-    def components(self, start: int, stop: int) -> "Polynomial":
-        """Components ``start`` to ``stop - 1``, without the terms that vanish
-        on all of them; each evaluates bit for bit as before."""
-        terms = tuple((m, c[start:stop]) for m, c in self.terms if any(c[start:stop]))
-        return Polynomial(n_vars=self.n_vars, terms=terms, size=stop - start)
 
 
 def merge_terms(n_vars: int, terms: Iterable[Sequence]) -> tuple[Term, ...]:

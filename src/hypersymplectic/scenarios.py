@@ -463,20 +463,16 @@ def _suite_sections(run: _RunInputs) -> list[CheckReport]:
 
 
 def _suite_special_kahler(run: _RunInputs) -> list[CheckReport]:
-    """The first sigma section, as a member of the run's family when the
-    sections suite reads that, else on its own; the standard one when none
-    is configured."""
-    config, model, pt, family = run.config, run.model, run.base_pt, run.sections
+    """The first sigma section as a member of the run's family, its
+    graph-frame defect read last; the standard one when none is configured."""
+    model, pt, tol = run.model, run.base_pt, run.config.tolerances
     forms = [spec.form for spec in run.specs]
-    member, defect = 0, None
-    if "sigma" not in forms:
-        section = standard_sigma_section(model)
-    elif "sections" in config.suites:
-        section, member, defect = family, forms.index("sigma"), run.frame_defect
-    else:
-        section = SectionMap.family(model, [family.members[forms.index("sigma")]])
-    data, tol = build_special_kahler(model, section, member), config.tolerances
+    configured = "sigma" in forms
+    section = run.sections if configured else standard_sigma_section(model)
+    member = forms.index("sigma") if configured else 0
+    data = build_special_kahler(model, section, member)
     reports = special_symplectic_check(data, pt, tol) + kahler_reports(data, pt, tol)
+    defect = run.frame_defect if configured else None
     return reports + [induced_vs_restriction(model, section, pt, tol.fd, member, defect)]
 
 

@@ -18,7 +18,8 @@ endomorphism and its derivative use exact polynomial derivatives (the
 section's first and second), while the graph-restriction comparison uses the
 finite-difference frame, so agreement between the two is an actual
 cross-check and not an identity of implementation.  That frame, the one
-central difference here, steps by the base chart's ``fd_step()``.  The
+central difference here, steps by the base chart's ``fd_step()`` and is
+divided by the step actually taken, so its base block is the identity.  The
 section is member ``member`` (0 for a single section) of a ``SectionMap``.
 """
 

@@ -426,6 +426,16 @@ OVERFLOWING_PULLBACK = {
             },
             "tangent frame of the graph is not finite",
         ),
+        # special-kahler alone still reads the run's family, so the omega
+        # member's defect is formed next to the Kähler member's, and refused
+        (
+            {
+                "scenario": "custom-section",
+                "suites": ["special-kahler"],
+                "sections": [ROTATION, TWO_SLOPES],
+            },
+            "defect of J_chi on the tangent frame of the graph is not finite",
+        ),
     ],
     ids=[
         "overflowing-frame",
@@ -435,6 +445,7 @@ OVERFLOWING_PULLBACK = {
         "overflowing-value",
         "overflowing-pullback",
         "two-failing-members-in-read-order",
+        "special-kahler-reads-the-whole-family",
     ],
 )
 def test_unevaluable_geometry_exits_2_without_writing(tmp_path, capsys, config, message):
@@ -524,24 +535,17 @@ def test_second_derivatives_are_built_only_for_the_special_kahler_suite(
     tmp_path, capsys, monkeypatch, suites, second_derivatives
 ):
     """A section family's exact Jacobian is built with the family; second
-    derivatives, the Jacobian of (a member's components of) that Jacobian,
-    only when a suite reads I's derivative."""
+    derivatives, the Jacobian of that Jacobian, only when a suite reads I's
+    derivative."""
     derived, second = [], []
-    jacobian, components = Polynomial.jacobian, Polynomial.components
+    jacobian = Polynomial.jacobian
 
     def recording_jacobian(poly):
         second.append(any(poly is d for d in derived))
         derived.append(jacobian(poly))
         return derived[-1]
 
-    def recording_components(poly, *args):
-        part = components(poly, *args)
-        if any(poly is d for d in derived):
-            derived.append(part)
-        return part
-
     monkeypatch.setattr(Polynomial, "jacobian", recording_jacobian)
-    monkeypatch.setattr(Polynomial, "components", recording_components)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "paper-n1", "suites": suites}))
     assert main(["--config", str(cfg), "--output", str(tmp_path / "report.json")]) == 0

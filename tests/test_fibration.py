@@ -355,6 +355,18 @@ def test_exact_and_fd_jacobians_agree():
     assert np.allclose(exact[3], [0.6, -0.8])  # d(-2xy)
 
 
+def test_the_fd_frame_is_divided_by_the_step_actually_taken():
+    """Each FD column is divided by its base entry, so the frame has the
+    exact frame's shape (Id; D) at any step; for the rotation section,
+    whose slopes are 0 and 1, it equals the exact frame bit for bit, also
+    at h = 1e-12, where the step taken differs from h by up to 2e-5."""
+    for step in (None, 1e-12):
+        model = make_model(1, fd_step=step)
+        rotation = standard_sigma_section(model)
+        pt = model.base_chart.sample(50, 3)
+        assert np.array_equal(rotation.jacobian_fd(pt), rotation.jacobian(pt))
+
+
 def test_stacked_section_maps_match_single_points():
     """On the curved section p = y + x^2, q = -x, every section map and the
     pullback and invariance checks agree, row for row, with single points."""

@@ -152,17 +152,3 @@ def test_one_pass_jacobian_overflows_without_a_numpy_warning():
         jacobian = stack([huge, zero(2)]).jacobian()
     assert jacobian == derivative_stack([huge, zero(2)])
     assert jacobian.terms == (((7, 0), (np.inf, 0.0, 0.0, 0.0)),)
-
-
-def test_a_slice_of_components_evaluates_like_the_whole():
-    """``components`` keeps the chosen components bit for bit and drops the
-    terms that vanish on all of them."""
-    p, q = RE_Z9.derivative(0), RE_Z9.derivative(1)
-    vector = stack([p, zero(2), coordinate(2, 1), q])
-    coords = np.random.default_rng(6).uniform(-1.2, 1.2, (5, 2))
-    for start, stop in ((0, 2), (1, 3), (2, 4), (0, 4)):
-        part = vector.components(start, stop)
-        assert part.size == stop - start
-        assert np.array_equal(part(coords), vector(coords)[..., start:stop])
-    middle = vector.components(1, 3)
-    assert middle == stack([zero(2), coordinate(2, 1)])

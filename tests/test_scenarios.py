@@ -1,4 +1,5 @@
 import json
+import warnings
 from collections import Counter
 
 import pytest
@@ -290,6 +291,36 @@ def test_the_configured_step_reaches_exactly_the_fd_route_checks():
         "sections.graph_invariant.cubic.J_omega",
         "special_kahler.matches_graph_restriction",
     }
+
+
+SOFT_OSCILLATORS = {
+    "scenario": "oscillators",
+    "frequencies": [1.3232948360824925e-06, 0.7770376999480298],
+}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"scenario": "paper-n1", "sampling": {"fd_step": 1e-12}},
+        {**SOFT_OSCILLATORS, "sampling": {"fd_step": 1e-5}},
+        {**SOFT_OSCILLATORS, "sampling": {"fd_step": 1e-6}},
+    ],
+    ids=["paper-n1-step-1e-12", "soft-oscillators-step-1e-5", "soft-oscillators-step-1e-6"],
+)
+def test_the_graph_restriction_is_read_over_the_step_actually_taken(raw):
+    """The step actually taken differs from the configured one by about
+    ulp(x): by a relative 2e-5 on paper-n1 at 1e-12, and by 7.6e-6 on the
+    soft oscillators, whose base box reaches x = 1.5e6.  The FD frame is
+    divided by it before J acts, so the rotation's restriction is exactly
+    I: the check reads 0.0 where the undivided frame read 2.2e-5 and
+    7.6e-6, and failed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        doc = run_scenario(ScenarioConfig.from_dict(raw))
+    checks = {r.identity_name: r for r in doc.checks}
+    assert checks["special_kahler.matches_graph_restriction"].max_residual == 0.0
+    assert doc.verdict == "pass"
 
 
 def test_summary_lines_cover_every_check():
