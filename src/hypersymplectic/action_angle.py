@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateOrbitError
-from .fibration import FibrationModel, make_model
+from .fibration import FibrationModel, _blocks, make_model
 from .structures import QUADRATURE_TOL, CheckReport, Tolerances
 
 TWO_PI = 2.0 * math.pi
@@ -265,9 +265,8 @@ def canonical_residual(jac: np.ndarray) -> float:
     sum d(xi_k) ^ d(pi_k) = -T, and A(P) = (P - P^T) / 2.  The pulled-back
     form is antisymmetric, so its symmetric part is rounding only; it grows
     like the action and is left out."""
-    m = jac.shape[-1] // 2
-    eye, zero = np.eye(m), np.zeros((m, m))
-    target = np.block([[zero, -eye], [eye, zero]])  # (d angle ^ d action)(e_action, e_angle) = -1
+    # (d angle ^ d action)(e_action, e_angle) = -1
+    target = _blocks(jac.shape[-1] // 2, [[0, -1], [1, 0]])
     pulled = np.swapaxes(jac, -1, -2) @ target @ jac
     antisymmetric = 0.5 * (pulled - np.swapaxes(pulled, -1, -2))
     return float(np.max(np.abs(antisymmetric + target)))

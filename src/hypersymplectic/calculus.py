@@ -12,7 +12,8 @@ Conventions, fixed once for the whole package:
   reads the exact evaluator when the field has one and falls back to
   ``stencil``, central differences, otherwise.  ``constant`` sets the exact
   evaluator to the table ``stencil`` gives for that constant, bit for bit:
-  zeros without point axes, NaN where the constant is not finite.
+  a read-only table of zeros without point axes, NaN where the constant is
+  not finite, formed once when the field is built.
 * A 2-form is a matrix field: its value is the antisymmetric matrix
   ``M[..., i, j] = form(e_i, e_j)`` (the determinant convention, no
   ``1/k!``), read by ``form_matrix``.  No check reads a form of another
@@ -86,14 +87,12 @@ def stencil(
 
 def _constant_table(value: np.ndarray, dim: int) -> np.ndarray:
     """What central differences give for a constant ``value``, without point
-    axes: zeros of shape ``value.shape + (dim,)``, NaN where ``value`` is not
-    finite.  A read-only view: of one zero when ``value`` is finite, else of
-    ``value - value`` repeated along the derivative axis."""
-    with np.errstate(invalid="ignore"):
-        zero = value - value
-    if zero.any():  # NaN where value is not finite
-        return np.broadcast_to(zero[..., None], value.shape + (dim,))
-    return np.broadcast_to(0.0, value.shape + (dim,))
+    axes: a read-only array of zeros of shape ``value.shape + (dim,)``, NaN
+    along the derivative axis where ``value`` is not finite."""
+    table = np.zeros(value.shape + (dim,))
+    table[~np.isfinite(value)] = np.nan
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ class DifferentialForm(TensorField):
 
     @staticmethod
     def _validate(value: np.ndarray) -> None:
-        if not np.array_equal(value, -value.T):
+        if not (value == -value.T).all():
             raise ValueError("a 2-form matrix must be antisymmetric")
 
 

@@ -167,28 +167,29 @@ class HyperComplexTriple:
 def _blocks(n: int, pattern) -> np.ndarray:
     """The Kronecker product of ``pattern`` with the n x n identity: block
     (a, b), in the chart's (x, y, p, q) block order, is ``pattern[a][b]``
-    times the identity.  Formed by broadcasting, which costs a third of
-    ``np.kron``; integer arithmetic keeps every zero +0.0."""
+    times the identity, for each pattern of a stack on leading axes.  Formed
+    by broadcasting, which costs a third of ``np.kron``; integer arithmetic
+    keeps every zero +0.0."""
     P = np.asarray(pattern)
-    size = len(P) * n
-    return (P[:, None, :, None] * np.eye(n, dtype=int)[:, None]).reshape(size, size).astype(float)
+    size = P.shape[-1] * n
+    blocks = P[..., :, None, :, None] * np.eye(n, dtype=int)[:, None]
+    return blocks.reshape(P.shape[:-2] + (size, size)).astype(float)
+
+
+_FORM_PATTERNS = {
+    "omega": [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]],  # dp ^ dx + dq ^ dy
+    "chi": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],  # -dp ^ dq + dx ^ dy
+    "sigma": [[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]],  # dq ^ dx + dy ^ dp
+}
 
 
 def build_structure_triple(model: FibrationModel) -> HyperSymplecticTriple:
     """The three block-constant 2-forms on the total chart, as form matrices
-    ``M[i, j] = form(e_i, e_j)`` from their sign patterns on the blocks."""
-
-    def form(pattern, name: str) -> DifferentialForm:
-        return DifferentialForm.constant(model.total_chart, _blocks(model.n, pattern), name=name)
-
-    return HyperSymplecticTriple(
-        # dp ^ dx + dq ^ dy
-        omega=form([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]], "omega"),
-        # -dp ^ dq + dx ^ dy
-        chi=form([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], "chi"),
-        # dq ^ dx + dy ^ dp
-        sigma=form([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], "sigma"),
-    )
+    ``M[i, j] = form(e_i, e_j)`` from their sign patterns on the blocks, all
+    three from one ``_blocks`` call on the stacked patterns."""
+    M = _blocks(model.n, list(_FORM_PATTERNS.values()))
+    forms = zip(M, _FORM_PATTERNS)
+    return HyperSymplecticTriple(*(DifferentialForm.constant(model.total_chart, *f) for f in forms))
 
 
 def base_symplectic_form(model: FibrationModel) -> DifferentialForm:
@@ -231,13 +232,22 @@ def recursion_operator(M_f: np.ndarray, M_g: np.ndarray) -> np.ndarray:
 
     DegenerateFormError when some ``|det M_f|`` falls below 1e-12.
     """
-    smallest = float(np.min(np.abs(np.linalg.det(M_f))))
+    _require_nondegenerate(np.abs(np.linalg.det(M_f)))
+    if M_f.shape != M_g.shape:
+        # numpy < 2 reads a right-hand side with one axis fewer than M_f as vectors
+        M_f, M_g = np.broadcast_arrays(M_f, M_g)
+    return np.linalg.solve(M_f, M_g)
+
+
+def _require_nondegenerate(abs_dets: np.ndarray) -> None:
+    """The recursion guard: DegenerateFormError when some entry of
+    ``abs_dets``, the ``|det|`` of each base form, falls below 1e-12.  The
+    minimum is numpy's, so a NaN determinant passes the guard."""
+    smallest = float(abs_dets.min())
     if smallest < 1e-12:
         raise DegenerateFormError(
             f"recursion operator needs a nondegenerate base form; |det| = {smallest:.3e}"
         )
-    # numpy < 2 reads a right-hand side with one axis fewer than M_f as vectors
-    return np.linalg.solve(*np.broadcast_arrays(M_f, M_g))
 
 
 def holomorphic_frame_check(J: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -254,7 +264,7 @@ def holomorphic_frame_check(J: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
     k = a.shape[-2]
     moved = np.concatenate([a, b], axis=-2) @ J  # J^T on each row of a, then of b
     target = np.concatenate([-b, a], axis=-2)  # J a = s (-b) and J b = s a
-    norms = [np.sqrt(np.sum((moved - s * target) ** 2, axis=-1)) for s in (1, -1)]
+    norms = [np.sqrt(np.sum(r**2, axis=-1)) for r in (moved - target, moved + target)]
     return np.minimum(*(r[..., :k] + r[..., k:] for r in norms))  # |J a - s (-b)| + |J b - s a|
 
 
@@ -277,10 +287,10 @@ def verify_lagrangian_fibres(
     pt: Point,
     tolerance: float = Tolerances.algebraic,
 ) -> CheckReport:
-    """Max |form(e_a, e_b)| over vertical (fibre) coordinate pairs."""
-    vert = model.vertical_axes()
-    M = form_matrix(form, pt)
-    worst = float(np.max(np.abs(M[..., vert, :][..., vert])))
+    """Max |form(e_a, e_b)| over vertical (fibre) coordinate pairs, the
+    trailing (p, q) block of the form matrices."""
+    fibre = slice(2 * model.n, None)
+    worst = float(np.abs(form_matrix(form, pt)[..., fibre, fibre]).max())
     return CheckReport.from_residual(
         f"lagrangian_fibres({form.name})",
         len(pt),
@@ -293,14 +303,16 @@ def verify_lagrangian_fibres(
 def _members(arrays: list[np.ndarray], rank: int) -> np.ndarray:
     """``arrays``, each with ``rank`` value axes, stacked on a new member axis
     just before the value axes, their leading axes broadcast together."""
-    return np.stack(np.broadcast_arrays(*arrays), axis=-rank - 1)
+    if any(x.shape != arrays[0].shape for x in arrays):
+        arrays = np.broadcast_arrays(*arrays)
+    return np.stack(arrays, axis=-rank - 1)
 
 
 def member_worst(table: np.ndarray, rank: int) -> list[float]:
     """The largest ``|entry|`` of each member of ``table``, whose member axis
     sits just before its ``rank`` value axes."""
     member = table.ndim - rank - 1
-    return np.max(np.abs(table), axis=tuple(i for i in range(table.ndim) if i != member)).tolist()
+    return np.abs(table).max(axis=tuple(i for i in range(table.ndim) if i != member)).tolist()
 
 
 def verify_hypersymplectic(
@@ -320,7 +332,11 @@ def verify_hypersymplectic(
     seed)`` passes it in, and a hand-built triple of forms or of complex
     structures replaces the model's; the complex structures of a hand-built
     ``triple`` are derived from it.  Each family is read once, stacked on a
-    member axis, and each identity is one call on the stacks."""
+    member axis, and each identity is one call on the stacks.  One ``det``
+    of the stacked forms serves both the nondegeneracy reports and the
+    recursion guard, which reads its omega and chi entries (the forms the
+    pairs invert) and raises DegenerateFormError as ``recursion_operator``
+    does; the three recursion operators are then one ``solve``."""
     pt = model.total_chart.sample(n_points, seed) if pt is None else pt
     if complexes is None and triple is not None:
         complexes = build_complex_triple(model, triple=triple)
@@ -333,8 +349,10 @@ def verify_hypersymplectic(
     a, b = (np.stack(side) for side in zip(*(pairs[E.name] for E in endos)))
     first, second = [0, 0, 1], [1, 2, 2]  # the member pairs (0, 1), (0, 2), (1, 2)
     closures = member_worst(exterior_derivative(_members([f.gradient(pt) for f in forms], 3)), 3)
-    min_dets = np.abs(np.linalg.det(M)).reshape(-1, 3).min(axis=0).tolist()
-    A = recursion_operator(M[..., first, :, :], M[..., second, :, :])
+    dets = np.abs(np.linalg.det(M))  # [..., member]
+    min_dets = dets.reshape(-1, 3).min(axis=0).tolist()
+    _require_nondegenerate(dets[..., :2])  # omega and chi, the base forms of the pairs
+    A = np.linalg.solve(M[..., first, :, :], M[..., second, :, :])  # the recursion operators
     squares = member_worst(A @ A + np.eye(A.shape[-1]), 2)
     C = transpose(J)  # the covector action
     Ca, Cb = C[..., first, :, :], C[..., second, :, :]
@@ -390,7 +408,7 @@ def verify_hypersymplectic(
     # J_omega, then J_chi, in the covector action: the matrices J_chi @ J_omega
     report(
         "composition.sigma_from_omega_chi",
-        float(np.max(np.abs(J[..., 1, :, :] @ J[..., 0, :, :] - J[..., 2, :, :]))),
+        float(np.abs(J[..., 1, :, :] @ J[..., 0, :, :] - J[..., 2, :, :]).max()),
         tolerances.algebraic,
         "J_omega composed with J_chi in the covector action equals J_sigma, "
         "the recursion operator of (chi, omega)",

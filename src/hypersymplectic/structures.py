@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import TensorField
+from .calculus import TensorField, transpose
 from .charts import Chart, Point
 
 DEFAULT_POINTS = 100
@@ -154,10 +154,15 @@ class FlatConnection(TensorField):
 def _curvature(dG_l: np.ndarray, G_l: np.ndarray, G: np.ndarray) -> np.ndarray:
     """R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
     - Gamma^l_jm Gamma^m_ik, summed in that order, for the upper index l of
-    ``dG_l`` and ``G_l``, in the layout ``R[..., k, i, j]``."""
+    ``dG_l`` and ``G_l``, in the layout ``R[..., k, i, j]``.  Both products
+    are the one matrix product P[..., i, (j, k)] = Gamma^l_im Gamma^m_(jk),
+    read as P_ijk and as P_jik."""
+    dim = G.shape[-1]
+    P = G_l @ G.reshape(G.shape[:-3] + (dim, dim * dim))
+    P = P.reshape(P.shape[:-1] + (dim, dim))
     R = np.einsum("...jki->...kij", dG_l) - np.einsum("...ikj->...kij", dG_l)
-    R += np.einsum("...im,...mjk->...kij", G_l, G)
-    R -= np.einsum("...jm,...mik->...kij", G_l, G)
+    R += np.moveaxis(P, -1, -3)
+    R -= np.swapaxes(P, -1, -3)
     return R
 
 
@@ -204,11 +209,16 @@ def nijenhuis(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
         N_J(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] + J^2 [X, Y].
 
     Coordinate fields commute, so the four brackets reduce to
-    ``N^k_ab = A^k_ab - A^k_ba`` with ``A^k_ab = J^m_a d_m J^k_b + J^k_m d_b J^m_a``.
-    N_J is a tensor, so the frame table determines it on every pair of
-    fields.
+    ``N^k_ab = A^k_ab - A^k_ba`` with ``A^k_ab = J^m_a d_m J^k_b + J^k_m d_b J^m_a``,
+    both terms batched matrix products: for each k, ``J^T`` times the
+    transpose of ``dJ[..., k, :, :]``, and ``J`` times ``dJ`` read as a
+    ``(dim, dim * dim)`` matrix.  N_J is a tensor, so the frame table
+    determines it on every pair of fields.
     """
-    A = np.einsum("...ma,...kbm->...kab", J, dJ) + np.einsum("...km,...mab->...kab", J, dJ)
+    dim = J.shape[-1]
+    A = transpose(J)[..., None, :, :] @ transpose(dJ)
+    B = J @ dJ.reshape(dJ.shape[:-3] + (dim, dim * dim))
+    A += B.reshape(B.shape[:-1] + (dim, dim))
     return A - np.swapaxes(A, -1, -2)
 
 

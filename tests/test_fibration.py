@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from hypersymplectic.fibration import (
     zero_section,
 )
 from hypersymplectic.polynomials import Polynomial
+from hypersymplectic.scenarios import ScenarioConfig, run_scenario
 from hypersymplectic.structures import SECTION_PULLBACK_TOL
 from test_acceptance import _corpus
 from test_structures import assert_members_match
@@ -754,3 +756,22 @@ def test_the_model_builds_its_complex_structures_once(n):
     for kept, built in zip(model.complexes.endos(), build_complex_triple(model).endos()):
         assert kept.name == built.name
         np.testing.assert_array_equal(kept.matrix(row), built.matrix(row))
+
+
+def test_a_run_takes_one_determinant_and_one_solve_per_use(monkeypatch):
+    """One run of a rank-3 model through every suite (the paper-n3
+    benchmark configuration) takes one ``det`` and one ``solve`` for the
+    model's complex structures and one of each for the battery, whose
+    recursion guard reads the battery's own determinants."""
+    calls = []
+    for name in ("det", "solve"):
+
+        def counting(*args, _real=getattr(np.linalg, name), _name=name):
+            if sys._getframe(1).f_globals["__name__"] == "hypersymplectic.fibration":
+                calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    config = {"scenario": "paper-n", "n": 3, "sampling": {"n_points": 16, "seed": 1}}
+    assert run_scenario(ScenarioConfig.from_dict(config)).verdict == "pass"
+    assert sorted(calls) == ["det", "det", "solve", "solve"]

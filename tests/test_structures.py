@@ -496,16 +496,20 @@ def test_complex_structures_are_derived_only_from_constant_forms():
 
 
 def test_a_degenerate_form_stops_the_battery():
-    """A degenerate omega (dx^dy alone, |det| = 0 everywhere) reaches the
-    recursion guard of the battery, with complex structures given so that
-    none is derived from it."""
-    omega = total_form({(0, 1): lambda pt: 1.0}, "omega")
-    triple = HyperSymplecticTriple(omega, HAND_BUILT_TRIPLE.chi, HAND_BUILT_TRIPLE.sigma)
+    """A degenerate omega or chi (dx^dy alone, |det| = 0 everywhere), the
+    two base forms of the recursion pairs, reaches the recursion guard of the
+    battery, with complex structures given so that none is derived from it."""
+    degenerate = total_form({(0, 1): lambda pt: 1.0}, "degenerate")
     message = r"recursion operator needs a nondegenerate base form; \|det\| = 0\.000e\+00"
-    with pytest.raises(DegenerateFormError, match=message):
-        verify_hypersymplectic(
-            MODEL, pt=MODEL.total_chart.sample(5, 7), triple=triple, complexes=HAND_BUILT_COMPLEXES
-        )
+    for member in ("omega", "chi"):
+        triple = dataclasses.replace(HAND_BUILT_TRIPLE, **{member: degenerate})
+        with pytest.raises(DegenerateFormError, match=message):
+            verify_hypersymplectic(
+                MODEL,
+                pt=MODEL.total_chart.sample(5, 7),
+                triple=triple,
+                complexes=HAND_BUILT_COMPLEXES,
+            )
 
 
 def test_connection_checks_fail_through_the_special_kahler_suite():
