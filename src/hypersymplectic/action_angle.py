@@ -7,8 +7,9 @@ under the flow.  ``Oscillator1DOF`` writes the energy and the angle once, for
 one frequency or an array of them, and a ``ProductSystem`` is one read-only
 array of frequencies with one oscillator over it.  The quadrature routines
 below recover these facts numerically (Gauss-Legendre along the parametrized
-level curve) so they can serve as oracles for the closed forms rather than
-restatements of them.
+level curve, the nodes and weights by Golub-Welsch from ``numpy.linalg``) so
+they can serve as oracles for the closed forms rather than restatements of
+them.  States are sampled from the seeded stream of ``charts.seeded_uniform``.
 
 The frequency rules live in ``ProductSystem``: an even number (>= 2) of
 finite positive frequencies, each with nu^2 and nu^-2 finite normal floats,
@@ -41,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .charts import seeded_uniform
 from .errors import DegenerateOrbitError
 from .fibration import FibrationModel, _blocks, make_model
 from .structures import QUADRATURE_TOL, CheckReport, Tolerances
@@ -51,13 +53,25 @@ ENERGY_WINDOW = (0.2, 2.0)
 RELATIVE_STEP = 1e-6
 
 
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [-1, 1] and their weights by Golub-Welsch: the
+    nodes are the eigenvalues of the Legendre Jacobi matrix, whose
+    off-diagonals are k / sqrt(4k^2 - 1), and each weight is twice the
+    squared first entry of its eigenvector.  As ``leggauss`` does, the nodes
+    are made symmetric about 0 and the weights symmetric, summing to 2."""
+    k = np.arange(1, nodes)
+    u, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
+    w = vectors[0] ** 2 + vectors[0, ::-1] ** 2
+    return 0.5 * (u - u[::-1]), w * (2.0 / np.sum(w))
+
+
 @functools.lru_cache(maxsize=8)
 def _loop_quadrature(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre parameters t on one turn [0, 2pi] and their weights,
     computed once per count and shared read-only."""
     if nodes < MIN_QUADRATURE_NODES:
         raise ValueError(f"need at least {MIN_QUADRATURE_NODES} nodes, got {nodes}")
-    u, w = np.polynomial.legendre.leggauss(nodes)
+    u, w = _gauss_legendre(nodes)
     t = math.pi * (u + 1.0)
     t.flags.writeable = False
     w.flags.writeable = False
@@ -245,8 +259,7 @@ def sample_states(sys: ProductSystem, n_points: int = 100, seed: int = 42) -> np
     Each row draws its dof energies, then its dof angles, from one stream.
     """
     lo, hi = ENERGY_WINDOW
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform([[lo], [0.0]], [[hi], [TWO_PI]], size=(n_points, 2, sys.dof))
+    draws = seeded_uniform(seed, [[lo], [0.0]], [[hi], [TWO_PI]], (n_points, 2, sys.dof))
     energies, angles = draws[:, 0], draws[:, 1]
     return from_action_angle(sys, energies / sys.frequencies, angles)
 

@@ -27,11 +27,19 @@ broadcasting carries it through every product with batched values, so a
 constant tensor costs one copy however many points are sampled.  A field
 built by ``TensorField.constant`` also carries its exact derivative, so it
 is never evaluated on a stencil stack.
+
+Samples are seeded draws from the standard library's ``random.Random``
+(``seeded_uniform``), which ``import numpy`` loads already, so a run needs
+no ``numpy.random``.  The seed is a non-negative integer (numpy's integers
+included); its stream differs from numpy's, and a report names the stream
+by the package version that drew it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -90,9 +98,30 @@ class Chart:
     def sample(self, n_points: int = 100, seed: int = 42) -> "Point":
         """Uniform draws from the box as one ``(n_points, dim)`` point with
         read-only ``coords``; seeded so every suite sees the same set."""
-        coords = np.random.default_rng(seed).uniform(self.lower, self.upper, (n_points, self.dim))
+        coords = seeded_uniform(seed, self.lower, self.upper, (n_points, self.dim))
         coords.flags.writeable = False
         return Point(self, coords)
+
+
+def seeded_uniform(seed: int, lower, upper, shape: tuple[int, ...]) -> np.ndarray:
+    """Uniform draws ``lower + (upper - lower) * u`` of the given shape, in C
+    order from the stream of ``random.Random(seed)``; ``lower`` and ``upper``
+    broadcast against ``shape``.
+
+    Each u is one little-endian 64-bit word of ``randbytes``, shifted right
+    by 11 and scaled by 2**-53: a 53-bit uniform on [0, 1), formed as numpy's
+    Generator forms it.  The seed is a non-negative integer, as numpy's
+    seeding asks: TypeError for a non-integer, ValueError for a negative
+    one, which ``random.Random`` would otherwise take as its absolute value.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    count = math.prod(shape)
+    words = np.frombuffer(random.Random(seed).randbytes(8 * count), dtype="<u8")
+    u = ((words >> 11) * 2.0**-53).reshape(shape)
+    lower = np.asarray(lower, dtype=float)
+    return lower + (np.asarray(upper, dtype=float) - lower) * u
 
 
 @dataclass(frozen=True, eq=False)

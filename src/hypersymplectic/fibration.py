@@ -268,17 +268,32 @@ def holomorphic_frame_check(J: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
     return np.minimum(*(r[..., :k] + r[..., k:] for r in norms))  # |J a - s (-b)| + |J b - s a|
 
 
+# The coordinate blocks (x, y, p, q) = (0, 1, 2, 3) of each complex
+# structure's coframe pairs: block k of the first side pairs with block k of
+# the second, so J_omega pairs (dx, dp) and (dy, dq).
+_FRAME_BLOCKS = {
+    "J_omega": ((0, 1), (2, 3)),
+    "J_chi": ((3, 0), (2, 1)),
+    "J_sigma": ((0, 2), (3, 1)),
+}
+
+
+def _frame_pairs(n: int, names) -> tuple[np.ndarray, np.ndarray]:
+    """The coframe pairs of the complex structures ``names`` at rank n, as
+    two ``(member, 2n, 4n)`` stacks of unit covectors: one read of the
+    identity's row blocks at ``_FRAME_BLOCKS``."""
+    blocks = np.array([_FRAME_BLOCKS[name] for name in names])  # [member, side, block]
+    d = np.eye(4 * n).reshape(4, n, 4 * n)  # [block, row in block, covector]
+    pairs = d[blocks].reshape(len(blocks), 2, 2 * n, 4 * n)
+    return pairs[:, 0], pairs[:, 1]
+
+
 def standard_frame_pairs(model: FibrationModel) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """The coordinate coframe pairs (unit covectors) each complex structure
     should preserve, as two ``(2n, dim)`` arrays: row k of the first and row
     k of the second make pair k."""
-    d = np.eye(model.total_chart.dim)
-    x, y, p, q = (d[k * model.n : (k + 1) * model.n] for k in range(4))
-    pairs = {"J_omega": ((x, p), (y, q)), "J_chi": ((q, p), (x, y)), "J_sigma": ((x, q), (p, y))}
-    return {
-        name: tuple(np.concatenate(side) for side in zip(*blocks))
-        for name, blocks in pairs.items()
-    }
+    a, b = _frame_pairs(model.n, _FRAME_BLOCKS)
+    return {name: (a_k, b_k) for name, a_k, b_k in zip(_FRAME_BLOCKS, a, b)}
 
 
 def verify_lagrangian_fibres(
@@ -345,8 +360,7 @@ def verify_hypersymplectic(
     forms, endos = triple.forms(), complexes.endos()
     M = _members([form_matrix(f, pt) for f in forms], 2)
     J = _members([E.matrix(pt) for E in endos], 2)
-    pairs = standard_frame_pairs(model)
-    a, b = (np.stack(side) for side in zip(*(pairs[E.name] for E in endos)))
+    a, b = _frame_pairs(model.n, [E.name for E in endos])
     first, second = [0, 0, 1], [1, 2, 2]  # the member pairs (0, 1), (0, 2), (1, 2)
     closures = member_worst(exterior_derivative(_members([f.gradient(pt) for f in forms], 3)), 3)
     dets = np.abs(np.linalg.det(M))  # [..., member]

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from hypersymplectic.action_angle import (
     Oscillator1DOF,
     ProductSystem,
+    _gauss_legendre,
+    _loop_quadrature,
     action_from_energy,
     angle_period_check,
     canonical_check,
@@ -63,6 +66,27 @@ def test_action_quadrature_converges():
     assert abs(
         action_from_energy(osc, 1.3, nodes=64) - action_from_energy(osc, 1.3, nodes=128)
     ) <= 1e-10
+
+
+@pytest.mark.parametrize("nodes", [16, 64, 128])
+def test_loop_quadrature_matches_leggauss(nodes):
+    """The Golub-Welsch nodes and weights agree with numpy's ``leggauss``
+    within 1e-14; the nodes are exactly symmetric about 0, the weights
+    exactly symmetric and summing to 2, and the loop parameters are the
+    nodes mapped onto [0, 2pi]."""
+    from numpy.polynomial.legendre import leggauss
+
+    u, w = _gauss_legendre(nodes)
+    expected_u, expected_w = leggauss(nodes)
+    assert np.max(np.abs(u - expected_u)) <= 1e-14
+    assert np.max(np.abs(w - expected_w)) <= 1e-14
+    assert np.array_equal(u, -u[::-1]) and np.array_equal(w, w[::-1])
+    assert np.sum(w) == pytest.approx(2.0, abs=4e-16)
+    t, loop_w = _loop_quadrature(nodes)
+    assert np.array_equal(t, math.pi * (u + 1.0)) and np.array_equal(loop_w, w)
+    assert np.max(np.abs(t - math.pi * (expected_u + 1.0))) <= 1e-14
+    assert not (t.flags.writeable or loop_w.flags.writeable)
+    assert _loop_quadrature(nodes)[0] is t  # computed once per count
 
 
 def test_quadrature_input_guards():
@@ -149,12 +173,24 @@ def test_stacked_states_match_single_states():
     single-state values; the seeded draws are those of one state at a time."""
     system = ProductSystem.from_frequencies([1.0, 0.5, 2.0, 3.0])
     states = sample_states(system, 6, seed=8)
-    rng = np.random.default_rng(8)
+    rng = random.Random(8)
+
+    def uniforms(lower, upper):
+        """dof draws of the stream: the top 53 bits of each 8-byte word."""
+        words = [int.from_bytes(rng.randbytes(8), "little") for _ in range(system.dof)]
+        return lower + (upper - lower) * np.array([(word >> 11) / 2**53 for word in words])
+
     for state in states:
-        energies = rng.uniform(0.2, 2.0, size=system.dof)
-        angles = rng.uniform(0.0, 2 * math.pi, size=system.dof)
+        energies = uniforms(0.2, 2.0)
+        angles = uniforms(0.0, 2 * math.pi)
         actions = energies / system.frequencies
         assert np.array_equal(state, from_action_angle(system, actions, angles))
+    # seeds are non-negative integers, numpy's among them
+    assert np.array_equal(sample_states(system, 6, np.int64(8)), states)
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_states(system, 6, -8)
+    with pytest.raises(TypeError):
+        sample_states(system, 6, 8.0)
     actions, angles = to_action_angle(system, states)
     rebuilt = from_action_angle(system, actions, angles)
     jac = transform_jacobian(system, states)

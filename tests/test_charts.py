@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,14 @@ from hypersymplectic.charts import Chart, Point, require_same_chart
 from hypersymplectic.errors import ChartMismatchError
 
 BOX = Chart("box", ("u", "v"), (-1.0, -1.0), (1.0, 1.0))
+
+
+def stream_uniforms(seed, count):
+    """The first ``count`` uniforms of the seeded stream, one at a time: the
+    top 53 bits of each 8-byte little-endian word of ``randbytes``."""
+    rng = random.Random(seed)
+    words = [int.from_bytes(rng.randbytes(8), "little") for _ in range(count)]
+    return np.array([(word >> 11) / 2**53 for word in words])
 
 
 def test_basic_properties():
@@ -61,11 +71,12 @@ def test_sampling_is_seeded_and_inside_the_box():
     assert all(np.array_equal(p.coords, q.coords) for p, q in zip(a, b))
     assert any(not np.array_equal(p.coords, q.coords) for p, q in zip(a, c))
     assert np.all((a.coords >= BOX.lower) & (a.coords <= BOX.upper))
-    # the draw is one stacked point from this exact stream, which keeps the
-    # report bytes stable
-    for n, seed in ((50, 11), (1, 3)):
+    # the draw is one stacked point from this exact stream, row after row,
+    # which keeps the report bytes stable
+    lower, upper = np.array(BOX.lower), np.array(BOX.upper)
+    for n, seed in ((50, 11), (1, 3), (4, 10**30)):
         sample = BOX.sample(n, seed)
-        stream = np.random.default_rng(seed).uniform(BOX.lower, BOX.upper, (n, BOX.dim))
+        stream = lower + (upper - lower) * stream_uniforms(seed, n * BOX.dim).reshape(n, BOX.dim)
         assert isinstance(sample, Point) and sample.chart is BOX
         assert np.array_equal(sample.coords, stream)
         assert len(sample) == n
@@ -74,6 +85,12 @@ def test_sampling_is_seeded_and_inside_the_box():
         for row, expected in zip(rows, stream):
             assert isinstance(row, Point) and row.chart is BOX and row.batch_shape == ()
             assert np.array_equal(row.coords, expected)
+    # seeds are non-negative integers, numpy's among them
+    assert np.array_equal(BOX.sample(5, np.int64(11)).coords, BOX.sample(5, 11).coords)
+    with pytest.raises(ValueError, match="non-negative"):
+        BOX.sample(5, -11)
+    with pytest.raises(TypeError):
+        BOX.sample(5, 11.0)
     single = BOX.point([0.0, 0.0])
     with pytest.raises(TypeError):
         len(single)

@@ -10,7 +10,7 @@ import pytest
 from hypersymplectic import calculus, fibration
 from hypersymplectic.cli import main
 from hypersymplectic.polynomials import Polynomial
-from hypersymplectic.scenarios import ScenarioConfig, run_scenario
+from hypersymplectic.scenarios import SUITES, ScenarioConfig, run_scenario
 
 BAD_SECTION = {
     "scenario": "custom-section",
@@ -600,3 +600,39 @@ def test_a_warm_call_leaves_no_reference_cycles_and_writes_one_line(tmp_path, ca
     assert text.endswith("\n") and text.count("\n") == 1
     expected = run_scenario(ScenarioConfig.from_dict({"scenario": "paper-n1"})).stable_dict()
     assert json.loads(text)["report"] == expected
+
+
+# Run in a fresh process: the numpy submodules a run loads, beyond those
+# that ``import numpy`` loads by itself, printed as the last line.
+LOADED_BY_A_RUN = """
+import json, sys
+import numpy
+
+def loaded():
+    return {m for m in sys.modules if m.startswith(("numpy.random", "numpy.polynomial"))}
+
+before = loaded()
+from hypersymplectic import cli
+status = cli.main(sys.argv[1:])
+print(json.dumps(sorted(loaded() - before)))
+sys.exit(status)
+"""
+
+
+def test_a_run_loads_neither_numpy_random_nor_numpy_polynomial(tmp_path):
+    """Draws come from the standard library's ``random`` and the quadrature
+    nodes from ``numpy.linalg``: a fresh process running paper-n1 with every
+    suite loads no ``numpy.random`` or ``numpy.polynomial`` module that
+    ``import numpy`` did not load already (numpy < 2 loads both itself)."""
+    cfg = tmp_path / "all-suites.json"
+    cfg.write_text(json.dumps({"scenario": "paper-n1", "suites": list(SUITES)}))
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_BY_A_RUN, "--config", str(cfg), "--output", str(report)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(report.read_text())["report"]["config"]["suites"] == list(SUITES)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
