@@ -85,9 +85,6 @@ class FibrationModel:
     def iq(self, i: int) -> int:
         return 3 * self.n + i
 
-    def vertical_axes(self) -> list[int]:
-        return list(range(2 * self.n, 4 * self.n))
-
     @cached_property
     def triple(self) -> HyperSymplecticTriple:
         """The model's three forms, built on first use."""
@@ -383,7 +380,7 @@ def verify_hypersymplectic(
 
     for f, closure, min_det in zip(forms, closures, min_dets):
         report(
-            f"closed.{f.name}", closure, tolerances.fd, f"d({f.name}) = 0 under central differences"
+            f"closed.{f.name}", closure, tolerances.fd, f"d({f.name}) = 0 on the coordinate frame"
         )
         report(
             f"nondegenerate.{f.name}",

@@ -30,8 +30,9 @@ Term = tuple[tuple[int, ...], "float | tuple[float, ...]"]
 class Polynomial:
     """A real polynomial in ``n_vars`` variables, or, when ``size`` is set, a
     vector of ``size`` polynomials sharing one term table, each coefficient
-    then being a tuple of ``size`` floats.  ``derivative`` takes a scalar
-    polynomial, ``jacobian`` a vector one."""
+    then being a tuple of ``size`` floats.  A scalar polynomial is evaluated
+    as one component.  ``derivative`` takes a scalar polynomial, ``jacobian``
+    a vector one."""
 
     n_vars: int
     terms: tuple[Term, ...]
@@ -40,17 +41,15 @@ class Polynomial:
     _plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        shape = () if self.size is None else (self.size,)
         plan = []
         for powers, coeff in self.terms:
-            factors = tuple((axis, e) for axis, e in enumerate(powers) if e)
-            if self.size is None:
-                plan.append((coeff, factors))
-                continue
             coeff = np.array(coeff, dtype=float)
-            if coeff.shape != (self.size,):
-                raise ValueError(f"coefficient {coeff.shape} does not hold {self.size} components")
+            if coeff.shape != shape:
+                raise ValueError(f"coefficient of shape {coeff.shape}, expected {shape}")
+            coeff = coeff.reshape(-1)  # a scalar polynomial is one component
             coeff.flags.writeable = False
-            plan.append((coeff, factors))
+            plan.append((coeff, tuple((axis, e) for axis, e in enumerate(powers) if e)))
         object.__setattr__(self, "_plan", tuple(plan))
 
     @classmethod
@@ -83,36 +82,32 @@ class Polynomial:
         x = np.asarray(coords, dtype=float)
         if x.shape[-1:] != (self.n_vars,):
             raise ValueError(f"expected {self.n_vars} coordinates, got shape {x.shape}")
-        vector = self.size is not None
-        total = np.zeros(x.shape[:-1] + ((self.size,) if vector else ()))
+        scalar = self.size is None
+        total = np.zeros(x.shape[:-1] + (1 if scalar else self.size,))
         for coeff, factors in self._plan:
             value = coeff
             for axis, e in factors:
-                power = x[..., axis] ** e
-                value = value * (power[..., None] if vector else power)
+                value = value * x[..., axis, None] ** e
             total += value
-        return total[()]
+        return (total[..., 0] if scalar else total)[()]
 
     def derivative(self, axis: int) -> "Polynomial":
-        """Exact partial derivative along one variable."""
+        """Exact partial derivative of a scalar polynomial along one variable:
+        component ``axis`` of the Jacobian of its one-component stack."""
+        if self.size is not None:
+            raise ValueError("derivative takes a scalar polynomial")
         if not 0 <= axis < self.n_vars:
             raise ValueError(f"axis {axis} out of range for {self.n_vars} variables")
-        new_terms = []
-        for powers, coeff in self.terms:
-            e = powers[axis]
-            if e == 0:
-                continue
-            new_terms.append((powers[:axis] + (e - 1,) + powers[axis + 1 :], coeff * e))
-        return Polynomial.from_terms(self.n_vars, new_terms)
+        jacobian = Polynomial.stack(self.n_vars, [self.terms]).jacobian()
+        return Polynomial.from_terms(self.n_vars, ((m, c[axis]) for m, c in jacobian.terms))
 
     def jacobian(self) -> "Polynomial":
         """Exact Jacobian of a vector polynomial as one vector polynomial:
         component ``r * n_vars + j`` is the partial derivative of component r
-        along variable j.  Built in one pass over the term table, with the
-        coefficients, monomials and term order of
-        ``Polynomial.stack([c.derivative(j) for c in components for j in
-        range(n_vars)])``, so each component evaluates bit for bit like that
-        derivative."""
+        along variable j.  Built in one pass over the term table: each
+        coefficient times its exponent at the lowered monomial, 0.0 where a
+        component lacks that monomial, the monomials sorted, as ``stack``
+        leaves the per-derivative tables."""
         if self.size is None:
             raise ValueError("jacobian takes a vector polynomial")
         width = self.size * self.n_vars
@@ -123,8 +118,7 @@ class Polynomial:
                     continue
                 dropped = powers[:j] + (e - 1,) + powers[j + 1 :]
                 row = table.setdefault(dropped, [0.0] * width)
-                # Python floats, as in ``derivative``: an overflow gives inf
-                # without a numpy warning
+                # Python floats: an overflow gives inf without a numpy warning
                 row[j :: self.n_vars] = [float(c) * e for c in coeffs]
         terms = tuple((m, tuple(table[m])) for m in sorted(table))
         return Polynomial(n_vars=self.n_vars, terms=terms, size=width)

@@ -274,8 +274,8 @@ class ScenarioConfig:
 
         sections = raw.get("sections")
         if sections is not None:
-            if not isinstance(sections, list):
-                raise ConfigError("sections must be a list")
+            if not (isinstance(sections, list) and sections):
+                raise ConfigError("sections must be a non-empty list")
             sections = tuple(
                 SectionSpec.from_dict(s, f"sections[{k}]") for k, s in enumerate(sections)
             )

@@ -134,36 +134,26 @@ class FlatConnection(TensorField):
         """Max |R^l_kij|, with the derivatives of Gamma exact when the
         connection carries them, else from central differences.
 
-        When neither Gamma nor its derivative table has point axes, R is
-        formed in one pass, the upper index l riding in the formula's
-        ellipsis.  Otherwise the derivative table holds dim^4 numbers per
-        point, and R is formed one upper index l at a time, so no second
-        table of that size is built.
+        R is formed in one pass for every connection, the upper index l
+        riding in the formula's ellipsis next to any point axes.
         """
         G = self.gamma(pt)
         dG = self.gradient(pt)  # dG[..., l, j, k, a] = d_a Gamma^l_jk
-        if G.ndim == 3 and dG.ndim == 4:
-            return float(np.max(np.abs(_curvature(dG, G, G))))
-        worst = 0.0
-        for l in range(self.chart.dim):
-            R = _curvature(dG[..., l, :, :, :], G[..., l, :, :], G)
-            worst = np.maximum(worst, np.max(np.abs(R)))  # NaN propagates
-        return float(worst)
+        return float(np.max(np.abs(_curvature(dG, G))))
 
 
-def _curvature(dG_l: np.ndarray, G_l: np.ndarray, G: np.ndarray) -> np.ndarray:
+def _curvature(dG: np.ndarray, G: np.ndarray) -> np.ndarray:
     """R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk
-    - Gamma^l_jm Gamma^m_ik, summed in that order, for the upper index l of
-    ``dG_l`` and ``G_l``, in the layout ``R[..., k, i, j]``.  Both products
-    are the one matrix product P[..., i, (j, k)] = Gamma^l_im Gamma^m_(jk),
-    read as P_ijk and as P_jik."""
+    - Gamma^l_jm Gamma^m_ik, summed in that order, in the layout
+    ``R[..., l, k, i, j]``.  Both products are the one matrix product
+    P[..., l, i, (j, k)] = Gamma^l_im Gamma^m_(jk), read as P_ijk and as
+    P_jik."""
     dim = G.shape[-1]
-    P = G_l @ G.reshape(G.shape[:-3] + (dim, dim * dim))
+    P = G @ G.reshape(G.shape[:-3] + (1, dim, dim * dim))
     P = P.reshape(P.shape[:-1] + (dim, dim))
-    R = np.einsum("...jki->...kij", dG_l) - np.einsum("...ikj->...kij", dG_l)
-    R += np.moveaxis(P, -1, -3)
-    R -= np.swapaxes(P, -1, -3)
-    return R
+    d = np.einsum("...jki->...kij", dG) - np.einsum("...ikj->...kij", dG)
+    # not in place: either of Gamma and its derivative table may lack the point axes
+    return d + np.moveaxis(P, -1, -3) - np.swapaxes(P, -1, -3)
 
 
 def covariant_constancy(G: np.ndarray, T: np.ndarray, dT: np.ndarray) -> np.ndarray:

@@ -221,6 +221,8 @@ def test_non_finite_config_numbers_exit_2_without_writing(tmp_path, capsys, conf
         ({"tolerances": []}, []),
         ({"sampling": 5}, ["--seed", "3"]),
         ({"tolerances": "fd"}, ["--tolerance-fd", "1e-6"]),
+        # an empty list where a key takes a non-empty one: no defaults are read in its place
+        ({"scenario": "paper-n1", "sections": []}, []),
     ],
     ids=[
         "n_points",
@@ -235,12 +237,14 @@ def test_non_finite_config_numbers_exit_2_without_writing(tmp_path, capsys, conf
         "tolerances-list",
         "sampling-number-with-seed-flag",
         "tolerances-string-with-fd-flag",
+        "empty-section-list",
     ],
 )
 def test_json_booleans_are_not_integers_exit_2_without_writing(tmp_path, capsys, config, flags):
     """A JSON value of a type its key does not take, such as true or false
-    (which json.loads reads as bools) for an integer, is a configuration
-    error, also when a CLI flag overrides a key inside it."""
+    (which json.loads reads as bools) for an integer, or an empty list of
+    sections, is a configuration error, also when a CLI flag overrides a key
+    inside it."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     report = tmp_path / "report.json"

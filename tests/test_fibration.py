@@ -82,7 +82,6 @@ def base_point(coords):
 def test_model_layout():
     assert MODEL.total_chart.coords == ("x", "y", "p", "q")
     assert MODEL.base_chart.coords == ("x", "y")
-    assert MODEL.vertical_axes() == [2, 3]
     assert MODEL.total_chart.lower[2:] == (0.0, 0.0)
     assert MODEL.total_chart.upper[2] == pytest.approx(2 * np.pi)
     model3 = make_model(3)

@@ -85,6 +85,61 @@ def stack(components):
     return Polynomial.stack(components[0].n_vars, [c.terms for c in components])
 
 
+def reference_value(f, coords):
+    """A scalar polynomial evaluated term by term: the coefficient times the
+    powers in axis order, added to a total that starts at +0.0."""
+    x = np.asarray(coords, dtype=float)
+    total = np.zeros(x.shape[:-1])
+    for powers, coeff in f.terms:
+        value = coeff
+        for axis, e in enumerate(powers):
+            if e:
+                value = value * x[..., axis] ** e
+        total += value
+    return total[()]
+
+
+def reference_derivative(f, axis):
+    """d f / d x_axis by lowering each exponent: the coefficient times the
+    exponent, a term without the variable dropped."""
+    terms = [
+        (powers[:axis] + (powers[axis] - 1,) + powers[axis + 1 :], coeff * powers[axis])
+        for powers, coeff in f.terms
+        if powers[axis]
+    ]
+    return Polynomial.from_terms(f.n_vars, terms)
+
+
+def random_corpus(seed, count=200):
+    """Seeded scalar polynomials grouped by n_vars (1 to 8): up to six terms
+    of total degree at most 8, coefficients from 1e-300 to 1e300 in size,
+    and -0.0, which the table drops."""
+    rng = np.random.default_rng(seed)
+    groups = {}
+    for _ in range(count):
+        n_vars = int(rng.integers(1, 9))
+        terms = []
+        for _ in range(int(rng.integers(0, 7))):
+            powers = rng.multinomial(int(rng.integers(0, 9)), [1 / n_vars] * n_vars)
+            coeff = rng.uniform(-1, 1) * 10.0 ** int(rng.integers(-300, 301))
+            terms.append((powers, -0.0 if rng.random() < 0.1 else coeff))
+        groups.setdefault(n_vars, []).append(Polynomial.from_terms(n_vars, terms))
+    return groups
+
+
+def corpus_coords(rng, n_vars):
+    coords = rng.uniform(-1.5, 1.5, (4, 3, n_vars))
+    coords[0, 0] = -0.0
+    coords[0, 1] = 0.0
+    coords[0, 2, ::2] = -0.0
+    return coords
+
+
+def assert_bitwise_equal(a, b):
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def test_stacked_components_match_scalar_polynomials():
     """Each component of a vector polynomial equals its scalar polynomial bit
     for bit, signs of zero included, on a stack of points and at one point;
@@ -109,11 +164,23 @@ def test_stacked_components_match_scalar_polynomials():
     assert all(one[k] == f(coords[1, 2]) for k, f in enumerate(components))
     with pytest.raises(ValueError):
         Polynomial.stack(2, [p.terms, coordinate(3, 0).terms])
+    # a seeded corpus: every scalar polynomial evaluates as the per-term
+    # formula does, and so does its component of the corpus's stack
+    rng = np.random.default_rng(6)
+    with np.errstate(all="ignore"):
+        for n_vars, polys in random_corpus(6).items():
+            coords = corpus_coords(rng, n_vars)
+            values = stack(polys)(coords)
+            for k, f in enumerate(polys):
+                reference = reference_value(f, coords)
+                assert_bitwise_equal(f(coords), reference)
+                assert_bitwise_equal(values[..., k], reference)
+                assert f(coords[1, 2]) == reference_value(f, coords[1, 2])
 
 
 def derivative_stack(components):
     n_vars = components[0].n_vars
-    return stack([c.derivative(j) for c in components for j in range(n_vars)])
+    return stack([reference_derivative(c, j) for c in components for j in range(n_vars)])
 
 
 def test_one_pass_jacobian_matches_the_stacked_derivatives():
@@ -139,8 +206,23 @@ def test_one_pass_jacobian_matches_the_stacked_derivatives():
         coords[0, 0] = 0.0
         assert np.array_equal(jacobian(coords), reference(coords))
         assert np.array_equal(np.signbit(jacobian(coords)), np.signbit(reference(coords)))
+    rng = np.random.default_rng(7)
+    with np.errstate(all="ignore"):
+        for n_vars, polys in random_corpus(7).items():
+            coords = corpus_coords(rng, n_vars)
+            jacobian = stack(polys).jacobian()
+            reference = derivative_stack(polys)
+            assert jacobian == reference
+            assert_bitwise_equal(jacobian(coords), reference(coords))
+            for f in polys:
+                for j in range(n_vars):
+                    derivative = f.derivative(j)
+                    assert derivative == reference_derivative(f, j)
+                    assert_bitwise_equal(derivative(coords), reference_value(derivative, coords))
     with pytest.raises(ValueError):
         p.jacobian()
+    with pytest.raises(ValueError, match="derivative takes a scalar polynomial"):
+        stack([p, q]).derivative(0)
 
 
 def test_one_pass_jacobian_overflows_without_a_numpy_warning():

@@ -450,7 +450,7 @@ def test_closedness_check_pass_and_fail():
     reports = hand_built_reports(MODEL.total_chart.sample(10, 4))
     closed = reports["hypersymplectic.closed.omega"]
     assert closed.passed and closed.max_residual <= 1e-12
-    assert closed.statement == "d(omega) = 0 under central differences"
+    assert closed.statement == "d(omega) = 0 on the coordinate frame"
     not_closed = reports["hypersymplectic.closed.chi"]
     assert not not_closed.passed
     assert not_closed.max_residual == pytest.approx(1.0, abs=1e-8)
@@ -604,8 +604,11 @@ def per_l_curvature(G, dG):
 def test_one_pass_curvature_of_a_constant_connection():
     """A constant, symmetric, nonzero Gamma is torsion-free but curved: the
     one-pass curvature equals the per-index formula, and the special-Kahler
-    suite fails its flatness check."""
-    G = np.random.default_rng(17).uniform(-1, 1, (2, 2, 2))
+    suite fails its flatness check.  The one-pass curvature also equals the
+    per-index formula on a point-dependent Gamma, differenced by the stencil,
+    and on a linear Gamma whose exact derivative table has no point axes."""
+    rng = np.random.default_rng(17)
+    G = rng.uniform(-1, 1, (2, 2, 2))
     G = G + np.swapaxes(G, -1, -2)
     conn = FlatConnection(PLANE, lambda pt: G)
     pts = PLANE.sample(10, 3)
@@ -620,3 +623,24 @@ def test_one_pass_curvature_of_a_constant_connection():
     flat = reports["special_kahler.connection_flat"]
     assert not flat.passed and flat.max_residual == residual
     assert reports["special_kahler.connection_torsion_free"].passed
+    A, B = (S + np.swapaxes(S, -1, -2) for S in rng.uniform(-1, 1, (2, 2, 2, 2)))
+
+    def christoffel(pt):
+        u, v = (pt.coords[..., k, None, None, None] for k in range(2))
+        return G + A * u**2 + B * v
+
+    varying = FlatConnection(PLANE, christoffel)
+    Gv, dGv = varying.gamma(pts), varying.gradient(pts)
+    assert dGv.shape == (10, 2, 2, 2, 2)
+    u = pts.coords[:, 0, None, None, None]
+    assert np.allclose(dGv[..., 0], 2 * A * u, atol=1e-8) and np.allclose(dGv[..., 1], B, atol=1e-8)
+    assert varying.curvature_residual(pts) == per_l_curvature(Gv, dGv) > 0.1
+    # a Gamma linear in u, with its exact derivative: a table without point axes
+    dA = np.zeros((2, 2, 2, 2))
+    dA[..., 0] = A
+    linear = FlatConnection(
+        PLANE, lambda pt: pt.coords[..., 0, None, None, None] * A, "linear", lambda pt: dA
+    )
+    linear_residual = linear.curvature_residual(pts)
+    assert linear_residual == per_l_curvature(linear.gamma(pts), np.broadcast_to(dA, dGv.shape))
+    assert linear_residual == max(linear.curvature_residual(pt) for pt in pts) > 0.1
