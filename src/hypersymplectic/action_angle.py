@@ -312,19 +312,16 @@ def canonical_check(
     )
 
 
-def model_from_product_system(
-    sys: ProductSystem, name: str = "oscillator-model", fd_step: float | None = None
-) -> FibrationModel:
+def model_from_product_system(sys: ProductSystem, name: str = "oscillator-model") -> FibrationModel:
     """Fibration model over the action box of the product system.
 
     The first half of the factors supply the x-coordinates and the second
     half the y-coordinates; each action window is ``ENERGY_WINDOW`` divided
-    by that factor's frequency.  ``fd_step`` is the charts' step, as for
-    ``make_model``.
+    by that factor's frequency.
     """
     lo, hi = ENERGY_WINDOW
     bounds = np.stack([lo / sys.frequencies, hi / sys.frequencies], axis=-1).tolist()
-    return make_model(sys.dof // 2, action_bounds=bounds, name=name, fd_step=fd_step)
+    return make_model(sys.dof // 2, action_bounds=bounds, name=name)
 
 
 def verify_action_angle(

@@ -18,13 +18,14 @@ Conventions, fixed once for the whole package:
   ``M[..., i, j] = form(e_i, e_j)`` (the determinant convention, no
   ``1/k!``), read by ``form_matrix``.  No check reads a form of another
   degree, so none is represented.
-* ``stencil`` steps by the chart's ``fd_step()``, the one step of every
-  central difference on that chart.  It calls the evaluator once, on all
-  2 * dim shifted copies of the sample stacked on two extra leading axes,
-  and is told the value's shape at one point, so it recognises a constant
-  (a value of exactly that shape) whatever the sample size, and the
-  constant's table stays unbatched.  The FD frame of a section's graph
-  (``fibration.SectionMap.jacobian_fd``) also comes from ``stencil``.
+* ``stencil`` steps by the chart's ``fd_step()``.  No run reaches it, since
+  every field a suite reads carries its exact derivative: it differences
+  hand-built fields and gives the tests' FD cross-checks, among them the FD
+  frame of a section's graph (``fibration.SectionMap.jacobian_fd``).  It
+  calls the evaluator once, on all 2 * dim shifted copies of the sample
+  stacked on two extra leading axes, and is told the value's shape at one
+  point, so it recognises a constant (a value of exactly that shape)
+  whatever the sample size, and the constant's table stays unbatched.
 * The exterior derivative of a 2-form is the table
   ``(d w)_ijk = d_i w_jk - d_j w_ik + d_k w_ij``, taken from one
   ``gradient`` call.

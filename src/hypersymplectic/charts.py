@@ -1,11 +1,12 @@
 """Coordinate charts on box domains and points.
 
-A chart is a named box ``[lower_i, upper_i]`` with named coordinates and
-the central-difference step of every stencil taken on it (``fd_step``): a
-chart built with a ``step`` uses that, any other 1e-5 times its widest
-half-axis.  A step that vanishes next to a box bound (``b + h == b``) is
-rejected.  No derivative on a chart takes a step of its own.  All
-fields (``calculus.TensorField``) are represented by plain evaluators
+A chart is a named box ``[lower_i, upper_i]`` with named coordinates.  Its
+central-difference step (``fd_step``) is 1e-5 times its widest half-axis; a
+box next to whose bounds that step vanishes (``b + h == b``) is rejected.
+No run takes a central difference on a chart: every field a suite reads
+carries its exact derivative, so the step serves only ``calculus.stencil``
+on hand-built fields and the FD cross-checks of the tests.  All fields
+(``calculus.TensorField``) are represented by plain evaluators
 (point -> value); nothing is symbolic.  Evaluators must be deterministic:
 the same point yields the same value bit for bit, which the report layer
 relies on.
@@ -54,7 +55,6 @@ class Chart:
     coords: tuple[str, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    step: float | None = None
 
     def __post_init__(self) -> None:
         if not self.coords:
@@ -66,8 +66,6 @@ class Chart:
         for name, lo, hi in zip(self.coords, self.lower, self.upper):
             if not lo < hi:
                 raise ValueError(f"empty box on axis {name}: [{lo}, {hi}]")
-        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be positive and finite, got {self.step}")
         h = self.fd_step()
         for b in self.lower + self.upper:
             if b + h == b or b - h == b:
@@ -81,10 +79,8 @@ class Chart:
         return np.asarray(self.upper) - np.asarray(self.lower)
 
     def fd_step(self) -> float:
-        """The central-difference step of the chart: ``step`` when it is set,
-        else 1e-5 scaled by the widest half-axis."""
-        if self.step is not None:
-            return float(self.step)
+        """The central-difference step of the chart: 1e-5 scaled by its
+        widest half-axis."""
         return 1e-5 * float(np.max(self.widths())) / 2.0
 
     def point(self, coords: Sequence[float]) -> "Point":

@@ -36,10 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance-fd",
         type=float,
         dest="tolerance_fd",
-        help="tolerance for finite-difference residuals",
-    )
-    parser.add_argument(
-        "--fd-step", type=float, dest="fd_step", help="central-difference step of the charts"
+        help="tolerance of the first-derivative checks (key tolerances.fd)",
     )
     parser.add_argument(
         "--list", action="store_true", help="list scenarios and suites, then exit"
@@ -77,8 +74,6 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
         raw["scenario"] = args.scenario
     if args.seed is not None:
         _override(raw, "sampling", "seed", args.seed)
-    if args.fd_step is not None:
-        _override(raw, "sampling", "fd_step", args.fd_step)
     if args.tolerance_fd is not None:
         _override(raw, "tolerances", "fd", args.tolerance_fd)
     if args.output is not None:

@@ -21,12 +21,10 @@ compares two matrices built from the forms.
 
 Sections of the fibration are polynomial maps (x, y) -> (p, q), held as one
 stacked family (``SectionMap``); their graphs are probed for Lagrangian
-behaviour (pullback of a chosen 2-form vanishes, read through the exact
-polynomial Jacobian) and for invariance under a chosen complex structure
-(the distance of J applied to the finite-difference graph frame from the
-graph's tangent plane, which thereby also cross-checks the polynomial
-derivatives).  ``make_model`` gives both charts of the model the
-central-difference step of every stencil taken on them.
+behaviour (pullback of a chosen 2-form vanishes) and for invariance under a
+chosen complex structure (the distance of J applied to the graph frame
+(Id; D) from the graph's tangent plane), both read through the one exact
+polynomial Jacobian of the family.
 A graph turns out to be invariant under one J exactly when it is Lagrangian
 for the other two symplectic forms; the test suite pins both directions.
 """
@@ -106,14 +104,11 @@ def make_model(
     n: int,
     action_bounds: Sequence[tuple[float, float]] | None = None,
     name: str = "model",
-    fd_step: float | None = None,
 ) -> FibrationModel:
     """Build the rank-n model on a box chart.
 
     ``action_bounds`` gives one (lower, upper) pair per action coordinate in
     the order (x_1..x_n, y_1..y_n); the default box is [-1, 1] per axis.
-    ``fd_step`` is the ``Chart.step`` of the base and the total chart; by
-    default each chart takes its width rule.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -124,14 +119,13 @@ def make_model(
     base_coords = _names("x", n) + _names("y", n)
     base_lower = tuple(lo for lo, _ in action_bounds)
     base_upper = tuple(hi for _, hi in action_bounds)
-    base = Chart(f"{name}-base", base_coords, base_lower, base_upper, fd_step)
+    base = Chart(f"{name}-base", base_coords, base_lower, base_upper)
     total_coords = base_coords + _names("p", n) + _names("q", n)
     total = Chart(
         f"{name}-total",
         total_coords,
         base_lower + (0.0,) * (2 * n),
         base_upper + (ANGLE_PERIOD,) * (2 * n),
-        fd_step,
     )
     return FibrationModel(
         n=n,
@@ -436,10 +430,12 @@ class SectionMap:
     single section is the one-member family.  All components are one vector
     polynomial, with its exact Jacobian, and component ``k * 2n + r``, (p,
     q)_r of member k, evaluates bit for bit as it would alone where finite.
-    Each read, exact or FD (stepped by the base chart), is of the whole
-    family and raises GeometryError unless finite.  The values and exact
-    fibre block read on the last base ``Point`` object (compared by
-    identity) are kept read-only until another point is read."""
+    Each read is of the whole family and raises GeometryError unless
+    finite; the FD frame ``jacobian_fd``, stepped by the base chart, is the
+    tests' cross-check of the exact one, which every check reads.  The
+    values, exact fibre block and exact frame read on the last base
+    ``Point`` object (compared by identity) are kept read-only until
+    another point is read."""
 
     def __init__(self, model: FibrationModel, p, q, name: str = "") -> None:
         """The section whose components are the scalar polynomials p and q."""
@@ -520,10 +516,11 @@ class SectionMap:
         return table.reshape(shape)[..., member, :, :, :]
 
     def jacobian(self, base_pt: Point) -> np.ndarray:
-        """Exact Jacobian (..., m, 4n, 2n): identity block over the fibre block."""
+        """Exact graph frame (Id; D), (..., m, 4n, 2n): the identity block over
+        the fibre block, read once per sample."""
         block = self.fibre_jacobian(base_pt)
         top = np.broadcast_to(np.eye(2 * self.model.n), block.shape)
-        return np.concatenate([top, block], axis=-2)
+        return self._read(base_pt, "frame", lambda: np.concatenate([top, block], axis=-2))
 
     def jacobian_fd(self, base_pt: Point) -> np.ndarray:
         """FD graph frame (Id; D), (..., m, 4n, 2n) like ``jacobian``: one
@@ -601,7 +598,7 @@ def section_pullback(
 def graph_frame_defect(
     section: SectionMap, J: EndomorphismField | Sequence, pt: Point
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """J applied to the FD graph frame F = (Id; D) (``SectionMap.jacobian_fd``)
+    """J applied to the exact graph frame F = (Id; D) (``SectionMap.jacobian``)
     of each member of a family at base point(s); ``J`` is one complex
     structure for every member or one per member, and every table has the
     member axis.  Returns D, R = (J F)_xy and the defect (J F)_pq - D R:
@@ -611,7 +608,7 @@ def graph_frame_defect(
     when the defect is not finite (two slopes near the float maximum); the
     products are formed with numpy's overflow warnings silenced.
     """
-    frame = section.jacobian_fd(pt)
+    frame = section.jacobian(pt)
     endos, M_J = _member_fields(J, section.evaluate(pt), EndomorphismField.matrix)
     n2 = frame.shape[-1]
     D = frame[..., n2:, :]

@@ -13,8 +13,8 @@ infinite), ``_positive``, ``_integer`` (true and false are not integers) and
 ``_object`` (null reads as absent; unknown keys are refused).  A rejected
 value raises ``ConfigError``, which the CLI turns into exit 2.  Rules about a
 value's meaning stay with the type that uses it: ``ProductSystem`` checks
-frequencies, ``Chart`` the step, ``SectionMap.family`` a section's fit to
-the model.
+frequencies, ``Chart`` the box, ``SectionMap.family`` a section's fit to the
+model.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .structures import (
     Tolerances,
 )
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 SCENARIOS = {
     "paper-n1": "four-dimensional model fibration (rank 1) with the default suites",
@@ -198,22 +198,19 @@ class SectionSpec:
 class SamplingConfig:
     n_points: int = DEFAULT_POINTS
     seed: int = DEFAULT_SEED
-    fd_step: float | None = None
 
     @classmethod
     def from_dict(cls, raw) -> "SamplingConfig":
-        raw = _object(raw, "sampling", {"n_points", "seed", "fd_step"})
-        fd_step = raw.get("fd_step")
+        raw = _object(raw, "sampling", {"n_points", "seed"})
         return cls(
             n_points=_integer(
                 raw.get("n_points", DEFAULT_POINTS), "sampling.n_points", 1, MAX_POINTS
             ),
             seed=_integer(raw.get("seed", DEFAULT_SEED), "sampling.seed", 0),
-            fd_step=None if fd_step is None else _positive(fd_step, "sampling.fd_step"),
         )
 
     def echo(self) -> dict:
-        return {"n_points": self.n_points, "seed": self.seed, "fd_step": self.fd_step}
+        return {"n_points": self.n_points, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -494,14 +491,13 @@ _SUITE_RUNNERS: dict[str, Callable[[_RunInputs], list[CheckReport]]] = {
 
 
 def build_scenario_model(config: ScenarioConfig) -> FibrationModel:
-    """The scenario's model, its charts stepping by ``sampling.fd_step``;
-    ConfigError when that step is lost in rounding next to a box bound."""
-    fd_step = config.sampling.fd_step
+    """The scenario's model; ConfigError when ``Chart`` rejects one of its
+    boxes, whose step the width rule would lose in rounding next to a bound."""
     try:
         if config.scenario == "oscillators":
             sys = ProductSystem.from_frequencies(config.frequencies)
-            return model_from_product_system(sys, name="oscillators", fd_step=fd_step)
-        return make_model(config.n, name=config.scenario, fd_step=fd_step)
+            return model_from_product_system(sys, name="oscillators")
+        return make_model(config.n, name=config.scenario)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

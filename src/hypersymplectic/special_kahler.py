@@ -13,14 +13,13 @@ flatness, torsion-freeness, parallel Omega and I, that I squares to minus the
 identity, that g is symmetric and Omega is I-invariant, and that the signature
 of g (which need not be definite) is constant over the sampled box.
 
-The Jacobian enters twice, deliberately through different routes: the induced
-endomorphism and its derivative use exact polynomial derivatives (the
-section's first and second), while the graph-restriction comparison uses the
-finite-difference frame, so agreement between the two is an actual
-cross-check and not an identity of implementation.  That frame, the one
-central difference here, steps by the base chart's ``fd_step()`` and is
-divided by the step actually taken, so its base block is the identity.  The
-section is member ``member`` (0 for a single section) of a ``SectionMap``.
+Every derivative is the section's exact one: I and its derivative read the
+section's first and second polynomial derivatives, and the graph-restriction
+comparison reads the same first derivatives as the graph frame (Id; D).  Its
+content is then the algebra of J_omega on that frame: its base block
+R = J_bb + J_bf D equals I = -D and the defect J_fb + J_ff D - D R
+vanishes.  The section is member ``member`` (0 for a single section) of a
+``SectionMap``.
 """
 
 from __future__ import annotations
@@ -233,7 +232,7 @@ def induced_vs_restriction(
     member's graph and pushed to the base.
 
     The projection kills the fibre components, so the pushed restriction is
-    the base block of J applied to the FD graph frame.  Meaningful when the
+    the base block of J applied to the exact graph frame.  Meaningful when the
     graph is invariant (the graph-frame defect is folded into the residual).
     A caller that has formed ``graph_frame_defect`` of ``section`` at ``pt``,
     with J_omega on that member, passes it as ``frame_defect``.

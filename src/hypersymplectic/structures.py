@@ -21,11 +21,11 @@ connection is a ``calculus.TensorField`` of rank 3, like the forms and
 endomorphisms it acts on, and every derivative is the field's ``gradient``:
 a field built by ``constant`` (every form and complex structure of the
 model, the zero connection) and the induced I of every section carry their
-exact derivative and are not differenced at all, and any other field is
-evaluated once on all central-stencil shifts of the sample, stepped by the
-sample's chart (``Chart.fd_step``), so a read costs a fixed number of
-evaluator calls whatever the sample size.  A constant field keeps no point
-axes, so it and its derivative table hold one copy for the whole sample.
+exact derivative, so no run differences a field.  A hand-built field
+without one is evaluated once on all central-stencil shifts of the sample
+(``calculus.stencil``), a fixed number of evaluator calls whatever the
+sample size.  A constant field keeps no point axes, so it and its
+derivative table hold one copy for the whole sample.
 
 The tensor identities (``d_nabla_endo``, ``nijenhuis``) are evaluated on the
 coordinate frame: each returns the full table of the tensor's components at
@@ -54,8 +54,10 @@ DEFAULT_SEED = 42
 @dataclass(frozen=True)
 class Tolerances:
     """The four tolerances a configuration may set, with their defaults:
-    pointwise algebra, first-order central differences, nested differences
-    (curvature) and the floor each form's ``|det|`` must stay above."""
+    pointwise algebra; ``fd``, the first-derivative identities (closure,
+    Nijenhuis, the graph checks on the exact frame) and the action-angle
+    transform's FD Jacobian; ``nested_fd``, curvature; and the floor each
+    form's ``|det|`` must stay above."""
 
     algebraic: float = 1e-12
     fd: float = 1e-6

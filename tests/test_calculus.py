@@ -18,7 +18,7 @@ from hypersymplectic.structures import FlatConnection
 
 PLANE = Chart("plane", ("u", "v"), (-1.0, -1.0), (1.0, 1.0))
 CUBE = Chart("cube", ("u", "v", "w"), (-1.0,) * 3, (1.0,) * 3)
-STEPPED_CUBE = Chart("cube", ("u", "v", "w"), (-1.0,) * 3, (1.0,) * 3, step=1e-2)
+UNIT_CUBE = Chart("unit-cube", ("u", "v", "w"), (0.0,) * 3, (1.0,) * 3)  # half CUBE's step
 SPACE = Chart("space", ("a", "b", "c", "d"), (-1.0,) * 4, (1.0,) * 4)
 AREA = np.array([[0.0, 1.0], [-1.0, 0.0]])  # du ^ dv on PLANE
 
@@ -171,17 +171,17 @@ def test_stacked_stencil_equals_the_per_axis_shifted_reference():
     """One call on all 2 * dim shifts gives, bit for bit, the table of the
     per-axis differences at the chart's step, for vector, matrix and 3-tensor
     values at a single point and at sample sizes that coincide with dim and
-    2 * dim, on a chart with the default step and on one with its own."""
+    2 * dim, on two charts whose widths give them different steps."""
     fields = {
         (3,): lambda p: np.sin(p.coords) * p.coords[..., :1] ** 2,
         (3, 3): lambda p: np.exp(p.coords[..., :, None]) * p.coords[..., None, :] ** 3,
         (3, 3, 3): lambda p: np.cos(p.coords[..., :, None, None] * p.coords[..., None, :, None])
         + p.coords[..., None, None, :],
     }
-    assert STEPPED_CUBE.fd_step() == 1e-2 != CUBE.fd_step()
+    assert UNIT_CUBE.fd_step() == 5e-6 != CUBE.fd_step()
     points = [
         pt
-        for chart in (CUBE, STEPPED_CUBE)
+        for chart in (CUBE, UNIT_CUBE)
         for pt in [chart.point([0.3, -0.7, 0.1])] + [chart.sample(n, seed=n) for n in (1, 3, 6, 7)]
     ]
     for shape, evaluate in fields.items():

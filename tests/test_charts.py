@@ -24,24 +24,17 @@ def test_basic_properties():
     assert BOX.fd_step() == pytest.approx(1e-5)
 
 
-def test_a_chart_built_with_a_step_steps_by_it():
-    stepped = Chart("box", ("u", "v"), (-1.0, -1.0), (1.0, 1.0), step=1e-3)
-    assert stepped.fd_step() == 1e-3
-    assert stepped != BOX  # the step is part of the chart
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="step"):
-            Chart("box", ("u", "v"), (-1.0, -1.0), (1.0, 1.0), step=bad)
-
-
-@pytest.mark.parametrize("step", [1e-17, 1e-320])
-def test_a_step_lost_in_rounding_next_to_a_bound_is_rejected(step):
-    """x + h == x at the bound 1 (and 1e-17 is below half an ulp of 1): no
-    central difference can be taken on such a chart."""
-    assert 1.0 + step == 1.0
+def test_a_box_whose_step_is_lost_in_rounding_is_rejected():
+    """The width rule on [1e12, 1e12 + 1e-3] steps by 5e-9, below half an
+    ulp of 1e12: no central difference can be taken on such a chart."""
+    lower, upper = 1e12, 1e12 + 1e-3
+    h = 1e-5 * (upper - lower) / 2.0
+    assert lower + h == lower
     with pytest.raises(ValueError, match="lost in rounding"):
-        Chart("box", ("u", "v"), (-0.5, 0.0), (0.5, 1.0), step=step)
-    # the same step is kept on a box whose bounds it can move
-    assert Chart("box", ("u",), (0.0,), (1e-310,), step=step).fd_step() == step
+        Chart("box", ("u",), (lower,), (upper,))
+    # the rule scales with the box: a subnormal box still has a step that moves its bounds
+    tiny = Chart("box", ("u",), (0.0,), (1e-310,))
+    assert 0.0 < tiny.fd_step() and 1e-310 - tiny.fd_step() != 1e-310
 
 
 def test_point_validation():

@@ -64,7 +64,7 @@ def test_missing_config_exits_2_without_writing(tmp_path):
 def test_invalid_json_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     # the second is JSON, but its integer has more digits than int() reads by default
-    for text in ("{not json", '{"sampling": {"fd_step": 1' + "0" * 5000 + "}}"):
+    for text in ("{not json", '{"sampling": {"seed": 1' + "0" * 5000 + "}}"):
         cfg.write_text(text)
         assert main(["--config", str(cfg)]) == 2
 
@@ -83,7 +83,7 @@ def test_report_written_on_success(tmp_path):
     assert proc.returncode == 0
     assert "verdict: pass" in proc.stdout
     document = json.loads(report.read_text())
-    assert document["schema_version"] == "3"
+    assert document["schema_version"] == "4"
     body = document["report"]
     assert body["verdict"] == "pass"
     assert body["config"]["sampling"]["seed"] == 7
@@ -162,32 +162,26 @@ def section_with_p_coefficient(coeff):
         {"scenario": "oscillators", "frequencies": [float("inf"), 1.0]},
         {"scenario": "oscillators", "frequencies": [1e-310, 1.0]},
         {"scenario": "oscillators", "frequencies": [1.0, 10**400]},
-        {"scenario": "paper-n1", "sampling": {"fd_step": float("inf")}},
-        # x + h == x on the box [-1, 1]: no central difference can be taken
-        {"scenario": "paper-n1", "sampling": {"fd_step": 1e-17}},
-        {"scenario": "paper-n1", "sampling": {"fd_step": 1e-320}},
         {"scenario": "custom-section", "sections": [section_with_p_coefficient(float("inf"))]},
         {"scenario": "custom-section", "sections": [section_with_p_coefficient(float("nan"))]},
         # integers beyond the float range, which json.loads reads as Python ints
-        {"scenario": "paper-n1", "sampling": {"fd_step": 10**400}},
         {"scenario": "paper-n1", "tolerances": {"fd": 10**400}},
         {"scenario": "custom-section", "sections": [section_with_p_coefficient(10**400)]},
         # more points than numpy can allocate, past structures.MAX_POINTS
         {"scenario": "paper-n1", "sampling": {"n_points": 10**30}},
+        # no run takes a central difference on a chart, so no step is configured
+        {"scenario": "paper-n1", "sampling": {"fd_step": 1e-3}},
     ],
     ids=[
         "infinite-frequency",
         "overflowing-action-window",
         "integer-frequency-beyond-float",
-        "infinite-fd-step",
-        "fd-step-below-rounding",
-        "subnormal-fd-step",
         "infinite-section-coefficient",
         "nan-section-coefficient",
-        "integer-fd-step-beyond-float",
         "integer-tolerance-beyond-float",
         "integer-section-coefficient-beyond-float",
         "n-points-beyond-bound",
+        "fd-step-key-removed",
     ],
 )
 def test_non_finite_config_numbers_exit_2_without_writing(tmp_path, capsys, config):
@@ -481,53 +475,73 @@ CURVED_N2 = {
 }
 
 
-def test_a_curved_section_is_differenced_only_for_its_graph_frame(tmp_path, capsys, monkeypatch):
-    """d_nabla I reads the section's exact second derivatives, so the one
-    central stencil of the run is the section's FD graph frame, and the
-    parallel check reads exactly 0.0."""
+def count_central_differences(monkeypatch) -> list:
+    """The evaluators of every central difference on a chart from here on:
+    each ``stencil`` call, under every name a module holds it by, and each
+    ``vector_jacobian`` call."""
     calls = []
-    original = calculus.stencil
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(calculus, "stencil", counting)
-    monkeypatch.setattr(fibration, "stencil", counting)
+        return wrapper
+
+    stencil = counting(calculus.stencil)
+    monkeypatch.setattr(calculus, "stencil", stencil)
+    monkeypatch.setattr(fibration, "stencil", stencil)
+    monkeypatch.setattr(calculus, "vector_jacobian", counting(calculus.vector_jacobian))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "config, code",
+    [
+        ({"scenario": "paper-n1"}, 0),
+        ({"scenario": "paper-n", "n": 4}, 0),
+        ({"scenario": "oscillators"}, 0),
+        (CURVED_N2, 1),
+    ],
+    ids=["paper-n1", "paper-n4", "oscillators", "curved-n2"],
+)
+def test_no_run_takes_a_central_difference_on_a_chart(tmp_path, capsys, monkeypatch, config, code):
+    """Every field a suite reads carries its exact derivative and the graph
+    checks read the section's exact frame, so no run calls ``stencil``.  On
+    the curved rank-2 section, d_nabla I reads the exact second derivatives,
+    so the parallel check reads exactly 0.0 although I is not almost
+    complex."""
+    calls = count_central_differences(monkeypatch)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(CURVED_N2))
+    cfg.write_text(json.dumps(config))
     report = tmp_path / "report.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["--config", str(cfg), "--output", str(report)]) == 1
-    assert len(calls) == 1
+        assert main(["--config", str(cfg), "--output", str(report)]) == code
+    assert calls == []
     checks = {c["identity"]: c for c in json.loads(report.read_text())["report"]["checks"]}
-    assert checks["special_kahler.complex_structure_parallel"]["max_residual"] == 0.0
-    assert not checks["special_kahler.squares_to_minus_identity"]["passed"]
+    if config is CURVED_N2:
+        assert checks["special_kahler.complex_structure_parallel"]["max_residual"] == 0.0
+        assert not checks["special_kahler.squares_to_minus_identity"]["passed"]
 
 
 def test_a_default_run_reads_each_section_once_per_sample(capsys, monkeypatch):
     """paper-n1: the family of the zero and rotation sections is read once
-    for its values, exact fibre block and FD frame (3 polynomial calls), and
-    the rotation member for its second derivatives (1); the family's FD
-    frame is the run's only stencil."""
-    counts = {"polynomial": 0, "stencil": 0}
-    call, stencil = Polynomial.__call__, calculus.stencil
+    for its values and once for its exact fibre block (2 polynomial calls),
+    and the rotation member for its second derivatives (1); the run takes
+    no central difference."""
+    calls = count_central_differences(monkeypatch)
+    polynomial_calls = []
+    call = Polynomial.__call__
 
     def counting_call(poly, coords):
-        counts["polynomial"] += 1
+        polynomial_calls.append(poly)
         return call(poly, coords)
 
-    def counting_stencil(*args, **kwargs):
-        counts["stencil"] += 1
-        return stencil(*args, **kwargs)
-
     monkeypatch.setattr(Polynomial, "__call__", counting_call)
-    monkeypatch.setattr(calculus, "stencil", counting_stencil)
-    monkeypatch.setattr(fibration, "stencil", counting_stencil)
     assert main([]) == 0
     capsys.readouterr()
-    assert counts == {"polynomial": 4, "stencil": 1}
+    assert (len(polynomial_calls), calls) == (3, [])
 
 
 @pytest.mark.parametrize(

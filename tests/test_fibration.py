@@ -346,26 +346,116 @@ def test_section_evaluation_and_chart_guard():
         rot.evaluate(total_point([0, 0, 0, 0]))
 
 
-def test_exact_and_fd_jacobians_agree():
+def fd_error_bound(section: SectionMap) -> np.ndarray:
+    """The error model of the FD frame of ``section`` against its exact
+    Jacobian, C (h^2 M3 + eps M0 / h) for each fibre component, of shape
+    (m, 2n, 1) so that it broadcasts over the columns of the fibre block.
+
+    h is the base chart's step.  On the box widened by h, which holds every
+    stencil point, |x_k| <= X_k, and a term c x^e is at most |c| prod X_k^e_k:
+    M0 sums these over the terms, and M3 is the largest over the axes a of
+    the same sum for d_a^3 (c x^e).  A central difference along a is d_a f
+    plus the truncation h^2 d_a^3 f(xi) / 6, plus the rounding of the two
+    evaluations of f over the step taken, at most (2d + t + 1) eps M0 / (2h)
+    for a component of degree d with t terms (Higham's gamma, one
+    multiplication and one power per factor and one addition per term).
+    C = 2 (d + t) covers both."""
+    chart = section.model.base_chart
+    h, eps = chart.fd_step(), np.finfo(float).eps
+    reach = np.maximum(np.abs(chart.lower), np.abs(chart.upper)) + h
+    bounds = []
+    for _, p, q in section.members:
+        for table in (*p, *q):
+            M0, M3 = 0.0, np.zeros(chart.dim)
+            for powers, c in table:
+                e = np.array(powers)
+                term = abs(c) * np.prod(reach**e)
+                M0 += term
+                M3 += term * e * (e - 1) * (e - 2) / reach**3
+            degree = max((sum(powers) for powers, _ in table), default=0)
+            C = 2 * (degree + len(table))
+            bounds.append(C * (h**2 * M3.max() + eps * M0 / h))
+    return np.reshape(bounds, (len(section.members), -1, 1))
+
+
+def fd_excess(exact: SectionMap, fd: SectionMap, pt: Point) -> float:
+    """The largest |FD - exact| over ``pt`` and the fibre block, in units of
+    the error bound of ``fd``: at most 1 when the two frames agree."""
+    gap = np.abs(fd.jacobian_fd(pt) - exact.jacobian(pt))
+    n2 = 2 * fd.model.n
+    assert np.array_equal(gap[..., :n2, :], np.zeros_like(gap[..., :n2, :]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(gap[..., n2:, :] == 0.0, 0.0, gap[..., n2:, :] / fd_error_bound(fd))
+    return float(ratio.max())
+
+
+def scaled_term(section: SectionMap, factor: float) -> SectionMap | None:
+    """``section`` with the coefficient of a term of highest degree
+    multiplied by ``factor``; None when no term moves the Jacobian (degree 0)."""
+    (name, p, q), = section.members
+    tables = [list(t) for t in (*p, *q)]
+    terms = [(sum(powers), r, k) for r, t in enumerate(tables) for k, (powers, _) in enumerate(t)]
+    degree, r, k = max(terms, default=(0, 0, 0))
+    if degree == 0:
+        return None
+    powers, c = tables[r][k]
+    tables[r][k] = (powers, c * factor)
+    n = section.model.n
+    return SectionMap.family(section.model, [(name, tables[:n], tables[n:])])
+
+
+def cross_check_cases():
+    """(sample, sections): the criterion-3 corpus and a curved rank-1
+    section on the rank-1 model, the curved rank-2 section on the rank-2 one."""
     curved = make_section([((2, 0), 1.0), ((0, 1), 1.0)], [((1, 1), -2.0)], "curved")
-    pt = base_point([0.4, -0.3])
-    exact = curved.jacobian(pt)[0]  # the one member
-    assert np.allclose(exact, curved.jacobian_fd(pt)[0], atol=1e-9)
+    yield MODEL.base_chart.sample(50, 7), [*_corpus(), curved]
+    model = make_model(2)
+    yield model.base_chart.sample(50, 7), [SectionMap.family(model, [CURVED_N2])]
+
+
+def test_exact_and_fd_jacobians_agree():
+    """The labelled FD cross-check of the exact Jacobian, which every check
+    reads: on a sample, for every section of ``cross_check_cases``, the FD
+    frame stays within ``fd_error_bound`` of the exact one, and the base
+    blocks agree exactly.  At one point the curved section's exact frame is
+    its hand-derived one."""
+    for pt, sections in cross_check_cases():
+        for section in sections:
+            assert fd_excess(section, section, pt) <= 1.0, section.name
+    curved = next(cross_check_cases())[1][-1]
+    exact = curved.jacobian(base_point([0.4, -0.3]))[0]  # the one member
     assert np.array_equal(exact[:2], np.eye(2))
     assert np.allclose(exact[2], [0.8, 1.0])  # d(x^2 + y)
     assert np.allclose(exact[3], [0.6, -0.8])  # d(-2xy)
+
+
+def test_the_fd_cross_check_sees_a_perturbed_coefficient():
+    """Non-vacuity witness: the exact frame of a section with one
+    highest-degree coefficient scaled by 1 + 1e-6, against the FD frame of
+    the true section, breaks the error bound, on every section of the cases
+    whose Jacobian that coefficient moves."""
+    witnessed = 0
+    for pt, sections in cross_check_cases():
+        for section in sections:
+            perturbed = scaled_term(section, 1.0 + 1e-6)
+            if perturbed is not None:
+                assert fd_excess(perturbed, section, pt) > 1.0, section.name
+                witnessed += 1
+    assert witnessed >= 20
 
 
 def test_the_fd_frame_is_divided_by_the_step_actually_taken():
     """Each FD column is divided by its base entry, so the frame has the
     exact frame's shape (Id; D) at any step; for the rotation section,
     whose slopes are 0 and 1, it equals the exact frame bit for bit, also
-    at h = 1e-12, where the step taken differs from h by up to 2e-5."""
-    for step in (None, 1e-12):
-        model = make_model(1, fd_step=step)
+    on a box near x = 1 narrow enough that the width rule steps by 1e-12,
+    where the step taken differs from h by up to 2e-4."""
+    for bounds in (None, [(1.0, 1.0 + 2e-7)] * 2):
+        model = make_model(1, action_bounds=bounds)
         rotation = standard_sigma_section(model)
         pt = model.base_chart.sample(50, 3)
         assert np.array_equal(rotation.jacobian_fd(pt), rotation.jacobian(pt))
+    assert model.base_chart.fd_step() == pytest.approx(1e-12)
 
 
 def test_stacked_section_maps_match_single_points():
@@ -499,8 +589,8 @@ def test_gradient_section_arity_guard():
 
 def qr_distance(section, J, pt):
     """Reference: the worst distance of a column of J F from the column span
-    of the FD graph frame F, by projection onto a QR basis of F."""
-    frame = section.jacobian_fd(pt)
+    of the exact graph frame F, by projection onto a QR basis of F."""
+    frame = section.jacobian(pt)
     images = J.matrix(section.evaluate(pt)) @ frame
     Q = np.linalg.qr(frame)[0]
     off_span = images - Q @ (np.swapaxes(Q, -1, -2) @ images)
@@ -536,7 +626,7 @@ def test_steep_graphs_keep_a_scale_free_residual():
 
 
 def test_non_finite_graph_frames_raise():
-    """p = 1e308 x^8 overflows the FD frame: no verdict, a GeometryError."""
+    """p = 1e308 x^8 overflows the graph frame: no verdict, a GeometryError."""
     huge = make_section([((8, 0), 1e308)], [], "huge")
     pts = MODEL.base_chart.sample(10, 42)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -693,7 +783,8 @@ def test_the_exact_fibre_block_is_read_once_per_sample(monkeypatch):
     """Each read of a section on a Point object (its values and exact fibre
     block) costs one polynomial call and is kept read-only for the next read
     of that object; another Point object, even with equal coordinates, is
-    read anew."""
+    read anew.  The exact frame (Id; D) is kept too, built from the kept
+    block with no further polynomial call."""
     calls = []
     original = Polynomial.__call__
 
@@ -716,6 +807,8 @@ def test_the_exact_fibre_block_is_read_once_per_sample(monkeypatch):
         assert len(calls) == k + 1, kind
     for kind, read in reads.items():
         assert read(pts) is kept[kind], kind
+    frame = rot.jacobian(pts)
+    assert rot.jacobian(pts) is frame and not frame.flags.writeable
     assert len(calls) == 2
     equal = MODEL.base_chart.sample(20, 3)
     for kind, read in reads.items():

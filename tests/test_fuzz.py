@@ -2,16 +2,20 @@
 
 Each class draws configurations whose truth is known from the construction
 and runs them through ``cli.main`` in process, with every warning raised as
-an error.  A class of true theorems must exit 0, or exit 2 with a one-line
-refusal; a known-false class must exit 1 and fail the named identity.  No
-configuration may print a warning or a traceback.  Only ``random`` and numpy
-draw the configurations, from fixed seeds.
+an error.  A class of true theorems must exit 0; a known-false class must
+exit 1 and fail the named identity.  No configuration may print a warning or
+a traceback.  Only ``random`` and numpy draw the configurations, from fixed
+seeds.
 
-Two further true classes, ``true_slopes`` and ``harmonic_gradients``, are
-drawn here but not asserted: their FD cross-checks still give wrong verdicts,
-because their tolerances follow no error model (the rounding of steep slopes,
-the truncation of curved graphs).  Running this file as a script prints the
-outcomes of every class, e.g. for seeds 1 to 3 and 100 configurations each::
+Every class is asserted.  The section classes (``true_slopes``,
+``harmonic_gradients``) are judged on the section's exact Jacobian, which
+the pullbacks, I and the graph checks all read, so no verdict rests on a
+central difference.  One check is left out on the harmonic gradients:
+``sections.pullback_vanishes`` is held to the absolute
+``SECTION_PULLBACK_TOL``, which a steep degree-8 draw can exceed by
+rounding alone (ROADMAP item 15).  Running this file as a script prints the
+outcomes of every class, e.g. for seeds 1 to 3 and 100 configurations
+each::
 
     PYTHONPATH=src python tests/test_fuzz.py 100 1 2 3
 """
@@ -30,15 +34,10 @@ from pathlib import Path
 from hypersymplectic.cli import main
 
 SEED = 1
-STEPS = (1e-12, 3e-2)  # fd_step is drawn log-uniformly between these
-
-
-def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
-    return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
 
 
 def _sampling(rng: random.Random) -> dict:
-    return {"n_points": 20, "seed": rng.randrange(2**16), "fd_step": _log_uniform(rng, *STEPS)}
+    return {"n_points": 20, "seed": rng.randrange(2**16)}
 
 
 def oscillators(rng: random.Random) -> dict:
@@ -109,22 +108,33 @@ def draw(generator, seed: int, count: int) -> list[dict]:
     return [generator(rng) for _ in range(count)]
 
 
-def test_oscillator_products_pass_or_refuse_a_step_lost_in_rounding(tmp_path):
-    """Every check of an oscillator product states a true theorem.  A step
-    below the rounding of the box (frequencies down to 1e-12 give bounds up
-    to 2e12) is refused with one line; no configuration gets a verdict of
-    fail.  Before the FD frame was divided by the step actually taken, about
-    a third of these failed ``special_kahler.matches_graph_restriction``."""
-    outcomes = Counter()
+def test_oscillator_products_pass(tmp_path):
+    """Every check of an oscillator product states a true theorem, and every
+    draw, with frequencies from 1e-12 to 1e12 (action boxes reaching 2e12),
+    exits 0 with no failed check: no refusal either, since no step is
+    configured."""
     for config in draw(oscillators, SEED, 150):
+        assert run(config, tmp_path) == (0, [], ""), config
+
+
+def test_slopes_on_the_special_kahler_locus_pass(tmp_path):
+    """p = a y, q = -x / a, slopes from 1e-8 to 1e8: every draw exits 0 with
+    no failed check.  Read through a central difference, the steep draws
+    failed ``matches_graph_restriction`` on the rounding of the slope."""
+    for config in draw(true_slopes, SEED, 100):
+        assert run(config, tmp_path) == (0, [], ""), config
+
+
+def test_harmonic_gradient_graphs_are_judged_invariant(tmp_path):
+    """Gradients of Re(c z^k), k up to 8: no draw fails a
+    ``sections.graph_invariant`` check, which a central difference at a
+    coarse step failed on its truncation.  The only failure allowed
+    is the pullback's absolute tolerance (module docstring, ROADMAP item
+    15), which this test does not judge."""
+    for config in draw(harmonic_gradients, SEED, 100):
         code, failed, err = run(config, tmp_path)
-        if code == 2:
-            assert err.startswith("configuration error: step ") and "is lost in rounding" in err
-            assert err.count("\n") == 1, err
-        else:
-            assert (code, failed, err) == (0, [], ""), config
-        outcomes[code] += 1
-    assert outcomes[0] >= 75  # most draws are judged, not refused
+        assert err == "" and code in (0, 1), config
+        assert set(failed) <= {"sections.pullback_vanishes.harmonic.omega"}, config
 
 
 def test_slopes_off_the_special_kahler_locus_fail_squares_to_minus_identity(tmp_path):

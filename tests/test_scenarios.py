@@ -129,7 +129,7 @@ def test_run_scenario_is_deterministic():
     names = [r.identity_name for r in first.checks]
     assert names == sorted(names)
     doc = first.document_dict()
-    assert doc["schema_version"] == "3"
+    assert doc["schema_version"] == "4"
     assert set(doc) == {"schema_version", "report", "timing"}
     assert "output" not in doc["report"]["config"]
 
@@ -167,21 +167,28 @@ def test_a_run_draws_and_builds_its_shared_inputs_once(monkeypatch):
 
 
 def test_a_run_takes_each_graph_frame_once(monkeypatch):
-    """paper-n1 reads the FD frame of its one family, the zero and rotation
-    sections, once: the sections suite judges them under J_chi and J_omega,
-    and the special-kahler suite reads the rotation member's restriction
-    under J_omega from the same defect."""
+    """paper-n1 forms the graph-frame defect of its one family, the zero and
+    rotation sections, once and on the exact frame: the sections suite
+    judges them under J_chi and J_omega, and the special-kahler suite reads
+    the rotation member's restriction under J_omega from the same defect.
+    No FD frame is taken."""
     calls = []
-    original = fibration.SectionMap.jacobian_fd
 
-    def counting(section, *args, **kwargs):
-        calls.append(section.names)
-        return original(section, *args, **kwargs)
+    def counting(name, original):
+        def wrapper(section, *args, **kwargs):
+            calls.append((name, section.names))
+            return original(section, *args, **kwargs)
 
-    monkeypatch.setattr(fibration.SectionMap, "jacobian_fd", counting)
+        return wrapper
+
+    for module in (scenarios, special_kahler):
+        defect = counting("graph_frame_defect", module.graph_frame_defect)
+        monkeypatch.setattr(module, "graph_frame_defect", defect)
+    jacobian_fd = counting("jacobian_fd", fibration.SectionMap.jacobian_fd)
+    monkeypatch.setattr(fibration.SectionMap, "jacobian_fd", jacobian_fd)
     doc = run_scenario(ScenarioConfig.from_dict({"scenario": "paper-n1"}))
     assert doc.verdict == "pass"
-    assert calls == [("zero", "rotation")]
+    assert calls == [("graph_frame_defect", ("zero", "rotation"))]
 
 
 def test_failing_section_flips_the_verdict():
@@ -261,60 +268,55 @@ CUBIC_SECTION = {
 }
 
 
-def test_the_configured_step_is_the_step_of_the_models_charts():
-    for raw in ({"scenario": "paper-n", "n": 2}, {"scenario": "oscillators"}):
-        model = scenarios.build_scenario_model(
-            ScenarioConfig.from_dict({**raw, "sampling": {"fd_step": 1e-3}})
-        )
-        assert model.base_chart.fd_step() == model.total_chart.fd_step() == 1e-3
+def test_no_step_is_configured():
+    """No run takes a central difference on a chart, so ``sampling`` has no
+    step key, and the report echoes only the sample size and seed."""
+    with pytest.raises(ConfigError, match=r"sampling has unknown keys: \['fd_step'\]"):
+        ScenarioConfig.from_dict({"sampling": {"fd_step": 1e-3}})
+    assert ScenarioConfig.from_dict({}).echo()["sampling"] == {"n_points": 100, "seed": 42}
 
 
-def test_the_configured_step_reaches_exactly_the_fd_route_checks():
-    """On the section p = y + 0.3 x^3, q = -x, ``sampling.fd_step`` moves
-    exactly the two residuals read from the FD graph frame.  Every other
-    residual is bit for bit the same: those checks read exact derivatives,
-    the one varying entry of I (I_xx, along x) drops out of the differenced
-    d^nabla I at any step, and the action-angle transform steps relative to
-    the orbit."""
+def test_the_charts_step_reaches_no_check(monkeypatch):
+    """On the section p = y + 0.3 x^3, q = -x, a different chart step moves
+    no residual, bit for bit: every check reads exact derivatives, and the
+    action-angle transform steps relative to the orbit."""
 
-    def residuals(sampling: dict) -> dict[str, str]:
-        raw = {"scenario": "custom-section", "sections": [CUBIC_SECTION], "sampling": sampling}
+    def residuals() -> dict[str, str]:
+        raw = {"scenario": "custom-section", "sections": [CUBIC_SECTION]}
         doc = run_scenario(ScenarioConfig.from_dict(raw))
-        assert doc.config_echo["sampling"]["fd_step"] == sampling.get("fd_step")
         return {r.identity_name: r.max_residual.hex() for r in doc.checks}
 
-    default, coarse = residuals({}), residuals({"fd_step": 1e-3})
-    assert default.keys() == coarse.keys()
+    default = residuals()
+    monkeypatch.setattr(Chart, "fd_step", lambda chart: 1e-3)
+    assert residuals() == default
     assert "action_angle.canonical_transform" in default
-    changed = {name for name in default if default[name] != coarse[name]}
-    assert changed == {
-        "sections.graph_invariant.cubic.J_omega",
-        "special_kahler.matches_graph_restriction",
-    }
+    assert "sections.graph_invariant.cubic.J_omega" in default
 
 
 SOFT_OSCILLATORS = {
     "scenario": "oscillators",
     "frequencies": [1.3232948360824925e-06, 0.7770376999480298],
 }
+# the true sigma section p = 1e6 y, q = -1e-6 x: I = -D squares to -Id exactly
+STEEP_ROTATION = {
+    "scenario": "custom-section",
+    "sections": [
+        {"name": "steep", "form": "sigma", "p": [[[[0, 1], 1e6]]], "q": [[[[1, 0], -1e-6]]]}
+    ],
+}
 
 
 @pytest.mark.parametrize(
     "raw",
-    [
-        {"scenario": "paper-n1", "sampling": {"fd_step": 1e-12}},
-        {**SOFT_OSCILLATORS, "sampling": {"fd_step": 1e-5}},
-        {**SOFT_OSCILLATORS, "sampling": {"fd_step": 1e-6}},
-    ],
-    ids=["paper-n1-step-1e-12", "soft-oscillators-step-1e-5", "soft-oscillators-step-1e-6"],
+    [{"scenario": "paper-n1"}, SOFT_OSCILLATORS, STEEP_ROTATION],
+    ids=["paper-n1", "soft-oscillators", "steep-rotation"],
 )
-def test_the_graph_restriction_is_read_over_the_step_actually_taken(raw):
-    """The step actually taken differs from the configured one by about
-    ulp(x): by a relative 2e-5 on paper-n1 at 1e-12, and by 7.6e-6 on the
-    soft oscillators, whose base box reaches x = 1.5e6.  The FD frame is
-    divided by it before J acts, so the rotation's restriction is exactly
-    I: the check reads 0.0 where the undivided frame read 2.2e-5 and
-    7.6e-6, and failed."""
+def test_the_graph_restriction_is_exactly_the_induced_structure(raw):
+    """The restriction is J_omega applied to the exact frame (Id; D), so on
+    a true special Kähler section it equals I = -D bit for bit and every
+    check passes, with no numpy warning: also on the soft oscillators, whose
+    base box reaches x = 1.5e6, and on the steep rotation, which read
+    4.551e-6 through a central difference and failed (ROADMAP defect 3)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         doc = run_scenario(ScenarioConfig.from_dict(raw))
