@@ -6,10 +6,13 @@ closed-form action is E/nu and the angle atan2(nu xi, pi) advances at rate nu
 under the flow.  ``Oscillator1DOF`` writes the energy and the angle once, for
 one frequency or an array of them, and a ``ProductSystem`` is one read-only
 array of frequencies with one oscillator over it.  The quadrature routines
-below recover these facts numerically (Gauss-Legendre along the parametrized
-level curve, the nodes and weights by Golub-Welsch from ``numpy.linalg``) so
-they can serve as oracles for the closed forms rather than restatements of
-them.  States are sampled from the seeded stream of ``charts.seeded_uniform``.
+below recover these facts numerically, by the periodic trapezoidal rule
+along the level curve parametrized by its angle, so they can serve as oracles
+for the closed forms rather than restatements of them.  Each integrand is
+smooth and 2pi-periodic in the angle, so the mean over equally spaced angles
+converges geometrically in their number (Trefethen and Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Review 56, 2014).  States
+are sampled from the seeded stream of ``charts.seeded_uniform``.
 
 The frequency rules live in ``ProductSystem``: an even number (>= 2) of
 finite positive frequencies, each with nu^2 and nu^-2 finite normal floats,
@@ -36,7 +39,6 @@ factor.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,29 +55,12 @@ ENERGY_WINDOW = (0.2, 2.0)
 RELATIVE_STEP = 1e-6
 
 
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on [-1, 1] and their weights by Golub-Welsch: the
-    nodes are the eigenvalues of the Legendre Jacobi matrix, whose
-    off-diagonals are k / sqrt(4k^2 - 1), and each weight is twice the
-    squared first entry of its eigenvector.  As ``leggauss`` does, the nodes
-    are made symmetric about 0 and the weights symmetric, summing to 2."""
-    k = np.arange(1, nodes)
-    u, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
-    w = vectors[0] ** 2 + vectors[0, ::-1] ** 2
-    return 0.5 * (u - u[::-1]), w * (2.0 / np.sum(w))
-
-
-@functools.lru_cache(maxsize=8)
-def _loop_quadrature(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre parameters t on one turn [0, 2pi] and their weights,
-    computed once per count and shared read-only."""
+def _loop_angles(nodes: int) -> np.ndarray:
+    """``nodes`` equally spaced angles on one turn [0, 2pi): the nodes of the
+    periodic trapezoidal rule, whose weights are all 2pi / nodes."""
     if nodes < MIN_QUADRATURE_NODES:
         raise ValueError(f"need at least {MIN_QUADRATURE_NODES} nodes, got {nodes}")
-    u, w = _gauss_legendre(nodes)
-    t = math.pi * (u + 1.0)
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
+    return np.arange(nodes) * (TWO_PI / nodes)
 
 
 @dataclass(frozen=True, eq=False)  # an array frequency has no truth value for __eq__
@@ -122,21 +107,21 @@ class Oscillator1DOF:
 def action_from_energy(osc: Oscillator1DOF, energy, nodes: int = 64):
     """(1/2pi) * loop integral of pi d(xi) over the level curve, by quadrature;
     one value per energy of a scalar or an array."""
-    t, w = _loop_quadrature(nodes)
+    t = _loop_angles(nodes)
     energy = np.asarray(energy, dtype=float)[..., None]
     _, momentum = osc.level_curve(energy, t)
     velocity, _ = osc.level_velocity(energy, t)
-    return (np.sum(w * momentum * velocity, axis=-1) * math.pi / TWO_PI)[()]
+    return np.mean(momentum * velocity, axis=-1)[()]
 
 
 def angle_period_check(osc: Oscillator1DOF, energy, nodes: int = 128):
     """|(1/2pi) * loop integral of d(angle) - 1| over the level curve, one
     value per energy of a scalar or an array."""
-    t, w = _loop_quadrature(nodes)
+    t = _loop_angles(nodes)
     energy = np.asarray(energy, dtype=float)[..., None]
     gxi, gpi = osc.angle_gradient(*osc.level_curve(energy, t))
     vel_xi, vel_pi = osc.level_velocity(energy, t)
-    turns = np.sum(w * (gxi * vel_xi + gpi * vel_pi), axis=-1) * math.pi / TWO_PI
+    turns = np.mean(gxi * vel_xi + gpi * vel_pi, axis=-1)
     return np.abs(turns - 1.0)[()]
 
 

@@ -59,6 +59,7 @@ from .structures import (
     DEFAULT_POINTS,
     DEFAULT_SEED,
     MAX_POINTS,
+    MAX_RANK,
     SECTION_PULLBACK_TOL,
     CheckReport,
     Tolerances,
@@ -262,6 +263,8 @@ class ScenarioConfig:
             n = len(frequencies) // 2
         elif n is None:
             n = 2 if scenario == "paper-n" else 1
+        if n > MAX_RANK:
+            raise ConfigError(f"rank n = {n} is above MAX_RANK = {MAX_RANK}")
         if frequencies is None:
             frequencies = tuple(1.0 + k for k in range(2 * n))
         if len(frequencies) != 2 * n:

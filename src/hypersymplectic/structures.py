@@ -48,6 +48,10 @@ from .charts import Chart, Point
 
 DEFAULT_POINTS = 100
 MAX_POINTS = 10**6  # the largest sample a configuration may ask for
+# The largest rank a configuration may ask for: paper-n at n = 16 (a
+# 64-dimensional phase space) takes about 0.4 s and 127 MB peak RSS on the
+# default sample, and the peak grows faster than n^2 (686 MB at n = 32).
+MAX_RANK = 16
 DEFAULT_SEED = 42
 
 

@@ -7,8 +7,8 @@ import pytest
 from hypersymplectic.action_angle import (
     Oscillator1DOF,
     ProductSystem,
-    _gauss_legendre,
-    _loop_quadrature,
+    MIN_QUADRATURE_NODES,
+    _loop_angles,
     action_from_energy,
     angle_period_check,
     canonical_check,
@@ -69,24 +69,20 @@ def test_action_quadrature_converges():
 
 
 @pytest.mark.parametrize("nodes", [16, 64, 128])
-def test_loop_quadrature_matches_leggauss(nodes):
-    """The Golub-Welsch nodes and weights agree with numpy's ``leggauss``
-    within 1e-14; the nodes are exactly symmetric about 0, the weights
-    exactly symmetric and summing to 2, and the loop parameters are the
-    nodes mapped onto [0, 2pi]."""
-    from numpy.polynomial.legendre import leggauss
-
-    u, w = _gauss_legendre(nodes)
-    expected_u, expected_w = leggauss(nodes)
-    assert np.max(np.abs(u - expected_u)) <= 1e-14
-    assert np.max(np.abs(w - expected_w)) <= 1e-14
-    assert np.array_equal(u, -u[::-1]) and np.array_equal(w, w[::-1])
-    assert np.sum(w) == pytest.approx(2.0, abs=4e-16)
-    t, loop_w = _loop_quadrature(nodes)
-    assert np.array_equal(t, math.pi * (u + 1.0)) and np.array_equal(loop_w, w)
-    assert np.max(np.abs(t - math.pi * (expected_u + 1.0))) <= 1e-14
-    assert not (t.flags.writeable or loop_w.flags.writeable)
-    assert _loop_quadrature(nodes)[0] is t  # computed once per count
+def test_loop_angles_are_the_periodic_trapezoidal_rule(nodes):
+    """The loop angles split one turn into ``nodes`` equal steps from 0, and
+    their mean integrates every trigonometric polynomial of degree below
+    ``nodes`` over the turn: (1/2pi) * integral of cos(k t) and sin(k t) is 0
+    for 0 < k < nodes.  Degree ``nodes`` aliases onto the constant, so the
+    rule is no better than that."""
+    t = _loop_angles(nodes)
+    assert t.shape == (nodes,) and t[0] == 0.0
+    assert np.max(np.abs(np.diff(t) - 2 * math.pi / nodes)) <= 1e-14
+    assert t[-1] + 2 * math.pi / nodes == pytest.approx(2 * math.pi, abs=1e-14)
+    k = np.arange(1, nodes)[:, None]  # cos(k t) rounds by about k t eps
+    assert np.max(np.abs(np.mean(np.cos(k * t), axis=-1))) <= 1e-13
+    assert np.max(np.abs(np.mean(np.sin(k * t), axis=-1))) <= 1e-13
+    assert np.mean(np.cos(nodes * t)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quadrature_input_guards():
@@ -97,6 +93,8 @@ def test_quadrature_input_guards():
         osc.level_curve(-1.0, 0.0)
     with pytest.raises(ValueError):
         action_from_energy(osc, 1.0, nodes=8)
+    with pytest.raises(ValueError, match=f"at least {MIN_QUADRATURE_NODES} nodes"):
+        _loop_angles(MIN_QUADRATURE_NODES - 1)
     with pytest.raises(DegenerateOrbitError):
         osc.angle_gradient(0.0, 0.0)
     # one non-positive energy in an array is enough

@@ -169,6 +169,8 @@ def section_with_p_coefficient(coeff):
         {"scenario": "custom-section", "sections": [section_with_p_coefficient(10**400)]},
         # more points than numpy can allocate, past structures.MAX_POINTS
         {"scenario": "paper-n1", "sampling": {"n_points": 10**30}},
+        # a rank whose default frequency list cannot be built, past structures.MAX_RANK
+        {"scenario": "paper-n", "n": 10**30},
         # no run takes a central difference on a chart, so no step is configured
         {"scenario": "paper-n1", "sampling": {"fd_step": 1e-3}},
     ],
@@ -181,6 +183,7 @@ def section_with_p_coefficient(coeff):
         "integer-tolerance-beyond-float",
         "integer-section-coefficient-beyond-float",
         "n-points-beyond-bound",
+        "rank-beyond-bound",
         "fd-step-key-removed",
     ],
 )
@@ -638,8 +641,9 @@ sys.exit(status)
 
 
 def test_a_run_loads_neither_numpy_random_nor_numpy_polynomial(tmp_path):
-    """Draws come from the standard library's ``random`` and the quadrature
-    nodes from ``numpy.linalg``: a fresh process running paper-n1 with every
+    """Draws come from the standard library's ``random``, and the quadrature
+    is the periodic trapezoidal rule on equally spaced angles, which needs no
+    nodes from ``numpy.polynomial``: a fresh process running paper-n1 with every
     suite loads no ``numpy.random`` or ``numpy.polynomial`` module that
     ``import numpy`` did not load already (numpy < 2 loads both itself)."""
     cfg = tmp_path / "all-suites.json"

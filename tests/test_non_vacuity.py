@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hypersymplectic import action_angle
-from hypersymplectic.action_angle import ProductSystem, verify_action_angle
+from hypersymplectic.action_angle import Oscillator1DOF, ProductSystem, verify_action_angle
 from hypersymplectic.calculus import DifferentialForm, EndomorphismField, form_matrix
 from hypersymplectic.fibration import (
     HyperComplexTriple,
@@ -109,3 +109,45 @@ def test_stretched_angles_fail_only_the_canonical_transform(frequencies, monkeyp
     mutated = failed(verify_action_angle(system))
     assert list(mutated) == ["action_angle.canonical_transform"]
     assert mutated["action_angle.canonical_transform"] == pytest.approx(1e-3, rel=1e-3)
+
+
+def scaled(method, factor):
+    """``method`` with each returned array multiplied by ``factor``."""
+
+    def wrapper(self, *args):
+        return tuple(factor * part for part in method(self, *args))
+
+    return wrapper
+
+
+@pytest.mark.parametrize("frequencies", [[1.0, 2.0], [1.0, 0.5, 2.0, 3.0]])
+def test_dilated_level_curve_fails_only_the_action_oracle(frequencies, monkeypatch):
+    """The level curve and its velocity dilated by 1.001 trace a loop whose
+    area is 1.001^2 times E/nu, so the action oracle is off by 2.0e-3; the
+    angle still turns once around it (d(angle) scales by 1/1.001, the
+    velocity by 1.001), and no other check reads the level curve."""
+    system = ProductSystem(frequencies)
+    assert failed(verify_action_angle(system)) == {}
+    monkeypatch.setattr(Oscillator1DOF, "level_curve", scaled(Oscillator1DOF.level_curve, 1.001))
+    monkeypatch.setattr(
+        Oscillator1DOF, "level_velocity", scaled(Oscillator1DOF.level_velocity, 1.001)
+    )
+    mutated = failed(verify_action_angle(system))
+    assert list(mutated) == ["action_angle.action_equals_energy_over_frequency"]
+    assert mutated["action_angle.action_equals_energy_over_frequency"] == pytest.approx(
+        2.001e-3, rel=1e-9
+    )
+
+
+@pytest.mark.parametrize("frequencies", [[1.0, 2.0], [1.0, 0.5, 2.0, 3.0]])
+def test_scaled_angle_gradient_fails_only_the_angle_oracle(frequencies, monkeypatch):
+    """d(angle) scaled by 1.001 integrates to 1.001 turns around each level
+    curve, so the angle oracle is off by 1.0e-3; no other check reads it."""
+    system = ProductSystem(frequencies)
+    assert failed(verify_action_angle(system)) == {}
+    monkeypatch.setattr(
+        Oscillator1DOF, "angle_gradient", scaled(Oscillator1DOF.angle_gradient, 1.001)
+    )
+    mutated = failed(verify_action_angle(system))
+    assert list(mutated) == ["action_angle.angle_normalization"]
+    assert mutated["action_angle.angle_normalization"] == pytest.approx(1e-3, rel=1e-9)

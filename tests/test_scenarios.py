@@ -16,6 +16,7 @@ from hypersymplectic.scenarios import (
 )
 from hypersymplectic.structures import (
     MAX_POINTS,
+    MAX_RANK,
     PARALLEL_TOL,
     QUADRATURE_TOL,
     SECTION_PULLBACK_TOL,
@@ -49,6 +50,22 @@ def test_sample_size_is_bounded():
     assert cfg.sampling.n_points == MAX_POINTS
     with pytest.raises(ConfigError, match="sampling.n_points"):
         ScenarioConfig.from_dict({"sampling": {"n_points": MAX_POINTS + 1}})
+
+
+def test_rank_is_bounded():
+    """The resolved rank is bounded, whether set by ``n`` or by the length
+    of an oscillator frequency list."""
+    assert MAX_RANK == 16
+    assert ScenarioConfig.from_dict({"scenario": "paper-n", "n": MAX_RANK}).n == MAX_RANK
+    frequencies = [1.0 + k for k in range(2 * MAX_RANK)]
+    cfg = ScenarioConfig.from_dict({"scenario": "oscillators", "frequencies": frequencies})
+    assert cfg.n == MAX_RANK
+    with pytest.raises(ConfigError, match="MAX_RANK"):
+        ScenarioConfig.from_dict({"scenario": "paper-n", "n": MAX_RANK + 1})
+    with pytest.raises(ConfigError, match="MAX_RANK"):
+        ScenarioConfig.from_dict(
+            {"scenario": "oscillators", "frequencies": frequencies + [1.0, 2.0]}
+        )
 
 
 def test_unknown_keys_rejected():
