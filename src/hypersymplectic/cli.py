@@ -15,7 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-from ._version import __version__
 from .errors import ConfigError, GeometryError
 from .scenarios import ScenarioConfig, list_scenarios, run_scenario
 

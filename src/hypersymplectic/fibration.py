@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -145,6 +145,9 @@ class HyperSymplecticTriple:
         return (self.omega, self.chi, self.sigma)
 
 
+FORM_NAMES = tuple(f.name for f in fields(HyperSymplecticTriple))
+
+
 @dataclass(frozen=True)
 class HyperComplexTriple:
     J_omega: EndomorphismField
@@ -167,19 +170,20 @@ def _blocks(n: int, pattern) -> np.ndarray:
     return blocks.reshape(P.shape[:-2] + (size, size)).astype(float)
 
 
-_FORM_PATTERNS = {
-    "omega": [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]],  # dp ^ dx + dq ^ dy
-    "chi": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],  # -dp ^ dq + dx ^ dy
-    "sigma": [[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]],  # dq ^ dx + dy ^ dp
-}
+# the sign pattern of each form, in the order of FORM_NAMES
+_FORM_PATTERNS = [
+    [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]],  # dp ^ dx + dq ^ dy
+    [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],  # -dp ^ dq + dx ^ dy
+    [[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]],  # dq ^ dx + dy ^ dp
+]
 
 
 def build_structure_triple(model: FibrationModel) -> HyperSymplecticTriple:
     """The three block-constant 2-forms on the total chart, as form matrices
     ``M[i, j] = form(e_i, e_j)`` from their sign patterns on the blocks, all
     three from one ``_blocks`` call on the stacked patterns."""
-    M = _blocks(model.n, list(_FORM_PATTERNS.values()))
-    forms = zip(M, _FORM_PATTERNS)
+    M = _blocks(model.n, _FORM_PATTERNS)
+    forms = zip(M, FORM_NAMES)
     return HyperSymplecticTriple(*(DifferentialForm.constant(model.total_chart, *f) for f in forms))
 
 
@@ -279,14 +283,6 @@ def _frame_pairs(n: int, names) -> tuple[np.ndarray, np.ndarray]:
     return pairs[:, 0], pairs[:, 1]
 
 
-def standard_frame_pairs(model: FibrationModel) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """The coordinate coframe pairs (unit covectors) each complex structure
-    should preserve, as two ``(2n, dim)`` arrays: row k of the first and row
-    k of the second make pair k."""
-    a, b = _frame_pairs(model.n, _FRAME_BLOCKS)
-    return {name: (a_k, b_k) for name, a_k, b_k in zip(_FRAME_BLOCKS, a, b)}
-
-
 def verify_lagrangian_fibres(
     model: FibrationModel,
     form: DifferentialForm,
@@ -383,7 +379,7 @@ def verify_hypersymplectic(
             f"|det| of the {f.name} matrix stays above {tolerances.nondegeneracy:g} "
             f"(minimum seen: {min_det:g})",
         )
-    for (f, g), square in zip(itertools.combinations(("omega", "chi", "sigma"), 2), squares):
+    for (f, g), square in zip(itertools.combinations(FORM_NAMES, 2), squares):
         report(
             f"recursion_squares.{f}_{g}",
             square,

@@ -10,11 +10,11 @@ separate section that is excluded from the stable bytes.
 ``ScenarioConfig.from_dict`` reads each JSON value with one reader per kind:
 ``_number`` (a finite float; an integer beyond the float range counts as
 infinite), ``_positive``, ``_integer`` (true and false are not integers) and
-``_object`` (null reads as absent; unknown keys are refused).  A rejected
-value raises ``ConfigError``, which the CLI turns into exit 2.  Rules about a
-value's meaning stay with the type that uses it: ``ProductSystem`` checks
-frequencies, ``Chart`` the box, ``SectionMap.family`` a section's fit to the
-model.
+``_object`` (null reads as absent; a key is a field of the dataclass read).
+A rejected value raises ``ConfigError``, which the CLI turns into exit 2.
+Rules about a value's meaning stay with the type that uses it:
+``ProductSystem`` checks frequencies, ``Chart`` the box,
+``SectionMap.family`` a section's fit to the model.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import Callable
 
@@ -37,6 +37,7 @@ from .action_angle import (
 from .charts import Point
 from .errors import ConfigError
 from .fibration import (
+    FORM_NAMES,
     FibrationModel,
     SectionMap,
     graph_distance,
@@ -60,6 +61,7 @@ from .structures import (
     DEFAULT_SEED,
     MAX_POINTS,
     MAX_RANK,
+    MAX_TABLE_ENTRIES,
     SECTION_PULLBACK_TOL,
     CheckReport,
     Tolerances,
@@ -83,10 +85,6 @@ SUITES = {
 }
 
 DEFAULT_SUITE_ORDER = tuple(SUITES)
-
-FORM_NAMES = ("omega", "chi", "sigma")
-
-TOLERANCE_KEYS = {f.name for f in fields(Tolerances)}
 
 # which complex structure should preserve the graph of a section that is
 # Lagrangian for a given form (the remaining two forms vanish on the graph)
@@ -126,13 +124,14 @@ def _integer(value, where: str, minimum: int, maximum: float = math.inf) -> int:
     return value
 
 
-def _object(raw, where: str, known) -> dict:
-    """A JSON object with no key outside ``known``; null reads as {}."""
+def _object(raw, where: str, kind: type) -> dict:
+    """A JSON object with no key outside the field names of the dataclass
+    ``kind``; null reads as {}."""
     if raw is None:
         return {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object, got {raw!r}")
-    unknown = raw.keys() - known
+    unknown = raw.keys() - {f.name for f in fields(kind)}
     if unknown:
         raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")
     return raw
@@ -144,21 +143,21 @@ class SectionSpec:
 
     name: str
     form: str
-    p_terms: tuple  # one term table per component
-    q_terms: tuple
+    p: tuple  # one term table per component
+    q: tuple
 
     @classmethod
     def from_dict(cls, raw, where: str) -> "SectionSpec":
-        raw = _object(raw, where, {"name", "form", "p", "q"})
+        raw = _object(raw, where, cls)
         name = raw.get("name", "")
         if not (isinstance(name, str) and name):
             raise ConfigError(f"{where}.name must be a non-empty string")
         form = raw.get("form", "sigma")
         if form not in FORM_NAMES:
             raise ConfigError(f"{where}.form must be one of {FORM_NAMES}, got {form!r}")
-        p_terms = cls._component_terms(raw.get("p"), f"{where}.p")
-        q_terms = cls._component_terms(raw.get("q"), f"{where}.q")
-        return cls(name=name, form=form, p_terms=p_terms, q_terms=q_terms)
+        p = cls._component_terms(raw.get("p"), f"{where}.p")
+        q = cls._component_terms(raw.get("q"), f"{where}.q")
+        return cls(name=name, form=form, p=p, q=q)
 
     @staticmethod
     def _component_terms(raw, where: str) -> tuple:
@@ -190,19 +189,19 @@ class SectionSpec:
         return {
             "name": self.name,
             "form": self.form,
-            "p": terms(self.p_terms),
-            "q": terms(self.q_terms),
+            "p": terms(self.p),
+            "q": terms(self.q),
         }
 
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    n_points: int = DEFAULT_POINTS
-    seed: int = DEFAULT_SEED
+    n_points: int
+    seed: int
 
     @classmethod
     def from_dict(cls, raw) -> "SamplingConfig":
-        raw = _object(raw, "sampling", {"n_points", "seed"})
+        raw = _object(raw, "sampling", cls)
         return cls(
             n_points=_integer(
                 raw.get("n_points", DEFAULT_POINTS), "sampling.n_points", 1, MAX_POINTS
@@ -220,19 +219,16 @@ class ScenarioConfig:
     n: int
     frequencies: tuple[float, ...]
     sections: tuple[SectionSpec, ...] | None
-    sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    suites: tuple[str, ...] = DEFAULT_SUITE_ORDER
-    output: str | None = None
+    sampling: SamplingConfig
+    tolerances: Tolerances
+    suites: tuple[str, ...]
+    output: str | None
 
     @classmethod
     def from_dict(cls, raw) -> "ScenarioConfig":
         if raw is None:  # null means absent under a key, not as the whole configuration
             raise ConfigError("configuration must be a JSON object")
-        known = {
-            "scenario", "n", "frequencies", "sections", "sampling", "tolerances", "suites", "output"
-        }
-        raw = _object(raw, "configuration", known)
+        raw = _object(raw, "configuration", cls)
 
         scenario = raw.get("scenario", "paper-n1")
         if not (isinstance(scenario, str) and scenario in SCENARIOS):
@@ -285,7 +281,11 @@ class ScenarioConfig:
             raise ConfigError("scenario custom-section requires a non-empty sections list")
 
         sampling = SamplingConfig.from_dict(raw.get("sampling"))
-        raw_tolerances = _object(raw.get("tolerances"), "tolerances", TOLERANCE_KEYS)
+        if sampling.n_points * (2 * n) ** 3 > MAX_TABLE_ENTRIES:
+            raise ConfigError(
+                f"n_points * (2n)^3 at n = {n} is above MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
+            )
+        raw_tolerances = _object(raw.get("tolerances"), "tolerances", Tolerances)
         tolerances = Tolerances(
             **{key: _positive(value, f"tolerances.{key}") for key, value in raw_tolerances.items()}
         )
@@ -332,18 +332,18 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ReportDocument:
-    scenario: str
     config_echo: dict
     checks: tuple[CheckReport, ...]
-    verdict: str
     duration_seconds: float
-    schema_version: str = SCHEMA_VERSION
-    toolkit_version: str = __version__
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if all(r.passed for r in self.checks) else "fail"
 
     def stable_dict(self) -> dict:
         return {
-            "toolkit_version": self.toolkit_version,
-            "scenario": self.scenario,
+            "toolkit_version": __version__,
+            "scenario": self.config_echo["scenario"],
             "config": self.config_echo,
             "checks": [r.as_dict() for r in self.checks],
             "verdict": self.verdict,
@@ -351,7 +351,7 @@ class ReportDocument:
 
     def document_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "report": self.stable_dict(),
             "timing": {"duration_seconds": self.duration_seconds},
         }
@@ -407,7 +407,7 @@ class _RunInputs:
     @cached_property
     def sections(self) -> SectionMap:
         """The family of ``specs``; ConfigError when a section does not fit."""
-        members = [(spec.name, spec.p_terms, spec.q_terms) for spec in self.specs]
+        members = [(spec.name, spec.p, spec.q) for spec in self.specs]
         try:
             return SectionMap.family(self.model, members)
         except ValueError as exc:
@@ -512,12 +512,9 @@ def run_scenario(config: ScenarioConfig) -> ReportDocument:
     for suite in config.suites:
         checks.extend(_SUITE_RUNNERS[suite](run))
     checks.sort(key=lambda r: r.identity_name)
-    verdict = "pass" if all(r.passed for r in checks) else "fail"
     return ReportDocument(
-        scenario=config.scenario,
         config_echo=config.echo(),
         checks=tuple(checks),
-        verdict=verdict,
         duration_seconds=time.perf_counter() - start,
     )
 

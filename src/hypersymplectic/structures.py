@@ -9,7 +9,7 @@ and the resulting verdict.  Two report styles are used:
 * signed slack (tolerance 0.0): used when a quantity must stay above a
   floor, e.g. nondegeneracy reports ``floor - min |det|``; passing means <= 0.
 
-Either way the invariant ``passed == (max_residual <= tolerance)`` holds.
+Either way ``passed`` is derived, never stored: ``max_residual <= tolerance``.
 The suites (``fibration.verify_hypersymplectic``,
 ``special_kahler.special_symplectic_check``, ...) build each report straight
 from the primitive that measures it.
@@ -52,6 +52,11 @@ MAX_POINTS = 10**6  # the largest sample a configuration may ask for
 # 64-dimensional phase space) takes about 0.4 s and 127 MB peak RSS on the
 # default sample, and the peak grows faster than n^2 (686 MB at n = 32).
 MAX_RANK = 16
+# The largest n_points * (2n)^3, the entries of d_nabla I and of the sections'
+# second derivatives over the sample.  paper-n's peak RSS grows by 28-41 bytes
+# per entry at n = 4..16, so a run at the budget peaks at 0.25-0.35 GB there;
+# at n <= 2 smaller tables dominate (1.5 kB a point at n = 1) and MAX_POINTS binds.
+MAX_TABLE_ENTRIES = 8 * 10**6
 DEFAULT_SEED = 42
 
 
@@ -82,8 +87,11 @@ class CheckReport:
     n_points: int
     max_residual: float
     tolerance: float
-    passed: bool
     statement: str = ""
+
+    @property
+    def passed(self) -> bool:  # a NaN residual fails
+        return self.max_residual <= self.tolerance
 
     @classmethod
     def from_residual(
@@ -94,14 +102,7 @@ class CheckReport:
         tolerance: float,
         statement: str = "",
     ) -> "CheckReport":
-        return cls(
-            identity_name=identity_name,
-            n_points=n_points,
-            max_residual=float(max_residual),
-            tolerance=float(tolerance),
-            passed=bool(max_residual <= tolerance),
-            statement=statement,
-        )
+        return cls(identity_name, n_points, float(max_residual), float(tolerance), statement)
 
     def as_dict(self) -> dict:
         return {

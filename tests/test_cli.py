@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from hypersymplectic import calculus, fibration
+from hypersymplectic import calculus, cli, fibration
 from hypersymplectic.cli import main
 from hypersymplectic.polynomials import Polynomial
 from hypersymplectic.scenarios import SUITES, ScenarioConfig, run_scenario
@@ -171,6 +171,8 @@ def section_with_p_coefficient(coeff):
         {"scenario": "paper-n1", "sampling": {"n_points": 10**30}},
         # a rank whose default frequency list cannot be built, past structures.MAX_RANK
         {"scenario": "paper-n", "n": 10**30},
+        # each factor in range, n_points * (2n)^3 past structures.MAX_TABLE_ENTRIES
+        {"scenario": "paper-n", "n": 16, "sampling": {"n_points": 10**6}},
         # no run takes a central difference on a chart, so no step is configured
         {"scenario": "paper-n1", "sampling": {"fd_step": 1e-3}},
     ],
@@ -184,10 +186,13 @@ def section_with_p_coefficient(coeff):
         "integer-section-coefficient-beyond-float",
         "n-points-beyond-bound",
         "rank-beyond-bound",
+        "table-entries-beyond-budget",
         "fd-step-key-removed",
     ],
 )
-def test_non_finite_config_numbers_exit_2_without_writing(tmp_path, capsys, config):
+def test_non_finite_config_numbers_exit_2_without_writing(tmp_path, capsys, monkeypatch, config):
+    # each is refused while the configuration is read: no run allocates for it
+    monkeypatch.setattr(cli, "run_scenario", lambda config: pytest.fail("the configuration ran"))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))  # writes Infinity/NaN, which json.loads reads back
     report = tmp_path / "report.json"

@@ -13,8 +13,10 @@ from hypersymplectic.calculus import (
 from hypersymplectic.charts import Point
 from hypersymplectic.errors import DegenerateFormError, GeometryError
 from hypersymplectic.fibration import (
+    _FRAME_BLOCKS,
     HyperSymplecticTriple,
     SectionMap,
+    _frame_pairs,
     build_complex_triple,
     build_structure_triple,
     complex_submanifold_check,
@@ -26,7 +28,6 @@ from hypersymplectic.fibration import (
     recursion_operator,
     rotation_terms,
     section_pullback,
-    standard_frame_pairs,
     standard_sigma_section,
     verify_hypersymplectic,
     verify_lagrangian_fibres,
@@ -69,6 +70,13 @@ COMPOSITE_TABLE = [[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
 
 def block_table(pattern, n):
     return np.kron(np.array(pattern, dtype=float), np.eye(n))
+
+
+def frame_pairs(n):
+    """The coordinate coframe pairs of each complex structure at rank n, by
+    name, as two ``(2n, 4n)`` covector arrays: row k of each is pair k."""
+    a, b = _frame_pairs(n, _FRAME_BLOCKS)
+    return {name: (a_k, b_k) for name, a_k, b_k in zip(_FRAME_BLOCKS, a, b)}
 
 
 def total_point(coords):
@@ -172,7 +180,7 @@ def test_fibres_are_lagrangian_for_omega_and_sigma_but_not_chi():
 
 
 def test_holomorphic_frames():
-    pairs = standard_frame_pairs(MODEL)
+    pairs = frame_pairs(1)
     pt = total_point([0.2, 0.4, 1.0, 2.0])
     for key, J in (("J_omega", COMPLEXES.J_omega), ("J_chi", COMPLEXES.J_chi),
                    ("J_sigma", COMPLEXES.J_sigma)):
@@ -184,7 +192,7 @@ def test_holomorphic_frames():
 def test_frame_pairs_are_coordinate_covector_arrays():
     """Row k of the two arrays is pair k; at rank 2 J_chi pairs (dq_i, dp_i)
     and (dx_i, dy_i) in the chart order (x1, x2, y1, y2, p1, p2, q1, q2)."""
-    a, b = standard_frame_pairs(make_model(2))["J_chi"]
+    a, b = frame_pairs(2)["J_chi"]
     d = np.eye(8)
     assert np.array_equal(a, d[[6, 7, 0, 1]])
     assert np.array_equal(b, d[[4, 5, 2, 3]])
@@ -199,7 +207,7 @@ def test_holomorphic_frame_check_over_pairs_is_the_worst_single_pair():
     J_chi = build_complex_triple(model).J_chi
     J = EndomorphismField(chart, lambda p: J_chi.matrix(p) + p.coords[..., :1, None] * B)
     M_J = J.matrix(chart.sample(5, 12))
-    for key, (a, b) in standard_frame_pairs(model).items():
+    for key, (a, b) in frame_pairs(model.n).items():
         worst = np.max(holomorphic_frame_check(M_J, a, b))
         singles = [
             np.max(holomorphic_frame_check(M_J, a[k : k + 1], b[k : k + 1])) for k in range(len(a))
@@ -232,7 +240,7 @@ def test_stacked_recursion_and_frames_match_single_points():
     J = EndomorphismField(
         chart, lambda p: COMPLEXES.J_chi.matrix(p) + x(p)[..., None, None] * B
     )
-    pairs = standard_frame_pairs(MODEL)
+    pairs = frame_pairs(1)
     stacked = chart.sample(6, 31)
     rows = recursion_operator(form_matrix(omega, stacked), form_matrix(chi, stacked))
     frames = holomorphic_frame_check(J.matrix(stacked), *pairs["J_chi"])
@@ -266,7 +274,7 @@ def test_stacked_recursion_and_frames_match_single_points():
         M = [form_matrix(f, pt) for f in model.triple.forms()]
         assert_members_match(recursion_operator, [[M[1], M[0], M[1]], [M[2], M[2], M[0]]], (2, 2), 2)
         endos = model.complexes.endos()
-        a, b = zip(*(standard_frame_pairs(model)[E.name] for E in endos))
+        a, b = zip(*(frame_pairs(model.n)[E.name] for E in endos))
         matrices = [E.matrix(pt) for E in endos]
         assert_members_match(holomorphic_frame_check, [matrices, a, b], (2, 2, 2), 1)
 

@@ -9,6 +9,7 @@ from hypersymplectic.charts import Chart
 from hypersymplectic.errors import ConfigError
 from hypersymplectic.scenarios import (
     DEFAULT_SUITE_ORDER,
+    ReportDocument,
     ScenarioConfig,
     SectionSpec,
     list_scenarios,
@@ -17,9 +18,11 @@ from hypersymplectic.scenarios import (
 from hypersymplectic.structures import (
     MAX_POINTS,
     MAX_RANK,
+    MAX_TABLE_ENTRIES,
     PARALLEL_TOL,
     QUADRATURE_TOL,
     SECTION_PULLBACK_TOL,
+    CheckReport,
 )
 
 ROTATION_SECTION = {
@@ -68,6 +71,26 @@ def test_rank_is_bounded():
         )
 
 
+def test_table_entries_are_bounded():
+    """n_points * (2n)^3 is bounded, where each factor alone is in range:
+    the full sample at n = 1 and the default sample at MAX_RANK pass."""
+    assert MAX_TABLE_ENTRIES == 8 * 10**6
+    assert ScenarioConfig.from_dict({"sampling": {"n_points": MAX_POINTS}}).n == 1
+    assert ScenarioConfig.from_dict({"scenario": "paper-n", "n": MAX_RANK}).sampling.n_points == 100
+    edge = {"scenario": "paper-n", "n": 16, "sampling": {"n_points": 244}}
+    assert ScenarioConfig.from_dict(edge).sampling.n_points == 244  # 244 * 32^3 = 7995392
+    for n, n_points in ((16, 245), (16, MAX_POINTS), (2, MAX_POINTS)):
+        with pytest.raises(ConfigError, match="MAX_TABLE_ENTRIES"):
+            ScenarioConfig.from_dict(
+                {"scenario": "paper-n", "n": n, "sampling": {"n_points": n_points}}
+            )
+    frequencies = [1.0 + k for k in range(2 * MAX_RANK)]
+    with pytest.raises(ConfigError, match="MAX_TABLE_ENTRIES"):
+        ScenarioConfig.from_dict(
+            {"scenario": "oscillators", "frequencies": frequencies, "sampling": {"n_points": 245}}
+        )
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({"scenrio": "paper-n1"})
@@ -75,6 +98,11 @@ def test_unknown_keys_rejected():
         ScenarioConfig.from_dict({"sampling": {"points": 5}})
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({"tolerances": {"fd": -1.0}})
+    # a section's keys are its JSON names; the term tables are p and q, not p_terms
+    for key in ("r", "p_terms"):
+        section = dict(ROTATION_SECTION, **{key: [[]]})
+        with pytest.raises(ConfigError, match=rf"sections\[0\] has unknown keys: \['{key}'\]"):
+            ScenarioConfig.from_dict({"scenario": "custom-section", "sections": [section]})
 
 
 def test_scenario_constraints():
@@ -348,6 +376,24 @@ def test_summary_lines_cover_every_check():
     lines = doc.summary_lines()
     assert len(lines) == len(doc.checks) + 1
     assert lines[-1].startswith("verdict: pass")
+
+
+def test_the_verdict_is_read_from_the_checks():
+    """One failing check makes the document's verdict "fail", in the stable
+    report and in the summary, which counts it."""
+    checks = (
+        CheckReport.from_residual("a", 1, 0.0, 1e-6),
+        CheckReport.from_residual("b", 1, 2e-6, 1e-6),
+    )
+    doc = ReportDocument(config_echo={"scenario": "paper-n1"}, checks=checks, duration_seconds=0.0)
+    assert doc.verdict == "fail"
+    assert doc.stable_dict()["verdict"] == "fail"
+    assert doc.stable_dict()["scenario"] == "paper-n1"
+    lines = doc.summary_lines()
+    assert lines[1].startswith("[FAIL] b:")
+    assert lines[-1] == "verdict: fail (1/2 checks passed)"
+    passing = ReportDocument(config_echo={"scenario": "x"}, checks=checks[:1], duration_seconds=0.0)
+    assert passing.verdict == "pass"
 
 
 def test_catalog_lists_names():

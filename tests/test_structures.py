@@ -95,6 +95,10 @@ def test_report_pass_boundary():
         "passed": True,
         "statement": "s",
     }
+    # the flag is read off the residual and the tolerance: a NaN residual fails
+    nan = CheckReport.from_residual("id", 3, float("nan"), 1e-6)
+    assert nan.passed is False
+    assert nan.as_dict()["passed"] is False
 
 
 def test_zero_connection_is_flat_and_torsion_free():
