@@ -44,12 +44,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import seeded_uniform
+from .charts import DEFAULT_POINTS, DEFAULT_SEED, seeded_uniform
 from .errors import DegenerateOrbitError
-from .fibration import FibrationModel, _blocks, make_model
+from .fibration import ANGLE_PERIOD, FibrationModel, _blocks, make_model
 from .structures import QUADRATURE_TOL, CheckReport, Tolerances
 
-TWO_PI = 2.0 * math.pi
 MIN_QUADRATURE_NODES = 16
 ENERGY_WINDOW = (0.2, 2.0)
 RELATIVE_STEP = 1e-6
@@ -60,7 +59,7 @@ def _loop_angles(nodes: int) -> np.ndarray:
     periodic trapezoidal rule, whose weights are all 2pi / nodes."""
     if nodes < MIN_QUADRATURE_NODES:
         raise ValueError(f"need at least {MIN_QUADRATURE_NODES} nodes, got {nodes}")
-    return np.arange(nodes) * (TWO_PI / nodes)
+    return np.arange(nodes) * (ANGLE_PERIOD / nodes)
 
 
 @dataclass(frozen=True, eq=False)  # an array frequency has no truth value for __eq__
@@ -79,7 +78,7 @@ class Oscillator1DOF:
 
     def angle(self, xi, pi):
         """atan2(nu xi, pi) in [0, 2pi)."""
-        return np.arctan2(self.frequency * xi, pi) % TWO_PI
+        return np.arctan2(self.frequency * xi, pi) % ANGLE_PERIOD
 
     def level_curve(self, energy, t) -> tuple[np.ndarray, np.ndarray]:
         """Point on the energy-E orbit at angle t (the parameter IS the angle)."""
@@ -201,7 +200,7 @@ def from_action_angle(
 
 
 def _wrap_angle_difference(delta: np.ndarray) -> np.ndarray:
-    return (delta + math.pi) % TWO_PI - math.pi
+    return (delta + math.pi) % ANGLE_PERIOD - math.pi
 
 
 def _orbit_scale(sys: ProductSystem, state: np.ndarray) -> np.ndarray:
@@ -237,14 +236,16 @@ def transform_jacobian(sys: ProductSystem, state: np.ndarray) -> np.ndarray:
     return jac
 
 
-def sample_states(sys: ProductSystem, n_points: int = 100, seed: int = 42) -> np.ndarray:
+def sample_states(
+    sys: ProductSystem, n_points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED
+) -> np.ndarray:
     """Seeded states, one row each, with per-factor energies inside
     ``ENERGY_WINDOW``.
 
     Each row draws its dof energies, then its dof angles, from one stream.
     """
     lo, hi = ENERGY_WINDOW
-    draws = seeded_uniform(seed, [[lo], [0.0]], [[hi], [TWO_PI]], (n_points, 2, sys.dof))
+    draws = seeded_uniform(seed, [[lo], [0.0]], [[hi], [ANGLE_PERIOD]], (n_points, 2, sys.dof))
     energies, angles = draws[:, 0], draws[:, 1]
     return from_action_angle(sys, energies / sys.frequencies, angles)
 
@@ -272,8 +273,8 @@ def canonical_residual(jac: np.ndarray) -> float:
 
 def canonical_check(
     sys: ProductSystem,
-    n_points: int = 100,
-    seed: int = 42,
+    n_points: int = DEFAULT_POINTS,
+    seed: int = DEFAULT_SEED,
     tolerance: float = Tolerances.fd,
     *,
     states: np.ndarray | None = None,
@@ -311,8 +312,8 @@ def model_from_product_system(sys: ProductSystem, name: str = "oscillator-model"
 
 def verify_action_angle(
     sys: ProductSystem,
-    n_points: int = 100,
-    seed: int = 42,
+    n_points: int = DEFAULT_POINTS,
+    seed: int = DEFAULT_SEED,
     tolerances: Tolerances = Tolerances(),
 ) -> list[CheckReport]:
     """The full oscillator battery as a sorted list of reports: the quadrature

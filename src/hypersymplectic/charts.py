@@ -48,6 +48,9 @@ import numpy as np
 
 from .errors import ChartMismatchError
 
+DEFAULT_POINTS = 100  # the sample every check draws unless told otherwise
+DEFAULT_SEED = 42
+
 
 @dataclass(frozen=True)
 class Chart:
@@ -91,7 +94,7 @@ class Chart:
         arr.flags.writeable = False
         return Point(self, arr)
 
-    def sample(self, n_points: int = 100, seed: int = 42) -> "Point":
+    def sample(self, n_points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED) -> "Point":
         """Uniform draws from the box as one ``(n_points, dim)`` point with
         read-only ``coords``; seeded so every suite sees the same set."""
         coords = seeded_uniform(seed, self.lower, self.upper, (n_points, self.dim))

@@ -27,6 +27,9 @@ chosen complex structure (the distance of J applied to the graph frame
 polynomial Jacobian of the family.
 A graph turns out to be invariant under one J exactly when it is Lagrangian
 for the other two symplectic forms; the test suite pins both directions.
+The names live here: ``FORM_NAMES`` and ``COMPLEX_NAMES`` are the fields of
+the two triples, ``FORM_TO_COMPLEX`` the J a form's sections are read
+through, and every check of the battery is named by slot from them.
 """
 
 from __future__ import annotations
@@ -47,17 +50,10 @@ from .calculus import (
     stencil,
     transpose,
 )
-from .charts import Chart, Point
+from .charts import DEFAULT_POINTS, DEFAULT_SEED, Chart, Point
 from .errors import DegenerateFormError, GeometryError
 from .polynomials import Polynomial, merge_terms
-from .structures import (
-    DEFAULT_POINTS,
-    DEFAULT_SEED,
-    CheckReport,
-    FlatConnection,
-    Tolerances,
-    nijenhuis,
-)
+from .structures import CheckReport, FlatConnection, Tolerances, nijenhuis
 
 ANGLE_PERIOD = 2.0 * math.pi
 MAX_SECTION_DEGREE = 8
@@ -158,6 +154,12 @@ class HyperComplexTriple:
         return (self.J_omega, self.J_chi, self.J_sigma)
 
 
+COMPLEX_NAMES = tuple(f.name for f in fields(HyperComplexTriple))
+# the complex structure that should preserve the graph of a section that is
+# Lagrangian for a given form: form k is read through J of slot k + 1 (mod 3)
+FORM_TO_COMPLEX = dict(zip(FORM_NAMES, COMPLEX_NAMES[1:] + COMPLEX_NAMES[:1]))
+
+
 def _blocks(n: int, pattern) -> np.ndarray:
     """The Kronecker product of ``pattern`` with the n x n identity: block
     (a, b), in the chart's (x, y, p, q) block order, is ``pattern[a][b]``
@@ -210,14 +212,13 @@ def build_complex_triple(
     triple = model.triple if triple is None else triple
     row = Point(chart, np.zeros((1, chart.dim)))
     values = [form_matrix(f, row) for f in triple.forms()]
-    varying = [f.name for f, M in zip(triple.forms(), values) if M.ndim != 2]
+    varying = [name for name, M in zip(FORM_NAMES, values) if M.ndim != 2]
     if varying:
         raise ValueError(f"each complex structure needs constant forms; {varying[0]} varies")
     M = np.stack(values)  # members omega, chi, sigma
     J = recursion_operator(M[[1, 0, 1]], M[[2, 2, 0]]) + 0.0
-    names = ("J_omega", "J_chi", "J_sigma")
     return HyperComplexTriple(
-        *(EndomorphismField.constant(chart, J_k, name=name) for J_k, name in zip(J, names))
+        *(EndomorphismField.constant(chart, J_k, name=name) for J_k, name in zip(J, COMPLEX_NAMES))
     )
 
 
@@ -264,22 +265,18 @@ def holomorphic_frame_check(J: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
 
 
 # The coordinate blocks (x, y, p, q) = (0, 1, 2, 3) of each complex
-# structure's coframe pairs: block k of the first side pairs with block k of
-# the second, so J_omega pairs (dx, dp) and (dy, dq).
-_FRAME_BLOCKS = {
-    "J_omega": ((0, 1), (2, 3)),
-    "J_chi": ((3, 0), (2, 1)),
-    "J_sigma": ((0, 2), (3, 1)),
-}
+# structure's coframe pairs, in the order of COMPLEX_NAMES: block k of the
+# first side pairs with block k of the second, so J_omega pairs (dx, dp) and
+# (dy, dq).
+_FRAME_BLOCKS = [((0, 1), (2, 3)), ((3, 0), (2, 1)), ((0, 2), (3, 1))]
 
 
-def _frame_pairs(n: int, names) -> tuple[np.ndarray, np.ndarray]:
-    """The coframe pairs of the complex structures ``names`` at rank n, as
-    two ``(member, 2n, 4n)`` stacks of unit covectors: one read of the
+def _frame_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coframe pairs of the three complex structures at rank n, as two
+    ``(member, 2n, 4n)`` stacks of unit covectors: one read of the
     identity's row blocks at ``_FRAME_BLOCKS``."""
-    blocks = np.array([_FRAME_BLOCKS[name] for name in names])  # [member, side, block]
     d = np.eye(4 * n).reshape(4, n, 4 * n)  # [block, row in block, covector]
-    pairs = d[blocks].reshape(len(blocks), 2, 2 * n, 4 * n)
+    pairs = d[np.array(_FRAME_BLOCKS)].reshape(3, 2, 2 * n, 4 * n)  # [member, side, ...]
     return pairs[:, 0], pairs[:, 1]
 
 
@@ -333,12 +330,14 @@ def verify_hypersymplectic(
     A caller that already holds the sample ``total_chart.sample(n_points,
     seed)`` passes it in, and a hand-built triple of forms or of complex
     structures replaces the model's; the complex structures of a hand-built
-    ``triple`` are derived from it.  Each family is read once, stacked on a
-    member axis, and each identity is one call on the stacks.  One ``det``
-    of the stacked forms serves both the nondegeneracy reports and the
-    recursion guard, which reads its omega and chi entries (the forms the
-    pairs invert) and raises DegenerateFormError as ``recursion_operator``
-    does; the three recursion operators are then one ``solve``."""
+    ``triple`` are derived from it.  Every check is named by its slot
+    (``FORM_NAMES``, ``COMPLEX_NAMES``), never by a field's ``name``.  Each
+    family is read once, stacked on a member axis, and each identity is one
+    call on the stacks.  One ``det`` of the stacked forms serves both the
+    nondegeneracy reports and the recursion guard, which reads its omega and
+    chi entries (the forms the pairs invert) and raises DegenerateFormError
+    as ``recursion_operator`` does; the three recursion operators are then
+    one ``solve``."""
     pt = model.total_chart.sample(n_points, seed) if pt is None else pt
     if complexes is None and triple is not None:
         complexes = build_complex_triple(model, triple=triple)
@@ -347,7 +346,7 @@ def verify_hypersymplectic(
     forms, endos = triple.forms(), complexes.endos()
     M = _members([form_matrix(f, pt) for f in forms], 2)
     J = _members([E.matrix(pt) for E in endos], 2)
-    a, b = _frame_pairs(model.n, [E.name for E in endos])
+    a, b = _frame_pairs(model.n)
     first, second = [0, 0, 1], [1, 2, 2]  # the member pairs (0, 1), (0, 2), (1, 2)
     closures = member_worst(exterior_derivative(_members([f.gradient(pt) for f in forms], 3)), 3)
     dets = np.abs(np.linalg.det(M))  # [..., member]
@@ -368,15 +367,13 @@ def verify_hypersymplectic(
             )
         )
 
-    for f, closure, min_det in zip(forms, closures, min_dets):
+    for f, closure, min_det in zip(FORM_NAMES, closures, min_dets):
+        report(f"closed.{f}", closure, tolerances.fd, f"d({f}) = 0 on the coordinate frame")
         report(
-            f"closed.{f.name}", closure, tolerances.fd, f"d({f.name}) = 0 on the coordinate frame"
-        )
-        report(
-            f"nondegenerate.{f.name}",
+            f"nondegenerate.{f}",
             tolerances.nondegeneracy - min_det,
             0.0,
-            f"|det| of the {f.name} matrix stays above {tolerances.nondegeneracy:g} "
+            f"|det| of the {f} matrix stays above {tolerances.nondegeneracy:g} "
             f"(minimum seen: {min_det:g})",
         )
     for (f, g), square in zip(itertools.combinations(FORM_NAMES, 2), squares):
@@ -386,33 +383,35 @@ def verify_hypersymplectic(
             tolerances.algebraic,
             f"the recursion operator of ({f}, {g}) squares to minus the identity",
         )
-    for (E, F), anticommutator in zip(itertools.combinations(endos, 2), anticommutators):
+    for (E, F), anticommutator in zip(itertools.combinations(COMPLEX_NAMES, 2), anticommutators):
         report(
-            f"anticommute.{E.name}_{F.name}",
+            f"anticommute.{E}_{F}",
             anticommutator,
             tolerances.algebraic,
-            f"{E.name} and {F.name} anticommute in the covector action",
+            f"{E} and {F} anticommute in the covector action",
         )
-    for E, tensor, frame in zip(endos, tensors, member_worst(holomorphic_frame_check(J, a, b), 1)):
+    frames = member_worst(holomorphic_frame_check(J, a, b), 1)
+    for E, tensor, frame in zip(COMPLEX_NAMES, tensors, frames):
         report(
-            f"nijenhuis.{E.name}",
+            f"nijenhuis.{E}",
             tensor,
             tolerances.fd,
-            f"Nijenhuis tensor of {E.name} vanishes on the coordinate frame",
+            f"Nijenhuis tensor of {E} vanishes on the coordinate frame",
         )
         report(
-            f"holomorphic_frame.{E.name}",
+            f"holomorphic_frame.{E}",
             frame,
             tolerances.algebraic,
-            f"the standard coframe pairs diagonalize {E.name}",
+            f"the standard coframe pairs diagonalize {E}",
         )
+    (omega, chi, sigma), (J_omega, J_chi, J_sigma) = FORM_NAMES, COMPLEX_NAMES
     # J_omega, then J_chi, in the covector action: the matrices J_chi @ J_omega
     report(
-        "composition.sigma_from_omega_chi",
+        f"composition.{sigma}_from_{omega}_{chi}",
         float(np.abs(J[..., 1, :, :] @ J[..., 0, :, :] - J[..., 2, :, :]).max()),
         tolerances.algebraic,
-        "J_omega composed with J_chi in the covector action equals J_sigma, "
-        "the recursion operator of (chi, omega)",
+        f"{J_omega} composed with {J_chi} in the covector action equals {J_sigma}, "
+        f"the recursion operator of ({chi}, {omega})",
     )
     return sorted(reports, key=lambda r: r.identity_name)
 

@@ -14,7 +14,8 @@ infinite), ``_positive``, ``_integer`` (true and false are not integers) and
 A rejected value raises ``ConfigError``, which the CLI turns into exit 2.
 Rules about a value's meaning stay with the type that uses it:
 ``ProductSystem`` checks frequencies, ``Chart`` the box,
-``SectionMap.family`` a section's fit to the model.
+``SectionMap.family`` a section's fit to the model.  Each suite name is
+written once, a key of ``SUITES``; the triples' names are ``fibration``'s.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import math
 import time
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -34,10 +34,11 @@ from .action_angle import (
     model_from_product_system,
     verify_action_angle,
 )
-from .charts import Point
+from .charts import DEFAULT_POINTS, DEFAULT_SEED, Point
 from .errors import ConfigError
 from .fibration import (
     FORM_NAMES,
+    FORM_TO_COMPLEX,
     FibrationModel,
     SectionMap,
     graph_distance,
@@ -57,8 +58,6 @@ from .special_kahler import (
     special_symplectic_check,
 )
 from .structures import (
-    DEFAULT_POINTS,
-    DEFAULT_SEED,
     MAX_POINTS,
     MAX_RANK,
     MAX_TABLE_ENTRIES,
@@ -83,12 +82,6 @@ SUITES = {
     "special-kahler": "flat connection, parallel structures, metric and signature on the base",
     "action-angle": "oscillator quadrature oracles and the canonical transform",
 }
-
-DEFAULT_SUITE_ORDER = tuple(SUITES)
-
-# which complex structure should preserve the graph of a section that is
-# Lagrangian for a given form (the remaining two forms vanish on the graph)
-FORM_TO_COMPLEX = {"omega": "J_chi", "sigma": "J_omega", "chi": "J_sigma"}
 
 
 # ``where`` names the value in an error message, which is built only when
@@ -292,7 +285,7 @@ class ScenarioConfig:
 
         suites = raw.get("suites")
         if suites is None:
-            suites = DEFAULT_SUITE_ORDER
+            suites = tuple(SUITES)
         else:
             if not (isinstance(suites, list) and suites):
                 raise ConfigError("suites must be a non-empty list of suite names")
@@ -484,13 +477,15 @@ def _suite_action_angle(run: _RunInputs) -> list[CheckReport]:
     )
 
 
-_SUITE_RUNNERS: dict[str, Callable[[_RunInputs], list[CheckReport]]] = {
-    "hypersymplectic": _suite_hypersymplectic,
-    "lagrangian-fibres": _suite_lagrangian_fibres,
-    "sections": _suite_sections,
-    "special-kahler": _suite_special_kahler,
-    "action-angle": _suite_action_angle,
-}
+# each suite's runner, in the order of SUITES: a count that differs fails the import
+_SUITE_RUNNERS = dict(
+    zip(
+        SUITES,
+        (_suite_hypersymplectic, _suite_lagrangian_fibres, _suite_sections,
+         _suite_special_kahler, _suite_action_angle),
+        strict=True,
+    )
+)
 
 
 def build_scenario_model(config: ScenarioConfig) -> FibrationModel:

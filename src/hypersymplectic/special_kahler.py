@@ -16,10 +16,10 @@ of g (which need not be definite) is constant over the sampled box.
 Every derivative is the section's exact one: I and its derivative read the
 section's first and second polynomial derivatives, and the graph-restriction
 comparison reads the same first derivatives as the graph frame (Id; D).  Its
-content is then the algebra of J_omega on that frame: its base block
-R = J_bb + J_bf D equals I = -D and the defect J_fb + J_ff D - D R
-vanishes.  The section is member ``member`` (0 for a single section) of a
-``SectionMap``.
+content is then the algebra on that frame of J_omega, which
+``fibration.FORM_TO_COMPLEX`` names for sigma: its base block R = J_bb +
+J_bf D equals I = -D and the defect J_fb + J_ff D - D R vanishes.  The
+section is member ``member`` (0 for a single section) of a ``SectionMap``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .calculus import DifferentialForm, EndomorphismField, form_matrix, transpos
 from .charts import Point
 from .errors import DegenerateMetricError, NotAlmostComplexError
 from .fibration import (
+    FORM_TO_COMPLEX,
     FibrationModel,
     SectionMap,
     base_symplectic_form,
@@ -228,17 +229,18 @@ def induced_vs_restriction(
     frame_defect: tuple | None = None,
 ) -> CheckReport:
     """Cross-check: I from the section formula of member ``member`` against
-    the first complex structure, the model's J_omega, restricted to that
+    the model's ``FORM_TO_COMPLEX["sigma"]`` (J_omega), restricted to that
     member's graph and pushed to the base.
 
     The projection kills the fibre components, so the pushed restriction is
     the base block of J applied to the exact graph frame.  Meaningful when the
     graph is invariant (the graph-frame defect is folded into the residual).
     A caller that has formed ``graph_frame_defect`` of ``section`` at ``pt``,
-    with J_omega on that member, passes it as ``frame_defect``.
+    with that structure on that member, passes it as ``frame_defect``.
     """
     if frame_defect is None:
-        frame_defect = graph_frame_defect(section, model.complexes.J_omega, pt)
+        J = getattr(model.complexes, FORM_TO_COMPLEX["sigma"])
+        frame_defect = graph_frame_defect(section, J, pt)
     restriction, defect = (table[..., member, :, :] for table in frame_defect[1:])
     agree = np.max(np.abs(restriction - induced_complex_structure(section, pt, member)))
     return _report(

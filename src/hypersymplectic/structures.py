@@ -46,7 +46,6 @@ import numpy as np
 from .calculus import TensorField, transpose
 from .charts import Chart, Point
 
-DEFAULT_POINTS = 100
 MAX_POINTS = 10**6  # the largest sample a configuration may ask for
 # The largest rank a configuration may ask for: paper-n at n = 16 (a
 # 64-dimensional phase space) takes about 0.4 s and 127 MB peak RSS on the
@@ -57,7 +56,6 @@ MAX_RANK = 16
 # per entry at n = 4..16, so a run at the budget peaks at 0.25-0.35 GB there;
 # at n <= 2 smaller tables dominate (1.5 kB a point at n = 1) and MAX_POINTS binds.
 MAX_TABLE_ENTRIES = 8 * 10**6
-DEFAULT_SEED = 42
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ from hypersymplectic.calculus import (
 from hypersymplectic.charts import Point
 from hypersymplectic.errors import DegenerateFormError, GeometryError
 from hypersymplectic.fibration import (
-    _FRAME_BLOCKS,
+    COMPLEX_NAMES,
+    HyperComplexTriple,
     HyperSymplecticTriple,
     SectionMap,
     _frame_pairs,
@@ -75,8 +76,8 @@ def block_table(pattern, n):
 def frame_pairs(n):
     """The coordinate coframe pairs of each complex structure at rank n, by
     name, as two ``(2n, 4n)`` covector arrays: row k of each is pair k."""
-    a, b = _frame_pairs(n, _FRAME_BLOCKS)
-    return {name: (a_k, b_k) for name, a_k, b_k in zip(_FRAME_BLOCKS, a, b)}
+    a, b = _frame_pairs(n)
+    return {name: (a_k, b_k) for name, a_k, b_k in zip(COMPLEX_NAMES, a, b)}
 
 
 def total_point(coords):
@@ -300,6 +301,23 @@ def test_verify_derives_the_complex_structures_of_the_triple_it_is_given():
         "hypersymplectic.recursion_squares.chi_sigma",
         "hypersymplectic.recursion_squares.omega_chi",
     }
+
+
+@pytest.mark.parametrize("name", ["", "mine"], ids=["unnamed", "renamed"])
+@pytest.mark.parametrize("slot", range(3), ids=COMPLEX_NAMES)
+def test_the_battery_names_a_hand_built_complex_triple_by_slot(slot, name):
+    """A complex structure built by hand, unnamed or under a name of its own,
+    holding the model's matrix in its slot: the battery gives the model's 19
+    reports, named by slot from COMPLEX_NAMES, with the model's residuals.
+    Reading the coframe pairs by a field's name raised KeyError here."""
+    pt = MODEL.total_chart.sample(6, 3)
+    endos = list(COMPLEXES.endos())
+    matrix = endos[slot].matrix(MODEL.total_chart.point(np.zeros(4)))
+    endos[slot] = EndomorphismField.constant(MODEL.total_chart, matrix, name=name)
+    reports = verify_hypersymplectic(MODEL, pt=pt, complexes=HyperComplexTriple(*endos))
+    assert len(reports) == 19 and all(r.passed for r in reports)
+    assert reports == verify_hypersymplectic(MODEL, pt=pt)
+    assert f"hypersymplectic.nijenhuis.{COMPLEX_NAMES[slot]}" in {r.identity_name for r in reports}
 
 
 def test_full_battery_passes_at_rank_two():

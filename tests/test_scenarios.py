@@ -1,6 +1,8 @@
 import json
+import re
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +10,8 @@ from hypersymplectic import action_angle, fibration, scenarios, special_kahler
 from hypersymplectic.charts import Chart
 from hypersymplectic.errors import ConfigError
 from hypersymplectic.scenarios import (
-    DEFAULT_SUITE_ORDER,
+    SCENARIOS,
+    SUITES,
     ReportDocument,
     ScenarioConfig,
     SectionSpec,
@@ -42,7 +45,7 @@ def test_empty_config_resolves_to_defaults():
     assert cfg.n == 1
     assert cfg.frequencies == (1.0, 2.0)
     assert cfg.sections is None
-    assert cfg.suites == DEFAULT_SUITE_ORDER
+    assert cfg.suites == tuple(SUITES)
     assert cfg.sampling.n_points == 100 and cfg.sampling.seed == 42
     assert cfg.tolerances.fd == 1e-6
 
@@ -394,6 +397,53 @@ def test_the_verdict_is_read_from_the_checks():
     assert lines[-1] == "verdict: fail (1/2 checks passed)"
     passing = ReportDocument(config_echo={"scenario": "x"}, checks=checks[:1], duration_seconds=0.0)
     assert passing.verdict == "pass"
+
+
+def test_special_kahler_reads_the_run_defect_as_its_own():
+    """The sigma section second in its family, after a chi section, and not
+    invariant under J_omega: the defect the run forms for the family, each
+    member under its FORM_TO_COMPLEX entry, gives the restriction report
+    that induced_vs_restriction forms itself from the same entry, and the
+    run reports that one."""
+    config = ScenarioConfig.from_dict(
+        {
+            "scenario": "custom-section",
+            "sections": [
+                {"name": "turn", "form": "chi", "p": [[[[0, 1], 1.0]]], "q": [[[[1, 0], 1.0]]]},
+                {"name": "bent", "form": "sigma", "p": [[[[0, 1], 1.0], [[2, 0], 0.1]]],
+                 "q": [[[[1, 0], -1.0]]]},
+            ],
+        }
+    )
+    run = scenarios._RunInputs(config, scenarios.build_scenario_model(config))
+    args = (run.model, run.sections, run.base_pt, config.tolerances.fd, 1)
+    handed = special_kahler.induced_vs_restriction(*args, run.frame_defect)
+    assert handed == special_kahler.induced_vs_restriction(*args)
+    assert handed.max_residual > 0.1 and not handed.passed
+    checks = {r.identity_name: r for r in run_scenario(config).checks}
+    assert checks[handed.identity_name] == handed
+
+
+def test_each_suite_has_one_runner_named_for_it():
+    """The runner table has the suite table's names, in its order, each
+    paired with the runner named after it."""
+    assert list(scenarios._SUITE_RUNNERS) == list(SUITES)
+    for name, runner in scenarios._SUITE_RUNNERS.items():
+        assert runner.__name__ == "_suite_" + name.replace("-", "_")
+
+
+def _readme_table(heading: str) -> list[tuple[str, str]]:
+    """The (name, text) rows of the README table under ``### heading``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split(f"\n### {heading}\n", 1)[1].split("\n#", 1)[0]
+    return re.findall(r"^\| `([^`]+)` \| (.*) \|$", section, flags=re.M)
+
+
+def test_the_readme_tables_are_the_catalogue():
+    """README's Scenarios and Suites tables say what ``--list`` says, name for
+    name and text for text, in the same order."""
+    assert _readme_table("Scenarios") == list(SCENARIOS.items())
+    assert _readme_table("Suites") == list(SUITES.items())
 
 
 def test_catalog_lists_names():
