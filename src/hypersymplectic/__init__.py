@@ -62,58 +62,8 @@ from .special_kahler import (
 )
 from .structures import CheckReport, FlatConnection, nijenhuis
 
-__all__ = [
-    "__version__",
-    "Chart",
-    "ChartMismatchError",
-    "CheckReport",
-    "ConfigError",
-    "DegenerateFormError",
-    "DegenerateMetricError",
-    "DegenerateOrbitError",
-    "DifferentialForm",
-    "EndomorphismField",
-    "FibrationModel",
-    "FlatConnection",
-    "GeometryError",
-    "HyperComplexTriple",
-    "HyperSymplecticTriple",
-    "NotAlmostComplexError",
-    "Oscillator1DOF",
-    "Point",
-    "Polynomial",
-    "ProductSystem",
-    "ReportDocument",
-    "ScenarioConfig",
-    "SectionMap",
-    "SpecialKahlerData",
-    "VectorField",
-    "action_from_energy",
-    "build_complex_triple",
-    "build_special_kahler",
-    "build_structure_triple",
-    "canonical_check",
-    "exterior_derivative",
-    "form_matrix",
-    "from_action_angle",
-    "gradient_section",
-    "induced_complex_structure",
-    "kahler_metric",
-    "lie_bracket",
-    "list_scenarios",
-    "make_model",
-    "model_from_product_system",
-    "nijenhuis",
-    "recursion_operator",
-    "run_scenario",
-    "section_pullback",
-    "signature",
-    "special_symplectic_check",
-    "standard_sigma_section",
-    "to_action_angle",
-    "transform_jacobian",
-    "verify_action_angle",
-    "verify_hypersymplectic",
-    "verify_lagrangian_fibres",
-    "zero_section",
+# the classes and functions the imports above bind, and the version; the
+# submodules they load are bound too, and are not callable
+__all__ = ["__version__"] + [
+    name for name, value in globals().items() if callable(value) and not name.startswith("_")
 ]

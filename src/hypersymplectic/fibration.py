@@ -536,20 +536,27 @@ def _finite(compute: Callable[[], np.ndarray], what="tangent frame of the graph"
     return value
 
 
-def rotation_terms(n: int) -> tuple[tuple, tuple]:
-    """The p and q term tables of the rotation section p_i = y_i, q_i = -x_i."""
+def default_sections(n: int) -> tuple[tuple[str, str, tuple, tuple], ...]:
+    """The sections a run checks when none is configured, as (name, form, p
+    term tables, q term tables) rows at rank n: the zero section, Lagrangian
+    for omega, and the rotation p_i = y_i, q_i = -x_i, for sigma."""
     term = lambda axis, c: ((tuple(int(a == axis) for a in range(2 * n)), c),)
-    return tuple(term(n + i, 1.0) for i in range(n)), tuple(term(i, -1.0) for i in range(n))
+    rotation = tuple(term(n + i, 1.0) for i in range(n)), tuple(term(i, -1.0) for i in range(n))
+    return ("zero", "omega", ((),) * n, ((),) * n), ("rotation", "sigma", *rotation)
+
+
+def _default_section(model: FibrationModel, form: str) -> SectionMap:
+    ((name, p, q),) = [(name, p, q) for name, f, p, q in default_sections(model.n) if f == form]
+    return SectionMap.family(model, [(name, p, q)])
 
 
 def zero_section(model: FibrationModel) -> SectionMap:
-    empty = ((),) * model.n
-    return SectionMap.family(model, [("zero", empty, empty)])
+    return _default_section(model, "omega")
 
 
 def standard_sigma_section(model: FibrationModel) -> SectionMap:
     """p_i = y_i, q_i = -x_i: Lagrangian for sigma and chi, invariant under J_omega."""
-    return SectionMap.family(model, [("rotation", *rotation_terms(model.n))])
+    return _default_section(model, "sigma")
 
 
 def gradient_section(model: FibrationModel, potential: Polynomial, name: str = "") -> SectionMap:

@@ -41,11 +41,11 @@ from .fibration import (
     FORM_TO_COMPLEX,
     FibrationModel,
     SectionMap,
+    default_sections,
     graph_distance,
     graph_frame_defect,
     make_model,
     member_worst,
-    rotation_terms,
     section_pullback,
     standard_sigma_section,
     verify_hypersymplectic,
@@ -58,12 +58,12 @@ from .special_kahler import (
     special_symplectic_check,
 )
 from .structures import (
-    MAX_POINTS,
     MAX_RANK,
     MAX_TABLE_ENTRIES,
     SECTION_PULLBACK_TOL,
     CheckReport,
     Tolerances,
+    entries_per_point,
 )
 
 SCHEMA_VERSION = "4"
@@ -196,9 +196,7 @@ class SamplingConfig:
     def from_dict(cls, raw) -> "SamplingConfig":
         raw = _object(raw, "sampling", cls)
         return cls(
-            n_points=_integer(
-                raw.get("n_points", DEFAULT_POINTS), "sampling.n_points", 1, MAX_POINTS
-            ),
+            n_points=_integer(raw.get("n_points", DEFAULT_POINTS), "sampling.n_points", 1),
             seed=_integer(raw.get("seed", DEFAULT_SEED), "sampling.seed", 0),
         )
 
@@ -274,9 +272,11 @@ class ScenarioConfig:
             raise ConfigError("scenario custom-section requires a non-empty sections list")
 
         sampling = SamplingConfig.from_dict(raw.get("sampling"))
-        if sampling.n_points * (2 * n) ** 3 > MAX_TABLE_ENTRIES:
+        most = MAX_TABLE_ENTRIES // entries_per_point(n)
+        if sampling.n_points > most:
             raise ConfigError(
-                f"n_points * (2n)^3 at n = {n} is above MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}"
+                f"sampling.n_points must be at most {most} at rank n = {n}"
+                f" (MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}), got {sampling.n_points}"
             )
         raw_tolerances = _object(raw.get("tolerances"), "tolerances", Tolerances)
         tolerances = Tolerances(
@@ -390,11 +390,9 @@ class _RunInputs:
 
     @cached_property
     def specs(self) -> tuple[SectionSpec, ...]:
-        """The configured sections, else the zero (omega) and rotation (sigma) ones."""
-        empty = ((),) * self.model.n
-        return self.config.sections or (
-            SectionSpec("zero", "omega", empty, empty),
-            SectionSpec("rotation", "sigma", *rotation_terms(self.model.n)),
+        """The configured sections, else ``fibration.default_sections``."""
+        return self.config.sections or tuple(
+            SectionSpec(*row) for row in default_sections(self.model.n)
         )
 
     @cached_property

@@ -46,16 +46,24 @@ import numpy as np
 from .calculus import TensorField, transpose
 from .charts import Chart, Point
 
-MAX_POINTS = 10**6  # the largest sample a configuration may ask for
 # The largest rank a configuration may ask for: paper-n at n = 16 (a
 # 64-dimensional phase space) takes about 0.4 s and 127 MB peak RSS on the
 # default sample, and the peak grows faster than n^2 (686 MB at n = 32).
 MAX_RANK = 16
-# The largest n_points * (2n)^3, the entries of d_nabla I and of the sections'
-# second derivatives over the sample.  paper-n's peak RSS grows by 28-41 bytes
-# per entry at n = 4..16, so a run at the budget peaks at 0.25-0.35 GB there;
-# at n <= 2 smaller tables dominate (1.5 kB a point at n = 1) and MAX_POINTS binds.
-MAX_TABLE_ENTRIES = 8 * 10**6
+# The largest n_points * entries_per_point(n), the one bound on the sample
+# size.  paper-n's peak RSS grows by 23-27 bytes per entry at n = 1..4, 8 and
+# 16, and its largest admitted sample peaks at 250-284 MiB at every rank
+# measured (n = 1..6, 8, 10, 12, 16; Python 3.11, numpy 2.4, x86-64 Linux).
+MAX_TABLE_ENTRIES = 10**7
+
+
+def entries_per_point(n: int) -> int:
+    """The table entries a run holds per sample point at rank n, m = 2n:
+    the m^3 of d_nabla I and the sections' second derivatives, and the
+    lower-order tables (frames, Jacobians, vectors) as fitted to paper-n's
+    peak RSS, 1.5 kB a point at n = 1 and 0.9 MB at n = 16."""
+    m = 2 * n
+    return m**3 + 4 * m**2 + 20 * m
 
 
 @dataclass(frozen=True)

