@@ -47,7 +47,7 @@ import numpy as np
 from .charts import DEFAULT_POINTS, DEFAULT_SEED, seeded_uniform
 from .errors import DegenerateOrbitError
 from .fibration import ANGLE_PERIOD, FibrationModel, _blocks, make_model
-from .structures import QUADRATURE_TOL, CheckReport, Tolerances
+from .structures import CheckReport, Tolerances, report
 
 MIN_QUADRATURE_NODES = 16
 ENERGY_WINDOW = (0.2, 2.0)
@@ -275,7 +275,7 @@ def canonical_check(
     sys: ProductSystem,
     n_points: int = DEFAULT_POINTS,
     seed: int = DEFAULT_SEED,
-    tolerance: float = Tolerances.fd,
+    tolerances: Tolerances = Tolerances(),
     *,
     states: np.ndarray | None = None,
 ) -> CheckReport:
@@ -285,17 +285,8 @@ def canonical_check(
     seed)``, else at a fresh draw of them."""
     if states is None:
         states = sample_states(sys, n_points, seed)
-    return CheckReport.from_residual(
-        "action_angle.canonical_transform",
-        len(states),
-        canonical_residual(transform_jacobian(sys, states)),
-        tolerance,
-        statement=(
-            "the action-angle map pulls the angle-action symplectic form back to "
-            "the mechanical one (antisymmetric parts compared; the symmetric part "
-            "of the pulled-back form is rounding)"
-        ),
-    )
+    residual = canonical_residual(transform_jacobian(sys, states))
+    return report("action_angle.canonical_transform", residual, len(states), tolerances)
 
 
 def model_from_product_system(sys: ProductSystem, name: str = "oscillator-model") -> FibrationModel:
@@ -316,47 +307,20 @@ def verify_action_angle(
     seed: int = DEFAULT_SEED,
     tolerances: Tolerances = Tolerances(),
 ) -> list[CheckReport]:
-    """The full oscillator battery as a sorted list of reports: the quadrature
-    oracles held to ``QUADRATURE_TOL``, the round trip and the canonical
-    transform to their entries of ``tolerances``."""
+    """The full oscillator battery as a list of reports in name order."""
     nu = sys.frequencies[:, None]  # [factor, energy]
     oscillators = Oscillator1DOF(nu[..., None])  # [factor, energy, node]
-    energies = np.array([0.2, 0.5, 1.0, 2.0])
+    energies, angle_energies = np.array([0.2, 0.5, 1.0, 2.0]), np.array([0.5, 1.0])
     expected = energies / nu
-    worst = np.max(np.abs(action_from_energy(oscillators, energies) - expected) / expected)
-    reports = [
-        CheckReport.from_residual(
-            "action_angle.action_equals_energy_over_frequency",
-            len(energies) * sys.dof,
-            worst,
-            QUADRATURE_TOL,
-            statement="quadrature of the action integral matches energy / frequency, "
-            "relative to energy / frequency",
-        )
-    ]
-
-    energies = np.array([0.5, 1.0])
-    worst = np.max(angle_period_check(oscillators, energies))
-    reports.append(
-        CheckReport.from_residual(
-            "action_angle.angle_normalization",
-            len(energies) * sys.dof,
-            worst,
-            QUADRATURE_TOL,
-            statement="the angle advances by exactly one turn around each level curve",
-        )
-    )
-
+    action = np.max(np.abs(action_from_energy(oscillators, energies) - expected) / expected)
+    period = np.max(angle_period_check(oscillators, angle_energies))
     states = sample_states(sys, n_points, seed)
-    reports.append(
-        CheckReport.from_residual(
-            "action_angle.round_trip",
-            n_points,
-            round_trip_residual(sys, states),
-            tolerances.algebraic,
-            statement="to_action_angle and from_action_angle invert each other",
-        )
-    )
-
-    reports.append(canonical_check(sys, n_points, seed, tolerances.fd, states=states))
-    return sorted(reports, key=lambda r: r.identity_name)
+    round_trip = round_trip_residual(sys, states)
+    return [
+        report("action_angle.action_equals_energy_over_frequency", action, energies.size * sys.dof,
+               tolerances),
+        report("action_angle.angle_normalization", period, angle_energies.size * sys.dof,
+               tolerances),
+        canonical_check(sys, n_points, seed, tolerances, states=states),
+        report("action_angle.round_trip", round_trip, n_points, tolerances),
+    ]

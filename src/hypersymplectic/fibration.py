@@ -53,7 +53,7 @@ from .calculus import (
 from .charts import DEFAULT_POINTS, DEFAULT_SEED, Chart, Point
 from .errors import DegenerateFormError, GeometryError
 from .polynomials import Polynomial, merge_terms
-from .structures import CheckReport, FlatConnection, Tolerances, nijenhuis
+from .structures import CheckReport, FlatConnection, Tolerances, nijenhuis, report
 
 ANGLE_PERIOD = 2.0 * math.pi
 MAX_SECTION_DEGREE = 8
@@ -284,19 +284,13 @@ def verify_lagrangian_fibres(
     model: FibrationModel,
     form: DifferentialForm,
     pt: Point,
-    tolerance: float = Tolerances.algebraic,
+    tolerances: Tolerances = Tolerances(),
 ) -> CheckReport:
     """Max |form(e_a, e_b)| over vertical (fibre) coordinate pairs, the
     trailing (p, q) block of the form matrices."""
     fibre = slice(2 * model.n, None)
-    worst = float(np.abs(form_matrix(form, pt)[..., fibre, fibre]).max())
-    return CheckReport.from_residual(
-        f"lagrangian_fibres({form.name})",
-        len(pt),
-        worst,
-        tolerance,
-        statement=f"fibre directions are isotropic for {form.name}",
-    )
+    worst = np.abs(form_matrix(form, pt)[..., fibre, fibre]).max()
+    return report("lagrangian_fibres", worst, len(pt), tolerances, form=form.name)
 
 
 def _members(arrays: list[np.ndarray], rank: int) -> np.ndarray:
@@ -325,7 +319,7 @@ def verify_hypersymplectic(
     complexes: HyperComplexTriple | None = None,
 ) -> list[CheckReport]:
     """The full identity battery for the triple structure, sorted by name,
-    each check held to its entry of ``tolerances``.
+    each check held to its catalogue row's entry of ``tolerances``.
 
     A caller that already holds the sample ``total_chart.sample(n_points,
     seed)`` passes it in, and a hand-built triple of forms or of complex
@@ -358,61 +352,22 @@ def verify_hypersymplectic(
     Ca, Cb = C[..., first, :, :], C[..., second, :, :]
     anticommutators = member_worst(Ca @ Cb + Cb @ Ca, 2)
     tensors = member_worst(nijenhuis(J, _members([E.gradient(pt) for E in endos], 3)), 3)
-    reports: list[CheckReport] = []
-
-    def report(name: str, residual: float, tolerance: float, statement: str) -> None:
-        reports.append(
-            CheckReport.from_residual(
-                f"hypersymplectic.{name}", len(pt), residual, tolerance, statement
-            )
-        )
-
-    for f, closure, min_det in zip(FORM_NAMES, closures, min_dets):
-        report(f"closed.{f}", closure, tolerances.fd, f"d({f}) = 0 on the coordinate frame")
-        report(
-            f"nondegenerate.{f}",
-            tolerances.nondegeneracy - min_det,
-            0.0,
-            f"|det| of the {f} matrix stays above {tolerances.nondegeneracy:g} "
-            f"(minimum seen: {min_det:g})",
-        )
-    for (f, g), square in zip(itertools.combinations(FORM_NAMES, 2), squares):
-        report(
-            f"recursion_squares.{f}_{g}",
-            square,
-            tolerances.algebraic,
-            f"the recursion operator of ({f}, {g}) squares to minus the identity",
-        )
-    for (E, F), anticommutator in zip(itertools.combinations(COMPLEX_NAMES, 2), anticommutators):
-        report(
-            f"anticommute.{E}_{F}",
-            anticommutator,
-            tolerances.algebraic,
-            f"{E} and {F} anticommute in the covector action",
-        )
     frames = member_worst(holomorphic_frame_check(J, a, b), 1)
-    for E, tensor, frame in zip(COMPLEX_NAMES, tensors, frames):
-        report(
-            f"nijenhuis.{E}",
-            tensor,
-            tolerances.fd,
-            f"Nijenhuis tensor of {E} vanishes on the coordinate frame",
-        )
-        report(
-            f"holomorphic_frame.{E}",
-            frame,
-            tolerances.algebraic,
-            f"the standard coframe pairs diagonalize {E}",
-        )
-    (omega, chi, sigma), (J_omega, J_chi, J_sigma) = FORM_NAMES, COMPLEX_NAMES
     # J_omega, then J_chi, in the covector action: the matrices J_chi @ J_omega
-    report(
-        f"composition.{sigma}_from_{omega}_{chi}",
-        float(np.abs(J[..., 1, :, :] @ J[..., 0, :, :] - J[..., 2, :, :]).max()),
-        tolerances.algebraic,
-        f"{J_omega} composed with {J_chi} in the covector action equals {J_sigma}, "
-        f"the recursion operator of ({chi}, {omega})",
-    )
+    composition = np.abs(J[..., 1, :, :] @ J[..., 0, :, :] - J[..., 2, :, :]).max()
+    checks = [("composition", composition, {"forms": FORM_NAMES, "Js": COMPLEX_NAMES})]
+    for f, closure, min_det in zip(FORM_NAMES, closures, min_dets):
+        checks += [("closed", closure, {"form": f}), ("nondegenerate", min_det, {"form": f})]
+    for pair, square in zip(itertools.combinations(FORM_NAMES, 2), squares):
+        checks.append(("recursion_squares", square, {"forms": pair}))
+    for pair, anticommutator in zip(itertools.combinations(COMPLEX_NAMES, 2), anticommutators):
+        checks.append(("anticommute", anticommutator, {"Js": pair}))
+    for E, tensor, frame in zip(COMPLEX_NAMES, tensors, frames):
+        checks += [("nijenhuis", tensor, {"J": E}), ("holomorphic_frame", frame, {"J": E})]
+    reports = [
+        report(f"hypersymplectic.{family}", residual, len(pt), tolerances, **values)
+        for family, residual, values in checks
+    ]
     return sorted(reports, key=lambda r: r.identity_name)
 
 

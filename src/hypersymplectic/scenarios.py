@@ -60,10 +60,10 @@ from .special_kahler import (
 from .structures import (
     MAX_RANK,
     MAX_TABLE_ENTRIES,
-    SECTION_PULLBACK_TOL,
     CheckReport,
     Tolerances,
     entries_per_point,
+    report,
 )
 
 SCHEMA_VERSION = "4"
@@ -417,7 +417,7 @@ def _suite_hypersymplectic(run: _RunInputs) -> list[CheckReport]:
 
 
 def _suite_lagrangian_fibres(run: _RunInputs) -> list[CheckReport]:
-    tol, triple = run.config.tolerances.algebraic, run.model.triple
+    tol, triple = run.config.tolerances, run.model.triple
     return [
         verify_lagrangian_fibres(run.model, triple.omega, run.total_pt, tol),
         verify_lagrangian_fibres(run.model, triple.sigma, run.total_pt, tol),
@@ -425,7 +425,7 @@ def _suite_lagrangian_fibres(run: _RunInputs) -> list[CheckReport]:
 
 
 def _suite_sections(run: _RunInputs) -> list[CheckReport]:
-    model, pt, fd = run.model, run.base_pt, run.config.tolerances.fd
+    model, pt, tol = run.model, run.base_pt, run.config.tolerances
     forms = [getattr(model.triple, spec.form) for spec in run.specs]
     table = section_pullback(model, run.sections, forms, pt)
     pullbacks = member_worst(np.stack(list(table.values()), axis=-1), 1)
@@ -433,22 +433,10 @@ def _suite_sections(run: _RunInputs) -> list[CheckReport]:
     distances = member_worst(graph_distance(D, defect), 1)
     reports = []
     for spec, pullback, distance in zip(run.specs, pullbacks, distances):
-        name, form, J = spec.name, spec.form, FORM_TO_COMPLEX[spec.form]
+        values = {"section": spec.name, "form": spec.form, "J": FORM_TO_COMPLEX[spec.form]}
         reports += [
-            CheckReport.from_residual(
-                f"sections.pullback_vanishes.{name}.{form}",
-                len(pt),
-                pullback,
-                SECTION_PULLBACK_TOL,
-                statement=f"the graph of {name!r} is Lagrangian for {form}",
-            ),
-            CheckReport.from_residual(
-                f"sections.graph_invariant.{name}.{J}",
-                len(pt),
-                distance,
-                fd,
-                statement=f"{J} preserves the tangent spaces of the graph of {name!r}",
-            ),
+            report("sections.pullback_vanishes", pullback, len(pt), tol, **values),
+            report("sections.graph_invariant", distance, len(pt), tol, **values),
         ]
     return reports
 
@@ -464,7 +452,7 @@ def _suite_special_kahler(run: _RunInputs) -> list[CheckReport]:
     data = build_special_kahler(model, section, member)
     reports = special_symplectic_check(data, pt, tol) + kahler_reports(data, pt, tol)
     defect = run.frame_defect if configured else None
-    return reports + [induced_vs_restriction(model, section, pt, tol.fd, member, defect)]
+    return reports + [induced_vs_restriction(model, section, pt, tol, member, defect)]
 
 
 def _suite_action_angle(run: _RunInputs) -> list[CheckReport]:

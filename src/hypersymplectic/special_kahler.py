@@ -47,6 +47,7 @@ from .structures import (
     almost_complex_residual,
     covariant_constancy,
     d_nabla_endo,
+    report,
 )
 
 
@@ -129,63 +130,24 @@ def signature(g: np.ndarray) -> tuple:
     return pos[()], (g.shape[-1] - pos)[()]
 
 
-def _report(
-    name: str, pt: Point, residual: float, tolerance: float, statement: str
-) -> CheckReport:
-    return CheckReport.from_residual(
-        f"special_kahler.{name}", len(pt), residual, tolerance, statement
-    )
-
-
 def special_symplectic_check(
     data: SpecialKahlerData,
     pt: Point,
     tolerances: Tolerances = Tolerances(),
 ) -> list[CheckReport]:
-    """Reports for: flat (``tolerances.nested_fd``), torsion-free and
-    I^2 = -Id (``tolerances.algebraic``), Omega and I parallel
-    (``PARALLEL_TOL``)."""
+    """Reports for: flat, torsion-free, Omega and I parallel, I^2 = -Id."""
     conn, Omega, I = data.connection, data.Omega, data.I
     G, M_I = conn.gamma(pt), I.matrix(pt)
     parallel_Omega = covariant_constancy(G, form_matrix(Omega, pt), Omega.gradient(pt))
-    return [
-        _report(
-            "connection_flat",
-            pt,
-            conn.curvature_residual(pt),
-            tolerances.nested_fd,
-            "curvature of the connection vanishes",
-        ),
-        _report(
-            "connection_torsion_free",
-            pt,
-            conn.torsion_residual(pt),
-            tolerances.algebraic,
-            "connection coefficients are symmetric in the lower indices",
-        ),
-        _report(
-            "base_form_parallel",
-            pt,
-            float(np.max(np.abs(parallel_Omega))),
-            PARALLEL_TOL,
-            "the base symplectic form is parallel for the flat connection",
-        ),
+    residuals = {
+        "connection_flat": conn.curvature_residual(pt),
+        "connection_torsion_free": conn.torsion_residual(pt),
+        "base_form_parallel": np.max(np.abs(parallel_Omega)),
         # the table is antisymmetric in (a, b), so its max covers every pair a < b
-        _report(
-            "complex_structure_parallel",
-            pt,
-            float(np.max(np.abs(d_nabla_endo(G, M_I, I.gradient(pt))))),
-            PARALLEL_TOL,
-            "the exterior covariant derivative of I vanishes on the coordinate frame",
-        ),
-        _report(
-            "squares_to_minus_identity",
-            pt,
-            almost_complex_residual(M_I),
-            tolerances.algebraic,
-            "the induced endomorphism squares to minus the identity",
-        ),
-    ]
+        "complex_structure_parallel": np.max(np.abs(d_nabla_endo(G, M_I, I.gradient(pt)))),
+        "squares_to_minus_identity": almost_complex_residual(M_I),
+    }
+    return [report(f"special_kahler.{k}", r, len(pt), tolerances) for k, r in residuals.items()]
 
 
 def kahler_reports(
@@ -193,30 +155,26 @@ def kahler_reports(
     pt: Point,
     tolerances: Tolerances = Tolerances(),
 ) -> list[CheckReport]:
-    """Metric-level reports: symmetry (exact), invariance, constant signature."""
+    """Metric-level reports: symmetry (exact), invariance, constant signature.
+    An undefined signature reads as a changing one, residual 1.0."""
     g, invariance = _metric(form_matrix(data.Omega, pt), data.I.matrix(pt))
     try:
         pos, neg = signature(g)
     except DegenerateMetricError as exc:
-        spread, signature_text = float("inf"), f"signature undefined: {exc}"
+        spread, signature_text = 1.0, f"signature undefined: {exc}"
     else:
         signatures = set(zip(np.ravel(pos).tolist(), np.ravel(neg).tolist()))
         spread = 0.0 if len(signatures) == 1 else 1.0
         listed = ", ".join(f"(+{p}, -{m})" for p, m in sorted(signatures))
         signature_text = f"eigenvalue signature over the sample: {listed}"
+    residuals = {
+        "metric_symmetric": np.max(np.abs(g - transpose(g))),
+        "base_form_invariant": invariance,
+        "signature_constant": spread,
+    }
     return [
-        _report(
-            "metric_symmetric",
-            pt,
-            float(np.max(np.abs(g - transpose(g)))),
-            0.0,
-            "g agrees with its transpose exactly at every sampled point",
-        ),
-        _report(
-            "base_form_invariant", pt, invariance, tolerances.algebraic,
-            "Omega(I., I.) agrees with Omega",
-        ),
-        _report("signature_constant", pt, spread, 0.0, signature_text),
+        report(f"special_kahler.{k}", r, len(pt), tolerances, signature=signature_text)
+        for k, r in residuals.items()
     ]
 
 
@@ -224,13 +182,14 @@ def induced_vs_restriction(
     model: FibrationModel,
     section: SectionMap,
     pt: Point,
-    tolerance: float = Tolerances.fd,
+    tolerance: Tolerances | float = Tolerances(),
     member: int = 0,
     frame_defect: tuple | None = None,
 ) -> CheckReport:
     """Cross-check: I from the section formula of member ``member`` against
     the model's ``FORM_TO_COMPLEX["sigma"]`` (J_omega), restricted to that
-    member's graph and pushed to the base.
+    member's graph and pushed to the base, held to the run's ``tolerance``
+    or to a number.
 
     The projection kills the fibre components, so the pushed restriction is
     the base block of J applied to the exact graph frame.  Meaningful when the
@@ -243,11 +202,5 @@ def induced_vs_restriction(
         frame_defect = graph_frame_defect(section, J, pt)
     restriction, defect = (table[..., member, :, :] for table in frame_defect[1:])
     agree = np.max(np.abs(restriction - induced_complex_structure(section, pt, member)))
-    return _report(
-        "matches_graph_restriction",
-        pt,
-        max(float(np.max(np.abs(defect))), float(agree)),
-        tolerance,
-        "the section-induced endomorphism agrees with the graph restriction of "
-        "the first complex structure pushed through the projection",
-    )
+    worst = max(float(np.max(np.abs(defect))), float(agree))
+    return report("special_kahler.matches_graph_restriction", worst, len(pt), tolerance)

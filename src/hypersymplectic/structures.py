@@ -11,8 +11,10 @@ and the resulting verdict.  Two report styles are used:
 
 Either way ``passed`` is derived, never stored: ``max_residual <= tolerance``.
 The suites (``fibration.verify_hypersymplectic``,
-``special_kahler.special_symplectic_check``, ...) build each report straight
-from the primitive that measures it.
+``special_kahler.special_symplectic_check``, ...) measure each residual with
+the primitive that states it and hand it to ``report``, which names it, words
+it and holds it to its tolerance from the row of its family in
+``IDENTITIES``, the catalogue.
 
 The primitives take the arrays a caller reads once from its fields on a
 stacked sample (see ``charts``), values and ``gradient`` tables, broadcast
@@ -32,13 +34,14 @@ coordinate frame: each returns the full table of the tensor's components at
 every point, which fixes its value on every pair of vector fields.
 
 Every tolerance a check is held to is defined here.  ``Tolerances`` holds the
-four a configuration may set; the suite functions take one and read from it
-which tolerance each of their checks gets.  The remaining constants are
-fixed: no configuration key reaches them.
+four a configuration may set; the remaining constants are fixed: no
+configuration key reaches them.  Which one each check reads is the
+catalogue's to say.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,11 +71,8 @@ def entries_per_point(n: int) -> int:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The four tolerances a configuration may set, with their defaults:
-    pointwise algebra; ``fd``, the first-derivative identities (closure,
-    Nijenhuis, the graph checks on the exact frame) and the action-angle
-    transform's FD Jacobian; ``nested_fd``, curvature; and the floor each
-    form's ``|det|`` must stay above."""
+    """The four tolerances a configuration may set, with their defaults;
+    ``IDENTITIES`` says which checks each one holds."""
 
     algebraic: float = 1e-12
     fd: float = 1e-6
@@ -85,6 +85,13 @@ SECTION_PULLBACK_TOL = 1e-10  # a section's pullback, read through its exact Jac
 PARALLEL_TOL = 1e-8  # Omega and I parallel; also the I^2 = -Id guard of kahler_metric
 QUADRATURE_TOL = 1e-8  # the action-angle quadrature oracles
 METRIC_ZERO_GUARD = 1e-10  # a metric eigenvalue closer to zero leaves the signature undefined
+# the fixed tolerances a catalogue row may name, with "exact" for 0
+FIXED_TOLERANCES = {
+    "SECTION_PULLBACK_TOL": SECTION_PULLBACK_TOL,
+    "PARALLEL_TOL": PARALLEL_TOL,
+    "QUADRATURE_TOL": QUADRATURE_TOL,
+    "exact": 0.0,
+}
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,101 @@ class CheckReport:
             "passed": self.passed,
             "statement": self.statement,
         }
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One family of checks: ``name`` and ``statement`` are templates that
+    ``str.format`` fills with each check's placeholder values, and
+    ``tolerance`` names a ``Tolerances`` field or a ``FIXED_TOLERANCES`` entry.
+    A ``floor`` family measures a minimum that must stay above its
+    tolerance and reports the signed slack, tolerance - minimum, against 0."""
+
+    name: str
+    statement: str
+    tolerance: str
+    floor: bool = False
+
+    @property
+    def family(self) -> str:
+        """The name up to its first placeholder, the family's catalogue key."""
+        return self.name.split("{", 1)[0].rstrip(".(")
+
+
+# The catalogue: one row per family of checks, in the order of the suites,
+# with its name pattern, statement template and tolerance, and ``floor`` on
+# the one signed-slack family.  Besides a check's placeholder values a
+# statement may read ``tolerance`` and ``measured``, the residual handed to
+# ``report``.
+_ROWS = (
+    ("hypersymplectic.closed.{form}", "d({form}) = 0 on the coordinate frame", "fd"),
+    ("hypersymplectic.nondegenerate.{form}", "|det| of the {form} matrix stays above "
+     "{tolerance:g} (minimum seen: {measured:g})", "nondegeneracy", True),
+    ("hypersymplectic.recursion_squares.{forms[0]}_{forms[1]}", "the recursion operator "
+     "of ({forms[0]}, {forms[1]}) squares to minus the identity", "algebraic"),
+    ("hypersymplectic.anticommute.{Js[0]}_{Js[1]}",
+     "{Js[0]} and {Js[1]} anticommute in the covector action", "algebraic"),
+    ("hypersymplectic.nijenhuis.{J}",
+     "Nijenhuis tensor of {J} vanishes on the coordinate frame", "fd"),
+    ("hypersymplectic.holomorphic_frame.{J}",
+     "the standard coframe pairs diagonalize {J}", "algebraic"),
+    ("hypersymplectic.composition.{forms[2]}_from_{forms[0]}_{forms[1]}",
+     "{Js[0]} composed with {Js[1]} in the covector action equals {Js[2]}, "
+     "the recursion operator of ({forms[1]}, {forms[0]})", "algebraic"),
+    ("lagrangian_fibres({form})", "fibre directions are isotropic for {form}", "algebraic"),
+    ("sections.pullback_vanishes.{section}.{form}",
+     "the graph of {section!r} is Lagrangian for {form}", "SECTION_PULLBACK_TOL"),
+    ("sections.graph_invariant.{section}.{J}",
+     "{J} preserves the tangent spaces of the graph of {section!r}", "fd"),
+    ("special_kahler.connection_flat", "curvature of the connection vanishes", "nested_fd"),
+    ("special_kahler.connection_torsion_free",
+     "connection coefficients are symmetric in the lower indices", "algebraic"),
+    ("special_kahler.base_form_parallel",
+     "the base symplectic form is parallel for the flat connection", "PARALLEL_TOL"),
+    ("special_kahler.complex_structure_parallel", "the exterior covariant derivative "
+     "of I vanishes on the coordinate frame", "PARALLEL_TOL"),
+    ("special_kahler.squares_to_minus_identity",
+     "the induced endomorphism squares to minus the identity", "algebraic"),
+    ("special_kahler.metric_symmetric",
+     "g agrees with its transpose exactly at every sampled point", "exact"),
+    ("special_kahler.base_form_invariant", "Omega(I., I.) agrees with Omega", "algebraic"),
+    # the signature the sample shows, or why it is undefined
+    ("special_kahler.signature_constant", "{signature}", "exact"),
+    ("special_kahler.matches_graph_restriction", "the section-induced endomorphism agrees "
+     "with the graph restriction of the first complex structure pushed through the "
+     "projection", "fd"),
+    ("action_angle.action_equals_energy_over_frequency", "quadrature of the action "
+     "integral matches energy / frequency, relative to energy / frequency", "QUADRATURE_TOL"),
+    ("action_angle.angle_normalization",
+     "the angle advances by exactly one turn around each level curve", "QUADRATURE_TOL"),
+    ("action_angle.round_trip",
+     "to_action_angle and from_action_angle invert each other", "algebraic"),
+    ("action_angle.canonical_transform", "the action-angle map pulls the angle-action "
+     "symplectic form back to the mechanical one (antisymmetric parts compared; the "
+     "symmetric part of the pulled-back form is rounding)", "fd"),
+)
+IDENTITIES = {row.family: row for row in itertools.starmap(Identity, _ROWS)}
+
+
+def report(
+    family: str, residual, n_points: int, tolerances: Tolerances | float, **values
+) -> CheckReport:
+    """The check of catalogue family ``family`` named by the placeholder
+    ``values``, with its worst ``residual`` over ``n_points`` points, held to
+    the row's tolerance as ``tolerances`` sets it; a number passed as
+    ``tolerances`` replaces the row's choice."""
+    row = IDENTITIES[family]
+    if not isinstance(tolerances, Tolerances):
+        tolerance = tolerances
+    elif row.tolerance in FIXED_TOLERANCES:
+        tolerance = FIXED_TOLERANCES[row.tolerance]
+    else:
+        tolerance = getattr(tolerances, row.tolerance)
+    name = row.name.format_map(values)
+    statement = row.statement.format_map(dict(values, tolerance=tolerance, measured=residual))
+    if row.floor:
+        residual, tolerance = tolerance - residual, 0.0
+    return CheckReport.from_residual(name, n_points, residual, tolerance, statement)
 
 
 class FlatConnection(TensorField):

@@ -102,14 +102,33 @@ def test_stdout_json_when_no_output_path():
     assert "verdict: pass" in proc.stderr
 
 
+# p = y, q = 0 for sigma: the metric diag(0, 1) leaves the signature undefined
+SHEAR_SECTION = {
+    "scenario": "custom-section",
+    "sections": [{"name": "shear", "form": "sigma", "p": [[[[0, 1], 1.0]]], "q": [[]]}],
+}
+
+
+def _strict_json(text: str):
+    """``json.loads`` that refuses Infinity and NaN, which strict JSON lacks."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_failing_checks_exit_1_but_still_report(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(BAD_SECTION))
-    report = tmp_path / "report.json"
-    proc = run_cli("--config", str(cfg), "--output", str(report))
-    assert proc.returncode == 1
-    assert report.exists()
-    assert json.loads(report.read_text())["report"]["verdict"] == "fail"
+    """A skew section and one whose signature is undefined: each run fails,
+    and its report is written, in strict JSON."""
+    for name, config in [("skew", BAD_SECTION), ("shear", SHEAR_SECTION)]:
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        report = tmp_path / f"{name}-report.json"
+        proc = run_cli("--config", str(cfg), "--output", str(report))
+        assert proc.returncode == 1, name
+        assert report.exists()
+        assert _strict_json(report.read_text())["report"]["verdict"] == "fail"
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -19,12 +19,14 @@ from hypersymplectic.scenarios import (
     run_scenario,
 )
 from hypersymplectic.structures import (
+    IDENTITIES,
     MAX_RANK,
     MAX_TABLE_ENTRIES,
     PARALLEL_TOL,
     QUADRATURE_TOL,
     SECTION_PULLBACK_TOL,
     CheckReport,
+    Identity,
     Tolerances,
     entries_per_point,
 )
@@ -475,32 +477,64 @@ def _readme_tolerances() -> list[tuple[str, float, list[str]]]:
     return rows
 
 
-def test_the_readme_tolerance_table_is_what_the_reports_hold():
+FLIP_SECTION = {"name": "flip", "form": "chi", "p": [[[[0, 1], 1.0]]], "q": [[[[1, 0], 1.0]]]}
+# paper-n1 and oscillators with their defaults, and a chi and a sigma section
+CATALOGUE_CONFIGS = [
+    {},
+    {"scenario": "oscillators"},
+    {"scenario": "custom-section", "sections": [FLIP_SECTION, ROTATION_SECTION]},
+]
+
+
+def _catalogue_reports() -> list[CheckReport]:
+    documents = [run_scenario(ScenarioConfig.from_dict(raw)) for raw in CATALOGUE_CONFIGS]
+    return [r for document in documents for r in document.checks]
+
+
+def _catalogue_rows(identity: str) -> list[Identity]:
+    """The catalogue rows whose name pattern ``identity`` matches, each
+    placeholder standing for a name without a dot."""
+    return [
+        row
+        for row in IDENTITIES.values()
+        if re.fullmatch("[^.]+".join(map(re.escape, re.split(r"\{[^}]*\}", row.name))), identity)
+    ]
+
+
+def test_every_reported_identity_has_one_catalogue_row_and_every_row_is_reached():
     """Each identity of the default reports of paper-n1, oscillators and a
-    custom-section run with a chi and a sigma section is named in exactly
-    one row of README's tolerance table, held to that row's default; the
-    nondegeneracy row's default is the floor its signed slack is read
-    against, so it reports against 0."""
+    custom-section run with a chi and a sigma section matches exactly one
+    row of the catalogue, and every row is matched by one of them."""
+    reached = set()
+    for r in _catalogue_reports():
+        rows = _catalogue_rows(r.identity_name)
+        assert len(rows) == 1, (r.identity_name, rows)
+        reached.add(rows[0].family)
+    assert reached == set(IDENTITIES)
+    assert len(IDENTITIES) == 23
+
+
+def test_the_readme_tolerance_table_is_what_the_reports_hold():
+    """README's tolerance table holds each tolerance to the families the
+    catalogue holds to it, no more and no fewer, and each identity of the
+    catalogue configs' reports is held to its row's default; a floor row's
+    default is the floor its signed slack is read against, so it reports
+    against 0."""
     rows = _readme_tolerances()
     configurable = [f.name for f in fields(Tolerances)]
     assert [name for name, _, _ in rows][: len(configurable)] == configurable
-    flip = {"name": "flip", "form": "chi", "p": [[[[0, 1], 1.0]]], "q": [[[[1, 0], 1.0]]]}
-    configs = [{}, {"scenario": "oscillators"},
-               {"scenario": "custom-section", "sections": [flip, ROTATION_SECTION]}]
-    for raw in configs:
-        for r in run_scenario(ScenarioConfig.from_dict(raw)).checks:
-            identity = r.identity_name
-            held = [
-                (name, default)
-                for name, default, families in rows
-                if any(identity == f or identity.startswith((f + ".", f + "(")) for f in families)
-            ]
-            assert len(held) == 1, (identity, held)
-            ((name, default),) = held
-            if name == "nondegeneracy":
-                assert r.tolerance == 0.0 and f"stays above {default:g} " in r.statement
-            else:
-                assert r.tolerance == default, identity
+    catalogue = {}
+    for row in IDENTITIES.values():
+        catalogue.setdefault(row.tolerance, set()).add(row.family)
+    assert {name: set(families) for name, _, families in rows if families} == catalogue
+    defaults = {name: default for name, default, _ in rows}
+    for r in _catalogue_reports():
+        (row,) = _catalogue_rows(r.identity_name)
+        default = defaults[row.tolerance]
+        if row.floor:
+            assert r.tolerance == 0.0 and f"stays above {default:g} " in r.statement
+        else:
+            assert r.tolerance == default, r.identity_name
 
 
 def test_catalog_lists_names():

@@ -191,6 +191,7 @@ def test_degenerate_metric_is_reported_not_raised_on_the_suite_path():
     assert by_name["special_kahler.metric_symmetric"].passed
     report = by_name["special_kahler.signature_constant"]
     assert not report.passed
+    assert report.max_residual == 1.0  # as a changing signature reads, and finite
     assert "signature undefined" in report.statement
 
 
