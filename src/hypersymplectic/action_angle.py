@@ -35,18 +35,22 @@ A product with an even number of factors doubles as a fibration model: the
 first half of the actions become the x-coordinates and the second half the
 y-coordinates, with action windows obtained from ``ENERGY_WINDOW`` factor by
 factor.
+
+Memoized as in ``fibration``: ``from_frequencies`` on the frequency tuple,
+``canonical_residual``'s target on the dof.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .charts import DEFAULT_POINTS, DEFAULT_SEED, seeded_uniform
 from .errors import DegenerateOrbitError
-from .fibration import ANGLE_PERIOD, FibrationModel, _blocks, make_model
+from .fibration import ANGLE_PERIOD, MEMO_SIZE, FibrationModel, _blocks, make_model
 from .structures import CheckReport, Tolerances, report
 
 MIN_QUADRATURE_NODES = 16
@@ -155,7 +159,7 @@ class ProductSystem:
 
     @classmethod
     def from_frequencies(cls, frequencies) -> "ProductSystem":
-        return cls(frequencies)
+        return _product_system(tuple(map(float, frequencies)))
 
     @property
     def dof(self) -> int:
@@ -169,6 +173,9 @@ class ProductSystem:
                 f"state must have shape (..., {2 * self.dof}), got {state.shape}"
             )
         return state[..., : self.dof], state[..., self.dof :]
+
+
+_product_system = lru_cache(maxsize=MEMO_SIZE)(ProductSystem)
 
 
 def to_action_angle(sys: ProductSystem, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,11 +271,17 @@ def canonical_residual(jac: np.ndarray) -> float:
     sum d(xi_k) ^ d(pi_k) = -T, and A(P) = (P - P^T) / 2.  The pulled-back
     form is antisymmetric, so its symmetric part is rounding only; it grows
     like the action and is left out."""
-    # (d angle ^ d action)(e_action, e_angle) = -1
-    target = _blocks(jac.shape[-1] // 2, [[0, -1], [1, 0]])
+    target = _canonical_target(jac.shape[-1] // 2)
     pulled = np.swapaxes(jac, -1, -2) @ target @ jac
     antisymmetric = 0.5 * (pulled - np.swapaxes(pulled, -1, -2))
     return float(np.max(np.abs(antisymmetric + target)))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _canonical_target(dof: int) -> np.ndarray:
+    target = _blocks(dof, [[0, -1], [1, 0]])  # T: (d angle ^ d action)(e_action, e_angle) = -1
+    target.flags.writeable = False
+    return target
 
 
 def canonical_check(

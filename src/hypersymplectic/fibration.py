@@ -30,6 +30,13 @@ for the other two symplectic forms; the test suite pins both directions.
 The names live here: ``FORM_NAMES`` and ``COMPLEX_NAMES`` are the fields of
 the two triples, ``FORM_TO_COMPLEX`` the J a form's sections are read
 through, and every check of the battery is named by slot from them.
+
+What depends on no sample is built once per process, in ``lru_cache`` memos
+of ``MEMO_SIZE`` entries, each keyed on exactly its inputs (bounds by their
+bytes, as -0.0 == 0.0), holding read-only arrays and no failed build:
+``make_model``'s charts and zero connection, the triple of forms,
+``base_symplectic_form``, a section family's polynomial and its derivatives,
+``_frame_pairs`` and ``default_sections``.  Complex structures stay per model.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,6 +64,7 @@ from .structures import CheckReport, FlatConnection, Tolerances, nijenhuis, repo
 
 ANGLE_PERIOD = 2.0 * math.pi
 MAX_SECTION_DEGREE = 8
+MEMO_SIZE = 4  # entries per memo: at MAX_RANK they hold about 60 MB in all (README)
 
 
 @dataclass(frozen=True)
@@ -110,25 +118,28 @@ def make_model(
         raise ValueError("n must be at least 1")
     if action_bounds is None:
         action_bounds = [(-1.0, 1.0)] * (2 * n)
-    if len(action_bounds) != 2 * n:
-        raise ValueError(f"need {2 * n} action bounds, got {len(action_bounds)}")
+    bounds = np.array(action_bounds, dtype=float)
+    if bounds.shape != (2 * n, 2):
+        raise ValueError(f"need {2 * n} (lower, upper) action bounds, got {len(action_bounds)}")
+    base, total, connection = _model_charts(n, bounds.tobytes(), name)
+    return FibrationModel(n=n, base_chart=base, total_chart=total, connection=connection)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _model_charts(n: int, bounds: bytes, name: str) -> tuple[Chart, Chart, FlatConnection]:
+    """``make_model``'s charts and zero connection from its bounds' bytes."""
+    lower, upper = map(tuple, np.frombuffer(bounds).reshape(2 * n, 2).T.tolist())
     base_coords = _names("x", n) + _names("y", n)
-    base_lower = tuple(lo for lo, _ in action_bounds)
-    base_upper = tuple(hi for _, hi in action_bounds)
-    base = Chart(f"{name}-base", base_coords, base_lower, base_upper)
+    base = Chart(f"{name}-base", base_coords, lower, upper)
     total_coords = base_coords + _names("p", n) + _names("q", n)
-    total = Chart(
-        f"{name}-total",
-        total_coords,
-        base_lower + (0.0,) * (2 * n),
-        base_upper + (ANGLE_PERIOD,) * (2 * n),
-    )
-    return FibrationModel(
-        n=n,
-        base_chart=base,
-        total_chart=total,
-        connection=FlatConnection.zero(base),
-    )
+    fibre_lower, fibre_upper = (0.0,) * (2 * n), (ANGLE_PERIOD,) * (2 * n)
+    total = Chart(f"{name}-total", total_coords, lower + fibre_lower, upper + fibre_upper)
+    return base, total, FlatConnection.zero(base)
+
+
+def _exact(chart: Chart) -> bytes:
+    """A chart's bounds as bytes, which tell -0.0 from 0.0 as the chart does not."""
+    return np.array(chart.lower + chart.upper).tobytes()
 
 
 @dataclass(frozen=True)
@@ -183,16 +194,26 @@ _FORM_PATTERNS = [
 def build_structure_triple(model: FibrationModel) -> HyperSymplecticTriple:
     """The three block-constant 2-forms on the total chart, as form matrices
     ``M[i, j] = form(e_i, e_j)`` from their sign patterns on the blocks, all
-    three from one ``_blocks`` call on the stacked patterns."""
-    M = _blocks(model.n, _FORM_PATTERNS)
+    three from one ``_blocks`` call on the stacked patterns, once per chart."""
+    return _structure_triple(model.total_chart, _exact(model.total_chart))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _structure_triple(chart: Chart, exact: bytes) -> HyperSymplecticTriple:
+    M = _blocks(chart.dim // 4, _FORM_PATTERNS)
     forms = zip(M, FORM_NAMES)
-    return HyperSymplecticTriple(*(DifferentialForm.constant(model.total_chart, *f) for f in forms))
+    return HyperSymplecticTriple(*(DifferentialForm.constant(chart, *f) for f in forms))
 
 
 def base_symplectic_form(model: FibrationModel) -> DifferentialForm:
-    """Omega = sum_i dx_i ^ dy_i on the base chart."""
-    Omega = _blocks(model.n, [[0, 1], [-1, 0]])
-    return DifferentialForm.constant(model.base_chart, Omega, name="Omega")
+    """Omega = sum_i dx_i ^ dy_i on the base chart, once per chart."""
+    return _base_form(model.base_chart, _exact(model.base_chart))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _base_form(chart: Chart, exact: bytes) -> DifferentialForm:
+    Omega = _blocks(chart.dim // 2, [[0, 1], [-1, 0]])
+    return DifferentialForm.constant(chart, Omega, name="Omega")
 
 
 def build_complex_triple(
@@ -271,12 +292,14 @@ def holomorphic_frame_check(J: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
 _FRAME_BLOCKS = [((0, 1), (2, 3)), ((3, 0), (2, 1)), ((0, 2), (3, 1))]
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _frame_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The coframe pairs of the three complex structures at rank n, as two
-    ``(member, 2n, 4n)`` stacks of unit covectors: one read of the
+    read-only ``(member, 2n, 4n)`` stacks of unit covectors: one read of the
     identity's row blocks at ``_FRAME_BLOCKS``."""
     d = np.eye(4 * n).reshape(4, n, 4 * n)  # [block, row in block, covector]
     pairs = d[np.array(_FRAME_BLOCKS)].reshape(3, 2, 2 * n, 4 * n)  # [member, side, ...]
+    pairs.flags.writeable = False
     return pairs[:, 0], pairs[:, 1]
 
 
@@ -417,9 +440,9 @@ class SectionMap:
         self.model, self.members = model, tuple(merged)
         self.names = tuple(name for name, _, _ in merged)
         self.name = ", ".join(self.names)  # a single section's name
-        self._fibre = Polynomial.stack(2 * n, [t for _, p, q in merged for t in (*p, *q)])
+        self._fibre = _stack(2 * n, tuple(t for _, p, q in merged for t in (*p, *q)))
         # row-major d(p, q)_r / d(x, y)_j per member, reshaped by fibre_jacobian
-        self._jacobian = self._fibre.jacobian()
+        self._jacobian = _derivative(self._fibre)
         self._reads: tuple = (None, None)  # the last base Point object read, its reads by kind
 
     def _read(self, base_pt: Point, kind: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
@@ -456,7 +479,7 @@ class SectionMap:
 
     @cached_property
     def _hessian(self) -> Polynomial:  # the family's second derivatives
-        return self._jacobian.jacobian()
+        return _derivative(self._jacobian)
 
     def fibre_hessian(self, base_pt: Point, member: int = 0) -> np.ndarray:
         """Exact d_a d_j (p, q)_r of one member in the layout [..., r, j, a],
@@ -481,6 +504,15 @@ class SectionMap:
         return _finite(lambda: over_steps(stencil(self.total_coords, base_pt, shape)))
 
 
+# merged term tables hold no zero coefficient, so no -0.0 reaches a key
+_stack = lru_cache(maxsize=MEMO_SIZE)(Polynomial.stack)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _derivative(poly: Polynomial) -> Polynomial:
+    return poly.jacobian()
+
+
 def _finite(compute: Callable[[], np.ndarray], what="tangent frame of the graph") -> np.ndarray:
     """``compute()``, evaluated with numpy's overflow warnings silenced;
     GeometryError, naming ``what``, unless every value is finite."""
@@ -491,6 +523,7 @@ def _finite(compute: Callable[[], np.ndarray], what="tangent frame of the graph"
     return value
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def default_sections(n: int) -> tuple[tuple[str, str, tuple, tuple], ...]:
     """The sections a run checks when none is configured, as (name, form, p
     term tables, q term tables) rows at rank n: the zero section, Lagrangian

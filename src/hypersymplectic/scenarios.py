@@ -235,7 +235,7 @@ class ScenarioConfig:
                 raise ConfigError("frequencies must be a list of numbers")
             frequencies = [_number(nu, f"frequencies[{k}]") for k, nu in enumerate(frequencies)]
             try:  # the frequency rules are the product system's
-                frequencies = tuple(ProductSystem(frequencies).frequencies.tolist())
+                frequencies = ProductSystem.from_frequencies(frequencies).frequencies.tolist()
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
 
@@ -301,7 +301,7 @@ class ScenarioConfig:
         return cls(
             scenario=scenario,
             n=n,
-            frequencies=frequencies,
+            frequencies=tuple(frequencies),
             sections=sections,
             sampling=sampling,
             tolerances=tolerances,

@@ -1,4 +1,9 @@
 import re
+import sys
+
+import pytest
+
+import hypersymplectic.cli  # noqa: F401  loads every package module
 
 CRITERION = re.compile(r"test_criterion_(\d+)")
 
@@ -23,3 +28,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for number in sorted(outcomes):
             terminalreporter.write_line(f"criterion {number}: {outcomes[number]}")
+
+
+@pytest.fixture
+def memos() -> dict:
+    """Every memo of the package, by "module.name": each ``lru_cache`` that a
+    package module binds at module level, found by scanning the modules."""
+    found = {}
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name.startswith("hypersymplectic."):
+            for name, value in vars(module).items():
+                if hasattr(value, "cache_clear") and value not in found.values():
+                    found[f"{module_name.split('.')[1]}.{name}"] = value
+    return found

@@ -606,11 +606,14 @@ def test_a_default_run_reads_each_section_once_per_sample(capsys, monkeypatch):
     ids=["sections", "special-kahler"],
 )
 def test_second_derivatives_are_built_only_for_the_special_kahler_suite(
-    tmp_path, capsys, monkeypatch, suites, second_derivatives
+    tmp_path, capsys, monkeypatch, memos, suites, second_derivatives
 ):
-    """A section family's exact Jacobian is built with the family; second
-    derivatives, the Jacobian of that Jacobian, only when a suite reads I's
-    derivative."""
+    """With the memos cleared, a section family's exact Jacobian is built
+    with the family; second derivatives, the Jacobian of that Jacobian, only
+    when a suite reads I's derivative.  A second identical run builds no
+    Jacobian at all: both are memoized."""
+    for memo in memos.values():
+        memo.cache_clear()
     derived, second = [], []
     jacobian = Polynomial.jacobian
 
@@ -625,6 +628,9 @@ def test_second_derivatives_are_built_only_for_the_special_kahler_suite(
     assert main(["--config", str(cfg), "--output", str(tmp_path / "report.json")]) == 0
     assert any(second) == second_derivatives
     assert not all(second)  # the exact Jacobian of the sections
+    derived.clear()
+    assert main(["--config", str(cfg), "--output", str(tmp_path / "report.json")]) == 0
+    assert derived == []
 
 
 # rank-2 power vectors on the default rank-1 model
