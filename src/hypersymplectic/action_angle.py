@@ -50,7 +50,7 @@ import numpy as np
 
 from .charts import DEFAULT_POINTS, DEFAULT_SEED, seeded_uniform
 from .errors import DegenerateOrbitError
-from .fibration import ANGLE_PERIOD, MEMO_SIZE, FibrationModel, _blocks, make_model
+from .fibration import ANGLE_PERIOD, MEMO_SIZE, FibrationModel, canonical, make_model
 from .structures import CheckReport, Tolerances, report
 
 MIN_QUADRATURE_NODES = 16
@@ -279,7 +279,7 @@ def canonical_residual(jac: np.ndarray) -> float:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _canonical_target(dof: int) -> np.ndarray:
-    target = _blocks(dof, [[0, -1], [1, 0]])  # T: (d angle ^ d action)(e_action, e_angle) = -1
+    target = canonical(dof)  # T: (d angle ^ d action)(e_action, e_angle) = -1
     target.flags.writeable = False
     return target
 

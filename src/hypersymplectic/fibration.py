@@ -5,14 +5,14 @@ The total chart of a rank-n model carries coordinates
     (x_1..x_n, y_1..y_n, p_1..p_n, q_1..q_n)
 
 where (x, y) are action (base) coordinates and (p, q) are angle coordinates
-with period 2*pi.  On this chart the package builds the block-constant triple
+with period 2*pi.  The block-constant triple is formed from base data (Omega,
+I), a symplectic form and a complex structure with I^T Omega I = Omega, on
+the blocks u = (x, y) and theta = (p, q) (``form_matrices``):
 
-    omega = dp ^ dx + dq ^ dy
-    chi   = -dp ^ dq + dx ^ dy
-    sigma = dq ^ dx + dy ^ dp
+    omega = [[0, -Id], [Id, 0]],  chi = diag(Omega, Omega^-1),  sigma = [[0, -I^T], [I, 0]]
 
-from sign tables on the blocks, the only tables of the construction.  The
-complex-structure triple is determined by the forms (P. Xu, "Hyper-Lie
+read at the standard data of ``base_data``: Omega = sum dx_i ^ dy_i, I = -Omega.
+The complex-structure triple is determined by the forms (P. Xu, "Hyper-Lie
 Poisson structures", 1997): each J is the recursion operator of the other
 two, J_omega = R(chi, sigma), J_chi = R(omega, sigma), J_sigma = R(chi, omega)
 with R(f, g) = M_f^{-1} M_g.  Composing J_omega and J_chi in the covector
@@ -120,7 +120,7 @@ def make_model(
         action_bounds = [(-1.0, 1.0)] * (2 * n)
     bounds = np.array(action_bounds, dtype=float)
     if bounds.shape != (2 * n, 2):
-        raise ValueError(f"need {2 * n} (lower, upper) action bounds, got {len(action_bounds)}")
+        raise ValueError(f"need {2 * n} (lower, upper) action bounds, got shape {bounds.shape}")
     base, total, connection = _model_charts(n, bounds.tobytes(), name)
     return FibrationModel(n=n, base_chart=base, total_chart=total, connection=connection)
 
@@ -171,49 +171,45 @@ COMPLEX_NAMES = tuple(f.name for f in fields(HyperComplexTriple))
 FORM_TO_COMPLEX = dict(zip(FORM_NAMES, COMPLEX_NAMES[1:] + COMPLEX_NAMES[:1]))
 
 
-def _blocks(n: int, pattern) -> np.ndarray:
-    """The Kronecker product of ``pattern`` with the n x n identity: block
-    (a, b), in the chart's (x, y, p, q) block order, is ``pattern[a][b]``
-    times the identity, for each pattern of a stack on leading axes.  Formed
-    by broadcasting, which costs a third of ``np.kron``; integer arithmetic
-    keeps every zero +0.0."""
-    P = np.asarray(pattern)
-    size = P.shape[-1] * n
-    blocks = P[..., :, None, :, None] * np.eye(n, dtype=int)[:, None]
-    return blocks.reshape(P.shape[:-2] + (size, size)).astype(float)
+def canonical(k: int) -> np.ndarray:
+    """[[0, -Id_k], [Id_k, 0]], every zero +0.0."""
+    return np.eye(2 * k, k=-k) - np.eye(2 * k, k=k)
 
 
-# the sign pattern of each form, in the order of FORM_NAMES
-_FORM_PATTERNS = [
-    [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]],  # dp ^ dx + dq ^ dy
-    [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],  # -dp ^ dq + dx ^ dy
-    [[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]],  # dq ^ dx + dy ^ dp
-]
+def base_data(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The standard base data (Omega, I) at rank n: Omega = sum dx_i ^ dy_i, I = -Omega."""
+    I = canonical(n)
+    return I.T, I
+
+
+def form_matrices(Omega: np.ndarray, I: np.ndarray) -> np.ndarray:
+    """The matrices (omega, chi, sigma) of the module docstring's block formula,
+    each as (M - M^T) / 2 + 0.0: antisymmetric however Omega^-1 rounds."""
+    Z = np.zeros_like(Omega)
+    chi = np.block([[Omega, Z], [Z, np.linalg.inv(Omega)]])
+    M = np.stack([canonical(len(Omega)), chi, np.block([[Z, -I.T], [I, Z]])])
+    return (M - transpose(M)) / 2 + 0.0
 
 
 def build_structure_triple(model: FibrationModel) -> HyperSymplecticTriple:
-    """The three block-constant 2-forms on the total chart, as form matrices
-    ``M[i, j] = form(e_i, e_j)`` from their sign patterns on the blocks, all
-    three from one ``_blocks`` call on the stacked patterns, once per chart."""
+    """The three forms on the total chart from ``base_data``, once per chart."""
     return _structure_triple(model.total_chart, _exact(model.total_chart))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _structure_triple(chart: Chart, exact: bytes) -> HyperSymplecticTriple:
-    M = _blocks(chart.dim // 4, _FORM_PATTERNS)
-    forms = zip(M, FORM_NAMES)
+    forms = zip(form_matrices(*base_data(chart.dim // 4)), FORM_NAMES)
     return HyperSymplecticTriple(*(DifferentialForm.constant(chart, *f) for f in forms))
 
 
 def base_symplectic_form(model: FibrationModel) -> DifferentialForm:
-    """Omega = sum_i dx_i ^ dy_i on the base chart, once per chart."""
+    """Omega of ``base_data`` on the base chart, once per chart."""
     return _base_form(model.base_chart, _exact(model.base_chart))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _base_form(chart: Chart, exact: bytes) -> DifferentialForm:
-    Omega = _blocks(chart.dim // 2, [[0, 1], [-1, 0]])
-    return DifferentialForm.constant(chart, Omega, name="Omega")
+    return DifferentialForm.constant(chart, base_data(chart.dim // 2)[0], name="Omega")
 
 
 def build_complex_triple(
@@ -527,10 +523,11 @@ def _finite(compute: Callable[[], np.ndarray], what="tangent frame of the graph"
 def default_sections(n: int) -> tuple[tuple[str, str, tuple, tuple], ...]:
     """The sections a run checks when none is configured, as (name, form, p
     term tables, q term tables) rows at rank n: the zero section, Lagrangian
-    for omega, and the rotation p_i = y_i, q_i = -x_i, for sigma."""
-    term = lambda axis, c: ((tuple(int(a == axis) for a in range(2 * n)), c),)
-    rotation = tuple(term(n + i, 1.0) for i in range(n)), tuple(term(i, -1.0) for i in range(n))
-    return ("zero", "omega", ((),) * n, ((),) * n), ("rotation", "sigma", *rotation)
+    for omega, and the rotation (p, q) = Omega (x, y) of ``base_data``, for sigma."""
+    unit = lambda j: tuple(int(a == j) for a in range(2 * n))
+    Omega = base_data(n)[0].tolist()
+    rows = tuple(tuple((unit(j), c) for j, c in enumerate(r) if c) for r in Omega)
+    return ("zero", "omega", ((),) * n, ((),) * n), ("rotation", "sigma", rows[:n], rows[n:])
 
 
 def _default_section(model: FibrationModel, form: str) -> SectionMap:

@@ -6,12 +6,12 @@ base and defines, with the tensor-contraction convention
 
     I = -(dp (x) d/dx + dq (x) d/dy),      g = Omega o I,
 
-where Omega = sum dx_i ^ dy_i and dp, dq are read through the section's
-Jacobian.  Together with the flat zero connection of the action coordinates
-this is the candidate special-symplectic package: the checks below verify
-flatness, torsion-freeness, parallel Omega and I, that I squares to minus the
-identity, that g is symmetric and Omega is I-invariant, and that the signature
-of g (which need not be definite) is constant over the sampled box.
+where Omega is the base form of ``fibration.base_data`` and dp, dq are read
+through the section's Jacobian.  With the flat zero connection of the action
+coordinates this is the candidate special-symplectic package: the checks
+below verify flatness, torsion-freeness, parallel Omega and I, that I squares
+to minus the identity, that g is symmetric and Omega is I-invariant, and that
+the signature of g (which need not be definite) is constant on the sample.
 
 Every derivative is the section's exact one: I and its derivative read the
 section's first and second polynomial derivatives, and the graph-restriction

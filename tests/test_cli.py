@@ -4,6 +4,7 @@ import json
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from hypersymplectic import calculus, cli, fibration
 from hypersymplectic.cli import main
 from hypersymplectic.polynomials import Polynomial
 from hypersymplectic.scenarios import SUITES, ScenarioConfig, run_scenario
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 BAD_SECTION = {
     "scenario": "custom-section",
@@ -717,3 +720,33 @@ def test_a_run_loads_neither_numpy_random_nor_numpy_polynomial(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(report.read_text())["report"]["config"]["suites"] == list(SUITES)
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("workload", ["paper-n3", "paper-n1-dense"])
+def test_a_traced_workload_call_stays_within_its_call_counts(tmp_path, monkeypatch, workload):
+    """The benchmark's traced call, in process: after one untraced warm-up
+    call, one ``cli.main`` call under ``benchmarks/shims.py``'s tracer on the
+    workload's seed-1 config makes the counted calls below."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import shims
+    import workloads
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(workloads.make_config(workload, 1)))
+    argv = ["--config", str(path), "--output", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    tracer = shims.Tracer()
+    with tracer:
+        assert main(argv) == 0
+    counts = tracer.metrics(*tracer.take())
+    # every field and the graph frame are exact: no FD graph frame is taken
+    assert counts.get("fibration.jacobian_fd.count", 0) == 0
+    # the family's values and exact Jacobian once per sample, its second
+    # derivatives once, for the Kähler member
+    assert counts["polynomials.call.count"] <= 3
+    # the battery stacks each family: one recursion_operator call, for the
+    # complex structures (the battery solves with its own determinants), one
+    # nijenhuis call; no QR for the section family, whose defects are all zero
+    assert counts["fibration.recursion_operator.count"] == 1
+    assert counts["structures.nijenhuis.count"] == 1
+    assert counts["linalg.call.count"] <= 5

@@ -1,8 +1,10 @@
+import itertools
 import sys
 
 import numpy as np
 import pytest
 
+from hypersymplectic.action_angle import _canonical_target
 from hypersymplectic.calculus import (
     DifferentialForm,
     EndomorphismField,
@@ -13,13 +15,17 @@ from hypersymplectic.charts import Point
 from hypersymplectic.errors import DegenerateFormError, GeometryError
 from hypersymplectic.fibration import (
     COMPLEX_NAMES,
+    FORM_NAMES,
     HyperComplexTriple,
     HyperSymplecticTriple,
     SectionMap,
     _frame_pairs,
+    base_data,
+    base_symplectic_form,
     build_complex_triple,
     build_structure_triple,
     complex_submanifold_check,
+    form_matrices,
     gradient_section,
     graph_distance,
     graph_frame_defect,
@@ -35,6 +41,7 @@ from hypersymplectic.fibration import (
 )
 from hypersymplectic.polynomials import Polynomial
 from hypersymplectic.scenarios import ScenarioConfig, run_scenario
+from hypersymplectic.special_kahler import induced_complex_structure
 from hypersymplectic.structures import SECTION_PULLBACK_TOL
 from test_acceptance import _corpus
 from test_structures import assert_members_match
@@ -103,6 +110,8 @@ def test_model_validation():
         make_model(0)
     with pytest.raises(ValueError):
         make_model(2, action_bounds=[(-1.0, 1.0)])
+    with pytest.raises(ValueError, match=r"need 2 \(lower, upper\) action bounds, got shape \(2, 3\)"):
+        make_model(1, [(0, 1, 2)] * 2)
 
 
 def test_form_matrices_match_the_pinned_tables():
@@ -323,6 +332,128 @@ def test_full_battery_passes_at_rank_two():
     reports = verify_hypersymplectic(make_model(2), n_points=25, seed=9)
     failed = [r.identity_name for r in reports if not r.passed]
     assert failed == []
+
+
+# ---------------------------------------------------------------------------
+# The base data (Omega, I)
+
+# Sign tables on the (x, y) blocks of the base, like M_OMEGA, M_CHI and
+# M_SIGMA on the (x, y, p, q) blocks: at rank n each entry multiplies Id_n.
+BASE_FORM_TABLE = [[0, 1], [-1, 0]]  # sum dx_i ^ dy_i
+CANONICAL_TABLE = [[0, -1], [1, 0]]  # sum d(angle_k) ^ d(action_k)
+
+
+def sign_table(pattern, n):
+    """``pattern`` Kronecker'd with Id_n in integers, so every zero is +0.0."""
+    return np.kron(np.array(pattern, dtype=int), np.eye(n, dtype=int)).astype(float)
+
+
+def constant_value(form):
+    return form_matrix(form, Point(form.chart, np.zeros((1, form.chart.dim))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
+def test_the_standard_data_give_the_sign_tables_byte_for_byte(n):
+    """The forms, the base form, the canonical target and the default
+    sections formed from ``base_data`` are the sign tables' values, signed
+    zeros included, and the section rows are the rotation p_i = y_i,
+    q_i = -x_i with float coefficients."""
+    model = make_model(n)
+    forms = np.stack([sign_table(t, n) for t in (M_OMEGA, M_CHI, M_SIGMA)])
+    assert form_matrices(*base_data(n)).tobytes() == forms.tobytes()
+    assert np.stack([constant_value(f) for f in model.triple.forms()]).tobytes() == forms.tobytes()
+    base = constant_value(base_symplectic_form(model))
+    assert base.tobytes() == sign_table(BASE_FORM_TABLE, n).tobytes()
+    assert _canonical_target(n).tobytes() == sign_table(CANONICAL_TABLE, n).tobytes()
+    unit = lambda axis: tuple(int(a == axis) for a in range(2 * n))
+    rotation = (
+        tuple(((unit(n + i), 1.0),) for i in range(n)),
+        tuple(((unit(i), -1.0),) for i in range(n)),
+    )
+    expected = (("zero", "omega", ((),) * n, ((),) * n), ("rotation", "sigma", *rotation))
+    assert repr(default_sections(n)) == repr(expected)
+
+
+def triple_of(model, matrices):
+    chart = model.total_chart
+    forms = (DifferentialForm.constant(chart, M, name) for M, name in zip(matrices, FORM_NAMES))
+    return HyperSymplecticTriple(*forms)
+
+
+def failing(n, matrices) -> dict[str, float]:
+    """The battery's failing checks on the triple of ``matrices`` at rank n."""
+    model = make_model(n)
+    reports = verify_hypersymplectic(model, n_points=8, seed=4, triple=triple_of(model, matrices))
+    return {r.identity_name: r.max_residual for r in reports if not r.passed}
+
+
+def transported(n, seed):
+    """The standard data pulled back by A = Id + 0.5 G, G seeded normal:
+    Omega' = A^T Omega A, stored antisymmetric, and I' = A^-1 I A."""
+    Omega, I = base_data(n)
+    A = np.eye(2 * n) + 0.5 * np.random.default_rng(seed).standard_normal((2 * n, 2 * n))
+    P = A.T @ Omega @ A
+    return (P - P.T) / 2, np.linalg.solve(A, I @ A), np.linalg.cond(A)
+
+
+FRAME_CHECKS = {f"hypersymplectic.holomorphic_frame.{J}" for J in COMPLEX_NAMES}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_transported_base_data_pass_every_check_but_the_coordinate_frames(n):
+    """At seed 11 (cond A 7, 4, 17, 12) the triple of the transported data
+    passes every identity; the coframe pairs are those of the standard frame,
+    so the three holomorphic_frame checks fail, as they should."""
+    Omega, I, cond = transported(n, 11)
+    assert cond <= 20
+    assert set(failing(n, form_matrices(Omega, I))) == FRAME_CHECKS
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 3: algebraic tolerances are absolute"
+)
+@pytest.mark.parametrize(("n", "seed"), [(3, 3), (4, 5)])
+def test_ill_conditioned_transported_data_pass_every_true_identity(n, seed):
+    """cond A about 133 (n = 3) and 54 (n = 4): the anticommutators and the
+    composition are true theorems, but at n = 3 read about 4e-11 against the
+    absolute 1e-12, so the battery gives a wrong verdict."""
+    Omega, I, cond = transported(n, seed)
+    assert cond > 50
+    assert set(failing(n, form_matrices(Omega, I))) == FRAME_CHECKS
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_negated_fibre_block_of_chi_fails_the_recursion_square(n):
+    M = form_matrices(*base_data(n))
+    M[1, 2 * n :, 2 * n :] *= -1
+    assert failing(n, M)["hypersymplectic.recursion_squares.chi_sigma"] == 2.0
+
+
+def test_a_scaled_complex_structure_fails_the_composition():
+    Omega, I = base_data(1)
+    residual = failing(1, form_matrices(Omega, 1.1 * I))
+    assert residual["hypersymplectic.composition.sigma_from_omega_chi"] == pytest.approx(0.21)
+
+
+def test_a_complex_structure_that_does_not_preserve_omega_fails_the_anticommutators():
+    """B shears x_1 by 0.3 x_2 and is not symplectic, so I' = B^-1 I B still
+    squares to -Id but I'^T Omega I' differs from Omega."""
+    Omega, I = base_data(2)
+    B = np.eye(4) + 0.3 * np.outer(np.eye(4)[0], np.eye(4)[1])
+    incompatible = np.linalg.solve(B, I @ B)
+    assert np.array_equal(incompatible @ incompatible, -np.eye(4))
+    residual = failing(2, form_matrices(Omega, incompatible))
+    for pair in itertools.combinations(COMPLEX_NAMES, 2):
+        assert residual["hypersymplectic.anticommute.{}_{}".format(*pair)] == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_default_sigma_section_induces_the_base_data_complex_structure(n):
+    """The sigma default is the linear section (p, q) = Omega (x, y); the I
+    it induces on the base is the I of ``base_data``."""
+    model = make_model(n)
+    induced = induced_complex_structure(standard_sigma_section(model), model.base_chart.sample(5, 2))
+    assert np.array_equal(induced, np.broadcast_to(base_data(n)[1], induced.shape))
 
 
 # ---------------------------------------------------------------------------
