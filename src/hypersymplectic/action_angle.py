@@ -36,8 +36,7 @@ first half of the actions become the x-coordinates and the second half the
 y-coordinates, with action windows obtained from ``ENERGY_WINDOW`` factor by
 factor.
 
-Memoized as in ``fibration``: ``from_frequencies`` on the frequency tuple,
-``canonical_residual``'s target on the dof.
+Memoized as in ``fibration``: ``from_frequencies`` on the frequency tuple.
 """
 
 from __future__ import annotations
@@ -271,17 +270,10 @@ def canonical_residual(jac: np.ndarray) -> float:
     sum d(xi_k) ^ d(pi_k) = -T, and A(P) = (P - P^T) / 2.  The pulled-back
     form is antisymmetric, so its symmetric part is rounding only; it grows
     like the action and is left out."""
-    target = _canonical_target(jac.shape[-1] // 2)
+    target = canonical(jac.shape[-1] // 2)  # T: (d angle ^ d action)(e_action, e_angle) = -1
     pulled = np.swapaxes(jac, -1, -2) @ target @ jac
     antisymmetric = 0.5 * (pulled - np.swapaxes(pulled, -1, -2))
     return float(np.max(np.abs(antisymmetric + target)))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _canonical_target(dof: int) -> np.ndarray:
-    target = canonical(dof)  # T: (d angle ^ d action)(e_action, e_angle) = -1
-    target.flags.writeable = False
-    return target
 
 
 def canonical_check(

@@ -32,18 +32,19 @@ the two triples, ``FORM_TO_COMPLEX`` the J a form's sections are read
 through, and every check of the battery is named by slot from them.
 
 What depends on no sample is built once per process, in ``lru_cache`` memos
-of ``MEMO_SIZE`` entries, each keyed on exactly its inputs (bounds by their
-bytes, as -0.0 == 0.0), holding read-only arrays and no failed build:
-``make_model``'s charts and zero connection, the triple of forms,
-``base_symplectic_form``, a section family's polynomial and its derivatives,
-``_frame_pairs`` and ``default_sections``.  Complex structures stay per model.
+of ``MEMO_SIZE`` entries, each keyed on one input as given, holding
+read-only arrays and no failed build: ``make_model``'s on (n, bytes of the
+bounds, name), as -0.0 == 0.0, holds the charts, the zero connection, the
+forms, Omega and the coframe pairs; ``SectionMap``'s on a family's spec holds
+its members, polynomial and Jacobian, and ``_derivative`` its second
+derivatives on first read.  Complex structures stay per model.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
@@ -64,7 +65,7 @@ from .structures import CheckReport, FlatConnection, Tolerances, nijenhuis, repo
 
 ANGLE_PERIOD = 2.0 * math.pi
 MAX_SECTION_DEGREE = 8
-MEMO_SIZE = 4  # entries per memo: at MAX_RANK they hold about 60 MB in all (README)
+MEMO_SIZE = 4  # entries per memo: at MAX_RANK the models' hold about 60 MB (README)
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,10 @@ class FibrationModel:
     base_chart: Chart
     total_chart: Chart
     connection: FlatConnection
+    # built with the charts: the forms, Omega and the battery's coframe pairs
+    _forms: HyperSymplecticTriple = field(repr=False, compare=False)
+    _Omega: DifferentialForm = field(repr=False, compare=False)
+    _pairs: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
     # Block index helpers (0-based block slot i in 0..n-1).
     def ix(self, i: int) -> int:
@@ -121,25 +126,24 @@ def make_model(
     bounds = np.array(action_bounds, dtype=float)
     if bounds.shape != (2 * n, 2):
         raise ValueError(f"need {2 * n} (lower, upper) action bounds, got shape {bounds.shape}")
-    base, total, connection = _model_charts(n, bounds.tobytes(), name)
-    return FibrationModel(n=n, base_chart=base, total_chart=total, connection=connection)
+    return FibrationModel(n, *_model_build(n, bounds.tobytes(), name))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _model_charts(n: int, bounds: bytes, name: str) -> tuple[Chart, Chart, FlatConnection]:
-    """``make_model``'s charts and zero connection from its bounds' bytes."""
+def _model_build(n: int, bounds: bytes, name: str) -> tuple:
+    """``make_model``'s charts, zero connection, forms, Omega and coframe
+    pairs from its bounds' bytes, the forms from ``base_data``."""
     lower, upper = map(tuple, np.frombuffer(bounds).reshape(2 * n, 2).T.tolist())
     base_coords = _names("x", n) + _names("y", n)
     base = Chart(f"{name}-base", base_coords, lower, upper)
     total_coords = base_coords + _names("p", n) + _names("q", n)
     fibre_lower, fibre_upper = (0.0,) * (2 * n), (ANGLE_PERIOD,) * (2 * n)
     total = Chart(f"{name}-total", total_coords, lower + fibre_lower, upper + fibre_upper)
-    return base, total, FlatConnection.zero(base)
-
-
-def _exact(chart: Chart) -> bytes:
-    """A chart's bounds as bytes, which tell -0.0 from 0.0 as the chart does not."""
-    return np.array(chart.lower + chart.upper).tobytes()
+    Omega, I = base_data(n)
+    forms = zip(form_matrices(Omega, I), FORM_NAMES)
+    triple = HyperSymplecticTriple(*(DifferentialForm.constant(total, *f) for f in forms))
+    Omega_form = DifferentialForm.constant(base, Omega, name="Omega")
+    return base, total, FlatConnection.zero(base), triple, Omega_form, _frame_pairs(n)
 
 
 @dataclass(frozen=True)
@@ -192,24 +196,13 @@ def form_matrices(Omega: np.ndarray, I: np.ndarray) -> np.ndarray:
 
 
 def build_structure_triple(model: FibrationModel) -> HyperSymplecticTriple:
-    """The three forms on the total chart from ``base_data``, once per chart."""
-    return _structure_triple(model.total_chart, _exact(model.total_chart))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _structure_triple(chart: Chart, exact: bytes) -> HyperSymplecticTriple:
-    forms = zip(form_matrices(*base_data(chart.dim // 4)), FORM_NAMES)
-    return HyperSymplecticTriple(*(DifferentialForm.constant(chart, *f) for f in forms))
+    """The three forms on the total chart from ``base_data``, built with the model's charts."""
+    return model._forms
 
 
 def base_symplectic_form(model: FibrationModel) -> DifferentialForm:
-    """Omega of ``base_data`` on the base chart, once per chart."""
-    return _base_form(model.base_chart, _exact(model.base_chart))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _base_form(chart: Chart, exact: bytes) -> DifferentialForm:
-    return DifferentialForm.constant(chart, base_data(chart.dim // 2)[0], name="Omega")
+    """Omega of ``base_data`` on the base chart, built with the model's charts."""
+    return model._Omega
 
 
 def build_complex_triple(
@@ -288,7 +281,6 @@ def holomorphic_frame_check(J: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
 _FRAME_BLOCKS = [((0, 1), (2, 3)), ((3, 0), (2, 1)), ((0, 2), (3, 1))]
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def _frame_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The coframe pairs of the three complex structures at rank n, as two
     read-only ``(member, 2n, 4n)`` stacks of unit covectors: one read of the
@@ -359,7 +351,7 @@ def verify_hypersymplectic(
     forms, endos = triple.forms(), complexes.endos()
     M = _members([form_matrix(f, pt) for f in forms], 2)
     J = _members([E.matrix(pt) for E in endos], 2)
-    a, b = _frame_pairs(model.n)
+    a, b = model._pairs
     first, second = [0, 0, 1], [1, 2, 2]  # the member pairs (0, 1), (0, 2), (1, 2)
     closures = member_worst(exterior_derivative(_members([f.gradient(pt) for f in forms], 3)), 3)
     dets = np.abs(np.linalg.det(M))  # [..., member]
@@ -421,24 +413,12 @@ class SectionMap:
         return family
 
     def _build(self, model: FibrationModel, members: Sequence) -> None:
-        n, bound, merged = model.n, MAX_SECTION_DEGREE, []
-        for name, p, q in members:
-            try:
-                tables = [merge_terms(2 * n, terms) for terms in (*p, *q)]
-                if len(p) != n or len(q) != n:
-                    raise ValueError(f"need {n} p- and q-components")
-                degree = max((sum(e) for table in tables for e, _ in table), default=0)
-                if degree > bound:
-                    raise ValueError(f"section degree {degree} exceeds the bound {bound}")
-            except ValueError as exc:
-                raise ValueError(f"section {name!r}: {exc}") from None
-            merged.append((name, tuple(tables[:n]), tuple(tables[n:])))
-        self.model, self.members = model, tuple(merged)
-        self.names = tuple(name for name, _, _ in merged)
-        self.name = ", ".join(self.names)  # a single section's name
-        self._fibre = _stack(2 * n, tuple(t for _, p, q in merged for t in (*p, *q)))
+        spec = tuple((name, _tuples(p), _tuples(q)) for name, p, q in members)
+        self.model = model
         # row-major d(p, q)_r / d(x, y)_j per member, reshaped by fibre_jacobian
-        self._jacobian = _derivative(self._fibre)
+        self.members, self._fibre, self._jacobian = _family(model.n, spec)
+        self.names = tuple(name for name, _, _ in self.members)
+        self.name = ", ".join(self.names)  # a single section's name
         self._reads: tuple = (None, None)  # the last base Point object read, its reads by kind
 
     def _read(self, base_pt: Point, kind: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
@@ -500,8 +480,30 @@ class SectionMap:
         return _finite(lambda: over_steps(stencil(self.total_coords, base_pt, shape)))
 
 
-# merged term tables hold no zero coefficient, so no -0.0 reaches a key
-_stack = lru_cache(maxsize=MEMO_SIZE)(Polynomial.stack)
+def _tuples(tables: Sequence) -> tuple:
+    """Term tables as given, as nested tuples: part of a memo key."""
+    return tuple(tuple((tuple(powers), coeff) for powers, coeff in table) for table in tables)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _family(n: int, spec: tuple) -> tuple[tuple, Polynomial, Polynomial]:
+    """A family's members (name, merged p tables, merged q tables), its
+    stacked polynomial and that polynomial's exact Jacobian, from the spec
+    as given; ValueError, naming the member, when a member does not fit."""
+    members = []
+    for name, p, q in spec:
+        try:
+            tables = [merge_terms(2 * n, terms) for terms in (*p, *q)]
+            if len(p) != n or len(q) != n:
+                raise ValueError(f"need {n} p- and q-components")
+            degree = max((sum(e) for table in tables for e, _ in table), default=0)
+            if degree > MAX_SECTION_DEGREE:
+                raise ValueError(f"section degree {degree} exceeds the bound {MAX_SECTION_DEGREE}")
+        except ValueError as exc:
+            raise ValueError(f"section {name!r}: {exc}") from None
+        members.append((name, tuple(tables[:n]), tuple(tables[n:])))
+    fibre = Polynomial.stack(2 * n, [t for _, p, q in members for t in (*p, *q)])
+    return tuple(members), fibre, fibre.jacobian()
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -519,7 +521,6 @@ def _finite(compute: Callable[[], np.ndarray], what="tangent frame of the graph"
     return value
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def default_sections(n: int) -> tuple[tuple[str, str, tuple, tuple], ...]:
     """The sections a run checks when none is configured, as (name, form, p
     term tables, q term tables) rows at rank n: the zero section, Lagrangian

@@ -4,7 +4,6 @@ import sys
 import numpy as np
 import pytest
 
-from hypersymplectic.action_angle import _canonical_target
 from hypersymplectic.calculus import (
     DifferentialForm,
     EndomorphismField,
@@ -24,6 +23,7 @@ from hypersymplectic.fibration import (
     base_symplectic_form,
     build_complex_triple,
     build_structure_triple,
+    canonical,
     complex_submanifold_check,
     form_matrices,
     gradient_section,
@@ -364,7 +364,7 @@ def test_the_standard_data_give_the_sign_tables_byte_for_byte(n):
     assert np.stack([constant_value(f) for f in model.triple.forms()]).tobytes() == forms.tobytes()
     base = constant_value(base_symplectic_form(model))
     assert base.tobytes() == sign_table(BASE_FORM_TABLE, n).tobytes()
-    assert _canonical_target(n).tobytes() == sign_table(CANONICAL_TABLE, n).tobytes()
+    assert canonical(n).tobytes() == sign_table(CANONICAL_TABLE, n).tobytes()  # the canonical target
     unit = lambda axis: tuple(int(a == axis) for a in range(2 * n))
     rotation = (
         tuple(((unit(n + i), 1.0),) for i in range(n)),
@@ -995,9 +995,11 @@ def test_a_sample_cannot_be_written_after_a_section_read_it():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_the_model_builds_its_complex_structures_once(n):
     """``model.complexes`` is built on first use, kept, and equals the
-    recursion operators of ``build_complex_triple`` entry for entry."""
+    recursion operators of ``build_complex_triple`` entry for entry; a
+    fresh model of the same inputs builds its own."""
     model = make_model(n)
     assert model.complexes is model.complexes
+    assert make_model(n).complexes is not model.complexes
     assert model.triple is model.triple
     row = Point(model.total_chart, np.zeros((1, model.total_chart.dim)))
     for kept, built in zip(model.complexes.endos(), build_complex_triple(model).endos()):
