@@ -21,15 +21,16 @@ because every formula squares nu.  That confines nu to about
 finite and non-empty.
 
 Every factor's orbit through a state has its own size: amplitude
-sqrt(2E)/nu along xi and sqrt(2E) along pi.  The transform's FD Jacobian
-steps each axis by ``RELATIVE_STEP`` times that amplitude, and the round trip
-measures each axis's error in it, and the quadrature action is compared
-with E/nu relative to E/nu, so none depends on the units of the
-frequencies, nor on the step of any chart.  The canonical check compares
-the antisymmetric part of the pulled-back form with the mechanical one: the
-form is antisymmetric, and its symmetric part is rounding that grows with
-the action, so a plain comparison would fail a true theorem once a
-frequency lies beyond about 1e-11 or 1e11.
+sqrt(2E)/nu along xi and sqrt(2E) along pi.  The round trip measures each
+axis's error in that amplitude, and the quadrature action is compared with
+E/nu relative to E/nu, so neither depends on the units of the frequencies.
+The transform's Jacobian is exact: ``to_action_angle`` runs once on the
+seeded ``calculus.Jet`` of the states, so the map the package uses is the
+map that is differentiated, with no step to choose.  The canonical check
+compares the antisymmetric part of the pulled-back form with the mechanical
+one: the form is antisymmetric, and its symmetric part is rounding that
+grows with the action, so a plain comparison would fail a true theorem once
+a frequency lies far from 1.
 
 A product with an even number of factors doubles as a fibration model: the
 first half of the actions become the x-coordinates and the second half the
@@ -37,16 +38,19 @@ y-coordinates, with action windows obtained from ``ENERGY_WINDOW`` factor by
 factor.
 
 Memoized as in ``fibration``: ``from_frequencies`` on the frequency tuple.
+The two quadrature oracles read the frequencies alone, so their worst
+residuals are a property of the system (``ProductSystem.oracle_residuals``),
+computed on first read and shared by every run of that system.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .calculus import Jet
 from .charts import DEFAULT_POINTS, DEFAULT_SEED, seeded_uniform
 from .errors import DegenerateOrbitError
 from .fibration import ANGLE_PERIOD, MEMO_SIZE, FibrationModel, canonical, make_model
@@ -54,7 +58,8 @@ from .structures import CheckReport, Tolerances, report
 
 MIN_QUADRATURE_NODES = 16
 ENERGY_WINDOW = (0.2, 2.0)
-RELATIVE_STEP = 1e-6
+ACTION_ENERGIES = (0.2, 0.5, 1.0, 2.0)  # the levels of the action oracle
+PERIOD_ENERGIES = (0.5, 1.0)  # the levels of the angle oracle
 
 
 def _loop_angles(nodes: int) -> np.ndarray:
@@ -164,9 +169,24 @@ class ProductSystem:
     def dof(self) -> int:
         return self.frequencies.size
 
-    def split_state(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Positions and momenta of one state ``(2 dof,)`` or a stack ``(..., 2 dof)``."""
-        state = np.asarray(state, dtype=float)
+    @cached_property
+    def oracle_residuals(self) -> tuple[float, float]:
+        """The worst residuals over every factor of the two quadrature
+        oracles, which read the frequencies alone: the action's error
+        relative to E/nu at ``ACTION_ENERGIES``, and the angle's turns off 1
+        at ``PERIOD_ENERGIES``; computed on first read and kept."""
+        nu = self.frequencies[:, None]  # [factor, energy]
+        oscillators = Oscillator1DOF(nu[..., None])  # [factor, energy, node]
+        energies = np.array(ACTION_ENERGIES)
+        expected = energies / nu
+        action = np.max(np.abs(action_from_energy(oscillators, energies) - expected) / expected)
+        return action, np.max(angle_period_check(oscillators, np.array(PERIOD_ENERGIES)))
+
+    def split_state(self, state: np.ndarray | Jet) -> tuple:
+        """Positions and momenta of one state ``(2 dof,)`` or a stack ``(..., 2 dof)``:
+        arrays, or jets of a ``Jet`` state."""
+        if not isinstance(state, Jet):
+            state = np.asarray(state, dtype=float)
         if state.shape[-1:] != (2 * self.dof,):
             raise ValueError(
                 f"state must have shape (..., {2 * self.dof}), got {state.shape}"
@@ -205,10 +225,6 @@ def from_action_angle(
     return np.concatenate([xi, pi], axis=-1)
 
 
-def _wrap_angle_difference(delta: np.ndarray) -> np.ndarray:
-    return (delta + math.pi) % ANGLE_PERIOD - math.pi
-
-
 def _orbit_scale(sys: ProductSystem, state: np.ndarray) -> np.ndarray:
     """Amplitude of each factor's orbit through ``state`` along each axis,
     sqrt(2E)/nu on xi and sqrt(2E) on pi, in the state's shape."""
@@ -216,30 +232,19 @@ def _orbit_scale(sys: ProductSystem, state: np.ndarray) -> np.ndarray:
     return np.concatenate([amplitude / sys.frequencies, amplitude], axis=-1)
 
 
-def transform_jacobian(sys: ProductSystem, state: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of state -> (actions, angles), shape
-    ``(..., 2 dof, 2 dof)`` for one state or a stack.
+def _jacobian(actions: Jet, angles: Jet) -> np.ndarray:
+    """The Jacobian ``(..., 2 dof, 2 dof)`` of state -> (actions, angles)
+    from the jets ``to_action_angle`` returns: action rows, then angle rows."""
+    return np.concatenate([actions.d, angles.d], axis=-2)
 
-    Axis j is stepped by ``RELATIVE_STEP * _orbit_scale(sys, state)[..., j]``.
-    The 2 * 2 dof bumped copies of ``state`` go through one
-    ``to_action_angle`` call; the minus bump is formed as (x + step) - 2 step.
-    Angle rows use wrapped differences so the branch cut of the angle chart
-    does not poison the derivative.
-    """
-    state = np.asarray(state, dtype=float)
-    step = np.moveaxis(RELATIVE_STEP * _orbit_scale(sys, state), -1, 0)  # [j, ...]
-    axes = np.arange(2 * sys.dof)
-    bumped = np.broadcast_to(state, (2, axes.size) + state.shape).copy()
-    bumped[:, axes, ..., axes] += step[:, None]
-    bumped[1, axes, ..., axes] -= 2.0 * step
-    actions, angles = to_action_angle(sys, bumped)  # [sign, j, ..., k] at bump j
-    width = 2.0 * step[..., None]
-    jac = np.empty(state.shape[:-1] + (axes.size, axes.size))
-    jac[..., : sys.dof, :] = np.moveaxis((actions[0] - actions[1]) / width, 0, -1)
-    jac[..., sys.dof :, :] = np.moveaxis(
-        _wrap_angle_difference(angles[0] - angles[1]) / width, 0, -1
-    )
-    return jac
+
+def transform_jacobian(sys: ProductSystem, state: np.ndarray) -> np.ndarray:
+    """Exact Jacobian of state -> (actions, angles), shape ``(..., 2 dof,
+    2 dof)`` for one state or a stack: the derivative of one
+    ``to_action_angle`` call on the seeded jet of ``state``.  The angle's
+    derivative passes through the reduction mod 2pi, so the branch cut of the
+    angle chart does not reach it."""
+    return _jacobian(*to_action_angle(sys, Jet.seed(state)))
 
 
 def sample_states(
@@ -260,7 +265,11 @@ def round_trip_residual(sys: ProductSystem, states) -> float:
     """Worst |rebuilt - state| of the round trip through action-angle
     coordinates, each axis measured in units of the orbit's amplitude along it."""
     states = np.asarray(states, dtype=float)
-    rebuilt = from_action_angle(sys, *to_action_angle(sys, states))
+    return _round_trip_error(sys, states, *to_action_angle(sys, states))
+
+
+def _round_trip_error(sys: ProductSystem, states: np.ndarray, actions, angles) -> float:
+    rebuilt = from_action_angle(sys, actions, angles)
     return float(np.max(np.abs(rebuilt - states) / _orbit_scale(sys, states)))
 
 
@@ -312,20 +321,21 @@ def verify_action_angle(
     seed: int = DEFAULT_SEED,
     tolerances: Tolerances = Tolerances(),
 ) -> list[CheckReport]:
-    """The full oscillator battery as a list of reports in name order."""
-    nu = sys.frequencies[:, None]  # [factor, energy]
-    oscillators = Oscillator1DOF(nu[..., None])  # [factor, energy, node]
-    energies, angle_energies = np.array([0.2, 0.5, 1.0, 2.0]), np.array([0.5, 1.0])
-    expected = energies / nu
-    action = np.max(np.abs(action_from_energy(oscillators, energies) - expected) / expected)
-    period = np.max(angle_period_check(oscillators, angle_energies))
+    """The full oscillator battery as a list of reports in name order: the
+    oracles as ``sys.oracle_residuals`` holds them, and the sampled map from
+    one ``to_action_angle`` call on the seeded jet of the states, whose value
+    feeds the round trip and whose derivative is the Jacobian that
+    ``canonical_residual`` reads."""
+    action, period = sys.oracle_residuals
     states = sample_states(sys, n_points, seed)
-    round_trip = round_trip_residual(sys, states)
+    actions, angles = to_action_angle(sys, Jet.seed(states))
+    canonical = canonical_residual(_jacobian(actions, angles))
+    round_trip = _round_trip_error(sys, states, actions.value, angles.value)
     return [
-        report("action_angle.action_equals_energy_over_frequency", action, energies.size * sys.dof,
+        report("action_angle.action_equals_energy_over_frequency", action,
+               len(ACTION_ENERGIES) * sys.dof, tolerances),
+        report("action_angle.angle_normalization", period, len(PERIOD_ENERGIES) * sys.dof,
                tolerances),
-        report("action_angle.angle_normalization", period, angle_energies.size * sys.dof,
-               tolerances),
-        canonical_check(sys, n_points, seed, tolerances, states=states),
+        report("action_angle.canonical_transform", canonical, n_points, tolerances),
         report("action_angle.round_trip", round_trip, n_points, tolerances),
     ]

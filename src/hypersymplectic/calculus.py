@@ -33,6 +33,10 @@ Conventions, fixed once for the whole package:
   through the transpose contract ``(J a)(X) = a(J X)``.  Composition of the
   matrices therefore reverses when read on covectors, which is why
   ``compose_covector`` exists.
+* A ``Jet`` is a value with its exact first derivative in the same
+  Jacobian layout, ``d[..., a] = d_a value``, carried through numpy's ufuncs
+  by the chain rule (forward mode).  Seeded at a stacked sample, one call of
+  a map written in those ufuncs returns its values and its whole Jacobian.
 
 A field reads a ``Point`` (see ``charts``) and returns values with its leading
 sample axes in front, or without them for a constant; ``exterior_derivative``
@@ -48,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
+from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from .charts import Chart, Point, conform, require_same_chart
 
@@ -223,3 +228,99 @@ def compose_covector(A: EndomorphismField, B: EndomorphismField) -> Endomorphism
     require_same_chart(A.chart, B.chart)
     name = f"({A.name}*{B.name})" if A.name and B.name else ""
     return EndomorphismField(A.chart, lambda pt: B.matrix(pt) @ A.matrix(pt), name=name)
+
+
+class Jet(NDArrayOperatorsMixin):
+    """A value with its exact first derivative ``d``, in the Jacobian layout
+    ``d[..., a] = d_a value``: forward-mode differentiation (Griewank and
+    Walther, "Evaluating Derivatives", SIAM 2008, ch. 3).
+
+    numpy's ufunc protocol carries the derivative through multiply, add,
+    subtract, true_divide, arctan2 and remainder by a constant, whose
+    derivative passes through; any other ufunc raises TypeError.  A
+    comparison acts on the value and returns a plain array.  Indexing picks
+    entries of the value with their derivative rows, copied C-contiguous,
+    which the ufuncs after it read faster than strided views.  The value is
+    computed exactly as without the jet, bit for bit."""
+
+    __slots__ = ("value", "d")
+
+    def __init__(self, value, d) -> None:
+        self.value, self.d = value, d
+
+    @classmethod
+    def seed(cls, x) -> "Jet":
+        """The jet of the identity at points ``x`` of shape ``(..., k)``: d
+        is the k x k unit matrix at every point."""
+        x = np.asarray(x, dtype=float)
+        return cls(x, np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:]))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.value.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.value.ndim
+
+    def __getitem__(self, key) -> "Jet":
+        key = key if isinstance(key, tuple) else (key,)
+        if not any(k is Ellipsis for k in key):
+            key += (Ellipsis,)
+        return Jet(self.value[key].copy(), self.d[key + (slice(None),)].copy())
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        rule = _JET_RULES.get(ufunc, NotImplemented)
+        if method != "__call__" or kwargs or rule is NotImplemented:
+            return NotImplemented
+        (a, da), (b, db) = ((x.value, x.d) if isinstance(x, Jet) else (x, None) for x in inputs)
+        value = ufunc(a, b)
+        if rule is None:  # a comparison
+            return value
+        d = rule(value, a, b, da, db)
+        if d.shape[:-1] != np.shape(value):
+            d = np.broadcast_to(d, np.shape(value) + d.shape[-1:])
+        return Jet(value, d)
+
+
+def _column(x):
+    """``x`` with a new last axis to meet a derivative table; a scalar as it is."""
+    return x[..., None] if isinstance(x, np.ndarray) else x
+
+
+def _plus(x, y):
+    """The sum of two derivative terms, either of which may be absent (None)."""
+    return x if y is None else y if x is None else x + y
+
+
+def _times(c, d):
+    return None if d is None else _column(c) * d
+
+
+def _arctan2_rule(v, y, x, dy, dx):
+    r2 = x * x + y * y
+    return _plus(_times(x / r2, dy), _times(-y / r2, dx))
+
+
+def _remainder_rule(v, a, b, da, db):
+    if db is not None:
+        raise TypeError("a jet's remainder is taken by a constant only")
+    return da
+
+
+# ufunc -> rule(v, a, b, da, db), the derivative of v = ufunc(a, b) from the
+# values and the operands' derivatives (None for a constant); None marks a
+# comparison, which reads the values alone
+_JET_RULES = {
+    np.add: lambda v, a, b, da, db: _plus(da, db),
+    np.subtract: lambda v, a, b, da, db: _plus(da, _times(-1.0, db)),
+    np.multiply: lambda v, a, b, da, db: _plus(_times(b, da), _times(a, db)),
+    np.true_divide: lambda v, a, b, da, db: _plus(
+        None if da is None else da / _column(b), _times(-v / b, db)
+    ),
+    np.arctan2: _arctan2_rule,
+    np.remainder: _remainder_rule,
+    **dict.fromkeys(
+        (np.less, np.less_equal, np.greater, np.greater_equal, np.equal, np.not_equal)
+    ),
+}

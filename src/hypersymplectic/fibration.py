@@ -36,8 +36,9 @@ of ``MEMO_SIZE`` entries, each keyed on one input as given, holding
 read-only arrays and no failed build: ``make_model``'s on (n, bytes of the
 bounds, name), as -0.0 == 0.0, holds the charts, the zero connection, the
 forms, Omega and the coframe pairs; ``SectionMap``'s on a family's spec holds
-its members, polynomial and Jacobian, and ``_derivative`` its second
-derivatives on first read.  Complex structures stay per model.
+its members, polynomial and Jacobian (the tables as given when they are
+nested tuples, as a config's are, else copied into them), and
+``_derivative`` its second derivatives on first read.  Complex structures stay per model.
 """
 
 from __future__ import annotations
@@ -402,7 +403,7 @@ class SectionMap:
         """The section whose components are the scalar polynomials p and q."""
         if any(c.n_vars != 2 * model.n or c.size is not None for c in (*p, *q)):
             raise ValueError("section components must be polynomials on the base")
-        self._build(model, [(name, [c.terms for c in p], [c.terms for c in q])])
+        self._build(model, [(name, tuple(c.terms for c in p), tuple(c.terms for c in q))])
 
     @classmethod
     def family(cls, model: FibrationModel, members: Sequence) -> SectionMap:
@@ -413,10 +414,14 @@ class SectionMap:
         return family
 
     def _build(self, model: FibrationModel, members: Sequence) -> None:
-        spec = tuple((name, _tuples(p), _tuples(q)) for name, p, q in members)
+        spec = tuple((name, p, q) for name, p, q in members)
         self.model = model
+        try:  # the key as given: SectionSpec holds its tables as nested tuples
+            built = _family(model.n, spec)
+        except TypeError:  # unhashable tables, such as lists, keyed as nested tuples
+            built = _family(model.n, tuple((name, _tuples(p), _tuples(q)) for name, p, q in spec))
         # row-major d(p, q)_r / d(x, y)_j per member, reshaped by fibre_jacobian
-        self.members, self._fibre, self._jacobian = _family(model.n, spec)
+        self.members, self._fibre, self._jacobian = built
         self.names = tuple(name for name, _, _ in self.members)
         self.name = ", ".join(self.names)  # a single section's name
         self._reads: tuple = (None, None)  # the last base Point object read, its reads by kind

@@ -1,4 +1,6 @@
+import cProfile
 import math
+import pstats
 import random
 
 import numpy as np
@@ -202,28 +204,83 @@ def test_stacked_states_match_single_states():
     )
 
 
-def test_transform_jacobian_matches_the_per_axis_loop():
-    """The one-call Jacobian equals, bit for bit, two ``to_action_angle``
-    calls per axis with the minus bump formed as (x + step) - 2 step, where
-    axis j of a state steps by 1e-6 times its orbit amplitude along j."""
-    system = ProductSystem.from_frequencies([1.0, 0.5, 2.0, 3.0])
-    states = sample_states(system, 9, seed=5)
-    for state in (states, states[4]):
-        xi, pi = system.split_state(state)
-        amplitude = np.sqrt(2.0 * system.oscillator.hamiltonian(xi, pi))
-        scale = np.concatenate([amplitude / system.frequencies, amplitude], axis=-1)
-        reference = np.empty(state.shape[:-1] + (8, 8))
-        for j in range(8):
-            step = 1e-6 * scale[..., j, None]
-            bumped = state.copy()
-            bumped[..., j, None] += step
-            act_plus, ang_plus = to_action_angle(system, bumped)
-            bumped[..., j, None] -= 2.0 * step
-            act_minus, ang_minus = to_action_angle(system, bumped)
-            reference[..., :4, j] = (act_plus - act_minus) / (2.0 * step)
-            wrapped = (ang_plus - ang_minus + math.pi) % (2 * math.pi) - math.pi
-            reference[..., 4:, j] = wrapped / (2.0 * step)
-        assert np.array_equal(transform_jacobian(system, state), reference)
+def closed_form_jacobian(system, states):
+    """d(I, theta)/d(xi, pi) written out: with r^2 = pi^2 + nu^2 xi^2 per
+    factor, dI/dxi = nu xi, dI/dpi = pi / nu, dtheta/dxi = nu pi / r^2 and
+    dtheta/dpi = -nu xi / r^2, each block diagonal over the factors."""
+    nu = system.frequencies
+    xi, pi = system.split_state(states)
+    r2 = pi * pi + nu * nu * xi * xi
+    blocks = [[nu * xi, pi / nu], [nu * pi / r2, -nu * xi / r2]]
+    return np.block([[b[..., None, :] * np.eye(system.dof) for b in row] for row in blocks])
+
+
+def central_difference(system, state, h=1e-6):
+    """The central difference of state -> (actions, angles), axis j stepped
+    by h times the orbit's amplitude along it, two ``to_action_angle`` calls
+    per axis, the angle differences wrapped to (-pi, pi]."""
+    xi, pi = system.split_state(state)
+    amplitude = np.sqrt(2.0 * system.oscillator.hamiltonian(xi, pi))
+    scale = np.concatenate([amplitude / system.frequencies, amplitude], axis=-1)
+    m = system.dof
+    jac = np.empty(state.shape[:-1] + (2 * m, 2 * m))
+    for j in range(2 * m):
+        step = h * scale[..., j, None]
+        plus, minus = state.copy(), state.copy()
+        plus[..., j, None] += step
+        minus[..., j, None] -= step
+        act_plus, ang_plus = to_action_angle(system, plus)
+        act_minus, ang_minus = to_action_angle(system, minus)
+        width = 2.0 * step
+        jac[..., :m, j] = (act_plus - act_minus) / width
+        jac[..., m:, j] = ((ang_plus - ang_minus + math.pi) % (2 * math.pi) - math.pi) / width
+    return jac, scale
+
+
+FREQUENCIES = {
+    "four": [1.0, 0.5, 2.0, 3.0],
+    "1e150": [1.0, 1e150],
+    "1e-150": [1e-150, 1.0],
+    "both-ends": [1e150, 1e-150],
+}
+
+
+@pytest.mark.parametrize("frequencies", FREQUENCIES.values(), ids=FREQUENCIES.keys())
+def test_transform_jacobian_matches_the_closed_form(frequencies):
+    """The jet Jacobian of ``to_action_angle`` equals the closed form to a
+    few rounding errors per entry, off-diagonal zeros exactly, also at the
+    branch cut theta = pi and at nu = 10^+-150."""
+    system = ProductSystem.from_frequencies(frequencies)
+    states = sample_states(system, 40, seed=5)
+    cut = from_action_angle(system, 1.3 / system.frequencies, np.full(system.dof, math.pi))
+    for state in (states, cut):
+        expected = closed_form_jacobian(system, state)
+        jac = transform_jacobian(system, state)
+        assert np.all(np.abs(jac - expected) <= 8 * np.finfo(float).eps * np.abs(expected))
+
+
+@pytest.mark.parametrize("frequencies", FREQUENCIES.values(), ids=FREQUENCIES.keys())
+def test_the_central_difference_agrees_within_its_error_model(frequencies):
+    """In units of the orbit's amplitude s_j along axis j, the central
+    difference of step h errs by at most C (h^2 M3 + eps M0 / h) per entry:
+    M0 bounds the value (I for an action, 2 pi for an angle) and M3 the
+    third derivative along the step (0 for the quadratic action, 2 for the
+    angle, atan2 of two arguments of radius sqrt(2E) in those units);
+    C = 4 covers the few roundings of each value.  The wrapped angle
+    difference keeps the branch cut out of it."""
+    system = ProductSystem.from_frequencies(frequencies)
+    states = sample_states(system, 40, seed=9)
+    cut = from_action_angle(system, 1.3 / system.frequencies, np.full(system.dof, math.pi))
+    h, eps, m = 1e-6, np.finfo(float).eps, system.dof
+    for state in (states, cut):
+        fd, scale = central_difference(system, state, h)
+        exact = transform_jacobian(system, state)
+        actions, _ = to_action_angle(system, state)
+        m0 = np.concatenate([actions, np.full(actions.shape, 2 * math.pi)], axis=-1)
+        m3 = np.concatenate([np.zeros(m), np.full(m, 2.0)])
+        bound = 4.0 * (h * h * m3 + eps * m0 / h)[..., :, None]
+        error = np.abs(fd - exact) * scale[..., None, :]  # column j in units of s_j
+        assert np.all(error <= bound)
 
 
 def test_action_angle_chart_fails_at_the_equilibrium():
@@ -293,6 +350,29 @@ def test_array_oracles_match_per_factor_calls(frequencies):
     reports = {r.identity_name: r.max_residual for r in verify_action_angle(system, n_points=5)}
     for name, value in expected.items():
         assert reports[name] == value, name
+
+
+def oracle_calls(system) -> dict:
+    """How often one ``verify_action_angle`` call on ``system`` calls each
+    quadrature oracle, counted by cProfile."""
+    profile = cProfile.Profile()
+    profile.runcall(verify_action_angle, system, n_points=5)
+    counts = {key[:3]: value[1] for key, value in pstats.Stats(profile).stats.items()}
+    codes = {fn.__name__: fn.__code__ for fn in (action_from_energy, angle_period_check)}
+    return {
+        name: counts.get((code.co_filename, code.co_firstlineno, code.co_name), 0)
+        for name, code in codes.items()
+    }
+
+
+def test_the_oracles_run_once_per_system():
+    """The oracles read the frequencies alone: a second battery on one system
+    calls neither, and a fresh system with the same frequencies calls each once."""
+    system = ProductSystem([1.0, 0.5, 2.0, 3.0])
+    once = {"action_from_energy": 1, "angle_period_check": 1}
+    assert oracle_calls(system) == once
+    assert oracle_calls(system) == dict.fromkeys(once, 0)
+    assert oracle_calls(ProductSystem([1.0, 0.5, 2.0, 3.0])) == once
 
 
 def test_sampled_states_respect_the_energy_window():

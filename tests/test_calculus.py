@@ -4,6 +4,7 @@ import pytest
 from hypersymplectic.calculus import (
     DifferentialForm,
     EndomorphismField,
+    Jet,
     TensorField,
     VectorField,
     compose_covector,
@@ -289,3 +290,93 @@ def test_a_field_refuses_a_point_of_another_chart():
             for read in (field.value, field.gradient):
                 with pytest.raises(ChartMismatchError):
                     read(pt)
+
+
+EPS = np.finfo(float).eps
+# two coordinates (a, b) at 6 points, a in [1, 2] and b in [-2, -1]: no zero to divide by
+AB = np.stack([1.0 + np.arange(6) / 5.0, -2.0 + np.arange(6) / 5.0], axis=-1)
+
+
+def assert_rounding_close(actual, expected, ulps=4):
+    """Entrywise |actual - expected| <= ulps * eps * |expected|: zeros must be zeros."""
+    assert actual.shape == expected.shape
+    assert np.all(np.abs(actual - expected) <= ulps * EPS * np.abs(expected)), actual - expected
+
+
+ONE, ZERO = np.ones(6), np.zeros(6)
+# each rule on the jets a, b of the coordinates, or with a constant: the
+# value as numpy computes it and d(value) = (d/da, d/db) in closed form
+JET_RULES = {
+    "add": (lambda a, b: a + b, lambda a, b: (ONE, ONE)),
+    "add-constant": (lambda a, b: 3.0 + a, lambda a, b: (ONE, ZERO)),
+    "subtract": (lambda a, b: a - b, lambda a, b: (ONE, -ONE)),
+    "subtract-from-constant": (lambda a, b: 3.0 - b, lambda a, b: (ZERO, -ONE)),
+    "multiply": (lambda a, b: a * b, lambda a, b: (b, a)),
+    "multiply-array": (lambda a, b: np.arange(6.0) * a, lambda a, b: (np.arange(6.0), ZERO)),
+    "square": (lambda a, b: a * a, lambda a, b: (2 * a, ZERO)),
+    "divide": (lambda a, b: a / b, lambda a, b: (1 / b, -a / (b * b))),
+    "divide-constant": (lambda a, b: 3.0 / a, lambda a, b: (-3.0 / (a * a), ZERO)),
+    "divide-by-constant": (lambda a, b: b / 4.0, lambda a, b: (ZERO, ONE / 4.0)),
+    "arctan2": (lambda a, b: np.arctan2(a, b),
+                lambda a, b: (b / (a * a + b * b), -a / (a * a + b * b))),
+    "remainder": (lambda a, b: (a * 7.0) % 2.0, lambda a, b: (7.0 * ONE, ZERO)),
+}
+
+
+@pytest.mark.parametrize("rule", JET_RULES.values(), ids=JET_RULES.keys())
+def test_each_jet_rule_matches_its_closed_form(rule):
+    """The jet of the map at the seeded coordinates has the map's value bit
+    for bit, and its derivative equals the closed form to a few rounding
+    errors."""
+    fn, derivative = rule
+    seeded = Jet.seed(AB)
+    a, b = seeded[..., 0], seeded[..., 1]
+    jet = fn(a, b)
+    assert isinstance(jet, Jet)
+    assert np.array_equal(jet.value, fn(AB[..., 0], AB[..., 1]))
+    assert jet.d.shape == (6, 2)
+    assert_rounding_close(jet.d, np.stack(derivative(AB[..., 0], AB[..., 1]), axis=-1))
+
+
+@pytest.mark.parametrize("angle", [np.pi, -np.pi], ids=["+0", "-0"])
+def test_the_jet_of_arctan2_is_smooth_across_its_branch_cut(angle):
+    """At y = +0 or -0 with x < 0 the value jumps by 2 pi, while the
+    derivative (x dy - y dx) / (x^2 + y^2) is the same on both sides."""
+    seeded = Jet.seed(np.array([np.copysign(0.0, angle), -2.0]))
+    jet = np.arctan2(seeded[0], seeded[1])
+    assert jet.value == angle
+    assert np.array_equal(jet.d, [-0.5, 0.0])
+    assert np.array_equal((jet % (2 * np.pi)).d, [-0.5, 0.0])
+
+
+def test_jet_comparisons_and_indexing_act_on_the_value():
+    jet = Jet.seed(AB)
+    assert jet.shape == (6, 2) and jet.ndim == 2
+    assert np.array_equal(jet <= 0, AB <= 0) and np.array_equal(0 < jet, 0 < AB)
+    assert np.array_equal(jet == AB, np.ones((6, 2), dtype=bool))
+    unit = np.broadcast_to(np.eye(2), (6, 2, 2))
+    picks = [  # a key on the value, and the same entries of d
+        ((..., slice(None, 1)), (slice(None), slice(None, 1))),
+        (2, 2),
+        ((slice(1, 4), 1), (slice(1, 4), 1)),
+        ((..., 1), (slice(None), 1)),
+        (None, None),
+    ]
+    for key, rows in picks:
+        picked = jet[key]
+        assert np.array_equal(picked.value, AB[key])
+        assert np.array_equal(picked.d, unit[rows])
+
+
+def test_a_jet_refuses_what_it_cannot_differentiate():
+    """Any other ufunc, a jet divisor of remainder and in-place arithmetic
+    raise TypeError instead of dropping the derivative."""
+    jet = Jet.seed(AB)
+    with pytest.raises(TypeError):
+        np.sin(jet)
+    with pytest.raises(TypeError):
+        -jet
+    with pytest.raises(TypeError):
+        AB % jet
+    with pytest.raises(TypeError):
+        np.multiply(jet, 2.0, out=jet)

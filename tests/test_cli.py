@@ -723,26 +723,29 @@ def test_a_run_loads_neither_numpy_random_nor_numpy_polynomial(tmp_path):
 
 
 # per workload, each read at seed 1: the most polynomial calls, the
-# nijenhuis calls and the most linalg calls of a traced call
+# nijenhuis calls, the most linalg calls and the to_action_angle calls of a
+# traced call
 TRACED_BOUNDS = {
     # all five suites: the family's values and exact Jacobian once per
     # sample, its second derivatives once, for the Kähler member; one
-    # nijenhuis call for the battery
-    "paper-n3": (3, 1, 5),
-    "paper-n1-dense": (3, 1, 5),
+    # nijenhuis call for the battery; one to_action_angle call, on the jet
+    # of the states, for the map, its Jacobian and the round trip
+    "paper-n3": (3, 1, 5, 1),
+    "paper-n1-dense": (3, 1, 5, 1),
     # the sections suite alone: the eight sections' values and Jacobian,
     # no battery
-    "harmonic-deg8": (2, 0, 2),
+    "harmonic-deg8": (2, 0, 2, 0),
 }
 
 
 @pytest.mark.parametrize(
-    "workload, polynomial_calls, nijenhuis_calls, linalg_calls",
+    "workload, polynomial_calls, nijenhuis_calls, linalg_calls, action_angle_calls",
     [(name, *bounds) for name, bounds in TRACED_BOUNDS.items()],
     ids=TRACED_BOUNDS.keys(),
 )
 def test_a_traced_workload_call_stays_within_its_call_counts(
-    tmp_path, monkeypatch, workload, polynomial_calls, nijenhuis_calls, linalg_calls
+    tmp_path, monkeypatch, workload, polynomial_calls, nijenhuis_calls, linalg_calls,
+    action_angle_calls,
 ):
     """The benchmark's traced call, in process: after one untraced warm-up
     call, one ``cli.main`` call under ``benchmarks/shims.py``'s tracer on the
@@ -768,3 +771,4 @@ def test_a_traced_workload_call_stays_within_its_call_counts(
     assert counts["fibration.recursion_operator.count"] == 1
     assert counts.get("structures.nijenhuis.count", 0) == nijenhuis_calls
     assert counts["linalg.call.count"] <= linalg_calls
+    assert counts.get("action_angle.to_action_angle.count", 0) == action_angle_calls

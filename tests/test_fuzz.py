@@ -42,8 +42,9 @@ def _sampling(rng: random.Random) -> dict:
 
 
 def oscillators(rng: random.Random) -> dict:
-    """A product of 2, 4 or 6 oscillators with frequencies 10^U(-12, 12)."""
-    frequencies = [10.0 ** rng.uniform(-12, 12) for _ in range(rng.choice((2, 4, 6)))]
+    """A product of 2, 4 or 6 oscillators with frequencies 10^U(-150, 150),
+    the range ``ProductSystem`` admits (nu^2 and nu^-2 normal floats)."""
+    frequencies = [10.0 ** rng.uniform(-150, 150) for _ in range(rng.choice((2, 4, 6)))]
     return {"scenario": "oscillators", "frequencies": frequencies, "sampling": _sampling(rng)}
 
 
@@ -136,7 +137,7 @@ RULES = {
 
 def test_oscillator_products_pass(tmp_path):
     """Every check of an oscillator product states a true theorem, and every
-    draw, with frequencies from 1e-12 to 1e12 (action boxes reaching 2e12),
+    draw, with frequencies from 1e-150 to 1e150 (action boxes reaching 2e150),
     exits 0 with no failed check: no refusal either, since no step is
     configured."""
     for config in draw(oscillators, SEED, 150):

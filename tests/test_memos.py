@@ -19,11 +19,12 @@ import numpy as np
 import pytest
 
 from hypersymplectic import cli
-from hypersymplectic.action_angle import ProductSystem
+from hypersymplectic.action_angle import ProductSystem, action_from_energy, angle_period_check
 from hypersymplectic.errors import ConfigError
 from hypersymplectic.fibration import (
     MEMO_SIZE,
     SectionMap,
+    _tuples,
     base_symplectic_form,
     default_sections,
     form_matrices,
@@ -162,14 +163,18 @@ BUILDERS = {
     "Polynomial.stack": Polynomial.stack.__func__.__code__,
     "Polynomial.jacobian": Polynomial.jacobian.__code__,
     "fibration.form_matrices": form_matrices.__code__,
+    "fibration._tuples": _tuples.__code__,
+    "action_from_energy": action_from_energy.__code__,
+    "angle_period_check": angle_period_check.__code__,
 }
 
 
 @pytest.mark.parametrize("raw", CONFIGS.values(), ids=CONFIGS.keys())
 def test_a_second_identical_run_builds_no_polynomial_and_no_form(raw):
     """The memos hold a run's whole sample-independent build: run again, a
-    config merges no term table, stacks and differentiates no polynomial
-    and forms no matrix of the triple."""
+    config merges no term table, copies none into a memo key (a config's
+    tables are nested tuples already), stacks and differentiates no
+    polynomial, forms no matrix of the triple and runs no quadrature oracle."""
     config = ScenarioConfig.from_dict(raw)
     run_scenario(config)
     profile = cProfile.Profile()

@@ -132,7 +132,8 @@ def test_dilated_level_curve_fails_only_the_action_oracle(frequencies, monkeypat
     monkeypatch.setattr(
         Oscillator1DOF, "level_velocity", scaled(Oscillator1DOF.level_velocity, 1.001)
     )
-    mutated = failed(verify_action_angle(system))
+    # a system keeps its oracle residuals: the mutated one is built after the patch
+    mutated = failed(verify_action_angle(ProductSystem(frequencies)))
     assert list(mutated) == ["action_angle.action_equals_energy_over_frequency"]
     assert mutated["action_angle.action_equals_energy_over_frequency"] == pytest.approx(
         2.001e-3, rel=1e-9
@@ -148,6 +149,6 @@ def test_scaled_angle_gradient_fails_only_the_angle_oracle(frequencies, monkeypa
     monkeypatch.setattr(
         Oscillator1DOF, "angle_gradient", scaled(Oscillator1DOF.angle_gradient, 1.001)
     )
-    mutated = failed(verify_action_angle(system))
+    mutated = failed(verify_action_angle(ProductSystem(frequencies)))  # built after the patch
     assert list(mutated) == ["action_angle.angle_normalization"]
     assert mutated["action_angle.angle_normalization"] == pytest.approx(1e-3, rel=1e-9)
