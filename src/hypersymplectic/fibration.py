@@ -34,11 +34,11 @@ through, and every check of the battery is named by slot from them.
 What depends on no sample is built once per process, in ``lru_cache`` memos
 of ``MEMO_SIZE`` entries, each keyed on one input as given, holding
 read-only arrays and no failed build: ``make_model``'s on (n, bytes of the
-bounds, name), as -0.0 == 0.0, holds the charts, the zero connection, the
-forms, Omega and the coframe pairs; ``SectionMap``'s on a family's spec holds
-its members, polynomial and Jacobian (the tables as given when they are
-nested tuples, as a config's are, else copied into them), and
-``_derivative`` its second derivatives on first read.  Complex structures stay per model.
+bounds, name), as -0.0 == 0.0, is the model; ``SectionMap``'s on a family's
+spec holds its members, polynomial and Jacobian (the tables as given when
+they are nested tuples, as a config's are, else copied into them), and its
+second derivatives on first read.  Complex structures are built per run:
+the benchmark's self-test counts the traced calls that build them.
 """
 
 from __future__ import annotations
@@ -75,10 +75,9 @@ class FibrationModel:
     base_chart: Chart
     total_chart: Chart
     connection: FlatConnection
-    # built with the charts: the forms, Omega and the battery's coframe pairs
-    _forms: HyperSymplecticTriple = field(repr=False, compare=False)
-    _Omega: DifferentialForm = field(repr=False, compare=False)
-    _pairs: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    triple: HyperSymplecticTriple
+    Omega: DifferentialForm
+    pairs: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)  # arrays: no hash
 
     # Block index helpers (0-based block slot i in 0..n-1).
     def ix(self, i: int) -> int:
@@ -92,16 +91,6 @@ class FibrationModel:
 
     def iq(self, i: int) -> int:
         return 3 * self.n + i
-
-    @cached_property
-    def triple(self) -> HyperSymplecticTriple:
-        """The model's three forms, built on first use."""
-        return build_structure_triple(self)
-
-    @cached_property
-    def complexes(self) -> HyperComplexTriple:
-        """The complex structures of ``triple``, built on first use."""
-        return build_complex_triple(self)
 
 
 def _names(prefix: str, n: int) -> tuple[str, ...]:
@@ -127,13 +116,12 @@ def make_model(
     bounds = np.array(action_bounds, dtype=float)
     if bounds.shape != (2 * n, 2):
         raise ValueError(f"need {2 * n} (lower, upper) action bounds, got shape {bounds.shape}")
-    return FibrationModel(n, *_model_build(n, bounds.tobytes(), name))
+    return _model_build(n, bounds.tobytes(), name)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _model_build(n: int, bounds: bytes, name: str) -> tuple:
-    """``make_model``'s charts, zero connection, forms, Omega and coframe
-    pairs from its bounds' bytes, the forms from ``base_data``."""
+def _model_build(n: int, bounds: bytes, name: str) -> FibrationModel:
+    """``make_model``'s model from its bounds' bytes, the forms from ``base_data``."""
     lower, upper = map(tuple, np.frombuffer(bounds).reshape(2 * n, 2).T.tolist())
     base_coords = _names("x", n) + _names("y", n)
     base = Chart(f"{name}-base", base_coords, lower, upper)
@@ -143,8 +131,8 @@ def _model_build(n: int, bounds: bytes, name: str) -> tuple:
     Omega, I = base_data(n)
     forms = zip(form_matrices(Omega, I), FORM_NAMES)
     triple = HyperSymplecticTriple(*(DifferentialForm.constant(total, *f) for f in forms))
-    Omega_form = DifferentialForm.constant(base, Omega, name="Omega")
-    return base, total, FlatConnection.zero(base), triple, Omega_form, _frame_pairs(n)
+    Omega = DifferentialForm.constant(base, Omega, name="Omega")
+    return FibrationModel(n, base, total, FlatConnection.zero(base), triple, Omega, _frame_pairs(n))
 
 
 @dataclass(frozen=True)
@@ -198,12 +186,12 @@ def form_matrices(Omega: np.ndarray, I: np.ndarray) -> np.ndarray:
 
 def build_structure_triple(model: FibrationModel) -> HyperSymplecticTriple:
     """The three forms on the total chart from ``base_data``, built with the model's charts."""
-    return model._forms
+    return model.triple
 
 
 def base_symplectic_form(model: FibrationModel) -> DifferentialForm:
     """Omega of ``base_data`` on the base chart, built with the model's charts."""
-    return model._Omega
+    return model.Omega
 
 
 def build_complex_triple(
@@ -335,8 +323,8 @@ def verify_hypersymplectic(
 
     A caller that already holds the sample ``total_chart.sample(n_points,
     seed)`` passes it in, and a hand-built triple of forms or of complex
-    structures replaces the model's; the complex structures of a hand-built
-    ``triple`` are derived from it.  Every check is named by its slot
+    structures replaces the model's; without ``complexes``, the complex
+    structures are derived from the triple read.  Every check is named by its slot
     (``FORM_NAMES``, ``COMPLEX_NAMES``), never by a field's ``name``.  Each
     family is read once, stacked on a member axis, and each identity is one
     call on the stacks.  One ``det`` of the stacked forms serves both the
@@ -345,14 +333,12 @@ def verify_hypersymplectic(
     as ``recursion_operator`` does; the three recursion operators are then
     one ``solve``."""
     pt = model.total_chart.sample(n_points, seed) if pt is None else pt
-    if complexes is None and triple is not None:
-        complexes = build_complex_triple(model, triple=triple)
     triple = model.triple if triple is None else triple
-    complexes = model.complexes if complexes is None else complexes
+    complexes = build_complex_triple(model, triple=triple) if complexes is None else complexes
     forms, endos = triple.forms(), complexes.endos()
     M = _members([form_matrix(f, pt) for f in forms], 2)
     J = _members([E.matrix(pt) for E in endos], 2)
-    a, b = model._pairs
+    a, b = model.pairs
     first, second = [0, 0, 1], [1, 2, 2]  # the member pairs (0, 1), (0, 2), (1, 2)
     closures = member_worst(exterior_derivative(_members([f.gradient(pt) for f in forms], 3)), 3)
     dets = np.abs(np.linalg.det(M))  # [..., member]
@@ -417,11 +403,11 @@ class SectionMap:
         spec = tuple((name, p, q) for name, p, q in members)
         self.model = model
         try:  # the key as given: SectionSpec holds its tables as nested tuples
-            built = _family(model.n, spec)
+            self._entry = _family(model.n, spec)
         except TypeError:  # unhashable tables, such as lists, keyed as nested tuples
-            built = _family(model.n, tuple((name, _tuples(p), _tuples(q)) for name, p, q in spec))
-        # row-major d(p, q)_r / d(x, y)_j per member, reshaped by fibre_jacobian
-        self.members, self._fibre, self._jacobian = built
+            spec = tuple((name, _tuples(p), _tuples(q)) for name, p, q in spec)
+            self._entry = _family(model.n, spec)
+        self.members = self._entry.members
         self.names = tuple(name for name, _, _ in self.members)
         self.name = ", ".join(self.names)  # a single section's name
         self._reads: tuple = (None, None)  # the last base Point object read, its reads by kind
@@ -442,7 +428,7 @@ class SectionMap:
     def total_coords(self, base_pt: Point) -> np.ndarray:
         """The graph point of every member over ``base_pt``: (..., m, 4n)."""
         xy = base_pt.coords
-        fibre = self._fibre(xy).reshape(xy.shape[:-1] + (len(self.members), -1))
+        fibre = self._entry.fibre(xy).reshape(xy.shape[:-1] + (len(self.members), -1))
         return np.concatenate([np.broadcast_to(xy[..., None, :], fibre.shape), fibre], axis=-1)
 
     def evaluate(self, base_pt: Point) -> Point:
@@ -455,18 +441,15 @@ class SectionMap:
     def fibre_jacobian(self, base_pt: Point) -> np.ndarray:
         """Exact fibre block d(p, q)/d(x, y), (..., m, 2n, 2n), read once per sample."""
         shape = base_pt.batch_shape + (len(self.members),) + (2 * self.model.n,) * 2
-        block = lambda: _finite(lambda: self._jacobian(base_pt.coords)).reshape(shape)
+        block = lambda: _finite(lambda: self._entry.jacobian(base_pt.coords)).reshape(shape)
         return self._read(base_pt, "block", block)
-
-    @cached_property
-    def _hessian(self) -> Polynomial:  # the family's second derivatives
-        return _derivative(self._jacobian)
 
     def fibre_hessian(self, base_pt: Point, member: int = 0) -> np.ndarray:
         """Exact d_a d_j (p, q)_r of one member in the layout [..., r, j, a],
         shape (..., 2n, 2n, 2n), sliced from the family's second derivatives."""
         shape = base_pt.batch_shape + (len(self.members),) + (2 * self.model.n,) * 3
-        table = _finite(lambda: self._hessian(base_pt.coords), "second derivative of the section")
+        hessian = lambda: self._entry.hessian(base_pt.coords)
+        table = _finite(hessian, "second derivative of the section")
         return table.reshape(shape)[..., member, :, :, :]
 
     def jacobian(self, base_pt: Point) -> np.ndarray:
@@ -490,11 +473,23 @@ def _tuples(tables: Sequence) -> tuple:
     return tuple(tuple((tuple(powers), coeff) for powers, coeff in table) for table in tables)
 
 
+@dataclass(frozen=True, eq=False)
+class _FamilyEntry:
+    """A family's members (name, merged p tables, merged q tables), stacked
+    polynomial, its Jacobian and, built on first read, second derivatives."""
+
+    members: tuple
+    fibre: Polynomial
+    jacobian: Polynomial
+
+    @cached_property
+    def hessian(self) -> Polynomial:
+        return self.jacobian.jacobian()
+
+
 @lru_cache(maxsize=MEMO_SIZE)
-def _family(n: int, spec: tuple) -> tuple[tuple, Polynomial, Polynomial]:
-    """A family's members (name, merged p tables, merged q tables), its
-    stacked polynomial and that polynomial's exact Jacobian, from the spec
-    as given; ValueError, naming the member, when a member does not fit."""
+def _family(n: int, spec: tuple) -> _FamilyEntry:
+    """A spec's ``_FamilyEntry``; ValueError, naming the member, when one does not fit."""
     members = []
     for name, p, q in spec:
         try:
@@ -508,12 +503,7 @@ def _family(n: int, spec: tuple) -> tuple[tuple, Polynomial, Polynomial]:
             raise ValueError(f"section {name!r}: {exc}") from None
         members.append((name, tuple(tables[:n]), tuple(tables[n:])))
     fibre = Polynomial.stack(2 * n, [t for _, p, q in members for t in (*p, *q)])
-    return tuple(members), fibre, fibre.jacobian()
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _derivative(poly: Polynomial) -> Polynomial:
-    return poly.jacobian()
+    return _FamilyEntry(tuple(members), fibre, fibre.jacobian())
 
 
 def _finite(compute: Callable[[], np.ndarray], what="tangent frame of the graph") -> np.ndarray:

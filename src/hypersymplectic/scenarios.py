@@ -40,7 +40,9 @@ from .fibration import (
     FORM_NAMES,
     FORM_TO_COMPLEX,
     FibrationModel,
+    HyperComplexTriple,
     SectionMap,
+    build_complex_triple,
     default_sections,
     graph_distance,
     graph_frame_defect,
@@ -272,11 +274,12 @@ class ScenarioConfig:
             raise ConfigError("scenario custom-section requires a non-empty sections list")
 
         sampling = SamplingConfig.from_dict(raw.get("sampling"))
-        most = MAX_TABLE_ENTRIES // entries_per_point(n)
+        members = len(sections or default_sections(n))
+        most = MAX_TABLE_ENTRIES // (math.ceil(members / 2) * entries_per_point(n))
         if sampling.n_points > most:
             raise ConfigError(
-                f"sampling.n_points must be at most {most} at rank n = {n}"
-                f" (MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}), got {sampling.n_points}"
+                f"sampling.n_points must be at most {most} at rank n = {n} with {members}"
+                f" sections (MAX_TABLE_ENTRIES = {MAX_TABLE_ENTRIES}), got {sampling.n_points}"
             )
         raw_tolerances = _object(raw.get("tolerances"), "tolerances", Tolerances)
         tolerances = Tolerances(
@@ -368,15 +371,20 @@ class ReportDocument:
 
 
 class _RunInputs:
-    """What the suites of one run share: the model, the seeded sample of each
-    chart, and the run's sections as one ``SectionMap`` family with the
-    graph-frame defect of its members, each built on first use and reused.
-    The model keeps its two triples, and the family what it read on the base
-    sample, so a run builds or reads nothing twice."""
+    """What the suites of one run share: the model, its complex structures,
+    the seeded sample of each chart, and the run's sections as one
+    ``SectionMap`` family with the graph-frame defect of its members, each
+    built on first use and reused.  The family keeps what it read on the
+    base sample, so a run builds or reads nothing twice."""
 
     def __init__(self, config: ScenarioConfig, model: FibrationModel) -> None:
         self.config = config
         self.model = model
+
+    @cached_property
+    def complexes(self) -> HyperComplexTriple:
+        """Built once per run, cold or warm: a warm run makes a cold one's traced calls."""
+        return build_complex_triple(self.model)
 
     @cached_property
     def total_pt(self) -> Point:
@@ -408,20 +416,19 @@ class _RunInputs:
     def frame_defect(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``graph_frame_defect`` of the family, each member under the complex
         structure that should preserve its graph (``FORM_TO_COMPLEX``)."""
-        Js = [getattr(self.model.complexes, FORM_TO_COMPLEX[spec.form]) for spec in self.specs]
+        Js = [getattr(self.complexes, FORM_TO_COMPLEX[spec.form]) for spec in self.specs]
         return graph_frame_defect(self.sections, Js, self.base_pt)
 
 
 def _suite_hypersymplectic(run: _RunInputs) -> list[CheckReport]:
-    return verify_hypersymplectic(run.model, tolerances=run.config.tolerances, pt=run.total_pt)
+    tol, pt = run.config.tolerances, run.total_pt
+    return verify_hypersymplectic(run.model, tolerances=tol, pt=pt, complexes=run.complexes)
 
 
 def _suite_lagrangian_fibres(run: _RunInputs) -> list[CheckReport]:
     tol, triple = run.config.tolerances, run.model.triple
-    return [
-        verify_lagrangian_fibres(run.model, triple.omega, run.total_pt, tol),
-        verify_lagrangian_fibres(run.model, triple.sigma, run.total_pt, tol),
-    ]
+    forms = (triple.omega, triple.sigma)
+    return [verify_lagrangian_fibres(run.model, f, run.total_pt, tol) for f in forms]
 
 
 def _suite_sections(run: _RunInputs) -> list[CheckReport]:
@@ -451,7 +458,8 @@ def _suite_special_kahler(run: _RunInputs) -> list[CheckReport]:
     member = forms.index("sigma") if configured else 0
     data = build_special_kahler(model, section, member)
     reports = special_symplectic_check(data, pt, tol) + kahler_reports(data, pt, tol)
-    defect = run.frame_defect if configured else None
+    J = getattr(run.complexes, FORM_TO_COMPLEX["sigma"])
+    defect = run.frame_defect if configured else graph_frame_defect(section, J, pt)
     return reports + [induced_vs_restriction(model, section, pt, tol, member, defect)]
 
 

@@ -35,7 +35,7 @@ from .fibration import (
     FORM_TO_COMPLEX,
     FibrationModel,
     SectionMap,
-    base_symplectic_form,
+    build_complex_triple,
     graph_frame_defect,
 )
 from .structures import (
@@ -89,8 +89,7 @@ class SpecialKahlerData:
 def build_special_kahler(
     model: FibrationModel, section: SectionMap, member: int = 0
 ) -> SpecialKahlerData:
-    Omega = base_symplectic_form(model)
-    return SpecialKahlerData(Omega, induced_endomorphism(section, member), model.connection)
+    return SpecialKahlerData(model.Omega, induced_endomorphism(section, member), model.connection)
 
 
 def kahler_metric(
@@ -198,7 +197,7 @@ def induced_vs_restriction(
     with that structure on that member, passes it as ``frame_defect``.
     """
     if frame_defect is None:
-        J = getattr(model.complexes, FORM_TO_COMPLEX["sigma"])
+        J = getattr(build_complex_triple(model), FORM_TO_COMPLEX["sigma"])
         frame_defect = graph_frame_defect(section, J, pt)
     restriction, defect = (table[..., member, :, :] for table in frame_defect[1:])
     agree = np.max(np.abs(restriction - induced_complex_structure(section, pt, member)))

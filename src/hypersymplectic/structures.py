@@ -53,10 +53,12 @@ from .charts import Chart, Point
 # 64-dimensional phase space) takes about 0.4 s and 127 MB peak RSS on the
 # default sample, and the peak grows faster than n^2 (686 MB at n = 32).
 MAX_RANK = 16
-# The largest n_points * entries_per_point(n), the one bound on the sample
-# size.  paper-n's peak RSS grows by 23-27 bytes per entry at n = 1..4, 8 and
-# 16, and its largest admitted sample peaks at 250-284 MiB at every rank
-# measured (n = 1..6, 8, 10, 12, 16; Python 3.11, numpy 2.4, x86-64 Linux).
+# The largest n_points * ceil(sections / 2) * entries_per_point(n), the one
+# bound on the sample size: each pair of sections takes paper-n's share.
+# paper-n's peak RSS grows by 23-27 bytes per entry at n = 1..4, 8 and 16, and
+# its largest admitted sample peaks at 250-284 MiB at every rank measured (n =
+# 1..6, 8, 10, 12, 16; Python 3.11, numpy 2.4, x86-64 Linux); 4 and 16
+# sections peak lower at n = 4 (README).
 MAX_TABLE_ENTRIES = 10**7
 
 

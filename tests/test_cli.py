@@ -12,6 +12,7 @@ from hypersymplectic import calculus, cli, fibration
 from hypersymplectic.cli import main
 from hypersymplectic.polynomials import Polynomial
 from hypersymplectic.scenarios import SUITES, ScenarioConfig, run_scenario
+from test_scenarios import rotations
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -224,6 +225,23 @@ def test_non_finite_config_numbers_exit_2_without_writing(tmp_path, capsys, monk
     report = tmp_path / "report.json"
     assert main(["--config", str(cfg), "--output", str(report)]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_sixteen_sections_past_their_budget_exit_2_without_writing(tmp_path, capsys, monkeypatch):
+    """16 sections at n = 4 and N = 10775, the largest sample paper-n's two
+    default sections are admitted at that rank, would hold eight times their
+    tables (about 1.3 GB): they are refused while the configuration is
+    read, and no report is written."""
+    monkeypatch.setattr(cli, "run_scenario", lambda config: pytest.fail("the configuration ran"))
+    config = {"scenario": "custom-section", "n": 4, "sections": rotations(16, 4),
+              "sampling": {"n_points": 10775}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    report = tmp_path / "report.json"
+    assert main(["--config", str(cfg), "--output", str(report)]) == 2
+    message = "configuration error: sampling.n_points must be at most 1346 at rank n = 4 with 16"
+    assert message in capsys.readouterr().err
     assert not report.exists()
 
 

@@ -282,7 +282,7 @@ def test_stacked_recursion_and_frames_match_single_points():
         pt = model.total_chart.sample(4, n)
         M = [form_matrix(f, pt) for f in model.triple.forms()]
         assert_members_match(recursion_operator, [[M[1], M[0], M[1]], [M[2], M[2], M[0]]], (2, 2), 2)
-        endos = model.complexes.endos()
+        endos = build_complex_triple(model).endos()
         a, b = zip(*(frame_pairs(model.n)[E.name] for E in endos))
         matrices = [E.matrix(pt) for E in endos]
         assert_members_match(holomorphic_frame_check, [matrices, a, b], (2, 2, 2), 1)
@@ -838,7 +838,8 @@ def test_a_family_reads_each_member_as_its_own_section():
         family = SectionMap.family(model, [s.members[0] for s in sections])
         assert family.names == tuple(s.name for s in sections)
         forms = [model.triple.forms()[k % 3] for k in range(len(sections))]
-        endos = [model.complexes.endos()[k % 3] for k in range(len(sections))]
+        complexes = build_complex_triple(model).endos()
+        endos = [complexes[k % 3] for k in range(len(sections))]
         for pt in (model.base_chart.sample(17, 5), model.base_chart.point([0.3] * (2 * model.n))):
             axis = len(pt.batch_shape)  # the member axis
             reads = family_reads(model, family, pt, forms, endos)
@@ -993,18 +994,27 @@ def test_a_sample_cannot_be_written_after_a_section_read_it():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_the_model_builds_its_complex_structures_once(n):
-    """``model.complexes`` is built on first use, kept, and equals the
-    recursion operators of ``build_complex_triple`` entry for entry; a
-    fresh model of the same inputs builds its own."""
+def test_the_model_is_its_memo_entry(n):
+    """``make_model`` returns its memo entry, whose fields are the triple,
+    Omega and coframe pairs ``build_structure_triple``, ``base_symplectic_form``
+    and the battery read; no complex structures are kept on it: each
+    ``build_complex_triple`` builds its own, equal entry for entry to the
+    recursion operators of the model's forms."""
     model = make_model(n)
-    assert model.complexes is model.complexes
-    assert make_model(n).complexes is not model.complexes
-    assert model.triple is model.triple
+    assert make_model(n) is model
+    assert build_structure_triple(model) is model.triple
+    assert base_symplectic_form(model) is model.Omega
+    assert all(np.array_equal(kept, built) for kept, built in zip(model.pairs, _frame_pairs(n)))
+    first, second = build_complex_triple(model), build_complex_triple(model)
+    assert first is not second
     row = Point(model.total_chart, np.zeros((1, model.total_chart.dim)))
-    for kept, built in zip(model.complexes.endos(), build_complex_triple(model).endos()):
+    omega, chi, sigma = (form_matrix(f, row) for f in model.triple.forms())
+    operators = [recursion_operator(chi, sigma), recursion_operator(omega, sigma),
+                 recursion_operator(chi, omega)]
+    for kept, built, operator in zip(first.endos(), second.endos(), operators):
         assert kept.name == built.name
         np.testing.assert_array_equal(kept.matrix(row), built.matrix(row))
+        np.testing.assert_array_equal(kept.matrix(row), operator + 0.0)
 
 
 def test_a_run_takes_one_determinant_and_one_solve_per_use(monkeypatch):

@@ -6,6 +6,7 @@ change another's report."""
 
 import contextlib
 import cProfile
+import dataclasses
 import io
 import json
 import math
@@ -26,6 +27,7 @@ from hypersymplectic.fibration import (
     SectionMap,
     _tuples,
     base_symplectic_form,
+    build_complex_triple,
     default_sections,
     form_matrices,
     make_model,
@@ -105,6 +107,23 @@ def test_a_warm_run_equals_a_cold_one_and_a_fresh_process(tmp_path, memos, raw):
     )
     assert proc.returncode in (0, 1), proc.stderr
     assert stable_bytes(json.loads(report.read_text())["report"]) == cold
+
+
+def test_a_run_builds_its_complex_structures_once_and_leaves_the_model_as_built(memos):
+    """The model is its memo entry, and a full run leaves nothing on it but
+    its fields; the run builds the complex structures once, cold or warm,
+    and a chi-only family sends the special-kahler suite to its fallback
+    sigma section, whose graph-frame defect reads them too."""
+    config = ScenarioConfig.from_dict(custom(UNIMODULAR))
+    codes = {"build_complex_triple": build_complex_triple.__code__}
+    clear(memos)
+    for _ in ("cold", "warm"):
+        profile = cProfile.Profile()
+        profile.runcall(run_scenario, config)
+        assert calls_of(profile, codes) == {"build_complex_triple": 1}
+    model = make_model(config.n, name=config.scenario)
+    assert memos["fibration._model_build"].cache_info().currsize == 1
+    assert vars(model).keys() == {f.name for f in dataclasses.fields(model)}
 
 
 def traced_code_objects() -> dict:
@@ -330,10 +349,10 @@ def test_every_cached_array_is_read_only(memos):
         "connection": model.connection,
         "triple": model.triple,
         "base form": base_symplectic_form(model),
-        "frame pairs": model._pairs,
-        "stack": family._fibre,
-        "jacobian": family._jacobian,
-        "second derivatives": family._hessian,
+        "frame pairs": model.pairs,
+        "stack": family._entry.fibre,
+        "jacobian": family._entry.jacobian,
+        "second derivatives": family._entry.hessian,
         "product system": ProductSystem.from_frequencies([1.0, 2.0]),
     }
     assert all(memo.cache_info().currsize for memo in memos.values())

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from hypersymplectic import action_angle
-from hypersymplectic.action_angle import Oscillator1DOF, ProductSystem, verify_action_angle
+from hypersymplectic.action_angle import (
+    ANGLE_PERIOD,
+    Oscillator1DOF,
+    ProductSystem,
+    verify_action_angle,
+)
 from hypersymplectic.calculus import DifferentialForm, EndomorphismField, form_matrix
 from hypersymplectic.fibration import (
     HyperComplexTriple,
@@ -152,3 +157,50 @@ def test_scaled_angle_gradient_fails_only_the_angle_oracle(frequencies, monkeypa
     mutated = failed(verify_action_angle(ProductSystem(frequencies)))  # built after the patch
     assert list(mutated) == ["action_angle.angle_normalization"]
     assert mutated["action_angle.angle_normalization"] == pytest.approx(1e-3, rel=1e-9)
+
+
+ORACLES = ["action_angle.action_equals_energy_over_frequency", "action_angle.angle_normalization"]
+
+
+@pytest.mark.parametrize("frequencies", [[1.0, 2.0], [1.0, 0.5, 2.0, 3.0]])
+def test_a_sign_flipped_angle_fails_the_transform_and_the_round_trip(frequencies, monkeypatch):
+    """The angle read as atan2(-nu xi, pi) runs the other way round each
+    orbit: the map is anti-canonical, so the pulled-back form is minus the
+    canonical one (residual 2), and the exact inverse sends each state to
+    its mirror image (round trip 2 orbit amplitudes).  The oracles read the
+    level curve and d(angle), not the angle, and still pass."""
+    system = ProductSystem(frequencies)
+    assert failed(verify_action_angle(system)) == {}
+    monkeypatch.setattr(
+        Oscillator1DOF,
+        "angle",
+        lambda self, xi, pi: np.arctan2(-1.0 * (self.frequency * xi), pi) % ANGLE_PERIOD,
+    )
+    reports = {r.identity_name: r for r in verify_action_angle(ProductSystem(frequencies))}
+    mutated = failed(reports.values())
+    assert list(mutated) == ["action_angle.canonical_transform", "action_angle.round_trip"]
+    assert mutated["action_angle.canonical_transform"] == pytest.approx(2.0, rel=1e-12)
+    assert mutated["action_angle.round_trip"] == pytest.approx(2.0, rel=1e-4)
+    assert all(reports[name].passed for name in ORACLES)
+
+
+@pytest.mark.parametrize("frequencies", [[1.0, 2.0], [1.0, 0.5, 2.0, 3.0]])
+def test_a_doubled_frequency_in_the_angle_fails_the_transform_and_the_round_trip(
+    frequencies, monkeypatch
+):
+    """The angle read as atan2(2 nu xi, pi), the wrong frequency: the map is
+    no longer canonical (residual near 1) and the exact inverse misses the
+    state (round trip 0.26 orbit amplitudes).  The oracles still pass."""
+    system = ProductSystem(frequencies)
+    assert failed(verify_action_angle(system)) == {}
+    monkeypatch.setattr(
+        Oscillator1DOF,
+        "angle",
+        lambda self, xi, pi: np.arctan2(2.0 * self.frequency * xi, pi) % ANGLE_PERIOD,
+    )
+    reports = {r.identity_name: r for r in verify_action_angle(ProductSystem(frequencies))}
+    mutated = failed(reports.values())
+    assert list(mutated) == ["action_angle.canonical_transform", "action_angle.round_trip"]
+    assert 0.99 < mutated["action_angle.canonical_transform"] < 1.0
+    assert mutated["action_angle.round_trip"] == pytest.approx(0.26, abs=1e-3)
+    assert all(reports[name].passed for name in ORACLES)

@@ -65,6 +65,31 @@ def test_sample_size_is_bounded():
             ScenarioConfig.from_dict(raw)
 
 
+def rotations(count: int, n: int) -> list[dict]:
+    """``count`` sigma sections at rank n, each the rotation p_i = y_i, q_i = -x_i."""
+    unit = lambda j: [int(a == j) for a in range(2 * n)]
+    p = [[[unit(n + i), 1.0]] for i in range(n)]
+    q = [[[unit(i), -1.0]] for i in range(n)]
+    return [{"name": f"rotation{k}", "form": "sigma", "p": p, "q": q} for k in range(count)]
+
+
+def test_the_budget_counts_each_pair_of_sections():
+    """Every per-member table grows with the section count, so the sample
+    budget counts ceil(sections / 2) times paper-n's: at n = 4, one or two
+    sections keep paper-n's 10775 points, three or four get 5387 and
+    sixteen 1346; one point more is refused, naming the section count."""
+    assert MAX_TABLE_ENTRIES // entries_per_point(4) == 10775
+    for count, most in ((1, 10775), (2, 10775), (3, 5387), (4, 5387), (16, 1346)):
+        sections = rotations(count, 4)
+        raw = {"scenario": "custom-section", "n": 4, "sections": sections,
+               "sampling": {"n_points": most}}
+        assert ScenarioConfig.from_dict(raw).sampling.n_points == most
+        raw["sampling"]["n_points"] += 1
+        message = f"sampling.n_points must be at most {most} at rank n = 4 with {count} sections"
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig.from_dict(raw)
+
+
 def test_rank_is_bounded():
     """The resolved rank is bounded, whether set by ``n`` or by the length
     of an oscillator frequency list."""
@@ -193,9 +218,13 @@ def test_run_scenario_is_deterministic():
     assert "output" not in doc["report"]["config"]
 
 
-def test_a_run_draws_and_builds_its_shared_inputs_once(monkeypatch):
+def test_a_run_draws_and_builds_its_shared_inputs_once(monkeypatch, memos):
     """All five suites share one sample per chart, one family of sections and
-    one of each triple; the action-angle suite draws its states once."""
+    one of each triple: with the memos cleared, the model's build forms the
+    triple's matrices once, and the run builds its complex structures once;
+    the action-angle suite draws its states once."""
+    for memo in memos.values():
+        memo.cache_clear()
     counts = Counter()
 
     def counted(module, name, key):
@@ -209,17 +238,16 @@ def test_a_run_draws_and_builds_its_shared_inputs_once(monkeypatch):
 
     counted(Chart, "sample", lambda chart, *rest: chart.name)
     counted(fibration.SectionMap, "_build", lambda section, model, members: "family")
-    for name in ("build_structure_triple", "build_complex_triple"):
-        for module in (scenarios, fibration, special_kahler):
-            if hasattr(module, name):
-                counted(module, name, lambda model, name=name: name)
+    counted(fibration, "form_matrices", lambda Omega, I: "form_matrices")
+    for module in (scenarios, fibration, special_kahler):
+        counted(module, "build_complex_triple", lambda model: "build_complex_triple")
     counted(action_angle, "sample_states", lambda *args: "sample_states")
     run_scenario(ScenarioConfig.from_dict({"scenario": "paper-n", "n": 2}))
     assert counts == {
         "paper-n-total": 1,
         "paper-n-base": 1,
         "family": 1,
-        "build_structure_triple": 1,
+        "form_matrices": 1,
         "build_complex_triple": 1,
         "sample_states": 1,
     }

@@ -369,7 +369,8 @@ def test_stacked_primitives_match_single_points():
     # mixed, each with a varying connection
     models = [make_model(n) for n in (1, 2, 3, 4)]
     families = [
-        (m.triple.forms(), m.complexes.endos(), m.total_chart.sample(4, m.n)) for m in models
+        (m.triple.forms(), build_complex_triple(m).endos(), m.total_chart.sample(4, m.n))
+        for m in models
     ]
     families.append(
         (HAND_BUILT_TRIPLE.forms(), HAND_BUILT_COMPLEXES.endos(), MODEL.total_chart.sample(6, 24))
