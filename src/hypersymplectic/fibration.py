@@ -35,9 +35,9 @@ What depends on no sample is built once per process, in ``lru_cache`` memos
 of ``MEMO_SIZE`` entries, each keyed on one input as given, holding
 read-only arrays and no failed build: ``make_model``'s on (n, bytes of the
 bounds, name), as -0.0 == 0.0, is the model; ``SectionMap``'s on a family's
-spec holds its members, polynomial and Jacobian (the tables as given when
-they are nested tuples, as a config's are, else copied into them), and its
-second derivatives on first read.  Complex structures are built per run:
+spec holds its members, polynomial, degree and Jacobian (the tables as given
+when they are nested tuples, as a config's are, else copied into them), and
+its second derivatives on first read.  Complex structures are built per run:
 the benchmark's self-test counts the traced calls that build them.
 """
 
@@ -379,8 +379,10 @@ class SectionMap:
     polynomial, with its exact Jacobian, and component ``k * 2n + r``, (p,
     q)_r of member k, evaluates bit for bit as it would alone where finite.
     Each read is of the whole family and raises GeometryError unless
-    finite; the FD frame ``jacobian_fd``, stepped by the base chart, is the
-    tests' cross-check of the exact one, which every check reads.  The
+    finite; the exact block is ``(..., m, 2n, 2n)``, with no point axes
+    when the family's Jacobian is constant.  The FD frame ``jacobian_fd``,
+    stepped by the base chart, is the tests' cross-check of the exact one,
+    which every check reads.  The
     values, exact fibre block and exact frame read on the last base
     ``Point`` object (compared by identity) are kept read-only until
     another point is read."""
@@ -439,22 +441,22 @@ class SectionMap:
         return Point(self.model.total_chart, self._read(base_pt, "values", values))
 
     def fibre_jacobian(self, base_pt: Point) -> np.ndarray:
-        """Exact fibre block d(p, q)/d(x, y), (..., m, 2n, 2n), read once per sample."""
-        shape = base_pt.batch_shape + (len(self.members),) + (2 * self.model.n,) * 2
-        block = lambda: _finite(lambda: self._entry.jacobian(base_pt.coords)).reshape(shape)
+        """Exact fibre block d(p, q)/d(x, y), ``(..., m, 2n, 2n)``, with no
+        point axes when the family's Jacobian is constant, read once per sample."""
+        block = lambda: _finite(lambda: self._entry.read(1, base_pt.coords))
         return self._read(base_pt, "block", block)
 
     def fibre_hessian(self, base_pt: Point, member: int = 0) -> np.ndarray:
         """Exact d_a d_j (p, q)_r of one member in the layout [..., r, j, a],
-        shape (..., 2n, 2n, 2n), sliced from the family's second derivatives."""
-        shape = base_pt.batch_shape + (len(self.members),) + (2 * self.model.n,) * 3
-        hessian = lambda: self._entry.hessian(base_pt.coords)
-        table = _finite(hessian, "second derivative of the section")
-        return table.reshape(shape)[..., member, :, :, :]
+        ``(..., 2n, 2n, 2n)``, with no point axes when the family's second
+        derivatives are constant, sliced from the family's table."""
+        read = lambda: self._entry.read(2, base_pt.coords)
+        return _finite(read, "second derivative of the section")[..., member, :, :, :]
 
     def jacobian(self, base_pt: Point) -> np.ndarray:
-        """Exact graph frame (Id; D), (..., m, 4n, 2n): the identity block over
-        the fibre block, read once per sample."""
+        """Exact graph frame (Id; D), ``(..., m, 4n, 2n)``, with no point axes
+        when the family's Jacobian is constant: the identity block over the
+        fibre block, read once per sample."""
         block = self.fibre_jacobian(base_pt)
         top = np.broadcast_to(np.eye(2 * self.model.n), block.shape)
         return self._read(base_pt, "frame", lambda: np.concatenate([top, block], axis=-2))
@@ -476,15 +478,24 @@ def _tuples(tables: Sequence) -> tuple:
 @dataclass(frozen=True, eq=False)
 class _FamilyEntry:
     """A family's members (name, merged p tables, merged q tables), stacked
-    polynomial, its Jacobian and, built on first read, second derivatives."""
+    polynomial of total degree ``degree``, its Jacobian and, built on first
+    read, second derivatives."""
 
     members: tuple
     fibre: Polynomial
     jacobian: Polynomial
+    degree: int
 
     @cached_property
     def hessian(self) -> Polynomial:
         return self.jacobian.jacobian()
+
+    def read(self, order: int, coords: np.ndarray) -> np.ndarray:
+        """The derivatives of ``order`` 1 or 2 at ``coords``; a constant
+        table (``degree <= order``) at one point, without point axes."""
+        table = self.jacobian if order == 1 else self.hessian
+        value = table(coords if self.degree > order else np.zeros(table.n_vars))
+        return value.reshape(value.shape[:-1] + (len(self.members), -1) + (table.n_vars,) * order)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -503,7 +514,8 @@ def _family(n: int, spec: tuple) -> _FamilyEntry:
             raise ValueError(f"section {name!r}: {exc}") from None
         members.append((name, tuple(tables[:n]), tuple(tables[n:])))
     fibre = Polynomial.stack(2 * n, [t for _, p, q in members for t in (*p, *q)])
-    return _FamilyEntry(tuple(members), fibre, fibre.jacobian())
+    degree = max((sum(e) for e, _ in fibre.terms), default=0)
+    return _FamilyEntry(tuple(members), fibre, fibre.jacobian(), degree)
 
 
 def _finite(compute: Callable[[], np.ndarray], what="tangent frame of the graph") -> np.ndarray:

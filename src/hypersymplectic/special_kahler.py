@@ -52,14 +52,17 @@ from .structures import (
 
 
 def induced_complex_structure(section: SectionMap, pt: Point, member: int = 0) -> np.ndarray:
-    """Matrices of I of one member of ``section`` at base point(s): minus
-    that member's exact fibre block of the section's Jacobian."""
+    """Matrices of I of one member of ``section`` at base point(s), ``(...,
+    2n, 2n)``, with no point axes when the family's Jacobian is constant:
+    minus that member's exact fibre block of the section's Jacobian."""
     return -section.fibre_jacobian(pt)[..., member, :, :]
 
 
 def induced_endomorphism(section: SectionMap, member: int = 0) -> EndomorphismField:
     """I of one member of ``section`` as a field carrying its exact derivative
-    ``d_a I_kb = -d_a d_b (p, q)_k``, minus the member's second derivatives."""
+    ``d_a I_kb = -d_a d_b (p, q)_k``, minus the member's second derivatives.
+    Its matrices, ``(..., 2n, 2n)``, have no point axes when the family's
+    Jacobian is constant, its derivatives none when its second are."""
     name = section.names[member]
     return EndomorphismField(
         section.model.base_chart,

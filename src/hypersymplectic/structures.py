@@ -66,7 +66,8 @@ def entries_per_point(n: int) -> int:
     """The table entries a run holds per sample point at rank n, m = 2n:
     the m^3 of d_nabla I and the sections' second derivatives, and the
     lower-order tables (frames, Jacobians, vectors) as fitted to paper-n's
-    peak RSS, 1.5 kB a point at n = 1 and 0.9 MB at n = 16."""
+    peak RSS, 1.5 kB a point at n = 1 and 0.9 MB at n = 16.  The m^3 term
+    is the worst case: constant second derivatives hold none per point."""
     m = 2 * n
     return m**3 + 4 * m**2 + 20 * m
 

@@ -44,6 +44,7 @@ from hypersymplectic.scenarios import ScenarioConfig, run_scenario
 from hypersymplectic.special_kahler import induced_complex_structure
 from hypersymplectic.structures import SECTION_PULLBACK_TOL
 from test_acceptance import _corpus
+from test_polynomials import assert_bitwise_equal
 from test_structures import assert_members_match
 
 MODEL = make_model(1)
@@ -92,6 +93,12 @@ def total_point(coords):
 
 def base_point(coords):
     return MODEL.base_chart.point(coords)
+
+
+def assert_bits(actual, expected):
+    """Equal shapes, and equal values bit for bit, signs of zero included."""
+    assert actual.shape == expected.shape
+    assert_bitwise_equal(actual, expected)
 
 
 def test_model_layout():
@@ -605,12 +612,15 @@ def test_the_fd_frame_is_divided_by_the_step_actually_taken():
     exact frame's shape (Id; D) at any step; for the rotation section,
     whose slopes are 0 and 1, it equals the exact frame bit for bit, also
     on a box near x = 1 narrow enough that the width rule steps by 1e-12,
-    where the step taken differs from h by up to 2e-4."""
+    where the step taken differs from h by up to 2e-4.  The FD frame keeps
+    its point axes; the rotation's exact frame, a constant, has none."""
     for bounds in (None, [(1.0, 1.0 + 2e-7)] * 2):
         model = make_model(1, action_bounds=bounds)
         rotation = standard_sigma_section(model)
         pt = model.base_chart.sample(50, 3)
-        assert np.array_equal(rotation.jacobian_fd(pt), rotation.jacobian(pt))
+        fd, exact = rotation.jacobian_fd(pt), rotation.jacobian(pt)
+        assert (fd.shape, exact.shape) == ((50, 1, 4, 2), (1, 4, 2))
+        assert_bits(fd, np.broadcast_to(exact, fd.shape))
     assert model.base_chart.fd_step() == pytest.approx(1e-12)
 
 
@@ -648,11 +658,11 @@ def test_section_maps_match_per_component_evaluation():
         4, [((3, 1, 2, 0), 0.5), ((0, 2, 0, 4), -1.25), ((1, 0, 1, 1), 2.0), ((0, 0, 0, 1), 3.0)]
     )
     model = make_model(2)
-    cases = [
-        (gradient_section(model, potential), [potential.derivative(j) for j in range(4)]),
-        (zero_section(model), [Polynomial.from_terms(4, [])] * 4),
+    cases = [  # (section, its scalar components, whether its Jacobian is constant)
+        (gradient_section(model, potential), [potential.derivative(j) for j in range(4)], False),
+        (zero_section(model), [Polynomial.from_terms(4, [])] * 4, True),
     ]
-    for section, polys in cases:
+    for section, polys, constant in cases:
         stacked = model.base_chart.sample(7, 3)
         for pt in (stacked, next(iter(stacked))):
             xy = pt.coords
@@ -660,7 +670,50 @@ def test_section_maps_match_per_component_evaluation():
             graph = np.concatenate([xy, fibre], axis=-1)[..., None, :]
             assert np.array_equal(section.total_coords(pt), graph)
             rows = [np.stack([poly.derivative(j)(xy) for j in range(4)], axis=-1) for poly in polys]
-            assert np.array_equal(section.fibre_jacobian(pt), np.stack(rows, axis=-2)[..., None, :, :])
+            expected = np.stack(rows, axis=-2)[..., None, :, :]
+            block = section.fibre_jacobian(pt)
+            assert block.shape == ((1, 4, 4) if constant else expected.shape)
+            assert_bits(np.broadcast_to(block, expected.shape), expected)
+
+
+ROTATION = ("rotation", [[((0, 1), 1.0)]], [[((1, 0), -1.0)]])
+# rank-1 families: (members, whether the Jacobian is constant, whether the
+# second derivatives are)
+READ_FAMILIES = {
+    "degree-0": ([("constant", [[((0, 0), 0.5)]], [[((0, 0), -2.0)]])], True, True),
+    "defaults": ([(row[0], *row[2:]) for row in default_sections(1)], True, True),
+    "curved-sigma": (
+        [("curved", [[((0, 1), 1.0), ((2, 0), 1.0)]], [[((1, 0), -1.0)]])], False, True
+    ),
+    "mixed": ([ROTATION, ("quadratic", [[((1, 1), 2.0)]], [[((2, 0), 1.0)]])], False, True),
+    "cubic": ([ROTATION, ("cubic", [[((3, 0), 1.0)]], [[((1, 2), -3.0)]])], False, False),
+}
+READ_POINTS = {
+    "sample": lambda: MODEL.base_chart.sample(17, 5),
+    "one-point": lambda: MODEL.base_chart.sample(1, 5),
+    "unbatched": lambda: base_point([0.4, -0.3]),  # off the origin
+}
+
+
+@pytest.mark.parametrize("where", READ_POINTS)
+@pytest.mark.parametrize("family", READ_FAMILIES)
+def test_a_constant_derivative_table_is_read_once_without_point_axes(family, where):
+    """A family's fibre block and second derivatives keep no point axes
+    exactly when their term table is constant, and equal, bit for bit, the
+    per-point read: the family's polynomials evaluated on the whole
+    sample.  A family of degree 2 has a varying Jacobian and constant
+    second derivatives, and its member of highest degree decides for all."""
+    members, *constant = READ_FAMILIES[family]
+    section, pt = SectionMap.family(MODEL, members), READ_POINTS[where]()
+    m, tables = len(members), (section._entry.jacobian, section._entry.hessian)
+    hessians = np.stack([section.fibre_hessian(pt, k) for k in range(m)], axis=-4)
+    reads = (section.fibre_jacobian(pt), hessians)
+    for order, read, table, fixed in zip((1, 2), reads, tables, constant):
+        expected = table(pt.coords).reshape(pt.batch_shape + (m,) + (2,) * (order + 1))
+        assert read.shape == expected.shape[len(pt.batch_shape) if fixed else 0 :]
+        assert_bits(np.broadcast_to(read, expected.shape), expected)
+    frame = section.jacobian(pt)
+    assert frame.ndim == (3 if constant[0] else 3 + len(pt.batch_shape))
 
 
 def test_zero_section_is_omega_lagrangian_and_chi_invariant():
@@ -799,10 +852,23 @@ CURVED_N2 = (
 )
 
 
+# the value axes of each read of ``family_reads``, after its member axis
+READ_RANKS = {
+    "values": 1,
+    "exact frame": 2,
+    "fd frame": 2,
+    "pullback": 1,
+    "D": 2,
+    "restriction": 2,
+    "defect": 2,
+    "distance": 1,
+}
+
+
 def family_reads(model, family, pt, forms, endos):
     """Every read of a family on ``pt`` with the given forms and complex
     structures (one for every member, or one per member), each table with
-    the member axis."""
+    the member axis just before its ``READ_RANKS`` value axes."""
     table = section_pullback(model, family, forms, pt)
     D, restriction, defect = graph_frame_defect(family, endos, pt)
     return {
@@ -828,27 +894,48 @@ def family_cases():
     yield model, [SectionMap.family(model, [CURVED_N2])]
 
 
+def family_degree(family):
+    """The largest total degree of a term of any member of ``family``."""
+    tables = [t for _, p, q in family.members for t in (*p, *q)]
+    return max((sum(powers) for table in tables for powers, _ in table), default=0)
+
+
 def test_a_family_reads_each_member_as_its_own_section():
     """Built from the term tables of its members, a family equals, member by
     member and exactly, each section read alone: values, exact and FD
     frames, pullback table, D, restriction, defect, distance and second
-    derivatives.  Member k is held to form k and complex structure k
-    (cycling), the section alone to the same two."""
+    derivatives, each compared on the per-point shape.  Member k is held to
+    form k and complex structure k (cycling), the section alone to the same
+    two.  Each read has the point axes, except the exact ones of a family
+    whose Jacobian is constant (degree at most 1) and the second
+    derivatives of one of degree at most 2."""
+    per_point = {"values", "fd frame"}  # read per point whatever the degree
     for model, sections in family_cases():
         family = SectionMap.family(model, [s.members[0] for s in sections])
         assert family.names == tuple(s.name for s in sections)
         forms = [model.triple.forms()[k % 3] for k in range(len(sections))]
         complexes = build_complex_triple(model).endos()
         endos = [complexes[k % 3] for k in range(len(sections))]
-        for pt in (model.base_chart.sample(17, 5), model.base_chart.point([0.3] * (2 * model.n))):
-            axis = len(pt.batch_shape)  # the member axis
+        n2, m = 2 * model.n, len(sections)
+        for pt in (model.base_chart.sample(17, 5), model.base_chart.point([0.3] * n2)):
             reads = family_reads(model, family, pt, forms, endos)
+            for kind, table in reads.items():
+                axes = pt.batch_shape if kind in per_point or family_degree(family) > 1 else ()
+                assert table.shape[: table.ndim - READ_RANKS[kind]] == axes + (m,), kind
             for k, section in enumerate(sections):
                 alone = family_reads(model, section, pt, forms[k], endos[k])
                 for kind, table in reads.items():
-                    member = np.take(table, k, axis=axis)
-                    assert np.array_equal(member, np.take(alone[kind], 0, axis=axis)), kind
-                assert np.array_equal(family.fibre_hessian(pt, k), section.fibre_hessian(pt))
+                    rank = READ_RANKS[kind]
+                    member = np.take(table, k, axis=table.ndim - rank - 1)
+                    single = np.take(alone[kind], 0, axis=alone[kind].ndim - rank - 1)
+                    shape = pt.batch_shape + member.shape[member.ndim - rank :]
+                    assert_bits(np.broadcast_to(member, shape), np.broadcast_to(single, shape))
+                hessian = family.fibre_hessian(pt, k)
+                axes = pt.batch_shape if family_degree(family) > 2 else ()
+                assert hessian.shape == axes + (n2,) * 3
+                shape = pt.batch_shape + (n2,) * 3
+                single = section.fibre_hessian(pt)
+                assert_bits(np.broadcast_to(hessian, shape), np.broadcast_to(single, shape))
 
 
 def test_an_overflowing_member_raises_for_the_family():

@@ -61,6 +61,11 @@ ROTATION = section("rotation", "sigma", [[[0, 1], 1.0]], [[[1, 0], -1.0]])
 CURVED_SIGMA = custom(section("curved", "sigma", [[[0, 1], 1.0], [[2, 0], 1.0]], [[[1, 0], -1.0]]))
 # p = 2x + y, q = x + y: a symmetric D of det 1, Lagrangian for chi and omega
 UNIMODULAR = section("unimodular", "chi", [[[1, 0], 2.0], [[0, 1], 1.0]], [[[1, 0], 1.0], [[0, 1], 1.0]])
+# p = 0.5, q = -2: a degree-0 section, its Jacobian and second derivatives constant
+CONSTANT = section("constant", "omega", [[[0, 0], 0.5]], [[[0, 0], -2.0]])
+# p = 2xy, q = x^2, the gradient of x^2 y: its family with the rotation has a
+# varying Jacobian and constant second derivatives
+QUADRATIC = section("quadratic", "omega", [[[1, 1], 2.0]], [[[2, 0], 1.0]])
 CONFIGS = {
     "paper-n1": {"scenario": "paper-n1"},
     "paper-n2": {"scenario": "paper-n", "n": 2},
@@ -73,6 +78,8 @@ CONFIGS = {
     "curved-sigma": CURVED_SIGMA,
     "harmonic-deg8": benchmark_module("workloads").make_config("harmonic-deg8", 1),
     "chi-sigma": custom(UNIMODULAR, ROTATION),
+    "degree-0": custom(CONSTANT),
+    "mixed": custom(ROTATION, QUADRATIC),
 }
 
 

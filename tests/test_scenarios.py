@@ -31,6 +31,7 @@ from hypersymplectic.structures import (
     entries_per_point,
 )
 
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 ROTATION_SECTION = {
     "name": "turn",
     "form": "sigma",
@@ -251,6 +252,24 @@ def test_a_run_draws_and_builds_its_shared_inputs_once(monkeypatch, memos):
         "build_complex_triple": 1,
         "sample_states": 1,
     }
+
+
+def test_a_dense_run_holds_its_constant_section_tables_without_a_sample_axis(monkeypatch):
+    """On the benchmark's paper-n1-dense config, 160 points, every suite
+    passes, and the default sections' fibre block, second derivatives and
+    graph-frame defect, which the run reads once for its family, carry no
+    sample axis: each is (member, 2, 2) or a member's (2, 2, 2)."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+
+    config = ScenarioConfig.from_dict(workloads.make_config("paper-n1-dense", 1))
+    run = scenarios._RunInputs(config, scenarios.build_scenario_model(config))
+    reports = [r for suite in config.suites for r in scenarios._SUITE_RUNNERS[suite](run)]
+    assert len(run.base_pt) == 160 and reports and all(r.passed for r in reports)
+    sections, pt = run.sections, run.base_pt
+    assert sections.fibre_jacobian(pt).shape == (2, 2, 2)
+    assert [sections.fibre_hessian(pt, k).shape for k in (0, 1)] == [(2, 2, 2)] * 2
+    assert [table.shape for table in run.frame_defect] == [(2, 2, 2)] * 3
 
 
 def test_a_run_takes_each_graph_frame_once(monkeypatch):
